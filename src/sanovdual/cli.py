@@ -28,9 +28,9 @@ import numpy as np
 import scipy
 
 from . import __version__, dp, montecarlo as mc
-from .cramer import (EmpiricalLaw, FiniteSupportLaw, LawError, LogNormalLaw,
-                     ParetoLaw, StudentTLaw, conjugate_pair, deviation_bound,
-                     moment_norm)
+from .cramer import conjugate_pair, deviation_bound, moment_norm
+from .laws import (EmpiricalLaw, FiniteSupportLaw, LawError, LogNormalLaw,
+                   ParetoLaw, StudentTLaw)
 from .losses import ExpLoss, LossError, PowerLoss, TabulatedLoss
 from .penalties import (LpEntropy, RelativeEntropy, Robust, SetIndicator,
                         Shortfall, Transport, spec_space)
@@ -209,27 +209,12 @@ def parse_law(obj, path="law"):
     raise ConfigError(f"{path}.kind: unknown law kind {kind!r}")
 
 
-def parse_sampler(obj, path="law"):
-    _check_keys(obj, path, required=("kind",),
-                optional=("a", "df", "sigma", "centered", "atoms", "weights"))
-    kind = obj["kind"]
-    try:
-        if kind == "pareto":
-            return mc.ParetoSampler(_num(obj["a"], f"{path}.a"),
-                                    bool(obj.get("centered", True)))
-        if kind == "student_t":
-            return mc.StudentTSampler(_num(obj["df"], f"{path}.df"))
-        if kind == "lognormal":
-            return mc.LogNormalSampler(_num(obj["sigma"], f"{path}.sigma"),
-                                       bool(obj.get("centered", True)))
-        if kind == "finite":
-            return mc.FiniteSampler(np.asarray(_num_list(obj["atoms"],
-                                                         f"{path}.atoms")),
-                                    np.asarray(_num_list(obj["weights"],
-                                                         f"{path}.weights")))
-    except KeyError as exc:
-        raise ConfigError(f"{path}.{exc.args[0]}: missing required key") from exc
-    raise ConfigError(f"{path}.kind: unknown sampler kind {kind!r}")
+def _sampled_law(obj, path="law"):
+    """A law the Monte Carlo experiments can draw from."""
+    law = parse_law(obj, path)
+    if isinstance(law, EmpiricalLaw):
+        raise ConfigError(f"{path}.kind: an empirical law cannot be sampled")
+    return law
 
 
 def _grid(obj, path):
@@ -389,17 +374,16 @@ def cmd_tailbound(cfg, out: Path, seed: int, threads: int) -> int:
                           "family", "n", "seed"))
     experiment = cfg["experiment"]
     if experiment == "mean_tail":
-        sampler = parse_sampler(cfg["law"])
+        law = _sampled_law(cfg["law"])
         q = _num(cfg["q"], "q")
         replications = int(cfg.get("replications", 10000))
         schedule = _schedule(cfg["schedule"], "schedule")
-        law = parse_law(cfg["law"])
         mq = moment_norm(law, q)
         r = _num(cfg["r"], "r") if "r" in cfg else mq + 1.0
         if not r > mq:
             raise ConfigError("r: must exceed the moment constant M_q")
         try:
-            ests = [mc.estimate_tail(sampler, n, r, replications,
+            ests = [mc.estimate_tail(law, n, r, replications,
                                      seed=seed, threads=threads)
                     for n in schedule]
         except ValueError as exc:
@@ -471,7 +455,7 @@ def _parse_saa_instance(cfg) -> mc.SAAInstance:
         loss = lambda x, w: (x - x0) ** 2 + x * w
     else:
         raise ConfigError(f"loss.kind: unknown loss kind {kind!r}")
-    sampler = parse_sampler(cfg["law"])
+    law = _sampled_law(cfg["law"])
     growth = None
     if "growth" in cfg:
         gobj = cfg["growth"]
@@ -480,7 +464,7 @@ def _parse_saa_instance(cfg) -> mc.SAAInstance:
             raise ConfigError("growth.kind: only 'quadratic' is supported")
         scale = _num(gobj.get("scale", 1.0), "growth.scale")
         growth = lambda d: scale * d * d
-    return mc.SAAInstance(decisions, loss, sampler,
+    return mc.SAAInstance(decisions, loss, law,
                           epsilon=_num(cfg["epsilon"], "epsilon"),
                           q=_num(cfg["q"], "q"), growth=growth)
 

@@ -18,114 +18,17 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from .extreal import INF
+from .laws import (EmpiricalLaw, FiniteSupportLaw, Law, LawError, ParetoLaw,
+                   StudentTLaw)
 from .optim import bisect_nonincreasing, coordinate_ascent_box, golden_max
 from .quadrature import expect as _expect
 
 log = logging.getLogger("sanovdual")
-
-
-class LawError(ValueError):
-    """Law not admissible for the requested exponent."""
-
-
-@dataclass(frozen=True)
-class FiniteSupportLaw:
-    """Atoms of shape (k,) or (k, d) with probability weights."""
-
-    atoms: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.atoms, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or a.shape[0] != w.size:
-            raise LawError("atoms and weights must align")
-        if (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
-            raise LawError("weights must be a probability vector")
-        object.__setattr__(self, "atoms", a)
-        object.__setattr__(self, "weights", w / w.sum())
-
-    @property
-    def dim(self) -> int:
-        return 1 if self.atoms.ndim == 1 else self.atoms.shape[1]
-
-
-@dataclass(frozen=True)
-class EmpiricalLaw:
-    """Plug-in law of observed samples, shape (N,) or (N, d)."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=float)
-        if not np.isfinite(s).all():
-            raise LawError("samples must be finite")
-        object.__setattr__(self, "samples", s)
-
-    @property
-    def dim(self) -> int:
-        return 1 if self.samples.ndim == 1 else self.samples.shape[1]
-
-
-@dataclass(frozen=True)
-class ParetoLaw:
-    """Standard Pareto with survival x^(-a) on [1, inf), optionally centered
-    by its analytic mean a/(a-1)."""
-
-    a: float
-    centered: bool = True
-
-    def __post_init__(self):
-        if not self.a > 1.0:
-            raise LawError("Pareto needs tail index a > 1 for a finite mean")
-
-    @property
-    def dim(self) -> int:
-        return 1
-
-    @property
-    def shift(self) -> float:
-        return self.a / (self.a - 1.0) if self.centered else 0.0
-
-
-@dataclass(frozen=True)
-class StudentTLaw:
-    df: float
-
-    def __post_init__(self):
-        if not self.df > 1.0:
-            raise LawError("Student t needs df > 1")
-
-    @property
-    def dim(self) -> int:
-        return 1
-
-
-@dataclass(frozen=True)
-class LogNormalLaw:
-    sigma: float
-    centered: bool = True
-
-    def __post_init__(self):
-        if not self.sigma > 0:
-            raise LawError("log-normal needs sigma > 0")
-
-    @property
-    def dim(self) -> int:
-        return 1
-
-    @property
-    def shift(self) -> float:
-        return float(np.exp(self.sigma ** 2 / 2.0)) if self.centered else 0.0
-
-
-Law = FiniteSupportLaw | EmpiricalLaw | ParetoLaw | StudentTLaw | LogNormalLaw
 
 
 def check_admissible(law: Law, q: float) -> None:
@@ -136,26 +39,6 @@ def check_admissible(law: Law, q: float) -> None:
         raise LawError(f"Pareto tail a={law.a} does not integrate |x|^{q}")
     if isinstance(law, StudentTLaw) and not law.df > q:
         raise LawError(f"Student t df={law.df} does not integrate |x|^{q}")
-
-
-def _density_and_support(law):
-    if isinstance(law, ParetoLaw):
-        a, c = law.a, law.shift
-        return (lambda x: a * np.power(x + c, -a - 1.0)), (1.0 - c, INF)
-    if isinstance(law, StudentTLaw):
-        fr = stats.t(law.df)
-        return fr.pdf, (-INF, INF)
-    if isinstance(law, LogNormalLaw):
-        fr = stats.lognorm(s=law.sigma)
-        c = law.shift
-        return (lambda x: fr.pdf(x + c)), (-c, INF)
-    raise TypeError(f"no density for {law!r}")
-
-
-def _quad_expect(law, fn, breaks: Sequence[float] = ()) -> float:
-    """E[fn(X)] by segment Gauss-Legendre quadrature with breakpoints."""
-    pdf, (lo, hi) = _density_and_support(law)
-    return _expect(pdf, lo, hi, fn, breaks=breaks)
 
 
 def plus_power_moment(law: Law, t, m: float, q: float) -> float:
@@ -173,9 +56,9 @@ def plus_power_moment(law: Law, t, m: float, q: float) -> float:
     if ts == 0.0:
         return max(1.0 - m, 0.0) ** q
     kink = (m - 1.0) / ts
-    return _quad_expect(law,
-                        lambda x: np.maximum(1.0 + ts * x - m, 0.0) ** q,
-                        breaks=(kink,))
+    return _expect(law.pdf, *law.support,
+                   lambda x: np.maximum(1.0 + ts * x - m, 0.0) ** q,
+                   breaks=(kink,))
 
 
 def moment_norm(law: Law, q: float) -> float:
@@ -189,8 +72,8 @@ def moment_norm(law: Law, q: float) -> float:
         mags = np.abs(law.samples) if law.samples.ndim == 1 \
             else np.linalg.norm(law.samples, axis=1)
         return float(np.mean(mags ** q) ** (1.0 / q))
-    return float(_quad_expect(law, lambda x: np.abs(x) ** q,
-                              breaks=(0.0,)) ** (1.0 / q))
+    return float(_expect(law.pdf, *law.support, lambda x: np.abs(x) ** q,
+                         breaks=(0.0,)) ** (1.0 / q))
 
 
 def cumulant(law: Law, x_star, q: float) -> float:
@@ -207,12 +90,10 @@ def cumulant(law: Law, x_star, q: float) -> float:
         return plus_power_moment(law, t, m, q)
 
     scale = 1.0 + float(np.linalg.norm(t))
-    try:
-        return float(bisect_nonincreasing(G, 1.0, -2.0 * scale, 2.0 * scale,
-                                          rel_tol=1e-12))
-    except ArithmeticError:
+    m = bisect_nonincreasing(G, 1.0, -2.0 * scale, 2.0 * scale, rel_tol=1e-12)
+    if m == INF:
         log.warning("cumulant: target level never reached on the bracket")
-        return INF
+    return m
 
 
 @dataclass(frozen=True)

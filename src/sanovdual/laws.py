@@ -1,0 +1,137 @@
+"""Law families of the heavy-tail apparatus, one frozen class per family.
+
+Each class validates its parameters on construction.  The continuous
+families (Pareto, Student t, log-normal) carry their closed-form density
+and support for quadrature, and every family except the empirical one
+draws Monte Carlo samples from a numpy Generator.  Centering subtracts the
+analytic mean, so a centered law has mean zero.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.special import poch
+
+from .extreal import INF
+
+
+class LawError(ValueError):
+    """Law not admissible for the requested exponent."""
+
+
+@dataclass(frozen=True)
+class FiniteSupportLaw:
+    """Atoms of shape (k,) or (k, d) with probability weights."""
+
+    atoms: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        a = np.asarray(self.atoms, dtype=float)
+        w = np.asarray(self.weights, dtype=float)
+        if w.ndim != 1 or a.shape[0] != w.size:
+            raise LawError("atoms and weights must align")
+        if (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
+            raise LawError("weights must be a probability vector")
+        object.__setattr__(self, "atoms", a)
+        object.__setattr__(self, "weights", w / w.sum())
+
+    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
+        idx = rng.choice(self.weights.size, size=size, p=self.weights)
+        return self.atoms[idx]
+
+
+@dataclass(frozen=True)
+class EmpiricalLaw:
+    """Plug-in law of observed samples, shape (N,) or (N, d)."""
+
+    samples: np.ndarray
+
+    def __post_init__(self):
+        s = np.asarray(self.samples, dtype=float)
+        if not np.isfinite(s).all():
+            raise LawError("samples must be finite")
+        object.__setattr__(self, "samples", s)
+
+
+@dataclass(frozen=True)
+class ParetoLaw:
+    """Standard Pareto with survival x^(-a) on [1, inf), optionally centered
+    by its analytic mean a/(a-1)."""
+
+    a: float
+    centered: bool = True
+
+    def __post_init__(self):
+        if not self.a > 1.0:
+            raise LawError("Pareto needs tail index a > 1 for a finite mean")
+
+    @property
+    def shift(self) -> float:
+        return self.a / (self.a - 1.0) if self.centered else 0.0
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return 1.0 - self.shift, INF
+
+    def pdf(self, x: np.ndarray) -> np.ndarray:
+        return self.a * np.power(x + self.shift, -self.a - 1.0)
+
+    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
+        return rng.pareto(self.a, size) + 1.0 - self.shift
+
+
+@dataclass(frozen=True)
+class StudentTLaw:
+    df: float
+
+    def __post_init__(self):
+        if not self.df > 1.0:
+            raise LawError("Student t needs df > 1")
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return -INF, INF
+
+    def pdf(self, x: np.ndarray) -> np.ndarray:
+        df = self.df
+        return np.exp(np.log(poch(0.5 * df, 0.5))
+                      - 0.5 * (np.log(df) + np.log(np.pi))
+                      - (df + 1.0) / 2.0 * np.log1p(x * x / df))
+
+    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
+        return rng.standard_t(self.df, size)
+
+
+@dataclass(frozen=True)
+class LogNormalLaw:
+    sigma: float
+    centered: bool = True
+
+    def __post_init__(self):
+        if not self.sigma > 0:
+            raise LawError("log-normal needs sigma > 0")
+
+    @property
+    def shift(self) -> float:
+        return float(np.exp(self.sigma ** 2 / 2.0)) if self.centered else 0.0
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return -self.shift, INF
+
+    def pdf(self, x: np.ndarray) -> np.ndarray:
+        y = np.asarray(x, dtype=float) + self.shift
+        s = self.sigma
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logpdf = (-np.log(y) ** 2 / (2.0 * s ** 2)
+                      - np.log(s * y * np.sqrt(2.0 * np.pi)))
+        return np.where(y > 0.0, np.exp(logpdf), 0.0)
+
+    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
+        return rng.lognormal(0.0, self.sigma, size) - self.shift
+
+
+Law = FiniteSupportLaw | EmpiricalLaw | ParetoLaw | StudentTLaw | LogNormalLaw

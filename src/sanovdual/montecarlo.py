@@ -1,9 +1,9 @@
 """Monte Carlo verification harness.
 
-Heavy-tailed samplers with deterministic per-replication streams, tail
-probability estimation with Wilson intervals, log-log rate fitting,
-sample-average-approximation experiments for stochastic optimization, and
-the bounded-increment martingale experiment.
+Deterministic per-replication streams for drawing from the laws of
+``laws.py``, tail probability estimation with Wilson intervals, log-log
+rate fitting, sample-average-approximation experiments for stochastic
+optimization, and the bounded-increment martingale experiment.
 
 Replication i draws from a counter-based Philox generator keyed by
 base_seed XOR i, so replications are reproducible, order-independent and
@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
+from .laws import FiniteSupportLaw, Law, LogNormalLaw, ParetoLaw, StudentTLaw
 from .optim import golden_max
 from .quadrature import expect as _quad_expect
 
@@ -41,68 +42,12 @@ def rep_rng(base_seed: int, i: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# ---------------------------------------------------------------------------
-# Samplers
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ParetoSampler:
-    """Standard Pareto on [1, inf) with survival x^(-a); centering subtracts
-    the analytic mean a/(a-1)."""
-
-    a: float
-    centered: bool = True
-
-    @property
-    def shift(self) -> float:
-        return self.a / (self.a - 1.0) if self.centered else 0.0
-
-    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
-        return rng.pareto(self.a, size) + 1.0 - self.shift
-
-
-@dataclass(frozen=True)
-class StudentTSampler:
-    df: float
-
-    def draw(self, rng, size):
-        return rng.standard_t(self.df, size)
-
-
-@dataclass(frozen=True)
-class LogNormalSampler:
-    sigma: float
-    centered: bool = True
-
-    @property
-    def shift(self) -> float:
-        return float(np.exp(self.sigma ** 2 / 2.0)) if self.centered else 0.0
-
-    def draw(self, rng, size):
-        return rng.lognormal(0.0, self.sigma, size) - self.shift
-
-
-@dataclass(frozen=True)
-class FiniteSampler:
-    """Finite-support sampler; atoms may be scalars or vectors."""
-
-    atoms: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.atoms, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        if (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must form a probability vector")
-        object.__setattr__(self, "atoms", a)
-        object.__setattr__(self, "weights", w / w.sum())
-
-    def draw(self, rng, size):
-        idx = rng.choice(self.weights.size, size=size, p=self.weights)
-        return self.atoms[idx]
-
-
-Sampler = ParetoSampler | StudentTSampler | LogNormalSampler | FiniteSampler
+# perfbench/tracer.py times sampling through these names; the laws are the
+# samplers.
+ParetoSampler = ParetoLaw
+StudentTSampler = StudentTLaw
+LogNormalSampler = LogNormalLaw
+FiniteSampler = FiniteSupportLaw
 
 
 # Martingale increment families: each maps per-step uniforms to increments,
@@ -190,7 +135,7 @@ class TailEstimate:
                 bound if bound is not None else "")
 
 
-def estimate_tail(sampler: Sampler, n: int, r: float, replications: int,
+def estimate_tail(law: Law, n: int, r: float, replications: int,
                   seed: int, threads: int = 1) -> TailEstimate:
     """Fraction of replications whose sample mean reaches radius r.
 
@@ -203,7 +148,7 @@ def estimate_tail(sampler: Sampler, n: int, r: float, replications: int,
     def count_range(lo: int, hi: int) -> int:
         hits = 0
         for i in range(lo, hi):
-            x = sampler.draw(rep_rng(seed, i), n)
+            x = law.draw(rep_rng(seed, i), n)
             if x.ndim == 1:
                 hit = x.mean() >= r
             else:
@@ -250,7 +195,7 @@ def rate_fit(ns: Sequence[int], p_hats: Sequence[float]) -> RateFit:
     if k > 2:
         sigma2 = float((resid ** 2).sum() / (k - 2))
         se = math.sqrt(sigma2 / sxx)
-        upper = slope + float(stats.t.ppf(0.95, k - 2)) * se
+        upper = slope + float(stdtrit(k - 2, 0.95)) * se
     else:
         se, upper = 0.0, slope
     return RateFit(slope, se, upper, k, "ok")
@@ -291,13 +236,13 @@ class SAAInstance:
     """A finite-grid stochastic program min_x E[h(x, W)].
 
     ``loss`` must be vectorized in its second argument.  ``law`` provides
-    the Monte Carlo draws; exact values V(mu) use the sampler's own finite
-    support or quadrature against a matching closed-form density.
+    the Monte Carlo draws; exact values V(mu) use its finite support or
+    quadrature against its closed-form density.
     """
 
     decisions: np.ndarray
     loss: Callable[[float, np.ndarray], np.ndarray]
-    law: Sampler
+    law: Law
     epsilon: float
     q: float
     growth: Optional[Callable[[float], float]] = None
@@ -307,15 +252,15 @@ class SAAInstance:
 
     def expected_losses(self) -> np.ndarray:
         """E[h(x, W)] per decision, exactly or by quadrature."""
-        if isinstance(self.law, FiniteSampler):
+        if isinstance(self.law, FiniteSupportLaw):
             return np.array([
                 float(np.dot(self.law.weights, self.loss(x, self.law.atoms)))
                 for x in self.decisions
             ])
-        pdf, lo, hi = _sampler_density(self.law)
         out = np.empty(self.decisions.size)
         for j, x in enumerate(self.decisions):
-            out[j] = _quad_expect(pdf, lo, hi, lambda w: self.loss(x, w))
+            out[j] = _quad_expect(self.law.pdf, *self.law.support,
+                                  lambda w: self.loss(x, w))
         return out
 
     def true_value(self) -> float:
@@ -334,20 +279,6 @@ class SAAInstance:
         if not math.isfinite(val):
             raise GrowthValidationError("sampled psi^q moment is not finite")
         return val
-
-
-def _sampler_density(law: Sampler):
-    if isinstance(law, ParetoSampler):
-        a, c = law.a, law.shift
-        return (lambda w: a * (w + c) ** (-a - 1.0)), 1.0 - c, np.inf
-    if isinstance(law, StudentTSampler):
-        fr = stats.t(law.df)
-        return fr.pdf, -np.inf, np.inf
-    if isinstance(law, LogNormalSampler):
-        fr = stats.lognorm(s=law.sigma)
-        c = law.shift
-        return (lambda w: fr.pdf(w + c)), -c, np.inf
-    raise TypeError(f"no closed density for {law!r}")
 
 
 def _empirical_values(instance: SAAInstance, n: int, replications: int,
@@ -396,7 +327,7 @@ def saa_run(instance: SAAInstance, schedule: Sequence[int], replications: int,
 def saa_exact_exceedance(instance: SAAInstance, n: int) -> float:
     """Exact exceedance probability by enumerating the n-fold product law
     (finite-support laws only)."""
-    if not isinstance(instance.law, FiniteSampler):
+    if not isinstance(instance.law, FiniteSupportLaw):
         raise TypeError("exact enumeration needs a finite-support law")
     atoms = instance.law.atoms
     weights = instance.law.weights

@@ -11,7 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .extreal import NEG_INF
+from .extreal import INF, NEG_INF
 from .spaces import compositions
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -32,26 +32,48 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def golden_min(fn: Callable[[float], float], lo: float, hi: float,
-               tol: float = 1e-12, max_iter: int = 200) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal scalar function on [lo, hi]."""
-    a, b = float(lo), float(hi)
+def _pick(cond, a, b):
+    """np.where for a single boolean: keeps scalar searches on Python
+    floats, at Python speed."""
+    return a if cond else b
+
+
+def _namespace(lo, hi):
+    """(where, any, all, lo, hi) for scalar or (B,)-array brackets."""
+    if np.ndim(lo) == 0:
+        return _pick, bool, bool, float(lo), float(hi)
+    return (np.where, np.ndarray.any, np.ndarray.all,
+            np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+
+
+def golden_min(fn: Callable, lo, hi, tol: float = 1e-12, max_iter: int = 200):
+    """Golden-section minimum of a unimodal function on [lo, hi].
+
+    With scalar brackets ``fn`` maps a float to a float.  With (B,) arrays
+    of brackets it maps a (B,) array of points to their (B,) values, and
+    each row stops on its own tolerance.  Either way ``fn`` is evaluated
+    once per iteration.
+    """
+    where, any_, all_, a, b = _namespace(lo, hi)
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
     for _ in range(max_iter):
-        if b - a <= tol * (1.0 + abs(a) + abs(b)):
+        done = b - a <= tol * (1.0 + abs(a) + abs(b))
+        if all_(done):
             break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = fn(d)
-    x = c if fc <= fd else d
-    return x, min(fc, fd)
+        left = fc <= fd
+        na, nb = where(left, a, c), where(left, d, b)
+        x = where(left, nb - GOLDEN * (nb - na), na + GOLDEN * (nb - na))
+        fx = fn(x)
+        new = (na, nb, where(left, x, d), where(left, c, x),
+               where(left, fx, fd), where(left, fc, fx))
+        if any_(done):     # rows already within tolerance keep their state
+            new = [where(done, o, n)
+                   for o, n in zip((a, b, c, d, fc, fd), new)]
+        a, b, c, d, fc, fd = new
+    best = fc <= fd
+    return where(best, c, d), where(best, fc, fd)
 
 
 def golden_max(fn, lo, hi, tol=1e-12, max_iter=200):
@@ -69,40 +91,46 @@ def grid_then_golden_min(fn, lo, hi, coarse: int = 121, tol: float = 1e-12):
     return golden_min(fn, a, b, tol=tol)
 
 
-def bisect_nonincreasing(G: Callable[[float], float], target: float,
-                         lo: float, hi: float,
-                         rel_tol: float = 1e-10, max_iter: int = 300) -> float:
-    """Smallest root of G(m) <= target for nonincreasing continuous G.
+def bisect_nonincreasing(G: Callable, target: float, lo, hi,
+                         rel_tol: float = 1e-10, max_iter: int = 300):
+    """Smallest m with G(m) <= target, per row, for G nonincreasing and
+    continuous in each row.
 
-    The bracket [lo, hi] is expanded geometrically until G(lo) > target
-    and G(hi) <= target.
+    With scalar brackets G maps a float to a float.  With (B,) arrays of
+    brackets it maps a (B,) array of levels to their (B,) values.  Each
+    bracket is expanded geometrically until G(lo) > target and
+    G(hi) <= target.  A row whose upper end never crosses the target is
+    +inf, one whose lower end never does is -inf.  Bisection runs until
+    every bracketed row is narrower than rel_tol.
     """
-    width = max(hi - lo, 1.0)
+    where, _, all_, lo, hi = _namespace(lo, hi)
+    width = where(hi - lo > 1.0, hi - lo, 1.0)
     for _ in range(200):
-        if G(hi) <= target:
+        crossed = G(hi) <= target
+        if all_(crossed):
             break
-        hi += width
-        width *= 2.0
-    else:
-        raise ArithmeticError("bisection: upper bracket never crossed target")
-    width = max(hi - lo, 1.0)
+        hi = where(crossed, hi, hi + width)
+        width = where(crossed, width, width * 2.0)
+    never_below = where(crossed, False, True)
+    width = where(hi - lo > 1.0, hi - lo, 1.0)
     for _ in range(200):
-        if G(lo) > target:
+        crossed = never_below | (G(lo) > target)
+        if all_(crossed):
             break
-        lo -= width
-        width *= 2.0
-    else:
-        # G <= target everywhere we looked: the infimum is unbounded below.
-        return NEG_INF
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if G(mid) <= target:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= rel_tol * (1.0 + abs(mid)):
-            break
-    return hi
+        lo = where(crossed, lo, lo - width)
+        width = where(crossed, width, width * 2.0)
+    always_below = where(crossed, False, True)
+    if not all_(never_below | always_below):
+        # Rows without a bracket collapse to a point and stop at once.
+        lo = where(never_below | always_below, hi, lo)
+        for _ in range(max_iter):
+            mid = 0.5 * (lo + hi)
+            below = G(mid) <= target
+            hi = where(below, mid, hi)
+            lo = where(below, lo, mid)
+            if all_(hi - lo <= rel_tol * (1.0 + abs(mid))):
+                break
+    return where(never_below, INF, where(always_below, NEG_INF, hi))
 
 
 def simplex_grid(m: int, step: float) -> np.ndarray:

@@ -30,13 +30,11 @@ import numpy as np
 
 from .extreal import INF
 from .losses import LossFn
-from .optim import pgd_max_simplex, project_simplex
+from .optim import golden_min, pgd_max_simplex, project_simplex
 from .spaces import Dist, ProductDist, SpaceError
 from .transport import solve_transport
 
 HULL_TOL = 1e-9  # Euclidean tolerance for membership in a convex hull
-
-_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +183,25 @@ def lp_entropy(nu, mu, p: float) -> float | np.ndarray:
     return float(out[0]) if single else out
 
 
-def shortfall_penalty(nu, mu, loss: LossFn,
-                      log_t_range: tuple[float, float] = (-30.0, 30.0),
-                      coarse: int = 61,
-                      golden_iters: int = 56) -> float | np.ndarray:
+def shortfall_objective(V: np.ndarray, w: np.ndarray, loss: LossFn):
+    """The map log t -> (1/t)(1 + int l*(t dnu/dmu) dmu), one point per row
+    nu of V; mass of nu off the support of mu is ignored."""
+    live = w > 0.0
+    wl = w[live]
+    rl = V[:, live] / wl
+
+    def objective(log_t: np.ndarray) -> np.ndarray:
+        t = np.exp(log_t)
+        conj = np.asarray(loss.conjugate(t[:, None] * rl), dtype=float)
+        bad = ~np.isfinite(conj)
+        body = np.dot(np.where(bad, 0.0, conj), wl)
+        body[bad.any(axis=1)] = INF
+        return (1.0 + body) / t
+
+    return objective
+
+
+def shortfall_penalty(nu, mu, loss: LossFn) -> float | np.ndarray:
     """inf over t > 0 of (1/t)(1 + int l*(t dnu/dmu) dmu).
 
     The objective is the perspective of the conjugate loss, hence convex in
@@ -197,44 +210,20 @@ def shortfall_penalty(nu, mu, loss: LossFn,
     """
     V, single = _rows(nu)
     w = _ref_weights(mu)
-    off = ((V > 0.0) & (w <= 0.0)[None, :]).any(axis=1)
-    live = w > 0.0
-    wl = w[live]
-    rl = np.zeros((V.shape[0], int(live.sum())))
-    rl[:] = V[:, live] / wl
-
-    def objective(log_t: np.ndarray) -> np.ndarray:
-        t = np.exp(log_t)
-        conj = np.asarray(loss.conjugate(t[:, None] * rl), dtype=float)
-        bad = ~np.isfinite(conj)
-        body = np.dot(np.where(bad, 0.0, conj), wl)
-        body[(bad & (wl > 0.0)[None, :]).any(axis=1)] = INF
-        return (1.0 + body) / t
-
+    objective = shortfall_objective(V, w, loss)
     B = V.shape[0]
-    lo, hi = log_t_range
-    grid = np.linspace(lo, hi, coarse)
+    grid = np.linspace(-30.0, 30.0, 61)
     vals = np.stack([objective(np.full(B, s)) for s in grid])
     best = np.argmin(vals, axis=0)
     a = grid[np.maximum(best - 1, 0)]
-    b = grid[np.minimum(best + 1, coarse - 1)]
-    c = b - _PHI * (b - a)
-    d = a + _PHI * (b - a)
-    fc, fd = objective(c), objective(d)
-    for _ in range(golden_iters):
-        take = fc <= fd
-        b = np.where(take, d, b)
-        a = np.where(take, a, c)
-        c = b - _PHI * (b - a)
-        d = a + _PHI * (b - a)
-        fc, fd = objective(c), objective(d)
-    out = np.minimum(np.minimum(fc, fd), vals[best, np.arange(B)])
-    out[off] = INF
+    b = grid[np.minimum(best + 1, grid.size - 1)]
+    _, out = golden_min(objective, a, b)
+    out = np.minimum(out, vals[best, np.arange(B)])
+    out[((V > 0.0) & (w <= 0.0)[None, :]).any(axis=1)] = INF
     return float(out[0]) if single else out
 
 
-def robust_entropy(nu, generators: Sequence[Dist],
-                   grad_tol: float = 1e-9) -> float | np.ndarray:
+def robust_entropy(nu, generators: Sequence[Dist]) -> float | np.ndarray:
     """Infimum of relative entropy over the convex hull of the generators.
 
     The map w -> H(nu | sum_j w_j g_j) is convex in the mixture weights, so
@@ -247,66 +236,25 @@ def robust_entropy(nu, generators: Sequence[Dist],
 
     if k == 1:
         out = _rel_rows(V, G[0][None, :])
-        return float(out[0]) if single else out
-
-    if k == 2:
-        g0, g1 = G[0], G[1]
+    elif k == 2:
+        g0, g1 = G
 
         def ent_at(wv: np.ndarray) -> np.ndarray:
             mix = wv[:, None] * g0[None, :] + (1.0 - wv)[:, None] * g1[None, :]
             return _rel_rows(V, mix)
 
-        a = np.zeros(V.shape[0])
-        b = np.ones(V.shape[0])
-        c = b - _PHI * (b - a)
-        d = a + _PHI * (b - a)
-        fc, fd = ent_at(c), ent_at(d)
-        for _ in range(60):
-            take = fc <= fd
-            b = np.where(take, d, b)
-            a = np.where(take, a, c)
-            c = b - _PHI * (b - a)
-            d = a + _PHI * (b - a)
-            fc, fd = ent_at(c), ent_at(d)
-        out = np.minimum(fc, fd)
-        out = np.minimum(out, np.minimum(ent_at(np.zeros(V.shape[0])),
-                                         ent_at(np.ones(V.shape[0]))))
-        return float(out[0]) if single else out
-
-    outs = np.empty(V.shape[0])
-    starts = [np.full(k, 1.0 / k)]
-    starts += [0.9 * e + 0.1 / k for e in np.eye(k)]
-    for bi in range(V.shape[0]):
-        row = V[bi]
-
-        def neg_obj(wv):
-            return -float(_rel_rows(row[None, :], (wv @ G)[None, :])[0])
-
-        def neg_grad(wv):
-            mix = wv @ G
-            grad = np.array([
-                -np.sum(np.where(mix > 0.0,
-                                 row * G[j] / np.maximum(mix, 1e-300), 0.0))
-                for j in range(k)
-            ])
-            return -grad
-
-        best = float(min(_rel_rows(row[None, :], G[j][None, :])[0]
-                         for j in range(k)))
-        for w0 in starts:
-            _, val = pgd_max_simplex(neg_obj, w0, gradient=neg_grad,
-                                     grad_tol=grad_tol)
-            if np.isfinite(val):
-                best = min(best, -val)
-        outs[bi] = best
-    return float(outs[0]) if single else outs
+        zeros, ones = np.zeros(V.shape[0]), np.ones(V.shape[0])
+        _, out = golden_min(ent_at, zeros, ones)
+        out = np.minimum(out, np.minimum(ent_at(zeros), ent_at(ones)))
+    else:
+        out = np.array([robust_mixture_argmin(row, generators)[0]
+                        for row in V])
+    return float(out[0]) if single else out
 
 
 def robust_mixture_argmin(nu_vec, generators: Sequence[Dist]
                           ) -> tuple[float, np.ndarray]:
     """Robust entropy of a single law plus the minimizing hull mixture."""
-    from .optim import golden_min  # local import to avoid a cycle at load
-
     V = np.asarray(nu_vec, dtype=float)[None, :]
     G = np.stack([g.weights for g in generators])
     k = G.shape[0]

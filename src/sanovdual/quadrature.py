@@ -11,9 +11,12 @@ decaying integrable tail guarantees.
 
 from __future__ import annotations
 
+import logging
 from typing import Callable, Sequence
 
 import numpy as np
+
+log = logging.getLogger("sanovdual")
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(64)
 
@@ -57,29 +60,29 @@ def expect(pdf: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
         total += _tiled(pdf, fn, a, b)
 
     if not np.isfinite(hi):
-        a = edges[-1]
-        step = max(1.0, abs(a) * 0.5)
-        small = 0
-        for k in range(max_segments):
-            piece = _segment(pdf, fn, a, a + step)
-            total += piece
-            a += step
-            step *= 6.0
-            small = small + 1 if abs(piece) <= rel_tol * (abs(total) + 1e-30) \
-                else 0
-            if small >= 2 and k >= 3:
-                break
+        total = _tail(pdf, fn, edges[-1], 1.0, total, rel_tol, max_segments)
     if not np.isfinite(lo):
-        b = edges[0]
-        step = max(1.0, abs(b) * 0.5)
-        small = 0
-        for k in range(max_segments):
-            piece = _segment(pdf, fn, b - step, b)
-            total += piece
-            b -= step
-            step *= 6.0
-            small = small + 1 if abs(piece) <= rel_tol * (abs(total) + 1e-30) \
-                else 0
-            if small >= 2 and k >= 3:
-                break
+        total = _tail(pdf, fn, edges[0], -1.0, total, rel_tol, max_segments)
+    return total
+
+
+def _tail(pdf, fn, edge: float, sign: float, total: float, rel_tol: float,
+          max_segments: int) -> float:
+    """Add the unbounded tail beyond ``edge`` (upper for sign +1, lower for
+    -1) to ``total`` on geometrically growing segments, until two pieces in
+    a row fall below tolerance; warns if ``max_segments`` runs out first."""
+    step = max(1.0, abs(edge) * 0.5)
+    small = 0
+    for k in range(max_segments):
+        far = edge + sign * step
+        piece = _segment(pdf, fn, min(edge, far), max(edge, far))
+        total += piece
+        edge = far
+        step *= 6.0
+        small = small + 1 if abs(piece) <= rel_tol * (abs(total) + 1e-30) \
+            else 0
+        if small >= 2 and k >= 3:
+            return total
+    log.warning("quadrature: %s tail truncated after %d segments at %g",
+                "upper" if sign > 0 else "lower", max_segments, edge)
     return total

@@ -21,11 +21,12 @@ import numpy as np
 from . import extreal
 from .extreal import INF, NEG_INF
 from .losses import LossFn, PowerLoss
-from .optim import (coordinate_ascent_box, grid_then_golden_min,
-                    numeric_tangent_grad, pgd_max_simplex)
+from .optim import (bisect_nonincreasing, coordinate_ascent_box,
+                    grid_then_golden_min, numeric_tangent_grad,
+                    pgd_max_simplex)
 from .penalties import (AlphaSpec, LpEntropy, RelativeEntropy, Robust,
                         SetIndicator, Shortfall, Transport, feasible_support,
-                        penalty, spec_space)
+                        penalty, shortfall_objective, spec_space)
 from .spaces import Dist
 from .transport import solve_transport
 
@@ -78,8 +79,8 @@ def shortfall_risk(f, mu, loss: LossFn) -> float:
                                      _w(mu), loss)[0])
 
 
-def shortfall_risk_rows(F: np.ndarray, w: np.ndarray, loss: LossFn,
-                        rel_tol: float = 1e-10) -> np.ndarray:
+def shortfall_risk_rows(F: np.ndarray, w: np.ndarray,
+                        loss: LossFn) -> np.ndarray:
     live = w > 0.0
     Fl = np.asarray(F, dtype=float)[:, live]
     wl = w[live]
@@ -106,36 +107,9 @@ def shortfall_risk_rows(F: np.ndarray, w: np.ndarray, loss: LossFn,
         vals = np.where(finw, loss.value(np.where(finw, Fw, 0.0) - m[:, None]), 0.0)
         return vals @ wl + cw
 
-    width = np.maximum(hi - lo, 1.0)
-    for _ in range(120):
-        need = G(hi) > 1.0
-        if not need.any():
-            break
-        hi = np.where(need, hi + width, hi)
-        width = np.where(need, width * 2.0, width)
     # Rows whose level never drops to 1 (possible for a bounded loss) are
     # +inf; rows that satisfy the level everywhere are unbounded below.
-    never_below = G(hi) > 1.0
-    width = np.maximum(hi - lo, 1.0)
-    for _ in range(120):
-        need = G(lo) <= 1.0
-        if not need.any():
-            break
-        lo = np.where(need, lo - width, lo)
-        width = np.where(need, width * 2.0, width)
-    always_below = G(lo) <= 1.0
-
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        below = G(mid) <= 1.0
-        hi = np.where(below, mid, hi)
-        lo = np.where(below, lo, mid)
-        if np.all(hi - lo <= rel_tol * (1.0 + np.abs(mid))):
-            break
-    res = hi
-    res = np.where(never_below, INF, res)
-    res = np.where(always_below & ~never_below, NEG_INF, res)
-    out[work] = res
+    out[work] = bisect_nonincreasing(G, 1.0, lo, hi)
     return out
 
 
@@ -230,18 +204,9 @@ def risk_rows(spec: AlphaSpec, F: np.ndarray) -> np.ndarray:
 
 
 def _shortfall_t_star(nu_vec: np.ndarray, w: np.ndarray, loss: LossFn) -> float:
-    live = w > 0.0
-    r = nu_vec[live] / w[live]
-    wl = w[live]
-
-    def obj(s):
-        t = float(np.exp(s))
-        conj = np.asarray(loss.conjugate(t * r), dtype=float)
-        if (~np.isfinite(conj) & (wl > 0)).any():
-            return INF
-        return (1.0 + float(np.dot(conj, wl))) / t
-
-    s, _ = grid_then_golden_min(obj, -30.0, 30.0, coarse=41, tol=1e-10)
+    objective = shortfall_objective(nu_vec[None, :], w, loss)
+    s, _ = grid_then_golden_min(lambda s: objective(np.array([s]))[0],
+                                -30.0, 30.0, coarse=41, tol=1e-10)
     return float(np.exp(s))
 
 

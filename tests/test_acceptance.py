@@ -16,14 +16,14 @@ import numpy as np
 import pytest
 
 from sanovdual.cli import main as cli_main
-from sanovdual.cramer import ParetoLaw, deviation_bound, moment_norm
+from sanovdual.cramer import deviation_bound, moment_norm
 from sanovdual.dp import (backward_value_dense, backward_value_symmetric,
                           greedy_optimizer_from_trace, sanov_limit,
                           superhedge, symmetric_terminal,
                           transport_control_value)
 from sanovdual.losses import ExpLoss, PowerLoss
-from sanovdual.montecarlo import (FiniteSampler, ParetoSampler,
-                                  RademacherIncrements, SAAInstance,
+from sanovdual.laws import FiniteSupportLaw, ParetoLaw
+from sanovdual.montecarlo import (RademacherIncrements, SAAInstance,
                                   ScriptedIncrements, azuma_experiment,
                                   estimate_tail, mann_kendall_upward_p,
                                   rate_fit, saa_exact_exceedance, saa_run)
@@ -281,18 +281,17 @@ def test_criterion_09_robust_product_enumeration(record_criterion):
 def test_criterion_10_heavy_tail_bound(record_criterion):
     t0 = time.perf_counter()
     law = ParetoLaw(2.5)
-    sampler = ParetoSampler(2.5)
     q = 2.0
     mq = moment_norm(law, q)
     r = mq + 1.0
     const = (mq / (r - mq)) ** q
     ratios = []
     for n in (1_000, 10_000):
-        est = estimate_tail(sampler, n, r, 100_000, seed=1010, threads=1)
+        est = estimate_tail(law, n, r, 100_000, seed=1010, threads=1)
         ratios.append(est.p_hat * n ** (q - 1.0) / const)
     bound_ok = all(rt <= 1.2 for rt in ratios)
     slope_schedule = [10, 20, 40, 80, 160]
-    p_hats = [estimate_tail(sampler, n, r, 200_000, seed=1011).p_hat
+    p_hats = [estimate_tail(law, n, r, 200_000, seed=1011).p_hat
               for n in slope_schedule]
     fit = rate_fit(slope_schedule, p_hats)
     slope_ok = fit.status == "ok" and fit.upper95 <= -0.75
@@ -310,7 +309,7 @@ def test_criterion_11_stochastic_program_rates(record_criterion):
     instance = SAAInstance(
         decisions=np.linspace(0.0, 2.0, 21),
         loss=lambda x, w: (x - 1.0) ** 2 + x * w,
-        law=ParetoSampler(2.5),
+        law=ParetoLaw(2.5),
         epsilon=0.5, q=2.0)
     instance.check_integrability(seed=111)
     run = saa_run(instance, [50, 150, 500, 1500], 20_000, seed=1110)
@@ -320,8 +319,8 @@ def test_criterion_11_stochastic_program_rates(record_criterion):
     small = SAAInstance(
         decisions=np.array([0.0, 1.0]),
         loss=lambda x, w: np.abs(w - x),
-        law=FiniteSampler(np.array([0.0, 1.0, 2.0]),
-                          np.array([0.6, 0.3, 0.1])),
+        law=FiniteSupportLaw(np.array([0.0, 1.0, 2.0]),
+                             np.array([0.6, 0.3, 0.1])),
         epsilon=0.2, q=2.0)
     exact = saa_exact_exceedance(small, 3)
     est = saa_run(small, [3], 20_000, seed=1111).estimates[0]

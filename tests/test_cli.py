@@ -237,13 +237,25 @@ class TestCramerCommand:
         assert lines[0] == "point,value" and len(lines) == 8
 
     def test_inadmissible_law_is_config_error(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "law": {"kind": "pareto", "a": 1.5},
-            "q": 2,
-            "dual_grid": {"lo": -0.5, "hi": 0.5, "count": 3},
-            "primal_grid": {"lo": -0.5, "hi": 0.5, "count": 3}})
-        assert main(["cramer", "--config", str(cfg), "--out",
-                     str(tmp_path / "out")]) == 2
+        empirical = {"kind": "empirical", "samples": [-1.0, 0.5, 2.0]}
+        saa = {"decisions": [0.0, 1.0], "loss": {"kind": "abs_diff"},
+               "epsilon": 0.2, "q": 2, "schedule": [3, 6],
+               "replications": 1000}
+        cases = [
+            ("cramer", {"law": {"kind": "pareto", "a": 1.5}, "q": 2,
+                        "dual_grid": {"lo": -0.5, "hi": 0.5, "count": 3},
+                        "primal_grid": {"lo": -0.5, "hi": 0.5,
+                                        "count": 3}}),
+            ("saa", {**saa, "law": {"kind": "pareto", "a": 0.9}}),
+            ("saa", {**saa, "law": empirical}),
+            ("tailbound", {"experiment": "mean_tail", "law": empirical,
+                           "q": 2, "r": 2.0, "schedule": [10, 30, 100],
+                           "replications": 1000}),
+        ]
+        for i, (command, payload) in enumerate(cases):
+            cfg = write_config(tmp_path, payload, name=f"cfg{i}.json")
+            assert main([command, "--config", str(cfg), "--out",
+                         str(tmp_path / f"out{i}")]) == 2, payload["law"]
 
 
 class TestDeterminism:

@@ -1,0 +1,30 @@
+"""Every bundled config runs to exit code 0 under its own subcommand."""
+
+from pathlib import Path
+
+import pytest
+
+from sanovdual.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# Config file names start with the subcommand they run, except the
+# martingale experiment, which is a `tailbound` experiment.
+SUBCOMMAND = {
+    "azuma": "tailbound",
+    "cramer": "cramer",
+    "rho": "rho",
+    "saa": "saa",
+    "sanov": "sanov",
+    "superhedge": "superhedge",
+    "tailbound": "tailbound",
+    "transport": "transport",
+}
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")),
+                         ids=lambda p: p.name)
+def test_bundled_config_runs(tmp_path, config):
+    command = SUBCOMMAND[config.name.split("_")[0]]
+    assert main([command, "--config", str(config),
+                 "--out", str(tmp_path / "out")]) == 0

@@ -1,13 +1,14 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from sanovdual.cramer import (ConjugatePair, EmpiricalLaw, FiniteSupportLaw,
-                              LawError, LogNormalLaw, ParetoLaw, StudentTLaw,
-                              check_admissible, conjugate_pair, cumulant,
-                              deviation_bound, moment_norm, plus_power_moment,
-                              rate_function)
+from sanovdual.cramer import (ConjugatePair, check_admissible, conjugate_pair,
+                              cumulant, deviation_bound, moment_norm,
+                              plus_power_moment, rate_function)
+from sanovdual.laws import (EmpiricalLaw, FiniteSupportLaw, LawError,
+                            LogNormalLaw, ParetoLaw, StudentTLaw)
 
 RADEMACHER = FiniteSupportLaw(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
 
@@ -180,6 +181,14 @@ class TestAdmissibility:
         with pytest.raises(LawError):
             check_admissible(StudentTLaw(2.0), 2.0)
         check_admissible(StudentTLaw(3.5), 2.0)
+
+    @pytest.mark.parametrize("a,truncated", [(2.05, True), (2.5, False)])
+    def test_quadrature_truncation_warns(self, caplog, a, truncated):
+        with caplog.at_level(logging.WARNING, logger="sanovdual"):
+            moment_norm(ParetoLaw(a), 2.0)
+        warned = any("upper tail truncated" in r.message
+                     for r in caplog.records)
+        assert warned == truncated
 
     def test_student_t_moment(self):
         # var of t(df) is df / (df - 2)

@@ -3,17 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from sanovdual.montecarlo import (FiniteSampler, GrowthValidationError,
-                                  LogNormalSampler, ParetoSampler,
-                                  RademacherIncrements, SAAInstance,
-                                  ScriptedIncrements, StudentTSampler,
+from sanovdual.laws import (FiniteSupportLaw, LogNormalLaw, ParetoLaw,
+                            StudentTLaw)
+from sanovdual.montecarlo import (GrowthValidationError, RademacherIncrements,
+                                  SAAInstance, ScriptedIncrements,
                                   UniformIncrements, azuma_experiment,
                                   conjugate_scalar, estimate_tail,
                                   mann_kendall_upward_p, rate_fit, rep_rng,
                                   saa_exact_exceedance, saa_run,
                                   wilson_interval, argmin_tracking)
 
-RADEMACHER = FiniteSampler(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+RADEMACHER = FiniteSupportLaw(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
 
 
 def exact_binomial_tail(n, r):
@@ -34,7 +34,7 @@ class TestSeeding:
 
 class TestSamplers:
     @pytest.mark.parametrize("sampler", [
-        ParetoSampler(2.5), LogNormalSampler(0.8), StudentTSampler(5.0),
+        ParetoLaw(2.5), LogNormalLaw(0.8), StudentTLaw(5.0),
     ])
     def test_centering_within_three_se(self, sampler):
         x = sampler.draw(rep_rng(0, 0), 1_000_000)
@@ -42,18 +42,18 @@ class TestSamplers:
         assert abs(x.mean()) <= 3 * se
 
     def test_pareto_uses_analytic_mean(self):
-        assert abs(ParetoSampler(2.5).shift - 2.5 / 1.5) <= 1e-15
-        assert ParetoSampler(2.5, centered=False).shift == 0.0
+        assert abs(ParetoLaw(2.5).shift - 2.5 / 1.5) <= 1e-15
+        assert ParetoLaw(2.5, centered=False).shift == 0.0
 
     def test_finite_sampler_distribution(self):
-        s = FiniteSampler(np.array([1.0, 5.0]), np.array([0.25, 0.75]))
+        s = FiniteSupportLaw(np.array([1.0, 5.0]), np.array([0.25, 0.75]))
         x = s.draw(rep_rng(1, 0), 200_000)
         assert abs((x == 5.0).mean() - 0.75) <= 0.01
 
 
 class TestEstimateTail:
     def test_degenerate_sampler_never_hits(self):
-        s = FiniteSampler(np.array([0.0]), np.array([1.0]))
+        s = FiniteSupportLaw(np.array([0.0]), np.array([1.0]))
         est = estimate_tail(s, 50, 0.5, 2000, seed=0)
         assert est.hits == 0 and est.p_hat == 0.0
 
@@ -75,7 +75,7 @@ class TestEstimateTail:
 
     def test_vector_samples_use_norm(self):
         atoms = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        s = FiniteSampler(atoms, np.array([0.5, 0.5]))
+        s = FiniteSupportLaw(atoms, np.array([0.5, 0.5]))
         est = estimate_tail(s, 4, 0.99, 2000, seed=1)
         # ||mean|| >= 0.99 iff all four draws agree: prob 2 * (1/16)
         lo, hi = wilson_interval(est.hits, est.replications)
@@ -135,7 +135,7 @@ def make_finite_instance(epsilon=0.2):
     return SAAInstance(
         decisions=np.array([0.0, 1.0]),
         loss=lambda x, w: np.abs(w - x),
-        law=FiniteSampler(np.array([0.0, 1.0, 2.0]),
+        law=FiniteSupportLaw(np.array([0.0, 1.0, 2.0]),
                           np.array([0.6, 0.3, 0.1])),
         epsilon=epsilon, q=2.0,
     )
@@ -152,7 +152,7 @@ class TestSAA:
         inst = SAAInstance(
             decisions=np.array([0.0, 1.0]),
             loss=lambda x, w: np.full_like(w, 1.0 + x),
-            law=FiniteSampler(np.array([0.0, 1.0]), np.array([0.5, 0.5])),
+            law=FiniteSupportLaw(np.array([0.0, 1.0]), np.array([0.5, 0.5])),
             epsilon=0.05, q=2.0)
         run = saa_run(inst, [2, 4], 2000, seed=0)
         assert all(e.hits == 0 for e in run.estimates)
@@ -168,7 +168,7 @@ class TestSAA:
         inst = SAAInstance(
             decisions=np.linspace(0, 2, 5),
             loss=lambda x, w: (x - 1.0) ** 2 + x * w,
-            law=ParetoSampler(2.5), epsilon=0.5, q=2.0)
+            law=ParetoLaw(2.5), epsilon=0.5, q=2.0)
         val = inst.check_integrability(seed=0, draws=50_000)
         assert math.isfinite(val)
 
@@ -177,7 +177,7 @@ class TestSAA:
         inst = SAAInstance(
             decisions=np.linspace(0, 2, 21),
             loss=lambda x, w: (x - 1.0) ** 2 + x * w,
-            law=ParetoSampler(2.5), epsilon=0.5, q=2.0)
+            law=ParetoLaw(2.5), epsilon=0.5, q=2.0)
         assert abs(inst.true_value()) <= 1e-9
 
 
@@ -186,7 +186,7 @@ class TestArgminTracking:
         inst = SAAInstance(
             decisions=np.linspace(0, 2, 5),
             loss=lambda x, w: (x - 1.0) ** 2 + 0.2 * x * w,
-            law=FiniteSampler(np.array([-1.0, 1.0]), np.array([0.5, 0.5])),
+            law=FiniteSupportLaw(np.array([-1.0, 1.0]), np.array([0.5, 0.5])),
             epsilon=0.05, q=2.0,
             growth=lambda d: 0.9 * d * d)
         run = argmin_tracking(inst, [10, 200], 2000, seed=2)
@@ -197,7 +197,7 @@ class TestArgminTracking:
         inst = SAAInstance(
             decisions=np.array([0.0, 1.0]),
             loss=lambda x, w: np.abs(w),  # decision-independent
-            law=FiniteSampler(np.array([-1.0, 1.0]), np.array([0.5, 0.5])),
+            law=FiniteSupportLaw(np.array([-1.0, 1.0]), np.array([0.5, 0.5])),
             epsilon=0.1, q=2.0, growth=lambda d: d * d)
         with pytest.raises(GrowthValidationError):
             argmin_tracking(inst, [5], 1000, seed=0)
@@ -213,7 +213,7 @@ class TestArgminTracking:
         inst = SAAInstance(
             decisions=np.linspace(0.0, 2.0, 11),
             loss=lambda x, w: (x - 1.0) ** 2 + 0.3 * x * w,
-            law=ParetoSampler(2.5),
+            law=ParetoLaw(2.5),
             epsilon=0.09, q=2.0,
             growth=lambda d: 0.9 * d * d)
         run = argmin_tracking(inst, [10, 20, 40, 80], 60_000, seed=4)
