@@ -28,7 +28,8 @@ import numpy as np
 import scipy
 
 from . import __version__, dp, montecarlo as mc
-from .cramer import conjugate_pair, deviation_bound, moment_norm
+from .cramer import (check_admissible, conjugate_pair, deviation_bound,
+                     moment_norm)
 from .laws import (EmpiricalLaw, FiniteSupportLaw, LawError, LogNormalLaw,
                    ParetoLaw, StudentTLaw)
 from .losses import ExpLoss, LossError, PowerLoss, TabulatedLoss
@@ -204,8 +205,6 @@ def parse_law(obj, path="law"):
                                                      f"{path}.samples")))
     except KeyError as exc:
         raise ConfigError(f"{path}.{exc.args[0]}: missing required key") from exc
-    except LawError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
     raise ConfigError(f"{path}.kind: unknown law kind {kind!r}")
 
 
@@ -349,11 +348,8 @@ def cmd_cramer(cfg, out: Path, seed: int, threads: int) -> int:
                 optional=("seed",))
     law = parse_law(cfg["law"])
     q = _num(cfg["q"], "q")
-    try:
-        pair = conjugate_pair(law, q, _grid(cfg["dual_grid"], "dual_grid"),
-                              _grid(cfg["primal_grid"], "primal_grid"))
-    except LawError as exc:
-        raise ConfigError(f"law: {exc}") from exc
+    pair = conjugate_pair(law, q, _grid(cfg["dual_grid"], "dual_grid"),
+                          _grid(cfg["primal_grid"], "primal_grid"))
     write_csv(out / "cumulant.csv", ("point", "value"), pair.csv_rows("dual"))
     write_csv(out / "rate.csv", ("point", "value"), pair.csv_rows("primal"))
     write_json(out / "report.json", {
@@ -456,6 +452,8 @@ def _parse_saa_instance(cfg) -> mc.SAAInstance:
     else:
         raise ConfigError(f"loss.kind: unknown loss kind {kind!r}")
     law = _sampled_law(cfg["law"])
+    q = _num(cfg["q"], "q")
+    check_admissible(law, q)
     growth = None
     if "growth" in cfg:
         gobj = cfg["growth"]
@@ -466,7 +464,7 @@ def _parse_saa_instance(cfg) -> mc.SAAInstance:
         growth = lambda d: scale * d * d
     return mc.SAAInstance(decisions, loss, law,
                           epsilon=_num(cfg["epsilon"], "epsilon"),
-                          q=_num(cfg["q"], "q"), growth=growth)
+                          q=q, growth=growth)
 
 
 def cmd_saa(cfg, out: Path, seed: int, threads: int) -> int:
@@ -636,10 +634,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except LawError as exc:       # law parameters or a missing q-th moment
+        print(f"config error: law: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except InconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (ArithmeticError, SpaceError, LossError, LawError) as exc:
+    except (ArithmeticError, SpaceError, LossError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

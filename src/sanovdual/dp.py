@@ -23,16 +23,15 @@ from .extreal import INF, NEG_INF
 from .optim import pgd_max_simplex, project_simplex, simplex_grid
 from .penalties import (AlphaSpec, Transport, penalty, spec_space,
                         transport_plan)
-from .risk import risk_maximizer, risk_rows
-from .spaces import (DENSE_CAP, Dist, FiniteSpace, Kernel, ProductDist,
-                     SpaceError, compose, compositions, log_multinomial)
+from .risk import risk_rows
+from .spaces import (DENSE_CAP, Dist, FiniteSpace, SpaceError,
+                     SymmetricField, type_index, type_rank)
 
 __all__ = [
     "DPTrace", "SanovRun", "SuperhedgeCert", "backward_value_dense",
     "backward_value_symmetric", "symmetric_terminal", "sanov_limit",
     "superhedge", "transport_control_value", "transport_longrun",
-    "simplex_supremum", "iid_empirical_expectation",
-    "greedy_optimizer_from_trace",
+    "simplex_supremum",
 ]
 
 
@@ -87,35 +86,23 @@ def backward_value_symmetric(values_by_type, n: int, space: FiniteSpace,
                              spec: AlphaSpec) -> float:
     """Backward recursion over occupancy vectors of the consumed prefix.
 
-    ``values_by_type`` maps each composition of n over the space to the
-    terminal value.  Valid because every implemented one-step risk is
+    ``values_by_type`` holds the terminal values in rank order (rows of
+    ``type_index(n, m)``).  Valid because every implemented one-step risk is
     permutation-equivariant in the conditioning prefix: its parameters do
     not depend on the prefix at all.
     """
     m = space.size
-    comps = list(compositions(n, m))
-    V = {c: float(values_by_type[c]) for c in comps}
-    missing = [c for c in comps if c not in values_by_type]
-    if missing:
-        raise SpaceError(f"missing type classes, e.g. {missing[0]}")
+    V = SymmetricField(n, space, values_by_type).values
+    step = np.eye(m, dtype=np.int64)
     for k in range(n - 1, -1, -1):
-        comps_k = list(compositions(k, m))
-        rows = np.empty((len(comps_k), m))
-        for r, c in enumerate(comps_k):
-            for y in range(m):
-                nxt = list(c)
-                nxt[y] += 1
-                rows[r, y] = V[tuple(nxt)]
-        vals = risk_rows(spec, rows)
-        V = {c: float(vals[r]) for r, c in enumerate(comps_k)}
-    return V[(0,) * m]
+        V = risk_rows(spec, V[type_rank(type_index(k, m)[:, None] + step)])
+    return float(V[0])
 
 
 def symmetric_terminal(F: Callable[[np.ndarray], float], n: int,
-                       space: FiniteSpace) -> dict:
-    """Terminal values n * F(type/n) for a function of the empirical measure."""
-    return {c: n * float(F(np.asarray(c, dtype=float) / n))
-            for c in compositions(n, space.size)}
+                       space: FiniteSpace) -> np.ndarray:
+    """Terminal values n * F(type/n) of a function of L_n, in rank order."""
+    return np.array([n * float(F(c / n)) for c in type_index(n, space.size)])
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +112,10 @@ def symmetric_terminal(F: Callable[[np.ndarray], float], n: int,
 def simplex_supremum(objective: Callable[[np.ndarray], float],
                      m: int, step: float = 0.01,
                      ascent: bool = True) -> tuple[float, np.ndarray]:
-    """sup of a function over the simplex: grid scan plus local ascent."""
+    """sup of a function over the simplex: one call on the (B, m) grid,
+    returning (B,) values, then local ascent over single points."""
     pts = simplex_grid(m, step)
-    vals = np.array([objective(p) for p in pts])
+    vals = objective(pts)
     i = int(np.argmax(vals))
     best, best_v = pts[i], float(vals[i])
     if ascent:
@@ -180,6 +168,9 @@ def sanov_limit(F: Callable[[np.ndarray], float], spec: AlphaSpec,
 
     def J(nu):
         a = penalty(nu, spec)
+        if np.ndim(nu) == 2:
+            f = np.array([float(F(p)) for p in nu])
+            return np.where(np.isfinite(a), f - a, NEG_INF)
         return float(F(nu)) - a if np.isfinite(a) else NEG_INF
 
     target, arg = simplex_supremum(J, space.size, step=grid_step)
@@ -187,22 +178,6 @@ def sanov_limit(F: Callable[[np.ndarray], float], spec: AlphaSpec,
     return SanovRun(label, [int(n) for n in schedule],
                     [float(v) for v in values], float(target), gaps,
                     argmax=[float(x) for x in arg])
-
-
-def iid_empirical_expectation(F: Callable[[np.ndarray], float],
-                              nu_weights: np.ndarray, n: int) -> float:
-    """E under the n-fold product of nu of F(L_n), summed by type class."""
-    w = np.asarray(nu_weights, dtype=float)
-    m = w.size
-    logw = np.where(w > 0, np.log(np.maximum(w, 1e-300)), -np.inf)
-    total = 0.0
-    for c in compositions(n, m):
-        cv = np.asarray(c, dtype=float)
-        if ((cv > 0) & (w <= 0)).any():
-            continue
-        logp = log_multinomial(c) + float(np.dot(cv[w > 0], logw[w > 0]))
-        total += np.exp(logp) * float(F(cv / n))
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -251,20 +226,6 @@ def superhedge(f, space: FiniteSpace, spec: AlphaSpec) -> SuperhedgeCert:
         total = np.repeat(total, m) + inc
     residual = np.abs(np.asarray(f, dtype=float).ravel() - value - total)
     return SuperhedgeCert(value, increments, float(residual.max()), slice_max)
-
-
-def greedy_optimizer_from_trace(trace: DPTrace) -> ProductDist:
-    """Extract the joint law attaining the n-step value from a trace."""
-    m = trace.space.size
-    first = risk_maximizer(trace.stages[1], trace.spec)
-    kernels = []
-    for k in range(2, trace.n + 1):
-        g_k = trace.stages[k].reshape(-1, m)
-        rows = np.empty_like(g_k)
-        for r in range(g_k.shape[0]):
-            rows[r] = risk_maximizer(g_k[r], trace.spec).weights
-        kernels.append(Kernel(k, trace.space, rows))
-    return compose(first, kernels)
 
 
 # ---------------------------------------------------------------------------

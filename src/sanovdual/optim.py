@@ -12,7 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .extreal import INF, NEG_INF
-from .spaces import compositions
+from .spaces import type_index
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -136,8 +136,7 @@ def bisect_nonincreasing(G: Callable, target: float, lo, hi,
 def simplex_grid(m: int, step: float) -> np.ndarray:
     """Regular grid on the probability simplex with the given mesh step."""
     k = max(int(round(1.0 / step)), 1)
-    pts = [np.array(c, dtype=float) / k for c in compositions(k, m)]
-    return np.array(pts)
+    return type_index(k, m) / k
 
 
 def numeric_tangent_grad(fn: Callable[[np.ndarray], float], x: np.ndarray,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -210,14 +210,33 @@ def compose(first: Dist, kernels: Iterable[Kernel]) -> ProductDist:
     return ProductDist(n, first.space, t)
 
 
+def type_index(k: int, m: int) -> np.ndarray:
+    """The (C(k+m-1, m-1), m) int array of occupancy vectors with sum k, in
+    reverse lexicographic order: row r has rank r (``type_rank``).  Each
+    row with j draws left is repeated for next counts j, j-1, ..., 0."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(m - 1):
+        reps = k - rows.sum(axis=1) + 1
+        offset = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        rows = np.repeat(rows, reps, axis=0)            # offset: within a block
+        rows = np.column_stack([rows, k - rows.sum(axis=1) - offset])
+    return np.column_stack([rows, k - rows.sum(axis=1)])
+
+
+def type_rank(counts) -> np.ndarray:
+    """Rank of (..., m) occupancy vectors within ``type_index(sum, m)``:
+    sum over d < m of C(T_d + d - 1, d), T_d the sum of the last d counts
+    (the combinatorial number system, Knuth, TAOCP 4A, 7.2.1.3)."""
+    tail = np.cumsum(np.asarray(counts, dtype=np.int64)[..., :0:-1], axis=-1)
+    binom = np.ones_like(tail)                      # over T_1, ..., T_{m-1}
+    for i in range(1, tail.shape[-1] + 1):
+        binom[..., i - 1:] = binom[..., i - 1:] * (tail[..., i - 1:] + i - 1) // i
+    return binom.sum(axis=-1)
+
+
 def compositions(n: int, m: int):
-    """Yield all occupancy vectors (c_1, ..., c_m) with sum n."""
-    if m == 1:
-        yield (n,)
-        return
-    for c0 in range(n, -1, -1):
-        for rest in compositions(n - c0, m - 1):
-            yield (c0,) + rest
+    """Yield the rows of ``type_index(n, m)`` as tuples."""
+    yield from map(tuple, type_index(n, m).tolist())
 
 
 def multinomial(counts: Sequence[int]) -> int:
@@ -227,14 +246,6 @@ def multinomial(counts: Sequence[int]) -> int:
     for c in counts:
         acc += c
         out *= math.comb(acc, c)
-    return out
-
-
-def log_multinomial(counts: Sequence[int]) -> float:
-    n = sum(counts)
-    out = math.lgamma(n + 1)
-    for c in counts:
-        out -= math.lgamma(c + 1)
     return out
 
 
@@ -250,54 +261,43 @@ def type_classes(n: int, m: int) -> list[tuple[tuple[int, ...], int]]:
     return [(c, multinomial(c)) for c in compositions(n, m)]
 
 
+def _dense_ranks(n: int, m: int) -> np.ndarray:
+    """Type-class rank of every flat index of E^n (row-major order)."""
+    counts = np.zeros((1, m), dtype=np.int64)
+    for _ in range(n):
+        counts = (counts[:, None, :] + np.eye(m, dtype=np.int64)).reshape(-1, m)
+    return type_rank(counts)
+
+
 @dataclass(frozen=True)
 class SymmetricField:
-    """A permutation-invariant function on E^n, keyed by occupancy vector."""
+    """A permutation-invariant function on E^n: one value per type class,
+    in rank order (row r of ``type_index(n, m)``)."""
 
     n: int
     space: FiniteSpace
-    values: Mapping[tuple[int, ...], float]
+    values: np.ndarray
 
     def __post_init__(self):
-        want = {c for c in compositions(self.n, self.space.size)}
-        have = set(self.values.keys())
-        if have != want:
+        v, m = np.array(self.values, dtype=float), self.space.size
+        if v.shape != (math.comb(self.n + m - 1, m - 1),):
             raise SpaceError("symmetric field must cover every type class exactly")
-
-    @classmethod
-    def from_function(cls, fn: Callable[[tuple[int, ...]], float], n: int,
-                      space: FiniteSpace) -> "SymmetricField":
-        vals = {c: float(fn(c)) for c in compositions(n, space.size)}
-        return cls(n, space, vals)
+        object.__setattr__(self, "values", _freeze(v))
 
     @classmethod
     def from_dense(cls, f: np.ndarray, n: int, space: FiniteSpace,
                    tol: float = 1e-12) -> "SymmetricField":
-        """Compress a dense field, rejecting non-symmetric input."""
+        """Compress a dense field, rejecting non-symmetric input; each type
+        class keeps the value at its first flat index."""
         m = space.size
         flat = np.asarray(f, dtype=float).ravel()
         if flat.size != m ** n:
             raise SpaceError("dense field length does not match m^n")
-        vals: dict[tuple[int, ...], float] = {}
-        for idx in range(flat.size):
-            rem, cnt = idx, [0] * m
-            for _ in range(n):
-                cnt[rem % m] += 1
-                rem //= m
-            key = tuple(cnt)
-            v = flat[idx]
-            ref = vals.setdefault(key, v)
-            if not (abs(v - ref) <= tol or (v == ref)):
-                raise SpaceError("field is not permutation-invariant")
-        return cls(n, space, vals)
+        rank = _dense_ranks(n, m)
+        _, first = np.unique(rank, return_index=True)
+        if not np.isclose(flat, flat[first][rank], rtol=0.0, atol=tol).all():
+            raise SpaceError("field is not permutation-invariant")
+        return cls(n, space, flat[first])
 
     def expand_dense(self) -> np.ndarray:
-        m = self.space.size
-        out = np.empty(m ** self.n)
-        for idx in range(out.size):
-            rem, cnt = idx, [0] * m
-            for _ in range(self.n):
-                cnt[rem % m] += 1
-                rem //= m
-            out[idx] = self.values[tuple(cnt)]
-        return out
+        return self.values[_dense_ranks(self.n, self.space.size)]

@@ -15,11 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dp_oracles import greedy_optimizer_from_trace
 from sanovdual.cli import main as cli_main
 from sanovdual.cramer import deviation_bound, moment_norm
 from sanovdual.dp import (backward_value_dense, backward_value_symmetric,
-                          greedy_optimizer_from_trace, sanov_limit,
-                          superhedge, symmetric_terminal,
+                          sanov_limit, superhedge, symmetric_terminal,
                           transport_control_value)
 from sanovdual.losses import ExpLoss, PowerLoss
 from sanovdual.laws import FiniteSupportLaw, ParetoLaw

@@ -248,7 +248,12 @@ class TestCramerCommand:
                                         "count": 3}}),
             ("saa", {**saa, "law": {"kind": "pareto", "a": 0.9}}),
             ("saa", {**saa, "law": empirical}),
+            ("saa", {**saa, "law": {"kind": "pareto", "a": 1.5}}),
             ("tailbound", {"experiment": "mean_tail", "law": empirical,
+                           "q": 2, "r": 2.0, "schedule": [10, 30, 100],
+                           "replications": 1000}),
+            ("tailbound", {"experiment": "mean_tail",
+                           "law": {"kind": "pareto", "a": 1.5},
                            "q": 2, "r": 2.0, "schedule": [10, 30, 100],
                            "replications": 1000}),
         ]

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from dp_oracles import greedy_optimizer_from_trace, iid_empirical_expectation
 from sanovdual.dp import (backward_value_dense, backward_value_symmetric,
-                          greedy_optimizer_from_trace,
-                          iid_empirical_expectation, sanov_limit,
-                          simplex_supremum, superhedge, symmetric_terminal,
-                          transport_control_value, transport_longrun)
+                          sanov_limit, simplex_supremum, superhedge,
+                          symmetric_terminal, transport_control_value,
+                          transport_longrun)
 from sanovdual.losses import ExpLoss, PowerLoss
 from sanovdual.penalties import (LpEntropy, RelativeEntropy, Robust,
                                  SetIndicator, Shortfall, Transport, penalty,
@@ -32,6 +32,20 @@ def all_specs():
         Robust((g1, g2)),
         SetIndicator((g1, g2)),
         Transport(UNIF2, np.array([[0.0, 1.5], [0.8, 0.0]])),
+    ]
+
+
+def three_state_specs():
+    mu = Dist(THREE, [0.5, 0.3, 0.2])
+    g = (Dist(THREE, [0.6, 0.25, 0.15]), Dist(THREE, [0.3, 0.4, 0.3]))
+    return [
+        RelativeEntropy(mu),
+        LpEntropy(mu, 2.0),
+        Shortfall(mu, PowerLoss(2.0)),
+        Robust(g),
+        SetIndicator(g),
+        Transport(mu, np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0],
+                                [2.0, 1.0, 0.0]])),
     ]
 
 
@@ -122,19 +136,20 @@ class TestSymmetricRecursion:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_agrees_with_dense(self, n):
         rng = np.random.default_rng(6)
-        for spec in all_specs():
-            for _ in range(4):
-                coefs = rng.normal(size=2)
-                quad = rng.normal()
+        for space, specs in ((TWO, all_specs()), (THREE, three_state_specs())):
+            for spec in specs:
+                for _ in range(4):
+                    coefs = rng.normal(size=space.size)
+                    quad = rng.normal()
 
-                def F(nu):
-                    return float(np.dot(coefs, nu) + quad * nu[0] ** 2)
+                    def F(nu):
+                        return float(np.dot(coefs, nu) + quad * nu[0] ** 2)
 
-                term = symmetric_terminal(F, n, TWO)
-                v_sym = backward_value_symmetric(term, n, TWO, spec)
-                dense = SymmetricField(n, TWO, term).expand_dense()
-                v_den, _ = backward_value_dense(dense, TWO, spec)
-                assert abs(v_sym - v_den) <= 1e-8
+                    term = symmetric_terminal(F, n, space)
+                    v_sym = backward_value_symmetric(term, n, space, spec)
+                    dense = SymmetricField(n, space, term).expand_dense()
+                    v_den, _ = backward_value_dense(dense, space, spec)
+                    assert abs(v_sym - v_den) <= 1e-8
 
     def test_linear_f_classical_factorizes(self):
         # F(nu) = int fbar dnu: the recursion factorizes, v_n = rho(fbar)
@@ -299,7 +314,7 @@ class TestTransportLongrun:
 
 class TestSimplexSupremum:
     def test_concave_quadratic(self):
-        val, arg = simplex_supremum(lambda x: -(x[0] - 0.3) ** 2, 2,
+        val, arg = simplex_supremum(lambda x: -(x[..., 0] - 0.3) ** 2, 2,
                                     step=0.01)
         assert abs(val) <= 1e-10
         assert abs(arg[0] - 0.3) <= 1e-4

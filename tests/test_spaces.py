@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from sanovdual import extreal
 from sanovdual.spaces import (Dist, FiniteSpace, Kernel, ProductDist,
                               SpaceError, SymmetricField, compose,
                               disintegrate, empirical_measure, multinomial,
-                              type_classes)
+                              type_classes, type_index, type_rank)
 
 
 @pytest.fixture
@@ -173,6 +174,23 @@ class TestTypeClasses:
         assert multinomial((3, 2, 1)) == 60
 
 
+def recursive_compositions(n, m):
+    """Occupancy vectors of n over m, first count descending."""
+    if m == 1:
+        return [(n,)]
+    return [(c0,) + rest for c0 in range(n, -1, -1)
+            for rest in recursive_compositions(n - c0, m - 1)]
+
+
+class TestTypeIndex:
+    @pytest.mark.parametrize("n,m", [(0, 3), (5, 1), (6, 2), (5, 3), (4, 5)])
+    def test_order_and_rank(self, n, m):
+        index = type_index(n, m)
+        assert [tuple(c) for c in index.tolist()] == \
+            recursive_compositions(n, m)
+        assert np.array_equal(type_rank(index), np.arange(len(index)))
+
+
 class TestValidation:
     def test_negative_weight_rejected(self, two):
         with pytest.raises(SpaceError):
@@ -202,12 +220,21 @@ class TestValidation:
 
 
 class TestSymmetricField:
-    def test_from_dense_roundtrip(self, two):
-        vals = {(2, 0): 1.0, (1, 1): -0.5, (0, 2): 2.0}
+    def test_from_dense_roundtrip(self, two, three):
+        # rank order: (2, 0), (1, 1), (0, 2)
+        vals = np.array([1.0, -0.5, 2.0])
         field = SymmetricField(2, two, vals)
         dense = field.expand_dense()
         back = SymmetricField.from_dense(dense, 2, two)
-        assert back.values == vals
+        assert np.array_equal(back.values, vals)
+        vals = np.random.default_rng(4).normal(size=15)   # m=3, n=4
+        dense = SymmetricField(4, three, vals).expand_dense()
+        order = recursive_compositions(4, 3)
+        for idx, x in enumerate(itertools.product(range(3), repeat=4)):
+            counts = tuple(np.bincount(x, minlength=3).tolist())
+            assert dense[idx] == vals[order.index(counts)]
+        back = SymmetricField.from_dense(dense, 4, three)
+        assert np.array_equal(back.values, vals)
 
     def test_rejects_asymmetric(self, two):
         f = np.array([0.0, 1.0, 2.0, 3.0])  # f(a,b) != f(b,a)
