@@ -25,7 +25,7 @@ import numpy as np
 from .extreal import INF
 from .laws import (EmpiricalLaw, FiniteSupportLaw, Law, LawError, ParetoLaw,
                    StudentTLaw)
-from .optim import bisect_nonincreasing, coordinate_ascent_box, golden_max
+from .optim import coordinate_ascent_box, golden_max, newton_nonincreasing
 from .quadrature import expect as _expect
 
 log = logging.getLogger("sanovdual")
@@ -41,24 +41,64 @@ def check_admissible(law: Law, q: float) -> None:
         raise LawError(f"Student t df={law.df} does not integrate |x|^{q}")
 
 
+def _discrete(law: Law, t: np.ndarray):
+    """Points, their projections <t, x> and weights (None for equal ones)
+    of a finite or empirical law."""
+    if isinstance(law, FiniteSupportLaw):
+        pts, w = law.atoms, law.weights
+    else:
+        pts, w = law.samples, None
+    proj = pts @ t if pts.ndim == 2 else pts * float(t[0])
+    return pts, proj, w
+
+
 def plus_power_moment(law: Law, t, m: float, q: float) -> float:
     """E[ ((1 + <t, X> - m)^+)^q ]."""
-    if isinstance(law, FiniteSupportLaw):
-        proj = law.atoms @ np.atleast_1d(t) if law.atoms.ndim == 2 \
-            else law.atoms * float(np.atleast_1d(t)[0])
+    t = np.atleast_1d(t)
+    if isinstance(law, (FiniteSupportLaw, EmpiricalLaw)):
+        _, proj, w = _discrete(law, t)
         base = np.maximum(1.0 + proj - m, 0.0) ** q
-        return float(np.dot(law.weights, base))
-    if isinstance(law, EmpiricalLaw):
-        proj = law.samples @ np.atleast_1d(t) if law.samples.ndim == 2 \
-            else law.samples * float(np.atleast_1d(t)[0])
-        return float(np.mean(np.maximum(1.0 + proj - m, 0.0) ** q))
-    ts = float(np.atleast_1d(t)[0])
+        return float(np.mean(base) if w is None else np.dot(w, base))
+    ts = float(t[0])
     if ts == 0.0:
         return max(1.0 - m, 0.0) ** q
     kink = (m - 1.0) / ts
     return _expect(law.pdf, *law.support,
                    lambda x: np.maximum(1.0 + ts * x - m, 0.0) ** q,
                    breaks=(kink,))
+
+
+def _power_rows(z, x, q: float) -> np.ndarray:
+    """Rows b^q, b^(q-1) and x b^(q-1) for b = z^+ (x: one row per
+    dimension)."""
+    b = np.maximum(z, 0.0)
+    p = b ** (q - 1.0)
+    xp = x * p
+    rows = np.empty((2 + xp.size // p.size, p.size))
+    rows[0], rows[1], rows[2:] = p * b, p, xp
+    return rows
+
+
+def plus_power_moments(law: Law, t, m: float, q: float):
+    """E[b^q], E[b^(q-1)] and E[X b^(q-1)] for b = (1 + <t, X> - m)^+,
+    from one pass over the law (the last has one entry per dimension);
+    t must be nonzero for a continuous law.
+
+    G(m) = E[b^q] has dG/dm = -q E[b^(q-1)] and gradient q E[X b^(q-1)]
+    in t, so where G = 1 the cumulant has gradient
+    E[X b^(q-1)] / E[b^(q-1)].
+    """
+    t = np.atleast_1d(t)
+    if isinstance(law, (FiniteSupportLaw, EmpiricalLaw)):
+        pts, proj, w = _discrete(law, t)
+        rows = _power_rows(1.0 + proj - m, pts.T, q)
+        sums = rows.mean(axis=1) if w is None else rows @ w
+        return sums[0], sums[1], sums[2:]
+    ts = float(t[0])
+    sums = _expect(law.pdf, *law.support,
+                   lambda x: _power_rows(1.0 + ts * x - m, x, q),
+                   breaks=((m - 1.0) / ts,))
+    return sums[0], sums[1], sums[2:]
 
 
 def moment_norm(law: Law, q: float) -> float:
@@ -77,23 +117,48 @@ def moment_norm(law: Law, q: float) -> float:
 
 
 def cumulant(law: Law, x_star, q: float) -> float:
-    """Smallest m with E[((1 + <x_star, X> - m)^+)^q] <= 1.
+    """Smallest m with G(m) = E[((1 + <x_star, X> - m)^+)^q] <= 1.
 
-    The expectation is continuous and nonincreasing in m, so bisection
-    applies; +inf is returned (with a diagnostic) if the expanded bracket
-    never crosses 1.
+    G is convex and nonincreasing in m, and one pass over the law gives it
+    with its slope, so safeguarded Newton steps from the left apply
+    (``optim.newton_nonincreasing``, on the cold bracket
+    [-2 (1 + |t|), 2 (1 + |t|)], expanded until it holds the root); +inf is
+    returned (with a diagnostic) if G never reaches 1.
+    """
+    return _cumulant(law, x_star, q)[0]
+
+
+def _cumulant(law: Law, x_star, q: float, start: Optional[float] = None):
+    """(cumulant, gradient) at x_star.
+
+    ``start`` is a point believed to lie left of the root, such as a lower
+    bound from a tangent; it is certified by G > 1 and, if rounding broke
+    it, stepped down geometrically from there.  The gradient
+    E[X b^(q-1)] / E[b^(q-1)] at the root follows from implicit
+    differentiation of G = 1; it is None at t = 0, where the cumulant is 0
+    without a search, and where it is not finite.
     """
     check_admissible(law, q)
     t = np.atleast_1d(np.asarray(x_star, dtype=float))
 
     def G(m):
-        return plus_power_moment(law, t, m, q)
+        s0, s1, s2 = plus_power_moments(law, t, m, q)
+        return s0, -q * s1, (s1, s2)
 
+    if not t.any():     # G(m) = ((1 - m)^+)^q, whose root is 0
+        return 0.0, None
     scale = 1.0 + float(np.linalg.norm(t))
-    m = bisect_nonincreasing(G, 1.0, -2.0 * scale, 2.0 * scale, rel_tol=1e-12)
+    lo, step = -2.0 * scale, 4.0 * scale
+    if start is not None and start > lo:
+        lo, step = start, 1e-12 * (1.0 + abs(start))
+    m, moments = newton_nonincreasing(G, 1.0, lo, 2.0 * scale, step)
     if m == INF:
-        log.warning("cumulant: target level never reached on the bracket")
-    return m
+        log.warning("cumulant: target level never reached")
+    if moments is None:
+        return float(m), None
+    s1, s2 = moments
+    grad = s2 / s1
+    return float(m), (grad if np.isfinite(grad).all() else None)
 
 
 @dataclass(frozen=True)
@@ -108,14 +173,25 @@ def rate_function(law: Law, x, q: float, ray_radius: float = 1e3) -> RatePoint:
 
     Coarse grid plus coordinate-wise golden section; if the objective is
     still growing on the box of radius ``ray_radius`` the value is +inf.
+    The cumulant is convex, so its tangent at the point searched last
+    bounds it from below; each Newton solve starts from that tangent.
     """
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     d = xv.size
     if d > 3:
         raise LawError("dual search is certified only for d <= 3")
+    tangent = None  # the latest (t_i, cumulant(t_i), gradient at t_i)
 
     def g(t):
-        return float(np.dot(xv, t)) - cumulant(law, t, q)
+        nonlocal tangent
+        start = None
+        if tangent is not None:
+            t_i, lam_i, grad_i = tangent
+            start = lam_i + float(np.dot(grad_i, t - t_i))
+        lam, grad = _cumulant(law, t, q, start)
+        if grad is not None:    # copied: the coordinate ascent mutates t
+            tangent = (np.array(t), lam, grad)
+        return float(np.dot(xv, t)) - lam
 
     if d == 1:
         lo, hi = -1.0, 1.0

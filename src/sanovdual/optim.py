@@ -2,17 +2,22 @@
 
 Everything here is plain numpy: Euclidean projection onto the probability
 simplex, projected gradient ascent with Armijo backtracking, golden-section
-line search, monotone bisection and simplex grids.
+line search, monotone bisection, a safeguarded Newton root finder and
+simplex grids.  A search that exhausts its iteration cap unconverged logs a
+``sanovdual`` warning naming the solver and its last bracket.
 """
 
 from __future__ import annotations
 
+import logging
 from typing import Callable, Optional
 
 import numpy as np
 
 from .extreal import INF, NEG_INF
 from .spaces import type_index
+
+log = logging.getLogger("sanovdual")
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -58,9 +63,12 @@ def golden_min(fn: Callable, lo, hi, tol: float = 1e-12, max_iter: int = 200):
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(max_iter):
+    for it in range(max_iter + 1):
         done = b - a <= tol * (1.0 + abs(a) + abs(b))
         if all_(done):
+            break
+        if it == max_iter:
+            _warn_open("golden_min", max_iter, done, a, b)
             break
         left = fc <= fd
         na, nb = where(left, a, c), where(left, d, b)
@@ -123,14 +131,83 @@ def bisect_nonincreasing(G: Callable, target: float, lo, hi,
     if not all_(never_below | always_below):
         # Rows without a bracket collapse to a point and stop at once.
         lo = where(never_below | always_below, hi, lo)
+        done = hi <= lo
         for _ in range(max_iter):
             mid = 0.5 * (lo + hi)
             below = G(mid) <= target
             hi = where(below, mid, hi)
             lo = where(below, lo, mid)
-            if all_(hi - lo <= rel_tol * (1.0 + abs(mid))):
+            done = hi - lo <= rel_tol * (1.0 + abs(mid))
+            if all_(done):
                 break
+        else:
+            _warn_open("bisect_nonincreasing", max_iter, done, lo, hi)
     return where(never_below, INF, where(always_below, NEG_INF, hi))
+
+
+def newton_nonincreasing(G: Callable, target: float, lo: float, hi: float,
+                         step: float, max_iter: int = 200):
+    """Smallest m with G(m) <= target, for a scalar G that is convex,
+    continuous and nonincreasing, by safeguarded Newton steps.
+
+    ``G(m)`` returns ``(G(m), G'(m), extra)`` from one evaluation; the
+    result is ``(m, extra at m)``.  ``lo`` first steps down by ``step``,
+    ``2 step``, ... until G(lo) > target (-inf, with ``extra`` None, if it
+    never does); the points it leaves are upper ends.  From a left point a
+    Newton step on a convex G lands at most on the root, so every Newton
+    step starts at lo.  A Newton step is refused if it leaves the bracket,
+    has no negative slope to follow, or neither halves the bracket nor is
+    at most half the step before it.  A refused step bisects the bracket;
+    while no upper end is known it tries ``hi`` instead, and each try moves
+    ``hi`` up by a doubling width, as a bracket expansion would.  A step
+    shorter than tol/2 is a probe at lo + tol/2, which closes the bracket.
+    m is returned only once G(m) <= target < G(lo) with
+    m - lo <= 1e-12 (1 + |m|); +inf if no upper end turns up in
+    ``max_iter`` steps.
+    """
+    upper, width = hi, max(hi - lo, 1.0)
+    hi, at_hi = INF, None
+    for _ in range(200):
+        at_lo = G(lo)
+        if at_lo[0] > target:
+            break
+        hi, at_hi = lo, at_lo
+        lo -= step
+        step *= 2.0
+    else:
+        return NEG_INF, None
+    last = INF
+    for _ in range(max_iter):
+        tol = 1e-12 * (1.0 + abs(lo if hi == INF else hi))
+        if hi - lo <= tol:
+            return hi, at_hi[2]
+        value, slope, _ = at_lo
+        d = (value - target) / -slope if slope < 0.0 else INF
+        if d < hi - lo and (d <= 0.5 * last or 2.0 * d >= hi - lo):
+            x = min(lo + max(d, 0.5 * tol), hi - 0.5 * tol)
+        elif hi < INF:
+            x = 0.5 * (lo + hi)
+        else:
+            x = max(upper, lo + width)
+            upper = x + width
+            width *= 2.0
+        last = x - lo
+        at_x = G(x)
+        if at_x[0] <= target:
+            hi, at_hi = x, at_x
+        else:
+            lo, at_lo = x, at_x
+    _warn_open("newton_nonincreasing", max_iter, False, lo, hi)
+    return hi, (None if at_hi is None else at_hi[2])
+
+
+def _warn_open(solver: str, max_iter: int, done, lo, hi) -> None:
+    """Log a solver that ran out of iterations with rows still open."""
+    open_ = ~np.asarray(done, dtype=bool).ravel()
+    i = int(np.argmax(open_))
+    log.warning("%s: %d iterations left %d row(s) open, last bracket "
+                "[%g, %g]", solver, max_iter, int(open_.sum()),
+                np.ravel(lo)[i], np.ravel(hi)[i])
 
 
 def simplex_grid(m: int, step: float) -> np.ndarray:

@@ -7,6 +7,11 @@ then tile the unbounded directions with geometrically growing segments and
 apply fixed Gauss-Legendre nodes on each.  Segments stop once their
 contributions fall below tolerance twice in a row, which a polynomially
 decaying integrable tail guarantees.
+
+An integrand may also return a (k, N) array for N nodes: its k rows share
+the nodes, the density values and the tail walk, and a tail stops only
+once every row falls below tolerance.  Scalar integrands keep the
+arithmetic of a one-row walk exactly.
 """
 
 from __future__ import annotations
@@ -21,14 +26,17 @@ log = logging.getLogger("sanovdual")
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
-def _segment(pdf, fn, a: float, b: float) -> float:
+def _segment(pdf, fn, a: float, b: float):
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x = mid + half * _NODES
-    return float(np.dot(_WEIGHTS, fn(x) * pdf(x)) * half)
+    v = fn(x) * pdf(x)
+    if v.ndim == 1:
+        return float(np.dot(_WEIGHTS, v) * half)
+    return (v @ _WEIGHTS) * half
 
 
-def _tiled(pdf, fn, a: float, b: float) -> float:
+def _tiled(pdf, fn, a: float, b: float):
     """Finite segment integrated on geometrically growing tiles from a;
     keeps the nodes dense where densities concentrate near the left edge."""
     total = 0.0
@@ -45,8 +53,9 @@ def _tiled(pdf, fn, a: float, b: float) -> float:
 def expect(pdf: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
            fn: Callable[[np.ndarray], np.ndarray],
            breaks: Sequence[float] = (),
-           rel_tol: float = 1e-13, max_segments: int = 90) -> float:
-    """Integral of fn * pdf over (lo, hi) with breakpoints honored exactly."""
+           rel_tol: float = 1e-13, max_segments: int = 90):
+    """Integral of fn * pdf over (lo, hi) with breakpoints honored exactly:
+    a float, or the (k,) integrals of an integrand with k rows."""
     edges = sorted({float(b) for b in breaks if lo < b < hi})
     if np.isfinite(lo):
         edges = [float(lo)] + edges
@@ -66,8 +75,8 @@ def expect(pdf: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     return total
 
 
-def _tail(pdf, fn, edge: float, sign: float, total: float, rel_tol: float,
-          max_segments: int) -> float:
+def _tail(pdf, fn, edge: float, sign: float, total, rel_tol: float,
+          max_segments: int):
     """Add the unbounded tail beyond ``edge`` (upper for sign +1, lower for
     -1) to ``total`` on geometrically growing segments, until two pieces in
     a row fall below tolerance; warns if ``max_segments`` runs out first."""
@@ -79,8 +88,8 @@ def _tail(pdf, fn, edge: float, sign: float, total: float, rel_tol: float,
         total += piece
         edge = far
         step *= 6.0
-        small = small + 1 if abs(piece) <= rel_tol * (abs(total) + 1e-30) \
-            else 0
+        small = small + 1 \
+            if np.all(abs(piece) <= rel_tol * (abs(total) + 1e-30)) else 0
         if small >= 2 and k >= 3:
             return total
     log.warning("quadrature: %s tail truncated after %d segments at %g",

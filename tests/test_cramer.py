@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from sanovdual.cramer import (ConjugatePair, check_admissible, conjugate_pair,
-                              cumulant, deviation_bound, moment_norm,
-                              plus_power_moment, rate_function)
+from sanovdual import cramer
+from sanovdual.cramer import (ConjugatePair, _cumulant, check_admissible,
+                              conjugate_pair, cumulant, deviation_bound,
+                              moment_norm, plus_power_moment,
+                              plus_power_moments, rate_function)
 from sanovdual.laws import (EmpiricalLaw, FiniteSupportLaw, LawError,
                             LogNormalLaw, ParetoLaw, StudentTLaw)
+from sanovdual.optim import bisect_nonincreasing, golden_max
 
 RADEMACHER = FiniteSupportLaw(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
 
@@ -26,11 +29,86 @@ def cumulant_grid_oracle(law, t, q, lo=-3.0, hi=3.0, points=6_000_001):
     return float(fine[np.argmax(vals <= 1.0)])
 
 
+def cumulant_bisection_oracle(law, t, q):
+    """Bisection on the scalar moment over the cold bracket
+    [-2 (1 + |t|), 2 (1 + |t|)], to a width of 1e-12 (1 + |m|)."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    scale = 1.0 + float(np.linalg.norm(t))
+    return bisect_nonincreasing(lambda m: plus_power_moment(law, t, m, q),
+                                1.0, -2.0 * scale, 2.0 * scale, rel_tol=1e-12)
+
+
+def rate_golden_oracle(law, x, q):
+    """The 1-d rate search with a cold cumulant at every point: golden
+    section on [-1, 1], doubled while the maximizer sits at an edge."""
+    lo, hi = -1.0, 1.0
+    while True:
+        t, v = golden_max(lambda s: s * x - cumulant(law, s, q), lo, hi,
+                          tol=1e-11)
+        if min(t - lo, hi - t) >= 0.05 * (hi - lo):
+            return v
+        lo, hi = 2.0 * lo, 2.0 * hi
+
+
+_RNG = np.random.default_rng(7)
+ORACLE_LAWS = {
+    "pareto2.5_q2": (ParetoLaw(2.5), 2.0),
+    "pareto3.5_q3": (ParetoLaw(3.5), 3.0),
+    "student_t": (StudentTLaw(4.0), 2.0),
+    "lognormal": (LogNormalLaw(0.5), 2.0),
+    "finite": (FiniteSupportLaw(np.array([-1.0, 0.5, 2.0]),
+                                np.array([0.3, 0.5, 0.2])), 2.0),
+    "empirical_1d": (EmpiricalLaw(_RNG.standard_t(5.0, 60)), 2.5),
+    "empirical_2d": (EmpiricalLaw(_RNG.standard_t(5.0, (60, 2))), 2.0),
+}
+
+
+class TestNewtonCumulant:
+    @pytest.mark.parametrize("name", sorted(ORACLE_LAWS))
+    def test_matches_bisection_oracle(self, name):
+        law, q = ORACLE_LAWS[name]
+        points = (-0.35, 0.0, 0.3)
+        if name == "empirical_2d":
+            points = ((-0.3, 0.1), (0.0, 0.0), (0.2, 0.25))
+        for t in points:
+            got = cumulant(law, t, q)
+            assert abs(got - cumulant_bisection_oracle(law, t, q)) <= 1e-10
+
+    @pytest.mark.parametrize("name", ["pareto2.5_q2", "finite",
+                                      "empirical_2d"])
+    def test_gradient_is_the_slope(self, name):
+        law, q = ORACLE_LAWS[name]
+        t = np.array([0.2, -0.15]) if name == "empirical_2d" \
+            else np.array([0.2])
+        _, grad = _cumulant(law, t, q)
+        h = 1e-5
+        for i in range(t.size):
+            e = np.zeros_like(t)
+            e[i] = h
+            fd = (cumulant(law, t + e, q) - cumulant(law, t - e, q)) / (2 * h)
+            assert abs(grad[i] - fd) <= 1e-6
+
+    @pytest.mark.parametrize("offset", [0.5, 1e-13, -3.0])
+    def test_bad_start_still_returns_certified_root(self, offset):
+        law, q = ParetoLaw(2.5), 2.0
+        t = np.array([0.3])
+        cold, _ = _cumulant(law, t, q)
+        got, _ = _cumulant(law, t, q, start=cold + offset)
+        assert abs(got - cold) <= 2e-12
+        tol = 1e-12 * (1.0 + abs(got))
+        assert plus_power_moments(law, t, got, q)[0] <= 1.0
+        assert plus_power_moments(law, t, got - tol, q)[0] > 1.0
+
+
 class TestCumulant:
     def test_point_mass_is_zero_everywhere(self):
         law = FiniteSupportLaw(np.array([0.0]), np.array([1.0]))
         for t in (-2.0, 0.0, 0.7, 5.0):
             assert abs(cumulant(law, t, 2.0)) <= 1e-11
+        # Far from the root Newton gains only a factor 1 - 1/q per step,
+        # so bisection steps must take over.
+        for q, t in ((20.0, 100.0), (20.0, -100.0), (50.0, 3.0), (50.0, 1e3)):
+            assert abs(cumulant(law, t, q)) <= 1e-11
 
     def test_zero_argument_is_zero_for_any_law(self):
         for law in (RADEMACHER, ParetoLaw(2.5), LogNormalLaw(0.5)):
@@ -62,6 +140,27 @@ class TestCumulant:
         emp = EmpiricalLaw(np.repeat(atoms, [1, 2, 1]))
         for t in (0.2, 0.6):
             assert abs(cumulant(fin, t, 2.0) - cumulant(emp, t, 2.0)) <= 1e-10
+
+
+class TestWarmRateFunction:
+    @pytest.mark.parametrize("name,x", [
+        ("pareto2.5_q2", -0.3), ("pareto2.5_q2", 0.25),
+        ("pareto3.5_q3", -0.15), ("finite", 0.4), ("finite", -0.5)])
+    def test_matches_cold_golden_oracle(self, name, x):
+        law, q = ORACLE_LAWS[name]
+        got = rate_function(law, x, q)
+        assert got.status == "ok"
+        assert abs(got.value - rate_golden_oracle(law, x, q)) <= 1e-10
+
+    def test_two_dimensional_search_matches_cold_search(self, monkeypatch):
+        law, q = ORACLE_LAWS["empirical_2d"]
+        x = np.array([0.2, -0.1])
+        got = rate_function(law, x, q)
+        monkeypatch.setattr(cramer, "_cumulant",
+                            lambda law, t, q, start=None: _cumulant(law, t, q))
+        cold = rate_function(law, x, q)
+        assert got.status == cold.status == "ok"
+        assert abs(got.value - cold.value) <= 1e-10
 
 
 class TestMomentNorm:
