@@ -21,11 +21,11 @@ import numpy as np
 from . import extreal
 from .extreal import INF, NEG_INF
 from .optim import pgd_max_simplex, project_simplex, simplex_grid
-from .penalties import (AlphaSpec, Transport, penalty, spec_space,
-                        transport_plan)
+from .penalties import AlphaSpec, Transport, penalty, spec_space
 from .risk import risk_rows
 from .spaces import (DENSE_CAP, Dist, FiniteSpace, SpaceError,
                      SymmetricField, type_index, type_rank)
+from .transport import solve_transport
 
 __all__ = [
     "DPTrace", "SanovRun", "SuperhedgeCert", "backward_value_dense",
@@ -292,7 +292,7 @@ def _coupling_supremum(F, mu: Dist, c: np.ndarray, nu_star: np.ndarray) -> float
         return val
 
     starts = []
-    sol = transport_plan(Dist(mu.space, nu_star), mu, c)
+    sol = solve_transport(w, Dist(mu.space, nu_star).weights, c)
     if sol.plan is not None:
         rows = np.where(w[:, None] > 0, sol.plan / np.maximum(w[:, None], 1e-300),
                         1.0 / max(allowed.sum(axis=1).min(), 1))

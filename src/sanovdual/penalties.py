@@ -89,7 +89,6 @@ class SetIndicator:
 class Transport:
     mu: Dist
     cost: np.ndarray
-    diagonal_integrable: bool = False
 
     def __post_init__(self):
         c = np.asarray(self.cost, dtype=float)
@@ -100,10 +99,6 @@ class Transport:
             raise SpaceError("cost entries must be >= 0")
         if np.isinf(c).all(axis=1).any():
             raise SpaceError("cost needs at least one finite entry per row")
-        if self.diagonal_integrable:
-            live = self.mu.weights > 0
-            if np.isinf(np.diag(c)[live]).any():
-                raise SpaceError("diagonal cost must be finite on the support")
         c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "cost", c)
@@ -333,15 +328,21 @@ def hull_indicator(nu, generators: Sequence[Dist]) -> float | np.ndarray:
 
 
 def transport_cost(nu, mu, cost) -> float | np.ndarray:
-    """Exact optimal transport cost from mu to nu; +inf when infeasible."""
+    """Exact optimal transport cost from mu to nu; +inf when infeasible.
+
+    Above 2 states, rows off the domain (a negative entry, or mass off
+    mu's) are +inf.  The 2-state path reads only nu's first coordinate, so
+    the ascent's probes x +- h e_0 keep finite values there.
+    """
     V, single = _rows(nu)
     w = _ref_weights(mu)
     c = np.asarray(cost, dtype=float)
     if w.size == 2:
         out = _transport_cost_2x2(V, w, c)
     else:
-        out = np.array([solve_transport(w, V[i], c).value
-                        for i in range(V.shape[0])])
+        off = (V < 0).any(axis=1) | (np.abs(V.sum(axis=1) - w.sum()) > 1e-9)
+        out = np.array([INF if o else solve_transport(w, v, c).value
+                        for v, o in zip(V, off)])
     return float(out[0]) if single else out
 
 
@@ -364,11 +365,6 @@ def _transport_cost_2x2(V: np.ndarray, w: np.ndarray, c: np.ndarray) -> np.ndarr
         return out
 
     return np.minimum(value_at(t_lo), value_at(t_hi))
-
-
-def transport_plan(nu: Dist, mu: Dist, cost):
-    """Optimal coupling and dual potentials for the transport penalty."""
-    return solve_transport(mu.weights, nu.weights, np.asarray(cost, float))
 
 
 # ---------------------------------------------------------------------------

@@ -155,12 +155,6 @@ def robust_entropic_risk(f, generators: Sequence[Dist]) -> float:
     return float(max(vals))
 
 
-def transport_risk(f, mu, cost) -> float:
-    """int sup_y (f(y) - c(x, y)) dmu(x), in extended-real arithmetic."""
-    F = np.atleast_2d(np.asarray(f, dtype=float))
-    return float(transport_risk_rows(F, _w(mu), np.asarray(cost, float))[0])
-
-
 def transport_risk_rows(F: np.ndarray, w: np.ndarray, c: np.ndarray) -> np.ndarray:
     terms = F[:, None, :] - c[None, :, :]
     terms = np.where(np.isinf(c)[None, :, :] | np.isneginf(F)[:, None, :],

@@ -1,14 +1,26 @@
 """Exact optimal transport on finite spaces via the transportation simplex.
 
-Northwest-corner start, MODI (u/v potential) pivoting, Bland's rule for
-entering and leaving cells, and a 1e-13 perturbation of the marginals to
+The simplex runs on the basis matrix.  The constraint matrix A has one
+column per cell (i, j), with cell id i*C + j, and one row per marginal
+constraint; the row of u_0 is dropped, since u_0 = 0 fixes the potentials.
+A basis is R + C - 1 cell ids whose columns B = A[:, basis] form a spanning
+tree of the bipartite row/column graph, so B is square and nonsingular.  A
+is totally unimodular, so B^-1 has entries in {-1, 0, 1} and the rounded
+inverse is exact.  Each pivot inverts B once: the potentials solve
+B^T y = cost[basis], the basic flows x and the pivot cycle d solve
+B [x, d] = [marginals, A_e] (Bertsimas & Tsitsiklis, *Introduction to
+Linear Optimization*, ch. 5 and 7).
+
+Northwest-corner start, Bland's rule for entering (first cell in row-major
+order with a negative reduced cost) and leaving (first basic cell on the
+cycle that reaches zero), and a 1e-13 perturbation of the marginals to
 break degenerate ties.  Forbidden (infinite-cost) cells are handled with a
 symbolic big-M: costs are pairs (penalty_units, cost) compared
 lexicographically, so the solver first minimizes mass on forbidden cells
 and only then the finite cost.  If the minimal forbidden mass is positive,
 no finite-cost coupling exists and the value is +inf.
 
-After the pivoting loop the basis (a spanning tree) is re-solved against
+After the pivoting loop the flows of the final basis are re-solved against
 the unperturbed marginals, so the reported plan sums exactly to the inputs.
 """
 
@@ -35,16 +47,15 @@ class TransportSolution:
 
 
 def _northwest_corner(a, b):
+    """Cell ids of the northwest-corner basis for marginals (a, b)."""
     R, C = a.size, b.size
     arem = a.copy()
     brem = b.copy()
-    flows = {}
     basis = []
     i = j = 0
     while True:
         q = min(arem[i], brem[j])
-        flows[(i, j)] = q
-        basis.append((i, j))
+        basis.append(i * C + j)
         arem[i] -= q
         brem[j] -= q
         if i == R - 1 and j == C - 1:
@@ -55,90 +66,7 @@ def _northwest_corner(a, b):
             j += 1
         else:
             i += 1
-    return basis, flows
-
-
-def _tree_adjacency(basis, R, C):
-    adj = {("r", i): [] for i in range(R)}
-    adj.update({("c", j): [] for j in range(C)})
-    for (i, j) in basis:
-        adj[("r", i)].append((("c", j), (i, j)))
-        adj[("c", j)].append((("r", i), (i, j)))
-    return adj
-
-
-def _potentials(basis, cost_pair, R, C):
-    adj = _tree_adjacency(basis, R, C)
-    u = np.full((R, 2), np.nan)
-    v = np.full((C, 2), np.nan)
-    u[0] = (0.0, 0.0)
-    stack = [("r", 0)]
-    seen = {("r", 0)}
-    while stack:
-        node = stack.pop()
-        for nxt, (i, j) in adj[node]:
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            if nxt[0] == "c":
-                v[nxt[1]] = cost_pair[i, j] - u[i]
-            else:
-                u[nxt[1]] = cost_pair[i, j] - v[j]
-            stack.append(nxt)
-    return u, v
-
-
-def _find_cycle_path(basis, start, goal, R, C):
-    """Path of basic cells between two tree nodes (exists and is unique)."""
-    adj = _tree_adjacency(basis, R, C)
-    prev = {start: (None, None)}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            break
-        for nxt, cell in adj[node]:
-            if nxt not in prev:
-                prev[nxt] = (node, cell)
-                stack.append(nxt)
-    path = []
-    node = goal
-    while prev[node][0] is not None:
-        node, cell = prev[node][0], prev[node][1]
-        path.append(cell)
-    path.reverse()
-    return path
-
-
-def _solve_tree_flows(basis, a, b, R, C):
-    """Unique flows on a spanning-tree basis matching the marginals."""
-    need = {("r", i): a[i] for i in range(R)}
-    need.update({("c", j): b[j] for j in range(C)})
-    degree = {}
-    incident = {}
-    for cell in basis:
-        for node in (("r", cell[0]), ("c", cell[1])):
-            degree[node] = degree.get(node, 0) + 1
-            incident.setdefault(node, []).append(cell)
-    flows = {}
-    alive = set(basis)
-    leaves = [n for n, d in degree.items() if d == 1]
-    while leaves:
-        node = leaves.pop()
-        cells = [c for c in incident[node] if c in alive]
-        if not cells:
-            continue
-        cell = cells[0]
-        q = need[node]
-        flows[cell] = q
-        alive.discard(cell)
-        other = ("c", cell[1]) if node[0] == "r" else ("r", cell[0])
-        need[other] -= q
-        need[node] = 0.0
-        degree[other] -= 1
-        if degree[other] == 1:
-            leaves.append(other)
-    return flows
+    return basis
 
 
 def solve_transport(a, b, cost, eps: float = 1e-13) -> TransportSolution:
@@ -160,65 +88,55 @@ def solve_transport(a, b, cost, eps: float = 1e-13) -> TransportSolution:
 
     forbidden = np.isinf(cost)
     fin = np.where(forbidden, 0.0, cost)
-    pair = np.stack([forbidden.astype(float), fin], axis=-1)
+    pair = np.column_stack([forbidden.ravel(), fin.ravel()])
     val_tol = 1e-12 * (1.0 + float(np.abs(fin).max(initial=0.0)))
+    cells = np.arange(R * C)
+    A = np.zeros((R + C, R * C))
+    A[cells // C, cells] = 1.0
+    A[R + cells % C, cells] = 1.0
+    A = A[1:]
 
     ap = a + eps
     bp = b.copy()
     bp[-1] += R * eps
-    basis, flows = _northwest_corner(ap, bp)
+    rhs = np.concatenate([ap[1:], bp])
+    basis = _northwest_corner(ap, bp)
 
     pivots = 0
-    while pivots < _MAX_PIVOTS:
-        u, v = _potentials(basis, pair, R, C)
-        in_basis = set(basis)
-        entering = None
-        for i in range(R):
-            red = pair[i] - u[i][None, :] - v
-            for j in range(C):
-                if (i, j) in in_basis:
-                    continue
-                r0, r1 = red[j]
-                if r0 < -_PEN_TOL or (abs(r0) <= _PEN_TOL and r1 < -val_tol):
-                    entering = (i, j)
-                    break
-            if entering is not None:
-                break
-        if entering is None:
+    while True:
+        Binv = np.rint(np.linalg.inv(A.take(basis, axis=1)))
+        y = Binv.T @ pair.take(basis, axis=0)
+        # Lexicographically negative: fewer forbidden units, or as many and
+        # a lower finite cost.
+        r0, r1 = (pair - A.T @ y).T
+        negative = (r0 < -_PEN_TOL) | ((r0 <= _PEN_TOL) & (r1 < -val_tol))
+        negative[basis] = False
+        entering = int(negative.argmax())
+        if not negative[entering]:
             break
+        if pivots == _MAX_PIVOTS:
+            raise ArithmeticError("transportation simplex failed to terminate")
         pivots += 1
-        path = _find_cycle_path(basis, ("c", entering[1]), ("r", entering[0]), R, C)
-        # Cycle: entering cell carries +theta, then alternate along the path.
-        signs = {entering: +1}
-        s = -1
-        for cell in path:
-            signs[cell] = s
-            s = -s
-        minus = [c for c in basis if signs.get(c) == -1]
-        theta = min(flows[c] for c in minus)
-        leaving = next(c for c in minus if flows[c] <= theta)
-        for cell, sg in signs.items():
-            if cell == entering:
-                flows[cell] = theta
-            else:
-                flows[cell] = flows[cell] + sg * theta
-        basis = [c for c in basis if c != leaving] + [entering]
-        del flows[leaving]
-    else:
-        raise ArithmeticError("transportation simplex failed to terminate")
+        # Raising the entering flow by theta moves the basic flows by
+        # -theta * d; the cells with d = +1 are the decreasing half of the
+        # cycle.
+        x = Binv @ rhs
+        minus = Binv @ A[:, entering] > 0.5
+        theta = x[minus].min()
+        del basis[int((minus & (x <= theta)).argmax())]
+        basis.append(entering)
 
     # Optimality of the final basis depends only on the costs, so re-solve
-    # the tree flows against the unperturbed marginals for an exact plan.
-    exact = _solve_tree_flows(basis, a, b, R, C)
-    plan = np.zeros((R, C))
-    for (i, j), q in exact.items():
-        if q < -1e-8:
-            raise ArithmeticError("tree flow went negative beyond tolerance")
-        plan[i, j] = max(q, 0.0)
+    # its flows against the unperturbed marginals for an exact plan.
+    exact = Binv @ np.concatenate([a[1:], b])
+    if (exact < -1e-8).any():
+        raise ArithmeticError("tree flow went negative beyond tolerance")
+    plan = np.zeros(R * C)
+    plan[basis] = np.maximum(exact, 0.0)
+    plan = plan.reshape(R, C)
 
-    forbidden_mass = float(plan[forbidden].sum())
-    if forbidden_mass > 1e-12:
+    if float(plan[forbidden].sum()) > 1e-12:
         return TransportSolution(INF, None, None, None, pivots)
-    u, v = _potentials(basis, pair, R, C)
+    u = np.concatenate([[0.0], y[:R - 1, 1]])
     value = float((plan * fin).sum())
-    return TransportSolution(value, plan, u[:, 1].copy(), v[:, 1].copy(), pivots)
+    return TransportSolution(value, plan, u, y[R - 1:, 1].copy(), pivots)

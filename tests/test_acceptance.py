@@ -33,7 +33,7 @@ from sanovdual.penalties import (LpEntropy, RelativeEntropy, Robust,
                                  lp_entropy, relative_entropy,
                                  shortfall_penalty, tensor_penalty,
                                  tensor_penalty_batch, transport_cost)
-from sanovdual.risk import entropic_risk, shortfall_risk, transport_risk
+from sanovdual.risk import entropic_risk, risk, shortfall_risk
 from sanovdual.spaces import Dist, FiniteSpace, ProductDist
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -221,7 +221,7 @@ def test_criterion_08_transport_duality(record_criterion):
         cost = rng.uniform(0.0, 2.0, (3, 3))
         np.fill_diagonal(cost, 0.0)
         f = rng.normal(size=3)
-        rho = transport_risk(f, mu, cost)
+        rho = risk(f, Transport(mu, cost))
         vals = grid @ f - transport_cost(grid, mu, cost)
         best = float(vals.max())
 

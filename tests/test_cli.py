@@ -210,13 +210,33 @@ class TestSuperhedgeCommand:
 
 class TestTransportCommand:
     def test_longrun_with_control_check(self, tmp_path):
-        code = main(["transport", "--config",
-                     str(CONFIGS / "transport_longrun.json"),
-                     "--out", str(tmp_path / "out")])
-        assert code == 0
-        report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert abs(report["target"] - report["coupling_target"]) <= 1e-6
-        assert report["control_gap"] <= 1e-10
+        # The 2-state square well has its optimum off the grid, at
+        # nu_0 = 0.7333, so the ascent must climb from the grid maximum at
+        # 0.73 to match the coupling target.
+        two_state = write_config(tmp_path, {
+            "mu": [0.5, 0.5], "cost": [[0.0, 1.0], [1.0, 0.0]],
+            "F": {"kind": "square_well", "coordinate": 0, "center": 0.9,
+                  "scale": -3.0},
+            "schedule": [2], "grid_step": 0.01, "control_check_n": 2},
+            name="two.json")
+        # The 3-state run sends the ascent's off-simplex probes into the
+        # transport solver.  Its optimum, nu = mu, is a grid point: above 2
+        # states every probe is +inf and the ascent does not move.
+        three_state = write_config(tmp_path, {
+            "mu": [0.5, 0.3, 0.2],
+            "cost": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]],
+            "F": {"kind": "square_well", "coordinate": 0, "center": 0.7},
+            "schedule": [2], "grid_step": 0.1, "control_check_n": 2},
+            name="three.json")
+        for k, cfg in enumerate([CONFIGS / "transport_longrun.json",
+                                 two_state, three_state]):
+            out = tmp_path / f"out{k}"
+            code = main(["transport", "--config", str(cfg),
+                         "--out", str(out)])
+            assert code == 0
+            report = json.loads((out / "report.json").read_text())
+            assert abs(report["target"] - report["coupling_target"]) <= 1e-6
+            assert report["control_gap"] <= 1e-10
 
 
 class TestCramerCommand:

@@ -13,7 +13,7 @@ from sanovdual.losses import ExpLoss, PowerLoss
 from sanovdual.penalties import (LpEntropy, RelativeEntropy, Robust,
                                  SetIndicator, Shortfall, Transport, penalty,
                                  tensor_penalty, tensor_penalty_batch)
-from sanovdual.risk import entropic_risk, risk, transport_risk
+from sanovdual.risk import entropic_risk, risk
 from sanovdual.spaces import (Dist, FiniteSpace, ProductDist, SpaceError,
                               SymmetricField)
 
@@ -297,7 +297,7 @@ class TestTransportLongrun:
         fbar = rng.normal(size=2)
         run = transport_longrun(lambda nu: float(np.dot(fbar, nu)), UNIF2,
                                 COST_TV, [1, 2, 4])
-        want = transport_risk(fbar, UNIF2, COST_TV)
+        want = risk(fbar, Transport(UNIF2, COST_TV))
         assert abs(run.target - want) <= 2e-3
         assert abs(run.coupling_target - want) <= 1e-6
 

@@ -186,12 +186,23 @@ class TestTransportCost:
                              cost)
         assert got == math.inf
 
+    def test_off_simplex_rows_are_inf(self):
+        # Central differences probe rows of mass 1 +- h; above 2 states the
+        # solver path gives such rows +inf instead of raising.
+        cost = 1.0 - np.eye(3)
+        heavy = np.full(3, 1.0 / 3)
+        heavy[0] += 1e-7
+        negative = np.full(3, 1.0 / 3)
+        negative[0] -= 0.6
+        negative[1] += 0.6
+        got = transport_cost(np.stack([heavy, negative]), UNIF3, cost)
+        assert np.isposinf(got).all()
+        assert transport_cost(heavy, UNIF3, cost) == math.inf
+
     def test_diagonal_flag_validation(self):
         from sanovdual.spaces import SpaceError
         cost = np.array([[math.inf, 1.0], [1.0, 0.0]])
-        Transport(UNIF2, cost)  # fine without the flag
-        with pytest.raises(SpaceError, match="diagonal"):
-            Transport(UNIF2, cost, diagonal_integrable=True)
+        Transport(UNIF2, cost)
         with pytest.raises(SpaceError, match="finite"):
             Transport(UNIF2, np.array([[math.inf, math.inf], [1.0, 0.0]]))
 

@@ -10,8 +10,7 @@ from sanovdual.penalties import (LpEntropy, RelativeEntropy, Robust,
                                  spec_space)
 from sanovdual.risk import (entropic_risk, generic_risk, oce_risk,
                             penalty_from_risk, risk, risk_maximizer,
-                            risk_result, robust_entropic_risk, shortfall_risk,
-                            transport_risk)
+                            risk_result, robust_entropic_risk, shortfall_risk)
 from sanovdual.spaces import Dist, FiniteSpace
 
 TWO = FiniteSpace.of_size(2)
@@ -159,8 +158,8 @@ class TestTransportRisk:
     def test_zero_cost_gives_max(self):
         rng = np.random.default_rng(3)
         f = rng.normal(size=3)
-        got = transport_risk(f, Dist(THREE, [0.2, 0.5, 0.3]),
-                             np.zeros((3, 3)))
+        got = risk(f, Transport(Dist(THREE, [0.2, 0.5, 0.3]),
+                                np.zeros((3, 3))))
         assert abs(got - f.max()) <= 1e-12
 
     def test_diagonal_identity(self):
@@ -170,7 +169,7 @@ class TestTransportRisk:
         mu = rand_dist(rng, THREE)
         cost = np.full((3, 3), INF)
         np.fill_diagonal(cost, 0.0)
-        got = transport_risk(f, mu, cost)
+        got = risk(f, Transport(mu, cost))
         assert abs(got - float(np.dot(mu.weights, f))) <= 1e-12
 
     def test_matches_simplex_grid_oracle(self):
@@ -184,7 +183,7 @@ class TestTransportRisk:
             np.fill_diagonal(cost, 0.0)
             f = rng.normal(size=3)
             vals = pts @ f - transport_cost(pts, mu, cost)
-            got = transport_risk(f, mu, cost)
+            got = risk(f, Transport(mu, cost))
             assert got >= vals.max() - 1e-12
             assert got <= vals.max() + 2e-3
 

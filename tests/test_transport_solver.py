@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from sanovdual import transport
 from sanovdual.transport import solve_transport
 
 
@@ -30,7 +31,8 @@ def linprog_oracle(a, b, cost):
 
 
 @pytest.mark.parametrize("m,n,seed", [(2, 2, 0), (3, 3, 1), (4, 3, 2),
-                                      (5, 5, 3), (3, 6, 4)])
+                                      (5, 5, 3), (3, 6, 4), (10, 10, 8),
+                                      (12, 7, 9)])
 def test_matches_linprog_on_random_instances(m, n, seed):
     rng = np.random.default_rng(seed)
     for trial in range(10):
@@ -111,3 +113,14 @@ def test_potentials_certify_value():
     sol = solve_transport(a, b, rng.uniform(0, 2, (3, 3)))
     dual = float(np.dot(sol.row_potentials, a) + np.dot(sol.col_potentials, b))
     assert abs(dual - sol.value) <= 1e-10
+
+
+def test_pivot_cap_raises(monkeypatch):
+    # The northwest corner puts all mass on the costly diagonal; the optimum
+    # is the anti-diagonal, so at least one pivot is needed.
+    a = np.array([0.5, 0.5])
+    cost = np.array([[1.0, 0.0], [0.0, 1.0]])
+    assert solve_transport(a, a, cost).pivots >= 1
+    monkeypatch.setattr(transport, "_MAX_PIVOTS", 0)
+    with pytest.raises(ArithmeticError, match="terminate"):
+        solve_transport(a, a, cost)
