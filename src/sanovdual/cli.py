@@ -3,6 +3,8 @@ config, with machine-readable outputs and a reproducibility manifest.
 
 Subcommands: rho | sanov | cramer | tailbound | saa | superhedge | transport.
 Shared flags: --config PATH, --out DIR, --seed U64, --threads N.
+--threads is parsed and recorded in the manifest but has no effect: Monte
+Carlo replications are drawn in blocks on one thread.
 Exit codes: 0 ok, 2 config error, 3 numeric failure, 4 inconclusive
 statistics.  Verbosity via the SANOV_DUAL_LOG environment variable.
 
@@ -296,7 +298,7 @@ def _maximizer_payload(result):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_rho(cfg, out: Path, seed: int, threads: int) -> int:
+def cmd_rho(cfg, out: Path, seed: int) -> int:
     _check_keys(cfg, "config", required=("spec", "f"),
                 optional=("generic", "restarts", "seed"))
     spec = parse_spec(cfg["spec"])
@@ -322,7 +324,7 @@ def cmd_rho(cfg, out: Path, seed: int, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_sanov(cfg, out: Path, seed: int, threads: int) -> int:
+def cmd_sanov(cfg, out: Path, seed: int) -> int:
     _check_keys(cfg, "config", required=("spec", "F", "schedule"),
                 optional=("grid_step", "seed"))
     spec = parse_spec(cfg["spec"])
@@ -342,7 +344,7 @@ def cmd_sanov(cfg, out: Path, seed: int, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_cramer(cfg, out: Path, seed: int, threads: int) -> int:
+def cmd_cramer(cfg, out: Path, seed: int) -> int:
     _check_keys(cfg, "config", required=("law", "q", "dual_grid",
                                          "primal_grid"),
                 optional=("seed",))
@@ -364,7 +366,7 @@ def cmd_cramer(cfg, out: Path, seed: int, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_tailbound(cfg, out: Path, seed: int, threads: int) -> int:
+def cmd_tailbound(cfg, out: Path, seed: int) -> int:
     _check_keys(cfg, "config", required=("experiment",),
                 optional=("law", "q", "r", "schedule", "replications",
                           "family", "n", "seed"))
@@ -379,8 +381,7 @@ def cmd_tailbound(cfg, out: Path, seed: int, threads: int) -> int:
         if not r > mq:
             raise ConfigError("r: must exceed the moment constant M_q")
         try:
-            ests = [mc.estimate_tail(law, n, r, replications,
-                                     seed=seed, threads=threads)
+            ests = [mc.estimate_tail(law, n, r, replications, seed=seed)
                     for n in schedule]
         except ValueError as exc:
             raise InconclusiveError(str(exc)) from exc
@@ -467,7 +468,7 @@ def _parse_saa_instance(cfg) -> mc.SAAInstance:
                           q=q, growth=growth)
 
 
-def cmd_saa(cfg, out: Path, seed: int, threads: int) -> int:
+def cmd_saa(cfg, out: Path, seed: int) -> int:
     _check_keys(cfg, "config", required=("decisions", "loss", "law",
                                          "epsilon", "q", "schedule",
                                          "replications"),
@@ -510,7 +511,7 @@ def cmd_saa(cfg, out: Path, seed: int, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_superhedge(cfg, out: Path, seed: int, threads: int) -> int:
+def cmd_superhedge(cfg, out: Path, seed: int) -> int:
     _check_keys(cfg, "config", required=("spec", "f"), optional=("seed",))
     spec = parse_spec(cfg["spec"])
     space = spec_space(spec)
@@ -524,7 +525,7 @@ def cmd_superhedge(cfg, out: Path, seed: int, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_transport(cfg, out: Path, seed: int, threads: int) -> int:
+def cmd_transport(cfg, out: Path, seed: int) -> int:
     _check_keys(cfg, "config", required=("mu", "cost", "F", "schedule"),
                 optional=("grid_step", "control_check_n", "seed"))
     mu = _dist(cfg["mu"], "mu")
@@ -630,7 +631,7 @@ def main(argv=None) -> int:
 
     try:
         write_manifest(out, config_text, seed, args.threads)
-        return COMMANDS[args.command](cfg, out, seed, args.threads)
+        return COMMANDS[args.command](cfg, out, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -6,8 +6,11 @@ rate fitting, sample-average-approximation experiments for stochastic
 optimization, and the bounded-increment martingale experiment.
 
 Replication i draws from a counter-based Philox generator keyed by
-base_seed XOR i, so replications are reproducible, order-independent and
-parallelizable by index; all aggregation is associative (hit counts).
+base_seed XOR i.  Every experiment reads replications in blocks of
+consecutive rows, each row drawn from its own stream, and reduces whole
+blocks with numpy, so the block size never changes a result.  Known
+defect: the XOR key makes seeds share streams (rep_rng(0, 1) is
+rep_rng(1, 0)), and every schedule point reuses them (ROADMAP item 3).
 
 All rate checks are one-sided upper-bound checks: no lower-bound claim is
 ever asserted.  Slack constants (1.2 bound ratio, +0.25 slope, +0.1 on the
@@ -17,8 +20,8 @@ objects.
 
 from __future__ import annotations
 
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -35,11 +38,33 @@ BOUND_RATIO_SLACK = 1.2
 SLOPE_SLACK = 0.25
 MARTINGALE_SLACK = 0.1
 
+# Samples (times coordinates) per replication block: wide enough for the
+# martingale step loop, small enough that SAA loss temporaries stay cheap.
+_BLOCK_ELEMENTS = 2 ** 17
+
 
 def rep_rng(base_seed: int, i: int) -> np.random.Generator:
     """Stream for replication i: Philox keyed by base_seed XOR i."""
     key = (int(base_seed) ^ int(i)) & (2 ** 64 - 1)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _replication_blocks(draw: Callable[[np.random.Generator, int], np.ndarray],
+                        n: int, replications: int, seed: int):
+    """Yield replications stacked into (rows, n, ...) blocks, row i being
+    ``draw(rep_rng(seed, i), n)``.  Each block overwrites the previous one."""
+    if replications < 1:
+        raise ValueError("need at least one replication")
+    draws = (draw(rep_rng(seed, i), n) for i in range(replications))
+    first = next(draws)
+    rows = max(1, min(replications, _BLOCK_ELEMENTS // first.size))
+    block = np.empty((rows,) + first.shape, dtype=first.dtype)
+    draws = itertools.chain([first], draws)
+    for start in range(0, replications, rows):
+        k = min(rows, replications - start)
+        for j in range(k):
+            block[j] = next(draws)
+        yield block[:k]
 
 
 # perfbench/tracer.py times sampling through these names; the laws are the
@@ -136,7 +161,7 @@ class TailEstimate:
 
 
 def estimate_tail(law: Law, n: int, r: float, replications: int,
-                  seed: int, threads: int = 1) -> TailEstimate:
+                  seed: int) -> TailEstimate:
     """Fraction of replications whose sample mean reaches radius r.
 
     Scalar samples compare the mean itself; vector samples compare its
@@ -144,25 +169,12 @@ def estimate_tail(law: Law, n: int, r: float, replications: int,
     """
     if replications < 1000:
         raise ValueError("need at least 1e3 replications for a usable interval")
-
-    def count_range(lo: int, hi: int) -> int:
-        hits = 0
-        for i in range(lo, hi):
-            x = law.draw(rep_rng(seed, i), n)
-            if x.ndim == 1:
-                hit = x.mean() >= r
-            else:
-                hit = np.linalg.norm(x.mean(axis=0)) >= r
-            hits += bool(hit)
-        return hits
-
-    if threads > 1:
-        edges = np.linspace(0, replications, threads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = sum(pool.map(lambda ab: count_range(*ab),
-                                zip(edges[:-1], edges[1:])))
-    else:
-        hits = count_range(0, replications)
+    hits = 0
+    for block in _replication_blocks(law.draw, n, replications, seed):
+        means = block.mean(axis=1)
+        if means.ndim > 1:
+            means = np.linalg.norm(means, axis=1)
+        hits += int((means >= r).sum())
     p = hits / replications
     lo, hi = wilson_interval(hits, replications)
     return TailEstimate(n, r, replications, hits, p, lo, hi)
@@ -192,12 +204,9 @@ def rate_fit(ns: Sequence[int], p_hats: Sequence[float]) -> RateFit:
     sxx = float(((x - xm) ** 2).sum())
     slope = float(((x - xm) * (y - ym)).sum() / sxx)
     resid = y - (ym + slope * (x - xm))
-    if k > 2:
-        sigma2 = float((resid ** 2).sum() / (k - 2))
-        se = math.sqrt(sigma2 / sxx)
-        upper = slope + float(stdtrit(k - 2, 0.95)) * se
-    else:
-        se, upper = 0.0, slope
+    sigma2 = float((resid ** 2).sum() / (k - 2))
+    se = math.sqrt(sigma2 / sxx)
+    upper = slope + float(stdtrit(k - 2, 0.95)) * se
     return RateFit(slope, se, upper, k, "ok")
 
 
@@ -235,8 +244,11 @@ class GrowthValidationError(ValueError):
 class SAAInstance:
     """A finite-grid stochastic program min_x E[h(x, W)].
 
-    ``loss`` must be vectorized in its second argument.  ``law`` provides
-    the Monte Carlo draws; exact values V(mu) use its finite support or
+    ``loss(x, W)`` must be elementwise in W: the Monte Carlo experiments
+    pass (rows, n) blocks of replications, and exact values pass the atoms
+    or quadrature nodes.  ``growth`` must be vectorized too; it maps an
+    array of decision distances to growth values.  ``law`` provides the
+    Monte Carlo draws; exact values V(mu) use its finite support or
     quadrature against its closed-form density.
     """
 
@@ -245,7 +257,7 @@ class SAAInstance:
     law: Law
     epsilon: float
     q: float
-    growth: Optional[Callable[[float], float]] = None
+    growth: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         self.decisions = np.asarray(self.decisions, dtype=float)
@@ -270,6 +282,10 @@ class SAAInstance:
         ev = self.expected_losses()
         return float(self.decisions[int(np.argmin(ev))])
 
+    def empirical_losses(self, W: np.ndarray) -> np.ndarray:
+        """(decisions, rows) mean loss over each row of a (rows, n) block."""
+        return np.stack([self.loss(x, W).mean(axis=1) for x in self.decisions])
+
     def check_integrability(self, seed: int = 0, draws: int = 100_000) -> float:
         """Sampled q-th moment of (sup_x h(x, W))^+; must be finite."""
         w = self.law.draw(rep_rng(seed, 0), draws)
@@ -281,27 +297,49 @@ class SAAInstance:
         return val
 
 
-def _empirical_values(instance: SAAInstance, n: int, replications: int,
-                      seed: int) -> np.ndarray:
-    """V(L_n) for each replication."""
-    out = np.empty(replications)
-    xs = instance.decisions
-    for i in range(replications):
-        w = instance.law.draw(rep_rng(seed, i), n)
-        means = np.array([instance.loss(x, w).mean() for x in xs])
-        out[i] = means.min()
-    return out
-
-
 @dataclass
-class SAARun:
+class ExceedanceSeries:
+    """Exceedance probabilities along a sample-size schedule with the
+    polynomial-rate diagnostics."""
+
     schedule: list[int]
     estimates: list[TailEstimate]
     scaled: list[float]            # n^(q-1) * p_hat
     mann_kendall_p: float
     fit: RateFit
     slope_budget: float
+
+
+@dataclass
+class SAARun(ExceedanceSeries):
     true_value: float
+
+
+@dataclass
+class ArgminRun(ExceedanceSeries):
+    argmin: float
+
+
+def _exceedance_series(run_cls, instance: SAAInstance,
+                       schedule: Sequence[int], replications: int, seed: int,
+                       exceeds: Callable[[np.ndarray], np.ndarray], target):
+    """``run_cls`` of the hit counts along the schedule; ``exceeds`` maps a
+    block's (decisions, rows) empirical losses to one boolean per row."""
+    schedule = [int(n) for n in schedule]
+    q = instance.q
+    ests = []
+    for n in schedule:
+        hits = 0
+        for block in _replication_blocks(instance.law.draw, n, replications,
+                                         seed):
+            hits += int(exceeds(instance.empirical_losses(block)).sum())
+        lo, hi = wilson_interval(hits, replications)
+        ests.append(TailEstimate(n, instance.epsilon, replications, hits,
+                                 hits / replications, lo, hi))
+    scaled = [n ** (q - 1.0) * e.p_hat for n, e in zip(schedule, ests)]
+    return run_cls(schedule, ests, scaled, mann_kendall_upward_p(scaled),
+                    rate_fit(schedule, [e.p_hat for e in ests]),
+                    (1.0 - q) + SLOPE_SLACK, target)
 
 
 def saa_run(instance: SAAInstance, schedule: Sequence[int], replications: int,
@@ -309,19 +347,10 @@ def saa_run(instance: SAAInstance, schedule: Sequence[int], replications: int,
     """Exceedance probabilities of |V(L_n) - V(mu)| >= epsilon with the
     polynomial-rate diagnostics."""
     v_star = instance.true_value()
-    q = instance.q
-    ests = []
-    for n in schedule:
-        vals = _empirical_values(instance, int(n), replications, seed)
-        hits = int((np.abs(vals - v_star) >= instance.epsilon).sum())
-        lo, hi = wilson_interval(hits, replications)
-        ests.append(TailEstimate(int(n), instance.epsilon, replications,
-                                 hits, hits / replications, lo, hi))
-    scaled = [n ** (q - 1.0) * e.p_hat for n, e in zip(schedule, ests)]
-    mk = mann_kendall_upward_p(scaled)
-    fit = rate_fit([e.n for e in ests], [e.p_hat for e in ests])
-    return SAARun([int(n) for n in schedule], ests, scaled, mk, fit,
-                  slope_budget=(1.0 - q) + SLOPE_SLACK, true_value=v_star)
+    return _exceedance_series(
+        SAARun, instance, schedule, replications, seed,
+        lambda means: np.abs(means.min(axis=0) - v_star) >= instance.epsilon,
+        v_star)
 
 
 def saa_exact_exceedance(instance: SAAInstance, n: int) -> float:
@@ -329,37 +358,12 @@ def saa_exact_exceedance(instance: SAAInstance, n: int) -> float:
     (finite-support laws only)."""
     if not isinstance(instance.law, FiniteSupportLaw):
         raise TypeError("exact enumeration needs a finite-support law")
-    atoms = instance.law.atoms
-    weights = instance.law.weights
-    v_star = instance.true_value()
-    k = weights.size
-    total = 0.0
-    idx = np.zeros(n, dtype=int)
-    while True:
-        w = atoms[idx]
-        prob = float(np.prod(weights[idx]))
-        means = np.array([instance.loss(x, w).mean() for x in instance.decisions])
-        if abs(means.min() - v_star) >= instance.epsilon:
-            total += prob
-        j = n - 1
-        while j >= 0 and idx[j] == k - 1:
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            break
-        idx[j] += 1
-    return total
-
-
-@dataclass
-class ArgminRun:
-    schedule: list[int]
-    estimates: list[TailEstimate]
-    scaled: list[float]
-    mann_kendall_p: float
-    fit: RateFit
-    slope_budget: float
-    argmin: float
+    law = instance.law
+    idx = np.array(list(itertools.product(range(law.weights.size), repeat=n)))
+    means = instance.empirical_losses(law.atoms[idx])
+    hit = np.abs(means.min(axis=0) - instance.true_value()) >= instance.epsilon
+    # Summed in enumeration order; pairwise np.sum would change last digits.
+    return float(sum(law.weights[idx[hit]].prod(axis=1), 0.0))
 
 
 def argmin_tracking(instance: SAAInstance, schedule: Sequence[int],
@@ -375,35 +379,21 @@ def argmin_tracking(instance: SAAInstance, schedule: Sequence[int],
     ev = instance.expected_losses()
     j_star = int(np.argmin(ev))
     x_star = float(instance.decisions[j_star])
-    viol = []
-    for j, x in enumerate(instance.decisions):
-        lhs = float(instance.growth(abs(x - x_star)))
-        rhs = float(ev[j] - ev[j_star])
-        if lhs > rhs + 1e-12:
-            viol.append((x, lhs, rhs))
-    if viol:
+    gap = ev - ev[j_star]
+    growth = instance.growth(np.abs(instance.decisions - x_star))
+    viol = np.flatnonzero(growth > gap + 1e-12)
+    if viol.size:
+        j = viol[0]
         raise GrowthValidationError(
-            f"growth hypothesis fails at {len(viol)} grid points, "
-            f"e.g. x={viol[0][0]:g}: growth={viol[0][1]:.3g} > gap={viol[0][2]:.3g}")
+            f"growth hypothesis fails at {viol.size} grid points, e.g. "
+            f"x={instance.decisions[j]:g}: growth={growth[j]:.3g} > "
+            f"gap={gap[j]:.3g}")
 
-    q = instance.q
-    ests = []
-    for n in schedule:
-        hits = 0
-        for i in range(replications):
-            w = instance.law.draw(rep_rng(seed, i), int(n))
-            means = np.array([instance.loss(x, w).mean()
-                              for x in instance.decisions])
-            x_hat = float(instance.decisions[int(np.argmin(means))])
-            hits += bool(instance.growth(abs(x_hat - x_star)) >= instance.epsilon)
-        lo, hi = wilson_interval(hits, replications)
-        ests.append(TailEstimate(int(n), instance.epsilon, replications,
-                                 hits, hits / replications, lo, hi))
-    scaled = [n ** (q - 1.0) * e.p_hat for n, e in zip(schedule, ests)]
-    fit = rate_fit([e.n for e in ests], [e.p_hat for e in ests])
-    return ArgminRun([int(n) for n in schedule], ests, scaled,
-                     mann_kendall_upward_p(scaled), fit,
-                     slope_budget=(1.0 - q) + SLOPE_SLACK, argmin=x_star)
+    def exceeds(means):
+        x_hat = instance.decisions[means.argmin(axis=0)]
+        return instance.growth(np.abs(x_hat - x_star)) >= instance.epsilon
+    return _exceedance_series(ArgminRun, instance, schedule, replications,
+                              seed, exceeds, x_star)
 
 
 # ---------------------------------------------------------------------------
@@ -441,14 +431,15 @@ def conjugate_scalar(phi: Callable[[float], float], r: float,
 
 def _simulate_final_means(family: IncrementFamily, n: int, replications: int,
                           seed: int) -> np.ndarray:
-    """S_n / n for each replication, one Philox row per replication."""
-    U = np.empty((replications, n))
-    for i in range(replications):
-        U[i] = rep_rng(seed, i).random(n)
-    s = np.zeros(replications)
-    for k in range(n):
-        s += family.step(U[:, k], s)
-    return s / n
+    """S_n / n for each replication, one Philox row of uniforms each."""
+    out = []
+    for U in _replication_blocks(lambda rng, n: rng.random(n), n,
+                                 replications, seed):
+        s = np.zeros(len(U))
+        for k in range(n):
+            s += family.step(U[:, k], s)
+        out.append(s / n)
+    return np.concatenate(out)
 
 
 def azuma_experiment(family: IncrementFamily, r: float, n: int,

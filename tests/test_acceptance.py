@@ -286,19 +286,24 @@ def test_criterion_10_heavy_tail_bound(record_criterion):
     r = mq + 1.0
     const = (mq / (r - mq)) ** q
     ratios = []
+    upper_ratios = []   # the same check on the Wilson upper limit
     for n in (1_000, 10_000):
-        est = estimate_tail(law, n, r, 100_000, seed=1010, threads=1)
+        est = estimate_tail(law, n, r, 100_000, seed=1010)
         ratios.append(est.p_hat * n ** (q - 1.0) / const)
+        upper_ratios.append(est.hi * n ** (q - 1.0) / const)
     bound_ok = all(rt <= 1.2 for rt in ratios)
+    upper_ok = all(rt <= 1.2 for rt in upper_ratios)
     slope_schedule = [10, 20, 40, 80, 160]
     p_hats = [estimate_tail(law, n, r, 200_000, seed=1011).p_hat
               for n in slope_schedule]
     fit = rate_fit(slope_schedule, p_hats)
     slope_ok = fit.status == "ok" and fit.upper95 <= -0.75
     elapsed = time.perf_counter() - t0
-    ok = bound_ok and slope_ok and elapsed < 300.0
+    ok = bound_ok and upper_ok and slope_ok and elapsed < 300.0
     record_criterion(10, ok, f"scaled tail ratios {ratios[0]:.3f}/"
-                             f"{ratios[1]:.3f} (<= 1.2), slope "
+                             f"{ratios[1]:.3f} (<= 1.2), Wilson upper "
+                             f"{upper_ratios[0]:.3f}/{upper_ratios[1]:.3f} "
+                             f"(<= 1.2), slope "
                              f"{fit.slope:.2f} upper95 {fit.upper95:.2f} "
                              f"(<= -0.75), {elapsed:.0f}s (< 300s)")
     assert ok
