@@ -38,7 +38,7 @@ from .losses import ExpLoss, LossError, PowerLoss, TabulatedLoss
 from .penalties import (LpEntropy, RelativeEntropy, Robust, SetIndicator,
                         Shortfall, Transport, spec_space)
 from .risk import generic_risk, risk_result
-from .spaces import Dist, FiniteSpace, SpaceError
+from .spaces import DENSE_CAP, Dist, FiniteSpace, SpaceError
 
 log = logging.getLogger("sanovdual")
 
@@ -228,16 +228,17 @@ def _grid(obj, path):
     return np.linspace(lo, hi, count)
 
 
+def _pos_int(value, path):
+    if isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and math.isfinite(value) and value == int(value) and value >= 1:
+        return int(value)
+    raise ConfigError(f"{path}: expected a positive integer, got {value!r}")
+
+
 def _schedule(value, path):
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}: expected a nonempty list of integers")
-    out = []
-    for i, v in enumerate(value):
-        n = _num(v, f"{path}[{i}]")
-        if n != int(n) or n < 1:
-            raise ConfigError(f"{path}[{i}]: expected a positive integer")
-        out.append(int(n))
-    return out
+    return [_pos_int(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +307,9 @@ def cmd_rho(cfg, out: Path, seed: int) -> int:
     if f.size != spec_space(spec).size:
         raise ConfigError("f: length must match the spec's space size")
     if cfg.get("generic", False):
-        result = generic_risk(f, spec, restarts=int(cfg.get("restarts", 200)),
+        result = generic_risk(f, spec,
+                              restarts=_pos_int(cfg.get("restarts", 200),
+                                                "restarts"),
                               seed=seed)
     else:
         result = risk_result(f, spec)
@@ -537,8 +540,12 @@ def cmd_transport(cfg, out: Path, seed: int) -> int:
     F = parse_simplex_function(cfg["F"])
     schedule = _schedule(cfg["schedule"], "schedule")
     step = _num(cfg.get("grid_step", 0.01), "grid_step")
+    n_chk = _pos_int(cfg.get("control_check_n", 2), "control_check_n")
+    if mu.m ** min(n_chk, 25) > DENSE_CAP:     # 2^25 already exceeds it
+        raise ConfigError(f"control_check_n: a control field of {mu.m}^"
+                          f"{n_chk} entries exceeds the dense cap of "
+                          f"{DENSE_CAP}")
     run = dp.transport_longrun(F, mu, cost, schedule, grid_step=step)
-    n_chk = int(cfg.get("control_check_n", 2))
     rng = np.random.default_rng(seed)
     f_chk = rng.normal(size=mu.m ** n_chk)
     v_rec, _ = dp.backward_value_dense(f_chk, mu.space, spec)

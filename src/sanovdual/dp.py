@@ -20,8 +20,8 @@ import numpy as np
 
 from . import extreal
 from .extreal import INF, NEG_INF
-from .optim import pgd_max_simplex, project_simplex, simplex_grid
-from .penalties import AlphaSpec, Transport, penalty, spec_space
+from .optim import numeric_tangent_grad, pgd_max_simplex, simplex_grid
+from .penalties import AlphaSpec, Transport, penalty_rows, spec_space
 from .risk import risk_rows
 from .spaces import (DENSE_CAP, Dist, FiniteSpace, SpaceError,
                      SymmetricField, type_index, type_rank)
@@ -105,23 +105,26 @@ def symmetric_terminal(F: Callable[[np.ndarray], float], n: int,
     return np.array([n * float(F(c / n)) for c in type_index(n, space.size)])
 
 
+def _values(F: Callable[[np.ndarray], float], rows: np.ndarray) -> np.ndarray:
+    """F at each row of a (B, m) batch of laws."""
+    return np.array([float(F(nu)) for nu in rows])
+
+
 # ---------------------------------------------------------------------------
 # Limit harness
 # ---------------------------------------------------------------------------
 
-def simplex_supremum(objective: Callable[[np.ndarray], float],
-                     m: int, step: float = 0.01,
-                     ascent: bool = True) -> tuple[float, np.ndarray]:
-    """sup of a function over the simplex: one call on the (B, m) grid,
-    returning (B,) values, then local ascent over single points."""
+def simplex_supremum(objective: Callable[[np.ndarray], np.ndarray],
+                     m: int, step: float = 0.01) -> tuple[float, np.ndarray]:
+    """sup of a rows-in, values-out function over the simplex: one call on
+    the (B, m) grid, then projected ascent from the best grid point."""
     pts = simplex_grid(m, step)
     vals = objective(pts)
     i = int(np.argmax(vals))
     best, best_v = pts[i], float(vals[i])
-    if ascent:
-        x, v = pgd_max_simplex(objective, best)
-        if v > best_v:
-            best, best_v = x, float(v)
+    x, v = pgd_max_simplex(objective, best)
+    if v > best_v:
+        best, best_v = x, v
     return best_v, best
 
 
@@ -167,11 +170,8 @@ def sanov_limit(F: Callable[[np.ndarray], float], spec: AlphaSpec,
         values.append(backward_value_symmetric(term, n, space, spec) / n)
 
     def J(nu):
-        a = penalty(nu, spec)
-        if np.ndim(nu) == 2:
-            f = np.array([float(F(p)) for p in nu])
-            return np.where(np.isfinite(a), f - a, NEG_INF)
-        return float(F(nu)) - a if np.isfinite(a) else NEG_INF
+        a = penalty_rows(spec, nu)
+        return np.where(np.isfinite(a), _values(F, nu) - a, NEG_INF)
 
     target, arg = simplex_supremum(J, space.size, step=grid_step)
     gaps = [abs(v - target) for v in values]
@@ -273,69 +273,33 @@ def transport_longrun(F: Callable[[np.ndarray], float], mu: Dist, cost,
 
 def _coupling_supremum(F, mu: Dist, c: np.ndarray, nu_star: np.ndarray) -> float:
     """sup over couplings pi with first marginal mu of
-    F(second marginal) - int c dpi, via per-row projected ascent."""
+    F(second marginal) - int c dpi: one projected ascent over the kernels
+    K (pi = diag(mu) K, a product of m simplices), with one row per start.
+
+    The starts are the optimal plan to nu_star, the uniform kernel on the
+    allowed cells and the cheapest cell of each row.
+    """
     m = mu.m
     w = mu.weights
     allowed = ~np.isinf(c)
-    cfin = np.where(allowed, c, 0.0)
-
-    def project_rows(K):
-        K = np.where(allowed, K, 0.0)
-        for x in range(m):
-            cols = allowed[x]
-            K[x, cols] = project_simplex(K[x, cols])
-        return K
+    wc = w[:, None] * np.where(allowed, c, 0.0)
 
     def objective(K):
-        nu = w @ K
-        val = float(F(nu)) - float((w[:, None] * K * cfin).sum())
-        return val
+        return _values(F, w @ K) - (K * wc).reshape(len(K), -1).sum(axis=1)
+
+    def gradient(K):
+        gF = numeric_tangent_grad(lambda N: _values(F, N), w @ K)
+        return w[:, None] * gF[:, None, :] - wc
 
     starts = []
     sol = solve_transport(w, Dist(mu.space, nu_star).weights, c)
     if sol.plan is not None:
-        rows = np.where(w[:, None] > 0, sol.plan / np.maximum(w[:, None], 1e-300),
-                        1.0 / max(allowed.sum(axis=1).min(), 1))
-        starts.append(project_rows(rows.copy()))
-    uni = np.where(allowed, 1.0, 0.0)
-    uni /= uni.sum(axis=1, keepdims=True)
-    starts.append(uni)
+        starts.append(np.where(w[:, None] > 0, sol.plan / np.maximum(
+            w[:, None], 1e-300), 1.0))
+    starts.append(np.ones((m, m)))      # the projection makes these uniform
     greedy = np.zeros((m, m))
     greedy[np.arange(m), np.argmin(np.where(allowed, c, INF), axis=1)] = 1.0
     starts.append(greedy)
-
-    best = -np.inf
-    for K0 in starts:
-        K, val = _ascend_kernel(objective, project_rows, K0, F, w, cfin, allowed)
-        best = max(best, val)
-    return best
-
-
-def _ascend_kernel(objective, project_rows, K0, F, w, cfin, allowed,
-                   iters: int = 400):
-    m = w.size
-    K = project_rows(K0.copy())
-    val = objective(K)
-    h = 1e-7
-    for _ in range(iters):
-        nu = w @ K
-        gF = np.empty(m)
-        for y in range(m):
-            e = np.zeros(m)
-            e[y] = h
-            gF[y] = (float(F(nu + e)) - float(F(np.maximum(nu - e, 0.0)))) / (2 * h)
-        grad = w[:, None] * (gF[None, :] - cfin)
-        grad = np.where(allowed, grad, 0.0)
-        step = 1.0
-        improved = False
-        for _ in range(40):
-            K_new = project_rows(K + step * grad)
-            v_new = objective(K_new)
-            if v_new > val + 1e-14:
-                K, val = K_new, v_new
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-    return K, val
+    _, vals = pgd_max_simplex(objective, np.array(starts), gradient=gradient,
+                              support=allowed)
+    return float(vals.max())

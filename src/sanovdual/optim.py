@@ -1,9 +1,9 @@
 """Small deterministic optimization utilities shared across modules.
 
 Everything here is plain numpy: Euclidean projection onto the probability
-simplex, projected gradient ascent with Armijo backtracking, golden-section
-line search, monotone bisection, a safeguarded Newton root finder and
-simplex grids.  A search that exhausts its iteration cap unconverged logs a
+simplex, one batched projected gradient ascent with Armijo backtracking
+over simplices and products of simplices, golden-section line search,
+monotone bisection, a safeguarded Newton root finder and simplex grids.  A search that exhausts its iteration cap unconverged logs a
 ``sanovdual`` warning naming the solver and its last bracket.
 """
 
@@ -22,19 +22,25 @@ log = logging.getLogger("sanovdual")
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of v (1-D or rows of 2-D) onto the simplex."""
+def project_simplex(v: np.ndarray, support=None) -> np.ndarray:
+    """Euclidean projection of each row (last axis) of v onto the simplex.
+
+    Entries where ``support``, broadcast against v, is False are held at 0,
+    so each row lands on the face spanned by its other entries.
+    """
     v = np.asarray(v, dtype=float)
-    single = v.ndim == 1
-    V = v[None, :] if single else v
+    if support is not None:
+        v = np.where(support, v, NEG_INF)
+    V = v.reshape(-1, v.shape[-1])
     u = -np.sort(-V, axis=1)
     css = np.cumsum(u, axis=1)
     j = np.arange(1, V.shape[1] + 1)
-    cond = u + (1.0 - css) / j > 0.0
+    with np.errstate(invalid="ignore"):     # -inf + inf on masked entries
+        cond = u + (1.0 - css) / j > 0.0
     rho = cond.shape[1] - 1 - np.argmax(cond[:, ::-1], axis=1)
     lam = (1.0 - css[np.arange(V.shape[0]), rho]) / (rho + 1.0)
     out = np.maximum(V + lam[:, None], 0.0)
-    return out[0] if single else out
+    return out.reshape(v.shape)
 
 
 def _pick(cond, a, b):
@@ -206,7 +212,7 @@ def _warn_open(solver: str, max_iter: int, done, lo, hi) -> None:
     open_ = ~np.asarray(done, dtype=bool).ravel()
     i = int(np.argmax(open_))
     log.warning("%s: %d iterations left %d row(s) open, last bracket "
-                "[%g, %g]", solver, max_iter, int(open_.sum()),
+                "[%.17g, %.17g]", solver, max_iter, int(open_.sum()),
                 np.ravel(lo)[i], np.ravel(hi)[i])
 
 
@@ -216,77 +222,119 @@ def simplex_grid(m: int, step: float) -> np.ndarray:
     return type_index(k, m) / k
 
 
-def numeric_tangent_grad(fn: Callable[[np.ndarray], float], x: np.ndarray,
-                         h: float = 1e-7) -> np.ndarray:
-    """Central-difference gradient, usable on the simplex interior."""
-    g = np.zeros_like(x)
-    fx = None
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        up = fn(x + e)
-        dn = fn(x - e)
-        if np.isfinite(up) and np.isfinite(dn):
-            g[i] = (up - dn) / (2 * h)
-        else:
-            if fx is None:
-                fx = fn(x)
-            if np.isfinite(up):
-                g[i] = (up - fx) / h
-            elif np.isfinite(dn):
-                g[i] = (fx - dn) / h
-            else:
-                g[i] = 0.0
-    return g
+def numeric_tangent_grad(fn: Callable[[np.ndarray], np.ndarray],
+                         X: np.ndarray) -> np.ndarray:
+    """Central-difference gradient of a rows-in, values-out ``fn`` at each
+    row of X, of shape (k, ...), from one ``fn`` call on the k (2n + 1)
+    rows X, X + h e_i and X - h e_i (n entries per row, h = 1e-7).
+
+    Where one probe is not finite the difference is one-sided; where
+    neither is, the entry is 0.
+    """
+    X = np.asarray(X, dtype=float)
+    k, shape = X.shape[0], X.shape[1:]
+    n = int(np.prod(shape))
+    h = 1e-7
+    eye = np.eye(n)
+    steps = np.concatenate([np.zeros((1, n)), h * eye, -h * eye])
+    probes = (X.reshape(k, 1, n) + steps).reshape((-1,) + shape)
+    vals = np.asarray(fn(probes), dtype=float).reshape(k, 2 * n + 1)
+    fx, up, dn = vals[:, :1], vals[:, 1:n + 1], vals[:, n + 1:]
+    fin_up, fin_dn = np.isfinite(up), np.isfinite(dn)
+    with np.errstate(invalid="ignore"):
+        g = np.where(fin_up & fin_dn, (up - dn) / (2 * h),
+                     np.where(fin_up, (up - fx) / h,
+                              np.where(fin_dn, (fx - dn) / h, 0.0)))
+    return g.reshape(X.shape)
 
 
-def pgd_max_simplex(objective: Callable[[np.ndarray], float],
+def _row_sums(A: np.ndarray) -> np.ndarray:
+    return np.add.reduce(A.reshape(len(A), -1), axis=1)
+
+
+def pgd_max_simplex(objective: Callable[[np.ndarray], np.ndarray],
                     x0: np.ndarray,
                     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                     max_iter: int = 500,
                     grad_tol: float = 1e-9,
-                    step0: float = 1.0,
-                    ftol: float = 1e-13) -> tuple[np.ndarray, float]:
-    """Maximize a concave function over the simplex by projected gradient
-    ascent with Armijo backtracking.
+                    ftol: float = 1e-13,
+                    support: Optional[np.ndarray] = None):
+    """Maximize a concave function over the simplex, or over a product of
+    simplices, by projected gradient ascent with Armijo backtracking along
+    the projection arc (Bertsekas 1976).
 
-    ``gradient`` may be None, in which case central differences are used.
-    The objective may return -inf off its effective domain; backtracking
-    rejects steps that land there.
+    Starts are rows: ``x0`` is one point (m,), a batch (B, m), or a batch
+    (B, r, m) of kernels whose r rows each lie in a simplex.  ``objective``
+    maps a (k, ...) stack of points to their (k,) values and ``gradient``
+    to their (k, ...) gradients (central differences by default).  Both
+    see only the rows still running, so each row makes the evaluations it
+    would make alone.  Entries where ``support`` (broadcast against one
+    start) is False stay at 0.  The objective may return -inf off its
+    effective domain: backtracking rejects steps that land there, and a row
+    that starts there is returned as it is.
+
+    A row stops when 60 halvings of the unit step find no gain of
+    1e-4 <g, d>, after two gains in a row below ftol (1 + |f|), or when
+    its projected gradient is shorter than ``grad_tol``.  Rows still
+    running after ``max_iter`` iterations are logged, with the values
+    before and after their last step.  Returns (points, values) in the
+    shape of ``x0``; the value of a single point is a float.
     """
-    x = project_simplex(np.asarray(x0, dtype=float))
-    fx = objective(x)
-    if not np.isfinite(fx):
-        return x, fx
+    X0 = np.asarray(x0, dtype=float)
+    single = X0.ndim == 1
+    X = project_simplex(X0[None] if single else X0, support)
+    fx = np.array(objective(X), dtype=float)
+    before = fx.copy()
     grad = gradient if gradient is not None else (
-        lambda z: numeric_tangent_grad(objective, z))
-    stall = 0
+        lambda Z: numeric_tangent_grad(objective, Z))
+    per_row = (slice(None),) + (None,) * (X.ndim - 1)
+    stall = np.zeros(fx.size, dtype=int)
+    run = np.isfinite(fx)
     for _ in range(max_iter):
-        g = grad(x)
+        rows = np.flatnonzero(run)
+        if rows.size == 0:
+            break
+        g = grad(X[rows])
         g = np.where(np.isfinite(g), g, 0.0)
-        t = step0
-        moved = False
+        t = np.ones(rows.size)
+        moved = np.zeros(rows.size, dtype=bool)
+        search = np.arange(rows.size)       # rows still backtracking
         for _ in range(60):
-            y = project_simplex(x + t * g)
-            d = y - x
-            nd = float(np.linalg.norm(d))
-            if nd < 1e-16:
+            i, gs = rows[search], g[search]
+            Xi = X[i]
+            Y = project_simplex(Xi + t[search][per_row] * gs, support)
+            D = Y - Xi
+            far = np.sqrt(_row_sums(D * D)) >= 1e-16
+            if not far.all():
+                search, i, gs, Y, D = (a[far] for a in (search, i, gs, Y, D))
+                if search.size == 0:
+                    break
+            fy = np.asarray(objective(Y), dtype=float)
+            ok = np.isfinite(fy) & (fy >= fx[i] + 1e-4 * _row_sums(gs * D))
+            if ok.any():
+                i, fy = i[ok], fy[ok]
+                gain = fy - fx[i]
+                before[i] = fx[i]
+                X[i], fx[i] = Y[ok], fy
+                stall[i] = np.where(gain <= ftol * (1.0 + np.abs(fy)),
+                                    stall[i] + 1, 0)
+                moved[search[ok]] = True
+                search = search[~ok]
+            if search.size == 0:
                 break
-            fy = objective(y)
-            if np.isfinite(fy) and fy >= fx + 1e-4 * float(np.dot(g, d)):
-                gain = fy - fx
-                x, fx = y, fy
-                moved = True
-                stall = stall + 1 if gain <= ftol * (1.0 + abs(fx)) else 0
-                break
-            t *= 0.5
-        if not moved or stall >= 2:
-            break
-        # Projected-gradient stationarity check.
-        pg = project_simplex(x + g) - x
-        if float(np.linalg.norm(pg)) <= grad_tol:
-            break
-    return x, fx
+            t[search] *= 0.5
+        go = moved & (stall[rows] < 2)
+        run[rows] = go
+        if go.any():
+            i = rows[go]
+            pg = project_simplex(X[i] + g[go], support) - X[i]
+            run[i[np.sqrt(_row_sums(pg * pg)) <= grad_tol]] = False
+    else:
+        if run.any():
+            _warn_open("pgd_max_simplex", max_iter, ~run, before, fx)
+    if single:
+        return X[0], float(fx[0])
+    return X, fx
 
 
 def coordinate_ascent_box(objective: Callable[[np.ndarray], float],

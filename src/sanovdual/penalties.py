@@ -197,14 +197,19 @@ def shortfall_objective(V: np.ndarray, w: np.ndarray, loss: LossFn):
 
 
 def shortfall_penalty(nu, mu, loss: LossFn) -> float | np.ndarray:
-    """inf over t > 0 of (1/t)(1 + int l*(t dnu/dmu) dmu).
+    """inf over t > 0 of (1/t)(1 + int l*(t dnu/dmu) dmu)."""
+    V, single = _rows(nu)
+    out, _ = _shortfall_rows(V, _ref_weights(mu), loss)
+    return float(out[0]) if single else out
+
+
+def _shortfall_rows(V: np.ndarray, w: np.ndarray, loss: LossFn):
+    """Shortfall penalty of each row of V and its minimizing t.
 
     The objective is the perspective of the conjugate loss, hence convex in
     1/t and unimodal in log t: a coarse scan over log t followed by
     golden-section search is reliable.
     """
-    V, single = _rows(nu)
-    w = _ref_weights(mu)
     objective = shortfall_objective(V, w, loss)
     B = V.shape[0]
     grid = np.linspace(-30.0, 30.0, 61)
@@ -212,81 +217,75 @@ def shortfall_penalty(nu, mu, loss: LossFn) -> float | np.ndarray:
     best = np.argmin(vals, axis=0)
     a = grid[np.maximum(best - 1, 0)]
     b = grid[np.minimum(best + 1, grid.size - 1)]
-    _, out = golden_min(objective, a, b)
-    out = np.minimum(out, vals[best, np.arange(B)])
+    log_t, out = golden_min(objective, a, b)
+    at_grid = vals[best, np.arange(B)]
+    log_t = np.where(at_grid < out, grid[best], log_t)
+    out = np.minimum(out, at_grid)
     out[((V > 0.0) & (w <= 0.0)[None, :]).any(axis=1)] = INF
-    return float(out[0]) if single else out
+    return out, np.exp(log_t)
 
 
 def robust_entropy(nu, generators: Sequence[Dist]) -> float | np.ndarray:
-    """Infimum of relative entropy over the convex hull of the generators.
-
-    The map w -> H(nu | sum_j w_j g_j) is convex in the mixture weights, so
-    two generators reduce to a golden-section search and larger families to
-    projected gradient descent with a vertex-enumeration upper bound.
-    """
+    """Infimum of relative entropy over the convex hull of the generators."""
     V, single = _rows(nu)
-    G = np.stack([g.weights for g in generators])
-    k = G.shape[0]
-
-    if k == 1:
-        out = _rel_rows(V, G[0][None, :])
-    elif k == 2:
-        g0, g1 = G
-
-        def ent_at(wv: np.ndarray) -> np.ndarray:
-            mix = wv[:, None] * g0[None, :] + (1.0 - wv)[:, None] * g1[None, :]
-            return _rel_rows(V, mix)
-
-        zeros, ones = np.zeros(V.shape[0]), np.ones(V.shape[0])
-        _, out = golden_min(ent_at, zeros, ones)
-        out = np.minimum(out, np.minimum(ent_at(zeros), ent_at(ones)))
-    else:
-        out = np.array([robust_mixture_argmin(row, generators)[0]
-                        for row in V])
+    out, _ = _robust_rows(V, np.stack([g.weights for g in generators]))
     return float(out[0]) if single else out
 
 
-def robust_mixture_argmin(nu_vec, generators: Sequence[Dist]
-                          ) -> tuple[float, np.ndarray]:
-    """Robust entropy of a single law plus the minimizing hull mixture."""
-    V = np.asarray(nu_vec, dtype=float)[None, :]
-    G = np.stack([g.weights for g in generators])
+def _robust_rows(V: np.ndarray, G: np.ndarray):
+    """Robust entropy of each row of V against the generators (rows of G),
+    and the minimizing hull mixture.
+
+    The map w -> H(nu | sum_j w_j g_j) is convex in the mixture weights, so
+    two generators reduce to a golden-section search (the endpoints win
+    only when strictly lower) and larger families to
+    ``robust_mixture_argmin``.
+    """
     k = G.shape[0]
     if k == 1:
-        return float(_rel_rows(V, G[0][None, :])[0]), G[0]
+        return _rel_rows(V, G[0][None, :]), np.broadcast_to(G[0], V.shape)
     if k == 2:
-        def ent(w):
-            return float(_rel_rows(V, (w * G[0] + (1 - w) * G[1])[None, :])[0])
+        g0, g1 = G
 
-        w, val = golden_min(ent, 0.0, 1.0, tol=1e-12)
-        for wb in (0.0, 1.0):
-            vb = ent(wb)
-            if vb < val:
-                w, val = wb, vb
-        return float(val), w * G[0] + (1 - w) * G[1]
+        def mix_at(wv: np.ndarray) -> np.ndarray:
+            return wv[:, None] * g0[None, :] + (1.0 - wv)[:, None] * g1[None, :]
 
-    best_val = INF
-    best_w = np.full(k, 1.0 / k)
-    row = V[0]
+        wv, out = golden_min(lambda wv: _rel_rows(V, mix_at(wv)),
+                             np.zeros(V.shape[0]), np.ones(V.shape[0]))
+        for end in (0.0, 1.0):
+            at_end = _rel_rows(V, mix_at(np.full(V.shape[0], end)))
+            wv = np.where(at_end < out, end, wv)
+            out = np.minimum(out, at_end)
+        return out, mix_at(wv)
+    pairs = [robust_mixture_argmin(row, G) for row in V]
+    return (np.array([val for val, _ in pairs]),
+            np.array([mix for _, mix in pairs]))
 
-    def neg_obj(wv):
-        return -float(_rel_rows(V, (wv @ G)[None, :])[0])
 
-    def neg_grad(wv):
-        mix = wv @ G
-        return np.array([
-            np.sum(np.where(mix > 0.0, row * G[j] / np.maximum(mix, 1e-300),
-                            0.0)) for j in range(k)
-        ])
+def robust_mixture_argmin(row: np.ndarray, G: np.ndarray
+                          ) -> tuple[float, np.ndarray]:
+    """Robust entropy of one law against k >= 3 generators (rows of G) and
+    the minimizing hull mixture: projected ascent over the mixture weights
+    from the barycenter and the k points 0.9 e_j + 0.1/k, as rows of one
+    call, against a vertex-enumeration upper bound."""
+    k = G.shape[0]
 
-    starts = [np.full(k, 1.0 / k)] + [0.9 * e + 0.1 / k for e in np.eye(k)]
-    for w0 in starts:
-        wv, val = pgd_max_simplex(neg_obj, w0, gradient=neg_grad)
-        if np.isfinite(val) and -val < best_val:
-            best_val, best_w = -val, wv
+    def neg_obj(W):
+        mix = W @ G
+        return -_rel_rows(np.broadcast_to(row, mix.shape), mix)
+
+    def neg_grad(W):
+        mix = (W @ G)[:, None, :]
+        return np.where(mix > 0.0, row * G / np.maximum(mix, 1e-300),
+                        0.0).sum(axis=2)
+
+    starts = np.vstack([np.full(k, 1.0 / k), 0.9 * np.eye(k) + 0.1 / k])
+    W, vals = pgd_max_simplex(neg_obj, starts, gradient=neg_grad)
+    vals = np.where(np.isfinite(vals), -vals, INF)
+    best = int(np.argmin(vals))
+    best_val, best_w = float(vals[best]), W[best]
     for j in range(k):
-        vj = float(_rel_rows(V, G[j][None, :])[0])
+        vj = float(_rel_rows(row[None, :], G[j][None, :])[0])
         if vj < best_val:
             best_val, best_w = vj, np.eye(k)[j]
     return best_val, best_w @ G
@@ -391,6 +390,44 @@ def penalty(nu, spec: AlphaSpec) -> float | np.ndarray:
 def penalty_rows(spec: AlphaSpec, rows: np.ndarray) -> np.ndarray:
     out = penalty(np.atleast_2d(np.asarray(rows, dtype=float)), spec)
     return np.atleast_1d(out)
+
+
+def penalty_grad(spec: AlphaSpec, rows: np.ndarray) -> np.ndarray:
+    """Gradient of the one-step penalty at each row of a (B, m) batch.
+
+    Relative and robust entropy give log(nu / ref) + 1, against mu or the
+    minimizing hull mixture; L^p entropy R^(1-p) (dnu/dmu)^(p-1), with R the
+    L^p(mu) norm of dnu/dmu; shortfall l*'(t* dnu/dmu) at the minimizing t*;
+    transport the column potentials of an optimal plan (nan without one).
+    The set indicator has no gradient.
+    """
+    V = np.atleast_2d(np.asarray(rows, dtype=float))
+    if isinstance(spec, (RelativeEntropy, Robust)):
+        ref = spec.mu.weights[None, :] if isinstance(spec, RelativeEntropy) \
+            else _robust_rows(V, np.stack([g.weights
+                                           for g in spec.generators]))[1]
+        return (np.log(np.maximum(V, 1e-300)) -
+                np.log(np.maximum(ref, 1e-300)) + 1.0)
+    if isinstance(spec, (LpEntropy, Shortfall)):
+        w = spec.mu.weights
+        live = w > 0.0
+        ratio = np.zeros_like(V)
+        ratio[:, live] = V[:, live] / w[live]
+        if isinstance(spec, Shortfall):
+            _, t = _shortfall_rows(V, w, spec.loss)
+            return np.asarray(spec.loss.conjugate_prime(t[:, None] * ratio))
+        p = spec.p
+        R = np.power(np.dot(np.power(ratio[:, live], p), w[live]), 1.0 / p)
+        return (np.power(np.maximum(R, 1e-300), 1.0 - p)[:, None] *
+                np.power(ratio, p - 1.0))
+    if isinstance(spec, Transport):
+        out = np.full(V.shape, np.nan)
+        for b, v in enumerate(V):
+            sol = solve_transport(spec.mu.weights, v, spec.cost)
+            if sol.col_potentials is not None:
+                out[b] = sol.col_potentials
+        return out
+    raise TypeError(f"no penalty gradient for {spec!r}")
 
 
 def tensor_penalty(nu: ProductDist, spec: AlphaSpec) -> float:

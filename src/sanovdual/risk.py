@@ -22,13 +22,11 @@ from . import extreal
 from .extreal import INF, NEG_INF
 from .losses import LossFn, PowerLoss
 from .optim import (bisect_nonincreasing, coordinate_ascent_box,
-                    grid_then_golden_min, numeric_tangent_grad,
-                    pgd_max_simplex)
+                    grid_then_golden_min, pgd_max_simplex)
 from .penalties import (AlphaSpec, LpEntropy, RelativeEntropy, Robust,
                         SetIndicator, Shortfall, Transport, feasible_support,
-                        penalty, shortfall_objective, spec_space)
+                        penalty, penalty_grad, penalty_rows, spec_space)
 from .spaces import Dist
-from .transport import solve_transport
 
 log = logging.getLogger("sanovdual")
 
@@ -197,13 +195,6 @@ def risk_rows(spec: AlphaSpec, F: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown penalty spec {spec!r}")
 
 
-def _shortfall_t_star(nu_vec: np.ndarray, w: np.ndarray, loss: LossFn) -> float:
-    objective = shortfall_objective(nu_vec[None, :], w, loss)
-    s, _ = grid_then_golden_min(lambda s: objective(np.array([s]))[0],
-                                -30.0, 30.0, coarse=41, tol=1e-10)
-    return float(np.exp(s))
-
-
 def risk_maximizer(f, spec: AlphaSpec) -> Optional[Dist]:
     """The law attaining sup_nu (int f dnu - alpha(nu)), when finite."""
     fv = np.asarray(f, dtype=float)
@@ -271,90 +262,11 @@ def risk_result(f, spec: AlphaSpec) -> RhoResult:
 # Generic simplex maximizer
 # ---------------------------------------------------------------------------
 
-def _objective_and_gradient(fv, spec, sub):
-    """Objective J(x) on the feasible sub-simplex and its gradient."""
-    m = fv.size
-    idx = np.flatnonzero(sub)
-
-    def embed(x):
-        full = np.zeros(m)
-        full[idx] = x
-        return full
-
-    def J(x):
-        full = embed(x)
-        a = penalty(full, spec)
-        val = extreal.integral(full, fv)
-        return float(extreal.sub(val, a)) if np.isfinite(a) else NEG_INF
-
-    if isinstance(spec, RelativeEntropy):
-        w = spec.mu.weights
-
-        def grad(x):
-            full = embed(x)
-            g = fv - (np.log(np.maximum(full, 1e-300)) -
-                      np.log(np.maximum(w, 1e-300)) + 1.0)
-            return g[idx]
-        return J, grad, embed
-
-    if isinstance(spec, LpEntropy):
-        w = spec.mu.weights
-        p = spec.p
-
-        def grad(x):
-            full = embed(x)
-            live = w > 0
-            ratio = np.zeros(m)
-            ratio[live] = full[live] / w[live]
-            R = np.power(np.dot(np.power(ratio[live], p), w[live]), 1.0 / p)
-            g = fv - np.power(max(R, 1e-300), 1.0 - p) * np.power(ratio, p - 1.0)
-            return g[idx]
-        return J, grad, embed
-
-    if isinstance(spec, Shortfall):
-        w = spec.mu.weights
-
-        def grad(x):
-            full = embed(x)
-            t = _shortfall_t_star(full, w, spec.loss)
-            live = w > 0
-            ratio = np.zeros(m)
-            ratio[live] = full[live] / w[live]
-            g = fv - np.asarray(spec.loss.conjugate_prime(t * ratio))
-            return g[idx]
-        return J, grad, embed
-
-    if isinstance(spec, Transport):
-        w = spec.mu.weights
-        c = np.asarray(spec.cost, float)
-
-        def grad(x):
-            sol = solve_transport(w, embed(x), c)
-            if sol.col_potentials is None:
-                return np.zeros(idx.size)
-            return (fv - sol.col_potentials)[idx]
-        return J, grad, embed
-
-    if isinstance(spec, Robust):
-        from .penalties import robust_mixture_argmin
-
-        def grad(x):
-            full = embed(x)
-            _, mix = robust_mixture_argmin(full, spec.generators)
-            g = fv - (np.log(np.maximum(full, 1e-300)) -
-                      np.log(np.maximum(mix, 1e-300)) + 1.0)
-            return g[idx]
-        return J, grad, embed
-
-    def grad(x):
-        return numeric_tangent_grad(J, x)
-    return J, grad, embed
-
-
 def generic_risk(f, spec: AlphaSpec, restarts: int = 200,
                  seed: int = 0) -> RhoResult:
-    """Maximize int f dnu - alpha(nu) over the simplex by projected
-    gradient ascent with backtracking and random restarts."""
+    """Maximize int f dnu - alpha(nu) over the simplex by one batched
+    projected gradient ascent, one row per start: the uniform law on the
+    feasible states, the closed-form maximizer, then random restarts."""
     fv = np.asarray(f, dtype=float)
     space = spec_space(spec)
 
@@ -369,8 +281,15 @@ def generic_risk(f, spec: AlphaSpec, restarts: int = 200,
         return RhoResult(NEG_INF, None, "simplex_opt")
     if np.isposinf(fv[sub]).any():
         return RhoResult(INF, None, "simplex_opt")
+    f_sub = np.where(sub, fv, 0.0)
 
-    J, grad, embed = _objective_and_gradient(fv, spec, sub)
+    def J(X):
+        a = penalty_rows(spec, X)
+        return np.where(np.isfinite(a), X @ f_sub - a, NEG_INF)
+
+    def grad(X):
+        return f_sub - penalty_grad(spec, X)
+
     d = int(sub.sum())
     rng = np.random.default_rng(seed)
     starts = [np.full(d, 1.0 / d)]
@@ -380,18 +299,16 @@ def generic_risk(f, spec: AlphaSpec, restarts: int = 200,
         starts.append(w0 / w0.sum())
     while len(starts) < max(restarts, 1):
         starts.append(rng.dirichlet(np.ones(d)))
+    X0 = np.zeros((len(starts), fv.size))
+    X0[:, sub] = starts
 
-    best_x, best_v = None, NEG_INF
-    for x0 in starts:
-        # Closed-form certification at 1e-6 is the accuracy gate; the
-        # envelope gradients carry ~1e-8 noise, so a tighter stop stalls.
-        x, v = pgd_max_simplex(J, x0, gradient=grad, max_iter=250,
-                               grad_tol=3e-8, ftol=1e-12)
-        if v > best_v:
-            best_x, best_v = x, v
-    maximizer = Dist(space, embed(best_x)) if best_x is not None and \
-        np.isfinite(best_v) else None
-    return RhoResult(float(best_v), maximizer, "simplex_opt")
+    # Closed-form certification at 1e-6 is the accuracy gate; the envelope
+    # gradients carry ~1e-8 noise, so a tighter stop stalls.
+    X, vals = pgd_max_simplex(J, X0, gradient=grad, max_iter=250,
+                              grad_tol=3e-8, ftol=1e-12, support=sub)
+    best = int(np.argmax(vals))
+    maximizer = Dist(space, X[best]) if np.isfinite(vals[best]) else None
+    return RhoResult(float(vals[best]), maximizer, "simplex_opt")
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,30 @@ class TestExitCodes:
         p.write_text("{not json")
         assert main(["rho", "--config", str(p)]) == 2
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("rho", "restarts", "many"),
+        ("rho", "restarts", -3),
+        ("rho", "restarts", 2.5),
+        ("transport", "control_check_n", "two"),
+        ("transport", "control_check_n", 0),
+        ("transport", "control_check_n", 25),   # 2^25 entries: over the cap
+    ])
+    def test_integer_fields_are_validated(self, tmp_path, capsys, command,
+                                          key, value):
+        two = [0.5, 0.5]
+        if command == "rho":
+            payload = {"spec": {"kind": "relative_entropy", "mu": two},
+                       "f": [0.0, 1.0], "generic": True}
+        else:
+            payload = {"mu": two, "cost": [[0.0, 1.0], [1.0, 0.0]],
+                       "F": {"kind": "linear", "coeffs": [1.0, 0.0]},
+                       "schedule": [1], "grid_step": 0.1}
+        cfg = write_config(tmp_path, {**payload, key: value})
+        code = main([command, "--config", str(cfg), "--out",
+                     str(tmp_path / "out")])
+        assert code == 2
+        assert key in capsys.readouterr().err
+
     def test_small_replication_count_inconclusive(self, tmp_path):
         cfg = write_config(tmp_path, {
             "experiment": "mean_tail",

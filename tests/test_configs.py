@@ -1,5 +1,7 @@
-"""Every bundled config runs to exit code 0 under its own subcommand."""
+"""Every bundled config runs to exit code 0 under its own subcommand,
+without a ``sanovdual`` warning."""
 
+import logging
 from pathlib import Path
 
 import pytest
@@ -24,7 +26,11 @@ SUBCOMMAND = {
 
 @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")),
                          ids=lambda p: p.name)
-def test_bundled_config_runs(tmp_path, config):
+def test_bundled_config_runs(tmp_path, caplog, config):
     command = SUBCOMMAND[config.name.split("_")[0]]
-    assert main([command, "--config", str(config),
-                 "--out", str(tmp_path / "out")]) == 0
+    with caplog.at_level(logging.WARNING, logger="sanovdual"):
+        assert main([command, "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 0
+    warned = [r.getMessage() for r in caplog.records
+              if r.name.startswith("sanovdual")]
+    assert not warned

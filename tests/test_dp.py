@@ -307,9 +307,14 @@ class TestTransportLongrun:
         assert abs(run.coupling_target - 0.21) <= 1e-9
 
     def test_two_targets_agree(self):
-        run = transport_longrun(lambda nu: -abs(nu[0] - 0.9), UNIF2, COST_TV,
-                                [2, 4, 8])
-        assert abs(run.target - run.coupling_target) <= 1e-6
+        for F, mu, cost in [
+            (lambda nu: -abs(nu[0] - 0.9), UNIF2, COST_TV),
+            # A forbidden cell and an optimum off the grid.
+            (lambda nu: -3.0 * (nu[0] - 0.2) ** 2, Dist(TWO, [0.6, 0.4]),
+             np.array([[0.0, 1.0], [math.inf, 0.0]])),
+        ]:
+            run = transport_longrun(F, mu, cost, [2, 4, 8])
+            assert abs(run.target - run.coupling_target) <= 1e-6
 
 
 class TestSimplexSupremum:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sanovdual.optim import (bisect_nonincreasing, golden_min,
-                             newton_nonincreasing)
+                             newton_nonincreasing, pgd_max_simplex)
 
 
 def test_batched_golden_rows_match_scalar_searches():
@@ -78,7 +78,40 @@ def test_newton_marks_uncrossed_levels_infinite():
     assert m == math.inf
 
 
-@pytest.mark.parametrize("solver", ["bisect", "golden", "newton"])
+def _bowl(X):
+    """-|x - c|^2 per row, -inf where the first entry passes 0.9."""
+    c = np.linspace(0.4, 0.05, X.shape[-1])
+    vals = -((X - c) ** 2).reshape(len(X), -1).sum(axis=1)
+    return np.where(X.reshape(len(X), -1)[:, 0] > 0.9, -math.inf, vals)
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 4)])
+@pytest.mark.parametrize("exact", [False, True])
+def test_batched_ascent_rows_match_one_row_calls(shape, exact):
+    # A row-independent objective: each row of one call must end exactly
+    # where a call on that row alone ends, including a row that starts at
+    # -inf and a masked entry.
+    rng = np.random.default_rng(3)
+    X0 = rng.dirichlet(np.ones(4), size=(5,) + shape[:-1])
+    X0[1].reshape(-1, 4)[0] = [0.95, 0.05, 0.0, 0.0]     # starts at -inf
+    support = np.ones(shape, dtype=bool)
+    support[..., 3] = False
+    gradient = (lambda X: -2.0 * (X - np.linspace(0.4, 0.05, 4))) \
+        if exact else None
+    X, vals = pgd_max_simplex(_bowl, X0, gradient=gradient, support=support)
+    assert vals[1] == -math.inf and np.isfinite(np.delete(vals, 1)).all()
+    assert (X[..., 3] == 0.0).all()
+    for b in range(len(X0)):
+        x, v = pgd_max_simplex(_bowl, X0[b:b + 1], gradient=gradient,
+                               support=support)
+        assert np.array_equal(x[0], X[b]) and v[0] == vals[b]
+    if len(shape) == 1:     # a single point is a row too
+        x, v = pgd_max_simplex(_bowl, X0[0], gradient=gradient,
+                               support=support)
+        assert np.array_equal(x, X[0]) and v == vals[0]
+
+
+@pytest.mark.parametrize("solver", ["bisect", "golden", "newton", "pgd"])
 def test_exhausted_iteration_cap_warns(caplog, solver):
     with caplog.at_level(logging.WARNING, logger="sanovdual"):
         if solver == "bisect":
@@ -86,11 +119,13 @@ def test_exhausted_iteration_cap_warns(caplog, solver):
                                  np.ones(2), max_iter=3)
         elif solver == "golden":
             golden_min(lambda x: (x - 0.3) ** 2, 0.0, 1.0, max_iter=3)
-        else:
+        elif solver == "newton":
             newton_nonincreasing(_square_drop, 1.0, -3.0, 3.0, 4.0,
                                  max_iter=2)
+        else:
+            pgd_max_simplex(_bowl, np.full((2, 4), 0.25), max_iter=1)
     name = {"bisect": "bisect_nonincreasing", "golden": "golden_min",
-            "newton": "newton_nonincreasing"}[solver]
+            "newton": "newton_nonincreasing", "pgd": "pgd_max_simplex"}[solver]
     assert any(r.message.startswith(f"{name}: ") and "last bracket" in
                r.message for r in caplog.records)
 
@@ -100,4 +135,5 @@ def test_converged_searches_stay_quiet(caplog):
         bisect_nonincreasing(lambda m: 0.3 - m, 0.0, np.zeros(2), np.ones(2))
         golden_min(lambda x: (x - 0.3) ** 2, 0.0, 1.0)
         newton_nonincreasing(_square_drop, 1.0, -3.0, 3.0, 4.0)
+        pgd_max_simplex(_bowl, np.full((2, 4), 0.25))
     assert not caplog.records

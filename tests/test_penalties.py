@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from sanovdual.losses import ExpLoss, PowerLoss, TabulatedLoss
 from sanovdual.penalties import (LpEntropy, RelativeEntropy, Robust,
                                  SetIndicator, Shortfall, Transport,
                                  hull_indicator, lp_entropy, penalty,
+                                 penalty_grad,
                                  relative_entropy, robust_entropy,
                                  shortfall_penalty, tensor_penalty,
                                  transport_cost)
@@ -278,6 +280,42 @@ class TestTensorPenalty:
         spec = RelativeEntropy(Dist(TWO, [0.9, 0.1]))
         val = tensor_penalty(nu, spec)
         assert math.isfinite(val)
+
+
+class TestPenaltyGrad:
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("family", ["relative_entropy", "lp_entropy",
+                                        "shortfall", "robust", "transport"])
+    def test_matches_central_differences(self, family, m):
+        # Along the tangent directions e_i - e_j: transport potentials are
+        # only defined up to a constant.
+        rng = np.random.default_rng(40 + m)
+        space = FiniteSpace.of_size(m)
+        mu = rand_dist(rng, space)
+        cost = rng.uniform(0.2, 2.0, (m, m))
+        np.fill_diagonal(cost, 0.0)
+        spec = {
+            "relative_entropy": RelativeEntropy(mu),
+            "lp_entropy": LpEntropy(mu, 2.5),
+            "shortfall": Shortfall(mu, PowerLoss(3.0)),
+            # m generators: the golden search on 2 states, the mixture
+            # ascent on 3
+            "robust": Robust(tuple(rand_dist(rng, space) for _ in range(m))),
+            "transport": Transport(mu, cost),
+        }[family]
+        h = 1e-6
+        # The 3-generator mixture comes from an ascent that stops once its
+        # gains stall below 1e-13; on an edge of the hull that leaves the
+        # gradient off by up to about 5e-6.
+        tol = 1e-5 if family == "robust" and m == 3 else 1e-6
+        for _ in range(4):
+            nu = rand_dist(rng, space).weights
+            g = penalty_grad(spec, nu[None, :])[0]
+            for i, j in itertools.combinations(range(m), 2):
+                e = np.zeros(m)
+                e[i], e[j] = h, -h
+                fd = (penalty(nu + e, spec) - penalty(nu - e, spec)) / (2 * h)
+                assert abs(g[i] - g[j] - fd) <= tol * (1.0 + abs(fd))
 
 
 class TestConvexityAndJensen:
