@@ -163,23 +163,29 @@ def parse_spec(obj, path="spec"):
     raise ConfigError(f"{path}.kind: unknown spec kind {kind!r}")
 
 
-def parse_simplex_function(obj, path="F"):
+def parse_simplex_function(obj, m, path="F"):
+    """A function of the law on m states, rows in: it maps a (B, m) array
+    of laws to their (B,) values."""
     _check_keys(obj, path, required=("kind",),
                 optional=("value", "coeffs", "coordinate", "center", "scale"))
     kind = obj["kind"]
     if kind == "constant":
         c = _num(obj.get("value", 0.0), f"{path}.value")
-        return lambda nu: c
+        return lambda nu: np.full(len(nu), c)
     if kind == "linear":
         coeffs = np.asarray(_num_list(obj["coeffs"], f"{path}.coeffs"))
-        return lambda nu: float(np.dot(coeffs, nu))
-    coord = int(obj.get("coordinate", 0))
+        return lambda nu: nu @ coeffs
+    coord = obj.get("coordinate", 0)
+    if isinstance(coord, bool) or coord not in range(m):
+        raise ConfigError(f"{path}.coordinate: expected an integer in "
+                          f"[0, {m}), got {coord!r}")
+    coord = int(coord)
     center = _num(obj.get("center", 0.5), f"{path}.center")
     scale = _num(obj.get("scale", -1.0), f"{path}.scale")
     if kind == "square_well":
-        return lambda nu: scale * (float(nu[coord]) - center) ** 2
+        return lambda nu: scale * (nu[:, coord] - center) ** 2
     if kind == "abs_well":
-        return lambda nu: scale * abs(float(nu[coord]) - center)
+        return lambda nu: scale * np.abs(nu[:, coord] - center)
     raise ConfigError(f"{path}.kind: unknown function kind {kind!r}")
 
 
@@ -222,7 +228,7 @@ def _grid(obj, path):
     _check_keys(obj, path, required=("lo", "hi", "count"))
     lo = _num(obj["lo"], f"{path}.lo")
     hi = _num(obj["hi"], f"{path}.hi")
-    count = int(obj["count"])
+    count = _pos_int(obj["count"], f"{path}.count")
     if count < 2 or not hi > lo:
         raise ConfigError(f"{path}: need hi > lo and count >= 2")
     return np.linspace(lo, hi, count)
@@ -331,7 +337,7 @@ def cmd_sanov(cfg, out: Path, seed: int) -> int:
     _check_keys(cfg, "config", required=("spec", "F", "schedule"),
                 optional=("grid_step", "seed"))
     spec = parse_spec(cfg["spec"])
-    F = parse_simplex_function(cfg["F"])
+    F = parse_simplex_function(cfg["F"], spec_space(spec).size)
     schedule = _schedule(cfg["schedule"], "schedule")
     step = _num(cfg.get("grid_step", 0.01), "grid_step")
     if isinstance(spec, Transport):
@@ -377,7 +383,8 @@ def cmd_tailbound(cfg, out: Path, seed: int) -> int:
     if experiment == "mean_tail":
         law = _sampled_law(cfg["law"])
         q = _num(cfg["q"], "q")
-        replications = int(cfg.get("replications", 10000))
+        replications = _pos_int(cfg.get("replications", 10000),
+                                "replications")
         schedule = _schedule(cfg["schedule"], "schedule")
         mq = moment_norm(law, q)
         r = _num(cfg["r"], "r") if "r" in cfg else mq + 1.0
@@ -419,8 +426,9 @@ def cmd_tailbound(cfg, out: Path, seed: int) -> int:
                               f"{family_name!r}")
         family = mc.INCREMENT_FAMILIES[family_name]()
         r = _num(cfg["r"], "r")
-        n = int(_num(cfg["n"], "n"))
-        replications = int(cfg.get("replications", 10000))
+        n = _pos_int(cfg["n"], "n")
+        replications = _pos_int(cfg.get("replications", 10000),
+                                "replications")
         if replications < 1000:
             raise InconclusiveError("need at least 1e3 replications")
         res = mc.azuma_experiment(family, r, n, replications, seed=seed)
@@ -478,7 +486,7 @@ def cmd_saa(cfg, out: Path, seed: int) -> int:
                 optional=("experiment", "growth", "seed"))
     instance = _parse_saa_instance(cfg)
     schedule = _schedule(cfg["schedule"], "schedule")
-    replications = int(cfg["replications"])
+    replications = _pos_int(cfg["replications"], "replications")
     if replications < 1000:
         raise InconclusiveError("need at least 1e3 replications")
     experiment = cfg.get("experiment", "value")
@@ -537,7 +545,7 @@ def cmd_transport(cfg, out: Path, seed: int) -> int:
         spec = Transport(mu, cost)
     except SpaceError as exc:
         raise ConfigError(f"cost: {exc}") from exc
-    F = parse_simplex_function(cfg["F"])
+    F = parse_simplex_function(cfg["F"], mu.m)
     schedule = _schedule(cfg["schedule"], "schedule")
     step = _num(cfg.get("grid_step", 0.01), "grid_step")
     n_chk = _pos_int(cfg.get("control_check_n", 2), "control_check_n")

@@ -99,15 +99,20 @@ def backward_value_symmetric(values_by_type, n: int, space: FiniteSpace,
     return float(V[0])
 
 
-def symmetric_terminal(F: Callable[[np.ndarray], float], n: int,
+def symmetric_terminal(F: Callable[[np.ndarray], np.ndarray], n: int,
                        space: FiniteSpace) -> np.ndarray:
     """Terminal values n * F(type/n) of a function of L_n, in rank order."""
-    return np.array([n * float(F(c / n)) for c in type_index(n, space.size)])
+    return n * _values(F, type_index(n, space.size) / n)
 
 
-def _values(F: Callable[[np.ndarray], float], rows: np.ndarray) -> np.ndarray:
-    """F at each row of a (B, m) batch of laws."""
-    return np.array([float(F(nu)) for nu in rows])
+def _values(F: Callable[[np.ndarray], np.ndarray],
+            rows: np.ndarray) -> np.ndarray:
+    """F at each row of a (B, m) batch of laws; F must return (B,) values."""
+    vals = np.asarray(F(rows), dtype=float)
+    if vals.shape != (len(rows),):
+        raise TypeError(f"F must map a batch of {len(rows)} laws to shape "
+                        f"({len(rows)},), got {vals.shape}")
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +164,12 @@ class SanovRun:
                 for n, v, g in zip(self.schedule, self.values, self.gaps)]
 
 
-def sanov_limit(F: Callable[[np.ndarray], float], spec: AlphaSpec,
+def sanov_limit(F: Callable[[np.ndarray], np.ndarray], spec: AlphaSpec,
                 schedule: Sequence[int], grid_step: float = 0.01,
                 label: str = "sanov") -> SanovRun:
-    """(1/n) rho_n(n F o L_n) along a schedule, with the limit target."""
+    """(1/n) rho_n(n F o L_n) along a schedule, with the limit target
+    sup_nu (F(nu) - alpha(nu)); a transport spec takes its target from the
+    coupling form (see ``transport_longrun``)."""
     space = spec_space(spec)
     values = []
     for n in schedule:
@@ -173,10 +180,18 @@ def sanov_limit(F: Callable[[np.ndarray], float], spec: AlphaSpec,
         a = penalty_rows(spec, nu)
         return np.where(np.isfinite(a), _values(F, nu) - a, NEG_INF)
 
-    target, arg = simplex_supremum(J, space.size, step=grid_step)
+    coupling = None
+    if isinstance(spec, Transport):
+        pts = simplex_grid(space.size, grid_step)
+        coupling, arg = _coupling_supremum(F, spec.mu, spec.cost,
+                                           pts[int(np.argmax(J(pts)))])
+        target = float(J(arg[None])[0])
+    else:
+        target, arg = simplex_supremum(J, space.size, step=grid_step)
     gaps = [abs(v - target) for v in values]
     return SanovRun(label, [int(n) for n in schedule],
                     [float(v) for v in values], float(target), gaps,
+                    coupling_target=coupling,
                     argmax=[float(x) for x in arg])
 
 
@@ -254,29 +269,28 @@ def transport_control_value(f, space: FiniteSpace, mu: Dist, cost) -> float:
     return float(J[0])
 
 
-def transport_longrun(F: Callable[[np.ndarray], float], mu: Dist, cost,
+def transport_longrun(F: Callable[[np.ndarray], np.ndarray], mu: Dist, cost,
                       schedule: Sequence[int], grid_step: float = 0.01,
                       label: str = "transport-longrun") -> SanovRun:
-    """Long-run scaled control values against both forms of the limit.
-
-    The target is computed once as sup_nu (F(nu) - transport penalty) and
-    once over couplings with first marginal mu; the two must agree.
+    """Long-run scaled control values against the transport limit
+    sup_nu (F(nu) - W_c(mu, nu)), from its coupling form, which is smooth in
+    the kernel K: the ascent from the grid maximizer gives
+    ``coupling_target``, and ``target`` is the exact F(nu*) - W_c(mu, nu*)
+    at nu* = mu K* (``argmax``).  grid max <= coupling_target <= target <=
+    sup, with equality when K* is an optimal plan between mu and nu*.
     """
-    c = np.asarray(cost, dtype=float)
-    spec = Transport(mu, c)
-    run = sanov_limit(F, spec, schedule, grid_step=grid_step, label=label)
-    nu_star = np.asarray(run.argmax, dtype=float)
-    coupling = _coupling_supremum(F, mu, c, nu_star)
-    run.coupling_target = float(coupling)
-    return run
+    return sanov_limit(F, Transport(mu, cost), schedule, grid_step=grid_step,
+                       label=label)
 
 
-def _coupling_supremum(F, mu: Dist, c: np.ndarray, nu_star: np.ndarray) -> float:
+def _coupling_supremum(F, mu: Dist, c: np.ndarray, nu0: np.ndarray
+                       ) -> tuple[float, np.ndarray]:
     """sup over couplings pi with first marginal mu of
-    F(second marginal) - int c dpi: one projected ascent over the kernels
-    K (pi = diag(mu) K, a product of m simplices), with one row per start.
+    F(second marginal) - int c dpi, and the second marginal of the best
+    coupling: one projected ascent over the kernels K (pi = diag(mu) K, a
+    product of m simplices), with one row per start.
 
-    The starts are the optimal plan to nu_star, the uniform kernel on the
+    The starts are the optimal plan to nu0, the uniform kernel on the
     allowed cells and the cheapest cell of each row.
     """
     m = mu.m
@@ -292,7 +306,7 @@ def _coupling_supremum(F, mu: Dist, c: np.ndarray, nu_star: np.ndarray) -> float
         return w[:, None] * gF[:, None, :] - wc
 
     starts = []
-    sol = solve_transport(w, Dist(mu.space, nu_star).weights, c)
+    sol = solve_transport(w, Dist(mu.space, nu0).weights, c)
     if sol.plan is not None:
         starts.append(np.where(w[:, None] > 0, sol.plan / np.maximum(
             w[:, None], 1e-300), 1.0))
@@ -300,6 +314,7 @@ def _coupling_supremum(F, mu: Dist, c: np.ndarray, nu_star: np.ndarray) -> float
     greedy = np.zeros((m, m))
     greedy[np.arange(m), np.argmin(np.where(allowed, c, INF), axis=1)] = 1.0
     starts.append(greedy)
-    _, vals = pgd_max_simplex(objective, np.array(starts), gradient=gradient,
+    K, vals = pgd_max_simplex(objective, np.array(starts), gradient=gradient,
                               support=allowed)
-    return float(vals.max())
+    best = int(np.argmax(vals))
+    return float(vals[best]), w @ K[best]

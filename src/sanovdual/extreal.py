@@ -16,10 +16,6 @@ INF = float("inf")
 NEG_INF = float("-inf")
 
 
-def is_finite(x: float) -> bool:
-    return NEG_INF < x < INF
-
-
 def add(*terms: float) -> float:
     """Sum under the -inf-dominant convention: inf + (-inf) = -inf."""
     saw_pos = False

@@ -327,43 +327,16 @@ def hull_indicator(nu, generators: Sequence[Dist]) -> float | np.ndarray:
 
 
 def transport_cost(nu, mu, cost) -> float | np.ndarray:
-    """Exact optimal transport cost from mu to nu; +inf when infeasible.
-
-    Above 2 states, rows off the domain (a negative entry, or mass off
-    mu's) are +inf.  The 2-state path reads only nu's first coordinate, so
-    the ascent's probes x +- h e_0 keep finite values there.
-    """
+    """Exact optimal transport cost from mu to nu, one transportation
+    simplex solve per row; +inf when no finite-cost coupling exists and on
+    rows off the domain (a negative entry, or mass other than mu's)."""
     V, single = _rows(nu)
     w = _ref_weights(mu)
     c = np.asarray(cost, dtype=float)
-    if w.size == 2:
-        out = _transport_cost_2x2(V, w, c)
-    else:
-        off = (V < 0).any(axis=1) | (np.abs(V.sum(axis=1) - w.sum()) > 1e-9)
-        out = np.array([INF if o else solve_transport(w, v, c).value
-                        for v, o in zip(V, off)])
+    off = (V < 0).any(axis=1) | (np.abs(V.sum(axis=1) - w.sum()) > 1e-9)
+    out = np.array([INF if o else solve_transport(w, v, c).value
+                    for v, o in zip(V, off)])
     return float(out[0]) if single else out
-
-
-def _transport_cost_2x2(V: np.ndarray, w: np.ndarray, c: np.ndarray) -> np.ndarray:
-    # One degree of freedom t = plan[0, 0]; the cost is linear in t, so the
-    # optimum sits at an endpoint of the feasible interval (this remains
-    # true with +inf entries, which pin t to one of the same endpoints).
-    t_lo = np.maximum(0.0, w[0] + V[:, 0] - 1.0)
-    t_hi = np.minimum(w[0], V[:, 0])
-
-    def value_at(t):
-        coefs = np.stack([t, w[0] - t, V[:, 0] - t, 1.0 - w[0] - V[:, 0] + t],
-                         axis=1)
-        coefs = np.maximum(coefs, 0.0)
-        cs = np.array([c[0, 0], c[0, 1], c[1, 0], c[1, 1]])
-        inf_hit = ((coefs > 1e-14) & np.isinf(cs)[None, :]).any(axis=1)
-        fin = np.where(np.isinf(cs), 0.0, cs)
-        out = coefs @ fin
-        out[inf_hit] = INF
-        return out
-
-    return np.minimum(value_at(t_lo), value_at(t_hi))
 
 
 # ---------------------------------------------------------------------------

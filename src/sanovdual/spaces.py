@@ -50,9 +50,6 @@ class FiniteSpace:
     def of_size(cls, m: int, prefix: str = "s") -> "FiniteSpace":
         return cls(tuple(f"{prefix}{i}" for i in range(m)))
 
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
 
 def _as_prob_vector(weights, slack: float = SUM_SLACK) -> np.ndarray:
     w = np.asarray(weights, dtype=float).ravel().copy()
@@ -92,9 +89,6 @@ class Dist:
         w = np.zeros(space.size)
         w[i] = 1.0
         return cls(space, w)
-
-    def support(self) -> np.ndarray:
-        return self.weights > 0.0
 
 
 @dataclass(frozen=True)

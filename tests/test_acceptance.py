@@ -134,8 +134,8 @@ def test_criterion_03_chain_rule(record_criterion):
 def test_criterion_04_sanov_limit(record_criterion):
     t0 = time.perf_counter()
 
-    def F(nu):
-        return -(nu[0] - 0.7) ** 2
+    def F(nu):      # one law (m,) or a batch of rows (B, m)
+        return -(nu[..., 0] - 0.7) ** 2
 
     schedule = [25, 50, 100, 200]
     run = sanov_limit(F, RelativeEntropy(UNIF2), schedule, grid_step=0.01)
@@ -143,7 +143,7 @@ def test_criterion_04_sanov_limit(record_criterion):
     for n, v in zip(run.schedule, run.values):
         log_terms = [
             math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
-            - n * math.log(2.0) + n * F((j / n, 1 - j / n))
+            - n * math.log(2.0) + n * F(np.array([j / n, 1 - j / n]))
             for j in range(n + 1)
         ]
         peak = max(log_terms)

@@ -65,20 +65,46 @@ class TestExitCodes:
         ("transport", "control_check_n", "two"),
         ("transport", "control_check_n", 0),
         ("transport", "control_check_n", 25),   # 2^25 entries: over the cap
+        ("tailbound", "replications", "many"),
+        ("azuma", "n", 2.5),
+        ("azuma", "n", "inf"),
+        ("saa", "replications", "many"),
+        ("cramer", "dual_grid.count", "many"),
+        ("sanov", "F.coordinate", 5),
+        ("sanov", "F.coordinate", 0.5),
     ])
     def test_integer_fields_are_validated(self, tmp_path, capsys, command,
                                           key, value):
         two = [0.5, 0.5]
-        if command == "rho":
-            payload = {"spec": {"kind": "relative_entropy", "mu": two},
-                       "f": [0.0, 1.0], "generic": True}
-        else:
-            payload = {"mu": two, "cost": [[0.0, 1.0], [1.0, 0.0]],
-                       "F": {"kind": "linear", "coeffs": [1.0, 0.0]},
-                       "schedule": [1], "grid_step": 0.1}
-        cfg = write_config(tmp_path, {**payload, key: value})
-        code = main([command, "--config", str(cfg), "--out",
-                     str(tmp_path / "out")])
+        grid = {"lo": -0.5, "hi": 0.5, "count": 3}
+        payload = {
+            "rho": {"spec": {"kind": "relative_entropy", "mu": two},
+                    "f": [0.0, 1.0], "generic": True},
+            "transport": {"mu": two, "cost": [[0.0, 1.0], [1.0, 0.0]],
+                          "F": {"kind": "linear", "coeffs": [1.0, 0.0]},
+                          "schedule": [1], "grid_step": 0.1},
+            "tailbound": {"experiment": "mean_tail",
+                          "law": {"kind": "pareto", "a": 2.5}, "q": 2,
+                          "schedule": [10, 20, 40]},
+            "azuma": {"experiment": "azuma", "r": 0.5, "n": 10,
+                      "replications": 1000},
+            "saa": {"decisions": [0.0, 1.0], "loss": {"kind": "abs_diff"},
+                    "law": {"kind": "pareto", "a": 2.5}, "epsilon": 0.2,
+                    "q": 2, "schedule": [3, 6], "replications": 1000},
+            "cramer": {"law": {"kind": "finite", "atoms": [-1.0, 1.0],
+                               "weights": two},
+                       "q": 2, "dual_grid": grid, "primal_grid": dict(grid)},
+            "sanov": {"spec": {"kind": "relative_entropy", "mu": two},
+                      "F": {"kind": "square_well"}, "schedule": [2]},
+        }[command]
+        *parents, leaf = key.split(".")
+        obj = payload
+        for name in parents:
+            obj = obj[name]
+        obj[leaf] = value
+        cfg = write_config(tmp_path, payload)
+        code = main(["tailbound" if command == "azuma" else command,
+                     "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 2
         assert key in capsys.readouterr().err
 
@@ -243,17 +269,25 @@ class TestTransportCommand:
                   "scale": -3.0},
             "schedule": [2], "grid_step": 0.01, "control_check_n": 2},
             name="two.json")
-        # The 3-state run sends the ascent's off-simplex probes into the
-        # transport solver.  Its optimum, nu = mu, is a grid point: above 2
-        # states every probe is +inf and the ascent does not move.
+        # Two 3-state runs.  The first has its optimum, nu = mu, on the
+        # grid.  The second has it off the grid, at (0.7333, 0.0667, 0.2)
+        # with value -19/60: the coupling ascent must climb from the grid
+        # maximum -0.32, and the exact solve at its second marginal must
+        # agree with it.
+        cost3 = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
         three_state = write_config(tmp_path, {
-            "mu": [0.5, 0.3, 0.2],
-            "cost": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]],
+            "mu": [0.5, 0.3, 0.2], "cost": cost3,
             "F": {"kind": "square_well", "coordinate": 0, "center": 0.7},
             "schedule": [2], "grid_step": 0.1, "control_check_n": 2},
             name="three.json")
+        off_grid = write_config(tmp_path, {
+            "mu": [0.5, 0.3, 0.2], "cost": cost3,
+            "F": {"kind": "square_well", "coordinate": 0, "center": 0.9,
+                  "scale": -3.0},
+            "schedule": [2], "grid_step": 0.1, "control_check_n": 2},
+            name="off_grid.json")
         for k, cfg in enumerate([CONFIGS / "transport_longrun.json",
-                                 two_state, three_state]):
+                                 two_state, three_state, off_grid]):
             out = tmp_path / f"out{k}"
             code = main(["transport", "--config", str(cfg),
                          "--out", str(out)])

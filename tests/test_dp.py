@@ -143,7 +143,7 @@ class TestSymmetricRecursion:
                     quad = rng.normal()
 
                     def F(nu):
-                        return float(np.dot(coefs, nu) + quad * nu[0] ** 2)
+                        return nu @ coefs + quad * nu[:, 0] ** 2
 
                     term = symmetric_terminal(F, n, space)
                     v_sym = backward_value_symmetric(term, n, space, spec)
@@ -158,8 +158,7 @@ class TestSymmetricRecursion:
         spec = RelativeEntropy(UNIF2)
         want = entropic_risk(fbar, UNIF2)
         for n in (1, 2, 5, 17):
-            term = symmetric_terminal(lambda nu: float(np.dot(fbar, nu)),
-                                      n, TWO)
+            term = symmetric_terminal(lambda nu: nu @ fbar, n, TWO)
             v = backward_value_symmetric(term, n, TWO, spec) / n
             assert abs(v - want) <= 1e-10
 
@@ -168,7 +167,8 @@ class TestSymmetricRecursion:
             if isinstance(spec, Transport):
                 continue  # rho(0) = 0 only for zero-diagonal transport
             for n in (1, 3, 8):
-                term = symmetric_terminal(lambda nu: 0.37, n, TWO)
+                term = symmetric_terminal(lambda nu: np.full(len(nu), 0.37),
+                                          n, TWO)
                 v = backward_value_symmetric(term, n, TWO, spec) / n
                 assert abs(v - 0.37) <= 1e-9
 
@@ -182,18 +182,18 @@ class TestSanovLimit:
     def test_linear_gap_is_zero(self):
         rng = np.random.default_rng(8)
         fbar = rng.normal(size=2)
-        run = sanov_limit(lambda nu: float(np.dot(fbar, nu)),
-                          RelativeEntropy(UNIF2), [1, 2, 5, 10])
+        run = sanov_limit(lambda nu: nu @ fbar, RelativeEntropy(UNIF2),
+                          [1, 2, 5, 10])
         assert max(run.gaps) <= 1e-6
 
     def test_classical_matches_binomial_log_sum(self):
-        def F(nu):
-            return -(nu[0] - 0.7) ** 2
+        def F(nu):      # one law (m,) or a batch of rows (B, m)
+            return -(nu[..., 0] - 0.7) ** 2
 
         run = sanov_limit(F, RelativeEntropy(UNIF2), [25, 50])
         for n, v in zip(run.schedule, run.values):
             total = sum(math.comb(n, j) * 0.5 ** n *
-                        math.exp(n * F((j / n, 1 - j / n)))
+                        math.exp(n * F(np.array([j / n, 1 - j / n])))
                         for j in range(n + 1))
             assert abs(v - math.log(total) / n) <= 1e-9
 
@@ -202,8 +202,8 @@ class TestSanovLimit:
         # the scaled value never exceeds the limiting sup of F on the hull.
         g = (Dist(TWO, [0.2, 0.8]), Dist(TWO, [0.7, 0.3]))
 
-        def F(nu):
-            return -(nu[0] - 0.5) ** 2
+        def F(nu):      # one law (m,) or a batch of rows (B, m)
+            return -(nu[..., 0] - 0.5) ** 2
 
         run = sanov_limit(F, SetIndicator(g), [2, 4, 8, 16])
         limit = max(F(w * g[0].weights + (1 - w) * g[1].weights)
@@ -218,10 +218,17 @@ class TestSanovLimit:
         # the gap to the limit closes along the schedule
         assert run.gaps[-1] <= run.gaps[0] + 1e-12
 
+    def test_scalar_contract_f_is_refused(self):
+        # F maps a (B, m) batch to (B,) values.  A one-law F would read row
+        # 0 of the batch, or return one number; both raise.
+        for F in (lambda nu: -(nu[0] - 0.7) ** 2, lambda nu: 0.37):
+            with pytest.raises(TypeError, match="batch"):
+                sanov_limit(F, RelativeEntropy(UNIF2), [25])
+
     def test_finite_n_lower_bound(self):
         # v_n >= E_{nu^n}[F o L_n] - alpha(nu) on a grid of product laws
-        def F(nu):
-            return -(nu[0] - 0.7) ** 2
+        def F(nu):      # one law (m,) or a batch of rows (B, m)
+            return -(nu[..., 0] - 0.7) ** 2
 
         spec = RelativeEntropy(UNIF2)
         run = sanov_limit(F, spec, [5, 10])
@@ -295,22 +302,23 @@ class TestTransportLongrun:
     def test_linear_target_is_one_step_risk(self):
         rng = np.random.default_rng(15)
         fbar = rng.normal(size=2)
-        run = transport_longrun(lambda nu: float(np.dot(fbar, nu)), UNIF2,
-                                COST_TV, [1, 2, 4])
+        run = transport_longrun(lambda nu: nu @ fbar, UNIF2, COST_TV,
+                                [1, 2, 4])
         want = risk(fbar, Transport(UNIF2, COST_TV))
         assert abs(run.target - want) <= 2e-3
         assert abs(run.coupling_target - want) <= 1e-6
 
     def test_constant_target(self):
-        run = transport_longrun(lambda nu: 0.21, UNIF2, COST_TV, [1, 3])
+        run = transport_longrun(lambda nu: np.full(len(nu), 0.21), UNIF2,
+                                COST_TV, [1, 3])
         assert abs(run.target - 0.21) <= 1e-9
         assert abs(run.coupling_target - 0.21) <= 1e-9
 
     def test_two_targets_agree(self):
         for F, mu, cost in [
-            (lambda nu: -abs(nu[0] - 0.9), UNIF2, COST_TV),
+            (lambda nu: -np.abs(nu[:, 0] - 0.9), UNIF2, COST_TV),
             # A forbidden cell and an optimum off the grid.
-            (lambda nu: -3.0 * (nu[0] - 0.2) ** 2, Dist(TWO, [0.6, 0.4]),
+            (lambda nu: -3.0 * (nu[:, 0] - 0.2) ** 2, Dist(TWO, [0.6, 0.4]),
              np.array([[0.0, 1.0], [math.inf, 0.0]])),
         ]:
             run = transport_longrun(F, mu, cost, [2, 4, 8])
