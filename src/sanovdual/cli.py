@@ -76,6 +76,8 @@ def _num(value, path):
 def _num_list(value, path):
     if not isinstance(value, list):
         raise ConfigError(f"{path}: expected a list of numbers")
+    if set(map(type, value)) <= {float, int}:     # no bool, str or list
+        return list(map(float, value))
     return [_num(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
@@ -174,6 +176,9 @@ def parse_simplex_function(obj, m, path="F"):
         return lambda nu: np.full(len(nu), c)
     if kind == "linear":
         coeffs = np.asarray(_num_list(obj["coeffs"], f"{path}.coeffs"))
+        if coeffs.shape != (m,):
+            raise ConfigError(f"{path}.coeffs: expected {m} coefficients, "
+                              f"got {len(coeffs)}")
         return lambda nu: nu @ coeffs
     coord = obj.get("coordinate", 0)
     if isinstance(coord, bool) or coord not in range(m):
@@ -234,11 +239,12 @@ def _grid(obj, path):
     return np.linspace(lo, hi, count)
 
 
-def _pos_int(value, path):
+def _pos_int(value, path, low=1):
+    """An integral number >= low (a positive integer by default)."""
     if isinstance(value, (int, float)) and not isinstance(value, bool) \
-            and math.isfinite(value) and value == int(value) and value >= 1:
+            and math.isfinite(value) and value == int(value) and value >= low:
         return int(value)
-    raise ConfigError(f"{path}: expected a positive integer, got {value!r}")
+    raise ConfigError(f"{path}: expected an integer >= {low}, got {value!r}")
 
 
 def _schedule(value, path):
@@ -256,14 +262,41 @@ def _jsonable(obj):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def _encode(obj, pad: str) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True, default=_jsonable)``,
+    byte for byte, with ``pad`` (a newline and two spaces per level) as the
+    indentation of the level ``obj`` sits at.
+
+    json's indenting encoder runs in Python, one call per list entry, so a
+    list of finite floats is written from its repr instead; a float subclass
+    such as np.float64 reprs differently and is left to json.  So is every
+    other value, once the lists and dicts that may hold such a list are
+    opened: json's newlines are re-indented, as a JSON string never holds
+    a raw newline.
+    """
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)) and obj:
+        types = set(map(type, obj))
+        if types == {float} and all(map(math.isfinite, obj)):
+            body = repr(list(obj))[1:-1].replace(", ", "," + inner)
+            return f"[{inner}{body}{pad}]"
+        if any(issubclass(t, (list, tuple, dict)) for t in types):
+            body = ("," + inner).join(_encode(v, inner) for v in obj)
+            return f"[{inner}{body}{pad}]"
+    elif isinstance(obj, dict) and obj and all(isinstance(k, str)
+                                               for k in obj):
+        body = ("," + inner).join(f"{json.dumps(k)}: {_encode(v, inner)}"
+                                  for k, v in sorted(obj.items()))
+        return f"{{{inner}{body}{pad}}}"
+    return json.dumps(obj, indent=2, sort_keys=True,
+                      default=_jsonable).replace("\n", pad)
+
+
 def write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
-                               default=_jsonable) + "\n")
+    path.write_text(_encode(payload, "\n") + "\n")
 
 
 def write_csv(path: Path, header, rows) -> None:
@@ -380,6 +413,10 @@ def cmd_tailbound(cfg, out: Path, seed: int) -> int:
                 optional=("law", "q", "r", "schedule", "replications",
                           "family", "n", "seed"))
     experiment = cfg["experiment"]
+    for key in {"mean_tail": ("law", "q", "schedule"),
+                "azuma": ("r", "n")}.get(experiment, ()):
+        if key not in cfg:
+            raise ConfigError(f"config.{key}: missing required key")
     if experiment == "mean_tail":
         law = _sampled_law(cfg["law"])
         q = _num(cfg["q"], "q")
@@ -641,10 +678,11 @@ def main(argv=None) -> int:
 
     out = args.out if args.out is not None else Path.cwd() / "out"
     out.mkdir(parents=True, exist_ok=True)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0)) \
-        if isinstance(cfg, dict) else 0
 
     try:
+        seed = args.seed if args.seed is not None else \
+            cfg.get("seed", 0) if isinstance(cfg, dict) else 0
+        seed = _pos_int(seed, "seed", low=0)
         write_manifest(out, config_text, seed, args.threads)
         return COMMANDS[args.command](cfg, out, seed)
     except ConfigError as exc:

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sanovdual.cli import main
+from sanovdual.cli import (ConfigError, _jsonable, _num, _num_list, main,
+                           write_json)
 from sanovdual.losses import PowerLoss
 from sanovdual.penalties import Shortfall
 from sanovdual.risk import risk_result
@@ -19,6 +20,47 @@ def write_config(tmp_path, payload, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(payload))
     return p
+
+
+DROP = object()     # run_edited: delete the key instead of setting it
+
+
+def run_edited(tmp_path, command, key, value):
+    """Run a small valid config for `command` with the dotted `key` set to
+    `value` (or deleted, for DROP); "azuma" is the tailbound experiment."""
+    two = [0.5, 0.5]
+    grid = {"lo": -0.5, "hi": 0.5, "count": 3}
+    payload = {
+        "rho": {"spec": {"kind": "relative_entropy", "mu": two},
+                "f": [0.0, 1.0], "generic": True},
+        "transport": {"mu": two, "cost": [[0.0, 1.0], [1.0, 0.0]],
+                      "F": {"kind": "linear", "coeffs": [1.0, 0.0]},
+                      "schedule": [1], "grid_step": 0.1},
+        "tailbound": {"experiment": "mean_tail",
+                      "law": {"kind": "pareto", "a": 2.5}, "q": 2,
+                      "schedule": [10, 20, 40]},
+        "azuma": {"experiment": "azuma", "r": 0.5, "n": 10,
+                  "replications": 1000},
+        "saa": {"decisions": [0.0, 1.0], "loss": {"kind": "abs_diff"},
+                "law": {"kind": "pareto", "a": 2.5}, "epsilon": 0.2,
+                "q": 2, "schedule": [3, 6], "replications": 1000},
+        "cramer": {"law": {"kind": "finite", "atoms": [-1.0, 1.0],
+                           "weights": two},
+                   "q": 2, "dual_grid": grid, "primal_grid": dict(grid)},
+        "sanov": {"spec": {"kind": "relative_entropy", "mu": two},
+                  "F": {"kind": "square_well"}, "schedule": [2]},
+    }[command]
+    *parents, leaf = key.split(".")
+    obj = payload
+    for name in parents:
+        obj = obj[name]
+    if value is DROP:
+        del obj[leaf]
+    else:
+        obj[leaf] = value
+    cfg = write_config(tmp_path, payload)
+    return main(["tailbound" if command == "azuma" else command,
+                 "--config", str(cfg), "--out", str(tmp_path / "out")])
 
 
 def tree_digest(out_dir: Path, skip=("manifest.json",)) -> str:
@@ -62,6 +104,8 @@ class TestExitCodes:
         ("rho", "restarts", "many"),
         ("rho", "restarts", -3),
         ("rho", "restarts", 2.5),
+        ("rho", "seed", "many"),
+        ("rho", "seed", -1),
         ("transport", "control_check_n", "two"),
         ("transport", "control_check_n", 0),
         ("transport", "control_check_n", 25),   # 2^25 entries: over the cap
@@ -75,38 +119,36 @@ class TestExitCodes:
     ])
     def test_integer_fields_are_validated(self, tmp_path, capsys, command,
                                           key, value):
-        two = [0.5, 0.5]
-        grid = {"lo": -0.5, "hi": 0.5, "count": 3}
-        payload = {
-            "rho": {"spec": {"kind": "relative_entropy", "mu": two},
-                    "f": [0.0, 1.0], "generic": True},
-            "transport": {"mu": two, "cost": [[0.0, 1.0], [1.0, 0.0]],
-                          "F": {"kind": "linear", "coeffs": [1.0, 0.0]},
-                          "schedule": [1], "grid_step": 0.1},
-            "tailbound": {"experiment": "mean_tail",
-                          "law": {"kind": "pareto", "a": 2.5}, "q": 2,
-                          "schedule": [10, 20, 40]},
-            "azuma": {"experiment": "azuma", "r": 0.5, "n": 10,
-                      "replications": 1000},
-            "saa": {"decisions": [0.0, 1.0], "loss": {"kind": "abs_diff"},
-                    "law": {"kind": "pareto", "a": 2.5}, "epsilon": 0.2,
-                    "q": 2, "schedule": [3, 6], "replications": 1000},
-            "cramer": {"law": {"kind": "finite", "atoms": [-1.0, 1.0],
-                               "weights": two},
-                       "q": 2, "dual_grid": grid, "primal_grid": dict(grid)},
-            "sanov": {"spec": {"kind": "relative_entropy", "mu": two},
-                      "F": {"kind": "square_well"}, "schedule": [2]},
-        }[command]
-        *parents, leaf = key.split(".")
-        obj = payload
-        for name in parents:
-            obj = obj[name]
-        obj[leaf] = value
-        cfg = write_config(tmp_path, payload)
-        code = main(["tailbound" if command == "azuma" else command,
-                     "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert code == 2
+        assert run_edited(tmp_path, command, key, value) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key", [
+        ("tailbound", "law"),
+        ("tailbound", "q"),
+        ("tailbound", "schedule"),
+        ("azuma", "n"),
+        ("azuma", "r"),
+    ])
+    def test_missing_keys_are_named(self, tmp_path, capsys, command, key):
+        assert run_edited(tmp_path, command, key, DROP) == 2
+        assert f"{key}: missing required key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, coeffs", [
+        ("transport", [1.0, 0.0, 0.0]),
+        ("sanov", [1.0]),
+    ])
+    def test_linear_coeffs_match_the_states(self, tmp_path, capsys, command,
+                                            coeffs):
+        assert run_edited(tmp_path, command, "F",
+                          {"kind": "linear", "coeffs": coeffs}) == 2
+        assert "F.coeffs" in capsys.readouterr().err
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        code = main(["transport", "--config",
+                     str(CONFIGS / "transport_longrun.json"),
+                     "--out", str(tmp_path / "out"), "--seed", "-1"])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_small_replication_count_inconclusive(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -364,3 +406,56 @@ class TestDeterminism:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 9
         assert "config_sha256" in manifest and "versions" in manifest
+
+
+class TestJsonWriter:
+    def test_matches_indented_json_dumps(self, tmp_path):
+        floats = [0.1, -2.5e-300, 1e300, 3.0, -0.0]
+        payload = {
+            "floats": floats,
+            "non_finite": [1.0, math.inf, -math.inf, math.nan],
+            "mixed": [1, 2.5, True, None, "x"],
+            "np_floats": [np.float64(0.1), np.float64(-3.0)],
+            "array": np.array([[0.25, 1.0], [2.0, -1.5]]),
+            "int_array": np.arange(3),
+            "scalars": {"f64": np.float64(2.0), "i64": np.int64(-7),
+                        "bool_": np.bool_(True),
+                        "inf64": np.float64(-np.inf)},
+            "nested": {"empty_list": [], "empty_dict": {},
+                       "rows": [floats, [], [{"deep": (0.5, 1.5)}]],
+                       "tuple": (1.0, 2.0)},
+            "flags": [True, False], "none": None, "int": 3,
+            "text": "café ∑ \"quoted\"\n",
+            "inf": math.inf, "nan": math.nan,
+        }
+        path = tmp_path / "out.json"
+        write_json(path, payload)
+        assert path.read_text() == json.dumps(
+            payload, indent=2, sort_keys=True, default=_jsonable) + "\n"
+
+    def test_non_finite_spelling(self, tmp_path):
+        path = tmp_path / "out.json"
+        write_json(path, {"a": math.inf, "b": [-math.inf, math.nan, 0.5],
+                          "c": np.float64(-np.inf)})
+        assert path.read_text() == (
+            '{\n  "a": Infinity,\n  "b": [\n    -Infinity,\n    NaN,\n'
+            '    0.5\n  ],\n  "c": -Infinity\n}\n')
+
+
+class TestNumList:
+    def test_both_paths_give_equal_values(self):
+        plain = [0, 1, -2, 0.5, 1e300, -0.0, 2 ** 60]
+        assert _num_list(plain, "f") == [_num(v, "f") for v in plain]
+        assert all(type(v) is float for v in _num_list(plain, "f"))
+        extended = plain + ["inf", "-inf"]
+        assert _num_list(extended, "f") == \
+            [_num(v, "f") for v in plain] + [math.inf, -math.inf]
+
+    @pytest.mark.parametrize("bad", [True, "nan", [1.0]])
+    def test_bad_entry_is_named(self, bad):
+        with pytest.raises(ConfigError) as exc:
+            _num_list([1.0, 2, bad], "f")
+        with pytest.raises(ConfigError) as ref:
+            _num(bad, "f[2]")
+        assert str(exc.value) == str(ref.value) == \
+            f"f[2]: not a number: {bad!r}"

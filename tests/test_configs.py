@@ -1,6 +1,8 @@
 """Every bundled config runs to exit code 0 under its own subcommand,
-without a ``sanovdual`` warning."""
+without a ``sanovdual`` warning, and writes its JSON files in the one
+format: ``json.dumps(..., indent=2, sort_keys=True)`` and a newline."""
 
+import json
 import logging
 from pathlib import Path
 
@@ -34,3 +36,7 @@ def test_bundled_config_runs(tmp_path, caplog, config):
     warned = [r.getMessage() for r in caplog.records
               if r.name.startswith("sanovdual")]
     assert not warned
+    for path in sorted((tmp_path / "out").glob("*.json")):
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2,
+                                  sort_keys=True) + "\n", path.name
