@@ -27,7 +27,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, dp, montecarlo as mc
 from .cramer import (check_admissible, conjugate_pair, deviation_bound,
@@ -240,11 +239,16 @@ def _grid(obj, path):
 
 
 def _pos_int(value, path, low=1):
-    """An integral number >= low (a positive integer by default)."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool) \
-            and math.isfinite(value) and value == int(value) and value >= low:
-        return int(value)
-    raise ConfigError(f"{path}: expected an integer >= {low}, got {value!r}")
+    """An integral number in [low, 2^64) (a positive integer by default).
+
+    Ints are compared exactly, never through a float, so a literal too
+    large for a float is a config error, not an OverflowError."""
+    n = int(value) if isinstance(value, float) and math.isfinite(value) \
+        and value.is_integer() else value
+    if isinstance(n, int) and not isinstance(n, bool) and low <= n < 2 ** 64:
+        return n
+    raise ConfigError(f"{path}: expected an integer in [{low}, 2^64), "
+                      f"got {value!r}")
 
 
 def _schedule(value, path):
@@ -314,6 +318,7 @@ def _fmt_cell(c):
 
 
 def write_manifest(out: Path, config_text: str, seed: int, threads: int) -> None:
+    import scipy   # lazy: only the manifest needs scipy, for its version
     write_json(out / "manifest.json", {
         "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
         "seed": seed,
@@ -672,7 +677,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         cfg = json.loads(config_text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:     # also an int literal over 4300 digits
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import poch
 
 from .extreal import INF
 
@@ -96,6 +95,7 @@ class StudentTLaw:
         return -INF, INF
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
+        from scipy.special import poch   # lazy: its import takes ~0.25 s
         df = self.df
         return np.exp(np.log(poch(0.5 * df, 0.5))
                       - 0.5 * (np.log(df) + np.log(np.pi))

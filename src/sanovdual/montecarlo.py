@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .laws import FiniteSupportLaw, Law, LogNormalLaw, ParetoLaw, StudentTLaw
 from .optim import golden_max
@@ -197,6 +196,7 @@ def rate_fit(ns: Sequence[int], p_hats: Sequence[float]) -> RateFit:
     if keep.sum() < 3:
         return RateFit(math.nan, math.nan, math.nan, int(keep.sum()),
                        "inconclusive")
+    from scipy.special import stdtrit   # lazy, as in StudentTLaw.pdf
     x = np.log(ns[keep])
     y = np.log(ps[keep])
     k = x.size

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from sanovdual.cli import (ConfigError, _jsonable, _num, _num_list, main,
                            write_json)
@@ -100,6 +101,11 @@ class TestExitCodes:
         p.write_text("{not json")
         assert main(["rho", "--config", str(p)]) == 2
 
+    def test_int_literal_over_the_digit_limit(self, tmp_path):
+        p = tmp_path / "long.json"
+        p.write_text('{"seed": ' + "1" * 5000 + "}")
+        assert main(["rho", "--config", str(p)]) == 2
+
     @pytest.mark.parametrize("command, key, value", [
         ("rho", "restarts", "many"),
         ("rho", "restarts", -3),
@@ -116,6 +122,10 @@ class TestExitCodes:
         ("cramer", "dual_grid.count", "many"),
         ("sanov", "F.coordinate", 5),
         ("sanov", "F.coordinate", 0.5),
+        pytest.param("azuma", "replications", 10 ** 400,   # beyond a float
+                     id="azuma-replications-10**400"),
+        pytest.param("rho", "seed", -10 ** 400, id="rho-seed--10**400"),
+        ("rho", "seed", 2 ** 64),
     ])
     def test_integer_fields_are_validated(self, tmp_path, capsys, command,
                                           key, value):
@@ -406,6 +416,14 @@ class TestDeterminism:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 9
         assert "config_sha256" in manifest and "versions" in manifest
+
+    def test_manifest_versions(self, tmp_path):
+        out = tmp_path / "out"
+        main(["rho", "--config", str(CONFIGS / "rho_shortfall_power2.json"),
+              "--out", str(out)])
+        versions = json.loads((out / "manifest.json").read_text())["versions"]
+        assert versions["scipy"] == scipy.__version__
+        assert versions["numpy"] == np.__version__
 
 
 class TestJsonWriter:

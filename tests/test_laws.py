@@ -1,6 +1,8 @@
+import ast
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ from scipy import stats
 
 import sanovdual
 from sanovdual.laws import LogNormalLaw, StudentTLaw
+from sanovdual.montecarlo import rate_fit
 
 
 @pytest.mark.parametrize("sigma", [0.3, 0.5, 0.8, 1.2])
@@ -36,3 +39,58 @@ def test_cli_import_leaves_out_scipy_stats():
          "import sys, sanovdual.cli; print('scipy.stats' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# scipy.special would double the time of a fresh `import sanovdual.cli`, so
+# only a Student t density and the tail-rate fit may load it.  Each check
+# below runs in a fresh interpreter, where nothing has imported scipy yet.
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def run_fresh(code: str) -> str:
+    src = str(Path(sanovdual.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_leaves_out_scipy():
+    out = run_fresh("import sys, sanovdual.cli; "
+                    "print([m for m in sys.modules if m.split('.')[0] "
+                    "== 'scipy'])")
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("command, config", [
+    ("sanov", "sanov_classical.json"),
+    ("superhedge", "superhedge_power2.json"),
+    ("rho", "rho_shortfall_power2.json"),
+    ("transport", "transport_longrun.json"),
+    ("cramer", "cramer_small.json"),
+])
+def test_run_leaves_out_scipy_special(tmp_path, command, config):
+    argv = [command, "--config", str(CONFIGS / config),
+            "--out", str(tmp_path / "out")]
+    out = run_fresh("import sys; from sanovdual.cli import main; "
+                    f"code = main({argv!r}); "
+                    "print(code, 'scipy.special' in sys.modules)")
+    assert out.splitlines()[-1].split() == ["0", "False"]
+
+
+@pytest.mark.parametrize("call", [
+    "StudentTLaw(3.0).pdf(np.linspace(-50.0, 50.0, 101)).tolist()",
+    "astuple(rate_fit([10, 20, 40, 80], [0.1, 0.04, 0.02, 0.006]))",
+], ids=["student_t_pdf", "rate_fit"])
+def test_lazy_scipy_call_matches_in_process(call):
+    out = run_fresh("import sys\nfrom dataclasses import astuple\n"
+                    "import numpy as np\n"
+                    "from sanovdual.laws import StudentTLaw\n"
+                    "from sanovdual.montecarlo import rate_fit\n"
+                    "assert 'scipy.special' not in sys.modules\n"
+                    f"print(repr({call}))")
+    scope = {"np": np, "StudentTLaw": StudentTLaw, "astuple": astuple,
+             "rate_fit": rate_fit}
+    assert ast.literal_eval(out) == eval(call, scope)
