@@ -1,10 +1,7 @@
 """Dual pairs of penalty functionals and risk measures on finite spaces."""
 
-from .spaces import (Dist, FiniteSpace, Kernel, ProductDist, SymmetricField,
-                     compose, disintegrate, empirical_measure, type_classes)
-from .losses import ExpLoss, PowerLoss, TabulatedLoss
-from .penalties import (LpEntropy, RelativeEntropy, Robust, SetIndicator,
-                        Shortfall, Transport, penalty, tensor_penalty)
-from .risk import RhoResult, generic_risk, risk, risk_result
+from .spaces import Dist, FiniteSpace
+from .penalties import RelativeEntropy, penalty
+from .risk import risk_rows
 
 __version__ = "0.1.0"

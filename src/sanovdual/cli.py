@@ -72,6 +72,12 @@ def _num(value, path):
     raise ConfigError(f"{path}: not a number: {value!r}")
 
 
+def _bool(value, path):
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"{path}: expected true or false, got {value!r}")
+
+
 def _num_list(value, path):
     if not isinstance(value, list):
         raise ConfigError(f"{path}: expected a list of numbers")
@@ -201,12 +207,14 @@ def parse_law(obj, path="law"):
     try:
         if kind == "pareto":
             return ParetoLaw(_num(obj["a"], f"{path}.a"),
-                             bool(obj.get("centered", True)))
+                             _bool(obj.get("centered", True),
+                                   f"{path}.centered"))
         if kind == "student_t":
             return StudentTLaw(_num(obj["df"], f"{path}.df"))
         if kind == "lognormal":
             return LogNormalLaw(_num(obj["sigma"], f"{path}.sigma"),
-                                bool(obj.get("centered", True)))
+                                _bool(obj.get("centered", True),
+                                      f"{path}.centered"))
         if kind == "finite":
             return FiniteSupportLaw(np.asarray(_num_list(obj["atoms"],
                                                          f"{path}.atoms")),
@@ -350,7 +358,7 @@ def cmd_rho(cfg, out: Path, seed: int) -> int:
     f = np.asarray(_num_list(cfg["f"], "f"))
     if f.size != spec_space(spec).size:
         raise ConfigError("f: length must match the spec's space size")
-    if cfg.get("generic", False):
+    if _bool(cfg.get("generic", False), "generic"):
         result = generic_risk(f, spec,
                               restarts=_pos_int(cfg.get("restarts", 200),
                                                 "restarts"),
@@ -378,11 +386,9 @@ def cmd_sanov(cfg, out: Path, seed: int) -> int:
     F = parse_simplex_function(cfg["F"], spec_space(spec).size)
     schedule = _schedule(cfg["schedule"], "schedule")
     step = _num(cfg.get("grid_step", 0.01), "grid_step")
-    if isinstance(spec, Transport):
-        run = dp.transport_longrun(F, spec.mu, spec.cost, schedule,
-                                   grid_step=step)
-    else:
-        run = dp.sanov_limit(F, spec, schedule, grid_step=step)
+    run = dp.sanov_limit(F, spec, schedule, grid_step=step,
+                         label="transport-longrun"
+                         if isinstance(spec, Transport) else "sanov")
     write_json(out / "report.json", run.to_json_dict())
     write_csv(out / "table.csv", ("n", "v_n", "target", "gap"), run.csv_rows())
     for n, v, g in zip(run.schedule, run.values, run.gaps):
@@ -595,7 +601,8 @@ def cmd_transport(cfg, out: Path, seed: int) -> int:
         raise ConfigError(f"control_check_n: a control field of {mu.m}^"
                           f"{n_chk} entries exceeds the dense cap of "
                           f"{DENSE_CAP}")
-    run = dp.transport_longrun(F, mu, cost, schedule, grid_step=step)
+    run = dp.sanov_limit(F, spec, schedule, grid_step=step,
+                         label="transport-longrun")
     rng = np.random.default_rng(seed)
     f_chk = rng.normal(size=mu.m ** n_chk)
     v_rec, _ = dp.backward_value_dense(f_chk, mu.space, spec)

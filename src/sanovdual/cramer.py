@@ -226,12 +226,16 @@ def rate_function(law: Law, x, q: float, ray_radius: float = 1e3) -> RatePoint:
 def deviation_bound(r: float, m_q: float, q: float, n: int) -> float:
     """(M_q / (r - M_q))^q * n^(1-q), the explicit mean-deviation bound.
 
-    Only meaningful for r > M_q; smaller radii raise.
+    Only meaningful for r > M_q >= 0, q > 1 and n >= 1; other inputs raise.
     """
+    if not m_q >= 0.0:
+        raise ValueError("need M_q >= 0")
     if not r > m_q:
         raise ValueError("deviation bound is vacuous unless r > M_q")
     if not q > 1.0:
         raise ValueError("need q > 1")
+    if not n >= 1:
+        raise ValueError("need n >= 1")
     return float((m_q / (r - m_q)) ** q * n ** (1.0 - q))
 
 

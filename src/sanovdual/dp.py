@@ -30,8 +30,7 @@ from .transport import solve_transport
 __all__ = [
     "DPTrace", "SanovRun", "SuperhedgeCert", "backward_value_dense",
     "backward_value_symmetric", "symmetric_terminal", "sanov_limit",
-    "superhedge", "transport_control_value", "transport_longrun",
-    "simplex_supremum",
+    "superhedge", "transport_control_value", "simplex_supremum",
 ]
 
 
@@ -168,8 +167,15 @@ def sanov_limit(F: Callable[[np.ndarray], np.ndarray], spec: AlphaSpec,
                 schedule: Sequence[int], grid_step: float = 0.01,
                 label: str = "sanov") -> SanovRun:
     """(1/n) rho_n(n F o L_n) along a schedule, with the limit target
-    sup_nu (F(nu) - alpha(nu)); a transport spec takes its target from the
-    coupling form (see ``transport_longrun``)."""
+    sup_nu (F(nu) - alpha(nu)).
+
+    A transport spec takes its target sup_nu (F(nu) - W_c(mu, nu)) from the
+    coupling form, which is smooth in the kernel K: the ascent from the
+    grid maximizer gives ``coupling_target``, and ``target`` is the exact
+    F(nu*) - W_c(mu, nu*) at nu* = mu K* (``argmax``).  grid max <=
+    coupling_target <= target <= sup, with equality when K* is an optimal
+    plan between mu and nu*.
+    """
     space = spec_space(spec)
     values = []
     for n in schedule:
@@ -244,7 +250,7 @@ def superhedge(f, space: FiniteSpace, spec: AlphaSpec) -> SuperhedgeCert:
 
 
 # ---------------------------------------------------------------------------
-# Transport: adapted-control form and long-run limit
+# Transport: adapted-control form and the coupling supremum
 # ---------------------------------------------------------------------------
 
 def transport_control_value(f, space: FiniteSpace, mu: Dist, cost) -> float:
@@ -267,20 +273,6 @@ def transport_control_value(f, space: FiniteSpace, mu: Dist, cost) -> float:
         best = gains.max(axis=2)                      # (prefixes, x)
         J = extreal.integral_rows(w, best)
     return float(J[0])
-
-
-def transport_longrun(F: Callable[[np.ndarray], np.ndarray], mu: Dist, cost,
-                      schedule: Sequence[int], grid_step: float = 0.01,
-                      label: str = "transport-longrun") -> SanovRun:
-    """Long-run scaled control values against the transport limit
-    sup_nu (F(nu) - W_c(mu, nu)), from its coupling form, which is smooth in
-    the kernel K: the ascent from the grid maximizer gives
-    ``coupling_target``, and ``target`` is the exact F(nu*) - W_c(mu, nu*)
-    at nu* = mu K* (``argmax``).  grid max <= coupling_target <= target <=
-    sup, with equality when K* is an optimal plan between mu and nu*.
-    """
-    return sanov_limit(F, Transport(mu, cost), schedule, grid_step=grid_step,
-                       label=label)
 
 
 def _coupling_supremum(F, mu: Dist, c: np.ndarray, nu0: np.ndarray

@@ -16,25 +16,6 @@ INF = float("inf")
 NEG_INF = float("-inf")
 
 
-def add(*terms: float) -> float:
-    """Sum under the -inf-dominant convention: inf + (-inf) = -inf."""
-    saw_pos = False
-    total = 0.0
-    for t in terms:
-        if t == NEG_INF:
-            return NEG_INF
-        if t == INF:
-            saw_pos = True
-        else:
-            total += t
-    return INF if saw_pos else total
-
-
-def sub(a: float, b: float) -> float:
-    """a - b with inf - inf = -inf (and -inf - (-inf) = -inf)."""
-    return add(a, INF if b == NEG_INF else -b)
-
-
 def integral(weights, values) -> float:
     """Integrate ``values`` against the nonnegative vector ``weights``.
 

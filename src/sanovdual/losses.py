@@ -9,7 +9,6 @@ losses get a numerical conjugate with a documented 1e-6 error budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -198,26 +197,5 @@ class TabulatedLoss:
             out[j] = self._refine(yy)[0]
         return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
-    @classmethod
-    def from_callable(cls, fn, lo: float, hi: float, left_limit: float = 0.0,
-                      points: int = 4097) -> "TabulatedLoss":
-        xs = np.linspace(lo, hi, points)
-        return cls(tuple(xs), tuple(float(fn(x)) for x in xs), left_limit)
-
 
 LossFn = ExpLoss | PowerLoss | TabulatedLoss
-
-
-def validate_loss(loss: LossFn, grid: Sequence[float] | None = None) -> None:
-    """Check convexity (midpoint), monotonicity and the negative-side bound."""
-    xs = np.asarray(grid if grid is not None else np.linspace(-12.0, 12.0, 201))
-    vals = np.asarray([float(np.min(loss.value(x))) for x in xs])
-    mid = np.asarray([float(np.min(loss.value(0.5 * (a + b))))
-                      for a, b in zip(xs[:-1], xs[1:])])
-    if (mid > 0.5 * (vals[:-1] + vals[1:]) + 1e-9).any():
-        raise LossError("midpoint convexity check failed")
-    if (np.diff(vals) < -1e-12).any():
-        raise LossError("loss is not nondecreasing on the check grid")
-    for x in (-1e-3, -1.0, -10.0):
-        if float(np.min(loss.value(x))) >= 1.0:
-            raise LossError(f"loss({x}) >= 1")

@@ -10,7 +10,7 @@ base_seed XOR i.  Every experiment reads replications in blocks of
 consecutive rows, each row drawn from its own stream, and reduces whole
 blocks with numpy, so the block size never changes a result.  Known
 defect: the XOR key makes seeds share streams (rep_rng(0, 1) is
-rep_rng(1, 0)), and every schedule point reuses them (ROADMAP item 3).
+rep_rng(1, 0)), and every schedule point reuses them (ROADMAP item 5).
 
 All rate checks are one-sided upper-bound checks: no lower-bound claim is
 ever asserted.  Slack constants (1.2 bound ratio, +0.25 slope, +0.1 on the
@@ -351,19 +351,6 @@ def saa_run(instance: SAAInstance, schedule: Sequence[int], replications: int,
         SAARun, instance, schedule, replications, seed,
         lambda means: np.abs(means.min(axis=0) - v_star) >= instance.epsilon,
         v_star)
-
-
-def saa_exact_exceedance(instance: SAAInstance, n: int) -> float:
-    """Exact exceedance probability by enumerating the n-fold product law
-    (finite-support laws only)."""
-    if not isinstance(instance.law, FiniteSupportLaw):
-        raise TypeError("exact enumeration needs a finite-support law")
-    law = instance.law
-    idx = np.array(list(itertools.product(range(law.weights.size), repeat=n)))
-    means = instance.empirical_losses(law.atoms[idx])
-    hit = np.abs(means.min(axis=0) - instance.true_value()) >= instance.epsilon
-    # Summed in enumeration order; pairwise np.sum would change last digits.
-    return float(sum(law.weights[idx[hit]].prod(axis=1), 0.0))
 
 
 def argmin_tracking(instance: SAAInstance, schedule: Sequence[int],

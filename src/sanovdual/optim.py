@@ -1,10 +1,16 @@
 """Small deterministic optimization utilities shared across modules.
 
-Everything here is plain numpy: Euclidean projection onto the probability
-simplex, one batched projected gradient ascent with Armijo backtracking
-over simplices and products of simplices, golden-section line search,
-monotone bisection, a safeguarded Newton root finder and simplex grids.  A search that exhausts its iteration cap unconverged logs a
-``sanovdual`` warning naming the solver and its last bracket.
+Everything here is plain numpy:
+
+* Euclidean projection onto the probability simplex;
+* one batched projected gradient ascent with Armijo backtracking, over
+  simplices and products of simplices;
+* golden-section line search, monotone bisection and a safeguarded Newton
+  root finder;
+* simplex grids and cyclic coordinate ascent on a box.
+
+A search that exhausts its iteration cap unconverged logs a ``sanovdual``
+warning naming the solver and its last bracket.
 """
 
 from __future__ import annotations
@@ -93,16 +99,6 @@ def golden_min(fn: Callable, lo, hi, tol: float = 1e-12, max_iter: int = 200):
 def golden_max(fn, lo, hi, tol=1e-12, max_iter=200):
     x, v = golden_min(lambda t: -fn(t), lo, hi, tol, max_iter)
     return x, -v
-
-
-def grid_then_golden_min(fn, lo, hi, coarse: int = 121, tol: float = 1e-12):
-    """Coarse scan to bracket the minimum, then golden section inside."""
-    xs = np.linspace(lo, hi, coarse)
-    vals = np.array([fn(x) for x in xs])
-    i = int(np.argmin(vals))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, coarse - 1)]
-    return golden_min(fn, a, b, tol=tol)
 
 
 def bisect_nonincreasing(G: Callable, target: float, lo, hi,

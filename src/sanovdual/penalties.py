@@ -1,4 +1,4 @@
-"""Penalty functionals on probability vectors and their tensorized form.
+"""Penalty functionals on probability vectors and their gradients.
 
 Six families are implemented, each a proper convex function of the
 probability vector with value +inf off its effective domain:
@@ -12,10 +12,6 @@ probability vector with value +inf off its effective domain:
 * the indicator of a convex hull (0 inside, +inf outside);
 * optimal transport cost to the reference law for a nonnegative cost
   matrix (computed exactly by the transportation simplex).
-
-The tensorized penalty of a joint law on E^n is the expected sum of the
-one-step penalties of its successive disintegration kernels; terms on
-zero-probability prefixes contribute nothing.
 
 Most evaluators accept a (B, m) batch of rows as well as a single vector;
 batching is what keeps the brute-force oracles in the test suite fast.
@@ -31,7 +27,7 @@ import numpy as np
 from .extreal import INF
 from .losses import LossFn
 from .optim import golden_min, pgd_max_simplex, project_simplex
-from .spaces import Dist, ProductDist, SpaceError
+from .spaces import Dist, SpaceError
 from .transport import solve_transport
 
 HULL_TOL = 1e-9  # Euclidean tolerance for membership in a convex hull
@@ -340,7 +336,7 @@ def transport_cost(nu, mu, cost) -> float | np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Dispatch and the tensorized penalty
+# Dispatch
 # ---------------------------------------------------------------------------
 
 def penalty(nu, spec: AlphaSpec) -> float | np.ndarray:
@@ -401,31 +397,3 @@ def penalty_grad(spec: AlphaSpec, rows: np.ndarray) -> np.ndarray:
                 out[b] = sol.col_potentials
         return out
     raise TypeError(f"no penalty gradient for {spec!r}")
-
-
-def tensor_penalty(nu: ProductDist, spec: AlphaSpec) -> float:
-    """Expected sum of one-step penalties over the disintegration kernels."""
-    out = tensor_penalty_batch(nu.tensor[None, :], nu.n, nu.m, spec)
-    return float(out[0])
-
-
-def tensor_penalty_batch(tensors: np.ndarray, n: int, m: int,
-                         spec: AlphaSpec) -> np.ndarray:
-    """Vectorized tensorized penalty over a (B, m^n) batch of joint laws."""
-    T = np.atleast_2d(np.asarray(tensors, dtype=float))
-    B = T.shape[0]
-    total = np.zeros(B)
-    for k in range(1, n + 1):
-        joint = T.reshape(B, m ** k, -1).sum(axis=2)
-        joint = joint.reshape(B, m ** (k - 1), m)
-        prefix = joint.sum(axis=2)                          # (B, m^(k-1))
-        rows = np.full_like(joint, 1.0 / m)
-        live = prefix > 0.0
-        rows[live] = joint[live] / prefix[live][:, None]
-        alpha = penalty_rows(spec, rows.reshape(-1, m)).reshape(B, -1)
-        contrib = np.where(live,
-                           prefix * np.where(np.isfinite(alpha), alpha, 0.0),
-                           0.0)
-        contrib[live & np.isposinf(alpha)] = INF
-        total = total + contrib.sum(axis=1)
-    return total

@@ -1,9 +1,9 @@
 """Risk measures dual to the penalty functionals.
 
 For each penalty family there is a closed-form (or root-finding) evaluator
-of  rho(f) = sup_nu (int f dnu - alpha(nu))  on a finite space, plus the
-argmax law, a certified generic simplex maximizer, and a grid tool that
-recovers the penalty back from the risk measure.
+of  rho(f) = sup_nu (int f dnu - alpha(nu))  on a finite space and the law
+attaining it, both rows in, rows out, plus a certified generic simplex
+maximizer.
 
 All evaluators accept extended-real inputs: -inf entries of f behave as
 hard exclusions and +inf entries (on charged states) push the value to
@@ -12,23 +12,19 @@ hard exclusions and +inf entries (on charged states) push the value to
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import extreal
 from .extreal import INF, NEG_INF
 from .losses import LossFn, PowerLoss
-from .optim import (bisect_nonincreasing, coordinate_ascent_box,
-                    grid_then_golden_min, pgd_max_simplex)
+from .optim import bisect_nonincreasing, pgd_max_simplex
 from .penalties import (AlphaSpec, LpEntropy, RelativeEntropy, Robust,
                         SetIndicator, Shortfall, Transport, feasible_support,
-                        penalty, penalty_grad, penalty_rows, spec_space)
+                        penalty_grad, penalty_rows, spec_space)
 from .spaces import Dist
-
-log = logging.getLogger("sanovdual")
 
 
 @dataclass(frozen=True)
@@ -43,16 +39,6 @@ class RhoResult:
 # ---------------------------------------------------------------------------
 # Closed-form / root-finding evaluators
 # ---------------------------------------------------------------------------
-
-def entropic_risk(f, mu) -> float:
-    """log int e^f dmu, computed with a max shift."""
-    return float(entropic_risk_rows(np.atleast_2d(np.asarray(f, float)),
-                                    _w(mu))[0])
-
-
-def _w(mu) -> np.ndarray:
-    return mu.weights if isinstance(mu, Dist) else np.asarray(mu, dtype=float)
-
 
 def entropic_risk_rows(F: np.ndarray, w: np.ndarray) -> np.ndarray:
     live = w > 0.0
@@ -69,12 +55,6 @@ def entropic_risk_rows(F: np.ndarray, w: np.ndarray) -> np.ndarray:
     out[dead] = NEG_INF
     out[pos] = INF
     return out
-
-
-def shortfall_risk(f, mu, loss: LossFn) -> float:
-    """inf{m : int l(f - m) dmu <= 1} by bisection on the nonincreasing map."""
-    return float(shortfall_risk_rows(np.atleast_2d(np.asarray(f, float)),
-                                     _w(mu), loss)[0])
 
 
 def shortfall_risk_rows(F: np.ndarray, w: np.ndarray,
@@ -111,48 +91,6 @@ def shortfall_risk_rows(F: np.ndarray, w: np.ndarray,
     return out
 
 
-def oce_risk(f, mu, phi_star: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Optimized-certainty-equivalent dual: inf_m (int phi*(f - m) dmu + m).
-
-    Only the one-step (n = 1) evaluator exists; no tensorized form is
-    exposed for this family.
-    """
-    fv = np.asarray(f, dtype=float)
-    w = _w(mu)
-    live = w > 0.0
-    fl, wl = fv[live], w[live]
-    if np.isposinf(fl).any():
-        return INF
-
-    def J(m):
-        vals = np.asarray(phi_star(fl - m), dtype=float)
-        return float(np.dot(np.where(np.isfinite(vals), vals, 0.0), wl)
-                     + (INF if (np.isposinf(vals) & (wl > 0)).any() else 0.0)) + m
-
-    lo = float(np.min(fl[np.isfinite(fl)], initial=0.0)) - 1.0
-    hi = float(np.max(fl[np.isfinite(fl)], initial=0.0)) + 1.0
-    for _ in range(60):
-        xs = np.linspace(lo, hi, 41)
-        vals = [J(x) for x in xs]
-        i = int(np.argmin(vals))
-        if 0 < i < len(xs) - 1:
-            _, v = grid_then_golden_min(J, xs[i - 1], xs[i + 1], coarse=9)
-            return v
-        span = hi - lo
-        lo, hi = lo - span, hi + span
-        if span > 1e12:
-            break
-    log.warning("oce_risk: objective appears unbounded below")
-    return NEG_INF
-
-
-def robust_entropic_risk(f, generators: Sequence[Dist]) -> float:
-    """max over generator laws of the entropic risk (hull max sits at a vertex)."""
-    F = np.atleast_2d(np.asarray(f, dtype=float))
-    vals = [entropic_risk_rows(F, g.weights)[0] for g in generators]
-    return float(max(vals))
-
-
 def transport_risk_rows(F: np.ndarray, w: np.ndarray, c: np.ndarray) -> np.ndarray:
     terms = F[:, None, :] - c[None, :, :]
     terms = np.where(np.isinf(c)[None, :, :] | np.isneginf(F)[:, None, :],
@@ -169,11 +107,6 @@ def set_indicator_risk_rows(F: np.ndarray, generators: Sequence[Dist]) -> np.nda
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
-
-def risk(f, spec: AlphaSpec) -> float:
-    """One-step risk of the given penalty specification."""
-    return float(risk_rows(spec, np.atleast_2d(np.asarray(f, dtype=float)))[0])
-
 
 def risk_rows(spec: AlphaSpec, F: np.ndarray) -> np.ndarray:
     F = np.atleast_2d(np.asarray(F, dtype=float))
@@ -195,66 +128,79 @@ def risk_rows(spec: AlphaSpec, F: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown penalty spec {spec!r}")
 
 
-def risk_maximizer(f, spec: AlphaSpec) -> Optional[Dist]:
-    """The law attaining sup_nu (int f dnu - alpha(nu)), when finite."""
-    fv = np.asarray(f, dtype=float)
-    space = spec_space(spec)
+def maximizer_rows(spec: AlphaSpec, F: np.ndarray) -> np.ndarray:
+    """The law attaining sup_nu (int f dnu - alpha(nu)) for each row f of a
+    (B, m) batch, as (B, m) rows; a row is NaN where no law attains a
+    finite value.  A set indicator's row is its best generator."""
+    F = np.atleast_2d(np.asarray(F, dtype=float))
 
     if isinstance(spec, (RelativeEntropy, Robust)):
         if isinstance(spec, RelativeEntropy):
-            w = spec.mu.weights
+            W = spec.mu.weights[None, :]
         else:
-            best = int(np.argmax([entropic_risk(fv, g) for g in spec.generators]))
-            w = spec.generators[best].weights
-        logits = np.where((w > 0) & ~np.isneginf(fv),
-                          np.log(np.maximum(w, 1e-300)) + fv, -np.inf)
-        if not np.isfinite(logits).any():
-            return None
-        logits -= logits[np.isfinite(logits)].max()
-        out = np.exp(np.where(np.isfinite(logits), logits, -np.inf))
-        return Dist(space, out / out.sum())
+            G = np.stack([g.weights for g in spec.generators])
+            W = G[np.argmax([entropic_risk_rows(F, g) for g in G], axis=0)]
+        logits = np.where((W > 0) & ~np.isneginf(F),
+                          np.log(np.maximum(W, 1e-300)) + F, -np.inf)
+        fin = np.isfinite(logits)
+        top = np.where(fin, logits, -np.inf).max(axis=1, keepdims=True)
+        with np.errstate(invalid="ignore"):     # 0/0 on rows without a law
+            out = np.exp(np.where(fin, logits - top, -np.inf))
+            return out / out.sum(axis=1, keepdims=True)
 
     if isinstance(spec, (LpEntropy, Shortfall)):
         loss = spec.loss if isinstance(spec, Shortfall) else \
             PowerLoss(spec.loss_exponent)
         w = spec.mu.weights
-        m_star = shortfall_risk(fv, spec.mu, loss)
-        if not np.isfinite(m_star):
-            return None
-        tilt = np.where((w > 0) & ~np.isneginf(fv),
-                        np.asarray(loss.prime(np.where(np.isneginf(fv), 0.0,
-                                                       fv) - m_star)), 0.0)
-        out = w * tilt
-        if out.sum() <= 0:
-            return None
-        return Dist(space, out / out.sum())
+        m_star = shortfall_risk_rows(F, w, loss)
+        neg = np.isneginf(F)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            tilt = np.where((w > 0) & ~neg, np.asarray(loss.prime(
+                np.where(neg, 0.0, F) - m_star[:, None])), 0.0)
+            out = w * tilt
+            total = out.sum(axis=1)
+            out = out / total[:, None]
+        out[~np.isfinite(m_star) | ~(total > 0)] = np.nan
+        return out
 
     if isinstance(spec, SetIndicator):
-        vals = [extreal.integral(g.weights, fv) for g in spec.generators]
-        return spec.generators[int(np.argmax(vals))]
+        G = np.stack([g.weights for g in spec.generators])
+        vals = [extreal.integral_rows(g, F) for g in G]
+        return G[np.argmax(vals, axis=0)]
 
     if isinstance(spec, Transport):
-        c = np.asarray(spec.cost, dtype=float)
-        w = spec.mu.weights
-        out = np.zeros(space.size)
-        for x in range(space.size):
-            if w[x] <= 0:
-                continue
-            terms = np.where(np.isinf(c[x]) | np.isneginf(fv), -np.inf,
-                             fv - c[x])
-            if not np.isfinite(terms).any():
-                return None
-            out[int(np.argmax(terms))] += w[x]
-        return Dist(space, out)
+        c, w = spec.cost, spec.mu.weights
+        terms = np.where(np.isinf(c)[None, :, :] | np.isneginf(F)[:, None, :],
+                         -np.inf, F[:, None, :] - c[None, :, :])
+        best = terms.argmax(axis=2)                     # (B, m_x)
+        out = np.zeros(F.shape)
+        rows = np.arange(len(F))
+        for x in np.flatnonzero(w > 0):
+            out[rows, best[:, x]] += w[x]
+        out[~np.isfinite(terms[:, w > 0]).any(axis=2).all(axis=1)] = np.nan
+        return out
 
     raise TypeError(f"unknown penalty spec {spec!r}")
 
 
+def _law(spec: AlphaSpec, row: np.ndarray) -> Optional[Dist]:
+    """A maximizer row as a law, None for a NaN row; a set indicator's row
+    is its generator, returned as it is."""
+    if np.isnan(row).any():
+        return None
+    if isinstance(spec, SetIndicator):
+        return next(g for g in spec.generators
+                    if np.array_equal(g.weights, row))
+    return Dist(spec_space(spec), row)
+
+
 def risk_result(f, spec: AlphaSpec) -> RhoResult:
-    value = risk(f, spec)
+    F = np.atleast_2d(np.asarray(f, dtype=float))
+    value = float(risk_rows(spec, F)[0])
     method = "root_find" if isinstance(spec, (LpEntropy, Shortfall)) \
         else "closed_form"
-    maximizer = risk_maximizer(f, spec) if np.isfinite(value) else None
+    maximizer = _law(spec, maximizer_rows(spec, F)[0]) \
+        if np.isfinite(value) else None
     return RhoResult(value, maximizer, method)
 
 
@@ -271,9 +217,8 @@ def generic_risk(f, spec: AlphaSpec, restarts: int = 200,
     space = spec_space(spec)
 
     if isinstance(spec, SetIndicator):
-        vals = [extreal.integral(g.weights, fv) for g in spec.generators]
-        best = int(np.argmax(vals))
-        return RhoResult(float(vals[best]), spec.generators[best],
+        row = maximizer_rows(spec, fv[None])[0]
+        return RhoResult(extreal.integral(row, fv), _law(spec, row),
                          "simplex_opt")
 
     sub = feasible_support(spec) & ~np.isneginf(fv)
@@ -293,7 +238,7 @@ def generic_risk(f, spec: AlphaSpec, restarts: int = 200,
     d = int(sub.sum())
     rng = np.random.default_rng(seed)
     starts = [np.full(d, 1.0 / d)]
-    smart = risk_maximizer(fv, spec)
+    smart = _law(spec, maximizer_rows(spec, fv[None])[0])
     if smart is not None and not (smart.weights[~sub] > 1e-12).any():
         w0 = np.maximum(smart.weights[sub], 1e-9)
         starts.append(w0 / w0.sum())
@@ -309,42 +254,3 @@ def generic_risk(f, spec: AlphaSpec, restarts: int = 200,
     best = int(np.argmax(vals))
     maximizer = Dist(space, X[best]) if np.isfinite(vals[best]) else None
     return RhoResult(float(vals[best]), maximizer, "simplex_opt")
-
-
-# ---------------------------------------------------------------------------
-# Recovering the penalty from the risk measure
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConjugateEstimate:
-    value: float      # lower approximation of the penalty via sup_f
-    direct: float     # the penalty evaluated directly
-    gap: float        # direct - value (>= 0 up to solver tolerance)
-
-
-def penalty_from_risk(nu: Dist, spec: AlphaSpec, bound: float = 6.0,
-                      coarse: int = 5, sweeps: int = 60) -> ConjugateEstimate:
-    """Lower approximation of alpha(nu) = sup_f (int f dnu - rho(f)).
-
-    Test utility, not a production inverse: maximizes over a coarse grid in
-    the box [-bound, bound]^m and then runs cyclic coordinate ascent (the
-    objective is concave in f).
-    """
-    nv = nu.weights
-    m = nv.size
-
-    def phi(fvec):
-        return float(np.dot(nv, fvec)) - risk(fvec, spec)
-
-    best = np.zeros(m)
-    best_v = phi(best)
-    if m <= 3 and coarse >= 2:
-        axes = [np.linspace(-bound, bound, coarse)] * m
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
-        for cand in mesh:
-            v = phi(cand)
-            if v > best_v:
-                best, best_v = cand.copy(), v
-    x, val = coordinate_ascent_box(phi, best, -bound, bound, sweeps=sweeps)
-    direct = float(penalty(nu, spec))
-    return ConjugateEstimate(float(val), direct, direct - float(val))

@@ -1,6 +1,7 @@
-"""Finite state spaces, probability vectors, product tensors and type classes.
+"""Finite state spaces, probability vectors, type classes and symmetric
+fields.
 
-Joint laws on E^n are stored as dense tensors in row-major order: the flat
+Fields on E^n are stored as dense vectors in row-major order: the flat
 index of (x_1, ..., x_n) is x_1 * m^(n-1) + ... + x_n, i.e. x_1 is the
 slowest axis.  The dense representation is capped at m^n <= 2^24 entries;
 symmetric (type-class) compression is the escape hatch beyond that.
@@ -9,8 +10,7 @@ symmetric (type-class) compression is the escape hatch beyond that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,119 +91,6 @@ class Dist:
         return cls(space, w)
 
 
-@dataclass(frozen=True)
-class ProductDist:
-    """A joint law on E^n stored as a dense probability tensor."""
-
-    n: int
-    space: FiniteSpace
-    tensor: np.ndarray  # flat, length m^n, row-major over (x_1, ..., x_n)
-
-    def __post_init__(self):
-        m = self.space.size
-        if self.n < 1:
-            raise SpaceError("horizon n must be >= 1")
-        if m ** self.n > DENSE_CAP:
-            raise SpaceError(
-                f"dense tensor of size {m}^{self.n} exceeds cap 2^24; "
-                "use the symmetric (type-class) representation"
-            )
-        t = _as_prob_vector(self.tensor)
-        if t.size != m ** self.n:
-            raise SpaceError("tensor length does not match m^n")
-        object.__setattr__(self, "tensor", _freeze(t))
-
-    @property
-    def m(self) -> int:
-        return self.space.size
-
-    def reshaped(self) -> np.ndarray:
-        return self.tensor.reshape((self.m,) * self.n)
-
-    @classmethod
-    def iid(cls, mu: Dist, n: int) -> "ProductDist":
-        t = mu.weights.copy()
-        for _ in range(n - 1):
-            t = np.multiply.outer(t, mu.weights).ravel()
-        return cls(n, mu.space, t)
-
-
-@dataclass(frozen=True)
-class Kernel:
-    """Stage-k conditional law: one Dist row per prefix in E^(k-1)."""
-
-    stage: int  # k >= 2; rows are indexed by prefixes of length k-1
-    space: FiniteSpace
-    rows: np.ndarray  # shape (m^(k-1), m), each row a probability vector
-
-    def __post_init__(self):
-        m = self.space.size
-        r = np.asarray(self.rows, dtype=float)
-        if r.ndim != 2 or r.shape != (m ** (self.stage - 1), m):
-            raise SpaceError("kernel rows have wrong shape")
-        if (r < -1e-12).any():
-            raise SpaceError("negative kernel entry")
-        sums = r.sum(axis=1)
-        if np.abs(sums - 1.0).max() > SUM_SLACK:
-            raise SpaceError("kernel row does not sum to 1")
-        object.__setattr__(self, "rows", _freeze(r / sums[:, None]))
-
-    def dist(self, prefix: Sequence[int]) -> Dist:
-        m = self.space.size
-        idx = 0
-        for x in prefix:
-            idx = idx * m + x
-        return Dist(self.space, self.rows[idx])
-
-
-def empirical_measure(space: FiniteSpace, x: Sequence[int]) -> Dist:
-    """The empirical measure (1/n) sum of point masses of a sample tuple."""
-    xs = np.asarray(x, dtype=int)
-    if xs.size < 1:
-        raise SpaceError("empty sample")
-    if (xs < 0).any() or (xs >= space.size).any():
-        raise SpaceError("sample index out of range")
-    counts = np.bincount(xs, minlength=space.size).astype(float)
-    return Dist(space, counts / xs.size)
-
-
-def disintegrate(nu: ProductDist) -> tuple[Dist, list[Kernel]]:
-    """Split a joint law into its first marginal and stage kernels.
-
-    On zero-probability prefixes the kernel row is the uniform
-    distribution; any choice is valid there and uniform is deterministic.
-    """
-    m, n = nu.m, nu.n
-    t = nu.reshaped()
-    first = Dist(nu.space, t.reshape(m, -1).sum(axis=1) if n > 1 else t.ravel())
-    kernels = []
-    for k in range(2, n + 1):
-        joint = t.reshape((m ** k, -1)).sum(axis=1).reshape(m ** (k - 1), m)
-        prefix = joint.sum(axis=1)
-        rows = np.full_like(joint, 1.0 / m)
-        live = prefix > 0.0
-        rows[live] = joint[live] / prefix[live, None]
-        kernels.append(Kernel(k, nu.space, rows))
-    return first, kernels
-
-
-def compose(first: Dist, kernels: Iterable[Kernel]) -> ProductDist:
-    """Rebuild the joint law from a first marginal and stage kernels."""
-    t = first.weights.copy()
-    n = 1
-    for ker in kernels:
-        if ker.space.size != first.m:
-            raise SpaceError("kernel space mismatch")
-        if ker.rows.shape[0] != t.size:
-            raise SpaceError(
-                f"kernel at stage {ker.stage} expects {ker.rows.shape[0]} "
-                f"prefixes, got {t.size}"
-            )
-        t = (t[:, None] * ker.rows).ravel()
-        n += 1
-    return ProductDist(n, first.space, t)
-
-
 def type_index(k: int, m: int) -> np.ndarray:
     """The (C(k+m-1, m-1), m) int array of occupancy vectors with sum k, in
     reverse lexicographic order: row r has rank r (``type_rank``).  Each
@@ -231,28 +118,6 @@ def type_rank(counts) -> np.ndarray:
 def compositions(n: int, m: int):
     """Yield the rows of ``type_index(n, m)`` as tuples."""
     yield from map(tuple, type_index(n, m).tolist())
-
-
-def multinomial(counts: Sequence[int]) -> int:
-    """Exact multinomial coefficient n! / prod(c_i!)."""
-    out = 1
-    acc = 0
-    for c in counts:
-        acc += c
-        out *= math.comb(acc, c)
-    return out
-
-
-def type_classes(n: int, m: int) -> list[tuple[tuple[int, ...], int]]:
-    """All type classes of E^n with their multiplicities.
-
-    Returns (occupancy vector, multinomial coefficient) pairs; the
-    multiplicities sum to m^n.  Coefficients are exact Python integers,
-    so converting to float loses at most one ulp.
-    """
-    if n < 1 or m < 1:
-        raise SpaceError("need n >= 1 and m >= 1")
-    return [(c, multinomial(c)) for c in compositions(n, m)]
 
 
 def _dense_ranks(n: int, m: int) -> np.ndarray:

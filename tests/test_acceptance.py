@@ -15,7 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dp_oracles import greedy_optimizer_from_trace
+from oracles import (ProductDist, entropic_risk, greedy_optimizer_from_trace,
+                     risk, saa_exact_exceedance, shortfall_risk,
+                     tensor_penalty, tensor_penalty_batch)
 from sanovdual.cli import main as cli_main
 from sanovdual.cramer import deviation_bound, moment_norm
 from sanovdual.dp import (backward_value_dense, backward_value_symmetric,
@@ -26,15 +28,13 @@ from sanovdual.laws import FiniteSupportLaw, ParetoLaw
 from sanovdual.montecarlo import (RademacherIncrements, SAAInstance,
                                   ScriptedIncrements, azuma_experiment,
                                   estimate_tail, mann_kendall_upward_p,
-                                  rate_fit, saa_exact_exceedance, saa_run)
+                                  rate_fit, saa_run)
 from sanovdual.optim import pgd_max_simplex, simplex_grid
 from sanovdual.penalties import (LpEntropy, RelativeEntropy, Robust,
                                  SetIndicator, Shortfall, Transport,
                                  lp_entropy, relative_entropy,
-                                 shortfall_penalty, tensor_penalty,
-                                 tensor_penalty_batch, transport_cost)
-from sanovdual.risk import entropic_risk, risk, shortfall_risk
-from sanovdual.spaces import Dist, FiniteSpace, ProductDist
+                                 shortfall_penalty, transport_cost)
+from sanovdual.spaces import Dist, FiniteSpace
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 TWO = FiniteSpace.of_size(2)

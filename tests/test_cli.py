@@ -8,7 +8,7 @@ import pytest
 import scipy
 
 from sanovdual.cli import (ConfigError, _jsonable, _num, _num_list, main,
-                           write_json)
+                           parse_law, write_json)
 from sanovdual.losses import PowerLoss
 from sanovdual.penalties import Shortfall
 from sanovdual.risk import risk_result
@@ -132,6 +132,25 @@ class TestExitCodes:
         assert run_edited(tmp_path, command, key, value) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key, value, named", [
+        ("rho", "generic", "no", "generic"),
+        ("rho", "generic", 1, "generic"),
+        ("tailbound", "law.centered", "false", "law.centered"),
+        ("saa", "law.centered", 0, "law.centered"),
+        ("cramer", "law", {"kind": "lognormal", "sigma": 0.5,
+                           "centered": "false"}, "law.centered"),
+    ])
+    def test_boolean_fields_are_validated(self, tmp_path, capsys, command,
+                                          key, value, named):
+        assert run_edited(tmp_path, command, key, value) == 2
+        assert f"{named}: expected true or false" in capsys.readouterr().err
+
+    def test_boolean_false_is_honoured(self):
+        for obj in ({"kind": "pareto", "a": 2.5, "centered": False},
+                    {"kind": "lognormal", "sigma": 0.5, "centered": False}):
+            assert parse_law(obj).centered is False
+            assert parse_law({**obj, "centered": True}).centered is True
+
     @pytest.mark.parametrize("command, key", [
         ("tailbound", "law"),
         ("tailbound", "q"),
@@ -183,6 +202,18 @@ class TestFlagMode:
         code = main(["tailbound", "--Mq", "2", "--r", "1", "--q", "2",
                      "--n", "100"])
         assert code == 2
+
+    @pytest.mark.parametrize("mq, r, q, n", [
+        ("1", "2", "2", "0"),          # n^(1-q) divides by zero
+        ("-1", "2", "2.5", "10"),      # a negative base to a real power
+        ("1", "2", "2", "-5"),         # prints a negative "bound"
+    ])
+    def test_bad_inputs_are_config_errors(self, capsys, mq, r, q, n):
+        code = main(["tailbound", "--Mq", mq, "--r", r, "--q", q, "--n", n])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: need")
 
 
 class TestRhoCommand:

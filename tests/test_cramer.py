@@ -268,6 +268,15 @@ class TestDeviationBound:
         with pytest.raises(ValueError):
             deviation_bound(0.9, 1.0, 2.0, 10)
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_sample_size_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match="n >= 1"):
+            deviation_bound(2.0, 1.0, 2.0, n)
+
+    def test_negative_moment_rejected(self):
+        with pytest.raises(ValueError, match="M_q >= 0"):
+            deviation_bound(2.0, -1.0, 2.5, 10)
+
 
 class TestAdmissibility:
     def test_pareto_needs_heavier_moment(self):

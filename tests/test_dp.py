@@ -4,18 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from dp_oracles import greedy_optimizer_from_trace, iid_empirical_expectation
+from oracles import (ProductDist, entropic_risk, greedy_optimizer_from_trace,
+                     iid_empirical_expectation, risk, tensor_penalty,
+                     tensor_penalty_batch)
 from sanovdual.dp import (backward_value_dense, backward_value_symmetric,
                           sanov_limit, simplex_supremum, superhedge,
-                          symmetric_terminal, transport_control_value,
-                          transport_longrun)
+                          symmetric_terminal, transport_control_value)
 from sanovdual.losses import ExpLoss, PowerLoss
 from sanovdual.penalties import (LpEntropy, RelativeEntropy, Robust,
-                                 SetIndicator, Shortfall, Transport, penalty,
-                                 tensor_penalty, tensor_penalty_batch)
-from sanovdual.risk import entropic_risk, risk
-from sanovdual.spaces import (Dist, FiniteSpace, ProductDist, SpaceError,
-                              SymmetricField)
+                                 SetIndicator, Shortfall, Transport, penalty)
+from sanovdual.spaces import Dist, FiniteSpace, SpaceError, SymmetricField
 
 TWO = FiniteSpace.of_size(2)
 THREE = FiniteSpace.of_size(3)
@@ -302,15 +300,15 @@ class TestTransportLongrun:
     def test_linear_target_is_one_step_risk(self):
         rng = np.random.default_rng(15)
         fbar = rng.normal(size=2)
-        run = transport_longrun(lambda nu: nu @ fbar, UNIF2, COST_TV,
-                                [1, 2, 4])
+        run = sanov_limit(lambda nu: nu @ fbar, Transport(UNIF2, COST_TV),
+                          [1, 2, 4])
         want = risk(fbar, Transport(UNIF2, COST_TV))
         assert abs(run.target - want) <= 2e-3
         assert abs(run.coupling_target - want) <= 1e-6
 
     def test_constant_target(self):
-        run = transport_longrun(lambda nu: np.full(len(nu), 0.21), UNIF2,
-                                COST_TV, [1, 3])
+        run = sanov_limit(lambda nu: np.full(len(nu), 0.21),
+                          Transport(UNIF2, COST_TV), [1, 3])
         assert abs(run.target - 0.21) <= 1e-9
         assert abs(run.coupling_target - 0.21) <= 1e-9
 
@@ -321,7 +319,7 @@ class TestTransportLongrun:
             (lambda nu: -3.0 * (nu[:, 0] - 0.2) ** 2, Dist(TWO, [0.6, 0.4]),
              np.array([[0.0, 1.0], [math.inf, 0.0]])),
         ]:
-            run = transport_longrun(F, mu, cost, [2, 4, 8])
+            run = sanov_limit(F, Transport(mu, cost), [2, 4, 8])
             assert abs(run.target - run.coupling_target) <= 1e-6
 
 

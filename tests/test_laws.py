@@ -29,21 +29,10 @@ def test_student_t_pdf_matches_scipy(df):
     assert np.all(np.abs(StudentTLaw(df).pdf(x) - ref) <= 1e-12 * ref)
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    src = str(Path(sanovdual.__file__).resolve().parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(
-               p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, sanovdual.cli; print('scipy.stats' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
-
-
-# scipy.special would double the time of a fresh `import sanovdual.cli`, so
-# only a Student t density and the tail-rate fit may load it.  Each check
-# below runs in a fresh interpreter, where nothing has imported scipy yet.
+# scipy.stats and scipy.special would double the time of a fresh
+# `import sanovdual.cli`, so only a Student t density and the tail-rate fit
+# may load scipy.special, and nothing loads scipy.stats.  Each check below
+# runs in a fresh interpreter, where nothing has imported scipy yet.
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -57,7 +46,14 @@ def run_fresh(code: str) -> str:
                           capture_output=True, text=True, check=True).stdout
 
 
+def test_cli_import_leaves_out_scipy_stats():
+    out = run_fresh("import sys, sanovdual.cli; "
+                    "print('scipy.stats' in sys.modules)")
+    assert out.strip() == "False"
+
+
 def test_cli_import_leaves_out_scipy():
+    # No scipy module at all, so neither scipy.stats nor scipy.special.
     out = run_fresh("import sys, sanovdual.cli; "
                     "print([m for m in sys.modules if m.split('.')[0] "
                     "== 'scipy'])")

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sanovdual.losses import (ExpLoss, LossError, PowerLoss, TabulatedLoss,
-                              validate_loss)
+from oracles import tabulated_from_callable, validate_loss
+from sanovdual.losses import ExpLoss, LossError, PowerLoss, TabulatedLoss
 
 
 def conjugate_oracle(loss, y, lo=-60.0, hi=60.0, points=200001):
@@ -99,8 +99,8 @@ class TestTabulatedLoss:
             TabulatedLoss((-2.0, 0.0, 2.0), (1.5, 2.0, 4.0))
 
     def test_from_callable(self):
-        tab = TabulatedLoss.from_callable(lambda x: max(1.0 + x, 0.0) ** 2,
-                                          -10.0, 10.0)
+        tab = tabulated_from_callable(lambda x: max(1.0 + x, 0.0) ** 2,
+                                      -10.0, 10.0)
         assert abs(tab.value(1.0) - 4.0) <= 1e-5
 
 

@@ -4,15 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from sanovdual.losses import ExpLoss, PowerLoss, TabulatedLoss
+from oracles import ProductDist, tabulated_from_callable, tensor_penalty
+from sanovdual.losses import ExpLoss, PowerLoss
 from sanovdual.penalties import (LpEntropy, RelativeEntropy, Robust,
                                  SetIndicator, Shortfall, Transport,
                                  hull_indicator, lp_entropy, penalty,
                                  penalty_grad,
                                  relative_entropy, robust_entropy,
-                                 shortfall_penalty, tensor_penalty,
-                                 transport_cost)
-from sanovdual.spaces import Dist, FiniteSpace, ProductDist
+                                 shortfall_penalty, transport_cost)
+from sanovdual.spaces import Dist, FiniteSpace
 
 TWO = FiniteSpace.of_size(2)
 THREE = FiniteSpace.of_size(3)
@@ -96,7 +96,7 @@ class TestShortfallPenalty:
             assert abs(got - lp_entropy(nu, mu, p)) <= 1e-6
 
     def test_zero_at_reference(self):
-        tab = TabulatedLoss.from_callable(np.exp, -12.0, 6.0)
+        tab = tabulated_from_callable(np.exp, -12.0, 6.0)
         for loss in (ExpLoss(), PowerLoss(2.0), PowerLoss(3.0), tab):
             assert abs(shortfall_penalty(UNIF2, UNIF2, loss)) <= 1e-8
 

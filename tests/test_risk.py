@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from oracles import (entropic_risk, oce_risk, penalty_from_risk, risk,
+                     risk_maximizer, robust_entropic_risk, shortfall_risk)
 from sanovdual import extreal
 from sanovdual.losses import ExpLoss, PowerLoss
 from sanovdual.penalties import (LpEntropy, RelativeEntropy, Robust,
                                  SetIndicator, Shortfall, Transport, penalty,
                                  spec_space)
-from sanovdual.risk import (entropic_risk, generic_risk, oce_risk,
-                            penalty_from_risk, risk, risk_maximizer,
-                            risk_result, robust_entropic_risk, shortfall_risk)
+from sanovdual.risk import (generic_risk, maximizer_rows, risk_result,
+                            risk_rows)
 from sanovdual.spaces import Dist, FiniteSpace
 
 TWO = FiniteSpace.of_size(2)
@@ -205,6 +206,75 @@ class TestMaximizers:
             "closed_form"
         assert risk_result(np.zeros(2), Shortfall(UNIF2, ExpLoss())).method \
             == "root_find"
+
+
+def edge_fields(rng, m):
+    """Random rows, integer rows (ties), rows with -inf entries, a row of
+    all -inf entries and a constant row."""
+    F = np.vstack([rng.normal(size=(6, m)) * 2.0,
+                   np.round(rng.normal(size=(6, m))),
+                   np.full((1, m), -INF), np.zeros((1, m))])
+    holes = np.round(rng.normal(size=(6, m)))
+    holes[rng.random((6, m)) < 0.4] = -INF
+    holes[:, 0] = -INF
+    return np.vstack([F, holes])
+
+
+class TestMaximizerRows:
+    def specs(self, rng):
+        gens3 = tuple(rand_dist(rng, THREE) for _ in range(3))
+        mu3 = Dist(THREE, [0.0, 0.4, 0.6])
+        cost3 = rng.uniform(0.0, 2.0, (3, 3))
+        np.fill_diagonal(cost3, 0.0)
+        cost3[0, 1] = INF
+        return all_specs(rng) + [
+            RelativeEntropy(mu3), LpEntropy(mu3, 3.0),
+            Shortfall(mu3, ExpLoss()), Robust(gens3), SetIndicator(gens3),
+            Transport(Dist(THREE, [0.5, 0.3, 0.2]), cost3)]
+
+    @staticmethod
+    def achieved(row, f, spec):
+        return extreal.integral(row, f) - penalty(Dist(spec_space(spec), row),
+                                                  spec)
+
+    def test_rows_attain_the_value(self):
+        rng = np.random.default_rng(16)
+        for spec in self.specs(rng):
+            F = edge_fields(rng, spec_space(spec).size)
+            X = maximizer_rows(spec, F)
+            vals = risk_rows(spec, F)
+            assert X.shape == F.shape
+            nan = np.isnan(X).any(axis=1)
+            if isinstance(spec, SetIndicator):
+                assert not nan.any()
+            else:
+                assert np.array_equal(nan, vals == -INF), spec
+            for row, f, v in zip(X[~nan], F[~nan], vals[~nan]):
+                assert abs(row.sum() - 1.0) <= 1e-12 and (row >= 0).all()
+                if np.isfinite(v):
+                    assert self.achieved(row, f, spec) >= v - 1e-6
+
+    def test_matches_the_per_row_reference(self):
+        rng = np.random.default_rng(17)
+        for spec in self.specs(rng):
+            F = edge_fields(rng, spec_space(spec).size)
+            X = maximizer_rows(spec, F)
+            for row, f, v in zip(X, F, risk_rows(spec, F)):
+                ref = risk_maximizer(f, spec)
+                one = maximizer_rows(spec, f[None])[0]
+                assert np.isnan(one).any() == (ref is None)
+                if ref is None:
+                    assert np.isnan(row).all()
+                    continue
+                if np.isfinite(v):      # same arithmetic: equal bits
+                    law = risk_result(f, spec).maximizer
+                    assert np.array_equal(law.weights, ref.weights)
+                if np.allclose(row, ref.weights, rtol=0.0, atol=1e-9):
+                    continue
+                # A tie broken the other way: both laws attain the value.
+                assert np.isfinite(v)
+                for law in (row, ref.weights):
+                    assert self.achieved(law, f, spec) >= v - 1e-9
 
 
 class TestGenericRisk:
