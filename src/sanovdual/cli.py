@@ -67,7 +67,8 @@ def _num(value, path):
         if s == "-inf":
             return -math.inf
         raise ConfigError(f"{path}: not a number: {value!r}")
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and not math.isnan(value):     # json.loads accepts NaN
         return float(value)
     raise ConfigError(f"{path}: not a number: {value!r}")
 
@@ -82,7 +83,9 @@ def _num_list(value, path):
     if not isinstance(value, list):
         raise ConfigError(f"{path}: expected a list of numbers")
     if set(map(type, value)) <= {float, int}:     # no bool, str or list
-        return list(map(float, value))
+        out = list(map(float, value))
+        if not any(map(math.isnan, out)):
+            return out
     return [_num(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 

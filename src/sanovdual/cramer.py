@@ -141,9 +141,12 @@ def _cumulant(law: Law, x_star, q: float, start: Optional[float] = None):
     check_admissible(law, q)
     t = np.atleast_1d(np.asarray(x_star, dtype=float))
 
+    moments = {}    # m -> (E[b^(q-1)], E[X b^(q-1)]), for the gradient
+
     def G(m):
         s0, s1, s2 = plus_power_moments(law, t, m, q)
-        return s0, -q * s1, (s1, s2)
+        moments[m] = s1, s2
+        return s0, -q * s1
 
     if not t.any():     # G(m) = ((1 - m)^+)^q, whose root is 0
         return 0.0, None
@@ -151,12 +154,12 @@ def _cumulant(law: Law, x_star, q: float, start: Optional[float] = None):
     lo, step = -2.0 * scale, 4.0 * scale
     if start is not None and start > lo:
         lo, step = start, 1e-12 * (1.0 + abs(start))
-    m, moments = newton_nonincreasing(G, 1.0, lo, 2.0 * scale, step)
+    m = newton_nonincreasing(G, 1.0, lo, 2.0 * scale, step)
     if m == INF:
         log.warning("cumulant: target level never reached")
-    if moments is None:
+    if m not in moments:
         return float(m), None
-    s1, s2 = moments
+    s1, s2 = moments[m]
     grad = s2 / s1
     return float(m), (grad if np.isfinite(grad).all() else None)
 

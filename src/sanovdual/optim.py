@@ -5,8 +5,8 @@ Everything here is plain numpy:
 * Euclidean projection onto the probability simplex;
 * one batched projected gradient ascent with Armijo backtracking, over
   simplices and products of simplices;
-* golden-section line search, monotone bisection and a safeguarded Newton
-  root finder;
+* golden-section line search and one safeguarded Newton root finder for
+  convex nonincreasing functions, both on scalar or (B,)-array brackets;
 * simplex grids and cyclic coordinate ascent on a box.
 
 A search that exhausts its iteration cap unconverged logs a ``sanovdual``
@@ -101,106 +101,80 @@ def golden_max(fn, lo, hi, tol=1e-12, max_iter=200):
     return x, -v
 
 
-def bisect_nonincreasing(G: Callable, target: float, lo, hi,
-                         rel_tol: float = 1e-10, max_iter: int = 300):
-    """Smallest m with G(m) <= target, per row, for G nonincreasing and
-    continuous in each row.
+def newton_nonincreasing(G: Callable, target: float, lo, hi, step,
+                         max_iter: int = 200):
+    """Smallest m with G(m) <= target, per row, for G convex, continuous
+    and nonincreasing in each row, by safeguarded Newton steps (rtsafe,
+    Press et al., Numerical Recipes, section 9.4).
 
-    With scalar brackets G maps a float to a float.  With (B,) arrays of
-    brackets it maps a (B,) array of levels to their (B,) values.  Each
-    bracket is expanded geometrically until G(lo) > target and
-    G(hi) <= target.  A row whose upper end never crosses the target is
-    +inf, one whose lower end never does is -inf.  Bisection runs until
-    every bracketed row is narrower than rel_tol.
+    With scalar brackets ``G(m)`` maps a float to the pair (G(m), G'(m));
+    with (B,) arrays of brackets and steps it maps a (B,) array of levels
+    to a pair of (B,) arrays.  ``lo`` first steps down by ``step``,
+    ``2 step``, ... until G(lo) > target (-inf if it never does); the
+    points it leaves are upper ends.  From a left point a Newton step on a
+    convex G lands at most on the root, so every Newton step starts at lo.
+    A Newton step is refused if it has no negative slope to follow, or if
+    it neither halves the bracket nor is at most half the step before it.
+    A step that reaches a known upper end hi means lo lies within rounding
+    of the root: it probes hi - tol/2 instead, unless the step before was
+    such a probe, so that hi cannot crawl down by tol/2 per step.  A
+    refused step bisects the bracket; while no upper end is known it tries
+    ``hi`` instead, and each try moves ``hi`` up by a doubling width, as a
+    bracket expansion would.  A step shorter than tol/2 is a probe at
+    lo + tol/2, which closes the bracket.
+
+    A row stops, and keeps its state, once G(hi) <= target < G(lo) with
+    hi - lo <= tol = 1e-12 (1 + |hi|); it returns hi.  A row with no upper
+    end after ``max_iter`` steps is +inf.
     """
-    where, _, all_, lo, hi = _namespace(lo, hi)
-    width = where(hi - lo > 1.0, hi - lo, 1.0)
+    where, any_, all_, lo, hi = _namespace(lo, hi)
+    upper, width = hi, where(hi - lo > 1.0, hi - lo, 1.0)
+    hi = last = lo + INF        # no upper end yet, and no step before
     for _ in range(200):
-        crossed = G(hi) <= target
-        if all_(crossed):
+        value, slope = G(lo)
+        above = value <= target     # lo is an upper end: step it down
+        if not any_(above):
             break
-        hi = where(crossed, hi, hi + width)
-        width = where(crossed, width, width * 2.0)
-    never_below = where(crossed, False, True)
-    width = where(hi - lo > 1.0, hi - lo, 1.0)
-    for _ in range(200):
-        crossed = never_below | (G(lo) > target)
-        if all_(crossed):
+        hi = where(above, lo, hi)
+        lo = where(above, lo - step, lo)
+        step = where(above, 2.0 * step, step)
+    never = above
+    probed = hi < lo            # False per row
+    for it in range(max_iter + 1):
+        tol = 1e-12 * (1.0 + abs(where(hi < INF, hi, lo)))
+        done = never | (hi - lo <= tol)
+        if all_(done):
             break
-        lo = where(crossed, lo, lo - width)
-        width = where(crossed, width, width * 2.0)
-    always_below = where(crossed, False, True)
-    if not all_(never_below | always_below):
-        # Rows without a bracket collapse to a point and stop at once.
-        lo = where(never_below | always_below, hi, lo)
-        done = hi <= lo
-        for _ in range(max_iter):
-            mid = 0.5 * (lo + hi)
-            below = G(mid) <= target
-            hi = where(below, mid, hi)
-            lo = where(below, lo, mid)
-            done = hi - lo <= rel_tol * (1.0 + abs(mid))
-            if all_(done):
-                break
-        else:
-            _warn_open("bisect_nonincreasing", max_iter, done, lo, hi)
-    return where(never_below, INF, where(always_below, NEG_INF, hi))
+        if it == max_iter:
+            _warn_open("newton_nonincreasing", max_iter, done, lo, hi)
+            break
+        descent = slope < 0.0
+        d = where(descent, (value - target) / where(descent, -slope, 1.0),
+                  INF)
+        reach = where(probed, False, descent & (d >= hi - lo))
+        newton = reach | ((d < hi - lo) &
+                          ((d <= 0.5 * last) | (2.0 * d >= hi - lo)))
+        x = lo + where(d > 0.5 * tol, d, 0.5 * tol)
+        x = where(newton, where(x < hi - 0.5 * tol, x, hi - 0.5 * tol),
+                  where(hi < INF, 0.5 * (lo + hi),
+                        where(upper > lo + width, upper, lo + width)))
+        grow = where(newton, False, hi == INF)
+        upper = where(grow, x + width, upper)
+        width = where(grow, 2.0 * width, width)
+        last, probed = x - lo, reach
+        value_x, slope_x = G(x)
+        below = value_x <= target
+        new = (where(below, lo, x), where(below, x, hi),
+               where(below, value, value_x), where(below, slope, slope_x))
+        if any_(done):      # rows already within tolerance keep their state
+            new = [where(done, o, n)
+                   for o, n in zip((lo, hi, value, slope), new)]
+        lo, hi, value, slope = new
+    return where(never, NEG_INF, hi)
 
 
-def newton_nonincreasing(G: Callable, target: float, lo: float, hi: float,
-                         step: float, max_iter: int = 200):
-    """Smallest m with G(m) <= target, for a scalar G that is convex,
-    continuous and nonincreasing, by safeguarded Newton steps.
-
-    ``G(m)`` returns ``(G(m), G'(m), extra)`` from one evaluation; the
-    result is ``(m, extra at m)``.  ``lo`` first steps down by ``step``,
-    ``2 step``, ... until G(lo) > target (-inf, with ``extra`` None, if it
-    never does); the points it leaves are upper ends.  From a left point a
-    Newton step on a convex G lands at most on the root, so every Newton
-    step starts at lo.  A Newton step is refused if it leaves the bracket,
-    has no negative slope to follow, or neither halves the bracket nor is
-    at most half the step before it.  A refused step bisects the bracket;
-    while no upper end is known it tries ``hi`` instead, and each try moves
-    ``hi`` up by a doubling width, as a bracket expansion would.  A step
-    shorter than tol/2 is a probe at lo + tol/2, which closes the bracket.
-    m is returned only once G(m) <= target < G(lo) with
-    m - lo <= 1e-12 (1 + |m|); +inf if no upper end turns up in
-    ``max_iter`` steps.
-    """
-    upper, width = hi, max(hi - lo, 1.0)
-    hi, at_hi = INF, None
-    for _ in range(200):
-        at_lo = G(lo)
-        if at_lo[0] > target:
-            break
-        hi, at_hi = lo, at_lo
-        lo -= step
-        step *= 2.0
-    else:
-        return NEG_INF, None
-    last = INF
-    for _ in range(max_iter):
-        tol = 1e-12 * (1.0 + abs(lo if hi == INF else hi))
-        if hi - lo <= tol:
-            return hi, at_hi[2]
-        value, slope, _ = at_lo
-        d = (value - target) / -slope if slope < 0.0 else INF
-        if d < hi - lo and (d <= 0.5 * last or 2.0 * d >= hi - lo):
-            x = min(lo + max(d, 0.5 * tol), hi - 0.5 * tol)
-        elif hi < INF:
-            x = 0.5 * (lo + hi)
-        else:
-            x = max(upper, lo + width)
-            upper = x + width
-            width *= 2.0
-        last = x - lo
-        at_x = G(x)
-        if at_x[0] <= target:
-            hi, at_hi = x, at_x
-        else:
-            lo, at_lo = x, at_x
-    _warn_open("newton_nonincreasing", max_iter, False, lo, hi)
-    return hi, (None if at_hi is None else at_hi[2])
+# perfbench/tracer.py reads it; ROADMAP item 1 deletes it
+bisect_nonincreasing = newton_nonincreasing
 
 
 def _warn_open(solver: str, max_iter: int, done, lo, hi) -> None:

@@ -3,7 +3,10 @@
 For each penalty family there is a closed-form (or root-finding) evaluator
 of  rho(f) = sup_nu (int f dnu - alpha(nu))  on a finite space and the law
 attaining it, both rows in, rows out, plus a certified generic simplex
-maximizer.
+maximizer.  The shortfall and L^p risks are the smallest m with
+int l(f - m) dmu <= 1 (Foellmer & Schied, Stochastic Finance, 4.9), found
+per row by ``optim.newton_nonincreasing``; a row's value does not depend on
+the other rows of its batch.
 
 All evaluators accept extended-real inputs: -inf entries of f behave as
 hard exclusions and +inf entries (on charged states) push the value to
@@ -20,7 +23,7 @@ import numpy as np
 from . import extreal
 from .extreal import INF, NEG_INF
 from .losses import LossFn, PowerLoss
-from .optim import bisect_nonincreasing, pgd_max_simplex
+from .optim import newton_nonincreasing, pgd_max_simplex
 from .penalties import (AlphaSpec, LpEntropy, RelativeEntropy, Robust,
                         SetIndicator, Shortfall, Transport, feasible_support,
                         penalty_grad, penalty_rows, spec_space)
@@ -81,13 +84,22 @@ def shortfall_risk_rows(F: np.ndarray, w: np.ndarray,
     lo = np.where(finw, Fw, np.inf).min(axis=1) - 1.0
     hi = np.where(finw, Fw, -np.inf).max(axis=1) + 1.0
 
-    def G(m):
-        vals = np.where(finw, loss.value(np.where(finw, Fw, 0.0) - m[:, None]), 0.0)
-        return vals @ wl + cw
+    Fz = np.where(finw, Fw, 0.0)
 
-    # Rows whose level never drops to 1 (possible for a bounded loss) are
-    # +inf; rows that satisfy the level everywhere are unbounded below.
-    out[work] = bisect_nonincreasing(G, 1.0, lo, hi)
+    def G(m):
+        Z = Fz - m[:, None]
+        vals = np.where(finw, loss.value(Z), 0.0)
+        slopes = np.where(finw, loss.prime(Z), 0.0)
+        # Column by column: a matrix product may round a row differently
+        # in batches of different sizes.
+        value, slope = cw, 0.0
+        for j, wj in enumerate(wl):
+            value = value + wj * vals[:, j]
+            slope = slope - wj * slopes[:, j]
+        return value, slope
+
+    # hi is an upper end, since every loss has l(-1) < 1 and left_limit < 1.
+    out[work] = newton_nonincreasing(G, 1.0, lo, hi, hi - lo)
     return out
 
 

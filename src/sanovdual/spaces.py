@@ -53,6 +53,8 @@ class FiniteSpace:
 
 def _as_prob_vector(weights, slack: float = SUM_SLACK) -> np.ndarray:
     w = np.asarray(weights, dtype=float).ravel().copy()
+    if not np.isfinite(w).all():
+        raise SpaceError("probability weights must be finite")
     if (w < -1e-12).any():
         raise SpaceError("negative probability weight")
     w[w < 0.0] = 0.0

@@ -273,6 +273,28 @@ def saa_exact_exceedance(instance: SAAInstance, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Root finding
+# ---------------------------------------------------------------------------
+
+def bisect_root(G: Callable[[float], float], target: float, lo: float,
+                hi: float, rel_tol: float = 1e-12) -> float:
+    """Smallest m with G(m) <= target for a scalar nonincreasing G, by plain
+    bisection: [lo, hi] is widened by its width until G(lo) > target >=
+    G(hi), then halved until hi - lo <= rel_tol (1 + |hi|); returns hi."""
+    while G(lo) <= target:
+        lo -= hi - lo
+    while G(hi) > target:
+        hi += hi - lo
+    while hi - lo > rel_tol * (1.0 + abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if G(mid) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+# ---------------------------------------------------------------------------
 # Scalar risk wrappers and one-off risk measures
 # ---------------------------------------------------------------------------
 
@@ -287,7 +309,8 @@ def entropic_risk(f, mu) -> float:
 
 
 def shortfall_risk(f, mu, loss: LossFn) -> float:
-    """inf{m : int l(f - m) dmu <= 1} by bisection on the nonincreasing map."""
+    """inf{m : int l(f - m) dmu <= 1}: one row of
+    ``risk.shortfall_risk_rows``."""
     return float(shortfall_risk_rows(np.atleast_2d(np.asarray(f, float)),
                                      _w(mu), loss)[0])
 

@@ -101,6 +101,22 @@ class TestExitCodes:
         p.write_text("{not json")
         assert main(["rho", "--config", str(p)]) == 2
 
+    @pytest.mark.parametrize("spec, f, key", [
+        ({"kind": "relative_entropy", "mu": [math.nan, math.nan]},
+         [0.0, 1.0], "spec.mu[0]"),
+        ({"kind": "shortfall", "mu": [0.5, 0.5],
+          "loss": {"kind": "power_plus", "q": 2}}, [math.nan, 1.0], "f[0]"),
+    ], ids=["mu", "f"])
+    def test_nan_literal_is_config_error(self, tmp_path, capsys, spec, f,
+                                         key):
+        # json.loads reads the NaN literal that json.dumps writes.
+        cfg = write_config(tmp_path, {"spec": spec, "f": f})
+        assert "NaN" in cfg.read_text()
+        out = tmp_path / "out"
+        assert main(["rho", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{key}: not a number: nan" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_int_literal_over_the_digit_limit(self, tmp_path):
         p = tmp_path / "long.json"
         p.write_text('{"seed": ' + "1" * 5000 + "}")
@@ -508,3 +524,9 @@ class TestNumList:
             _num(bad, "f[2]")
         assert str(exc.value) == str(ref.value) == \
             f"f[2]: not a number: {bad!r}"
+
+    def test_nan_entry_is_named(self):
+        with pytest.raises(ConfigError, match=r"^f\[1\]: not a number: nan$"):
+            _num_list([1.0, math.nan, 2], "f")
+        with pytest.raises(ConfigError, match=r"^f: not a number: nan$"):
+            _num(math.nan, "f")

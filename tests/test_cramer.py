@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import bisect_root
 from sanovdual import cramer
 from sanovdual.cramer import (ConjugatePair, _cumulant, check_admissible,
                               conjugate_pair, cumulant, deviation_bound,
@@ -11,14 +12,14 @@ from sanovdual.cramer import (ConjugatePair, _cumulant, check_admissible,
                               plus_power_moments, rate_function)
 from sanovdual.laws import (EmpiricalLaw, FiniteSupportLaw, LawError,
                             LogNormalLaw, ParetoLaw, StudentTLaw)
-from sanovdual.optim import bisect_nonincreasing, golden_max
+from sanovdual.optim import golden_max
 
 RADEMACHER = FiniteSupportLaw(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
 
 
 def cumulant_grid_oracle(law, t, q, lo=-3.0, hi=3.0, points=6_000_001):
     """Dense grid on m for the scalar level-1 equation; independent of the
-    bisection path."""
+    root finder."""
     ms = np.linspace(lo, hi, points)
     # nonincreasing in m: first index where the moment drops to <= 1
     vals = np.array([plus_power_moment(law, t, m, q)
@@ -34,8 +35,8 @@ def cumulant_bisection_oracle(law, t, q):
     [-2 (1 + |t|), 2 (1 + |t|)], to a width of 1e-12 (1 + |m|)."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     scale = 1.0 + float(np.linalg.norm(t))
-    return bisect_nonincreasing(lambda m: plus_power_moment(law, t, m, q),
-                                1.0, -2.0 * scale, 2.0 * scale, rel_tol=1e-12)
+    return bisect_root(lambda m: plus_power_moment(law, t, m, q), 1.0,
+                       -2.0 * scale, 2.0 * scale)
 
 
 def rate_golden_oracle(law, x, q):

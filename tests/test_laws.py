@@ -46,12 +46,6 @@ def run_fresh(code: str) -> str:
                           capture_output=True, text=True, check=True).stdout
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    out = run_fresh("import sys, sanovdual.cli; "
-                    "print('scipy.stats' in sys.modules)")
-    assert out.strip() == "False"
-
-
 def test_cli_import_leaves_out_scipy():
     # No scipy module at all, so neither scipy.stats nor scipy.special.
     out = run_fresh("import sys, sanovdual.cli; "

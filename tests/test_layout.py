@@ -9,6 +9,8 @@ whole body along.
 """
 
 import ast
+import importlib.util
+import sys
 import types
 from pathlib import Path
 
@@ -27,6 +29,8 @@ ALLOWED = {
     "montecarlo.LogNormalSampler",
     # perfbench/tracer.py reads it; ROADMAP item 1 deletes it
     "montecarlo.FiniteSampler",
+    # perfbench/tracer.py reads it; ROADMAP item 1 deletes it
+    "optim.bisect_nonincreasing",
 }
 
 
@@ -124,3 +128,28 @@ def test_risk_is_a_module():
     import sanovdual.risk as R
     assert isinstance(R, types.ModuleType)
     assert isinstance(sanovdual.risk, types.ModuleType)
+
+
+def test_tracer_finds_every_name_it_reads():
+    # perfbench/tracer.py patches sanovdual functions by name; a deleted
+    # name would break ``perfbench/run.py --trace 1`` and nothing else.
+    import sanovdual.cli  # noqa: F401  (imports every traced module)
+    from sanovdual import cramer, optim, risk
+    path = SRC.parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    modules = [m for name, m in sys.modules.items()
+               if name == "sanovdual" or name.startswith("sanovdual.")]
+    before = [dict(vars(m)) for m in modules]
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        # The alias bisect_nonincreasing reaches both root-finder callers.
+        solver = optim.__dict__["bisect_nonincreasing"]
+        assert risk.newton_nonincreasing is solver
+        assert cramer.newton_nonincreasing is solver
+    finally:
+        tracer.uninstall()
+    for m, names in zip(modules, before):
+        assert all(vars(m)[k] is v for k, v in names.items())

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (entropic_risk, oce_risk, penalty_from_risk, risk,
-                     risk_maximizer, robust_entropic_risk, shortfall_risk)
+from oracles import (bisect_root, entropic_risk, oce_risk, penalty_from_risk,
+                     risk, risk_maximizer, robust_entropic_risk,
+                     shortfall_risk)
 from sanovdual import extreal
 from sanovdual.losses import ExpLoss, PowerLoss
 from sanovdual.penalties import (LpEntropy, RelativeEntropy, Robust,
@@ -96,6 +97,23 @@ class TestShortfallRisk:
 
     def test_pos_inf(self):
         assert shortfall_risk([INF, 0.0], UNIF2, PowerLoss(2.0)) == INF
+
+    @pytest.mark.parametrize("kind", ["shortfall", "lp"])
+    def test_rows_do_not_depend_on_their_batch(self, kind):
+        # Each row of a batch is bit for bit its one-row value, and within
+        # the root finder's tolerance of plain bisection on its level.
+        mu = Dist(THREE, [0.5, 0.3, 0.2])
+        spec = Shortfall(mu, PowerLoss(2.0)) if kind == "shortfall" \
+            else LpEntropy(mu, 3.0)
+        loss = PowerLoss(2.0 if kind == "shortfall" else 1.5)
+        F = np.random.default_rng(0).normal(size=(50, 3))
+        rows = risk_rows(spec, F)
+        for f, value in zip(F, rows):
+            assert risk_rows(spec, f[None])[0] == value
+            root = bisect_root(
+                lambda m: float(np.dot(mu.weights, loss.value(f - m))), 1.0,
+                f.min() - 1.0, f.max() + 1.0)
+            assert abs(value - root) <= 1e-11 * (1.0 + abs(root))
 
 
 class TestOceRisk:

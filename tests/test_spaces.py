@@ -201,6 +201,12 @@ class TestValidation:
         with pytest.raises(SpaceError):
             Dist(two, [0.6, 0.6])
 
+    def test_non_finite_weights_rejected(self, two):
+        # A NaN sum passes |s - 1| > slack, so NaN needs its own check.
+        for w in ([math.nan, math.nan], [math.nan, 1.0], [math.inf, 0.0]):
+            with pytest.raises(SpaceError, match="finite"):
+                Dist(two, w)
+
     def test_near_sum_normalized(self, two):
         d = Dist(two, [0.5 + 4e-10, 0.5])
         assert abs(d.weights.sum() - 1.0) <= 1e-15
