@@ -19,6 +19,18 @@ def test_batched_golden_rows_match_scalar_searches():
         assert x == xc and v == vc and abs(x - c) <= 1e-6
 
 
+def test_bisection_marks_uncrossed_rows_infinite():
+    # Row 0 crosses at m = 0.3; row 1 stays above the target everywhere;
+    # row 2 stays below it everywhere.  No row has a slope to follow, so
+    # only bisection steps can close row 0.
+    def G(m):
+        return np.array([max(0.3 - m[0], 0.0) + 0.5, 2.0, 0.0]), np.zeros(3)
+
+    out = newton_nonincreasing(G, 0.5, np.zeros(3), np.ones(3), np.ones(3))
+    assert abs(out[0] - 0.3) <= 1e-12
+    assert out[1] == math.inf and out[2] == -math.inf
+
+
 def _square_drop(m):
     """G(m) = ((1 - m)^+)^2 with its slope, for a float or per row; the
     level 1 is reached at 0."""
