@@ -67,9 +67,14 @@ def _num(value, path):
         if s == "-inf":
             return -math.inf
         raise ConfigError(f"{path}: not a number: {value!r}")
-    if isinstance(value, (int, float)) and not isinstance(value, bool) \
-            and not math.isnan(value):     # json.loads accepts NaN
-        return float(value)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            raise ConfigError(f"{path}: integer too large for a float") \
+                from None
+        if not math.isnan(x):     # json.loads accepts NaN
+            return x
     raise ConfigError(f"{path}: not a number: {value!r}")
 
 
@@ -83,9 +88,13 @@ def _num_list(value, path):
     if not isinstance(value, list):
         raise ConfigError(f"{path}: expected a list of numbers")
     if set(map(type, value)) <= {float, int}:     # no bool, str or list
-        out = list(map(float, value))
-        if not any(map(math.isnan, out)):
-            return out
+        try:
+            out = list(map(float, value))
+        except OverflowError:     # an int too large for a float; _num names it
+            pass
+        else:
+            if not any(map(math.isnan, out)):
+                return out
     return [_num(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 

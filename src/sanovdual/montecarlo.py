@@ -8,7 +8,9 @@ optimization, and the bounded-increment martingale experiment.
 Replication i draws from a counter-based Philox generator keyed by
 base_seed XOR i.  Every experiment reads replications in blocks of
 consecutive rows, each row drawn from its own stream, and reduces whole
-blocks with numpy, so the block size never changes a result.  Known
+blocks with numpy, so the block size never changes a result.  An
+experiment loop builds one generator and rekeys it in place for each row,
+which draws the same streams as a new generator per replication.  Known
 defect: the XOR key makes seeds share streams (rep_rng(0, 1) is
 rep_rng(1, 0)), and every schedule point reuses them (ROADMAP item 5).
 
@@ -42,10 +44,28 @@ MARTINGALE_SLACK = 0.1
 _BLOCK_ELEMENTS = 2 ** 17
 
 
+def _rep_key(base_seed: int, i: int) -> int:
+    """Philox key of replication i: base_seed XOR i, to 64 bits."""
+    return (int(base_seed) ^ int(i)) & (2 ** 64 - 1)
+
+
 def rep_rng(base_seed: int, i: int) -> np.random.Generator:
-    """Stream for replication i: Philox keyed by base_seed XOR i."""
-    key = (int(base_seed) ^ int(i)) & (2 ** 64 - 1)
-    return np.random.Generator(np.random.Philox(key=key))
+    """A new generator for replication i: Philox keyed by ``_rep_key``."""
+    return np.random.Generator(np.random.Philox(key=_rep_key(base_seed, i)))
+
+
+def _replication_streams(seed: int, replications: int):
+    """Yield the stream of each replication i in turn, drawing exactly as
+    ``rep_rng(seed, i)``.  It is one generator, rekeyed in place, so draw
+    from each stream before taking the next: seeding a new Philox costs
+    several times more than resetting its state."""
+    bitgen = np.random.Philox(key=0)
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state      # zero counter, empty buffer, no spare uint32
+    for i in range(replications):
+        fresh["state"]["key"][0] = _rep_key(seed, i)
+        bitgen.state = fresh
+        yield rng
 
 
 def _replication_blocks(draw: Callable[[np.random.Generator, int], np.ndarray],
@@ -54,7 +74,7 @@ def _replication_blocks(draw: Callable[[np.random.Generator, int], np.ndarray],
     ``draw(rep_rng(seed, i), n)``.  Each block overwrites the previous one."""
     if replications < 1:
         raise ValueError("need at least one replication")
-    draws = (draw(rep_rng(seed, i), n) for i in range(replications))
+    draws = (draw(rng, n) for rng in _replication_streams(seed, replications))
     first = next(draws)
     rows = max(1, min(replications, _BLOCK_ELEMENTS // first.size))
     block = np.empty((rows,) + first.shape, dtype=first.dtype)

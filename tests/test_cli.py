@@ -117,6 +117,25 @@ class TestExitCodes:
         assert f"{key}: not a number: nan" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("spec, f, key", [
+        ({"kind": "relative_entropy", "mu": [10 ** 400, 1.0]},
+         [0.0, 1.0], "spec.mu[0]"),
+        ({"kind": "shortfall", "mu": [0.5, 0.5],
+          "loss": {"kind": "power_plus", "q": 2}}, [10 ** 400, 1.0], "f[0]"),
+    ], ids=["mu", "f"])
+    def test_int_too_large_for_a_float_in_a_list(self, tmp_path, capsys,
+                                                 spec, f, key):
+        cfg = write_config(tmp_path, {"spec": spec, "f": f})
+        out = tmp_path / "out"
+        assert main(["rho", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{key}: integer too large for a float" \
+            in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_int_too_large_for_a_float_field(self, tmp_path, capsys):
+        assert run_edited(tmp_path, "azuma", "r", 10 ** 400) == 2
+        assert "r: integer too large for a float" in capsys.readouterr().err
+
     def test_int_literal_over_the_digit_limit(self, tmp_path):
         p = tmp_path / "long.json"
         p.write_text('{"seed": ' + "1" * 5000 + "}")

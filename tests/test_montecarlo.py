@@ -33,6 +33,15 @@ class TestSeeding:
     def test_replication_streams_reproduce(self):
         assert np.array_equal(rep_rng(7, 3).random(8), rep_rng(7, 3).random(8))
 
+    def test_each_call_is_a_new_generator(self):
+        held = rep_rng(7, 3)
+        first = held.random(3)
+        again = rep_rng(7, 3)
+        assert again is not held
+        assert again.bit_generator is not held.bit_generator
+        assert np.array_equal(again.random(3), first)
+        assert np.array_equal(held.random(5), rep_rng(7, 3).random(8)[3:])
+
     @pytest.mark.xfail(strict=True, reason="known defect: the stream key is "
                        "seed XOR replication, so seeds share streams "
                        "(ROADMAP item 5)")
@@ -241,14 +250,43 @@ class TestReplicationBlocks:
     def one_row_blocks(monkeypatch):
         monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 1)
 
-    @pytest.mark.parametrize("law", [ParetoLaw(2.5), PLANAR])
-    def test_rows_are_the_replication_streams(self, monkeypatch, law):
+    @staticmethod
+    def assert_rows_are_streams(monkeypatch, draw):
+        # Rows of 7, not a multiple of 4: a Philox buffer or a spare 32-bit
+        # half left over from the previous row would shift the next one.
+        # A seed above 2^63 keys with the top bit set.
+        seed = 2 ** 63 + 11
         monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 100)
         blocks = [b.copy() for b in montecarlo._replication_blocks(
-            law.draw, 7, 250, 11)]
+            draw, 7, 250, seed)]
         assert len(blocks) > 1 and len(blocks[0]) > 1
-        want = np.stack([law.draw(rep_rng(11, i), 7) for i in range(250)])
+        want = np.stack([draw(rep_rng(seed, i), 7) for i in range(250)])
         assert np.array_equal(np.concatenate(blocks), want)
+
+    @pytest.mark.parametrize("law", [ParetoLaw(2.5), PLANAR, StudentTLaw(5.0),
+                                     LogNormalLaw(0.8), RADEMACHER])
+    def test_rows_are_the_replication_streams(self, monkeypatch, law):
+        self.assert_rows_are_streams(monkeypatch, law.draw)
+
+    @pytest.mark.parametrize("draw", [
+        lambda rng, n: rng.random(n),       # the martingale uniforms
+        lambda rng, n: rng.integers(0, 7, n, dtype=np.int32),
+    ], ids=["random", "int32"])
+    def test_raw_rows_are_the_replication_streams(self, monkeypatch, draw):
+        self.assert_rows_are_streams(monkeypatch, draw)
+
+    def test_one_generator_per_pass(self, monkeypatch):
+        built = []
+        philox = np.random.Philox
+
+        def counting_philox(*args, **kwargs):
+            built.append(1)
+            return philox(*args, **kwargs)
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        for _ in montecarlo._replication_blocks(lambda rng, n: rng.random(n),
+                                                5, 1000, 3):
+            pass
+        assert len(built) <= 1
 
     def test_no_replications_refused(self):
         with pytest.raises(ValueError):
