@@ -45,6 +45,10 @@ class ExpLoss:
             out = np.where(y > 0.0, np.log(np.maximum(y, 1e-300)), NEG_INF)
         return out if out.ndim else float(out)
 
+    def conjugate_second(self, y):
+        """l*''(y) = 1/y for y > 0."""
+        return 1.0 / np.asarray(y, dtype=float)
+
 
 @dataclass(frozen=True)
 class PowerLoss:
@@ -80,6 +84,12 @@ class PowerLoss:
         y = np.asarray(y, dtype=float)
         out = np.power(np.maximum(y, 0.0) / self.q, 1.0 / (self.q - 1.0)) - 1.0
         return out if out.ndim else float(out)
+
+    def conjugate_second(self, y):
+        """l*''(y) = (y/q)^((2-q)/(q-1)) / (q (q-1)) for y > 0."""
+        q = self.q
+        return np.power(np.asarray(y, dtype=float) / q,
+                        (2.0 - q) / (q - 1.0)) / (q * (q - 1.0))
 
 
 @dataclass(frozen=True)
@@ -132,8 +142,8 @@ class TabulatedLoss:
         xs = np.asarray(self.xs)
         ys = np.asarray(self.ys)
         x = np.asarray(x, dtype=float)
-        lo = ys[0] + self._slopes[0] * (x - xs[0])
-        hi = ys[-1] + self._slopes[-1] * (x - xs[-1])
+        lo = ys[0] + self._slopes[0] * (np.minimum(x, xs[0]) - xs[0])
+        hi = ys[-1] + self._slopes[-1] * (np.maximum(x, xs[-1]) - xs[-1])
         mid = np.interp(x, xs, ys)
         out = np.where(x <= xs[0], lo, np.where(x >= xs[-1], hi, mid))
         return out if out.ndim else float(out)
@@ -193,9 +203,14 @@ class TabulatedLoss:
         arr = np.asarray(y, dtype=float)
         flat = np.atleast_1d(arr).ravel()
         out = np.empty_like(flat)
-        for j, yy in enumerate(flat):
-            out[j] = self._refine(yy)[0]
+        for j, yy in enumerate(flat):     # +inf where the conjugate is +inf
+            out[j] = INF if yy > self._slopes[-1] + 1e-15 else \
+                self._refine(yy)[0]
         return out.reshape(arr.shape) if arr.ndim else float(out[0])
+
+    def conjugate_second(self, y):
+        """0: no curvature to follow, so root searches on it bisect."""
+        return np.zeros_like(np.asarray(y, dtype=float))
 
 
 LossFn = ExpLoss | PowerLoss | TabulatedLoss

@@ -306,16 +306,6 @@ class SAAInstance:
         """(decisions, rows) mean loss over each row of a (rows, n) block."""
         return np.stack([self.loss(x, W).mean(axis=1) for x in self.decisions])
 
-    def check_integrability(self, seed: int = 0, draws: int = 100_000) -> float:
-        """Sampled q-th moment of (sup_x h(x, W))^+; must be finite."""
-        w = self.law.draw(rep_rng(seed, 0), draws)
-        H = np.stack([self.loss(x, w) for x in self.decisions])
-        psi = np.maximum(H.max(axis=0), 0.0)
-        val = float(np.mean(psi ** self.q))
-        if not math.isfinite(val):
-            raise GrowthValidationError("sampled psi^q moment is not finite")
-        return val
-
 
 @dataclass
 class ExceedanceSeries:

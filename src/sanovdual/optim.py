@@ -6,7 +6,7 @@ Everything here is plain numpy:
 * one batched projected gradient ascent with Armijo backtracking, over
   simplices and products of simplices;
 * golden-section line search and one safeguarded Newton root finder for
-  convex nonincreasing functions, both on scalar or (B,)-array brackets;
+  the risks and penalty infima, both on scalar or (B,)-array brackets;
 * simplex grids and cyclic coordinate ascent on a box.
 
 A search that exhausts its iteration cap unconverged logs a ``sanovdual``
@@ -103,16 +103,17 @@ def golden_max(fn, lo, hi, tol=1e-12, max_iter=200):
 
 def newton_nonincreasing(G: Callable, target: float, lo, hi, step,
                          max_iter: int = 200):
-    """Smallest m with G(m) <= target, per row, for G convex, continuous
-    and nonincreasing in each row, by safeguarded Newton steps (rtsafe,
+    """Smallest m with G(m) <= target, per row, for G continuous and
+    nonincreasing in each row, by safeguarded Newton steps (rtsafe,
     Press et al., Numerical Recipes, section 9.4).
 
     With scalar brackets ``G(m)`` maps a float to the pair (G(m), G'(m));
     with (B,) arrays of brackets and steps it maps a (B,) array of levels
     to a pair of (B,) arrays.  ``lo`` first steps down by ``step``,
     ``2 step``, ... until G(lo) > target (-inf if it never does); the
-    points it leaves are upper ends.  From a left point a Newton step on a
-    convex G lands at most on the root, so every Newton step starts at lo.
+    points it leaves are upper ends.  Every Newton step starts at lo; it
+    overshoots the root only where G is not convex, which costs speed, as
+    the point reached becomes hi and the bracket stays certified.
     A Newton step is refused if it has no negative slope to follow, or if
     it neither halves the bracket nor is at most half the step before it.
     A step that reaches a known upper end hi means lo lies within rounding

@@ -26,7 +26,7 @@ import numpy as np
 
 from .extreal import INF
 from .losses import LossFn
-from .optim import golden_min, pgd_max_simplex, project_simplex
+from .optim import newton_nonincreasing, pgd_max_simplex, project_simplex
 from .spaces import Dist, SpaceError
 from .transport import solve_transport
 
@@ -174,24 +174,6 @@ def lp_entropy(nu, mu, p: float) -> float | np.ndarray:
     return float(out[0]) if single else out
 
 
-def shortfall_objective(V: np.ndarray, w: np.ndarray, loss: LossFn):
-    """The map log t -> (1/t)(1 + int l*(t dnu/dmu) dmu), one point per row
-    nu of V; mass of nu off the support of mu is ignored."""
-    live = w > 0.0
-    wl = w[live]
-    rl = V[:, live] / wl
-
-    def objective(log_t: np.ndarray) -> np.ndarray:
-        t = np.exp(log_t)
-        conj = np.asarray(loss.conjugate(t[:, None] * rl), dtype=float)
-        bad = ~np.isfinite(conj)
-        body = np.dot(np.where(bad, 0.0, conj), wl)
-        body[bad.any(axis=1)] = INF
-        return (1.0 + body) / t
-
-    return objective
-
-
 def shortfall_penalty(nu, mu, loss: LossFn) -> float | np.ndarray:
     """inf over t > 0 of (1/t)(1 + int l*(t dnu/dmu) dmu)."""
     V, single = _rows(nu)
@@ -202,23 +184,29 @@ def shortfall_penalty(nu, mu, loss: LossFn) -> float | np.ndarray:
 def _shortfall_rows(V: np.ndarray, w: np.ndarray, loss: LossFn):
     """Shortfall penalty of each row of V and its minimizing t.
 
-    The objective is the perspective of the conjugate loss, hence convex in
-    1/t and unimodal in log t: a coarse scan over log t followed by
-    golden-section search is reliable.
+    With tau = 1/t and y = dnu/dmu / tau, tau (1 + int l*(y) dmu) is convex
+    with derivative 1 - K(tau), K(tau) = int l(l*'(y)) dmu nonincreasing:
+    tau* is the smallest tau with K(tau) <= 1, found in log tau with slope
+    -int y^2 l*''(y) dmu.  +inf for mass off mu's support or below 0.
     """
-    objective = shortfall_objective(V, w, loss)
-    B = V.shape[0]
-    grid = np.linspace(-30.0, 30.0, 61)
-    vals = np.stack([objective(np.full(B, s)) for s in grid])
-    best = np.argmin(vals, axis=0)
-    a = grid[np.maximum(best - 1, 0)]
-    b = grid[np.minimum(best + 1, grid.size - 1)]
-    log_t, out = golden_min(objective, a, b)
-    at_grid = vals[best, np.arange(B)]
-    log_t = np.where(at_grid < out, grid[best], log_t)
-    out = np.minimum(out, at_grid)
-    out[((V > 0.0) & (w <= 0.0)[None, :]).any(axis=1)] = INF
-    return out, np.exp(log_t)
+    live = w > 0.0
+    wl = w[live]
+    rl = V[:, live] / wl
+    off = ((V > 0.0) & ~live).any(axis=1) | (rl < 0.0).any(axis=1)
+    R = rl[~off]
+
+    def K(s: np.ndarray):
+        Y = R * np.exp(-s)[:, None]
+        curv = Y * Y * loss.conjugate_second(np.where(Y > 0.0, Y, 1.0))
+        value = np.dot(loss.value(loss.conjugate_prime(Y)), wl)
+        return value, -np.dot(curv, wl)
+
+    lo, ones = np.zeros(len(R)), np.ones(len(R))
+    tau = np.ones(V.shape[0])
+    tau[~off] = np.exp(newton_nonincreasing(K, 1.0, lo, ones, ones))
+    out = tau * (1.0 + np.dot(loss.conjugate(rl / tau[:, None]), wl))
+    out[off] = INF
+    return out, 1.0 / tau
 
 
 def robust_entropy(nu, generators: Sequence[Dist]) -> float | np.ndarray:
@@ -232,22 +220,41 @@ def _robust_rows(V: np.ndarray, G: np.ndarray):
     """Robust entropy of each row of V against the generators (rows of G),
     and the minimizing hull mixture.
 
-    The map w -> H(nu | sum_j w_j g_j) is convex in the mixture weights, so
-    two generators reduce to a golden-section search (the endpoints win
-    only when strictly lower) and larger families to
-    ``robust_mixture_argmin``.
+    Two generators: for phi(w) = H(nu | m(w)), m(w) = g1 + w d, d = g0 - g1,
+    -phi'(w) = sum nu d / m(w) is nonincreasing in w and convex in
+    v = w / (1 - w); its root in v is the minimizer unless that sits at
+    w = 0 or w = 1.  The endpoints win only when strictly lower.  Larger
+    families go to ``robust_mixture_argmin``.
     """
     k = G.shape[0]
     if k == 1:
         return _rel_rows(V, G[0][None, :]), np.broadcast_to(G[0], V.shape)
     if k == 2:
         g0, g1 = G
+        live = (V > 0.0) & ((g0 > 0.0) | (g1 > 0.0))[None, :]
 
         def mix_at(wv: np.ndarray) -> np.ndarray:
             return wv[:, None] * g0[None, :] + (1.0 - wv)[:, None] * g1[None, :]
 
-        wv, out = golden_min(lambda wv: _rel_rows(V, mix_at(wv)),
-                             np.zeros(V.shape[0]), np.ones(V.shape[0]))
+        def foc(U: np.ndarray, on: np.ndarray, wv: np.ndarray):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r = np.where(on, (g0 - g1) / mix_at(wv), 0.0)
+            value, slope = (U * r).sum(axis=1), -(U * r * r).sum(axis=1)
+            return value, np.where(np.isfinite(value), slope, 0.0)
+
+        at0, at1 = (foc(V, live, np.full(len(V), e))[0] for e in (0.0, 1.0))
+        wv = np.where(at0 > 0.0, 1.0, 0.0)
+        work = (at0 > 0.0) & (at1 < 0.0)
+        U, on = V[work], live[work]
+
+        def in_v(v: np.ndarray):
+            value, slope = foc(U, on, v / (1.0 + v))
+            return value, slope / ((1.0 + v) * (1.0 + v))
+
+        lo, ones = np.zeros(len(U)), np.ones(len(U))
+        v = newton_nonincreasing(in_v, 0.0, lo, ones, ones)
+        wv[work] = v / (1.0 + v)
+        out = _rel_rows(V, mix_at(wv))
         for end in (0.0, 1.0):
             at_end = _rel_rows(V, mix_at(np.full(V.shape[0], end)))
             wv = np.where(at_end < out, end, wv)

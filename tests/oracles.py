@@ -26,7 +26,7 @@ from scipy.special import gammaln
 from sanovdual import extreal
 from sanovdual.extreal import INF, NEG_INF
 from sanovdual.losses import LossError, LossFn, PowerLoss, TabulatedLoss
-from sanovdual.montecarlo import SAAInstance
+from sanovdual.montecarlo import GrowthValidationError, SAAInstance, rep_rng
 from sanovdual.laws import FiniteSupportLaw
 from sanovdual.optim import coordinate_ascent_box, golden_min
 from sanovdual.penalties import (AlphaSpec, LpEntropy, RelativeEntropy, Robust,
@@ -272,6 +272,18 @@ def saa_exact_exceedance(instance: SAAInstance, n: int) -> float:
     return float(sum(law.weights[idx[hit]].prod(axis=1), 0.0))
 
 
+def check_integrability(instance: SAAInstance, seed: int = 0,
+                        draws: int = 100_000) -> float:
+    """Sampled q-th moment of (sup_x h(x, W))^+ of an SAA instance; raises
+    ``GrowthValidationError`` unless it is finite."""
+    w = instance.law.draw(rep_rng(seed, 0), draws)
+    H = np.stack([instance.loss(x, w) for x in instance.decisions])
+    val = float(np.mean(np.maximum(H.max(axis=0), 0.0) ** instance.q))
+    if not math.isfinite(val):
+        raise GrowthValidationError("sampled psi^q moment is not finite")
+    return val
+
+
 # ---------------------------------------------------------------------------
 # Root finding
 # ---------------------------------------------------------------------------
@@ -292,6 +304,64 @@ def bisect_root(G: Callable[[float], float], target: float, lo: float,
         else:
             lo = mid
     return hi
+
+
+# ---------------------------------------------------------------------------
+# Penalty infima by golden section
+# ---------------------------------------------------------------------------
+
+def shortfall_penalty_golden(V: np.ndarray, w: np.ndarray,
+                             loss: LossFn) -> np.ndarray:
+    """Shortfall penalty of each row of V as a direct minimum over t: the
+    map log t -> (1/t)(1 + int l*(t dnu/dmu) dmu) is scanned at 61 points
+    of [-30, 30], then golden section runs between the neighbours of the
+    best point; +inf for mass of nu off the support of mu."""
+    V = np.atleast_2d(np.asarray(V, dtype=float))
+    live = w > 0.0
+    wl = w[live]
+    rl = V[:, live] / wl
+
+    def objective(log_t: np.ndarray) -> np.ndarray:
+        t = np.exp(log_t)
+        conj = np.asarray(loss.conjugate(t[:, None] * rl), dtype=float)
+        bad = ~np.isfinite(conj)
+        body = np.dot(np.where(bad, 0.0, conj), wl)
+        body[bad.any(axis=1)] = INF
+        return (1.0 + body) / t
+
+    B = V.shape[0]
+    grid = np.linspace(-30.0, 30.0, 61)
+    vals = np.stack([objective(np.full(B, s)) for s in grid])
+    best = np.argmin(vals, axis=0)
+    _, out = golden_min(objective, grid[np.maximum(best - 1, 0)],
+                        grid[np.minimum(best + 1, grid.size - 1)])
+    out = np.minimum(out, vals[best, np.arange(B)])
+    out[((V > 0.0) & ~live[None, :]).any(axis=1)] = INF
+    return out
+
+
+def robust_pair_golden(V: np.ndarray, g0: np.ndarray,
+                       g1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Robust entropy of each row of V against two generators, and the
+    minimizing mixture weight w of w g0 + (1 - w) g1: golden section over
+    w in [0, 1], where an endpoint wins only when strictly lower."""
+    V = np.atleast_2d(np.asarray(V, dtype=float))
+
+    def mix_at(wv: np.ndarray) -> np.ndarray:
+        return wv[:, None] * g0[None, :] + (1.0 - wv)[:, None] * g1[None, :]
+
+    def objective(wv: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(V > 0.0, V * np.log(V / mix_at(wv)), 0.0)
+        return terms.sum(axis=1)
+
+    B = V.shape[0]
+    wv, out = golden_min(objective, np.zeros(B), np.ones(B))
+    for end in (0.0, 1.0):
+        at_end = objective(np.full(B, end))
+        wv = np.where(at_end < out, end, wv)
+        out = np.minimum(out, at_end)
+    return out, wv
 
 
 # ---------------------------------------------------------------------------

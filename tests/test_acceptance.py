@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import (ProductDist, entropic_risk, greedy_optimizer_from_trace,
-                     risk, saa_exact_exceedance, shortfall_risk,
-                     tensor_penalty, tensor_penalty_batch)
+from oracles import (ProductDist, check_integrability, entropic_risk,
+                     greedy_optimizer_from_trace, risk, saa_exact_exceedance,
+                     shortfall_risk, tensor_penalty, tensor_penalty_batch)
 from sanovdual.cli import main as cli_main
 from sanovdual.cramer import deviation_bound, moment_norm
 from sanovdual.dp import (backward_value_dense, backward_value_symmetric,
@@ -314,7 +314,7 @@ def test_criterion_11_stochastic_program_rates(record_criterion):
         loss=lambda x, w: (x - 1.0) ** 2 + x * w,
         law=ParetoLaw(2.5),
         epsilon=0.5, q=2.0)
-    instance.check_integrability(seed=111)
+    check_integrability(instance, seed=111)
     run = saa_run(instance, [50, 150, 500, 1500], 20_000, seed=1110)
     mk_ok = run.mann_kendall_p > 0.05
     bounded = max(run.scaled) <= 2.0  # the scaled series stays O(1)

@@ -31,6 +31,8 @@ ALLOWED = {
     "montecarlo.FiniteSampler",
     # perfbench/tracer.py reads it; ROADMAP item 1 deletes it
     "optim.bisect_nonincreasing",
+    # perfbench/tracer.py reads it; ROADMAP item 1 deletes it
+    "montecarlo.rep_rng",
 }
 
 
@@ -134,7 +136,7 @@ def test_tracer_finds_every_name_it_reads():
     # perfbench/tracer.py patches sanovdual functions by name; a deleted
     # name would break ``perfbench/run.py --trace 1`` and nothing else.
     import sanovdual.cli  # noqa: F401  (imports every traced module)
-    from sanovdual import cramer, optim, risk
+    from sanovdual import cramer, optim, penalties, risk
     path = SRC.parent.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer_module = importlib.util.module_from_spec(spec)
@@ -145,10 +147,11 @@ def test_tracer_finds_every_name_it_reads():
     tracer = tracer_module.Tracer()
     try:
         tracer.install()
-        # The alias bisect_nonincreasing reaches both root-finder callers.
+        # The alias bisect_nonincreasing reaches every root-finder caller.
         solver = optim.__dict__["bisect_nonincreasing"]
         assert risk.newton_nonincreasing is solver
         assert cramer.newton_nonincreasing is solver
+        assert penalties.newton_nonincreasing is solver
     finally:
         tracer.uninstall()
     for m, names in zip(modules, before):

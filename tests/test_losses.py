@@ -31,6 +31,14 @@ class TestExpLoss:
             num = (loss.conjugate(y + h) - loss.conjugate(y - h)) / (2 * h)
             assert abs(loss.conjugate_prime(y) - num) <= 1e-5
 
+    def test_conjugate_second_is_derivative(self):
+        loss = ExpLoss()
+        for y in (0.3, 1.0, 4.0):
+            h = 1e-6
+            num = (loss.conjugate_prime(y + h) -
+                   loss.conjugate_prime(y - h)) / (2 * h)
+            assert abs(loss.conjugate_second(y) - num) <= 1e-6 * (1 + num)
+
 
 class TestPowerLoss:
     @pytest.mark.parametrize("q,y", [(2.0, 0.5), (2.0, 3.0), (1.5, 1.2),
@@ -61,6 +69,15 @@ class TestPowerLoss:
             num = (loss.conjugate(y + h) - loss.conjugate(y - h)) / (2 * h)
             assert abs(loss.conjugate_prime(y) - num) <= 1e-5
 
+    @pytest.mark.parametrize("q", [1.5, 2.0, 2.5, 4.0])
+    def test_conjugate_second_is_derivative(self, q):
+        loss = PowerLoss(q)
+        for y in (0.4, 1.0, 5.0):
+            h = 1e-6
+            num = (loss.conjugate_prime(y + h) -
+                   loss.conjugate_prime(y - h)) / (2 * h)
+            assert abs(loss.conjugate_second(y) - num) <= 1e-6 * (1 + num)
+
     def test_requires_q_above_one(self):
         with pytest.raises(LossError):
             PowerLoss(1.0)
@@ -85,6 +102,15 @@ class TestTabulatedLoss:
     def test_beyond_max_slope_infinite(self):
         tab = TabulatedLoss((-1.0, 0.0, 1.0), (0.25, 1.0, 2.0))
         assert tab.conjugate(10.0) == math.inf
+
+    def test_beyond_max_slope_argmax_is_infinite(self):
+        # A flat left piece and +inf: value must not meet 0 * inf.
+        tab = TabulatedLoss((-2.0, -1.0, 0.0, 1.0), (0.25, 0.25, 1.0, 2.0))
+        with np.errstate(all="raise"):
+            assert tab.conjugate_prime(10.0) == math.inf
+            assert tab.value(math.inf) == math.inf
+            assert (tab.conjugate_second(np.array([0.5, 1.0])) == 0.0).all()
+        assert math.isfinite(tab.conjugate_prime(1.0))     # the top slope
 
     def test_rejects_nonconvex(self):
         with pytest.raises(LossError, match="convex"):

@@ -92,6 +92,27 @@ def test_slow_newton_falls_back_to_bisection(q):
     assert len(calls) <= 2 * bisection_steps
 
 
+@pytest.mark.parametrize("shape", ["tanh", "cubic"])
+def test_newton_on_monotone_nonconvex_rows(shape):
+    # G = -tanh(4 (m - c)) or -(m - c)^3 - (m - c)/100 is decreasing but
+    # concave right of its root c, so a Newton step from the left can
+    # overshoot.  Each row must still end at c inside a certified bracket.
+    roots = np.array([0.3, -2.5, 7.0, 0.999, 0.0])
+
+    def G(m):
+        z = m - roots
+        if shape == "tanh":
+            t = np.tanh(4.0 * z)
+            return -t, -4.0 * (1.0 - t * t)
+        return -z ** 3 - 0.01 * z, -3.0 * z * z - 0.01
+
+    lo = np.zeros(5)
+    got = newton_nonincreasing(G, 0.0, lo, lo + 1.0, lo + 1.0)
+    tol = 1e-12 * (1.0 + np.abs(got))
+    assert (G(got)[0] <= 0.0).all() and (G(got - tol)[0] > 0.0).all()
+    assert (np.abs(got - roots) <= tol).all()
+
+
 def test_newton_marks_uncrossed_levels_infinite():
     # Row 0 crosses at m = 0.3; row 1 stays above the target everywhere;
     # row 2 stays below it everywhere.

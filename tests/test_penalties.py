@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import ProductDist, tabulated_from_callable, tensor_penalty
+from oracles import (ProductDist, robust_pair_golden, shortfall_penalty_golden,
+                     tabulated_from_callable, tensor_penalty)
 from sanovdual.losses import ExpLoss, PowerLoss
 from sanovdual.penalties import (LpEntropy, RelativeEntropy, Robust,
                                  SetIndicator, Shortfall, Transport,
@@ -13,6 +14,10 @@ from sanovdual.penalties import (LpEntropy, RelativeEntropy, Robust,
                                  relative_entropy, robust_entropy,
                                  shortfall_penalty, transport_cost)
 from sanovdual.spaces import Dist, FiniteSpace
+
+# +inf off a support, 0 log 0 and zero generator entries are handled
+# without a numpy warning.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 TWO = FiniteSpace.of_size(2)
 THREE = FiniteSpace.of_size(3)
@@ -76,24 +81,49 @@ class TestLpEntropy:
         assert lp_entropy(UNIF2, Dist(TWO, [1, 0]), 2.0) == math.inf
 
 
+def with_zero(rng, dist):
+    """The law with one entry, picked at random, set to 0 and renormalized."""
+    w = dist.weights.copy()
+    w[rng.integers(w.size)] = 0.0
+    return Dist(dist.space, w / w.sum())
+
+
 class TestShortfallPenalty:
     def test_exp_loss_recovers_relative_entropy(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
             mu = rand_dist(rng, THREE)
             nu = rand_dist(rng, THREE)
-            got = shortfall_penalty(nu, mu, ExpLoss())
-            assert abs(got - relative_entropy(nu, mu)) <= 1e-6
+            for law in (nu, with_zero(rng, nu)):
+                got = shortfall_penalty(law, mu, ExpLoss())
+                assert abs(got - relative_entropy(law, mu)) <= 1e-12
 
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
     def test_power_loss_recovers_lp_entropy(self, q):
         rng = np.random.default_rng(2)
         p = q / (q - 1.0)
-        for _ in range(25):
-            mu = rand_dist(rng, TWO)
-            nu = rand_dist(rng, TWO)
-            got = shortfall_penalty(nu, mu, PowerLoss(q))
-            assert abs(got - lp_entropy(nu, mu, p)) <= 1e-6
+        for space in (TWO, THREE):
+            for _ in range(25):
+                mu = rand_dist(rng, space)
+                nu = rand_dist(rng, space)
+                for law in (nu, with_zero(rng, nu)):
+                    got = shortfall_penalty(law, mu, PowerLoss(q))
+                    assert abs(got - lp_entropy(law, mu, p)) <= 1e-12
+
+    @pytest.mark.parametrize("hi", [6.0, 2.0])
+    def test_tabulated_loss_matches_golden_search(self, hi):
+        # A tabulated loss has no conjugate curvature, so its rows bisect.
+        # On [-12, 2] the conjugate is +inf above slope e^2, and rows with
+        # dnu/dmu near 10 meet that edge at their minimum.
+        tab = tabulated_from_callable(np.exp, -12.0, hi)
+        rng = np.random.default_rng(15)
+        mu = np.array([0.05, 0.35, 0.6])
+        V = np.vstack([rng.dirichlet(np.ones(3), size=6),
+                       [[0.5, 0.25, 0.25], [0.0, 0.5, 0.5]]])
+        got = shortfall_penalty(V, mu, tab)
+        want = shortfall_penalty_golden(V, mu, tab)
+        assert np.isfinite(want).all()
+        assert np.abs(got - want).max() <= 1e-9
 
     def test_zero_at_reference(self):
         tab = tabulated_from_callable(np.exp, -12.0, 6.0)
@@ -139,6 +169,30 @@ class TestRobustEntropy:
                                                       mix)[0])
             assert got <= best + 1e-9
             assert got >= best - 1e-4  # grid resolution
+
+    @pytest.mark.parametrize("case", ["random", "ends", "zeros"])
+    def test_two_generators_match_golden_search(self, case):
+        rng = np.random.default_rng(16)
+        g0, g1 = (rand_dist(rng, THREE).weights for _ in range(2))
+        V = rng.dirichlet(np.ones(3), size=20)
+        if case == "ends":
+            # Laws on the line through g0 and g1, beyond either end: the
+            # minimum sits at w = 1 (past g0) or w = 0 (past g1).
+            s = np.linspace(0.0, 0.3, 6)[:, None]
+            V = np.vstack([g0 + s * (g0 - g1), g1 + s * (g1 - g0), g0, g1])
+        if case == "zeros":
+            g0 = np.array([0.6, 0.4, 0.0])
+            g1 = np.array([0.0, 0.3, 0.7])
+            V = np.vstack([V, [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+                               [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]]])
+        gens = (Dist(THREE, g0), Dist(THREE, g1))
+        got = robust_entropy(V, gens)
+        want, w = robust_pair_golden(V, g0, g1)
+        assert np.isfinite(want).all()
+        assert np.abs(got - want).max() <= 1e-12
+        if case == "ends":
+            # strictly beyond an end, that end is the oracle's minimizer
+            assert (w[1:6] == 1.0).all() and (w[7:12] == 0.0).all()
 
     def test_unsupported_is_infinite(self):
         g = (Dist(THREE, [0.5, 0.5, 0.0]), Dist(THREE, [0.2, 0.8, 0.0]))
@@ -317,8 +371,8 @@ class TestPenaltyGrad:
             "relative_entropy": RelativeEntropy(mu),
             "lp_entropy": LpEntropy(mu, 2.5),
             "shortfall": Shortfall(mu, PowerLoss(3.0)),
-            # m generators: the golden search on 2 states, the mixture
-            # ascent on 3
+            # m generators: the Newton root of the mixture's first-order
+            # condition on 2 states, the mixture ascent on 3
             "robust": Robust(tuple(rand_dist(rng, space) for _ in range(m))),
             "transport": Transport(mu, cost),
         }[family]
