@@ -11,12 +11,16 @@ r > M_q.  Laws are either empirical samples, finite-support, or closed
 one-dimensional families (Pareto, Student t, log-normal); expectations use
 exact sums, sample means, or adaptive quadrature accordingly.
 
+The cumulant is a Newton root of its level equation.  In one dimension the
+rate function is a Newton root of cumulant'(t) = x, whose slope and
+curvature come from the same pass over the law as the cumulant itself.
 Dual searches are certified only in dimension d <= 3.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,7 +29,7 @@ import numpy as np
 from .extreal import INF
 from .laws import (EmpiricalLaw, FiniteSupportLaw, Law, LawError, ParetoLaw,
                    StudentTLaw)
-from .optim import coordinate_ascent_box, golden_max, newton_nonincreasing
+from .optim import coordinate_ascent_box, legendre_max, newton_nonincreasing
 from .quadrature import expect as _expect
 
 log = logging.getLogger("sanovdual")
@@ -65,39 +69,51 @@ def plus_power_moment(law: Law, t, m: float, q: float) -> float:
     kink = (m - 1.0) / ts
     return _expect(law.pdf, *law.support,
                    lambda x: np.maximum(1.0 + ts * x - m, 0.0) ** q,
-                   breaks=(kink,))
+                   breaks=(kink,), centre=law.centre)
 
 
-def _power_rows(z, x, q: float) -> np.ndarray:
+def _power_rows(z, x, q: float, curvature: bool = False) -> np.ndarray:
     """Rows b^q, b^(q-1) and x b^(q-1) for b = z^+ (x: one row per
-    dimension)."""
+    dimension), then for ``curvature`` (one dimension) b^(q-2), x b^(q-2)
+    and x^2 b^(q-2), with b^(q-2) = 0 where b = 0."""
     b = np.maximum(z, 0.0)
     p = b ** (q - 1.0)
     xp = x * p
-    rows = np.empty((2 + xp.size // p.size, p.size))
-    rows[0], rows[1], rows[2:] = p * b, p, xp
+    k = xp.size // p.size
+    rows = np.empty((2 + k + 3 * curvature, p.size))
+    rows[0], rows[1], rows[2:2 + k] = p * b, p, xp
+    if curvature:
+        r = np.divide(p, b, out=np.zeros_like(p), where=b > 0.0)
+        rows[3], rows[4], rows[5] = r, x * r, x * x * r
     return rows
 
 
-def plus_power_moments(law: Law, t, m: float, q: float):
+def plus_power_moments(law: Law, t, m: float, q: float,
+                       curvature: bool = False):
     """E[b^q], E[b^(q-1)] and E[X b^(q-1)] for b = (1 + <t, X> - m)^+,
-    from one pass over the law (the last has one entry per dimension);
-    t must be nonzero for a continuous law.
+    from one pass over the law (the last has one entry per dimension).
+    With ``curvature`` (one dimension only) the same pass also gives
+    E[b^(q-2)], E[X b^(q-2)] and E[X^2 b^(q-2)], as a fourth entry.
 
     G(m) = E[b^q] has dG/dm = -q E[b^(q-1)] and gradient q E[X b^(q-1)]
     in t, so where G = 1 the cumulant has gradient
-    E[X b^(q-1)] / E[b^(q-1)].
+    L' = E[X b^(q-1)] / E[b^(q-1)], and, differentiating once more,
+    L'' = (q - 1) E[(X - L')^2 b^(q-2)] / E[b^(q-1)].
     """
     t = np.atleast_1d(t)
     if isinstance(law, (FiniteSupportLaw, EmpiricalLaw)):
         pts, proj, w = _discrete(law, t)
-        rows = _power_rows(1.0 + proj - m, pts.T, q)
+        rows = _power_rows(1.0 + proj - m, pts.T, q, curvature)
         sums = rows.mean(axis=1) if w is None else rows @ w
-        return sums[0], sums[1], sums[2:]
-    ts = float(t[0])
-    sums = _expect(law.pdf, *law.support,
-                   lambda x: _power_rows(1.0 + ts * x - m, x, q),
-                   breaks=((m - 1.0) / ts,))
+    else:
+        ts = float(t[0])
+        sums = _expect(law.pdf, *law.support,
+                       lambda x: _power_rows(1.0 + ts * x - m, x, q,
+                                             curvature),
+                       breaks=((m - 1.0) / ts,) if ts else (),
+                       centre=law.centre)
+    if curvature:
+        return sums[0], sums[1], sums[2:3], sums[3:]
     return sums[0], sums[1], sums[2:]
 
 
@@ -113,7 +129,7 @@ def moment_norm(law: Law, q: float) -> float:
             else np.linalg.norm(law.samples, axis=1)
         return float(np.mean(mags ** q) ** (1.0 / q))
     return float(_expect(law.pdf, *law.support, lambda x: np.abs(x) ** q,
-                         breaks=(0.0,)) ** (1.0 / q))
+                         breaks=(0.0,), centre=law.centre) ** (1.0 / q))
 
 
 def cumulant(law: Law, x_star, q: float) -> float:
@@ -128,40 +144,55 @@ def cumulant(law: Law, x_star, q: float) -> float:
     return _cumulant(law, x_star, q)[0]
 
 
-def _cumulant(law: Law, x_star, q: float, start: Optional[float] = None):
-    """(cumulant, gradient) at x_star.
+def _cumulant(law: Law, x_star, q: float, start: Optional[float] = None,
+              curvature: bool = False):
+    """(cumulant, gradient, curvature) at x_star.
 
     ``start`` is a point believed to lie left of the root, such as a lower
     bound from a tangent; it is certified by G > 1 and, if rounding broke
     it, stepped down geometrically from there.  The gradient
     E[X b^(q-1)] / E[b^(q-1)] at the root follows from implicit
-    differentiation of G = 1; it is None at t = 0, where the cumulant is 0
-    without a search, and where it is not finite.
+    differentiation of G = 1, and so does the second derivative, returned
+    for ``curvature`` in one dimension (``plus_power_moments``); each is
+    None where it is not finite.  At t = 0 the cumulant is 0 without a
+    search, and its derivatives, E[X] and (q - 1) Var X, cost one pass
+    over the law, made only for ``curvature``.
     """
     check_admissible(law, q)
     t = np.atleast_1d(np.asarray(x_star, dtype=float))
 
-    moments = {}    # m -> (E[b^(q-1)], E[X b^(q-1)]), for the gradient
+    moments = {}    # m -> the moments behind the gradient and curvature
 
     def G(m):
-        s0, s1, s2 = plus_power_moments(law, t, m, q)
-        moments[m] = s1, s2
-        return s0, -q * s1
+        s0, *rest = plus_power_moments(law, t, m, q, curvature)
+        moments[m] = rest
+        return s0, -q * rest[0]
 
-    if not t.any():     # G(m) = ((1 - m)^+)^q, whose root is 0
-        return 0.0, None
-    scale = 1.0 + float(np.linalg.norm(t))
-    lo, step = -2.0 * scale, 4.0 * scale
-    if start is not None and start > lo:
-        lo, step = start, 1e-12 * (1.0 + abs(start))
-    m = newton_nonincreasing(G, 1.0, lo, 2.0 * scale, step)
-    if m == INF:
-        log.warning("cumulant: target level never reached")
+    if t.any():
+        scale = 1.0 + float(np.linalg.norm(t))
+        lo, step = -2.0 * scale, 4.0 * scale
+        if start is not None and start > lo:
+            lo, step = start, 1e-12 * (1.0 + abs(start))
+        m = newton_nonincreasing(G, 1.0, lo, 2.0 * scale, step)
+        if m == INF:
+            log.warning("cumulant: target level never reached")
+    elif curvature:     # G(m) = ((1 - m)^+)^q, whose root is 0
+        m = 0.0
+        G(m)
+    else:
+        return 0.0, None, None
     if m not in moments:
-        return float(m), None
-    s1, s2 = moments[m]
+        return float(m), None, None
+    s1, s2, *rows = moments[m]
     grad = s2 / s1
-    return float(m), (grad if np.isfinite(grad).all() else None)
+    if not np.isfinite(grad).all():
+        return float(m), None, None
+    if not curvature:
+        return float(m), grad, None
+    r0, r1, r2 = rows[0]
+    g = float(grad[0])
+    curv = (q - 1.0) * (r2 - 2.0 * g * r1 + g * g * r0) / s1
+    return float(m), grad, (float(curv) if np.isfinite(curv) else None)
 
 
 @dataclass(frozen=True)
@@ -174,10 +205,15 @@ class RatePoint:
 def rate_function(law: Law, x, q: float, ray_radius: float = 1e3) -> RatePoint:
     """sup over dual vectors of <t, x> - cumulant(t), for dim <= 3.
 
-    Coarse grid plus coordinate-wise golden section; if the objective is
-    still growing on the box of radius ``ray_radius`` the value is +inf.
-    The cumulant is convex, so its tangent at the point searched last
-    bounds it from below; each Newton solve starts from that tangent.
+    In one dimension: safeguarded Newton on cumulant'(t) = x from t = 0
+    (``optim.legendre_max``), stopped once the tangents at the two ends of
+    the bracket certify the value within 1e-12 (1 + |value|); the point is
+    "diverged", value +inf, if no maximizer lies within ``ray_radius``.
+    In two or three: coarse grid plus coordinate-wise golden section; if
+    the objective is still growing on the box of radius ``ray_radius`` the
+    value is +inf.  The cumulant is convex, so its tangent at the point
+    solved last bounds it from below; each Newton solve of the cumulant
+    starts from that tangent.
     """
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     d = xv.size
@@ -185,30 +221,30 @@ def rate_function(law: Law, x, q: float, ray_radius: float = 1e3) -> RatePoint:
         raise LawError("dual search is certified only for d <= 3")
     tangent = None  # the latest (t_i, cumulant(t_i), gradient at t_i)
 
-    def g(t):
+    def solve(t, curvature=False):
         nonlocal tangent
         start = None
         if tangent is not None:
             t_i, lam_i, grad_i = tangent
             start = lam_i + float(np.dot(grad_i, t - t_i))
-        lam, grad = _cumulant(law, t, q, start)
+        lam, grad, curv = _cumulant(law, t, q, start, curvature)
         if grad is not None:    # copied: the coordinate ascent mutates t
             tangent = (np.array(t), lam, grad)
-        return float(np.dot(xv, t)) - lam
+        return lam, grad, curv
 
     if d == 1:
-        lo, hi = -1.0, 1.0
-        for _ in range(40):
-            t_best, v_best = golden_max(lambda s: g(np.array([s])), lo, hi,
-                                        tol=1e-11)
-            at_edge = min(t_best - lo, hi - t_best) < 0.05 * (hi - lo)
-            if not at_edge:
-                return RatePoint(v_best, np.array([t_best]), "ok")
-            if hi - lo >= 2.0 * ray_radius:
-                return RatePoint(INF, None, "diverged")
-            lo *= 2.0
-            hi *= 2.0
+        def fn(s):
+            lam, grad, curv = solve(np.array([s]), curvature=True)
+            return (lam, math.nan if grad is None else float(grad[0]),
+                    0.0 if curv is None else curv)
+
+        t_best, v_best, status = legendre_max(fn, float(xv[0]), ray_radius)
+        if status == "diverged":
+            return RatePoint(INF, None, "diverged")
         return RatePoint(v_best, np.array([t_best]), "ok")
+
+    def g(t):
+        return float(np.dot(xv, t)) - solve(t)[0]
 
     grid = np.linspace(-2.0, 2.0, 7)
     mesh = np.stack(np.meshgrid(*([grid] * d), indexing="ij"),

@@ -1,8 +1,9 @@
 """Law families of the heavy-tail apparatus, one frozen class per family.
 
 Each class validates its parameters on construction.  The continuous
-families (Pareto, Student t, log-normal) carry their closed-form density
-and support for quadrature, and every family except the empirical one
+families (Pareto, Student t, log-normal) carry their closed-form density,
+support and centre (where the density concentrates; quadrature tiles
+outward from it), and every family except the empirical one
 draws Monte Carlo samples from a numpy Generator.  Centering subtracts the
 analytic mean, so a centered law has mean zero.
 """
@@ -75,6 +76,10 @@ class ParetoLaw:
     def support(self) -> tuple[float, float]:
         return 1.0 - self.shift, INF
 
+    @property
+    def centre(self) -> float:     # the density peaks at the left edge
+        return self.support[0]
+
     def pdf(self, x: np.ndarray) -> np.ndarray:
         return self.a * np.power(x + self.shift, -self.a - 1.0)
 
@@ -93,6 +98,8 @@ class StudentTLaw:
     @property
     def support(self) -> tuple[float, float]:
         return -INF, INF
+
+    centre = 0.0
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
         from scipy.special import poch   # lazy: its import takes ~0.25 s
@@ -121,6 +128,10 @@ class LogNormalLaw:
     @property
     def support(self) -> tuple[float, float]:
         return -self.shift, INF
+
+    @property
+    def centre(self) -> float:     # left edge: every piece tiles rightward
+        return self.support[0]
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
         y = np.asarray(x, dtype=float) + self.shift

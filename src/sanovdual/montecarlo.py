@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .laws import FiniteSupportLaw, Law, LogNormalLaw, ParetoLaw, StudentTLaw
-from .optim import golden_max
+from .optim import legendre_max
 from .quadrature import expect as _quad_expect
 
 WILSON_Z = 1.959963984540054   # two-sided 95%
@@ -97,12 +97,21 @@ FiniteSampler = FiniteSupportLaw
 # Martingale increment families: each maps per-step uniforms to increments,
 # possibly depending on the running sum (conditionally centered, bounded).
 
+def _log_cosh(y: float) -> tuple[float, float, float]:
+    """log cosh y and its first two derivatives."""
+    th = math.tanh(y)
+    return float(np.logaddexp(y, -y) - math.log(2.0)), th, 1.0 - th * th
+
+
 @dataclass(frozen=True)
 class RademacherIncrements:
     """Fair +-1 increments; log-mgf bound phi(y) = log cosh y."""
 
     def phi(self, y: float) -> float:
-        return float(np.logaddexp(y, -y) - math.log(2.0))
+        return _log_cosh(y)[0]
+
+    def phi_derivatives(self, y: float) -> tuple[float, float, float]:
+        return _log_cosh(y)
 
     def step(self, u: np.ndarray, s: np.ndarray) -> np.ndarray:
         return np.where(u < 0.5, -1.0, 1.0)
@@ -113,9 +122,23 @@ class UniformIncrements:
     """Uniform[-1, 1] increments; phi(y) = log(sinh y / y)."""
 
     def phi(self, y: float) -> float:
-        if abs(y) < 1e-8:
+        a = abs(y)
+        if a < 1e-8:
             return y * y / 6.0
-        return float(np.log(np.sinh(abs(y)) / abs(y)))
+        if a > 20.0:        # sinh overflows past 710
+            return a - math.log(2.0 * a) + math.log1p(-math.exp(-2.0 * a))
+        return float(np.log(np.sinh(a) / a))
+
+    def phi_derivatives(self, y: float) -> tuple[float, float, float]:
+        """phi, phi' = coth y - 1/y and phi'' = 1/y^2 - 1/sinh^2 y; near 0,
+        where these differences cancel, their series."""
+        y2 = y * y
+        if abs(y) < 0.05:
+            return (self.phi(y),
+                    y * (1 / 3 - y2 * (1 / 45 - y2 * (2 / 945 - y2 / 4725))),
+                    1 / 3 - y2 * (1 / 15 - y2 * (2 / 189 - y2 / 675)))
+        csch = 2.0 * math.exp(-abs(y)) / -math.expm1(-2.0 * abs(y))
+        return self.phi(y), 1.0 / math.tanh(y) - 1.0 / y, 1.0 / y2 - csch ** 2
 
     def step(self, u, s):
         return 2.0 * u - 1.0
@@ -131,8 +154,8 @@ class ScriptedIncrements:
     uniformly even though the sequence is not i.i.d.
     """
 
-    def phi(self, y: float) -> float:
-        return float(np.logaddexp(y, -y) - math.log(2.0))
+    phi = RademacherIncrements.phi
+    phi_derivatives = RademacherIncrements.phi_derivatives
 
     def step(self, u, s):
         up = np.where(u < 2.0 / 3.0, -0.5, 1.0)
@@ -292,7 +315,8 @@ class SAAInstance:
         out = np.empty(self.decisions.size)
         for j, x in enumerate(self.decisions):
             out[j] = _quad_expect(self.law.pdf, *self.law.support,
-                                  lambda w: self.loss(x, w))
+                                  lambda w: self.loss(x, w),
+                                  centre=self.law.centre)
         return out
 
     def true_value(self) -> float:
@@ -411,19 +435,12 @@ class AzumaResult:
     exact_tail: Optional[float] = None
 
 
-def conjugate_scalar(phi: Callable[[float], float], r: float,
+def conjugate_scalar(family: IncrementFamily, r: float,
                      radius: float = 1e3) -> float:
-    """phi*(r) = sup_y (r y - phi(y)) by expanding golden-section search."""
-    lo, hi = -1.0, 1.0
-    for _ in range(40):
-        y, v = golden_max(lambda t: r * t - phi(t), lo, hi, tol=1e-12)
-        if min(y - lo, hi - y) > 0.05 * (hi - lo):
-            return v
-        if hi - lo >= 2.0 * radius:
-            return v
-        lo *= 2.0
-        hi *= 2.0
-    return v
+    """phi*(r) = sup_y (r y - phi(y)) for the family's convex phi, by
+    ``optim.legendre_max``; where no maximizer lies within ``radius`` it
+    is the best value within it, a lower bound."""
+    return legendre_max(family.phi_derivatives, r, radius)[1]
 
 
 def _simulate_final_means(family: IncrementFamily, n: int, replications: int,
@@ -446,7 +463,7 @@ def azuma_experiment(family: IncrementFamily, r: float, n: int,
     means = _simulate_final_means(family, n, replications, seed)
     hits = int((means >= r).sum())
     p_hat = hits / replications
-    phi_star = conjugate_scalar(family.phi, r)
+    phi_star = conjugate_scalar(family, r)
     emp = math.log(p_hat) / n if hits > 0 else -math.inf
     budget = -phi_star + slack
     exact = None

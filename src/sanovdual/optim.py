@@ -7,6 +7,9 @@ Everything here is plain numpy:
   simplices and products of simplices;
 * golden-section line search and one safeguarded Newton root finder for
   the risks and penalty infima, both on scalar or (B,)-array brackets;
+* one Legendre transform of a convex function on the line, by
+  safeguarded Newton on its first-order condition, for the rate function
+  and the Azuma conjugate;
 * simplex grids and cyclic coordinate ascent on a box.
 
 A search that exhausts its iteration cap unconverged logs a ``sanovdual``
@@ -16,6 +19,7 @@ warning naming the solver and its last bracket.
 from __future__ import annotations
 
 import logging
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -176,6 +180,75 @@ def newton_nonincreasing(G: Callable, target: float, lo, hi, step,
 
 # perfbench/tracer.py reads it; ROADMAP item 1 deletes it
 bisect_nonincreasing = newton_nonincreasing
+
+
+def legendre_max(fn: Callable, x: float, radius: float, max_iter: int = 200):
+    """sup over t of t x - f(t) for a convex f on the line, where ``fn(t)``
+    returns (f(t), f'(t), f''(t)): safeguarded Newton on f'(t) = x from
+    t = 0 (rtsafe, as in ``newton_nonincreasing``), each step taken from
+    the latest point.  Returns (t, value, status) at the best point found.
+
+    A point with f' <= x lies left of a maximizer and one with f' >= x
+    right of it.  Until both are known, a Newton step longer than the width
+    or than half the last step is replaced by the width, which then doubles
+    (1, 2, 4, ...), and |t| stays within ``radius``: a slope that never
+    reaches x ends at the radius, "diverged", after about log2(radius)
+    steps, with the best value within it.  A Newton step whose predicted
+    gain (x - f') d / 2 is below tolerance is doubled to probe for the far
+    side; a probe that falls short is followed by the width.  Once both are
+    known, a Newton step that leaves the bracket, or that is not at most
+    half the step before last, bisects it.
+
+    By convexity the tangent lines of t x - f(t) at the two ends bound it
+    from above; the search stops, "ok", once the bound where they cross is
+    within 1e-12 (1 + |value|) of the best value, which certifies it
+    without a narrow t bracket, or once the bracket is within rounding.
+    A non-finite f or f' raises FloatingPointError.
+    """
+    t, width, last, before, probed = 0.0, 1.0, INF, INF, False
+    best_t, best_v = 0.0, NEG_INF
+    lo = hi = None      # (t, t x - f(t), |x - f'(t)|) with f' <= x, f' >= x
+    for _ in range(max_iter):
+        f, s, c = fn(t)
+        if not (math.isfinite(f) and math.isfinite(s)):
+            raise FloatingPointError(f"legendre_max: f = {f}, f' = {s} at "
+                                     f"t = {t!r} for x = {x!r}")
+        v = t * x - f
+        if v > best_v:
+            best_t, best_v = t, v
+        if s <= x:
+            lo = (t, v, x - s)
+        if s >= x:
+            hi = (t, v, s - x)
+        tol = 1e-12 * (1.0 + abs(best_v))
+        d = (x - s) / c if c > 0.0 else math.copysign(INF, x - s)
+        if lo is not None and hi is not None:
+            (a, va, ca), (b, vb, cb) = lo, hi
+            upper = min(va, vb) if ca + cb == 0.0 else \
+                va + ca * (vb - va + cb * (b - a)) / (ca + cb)
+            if upper - best_v <= tol:
+                return best_t, best_v, "ok"
+            step = t + d
+            if not (min(a, b) < step < max(a, b)) or abs(d) > 0.5 * before:
+                step = 0.5 * (a + b)
+                if step in (a, b):          # bracket within rounding
+                    return best_t, best_v, "ok"
+        else:
+            if probed or abs(d) > min(0.5 * last, width):
+                d = math.copysign(width, d)     # not converging: expand
+                width *= 2.0
+                probed = False
+            elif 0.5 * (x - s) * d <= tol:      # probe for the far side
+                d = math.copysign(max(2.0 * abs(d), 4.0 * math.ulp(t)), d)
+                probed = True
+            step = min(max(t + d, -radius), radius)
+            if step == t == math.copysign(radius, d):
+                return best_t, best_v, "diverged"
+        last, before = abs(step - t), last
+        t = step
+    _warn_open("legendre_max", max_iter, False, lo[0] if lo else math.nan,
+               hi[0] if hi else math.nan)
+    return best_t, best_v, "ok"
 
 
 def _warn_open(solver: str, max_iter: int, done, lo, hi) -> None:

@@ -2,11 +2,12 @@
 
 Adaptive generic quadrature struggles on integrands like
 ((1 + t x - m)^+)^q * pdf(x) whose active region can stretch across many
-orders of magnitude.  Instead: split at the declared breakpoints (kinks),
-then tile the unbounded directions with geometrically growing segments and
-apply fixed Gauss-Legendre nodes on each.  Segments stop once their
-contributions fall below tolerance twice in a row, which a polynomially
-decaying integrable tail guarantees.
+orders of magnitude.  Instead: split at the declared breakpoints (kinks)
+and at the density's centre, tile each finite piece with geometrically
+growing segments outward from the centre, tile the unbounded directions
+the same way, and apply fixed Gauss-Legendre nodes on each segment.  Tail
+segments stop once their contributions fall below tolerance twice in a
+row, which a polynomially decaying integrable tail guarantees.
 
 An integrand may also return a (k, N) array for N nodes: its k rows share
 the nodes, the density values and the tail walk, and a tail stops only
@@ -38,7 +39,7 @@ def _segment(pdf, fn, a: float, b: float):
 
 def _tiled(pdf, fn, a: float, b: float):
     """Finite segment integrated on geometrically growing tiles from a;
-    keeps the nodes dense where densities concentrate near the left edge."""
+    keeps the nodes dense near a, the end nearer the density's centre."""
     total = 0.0
     x = a
     step = min(1.0 + 0.5 * abs(a), b - a)
@@ -52,11 +53,17 @@ def _tiled(pdf, fn, a: float, b: float):
 
 def expect(pdf: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
            fn: Callable[[np.ndarray], np.ndarray],
-           breaks: Sequence[float] = (),
+           breaks: Sequence[float] = (), *, centre: float,
            rel_tol: float = 1e-13, max_segments: int = 90):
     """Integral of fn * pdf over (lo, hi) with breakpoints honored exactly:
-    a float, or the (k,) integrals of an integrand with k rows."""
-    edges = sorted({float(b) for b in breaks if lo < b < hi})
+    a float, or the (k,) integrals of an integrand with k rows.
+
+    ``centre`` is where the density concentrates, such as its mode or the
+    left edge of a one-sided support.  It is a breakpoint too, and a finite
+    piece left of it is tiled from its right end, so a far kink cannot
+    leave the bulk between two sparse nodes.
+    """
+    edges = sorted({float(b) for b in (*breaks, centre) if lo < b < hi})
     if np.isfinite(lo):
         edges = [float(lo)] + edges
     if np.isfinite(hi):
@@ -66,7 +73,10 @@ def expect(pdf: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
 
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        total += _tiled(pdf, fn, a, b)
+        if b <= centre:     # tiled from b down, as the mirror image from -b
+            total += _tiled(lambda y: pdf(-y), lambda y: fn(-y), -b, -a)
+        else:
+            total += _tiled(pdf, fn, a, b)
 
     if not np.isfinite(hi):
         total = _tail(pdf, fn, edges[-1], 1.0, total, rel_tol, max_segments)

@@ -13,6 +13,7 @@ from sanovdual.cramer import (ConjugatePair, _cumulant, check_admissible,
 from sanovdual.laws import (EmpiricalLaw, FiniteSupportLaw, LawError,
                             LogNormalLaw, ParetoLaw, StudentTLaw)
 from sanovdual.optim import golden_max
+from sanovdual.quadrature import expect as _expect
 
 RADEMACHER = FiniteSupportLaw(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
 
@@ -51,10 +52,26 @@ def rate_golden_oracle(law, x, q):
         lo, hi = 2.0 * lo, 2.0 * hi
 
 
+def student_t4_dense_cumulant(t):
+    """The Student t (df 4, q = 2) cumulant by bisection on a moment
+    integrated with breaks spaced geometrically on both sides of 0, so no
+    segment can lose the bulk whatever the kink."""
+    law = StudentTLaw(4.0)
+    geom = np.geomspace(1e-3, 1e7, 120)
+    breaks = (0.0, *geom, *-geom)
+
+    def G(m):
+        return _expect(law.pdf, *law.support,
+                       lambda x: np.maximum(1.0 + t * x - m, 0.0) ** 2,
+                       breaks=(*breaks, (m - 1.0) / t), centre=0.0)
+    return bisect_root(G, 1.0, -2.0 * (1.0 + abs(t)), 2.0 * (1.0 + abs(t)))
+
+
 _RNG = np.random.default_rng(7)
 ORACLE_LAWS = {
     "pareto2.5_q2": (ParetoLaw(2.5), 2.0),
     "pareto3.5_q3": (ParetoLaw(3.5), 3.0),
+    "pareto2.5_q1.5": (ParetoLaw(2.5), 1.5),
     "student_t": (StudentTLaw(4.0), 2.0),
     "lognormal": (LogNormalLaw(0.5), 2.0),
     "finite": (FiniteSupportLaw(np.array([-1.0, 0.5, 2.0]),
@@ -81,7 +98,7 @@ class TestNewtonCumulant:
         law, q = ORACLE_LAWS[name]
         t = np.array([0.2, -0.15]) if name == "empirical_2d" \
             else np.array([0.2])
-        _, grad = _cumulant(law, t, q)
+        _, grad, _ = _cumulant(law, t, q)
         h = 1e-5
         for i in range(t.size):
             e = np.zeros_like(t)
@@ -93,8 +110,8 @@ class TestNewtonCumulant:
     def test_bad_start_still_returns_certified_root(self, offset):
         law, q = ParetoLaw(2.5), 2.0
         t = np.array([0.3])
-        cold, _ = _cumulant(law, t, q)
-        got, _ = _cumulant(law, t, q, start=cold + offset)
+        cold, _, _ = _cumulant(law, t, q)
+        got, _, _ = _cumulant(law, t, q, start=cold + offset)
         assert abs(got - cold) <= 2e-12
         tol = 1e-12 * (1.0 + abs(got))
         assert plus_power_moments(law, t, got, q)[0] <= 1.0
@@ -102,6 +119,14 @@ class TestNewtonCumulant:
 
 
 class TestCumulant:
+    @pytest.mark.parametrize("t", [1e-6, -1e-6, 1e-3, -1e-3, 0.05, -0.3])
+    def test_student_t_small_argument(self, t):
+        # For X ~ t(4), E[((1 + tX - t^2)^+)^2] = 1, so the cumulant is
+        # t^2; near t = 0 its one kink lies far out in a tail.
+        got = cumulant(StudentTLaw(4.0), t, 2.0)
+        assert abs(got - t * t) <= 2e-12 * (1.0 + t * t)
+        assert abs(got - student_t4_dense_cumulant(t)) <= 2e-12
+
     def test_point_mass_is_zero_everywhere(self):
         law = FiniteSupportLaw(np.array([0.0]), np.array([1.0]))
         for t in (-2.0, 0.0, 0.7, 5.0):
@@ -146,19 +171,39 @@ class TestCumulant:
 class TestWarmRateFunction:
     @pytest.mark.parametrize("name,x", [
         ("pareto2.5_q2", -0.3), ("pareto2.5_q2", 0.25),
-        ("pareto3.5_q3", -0.15), ("finite", 0.4), ("finite", -0.5)])
+        ("pareto2.5_q2", -0.6), ("pareto3.5_q3", -0.15),
+        ("pareto2.5_q1.5", -0.6), ("pareto2.5_q1.5", 0.3),
+        ("student_t", 0.1), ("student_t", -0.6),
+        ("lognormal", -0.3), ("lognormal", 0.4),
+        ("finite", 0.4), ("finite", -0.5),
+        ("empirical_1d", -0.6), ("empirical_1d", 0.25)])
     def test_matches_cold_golden_oracle(self, name, x):
         law, q = ORACLE_LAWS[name]
         got = rate_function(law, x, q)
         assert got.status == "ok"
         assert abs(got.value - rate_golden_oracle(law, x, q)) <= 1e-10
 
+    def test_diverged_point_is_cheap(self, monkeypatch):
+        # Below the support of the centered Pareto the supremum runs off to
+        # t = -inf; doubling steps reach the ray radius in about log2 of it.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return _cumulant(*args, **kwargs)
+        monkeypatch.setattr(cramer, "_cumulant", counted)
+        radius = 1e3
+        got = rate_function(ParetoLaw(2.5), -1.5, 2.0, ray_radius=radius)
+        assert got.status == "diverged" and got.value == math.inf
+        assert len(calls) <= 2.0 * math.log2(radius) + 10.0
+
     def test_two_dimensional_search_matches_cold_search(self, monkeypatch):
         law, q = ORACLE_LAWS["empirical_2d"]
         x = np.array([0.2, -0.1])
         got = rate_function(law, x, q)
         monkeypatch.setattr(cramer, "_cumulant",
-                            lambda law, t, q, start=None: _cumulant(law, t, q))
+                            lambda law, t, q, start=None, curvature=False:
+                            _cumulant(law, t, q, None, curvature))
         cold = rate_function(law, x, q)
         assert got.status == cold.status == "ok"
         assert abs(got.value - cold.value) <= 1e-10
@@ -190,6 +235,32 @@ class TestMomentNorm:
 
 
 class TestRateFunction:
+    @pytest.mark.parametrize("name", sorted(ORACLE_LAWS))
+    def test_status_matches_value(self, name):
+        # "ok" carries a finite value, "diverged" exactly +inf.
+        law, q = ORACLE_LAWS[name]
+        points = (-1.5, -0.6, 0.0, 0.1, 0.3, 3.0)
+        if name == "empirical_2d":
+            points = ((0.2, -0.1), (0.0, 0.0), (5.0, 5.0))
+        statuses = set()
+        for x in points:
+            got = rate_function(law, x, q)
+            statuses.add(got.status)
+            assert got.status in ("ok", "diverged")
+            if got.status == "ok":
+                assert math.isfinite(got.value)
+                assert got.argmax is not None
+            else:
+                assert got.value == math.inf and got.argmax is None
+        assert "ok" in statuses
+
+    def test_student_t_closed_form(self):
+        # The cumulant is t^2 (see TestCumulant), so the rate is x^2 / 4.
+        for x in (-1.5, -0.2, 0.1, 0.6):
+            got = rate_function(StudentTLaw(4.0), x, 2.0)
+            assert got.status == "ok"
+            assert abs(got.value - 0.25 * x * x) <= 2e-12
+
     def test_rademacher_closed_form(self):
         # rate(x) = sqrt(1 + x^2) - 1 from the stationarity of t x - L(t)
         for x in (0.0, 0.3, 0.5):

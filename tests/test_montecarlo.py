@@ -357,10 +357,38 @@ class TestReplicationBlocks:
 class TestAzuma:
     def test_conjugate_log_cosh(self):
         # phi*(r) = r atanh(r) - log cosh(atanh r), frozen via the identity
-        got = conjugate_scalar(RademacherIncrements().phi, 0.5)
+        got = conjugate_scalar(RademacherIncrements(), 0.5)
         want = 0.5 * math.atanh(0.5) - math.log(math.cosh(math.atanh(0.5)))
         assert abs(got - want) <= 1e-10
         assert abs(got - 0.130812035941137) <= 1e-12
+
+    @pytest.mark.parametrize("r", [-0.95, -0.3, 0.0, 1e-6, 0.1, 0.3, 0.5,
+                                   0.9, 0.999])
+    def test_conjugate_matches_rademacher_closed_form(self, r):
+        # the binary entropy form ((1+r) ln(1+r) + (1-r) ln(1-r)) / 2
+        want = ((1 + r) * math.log1p(r) + (1 - r) * math.log1p(-r)) / 2
+        for family in (RademacherIncrements(), ScriptedIncrements()):
+            got = conjugate_scalar(family, r)
+            assert abs(got - want) <= 1e-12 * (1.0 + want)
+
+    def test_conjugate_beyond_the_steps_is_the_value_at_the_radius(self):
+        # phi*(r) = +inf for r > 1: a lower bound, r y - phi(y) at y = 1e3
+        got = conjugate_scalar(RademacherIncrements(), 1.5)
+        assert abs(got - (500.0 + math.log(2.0))) <= 1e-9
+
+    @pytest.mark.parametrize("family", [RademacherIncrements(),
+                                        UniformIncrements()])
+    @pytest.mark.parametrize("y", [0.0, 1e-9, 0.01, 0.0499, 0.0501, 0.3,
+                                   -2.0, 25.0, 800.0])
+    def test_phi_derivatives_match_differences(self, family, y):
+        phi, d1, d2 = family.phi_derivatives(y)
+        assert phi == family.phi(y)
+        h = 1e-5
+        assert abs(d1 - (family.phi(y + h) - family.phi(y - h)) / (2 * h)) \
+            <= 1e-8
+        assert abs(d2 - (family.phi_derivatives(y + h)[1]
+                         - family.phi_derivatives(y - h)[1]) / (2 * h)) <= 1e-8
+        assert 0.0 <= d2 <= 1.0 and abs(d1) <= 1.0
 
     def test_impossible_event(self):
         res = azuma_experiment(RademacherIncrements(), 1.5, 50, 2000, seed=0)
@@ -394,6 +422,6 @@ class TestAzuma:
 
     def test_uniform_phi_matches_mgf(self):
         fam = UniformIncrements()
-        for y in (0.5, 1.5):
+        for y in (0.5, 1.5, 25.0):
             mgf = (math.exp(y) - math.exp(-y)) / (2 * y)
             assert abs(fam.phi(y) - math.log(mgf)) <= 1e-9

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from sanovdual.optim import golden_min, newton_nonincreasing, pgd_max_simplex
+from sanovdual.optim import (golden_min, legendre_max, newton_nonincreasing,
+                             pgd_max_simplex)
 
 
 def test_batched_golden_rows_match_scalar_searches():
@@ -163,7 +164,7 @@ def test_batched_ascent_rows_match_one_row_calls(shape, exact):
 
 
 @pytest.mark.parametrize("solver", ["golden", "newton", "newton_rows",
-                                    "pgd"])
+                                    "pgd", "legendre"])
 def test_exhausted_iteration_cap_warns(caplog, solver):
     with caplog.at_level(logging.WARNING, logger="sanovdual"):
         if solver == "golden":
@@ -175,11 +176,13 @@ def test_exhausted_iteration_cap_warns(caplog, solver):
             newton_nonincreasing(_square_drop, 1.0, np.array([-3.0, 0.4]),
                                  np.array([3.0, 0.5]), np.array([4.0, 0.1]),
                                  max_iter=2)
-        else:
+        elif solver == "pgd":
             pgd_max_simplex(_bowl, np.full((2, 4), 0.25), max_iter=1)
+        else:
+            legendre_max(_exp3, 5.0, 1e3, max_iter=2)
     name = {"golden": "golden_min", "newton": "newton_nonincreasing",
             "newton_rows": "newton_nonincreasing",
-            "pgd": "pgd_max_simplex"}[solver]
+            "pgd": "pgd_max_simplex", "legendre": "legendre_max"}[solver]
     assert any(r.message.startswith(f"{name}: ") and "last bracket" in
                r.message for r in caplog.records)
 
@@ -191,4 +194,65 @@ def test_converged_searches_stay_quiet(caplog):
         newton_nonincreasing(_square_drop, 1.0, np.array([-3.0, 0.4]),
                              np.array([3.0, 0.5]), np.array([4.0, 0.1]))
         pgd_max_simplex(_bowl, np.full((2, 4), 0.25))
+        legendre_max(_exp3, 5.0, 1e3)
     assert not caplog.records
+
+
+def _exp3(t):
+    """exp with its two derivatives: convex, conjugate x log x - x."""
+    e = math.exp(t)
+    return e, e, e
+
+
+@pytest.mark.parametrize("x", [1e-6, 0.3, 1.0, 5.0, 1e6])
+def test_legendre_of_exp(x):
+    # Newton from t = 0 toward log(1e6) = 13.8 would step 1e6: the steps
+    # are capped at 1, 2, 4, ... until the maximizer is bracketed.
+    t, v, status = legendre_max(_exp3, x, 1e3)
+    want = x * math.log(x) - x
+    assert status == "ok"
+    assert want - 1e-12 * (1.0 + abs(want)) <= v <= want + 1e-15 * abs(want)
+    assert abs(t - math.log(x)) <= 1e-3
+
+
+@pytest.mark.parametrize("x", [-1.0, -1e-3])
+def test_legendre_beyond_the_slopes_diverges(x):
+    # exp' > 0 everywhere: no maximizer for x < 0, so the search runs to
+    # -radius in doubling steps and reports the best value it saw there.
+    calls = []
+
+    def fn(t):
+        calls.append(t)
+        return _exp3(t)
+    t, v, status = legendre_max(fn, x, 1e3)
+    assert status == "diverged" and t == -1e3
+    assert len(calls) <= 2 * math.log2(1e3) + 2
+
+
+def test_legendre_quadratic_stops_on_the_exact_root():
+    calls = []
+
+    def fn(t):
+        calls.append(t)
+        return 0.5 * t * t, t, 1.0
+    t, v, status = legendre_max(fn, 0.7, 1e3)
+    assert (t, status) == (0.7, "ok") and v == 0.7 * 0.7 - 0.5 * 0.7 * 0.7
+    assert len(calls) == 2
+
+
+def test_legendre_kinked_function_certifies_by_bisection():
+    # log(1 + e^(20 t)) / 20, nearly |t|^+ with a sharp turn: the curvature
+    # misleads Newton far from the turn, so bisection must close the gap.
+    def fn(t):
+        z = 20.0 * t
+        p = 0.5 * (1.0 + math.tanh(0.5 * z))
+        return np.logaddexp(0.0, z) / 20.0, p, 20.0 * p * (1.0 - p)
+    for x in (0.001, 0.25, 0.999):
+        t, v, status = legendre_max(fn, x, 1e3)
+        want = (x * math.log(x) + (1 - x) * math.log1p(-x)) / 20.0
+        assert status == "ok" and abs(v - want) <= 1e-12 * (1 + abs(want))
+
+
+def test_legendre_non_finite_evaluation_raises():
+    with pytest.raises(FloatingPointError, match="legendre_max"):
+        legendre_max(lambda t: (0.0, math.nan, 0.0), 0.5, 1e3)
