@@ -4,7 +4,10 @@ Each class validates its parameters on construction.  The continuous
 families (Pareto, Student t, log-normal) carry their closed-form density,
 support and centre (where the density concentrates; quadrature tiles
 outward from it), and every family except the empirical one
-draws Monte Carlo samples from a numpy Generator.  Centering subtracts the
+draws Monte Carlo samples from a numpy Generator: ``draw(rng, size, out)``
+fills and returns ``out`` where numpy can draw in place, and returns a new
+array otherwise.  Consecutive draws from one generator are the same
+samples as one draw of their joint size.  Centering subtracts the
 analytic mean, so a centered law has mean zero.
 """
 
@@ -38,9 +41,9 @@ class FiniteSupportLaw:
         object.__setattr__(self, "atoms", a)
         object.__setattr__(self, "weights", w / w.sum())
 
-    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, size, out=None) -> np.ndarray:
         idx = rng.choice(self.weights.size, size=size, p=self.weights)
-        return self.atoms[idx]
+        return np.take(self.atoms, idx, axis=0, out=out)
 
 
 @dataclass(frozen=True)
@@ -83,8 +86,13 @@ class ParetoLaw:
     def pdf(self, x: np.ndarray) -> np.ndarray:
         return self.a * np.power(x + self.shift, -self.a - 1.0)
 
-    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
-        return rng.pareto(self.a, size) + 1.0 - self.shift
+    def draw(self, rng: np.random.Generator, size, out=None) -> np.ndarray:
+        """(1 - U)^(-1/a) - shift on uniforms U in [0, 1): never inf."""
+        x = rng.random(size, out=out)
+        np.subtract(1.0, x, out=x)
+        np.power(x, -1.0 / self.a, out=x)
+        x -= self.shift
+        return x
 
 
 @dataclass(frozen=True)
@@ -108,7 +116,7 @@ class StudentTLaw:
                       - 0.5 * (np.log(df) + np.log(np.pi))
                       - (df + 1.0) / 2.0 * np.log1p(x * x / df))
 
-    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, size, out=None) -> np.ndarray:
         return rng.standard_t(self.df, size)
 
 
@@ -141,8 +149,12 @@ class LogNormalLaw:
                       - np.log(s * y * np.sqrt(2.0 * np.pi)))
         return np.where(y > 0.0, np.exp(logpdf), 0.0)
 
-    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
-        return rng.lognormal(0.0, self.sigma, size) - self.shift
+    def draw(self, rng: np.random.Generator, size, out=None) -> np.ndarray:
+        x = rng.standard_normal(size, out=out)
+        x *= self.sigma
+        np.exp(x, out=x)
+        x -= self.shift
+        return x
 
 
 Law = FiniteSupportLaw | EmpiricalLaw | ParetoLaw | StudentTLaw | LogNormalLaw

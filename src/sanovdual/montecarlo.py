@@ -1,18 +1,17 @@
 """Monte Carlo verification harness.
 
-Deterministic per-replication streams for drawing from the laws of
+Deterministic replication streams for drawing from the laws of
 ``laws.py``, tail probability estimation with Wilson intervals, log-log
 rate fitting, sample-average-approximation experiments for stochastic
 optimization, and the bounded-increment martingale experiment.
 
-Replication i draws from a counter-based Philox generator keyed by
-base_seed XOR i.  Every experiment reads replications in blocks of
-consecutive rows, each row drawn from its own stream, and reduces whole
-blocks with numpy, so the block size never changes a result.  An
-experiment loop builds one generator and rekeys it in place for each row,
-which draws the same streams as a new generator per replication.  Known
-defect: the XOR key makes seeds share streams (rep_rng(0, 1) is
-rep_rng(1, 0)), and every schedule point reuses them (ROADMAP item 5).
+Each (seed, experiment, schedule point) draws from its own counter-based
+Philox generator, keyed by (seed << 64) | stream, where the stream id
+encodes the experiment and the sample size n.  Distinct seeds, experiments
+and schedule points therefore never share a key.  An experiment reads its
+replications as consecutive rows of that one generator, a (rows, n) block
+per draw call, and reduces whole blocks with numpy, so the block size
+never changes a result.
 
 All rate checks are one-sided upper-bound checks: no lower-bound claim is
 ever asserted.  Slack constants (1.2 bound ratio, +0.25 slope, +0.1 on the
@@ -22,7 +21,6 @@ objects.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -39,51 +37,48 @@ BOUND_RATIO_SLACK = 1.2
 SLOPE_SLACK = 0.25
 MARTINGALE_SLACK = 0.1
 
-# Samples (times coordinates) per replication block: wide enough for the
-# martingale step loop, small enough that SAA loss temporaries stay cheap.
-_BLOCK_ELEMENTS = 2 ** 17
+# Experiment tags: the top byte of a stream id, n the 56 bits below it.
+_TAIL, _SAA_VALUE, _SAA_ARGMIN, _MARTINGALE = 1, 2, 3, 4
+
+# Samples per replication block.  Wide blocks serve the martingale step
+# loop.  An SAA block stays at 2^14 samples, so that each loss(x, W)
+# temporary stays under glibc's 128 KiB mmap threshold: in a fresh process,
+# larger ones page-faulted afresh on every call.
+_BLOCK_ELEMENTS = {_TAIL: 2 ** 17, _SAA_VALUE: 2 ** 14, _SAA_ARGMIN: 2 ** 14,
+                   _MARTINGALE: 2 ** 17}
 
 
-def _rep_key(base_seed: int, i: int) -> int:
-    """Philox key of replication i: base_seed XOR i, to 64 bits."""
-    return (int(base_seed) ^ int(i)) & (2 ** 64 - 1)
+def _stream(experiment: int, n: int) -> int:
+    """Stream id of schedule point n of an experiment."""
+    if not 0 < n < 2 ** 56:
+        raise ValueError(f"sample size {n} outside [1, 2^56)")
+    return experiment << 56 | n
 
 
-def rep_rng(base_seed: int, i: int) -> np.random.Generator:
-    """A new generator for replication i: Philox keyed by ``_rep_key``."""
-    return np.random.Generator(np.random.Philox(key=_rep_key(base_seed, i)))
+def rep_rng(seed: int, stream: int) -> np.random.Generator:
+    """A new generator for one (seed, stream): Philox keyed by the 128-bit
+    (seed << 64) | stream, both in [0, 2^64)."""
+    return np.random.Generator(np.random.Philox(key=int(seed) << 64
+                                                | int(stream)))
 
 
-def _replication_streams(seed: int, replications: int):
-    """Yield the stream of each replication i in turn, drawing exactly as
-    ``rep_rng(seed, i)``.  It is one generator, rekeyed in place, so draw
-    from each stream before taking the next: seeding a new Philox costs
-    several times more than resetting its state."""
-    bitgen = np.random.Philox(key=0)
-    rng = np.random.Generator(bitgen)
-    fresh = bitgen.state      # zero counter, empty buffer, no spare uint32
-    for i in range(replications):
-        fresh["state"]["key"][0] = _rep_key(seed, i)
-        bitgen.state = fresh
-        yield rng
-
-
-def _replication_blocks(draw: Callable[[np.random.Generator, int], np.ndarray],
-                        n: int, replications: int, seed: int):
-    """Yield replications stacked into (rows, n, ...) blocks, row i being
-    ``draw(rep_rng(seed, i), n)``.  Each block overwrites the previous one."""
+def _replication_blocks(draw: Callable[..., np.ndarray], n: int,
+                        replications: int, seed: int, experiment: int):
+    """Yield replications stacked into (rows, n, ...) blocks, drawn as
+    ``draw(rng, (rows, n), out=...)`` from the one generator
+    ``rep_rng(seed, _stream(experiment, n))``.  Row i is the i-th
+    consecutive (1, n) draw of that generator, whatever the block size.
+    From the second block on, ``out`` is the previous block, which the draw
+    may fill in place."""
     if replications < 1:
         raise ValueError("need at least one replication")
-    draws = (draw(rng, n) for rng in _replication_streams(seed, replications))
-    first = next(draws)
-    rows = max(1, min(replications, _BLOCK_ELEMENTS // first.size))
-    block = np.empty((rows,) + first.shape, dtype=first.dtype)
-    draws = itertools.chain([first], draws)
-    for start in range(0, replications, rows):
+    rng = rep_rng(seed, _stream(experiment, n))
+    rows = max(1, min(replications, _BLOCK_ELEMENTS[experiment] // n))
+    block = draw(rng, (rows, n))
+    yield block
+    for start in range(rows, replications, rows):
         k = min(rows, replications - start)
-        for j in range(k):
-            block[j] = next(draws)
-        yield block[:k]
+        yield draw(rng, (k, n), out=block[:k])
 
 
 # perfbench/tracer.py times sampling through these names; the laws are the
@@ -212,7 +207,7 @@ def estimate_tail(law: Law, n: int, r: float, replications: int,
     if replications < 1000:
         raise ValueError("need at least 1e3 replications for a usable interval")
     hits = 0
-    for block in _replication_blocks(law.draw, n, replications, seed):
+    for block in _replication_blocks(law.draw, n, replications, seed, _TAIL):
         means = block.mean(axis=1)
         if means.ndim > 1:
             means = np.linalg.norm(means, axis=1)
@@ -354,7 +349,7 @@ class ArgminRun(ExceedanceSeries):
     argmin: float
 
 
-def _exceedance_series(run_cls, instance: SAAInstance,
+def _exceedance_series(run_cls, experiment: int, instance: SAAInstance,
                        schedule: Sequence[int], replications: int, seed: int,
                        exceeds: Callable[[np.ndarray], np.ndarray], target):
     """``run_cls`` of the hit counts along the schedule; ``exceeds`` maps a
@@ -365,7 +360,7 @@ def _exceedance_series(run_cls, instance: SAAInstance,
     for n in schedule:
         hits = 0
         for block in _replication_blocks(instance.law.draw, n, replications,
-                                         seed):
+                                         seed, experiment):
             hits += int(exceeds(instance.empirical_losses(block)).sum())
         lo, hi = wilson_interval(hits, replications)
         ests.append(TailEstimate(n, instance.epsilon, replications, hits,
@@ -382,7 +377,7 @@ def saa_run(instance: SAAInstance, schedule: Sequence[int], replications: int,
     polynomial-rate diagnostics."""
     v_star = instance.true_value()
     return _exceedance_series(
-        SAARun, instance, schedule, replications, seed,
+        SAARun, _SAA_VALUE, instance, schedule, replications, seed,
         lambda means: np.abs(means.min(axis=0) - v_star) >= instance.epsilon,
         v_star)
 
@@ -413,8 +408,8 @@ def argmin_tracking(instance: SAAInstance, schedule: Sequence[int],
     def exceeds(means):
         x_hat = instance.decisions[means.argmin(axis=0)]
         return instance.growth(np.abs(x_hat - x_star)) >= instance.epsilon
-    return _exceedance_series(ArgminRun, instance, schedule, replications,
-                              seed, exceeds, x_star)
+    return _exceedance_series(ArgminRun, _SAA_ARGMIN, instance, schedule,
+                              replications, seed, exceeds, x_star)
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +440,10 @@ def conjugate_scalar(family: IncrementFamily, r: float,
 
 def _simulate_final_means(family: IncrementFamily, n: int, replications: int,
                           seed: int) -> np.ndarray:
-    """S_n / n for each replication, one Philox row of uniforms each."""
+    """S_n / n for each replication, one row of uniforms each."""
     out = []
-    for U in _replication_blocks(lambda rng, n: rng.random(n), n,
-                                 replications, seed):
+    for U in _replication_blocks(np.random.Generator.random, n,
+                                 replications, seed, _MARTINGALE):
         s = np.zeros(len(U))
         for k in range(n):
             s += family.step(U[:, k], s)

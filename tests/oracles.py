@@ -275,7 +275,8 @@ def saa_exact_exceedance(instance: SAAInstance, n: int) -> float:
 def check_integrability(instance: SAAInstance, seed: int = 0,
                         draws: int = 100_000) -> float:
     """Sampled q-th moment of (sup_x h(x, W))^+ of an SAA instance; raises
-    ``GrowthValidationError`` unless it is finite."""
+    ``GrowthValidationError`` unless it is finite.  It draws from stream 0
+    of the seed, which no Monte Carlo experiment uses."""
     w = instance.law.draw(rep_rng(seed, 0), draws)
     H = np.stack([instance.loss(x, w) for x in instance.decisions])
     val = float(np.mean(np.maximum(H.max(axis=0), 0.0) ** instance.q))

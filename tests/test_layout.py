@@ -31,8 +31,6 @@ ALLOWED = {
     "montecarlo.FiniteSampler",
     # perfbench/tracer.py reads it; ROADMAP item 1 deletes it
     "optim.bisect_nonincreasing",
-    # perfbench/tracer.py reads it; ROADMAP item 1 deletes it
-    "montecarlo.rep_rng",
 }
 
 

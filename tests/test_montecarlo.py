@@ -24,6 +24,16 @@ def exact_binomial_tail(n, r):
     return sum(math.comb(n, k) for k in range(k_min, n + 1)) / 2.0 ** n
 
 
+def binomial_lower_quantile(k, p, level):
+    """The smallest c with P(Binomial(k, p) <= c) >= level."""
+    cdf = 0.0
+    for c in range(k + 1):
+        cdf += math.comb(k, c) * p ** c * (1 - p) ** (k - c)
+        if cdf >= level:
+            return c
+    return k
+
+
 class TestSeeding:
     def test_replication_streams_differ(self):
         a = rep_rng(42, 0).random(4)
@@ -42,9 +52,6 @@ class TestSeeding:
         assert np.array_equal(again.random(3), first)
         assert np.array_equal(held.random(5), rep_rng(7, 3).random(8)[3:])
 
-    @pytest.mark.xfail(strict=True, reason="known defect: the stream key is "
-                       "seed XOR replication, so seeds share streams "
-                       "(ROADMAP item 5)")
     def test_seeds_do_not_share_streams(self):
         assert not np.array_equal(rep_rng(0, 1).random(8),
                                   rep_rng(1, 0).random(8))
@@ -58,6 +65,14 @@ class TestSamplers:
         x = sampler.draw(rep_rng(0, 0), 1_000_000)
         se = x.std() / math.sqrt(x.size)
         assert abs(x.mean()) <= 3 * se
+
+    @pytest.mark.parametrize("law", [ParetoLaw(2.5), ParetoLaw(1.2),
+                                     ParetoLaw(3.0, centered=False)])
+    def test_pareto_is_the_inverse_cdf_on_uniforms(self, law):
+        x = law.draw(rep_rng(5, 1), (40, 7))
+        u = rep_rng(5, 1).random((40, 7))
+        assert np.array_equal(x, (1.0 - u) ** (-1.0 / law.a) - law.shift)
+        assert np.isfinite(x).all()
 
     def test_pareto_uses_analytic_mean(self):
         assert abs(ParetoLaw(2.5).shift - 2.5 / 1.5) <= 1e-15
@@ -76,10 +91,17 @@ class TestEstimateTail:
         assert est.hits == 0 and est.p_hat == 0.0
 
     def test_matches_exact_binomial(self):
-        n, r = 100, 0.2
-        est = estimate_tail(RADEMACHER, n, r, 20_000, seed=3)
+        # Seeds 0..K-1 draw independent streams, so the number of 95% Wilson
+        # intervals that cover the exact tail is Binomial(K, 0.95) at
+        # nominal coverage; pass at its 0.1% lower quantile.
+        n, r, seeds = 100, 0.2, 60
         p = exact_binomial_tail(n, r)
-        assert est.lo <= p <= est.hi
+        need = binomial_lower_quantile(seeds, 0.95, 1e-3)
+        assert need == 51
+        cover = sum(est.lo <= p <= est.hi for est in (
+            estimate_tail(RADEMACHER, n, r, 20_000, seed=seed)
+            for seed in range(seeds)))
+        assert cover >= need
 
     def test_deterministic_and_thread_invariant(self):
         a = estimate_tail(RADEMACHER, 50, 0.3, 3000, seed=5)
@@ -243,24 +265,38 @@ PLANAR = FiniteSupportLaw(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0]]),
                           np.array([0.4, 0.4, 0.2]))
 
 
+def tail_stream(n):
+    return montecarlo._stream(montecarlo._TAIL, n)
+
+
+def consecutive_rows(draw, seed, stream, rows, n):
+    """``rows`` consecutive (1, n) draws from the (seed, stream) generator."""
+    rng = rep_rng(seed, stream)
+    return np.concatenate([draw(rng, (1, n)) for _ in range(rows)])
+
+
 class TestReplicationBlocks:
-    """Blocks change how replications are reduced, never what they draw."""
+    """Blocks change how replications are reduced, never what they draw:
+    block rows are consecutive (1, n) draws of one (seed, stream)
+    generator."""
 
     @staticmethod
     def one_row_blocks(monkeypatch):
-        monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS",
+                            dict.fromkeys(montecarlo._BLOCK_ELEMENTS, 1))
 
     @staticmethod
     def assert_rows_are_streams(monkeypatch, draw):
         # Rows of 7, not a multiple of 4: a Philox buffer or a spare 32-bit
-        # half left over from the previous row would shift the next one.
-        # A seed above 2^63 keys with the top bit set.
+        # half left over from one row must carry into the next, exactly as
+        # in consecutive draws.  A seed above 2^63 keys with the top bit set.
         seed = 2 ** 63 + 11
-        monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 100)
+        monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS",
+                            {montecarlo._TAIL: 100})
         blocks = [b.copy() for b in montecarlo._replication_blocks(
-            draw, 7, 250, seed)]
+            draw, 7, 250, seed, montecarlo._TAIL)]
         assert len(blocks) > 1 and len(blocks[0]) > 1
-        want = np.stack([draw(rep_rng(seed, i), 7) for i in range(250)])
+        want = consecutive_rows(draw, seed, tail_stream(7), 250, 7)
         assert np.array_equal(np.concatenate(blocks), want)
 
     @pytest.mark.parametrize("law", [ParetoLaw(2.5), PLANAR, StudentTLaw(5.0),
@@ -269,24 +305,45 @@ class TestReplicationBlocks:
         self.assert_rows_are_streams(monkeypatch, law.draw)
 
     @pytest.mark.parametrize("draw", [
-        lambda rng, n: rng.random(n),       # the martingale uniforms
-        lambda rng, n: rng.integers(0, 7, n, dtype=np.int32),
+        np.random.Generator.random,         # the martingale uniforms
+        lambda rng, size, out=None: rng.integers(0, 7, size, dtype=np.int32),
     ], ids=["random", "int32"])
     def test_raw_rows_are_the_replication_streams(self, monkeypatch, draw):
         self.assert_rows_are_streams(monkeypatch, draw)
 
-    def test_one_generator_per_pass(self, monkeypatch):
-        built = []
+    @staticmethod
+    def philox_keys(monkeypatch):
+        """The key of every Philox built from now on, in order."""
+        keys = []
         philox = np.random.Philox
 
         def counting_philox(*args, **kwargs):
-            built.append(1)
+            keys.append(kwargs["key"])
             return philox(*args, **kwargs)
         monkeypatch.setattr(np.random, "Philox", counting_philox)
-        for _ in montecarlo._replication_blocks(lambda rng, n: rng.random(n),
-                                                5, 1000, 3):
+        return keys
+
+    def test_one_generator_per_pass(self, monkeypatch):
+        keys = self.philox_keys(monkeypatch)
+        self.one_row_blocks(monkeypatch)
+        for _ in montecarlo._replication_blocks(np.random.Generator.random, 5,
+                                                1000, 3, montecarlo._TAIL):
             pass
-        assert len(built) <= 1
+        assert keys == [3 << 64 | tail_stream(5)]
+
+    def test_schedule_points_and_experiments_get_their_own_keys(
+            self, monkeypatch):
+        keys = self.philox_keys(monkeypatch)
+        seed = 9
+        estimate_tail(RADEMACHER, 10, 0.5, 1000, seed)
+        estimate_tail(RADEMACHER, 20, 0.5, 1000, seed)
+        instance = make_finite_instance()
+        instance.growth = lambda d: 0.1 * d
+        saa_run(instance, [10, 20], 1000, seed)
+        argmin_tracking(instance, [10, 20], 1000, seed)
+        azuma_experiment(RademacherIncrements(), 0.5, 10, 1000, seed)
+        assert len(keys) == 7 and len(set(keys)) == 7
+        assert all(k >> 64 == seed for k in keys)
 
     def test_no_replications_refused(self):
         with pytest.raises(ValueError):
@@ -298,12 +355,11 @@ class TestReplicationBlocks:
     def test_estimate_tail(self, monkeypatch, law, r):
         default = estimate_tail(law, 30, r, 2500, seed=3)
         assert 0 < default.hits < default.replications
-        loop = 0    # the per-replication reduction
-        for i in range(2500):
-            x = law.draw(rep_rng(3, i), 30)
-            m = x.mean() if x.ndim == 1 else np.linalg.norm(x.mean(axis=0))
-            loop += bool(m >= r)
-        assert default.hits == loop
+        x = consecutive_rows(law.draw, 3, tail_stream(30), 2500, 30)
+        m = x.mean(axis=1)      # the per-replication reduction
+        if m.ndim > 1:
+            m = np.array([np.linalg.norm(row) for row in m])
+        assert default.hits == int((m >= r).sum())
         self.one_row_blocks(monkeypatch)
         assert estimate_tail(law, 30, r, 2500, seed=3) == default
 
@@ -321,9 +377,11 @@ class TestReplicationBlocks:
         assert any(e.hits for e in default.estimates)
         v_star = instance.true_value()
         for e in default.estimates:     # the per-replication reduction
+            stream = montecarlo._stream(montecarlo._SAA_VALUE, e.n)
+            rng = rep_rng(4, stream)
             loop = 0
-            for i in range(1500):
-                w = instance.law.draw(rep_rng(4, i), e.n)
+            for _ in range(1500):
+                w = instance.law.draw(rng, (1, e.n))
                 v = min(instance.loss(x, w).mean() for x in instance.decisions)
                 loop += bool(abs(v - v_star) >= instance.epsilon)
             assert e.hits == loop
