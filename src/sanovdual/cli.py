@@ -35,7 +35,7 @@ from .laws import (EmpiricalLaw, FiniteSupportLaw, LawError, LogNormalLaw,
                    ParetoLaw, StudentTLaw)
 from .losses import ExpLoss, LossError, PowerLoss, TabulatedLoss
 from .penalties import (LpEntropy, RelativeEntropy, Robust, SetIndicator,
-                        Shortfall, Transport, spec_space)
+                        Shortfall, Transport)
 from .risk import generic_risk, risk_result
 from .spaces import DENSE_CAP, Dist, FiniteSpace, SpaceError
 
@@ -368,7 +368,7 @@ def cmd_rho(cfg, out: Path, seed: int) -> int:
                 optional=("generic", "restarts", "seed"))
     spec = parse_spec(cfg["spec"])
     f = np.asarray(_num_list(cfg["f"], "f"))
-    if f.size != spec_space(spec).size:
+    if f.size != spec.space.size:
         raise ConfigError("f: length must match the spec's space size")
     if _bool(cfg.get("generic", False), "generic"):
         result = generic_risk(f, spec,
@@ -395,7 +395,7 @@ def cmd_sanov(cfg, out: Path, seed: int) -> int:
     _check_keys(cfg, "config", required=("spec", "F", "schedule"),
                 optional=("grid_step", "seed"))
     spec = parse_spec(cfg["spec"])
-    F = parse_simplex_function(cfg["F"], spec_space(spec).size)
+    F = parse_simplex_function(cfg["F"], spec.space.size)
     schedule = _schedule(cfg["schedule"], "schedule")
     step = _num(cfg.get("grid_step", 0.01), "grid_step")
     run = dp.sanov_limit(F, spec, schedule, grid_step=step,
@@ -585,7 +585,7 @@ def cmd_saa(cfg, out: Path, seed: int) -> int:
 def cmd_superhedge(cfg, out: Path, seed: int) -> int:
     _check_keys(cfg, "config", required=("spec", "f"), optional=("seed",))
     spec = parse_spec(cfg["spec"])
-    space = spec_space(spec)
+    space = spec.space
     f = np.asarray(_num_list(cfg["f"], "f"))
     cert = dp.superhedge(f, space, spec)
     write_json(out / "certificate.json", cert.to_json_dict())

@@ -21,7 +21,7 @@ import numpy as np
 from . import extreal
 from .extreal import INF, NEG_INF
 from .optim import numeric_tangent_grad, pgd_max_simplex, simplex_grid
-from .penalties import AlphaSpec, Transport, penalty_rows, spec_space
+from .penalties import AlphaSpec, Transport, penalty
 from .risk import risk_rows
 from .spaces import (DENSE_CAP, Dist, FiniteSpace, SpaceError,
                      SymmetricField, type_index, type_rank)
@@ -176,14 +176,14 @@ def sanov_limit(F: Callable[[np.ndarray], np.ndarray], spec: AlphaSpec,
     coupling_target <= target <= sup, with equality when K* is an optimal
     plan between mu and nu*.
     """
-    space = spec_space(spec)
+    space = spec.space
     values = []
     for n in schedule:
         term = symmetric_terminal(F, n, space)
         values.append(backward_value_symmetric(term, n, space, spec) / n)
 
     def J(nu):
-        a = penalty_rows(spec, nu)
+        a = penalty(nu, spec)
         return np.where(np.isfinite(a), _values(F, nu) - a, NEG_INF)
 
     coupling = None

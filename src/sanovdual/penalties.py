@@ -1,6 +1,6 @@
-"""Penalty functionals on probability vectors and their gradients.
+"""Penalty functionals on probability vectors and their dual risk measures.
 
-Six families are implemented, each a proper convex function of the
+Six families are implemented, each a proper convex function alpha of the
 probability vector with value +inf off its effective domain:
 
 * relative entropy against a reference law;
@@ -13,37 +13,126 @@ probability vector with value +inf off its effective domain:
 * optimal transport cost to the reference law for a nonnegative cost
   matrix (computed exactly by the transportation simplex).
 
-Most evaluators accept a (B, m) batch of rows as well as a single vector;
-batching is what keeps the brute-force oracles in the test suite fast.
+Each family is one class that owns both halves of its dual pair: alpha
+and rho(f) = sup_nu (int f dnu - alpha(nu)), rows in, rows out (see
+``AlphaSpec``).  Callers go through ``penalty(nu, spec)`` and
+``risk.risk_rows(spec, F)``.  The shortfall and L^p risks are the smallest
+m with int l(f - m) dmu <= 1 (Foellmer & Schied, Stochastic Finance, 4.9),
+found per row by ``optim.newton_nonincreasing``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
 
 import numpy as np
 
-from .extreal import INF
-from .losses import LossFn
+from . import extreal
+from .extreal import INF, NEG_INF
+from .losses import LossFn, PowerLoss
 from .optim import newton_nonincreasing, pgd_max_simplex, project_simplex
-from .spaces import Dist, SpaceError
+from .spaces import Dist, FiniteSpace, SpaceError
 from .transport import solve_transport
 
-HULL_TOL = 1e-9  # Euclidean tolerance for membership in a convex hull
+HULL_TOL = 1e-9      # Euclidean tolerance for membership in a convex hull
+HULL_ITERS = 4000    # projected-gradient steps of ``hull_distance``
 
 
 # ---------------------------------------------------------------------------
-# Penalty specifications
+# Penalty families
 # ---------------------------------------------------------------------------
+
+class AlphaSpec:
+    """A penalty family.  On (B, m) float batches, ``penalty_rows(V)`` and
+    ``grad_rows(V)`` (``None`` without a gradient) give alpha and its
+    gradient at each row of V, ``risk_rows(F)`` and ``maximizer_rows(F)``
+    rho and the law attaining it (NaN where none does) for each row of F.
+    """
+
+    method = "closed_form"    # how rho is found: "closed_form" | "root_find"
+
+    @property
+    def space(self) -> FiniteSpace:
+        return self.mu.space
+
+    @property
+    def support(self) -> np.ndarray:
+        """States that can carry mass while the penalty stays finite."""
+        return self.mu.weights > 0
+
+    def law(self, row: np.ndarray) -> Dist | None:
+        """A maximizer row as a law, None for a NaN row."""
+        return None if np.isnan(row).any() else Dist(self.space, row)
+
+
+class _Hull(AlphaSpec):
+    """A family given by the convex hull of its generator laws."""
+
+    @property
+    def space(self) -> FiniteSpace:
+        return self.generators[0].space
+
+    @property
+    def support(self) -> np.ndarray:
+        sup = np.zeros(self.generators[0].m, dtype=bool)
+        for g in self.generators:
+            sup |= g.weights > 0
+        return sup
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The generators as the rows of a (k, m) array."""
+        return np.stack([g.weights for g in self.generators])
+
 
 @dataclass(frozen=True)
-class RelativeEntropy:
+class RelativeEntropy(AlphaSpec):
+    """sum nu_i log(nu_i / mu_i), with 0 log 0 = 0; +inf off the support;
+    rho is the entropic risk log int e^f dmu."""
+
     mu: Dist
 
+    def penalty_rows(self, V: np.ndarray) -> np.ndarray:
+        return _rel_rows(V, self.mu.weights[None, :])
+
+    def grad_rows(self, V: np.ndarray) -> np.ndarray:
+        return _entropy_grad(V, self.mu.weights[None, :])
+
+    def risk_rows(self, F: np.ndarray) -> np.ndarray:
+        return entropic_risk_rows(F, self.mu.weights)
+
+    def maximizer_rows(self, F: np.ndarray) -> np.ndarray:
+        return _gibbs_rows(F, self.mu.weights[None, :])
+
+
+class _LossPair(AlphaSpec):
+    """A family whose rho is the shortfall risk of ``self.loss`` under mu."""
+
+    method = "root_find"
+
+    def risk_rows(self, F: np.ndarray) -> np.ndarray:
+        return shortfall_risk_rows(F, self.mu.weights, self.loss)
+
+    def maximizer_rows(self, F: np.ndarray) -> np.ndarray:
+        """mu tilted by l'(f - rho(f)), normalized."""
+        loss, w = self.loss, self.mu.weights
+        m_star = shortfall_risk_rows(F, w, loss)
+        neg = np.isneginf(F)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            tilt = np.where((w > 0) & ~neg, np.asarray(loss.prime(
+                np.where(neg, 0.0, F) - m_star[:, None])), 0.0)
+            out = w * tilt
+            total = out.sum(axis=1)
+            out = out / total[:, None]
+        out[~np.isfinite(m_star) | ~(total > 0)] = np.nan
+        return out
+
 
 @dataclass(frozen=True)
-class LpEntropy:
+class LpEntropy(_LossPair):
+    """||dnu/dmu||_{L^p(mu)} - 1 when nu << mu, else +inf; zero iff nu = mu.
+    rho is the shortfall risk of the power loss of exponent p/(p-1)."""
+
     mu: Dist
     p: float
 
@@ -52,37 +141,127 @@ class LpEntropy:
             raise SpaceError("L^p entropy needs p > 1")
 
     @property
-    def loss_exponent(self) -> float:
-        """The exponent q = p/(p-1) of the matching power loss."""
-        return self.p / (self.p - 1.0)
+    def loss(self) -> PowerLoss:
+        return PowerLoss(self.p / (self.p - 1.0))
+
+    def _ratio_norm(self, V: np.ndarray):
+        """dnu/dmu (0 off mu's support) and its L^p(mu) norm, per row."""
+        w = self.mu.weights
+        live = w > 0.0
+        ratio = _ratio(V, w)
+        R = np.power(np.dot(np.power(ratio[:, live], self.p), w[live]),
+                     1.0 / self.p)
+        return ratio, R
+
+    def penalty_rows(self, V: np.ndarray) -> np.ndarray:
+        off = ((V > 0.0) & (self.mu.weights <= 0.0)[None, :]).any(axis=1)
+        out = self._ratio_norm(V)[1] - 1.0
+        out[off] = INF
+        return out
+
+    def grad_rows(self, V: np.ndarray) -> np.ndarray:
+        """R^(1-p) (dnu/dmu)^(p-1), with R the L^p(mu) norm of dnu/dmu."""
+        p = self.p
+        ratio, R = self._ratio_norm(V)
+        return (np.power(np.maximum(R, 1e-300), 1.0 - p)[:, None] *
+                np.power(ratio, p - 1.0))
 
 
 @dataclass(frozen=True)
-class Shortfall:
+class Shortfall(_LossPair):
+    """inf over t > 0 of (1/t)(1 + int l*(t dnu/dmu) dmu); rho is the
+    shortfall risk inf{m : int l(f - m) dmu <= 1}."""
+
     mu: Dist
     loss: LossFn
 
+    def penalty_rows(self, V: np.ndarray) -> np.ndarray:
+        return _shortfall_rows(V, self.mu.weights, self.loss)[0]
+
+    def grad_rows(self, V: np.ndarray) -> np.ndarray:
+        """l*'(t* dnu/dmu) at the minimizing t*."""
+        _, t = _shortfall_rows(V, self.mu.weights, self.loss)
+        return np.asarray(self.loss.conjugate_prime(
+            t[:, None] * _ratio(V, self.mu.weights)))
+
 
 @dataclass(frozen=True)
-class Robust:
+class Robust(_Hull):
+    """The infimum of relative entropy over the hull of the generators; rho
+    is the largest entropic risk among the generators."""
+
     generators: tuple[Dist, ...]
 
     def __post_init__(self):
         if len(self.generators) < 1:
             raise SpaceError("robust penalty needs a nonempty generator list")
 
+    def penalty_rows(self, V: np.ndarray) -> np.ndarray:
+        return _robust_rows(V, self.weights)[0]
+
+    def grad_rows(self, V: np.ndarray) -> np.ndarray:
+        """log(nu / m) + 1 against the minimizing hull mixture m."""
+        return _entropy_grad(V, _robust_rows(V, self.weights)[1])
+
+    def risk_rows(self, F: np.ndarray) -> np.ndarray:
+        vals = np.stack([entropic_risk_rows(F, g.weights)
+                         for g in self.generators])
+        return vals.max(axis=0)
+
+    def maximizer_rows(self, F: np.ndarray) -> np.ndarray:
+        G = self.weights
+        return _gibbs_rows(F, G[np.argmax([entropic_risk_rows(F, g)
+                                           for g in G], axis=0)])
+
 
 @dataclass(frozen=True)
-class SetIndicator:
+class SetIndicator(_Hull):
+    """0 on the hull of the generators, +inf off it; rho is the largest
+    expectation among the generators, attained at a generator."""
+
     generators: tuple[Dist, ...]
+
+    grad_rows = None
 
     def __post_init__(self):
         if len(self.generators) < 1:
             raise SpaceError("set indicator needs a nonempty generator list")
 
+    def penalty_rows(self, V: np.ndarray) -> np.ndarray:
+        G = self.weights
+        if G.shape[0] == 1:
+            d = np.linalg.norm(V - G[0][None, :], axis=1)
+        elif V.shape[1] == 2:
+            # Two-state simplex: the hull is the interval of first coordinates.
+            lo, hi = G[:, 0].min(), G[:, 0].max()
+            excess = np.maximum(np.maximum(lo - V[:, 0], V[:, 0] - hi), 0.0)
+            d = excess * np.sqrt(2.0)
+        else:
+            d = hull_distance(V, G)
+        return np.where(d <= HULL_TOL, 0.0, INF)
+
+    def risk_rows(self, F: np.ndarray) -> np.ndarray:
+        vals = np.stack([extreal.integral_rows(g.weights, F)
+                         for g in self.generators])
+        return vals.max(axis=0)
+
+    def maximizer_rows(self, F: np.ndarray) -> np.ndarray:
+        """The best generator of each row."""
+        G = self.weights
+        vals = [extreal.integral_rows(g, F) for g in G]
+        return G[np.argmax(vals, axis=0)]
+
+    def law(self, row: np.ndarray) -> Dist:
+        """The generator a maximizer row is, returned as it is."""
+        return next(g for g in self.generators
+                    if np.array_equal(g.weights, row))
+
 
 @dataclass(frozen=True)
-class Transport:
+class Transport(AlphaSpec):
+    """The optimal transport cost from mu to nu for the cost matrix c; rho
+    integrates the relaxation max_y (f(y) - c(x, y)) against mu."""
+
     mu: Dist
     cost: np.ndarray
 
@@ -99,41 +278,71 @@ class Transport:
         c.setflags(write=False)
         object.__setattr__(self, "cost", c)
 
+    @property
+    def support(self) -> np.ndarray:
+        live = self.mu.weights > 0
+        return np.isfinite(self.cost[live]).any(axis=0)
 
-AlphaSpec = Union[RelativeEntropy, LpEntropy, Shortfall, Robust, SetIndicator,
-                  Transport]
+    def penalty_rows(self, V: np.ndarray) -> np.ndarray:
+        """One transportation simplex solve per row; +inf when no
+        finite-cost coupling exists and on rows off the domain (a negative
+        entry, or mass other than mu's)."""
+        w = self.mu.weights
+        off = (V < 0).any(axis=1) | (np.abs(V.sum(axis=1) - w.sum()) > 1e-9)
+        return np.array([INF if o else solve_transport(w, v, self.cost).value
+                         for v, o in zip(V, off)])
+
+    def grad_rows(self, V: np.ndarray) -> np.ndarray:
+        """The column potentials of an optimal plan (nan without one)."""
+        out = np.full(V.shape, np.nan)
+        for b, v in enumerate(V):
+            sol = solve_transport(self.mu.weights, v, self.cost)
+            if sol.col_potentials is not None:
+                out[b] = sol.col_potentials
+        return out
+
+    def _relaxed(self, F: np.ndarray) -> np.ndarray:
+        """f(y) - c(x, y) as (B, m_x, m_y), -inf where either is excluded."""
+        c = self.cost
+        return np.where(np.isinf(c)[None, :, :] | np.isneginf(F)[:, None, :],
+                        -np.inf, F[:, None, :] - c[None, :, :])
+
+    def risk_rows(self, F: np.ndarray) -> np.ndarray:
+        return extreal.integral_rows(self.mu.weights,
+                                     self._relaxed(F).max(axis=2))
+
+    def maximizer_rows(self, F: np.ndarray) -> np.ndarray:
+        """mu's mass at x moved to a best reply argmax_y f(y) - c(x, y)."""
+        w = self.mu.weights
+        terms = self._relaxed(F)
+        best = terms.argmax(axis=2)                     # (B, m_x)
+        out = np.zeros(F.shape)
+        rows = np.arange(len(F))
+        for x in np.flatnonzero(w > 0):
+            out[rows, best[:, x]] += w[x]
+        out[~np.isfinite(terms[:, w > 0]).any(axis=2).all(axis=1)] = np.nan
+        return out
 
 
-def spec_space(spec: AlphaSpec):
-    if isinstance(spec, (RelativeEntropy, LpEntropy, Shortfall, Transport)):
-        return spec.mu.space
-    return spec.generators[0].space
+def penalty(nu, spec: AlphaSpec) -> float | np.ndarray:
+    """alpha(nu): a float for a law or a vector, one value per row of a
+    (B, m) batch."""
+    V = np.asarray(nu.weights if isinstance(nu, Dist) else nu, dtype=float)
+    if V.ndim == 1:
+        return float(spec.penalty_rows(V[None, :])[0])
+    return spec.penalty_rows(V)
 
 
-def feasible_support(spec: AlphaSpec) -> np.ndarray:
-    """States that can carry mass while the penalty stays finite."""
-    if isinstance(spec, (RelativeEntropy, LpEntropy, Shortfall)):
-        return spec.mu.weights > 0
-    if isinstance(spec, (Robust, SetIndicator)):
-        sup = np.zeros(spec.generators[0].m, dtype=bool)
-        for g in spec.generators:
-            sup |= g.weights > 0
-        return sup
-    live = spec.mu.weights > 0
-    return np.isfinite(np.asarray(spec.cost)[live]).any(axis=0)
+# ---------------------------------------------------------------------------
+# Row kernels
+# ---------------------------------------------------------------------------
 
-
-def _rows(nu) -> tuple[np.ndarray, bool]:
-    if isinstance(nu, Dist):
-        return nu.weights[None, :], True
-    arr = np.asarray(nu, dtype=float)
-    if arr.ndim == 1:
-        return arr[None, :], True
-    return arr, False
-
-
-def _ref_weights(mu) -> np.ndarray:
-    return mu.weights if isinstance(mu, Dist) else np.asarray(mu, dtype=float)
+def _ratio(V: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """dnu/dmu of each row, 0 off mu's support."""
+    live = w > 0.0
+    ratio = np.zeros_like(V)
+    ratio[:, live] = V[:, live] / w[live]
+    return ratio
 
 
 def _rel_rows(V: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -148,37 +357,82 @@ def _rel_rows(V: np.ndarray, W: np.ndarray) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# One-step penalties
-# ---------------------------------------------------------------------------
-
-def relative_entropy(nu, mu) -> float | np.ndarray:
-    """sum nu_i log(nu_i / mu_i), with 0 log 0 = 0; +inf off the support."""
-    V, single = _rows(nu)
-    out = _rel_rows(V, _ref_weights(mu)[None, :])
-    return float(out[0]) if single else out
+def _entropy_grad(V: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """log(nu / ref) + 1 for broadcastable (B, m) pairs."""
+    return np.log(np.maximum(V, 1e-300)) - np.log(np.maximum(W, 1e-300)) + 1.0
 
 
-def lp_entropy(nu, mu, p: float) -> float | np.ndarray:
-    """||dnu/dmu||_{L^p(mu)} - 1 when nu << mu, else +inf; zero iff nu = mu."""
-    if not p > 1.0:
-        raise SpaceError("L^p entropy needs p > 1")
-    V, single = _rows(nu)
-    w = _ref_weights(mu)
-    off = ((V > 0.0) & (w <= 0.0)[None, :]).any(axis=1)
+def entropic_risk_rows(F: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """log int e^f dmu of each row, with a max shift."""
     live = w > 0.0
-    ratio = np.zeros_like(V)
-    ratio[:, live] = V[:, live] / w[live]
-    out = np.power(np.dot(np.power(ratio[:, live], p), w[live]), 1.0 / p) - 1.0
-    out[off] = INF
-    return float(out[0]) if single else out
+    Fl = F[:, live]
+    wl = w[live]
+    pos = np.isposinf(Fl).any(axis=1)
+    shift = np.max(np.where(np.isneginf(Fl), -np.inf, Fl), axis=1)
+    dead = np.isneginf(shift)
+    s0 = np.where(np.isfinite(shift), shift, 0.0)
+    with np.errstate(divide="ignore"):
+        out = s0 + np.log(np.dot(np.exp(np.where(np.isneginf(Fl), -np.inf,
+                                                 Fl) - s0[:, None]), wl))
+    out[dead] = NEG_INF
+    out[pos] = INF
+    return out
 
 
-def shortfall_penalty(nu, mu, loss: LossFn) -> float | np.ndarray:
-    """inf over t > 0 of (1/t)(1 + int l*(t dnu/dmu) dmu)."""
-    V, single = _rows(nu)
-    out, _ = _shortfall_rows(V, _ref_weights(mu), loss)
-    return float(out[0]) if single else out
+def _gibbs_rows(F: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The reference rows W tilted by e^f, normalized; NaN rows where f is
+    -inf on the whole support."""
+    logits = np.where((W > 0) & ~np.isneginf(F),
+                      np.log(np.maximum(W, 1e-300)) + F, -np.inf)
+    fin = np.isfinite(logits)
+    top = np.where(fin, logits, -np.inf).max(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore"):     # 0/0 on rows without a law
+        out = np.exp(np.where(fin, logits - top, -np.inf))
+        return out / out.sum(axis=1, keepdims=True)
+
+
+def shortfall_risk_rows(F: np.ndarray, w: np.ndarray,
+                        loss: LossFn) -> np.ndarray:
+    """The smallest m with int l(f - m) dmu <= 1, per row."""
+    live = w > 0.0
+    Fl = np.asarray(F, dtype=float)[:, live]
+    wl = w[live]
+    B = Fl.shape[0]
+    out = np.full(B, np.nan)
+
+    pos = np.isposinf(Fl).any(axis=1)
+    fin = np.isfinite(Fl)
+    const = (wl[None, :] * np.isneginf(Fl)).sum(axis=1) * loss.left_limit
+    no_finite = ~fin.any(axis=1)
+    out[pos] = INF
+    out[no_finite & ~pos] = NEG_INF
+    work = ~(pos | no_finite)
+    if not work.any():
+        return out
+
+    Fw = Fl[work]
+    finw = fin[work]
+    cw = const[work]
+    lo = np.where(finw, Fw, np.inf).min(axis=1) - 1.0
+    hi = np.where(finw, Fw, -np.inf).max(axis=1) + 1.0
+
+    Fz = np.where(finw, Fw, 0.0)
+
+    def G(m):
+        Z = Fz - m[:, None]
+        vals = np.where(finw, loss.value(Z), 0.0)
+        slopes = np.where(finw, loss.prime(Z), 0.0)
+        # Column by column: a matrix product may round a row differently
+        # in batches of different sizes.
+        value, slope = cw, 0.0
+        for j, wj in enumerate(wl):
+            value = value + wj * vals[:, j]
+            slope = slope - wj * slopes[:, j]
+        return value, slope
+
+    # hi is an upper end, since every loss has l(-1) < 1 and left_limit < 1.
+    out[work] = newton_nonincreasing(G, 1.0, lo, hi, hi - lo)
+    return out
 
 
 def _shortfall_rows(V: np.ndarray, w: np.ndarray, loss: LossFn):
@@ -207,13 +461,6 @@ def _shortfall_rows(V: np.ndarray, w: np.ndarray, loss: LossFn):
     out = tau * (1.0 + np.dot(loss.conjugate(rl / tau[:, None]), wl))
     out[off] = INF
     return out, 1.0 / tau
-
-
-def robust_entropy(nu, generators: Sequence[Dist]) -> float | np.ndarray:
-    """Infimum of relative entropy over the convex hull of the generators."""
-    V, single = _rows(nu)
-    out, _ = _robust_rows(V, np.stack([g.weights for g in generators]))
-    return float(out[0]) if single else out
 
 
 def _robust_rows(V: np.ndarray, G: np.ndarray):
@@ -294,15 +541,13 @@ def robust_mixture_argmin(row: np.ndarray, G: np.ndarray
     return best_val, best_w @ G
 
 
-def hull_distance(nu_rows: np.ndarray, G: np.ndarray,
-                  iters: int = 4000) -> np.ndarray:
-    """Euclidean distance from each row to the convex hull of rows of G."""
-    V = np.atleast_2d(np.asarray(nu_rows, dtype=float))
+def hull_distance(V: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each row of V to the hull of the rows of G."""
     k = G.shape[0]
     W = np.full((V.shape[0], k), 1.0 / k)
     gram = G @ G.T
     step = 1.0 / (2.0 * float(np.linalg.eigvalsh(gram).max()) + 1e-12)
-    for _ in range(iters):
+    for _ in range(HULL_ITERS):
         grad = 2.0 * (W @ G - V) @ G.T
         W_new = project_simplex(W - step * grad)
         if np.abs(W_new - W).max() < 1e-15:
@@ -310,97 +555,3 @@ def hull_distance(nu_rows: np.ndarray, G: np.ndarray,
             break
         W = W_new
     return np.linalg.norm(W @ G - V, axis=1)
-
-
-def hull_indicator(nu, generators: Sequence[Dist]) -> float | np.ndarray:
-    """0 when nu lies in the convex hull of the generators, else +inf."""
-    V, single = _rows(nu)
-    G = np.stack([g.weights for g in generators])
-    if G.shape[0] == 1:
-        d = np.linalg.norm(V - G[0][None, :], axis=1)
-    elif V.shape[1] == 2:
-        # Two-state simplex: the hull is the interval of first coordinates.
-        lo, hi = G[:, 0].min(), G[:, 0].max()
-        excess = np.maximum(np.maximum(lo - V[:, 0], V[:, 0] - hi), 0.0)
-        d = excess * np.sqrt(2.0)
-    else:
-        d = hull_distance(V, G)
-    out = np.where(d <= HULL_TOL, 0.0, INF)
-    return float(out[0]) if single else out
-
-
-def transport_cost(nu, mu, cost) -> float | np.ndarray:
-    """Exact optimal transport cost from mu to nu, one transportation
-    simplex solve per row; +inf when no finite-cost coupling exists and on
-    rows off the domain (a negative entry, or mass other than mu's)."""
-    V, single = _rows(nu)
-    w = _ref_weights(mu)
-    c = np.asarray(cost, dtype=float)
-    off = (V < 0).any(axis=1) | (np.abs(V.sum(axis=1) - w.sum()) > 1e-9)
-    out = np.array([INF if o else solve_transport(w, v, c).value
-                    for v, o in zip(V, off)])
-    return float(out[0]) if single else out
-
-
-# ---------------------------------------------------------------------------
-# Dispatch
-# ---------------------------------------------------------------------------
-
-def penalty(nu, spec: AlphaSpec) -> float | np.ndarray:
-    """Evaluate the one-step penalty of the given specification."""
-    if isinstance(spec, RelativeEntropy):
-        return relative_entropy(nu, spec.mu)
-    if isinstance(spec, LpEntropy):
-        return lp_entropy(nu, spec.mu, spec.p)
-    if isinstance(spec, Shortfall):
-        return shortfall_penalty(nu, spec.mu, spec.loss)
-    if isinstance(spec, Robust):
-        return robust_entropy(nu, spec.generators)
-    if isinstance(spec, SetIndicator):
-        return hull_indicator(nu, spec.generators)
-    if isinstance(spec, Transport):
-        return transport_cost(nu, spec.mu, spec.cost)
-    raise TypeError(f"unknown penalty spec {spec!r}")
-
-
-def penalty_rows(spec: AlphaSpec, rows: np.ndarray) -> np.ndarray:
-    out = penalty(np.atleast_2d(np.asarray(rows, dtype=float)), spec)
-    return np.atleast_1d(out)
-
-
-def penalty_grad(spec: AlphaSpec, rows: np.ndarray) -> np.ndarray:
-    """Gradient of the one-step penalty at each row of a (B, m) batch.
-
-    Relative and robust entropy give log(nu / ref) + 1, against mu or the
-    minimizing hull mixture; L^p entropy R^(1-p) (dnu/dmu)^(p-1), with R the
-    L^p(mu) norm of dnu/dmu; shortfall l*'(t* dnu/dmu) at the minimizing t*;
-    transport the column potentials of an optimal plan (nan without one).
-    The set indicator has no gradient.
-    """
-    V = np.atleast_2d(np.asarray(rows, dtype=float))
-    if isinstance(spec, (RelativeEntropy, Robust)):
-        ref = spec.mu.weights[None, :] if isinstance(spec, RelativeEntropy) \
-            else _robust_rows(V, np.stack([g.weights
-                                           for g in spec.generators]))[1]
-        return (np.log(np.maximum(V, 1e-300)) -
-                np.log(np.maximum(ref, 1e-300)) + 1.0)
-    if isinstance(spec, (LpEntropy, Shortfall)):
-        w = spec.mu.weights
-        live = w > 0.0
-        ratio = np.zeros_like(V)
-        ratio[:, live] = V[:, live] / w[live]
-        if isinstance(spec, Shortfall):
-            _, t = _shortfall_rows(V, w, spec.loss)
-            return np.asarray(spec.loss.conjugate_prime(t[:, None] * ratio))
-        p = spec.p
-        R = np.power(np.dot(np.power(ratio[:, live], p), w[live]), 1.0 / p)
-        return (np.power(np.maximum(R, 1e-300), 1.0 - p)[:, None] *
-                np.power(ratio, p - 1.0))
-    if isinstance(spec, Transport):
-        out = np.full(V.shape, np.nan)
-        for b, v in enumerate(V):
-            sol = solve_transport(spec.mu.weights, v, spec.cost)
-            if sol.col_potentials is not None:
-                out[b] = sol.col_potentials
-        return out
-    raise TypeError(f"no penalty gradient for {spec!r}")

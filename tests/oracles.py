@@ -25,15 +25,15 @@ from scipy.special import gammaln
 
 from sanovdual import extreal
 from sanovdual.extreal import INF, NEG_INF
-from sanovdual.losses import LossError, LossFn, PowerLoss, TabulatedLoss
+from sanovdual.losses import LossError, LossFn, TabulatedLoss
 from sanovdual.montecarlo import GrowthValidationError, SAAInstance, rep_rng
 from sanovdual.laws import FiniteSupportLaw
 from sanovdual.optim import coordinate_ascent_box, golden_min
 from sanovdual.penalties import (AlphaSpec, LpEntropy, RelativeEntropy, Robust,
-                                 SetIndicator, Shortfall, Transport, penalty,
-                                 penalty_rows, spec_space)
-from sanovdual.risk import (entropic_risk_rows, maximizer_rows, risk_rows,
-                            shortfall_risk_rows)
+                                 SetIndicator, Shortfall, Transport,
+                                 entropic_risk_rows, penalty,
+                                 shortfall_risk_rows)
+from sanovdual.risk import risk_rows
 from sanovdual.spaces import (DENSE_CAP, SUM_SLACK, Dist, FiniteSpace,
                               SpaceError, _as_prob_vector, _freeze,
                               type_index)
@@ -202,7 +202,7 @@ def tensor_penalty_batch(tensors: np.ndarray, n: int, m: int,
         rows = np.full_like(joint, 1.0 / m)
         live = prefix > 0.0
         rows[live] = joint[live] / prefix[live][:, None]
-        alpha = penalty_rows(spec, rows.reshape(-1, m)).reshape(B, -1)
+        alpha = penalty(rows.reshape(-1, m), spec).reshape(B, -1)
         contrib = np.where(live,
                            prefix * np.where(np.isfinite(alpha), alpha, 0.0),
                            0.0)
@@ -215,10 +215,10 @@ def greedy_optimizer_from_trace(trace) -> ProductDist:
     """The joint law attaining a dense recursion's value: the maximizer of
     the first stage, then one kernel row per prefix, stage by stage."""
     m = trace.space.size
-    first = Dist(trace.space, maximizer_rows(trace.spec, trace.stages[1])[0])
+    spec = trace.spec
+    first = Dist(trace.space, spec.maximizer_rows(trace.stages[1][None])[0])
     kernels = [Kernel(k, trace.space,
-                      maximizer_rows(trace.spec,
-                                     trace.stages[k].reshape(-1, m)))
+                      spec.maximizer_rows(trace.stages[k].reshape(-1, m)))
                for k in range(2, trace.n + 1)]
     return compose(first, kernels)
 
@@ -381,7 +381,7 @@ def entropic_risk(f, mu) -> float:
 
 def shortfall_risk(f, mu, loss: LossFn) -> float:
     """inf{m : int l(f - m) dmu <= 1}: one row of
-    ``risk.shortfall_risk_rows``."""
+    ``penalties.shortfall_risk_rows``."""
     return float(shortfall_risk_rows(np.atleast_2d(np.asarray(f, float)),
                                      _w(mu), loss)[0])
 
@@ -394,9 +394,9 @@ def risk(f, spec: AlphaSpec) -> float:
 def risk_maximizer(f, spec: AlphaSpec) -> Optional[Dist]:
     """The law attaining sup_nu (int f dnu - alpha(nu)), one field at a
     time, or None when no law attains a finite value: the per-row loop
-    that ``risk.maximizer_rows`` replaces, kept as its reference."""
+    that the ``maximizer_rows`` methods replace, kept as its reference."""
     fv = np.asarray(f, dtype=float)
-    space = spec_space(spec)
+    space = spec.space
 
     if isinstance(spec, (RelativeEntropy, Robust)):
         if isinstance(spec, RelativeEntropy):
@@ -414,8 +414,7 @@ def risk_maximizer(f, spec: AlphaSpec) -> Optional[Dist]:
         return Dist(space, out / out.sum())
 
     if isinstance(spec, (LpEntropy, Shortfall)):
-        loss = spec.loss if isinstance(spec, Shortfall) else \
-            PowerLoss(spec.loss_exponent)
+        loss = spec.loss
         w = spec.mu.weights
         m_star = shortfall_risk(fv, spec.mu, loss)
         if not np.isfinite(m_star):

@@ -293,14 +293,14 @@ class TestRateFunction:
     def test_matches_constrained_penalty_form(self):
         # rate(x) = inf{ lp_entropy(nu) : mean(nu) = x } on a finite law:
         # the constraint set on 3 atoms is a segment, swept by grid.
-        from sanovdual.penalties import lp_entropy
+        from sanovdual.penalties import LpEntropy, penalty
         from sanovdual.spaces import Dist, FiniteSpace
 
         atoms = np.array([-1.0, 0.0, 1.0])
         w = np.array([0.3, 0.4, 0.3])
         law = FiniteSupportLaw(atoms, w)
         space = FiniteSpace.of_size(3)
-        mu = Dist(space, w)
+        spec = LpEntropy(Dist(space, w), 2.0)
         for x in (0.0, 0.25, -0.4):
             best = math.inf
             for t in np.linspace(0.0, 1.0, 40001):
@@ -313,7 +313,7 @@ class TestRateFunction:
                     continue
                 nu = np.array([max(a, 0), max(b, 0), max(c, 0)])
                 nu /= nu.sum()
-                best = min(best, lp_entropy(nu[None, :], mu, 2.0)[0])
+                best = min(best, penalty(nu[None, :], spec)[0])
             got = rate_function(law, x, 2.0).value
             assert abs(got - best) <= 5e-3
 

@@ -134,7 +134,7 @@ def test_tracer_finds_every_name_it_reads():
     # perfbench/tracer.py patches sanovdual functions by name; a deleted
     # name would break ``perfbench/run.py --trace 1`` and nothing else.
     import sanovdual.cli  # noqa: F401  (imports every traced module)
-    from sanovdual import cramer, optim, penalties, risk
+    from sanovdual import cramer, optim, penalties
     path = SRC.parent.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer_module = importlib.util.module_from_spec(spec)
@@ -147,10 +147,36 @@ def test_tracer_finds_every_name_it_reads():
         tracer.install()
         # The alias bisect_nonincreasing reaches every root-finder caller.
         solver = optim.__dict__["bisect_nonincreasing"]
-        assert risk.newton_nonincreasing is solver
         assert cramer.newton_nonincreasing is solver
         assert penalties.newton_nonincreasing is solver
     finally:
         tracer.uninstall()
     for m, names in zip(modules, before):
         assert all(vars(m)[k] is v for k, v in names.items())
+
+
+def test_no_type_switch_on_a_penalty_family():
+    # Each penalty family owns its operations as methods, so neither
+    # penalties.py nor risk.py branches on a family's type outside the
+    # family classes themselves.
+    from sanovdual import penalties
+    families = {name for name, obj in vars(penalties).items()
+                if isinstance(obj, type) and
+                issubclass(obj, penalties.AlphaSpec)}
+    found = []
+    for mod in ("penalties", "risk"):
+        tree = ast.parse((SRC / f"{mod}.py").read_text())
+        inside = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name in families
+                  for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and
+                    isinstance(node.func, ast.Name) and
+                    node.func.id == "isinstance" and len(node.args) == 2):
+                continue
+            named = {n.id if isinstance(n, ast.Name) else n.attr
+                     for n in ast.walk(node.args[1])
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            if named & families and id(node) not in inside:
+                found.append(f"{mod}.py:{node.lineno}")
+    assert not found, f"isinstance on a penalty family at {found}"

@@ -8,11 +8,7 @@ from oracles import (ProductDist, robust_pair_golden, shortfall_penalty_golden,
                      tabulated_from_callable, tensor_penalty)
 from sanovdual.losses import ExpLoss, PowerLoss
 from sanovdual.penalties import (LpEntropy, RelativeEntropy, Robust,
-                                 SetIndicator, Shortfall, Transport,
-                                 hull_indicator, lp_entropy, penalty,
-                                 penalty_grad,
-                                 relative_entropy, robust_entropy,
-                                 shortfall_penalty, transport_cost)
+                                 SetIndicator, Shortfall, Transport, penalty)
 from sanovdual.spaces import Dist, FiniteSpace
 
 # +inf off a support, 0 log 0 and zero generator entries are handled
@@ -53,32 +49,33 @@ def rand_dist(rng, space, full=True):
 
 class TestRelativeEntropy:
     def test_self_is_zero(self):
-        assert relative_entropy(UNIF2, UNIF2) == 0.0
+        assert penalty(UNIF2, RelativeEntropy(UNIF2)) == 0.0
 
     def test_point_mass_against_uniform(self):
-        assert abs(relative_entropy(Dist(TWO, [1, 0]), UNIF2) - LOG2) <= 1e-12
+        assert abs(penalty(Dist(TWO, [1, 0]), RelativeEntropy(UNIF2)) - LOG2) \
+            <= 1e-12
 
     def test_absolute_continuity_failure(self):
-        assert relative_entropy(UNIF2, Dist(TWO, [1, 0])) == math.inf
+        assert penalty(UNIF2, RelativeEntropy(Dist(TWO, [1, 0]))) == math.inf
 
 
 class TestLpEntropy:
     def test_zero_iff_equal(self):
         rng = np.random.default_rng(0)
-        assert lp_entropy(UNIF2, UNIF2, 2.0) == 0.0
+        assert penalty(UNIF2, LpEntropy(UNIF2, 2.0)) == 0.0
         for _ in range(20):
             nu = rand_dist(rng, TWO)
-            val = lp_entropy(nu, UNIF2, 2.0)
+            val = penalty(nu, LpEntropy(UNIF2, 2.0))
             if np.abs(nu.weights - UNIF2.weights).max() > 1e-6:
                 assert val > 0.0
 
     def test_point_mass_value(self):
         # ((0.5 * 2^2))^(1/2) - 1 = sqrt(2) - 1
-        got = lp_entropy(Dist(TWO, [1, 0]), UNIF2, 2.0)
+        got = penalty(Dist(TWO, [1, 0]), LpEntropy(UNIF2, 2.0))
         assert abs(got - (math.sqrt(2.0) - 1.0)) <= 1e-12
 
     def test_off_support_infinite(self):
-        assert lp_entropy(UNIF2, Dist(TWO, [1, 0]), 2.0) == math.inf
+        assert penalty(UNIF2, LpEntropy(Dist(TWO, [1, 0]), 2.0)) == math.inf
 
 
 def with_zero(rng, dist):
@@ -95,8 +92,8 @@ class TestShortfallPenalty:
             mu = rand_dist(rng, THREE)
             nu = rand_dist(rng, THREE)
             for law in (nu, with_zero(rng, nu)):
-                got = shortfall_penalty(law, mu, ExpLoss())
-                assert abs(got - relative_entropy(law, mu)) <= 1e-12
+                got = penalty(law, Shortfall(mu, ExpLoss()))
+                assert abs(got - penalty(law, RelativeEntropy(mu))) <= 1e-12
 
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
     def test_power_loss_recovers_lp_entropy(self, q):
@@ -107,8 +104,8 @@ class TestShortfallPenalty:
                 mu = rand_dist(rng, space)
                 nu = rand_dist(rng, space)
                 for law in (nu, with_zero(rng, nu)):
-                    got = shortfall_penalty(law, mu, PowerLoss(q))
-                    assert abs(got - lp_entropy(law, mu, p)) <= 1e-12
+                    got = penalty(law, Shortfall(mu, PowerLoss(q)))
+                    assert abs(got - penalty(law, LpEntropy(mu, p))) <= 1e-12
 
     @pytest.mark.parametrize("hi", [6.0, 2.0])
     def test_tabulated_loss_matches_golden_search(self, hi):
@@ -120,7 +117,7 @@ class TestShortfallPenalty:
         mu = np.array([0.05, 0.35, 0.6])
         V = np.vstack([rng.dirichlet(np.ones(3), size=6),
                        [[0.5, 0.25, 0.25], [0.0, 0.5, 0.5]]])
-        got = shortfall_penalty(V, mu, tab)
+        got = penalty(V, Shortfall(Dist(THREE, mu), tab))
         want = shortfall_penalty_golden(V, mu, tab)
         assert np.isfinite(want).all()
         assert np.abs(got - want).max() <= 1e-9
@@ -128,34 +125,34 @@ class TestShortfallPenalty:
     def test_zero_at_reference(self):
         tab = tabulated_from_callable(np.exp, -12.0, 6.0)
         for loss in (ExpLoss(), PowerLoss(2.0), PowerLoss(3.0), tab):
-            assert abs(shortfall_penalty(UNIF2, UNIF2, loss)) <= 1e-8
+            assert abs(penalty(UNIF2, Shortfall(UNIF2, loss))) <= 1e-8
 
     def test_off_support_infinite(self):
-        assert shortfall_penalty(UNIF2, Dist(TWO, [1, 0]),
-                                 PowerLoss(2.0)) == math.inf
+        assert penalty(UNIF2, Shortfall(Dist(TWO, [1, 0]),
+                                        PowerLoss(2.0))) == math.inf
 
 
 class TestRobustEntropy:
     def test_singleton(self):
         rng = np.random.default_rng(3)
         nu, mu = rand_dist(rng, TWO), rand_dist(rng, TWO)
-        assert robust_entropy(nu, (mu,)) == relative_entropy(nu, mu)
+        assert penalty(nu, Robust((mu,))) == penalty(nu, RelativeEntropy(mu))
 
     def test_hull_member_is_zero(self):
         g = (Dist(TWO, [0.2, 0.8]), Dist(TWO, [0.8, 0.2]))
-        assert abs(robust_entropy(Dist(TWO, [0.4, 0.6]), g)) <= 1e-9
+        assert abs(penalty(Dist(TWO, [0.4, 0.6]), Robust(g))) <= 1e-9
 
     def test_point_mass_hull_covers(self):
         # hull of the two point masses is the whole simplex on {a, b}
         g = (Dist(TWO, [1.0, 0.0]), Dist(TWO, [0.0, 1.0]))
-        assert abs(robust_entropy(Dist(TWO, [0.3, 0.7]), g)) <= 1e-9
+        assert abs(penalty(Dist(TWO, [0.3, 0.7]), Robust(g))) <= 1e-9
 
     def test_three_generators_matches_mixture_grid(self):
         rng = np.random.default_rng(4)
         gens = tuple(rand_dist(rng, THREE) for _ in range(3))
         for _ in range(5):
             nu = rand_dist(rng, THREE)
-            got = robust_entropy(nu, gens)
+            got = penalty(nu, Robust(gens))
             # grid oracle over mixture weights
             best = math.inf
             ticks = np.linspace(0, 1, 101)
@@ -165,8 +162,9 @@ class TestRobustEntropy:
                         continue
                     mix = (w1 * gens[0].weights + w2 * gens[1].weights +
                            (1 - w1 - w2) * gens[2].weights)
-                    best = min(best, relative_entropy(nu.weights[None, :],
-                                                      mix)[0])
+                    best = min(best, penalty(nu.weights[None, :],
+                                             RelativeEntropy(Dist(THREE,
+                                                                  mix)))[0])
             assert got <= best + 1e-9
             assert got >= best - 1e-4  # grid resolution
 
@@ -186,7 +184,7 @@ class TestRobustEntropy:
             V = np.vstack([V, [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0],
                                [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]]])
         gens = (Dist(THREE, g0), Dist(THREE, g1))
-        got = robust_entropy(V, gens)
+        got = penalty(V, Robust(gens))
         want, w = robust_pair_golden(V, g0, g1)
         assert np.isfinite(want).all()
         assert np.abs(got - want).max() <= 1e-12
@@ -196,24 +194,24 @@ class TestRobustEntropy:
 
     def test_unsupported_is_infinite(self):
         g = (Dist(THREE, [0.5, 0.5, 0.0]), Dist(THREE, [0.2, 0.8, 0.0]))
-        assert robust_entropy(Dist(THREE, [0.2, 0.2, 0.6]), g) == math.inf
+        assert penalty(Dist(THREE, [0.2, 0.2, 0.6]), Robust(g)) == math.inf
 
 
 class TestHullIndicator:
     def test_member(self):
         g = (Dist(TWO, [0.2, 0.8]), Dist(TWO, [0.8, 0.2]))
-        assert hull_indicator(Dist(TWO, [0.5, 0.5]), g) == 0.0
-        assert hull_indicator(g[0], g) == 0.0
+        assert penalty(Dist(TWO, [0.5, 0.5]), SetIndicator(g)) == 0.0
+        assert penalty(g[0], SetIndicator(g)) == 0.0
 
     def test_nonmember(self):
         g = (Dist(TWO, [1.0, 0.0]),)
-        assert hull_indicator(Dist(TWO, [0.5, 0.5]), g) == math.inf
+        assert penalty(Dist(TWO, [0.5, 0.5]), SetIndicator(g)) == math.inf
 
     def test_segment_membership_three_states(self):
         g = (Dist(THREE, [0.6, 0.2, 0.2]), Dist(THREE, [0.2, 0.6, 0.2]))
         mid = Dist(THREE, 0.5 * g[0].weights + 0.5 * g[1].weights)
-        assert hull_indicator(mid, g) == 0.0
-        assert hull_indicator(UNIF3, g) == math.inf
+        assert penalty(mid, SetIndicator(g)) == 0.0
+        assert penalty(UNIF3, SetIndicator(g)) == math.inf
 
 
 class TestTransportCost:
@@ -222,7 +220,7 @@ class TestTransportCost:
         cost = rng.uniform(0.5, 2.0, (2, 2))
         np.fill_diagonal(cost, 0.0)
         nu = rand_dist(rng, TWO)
-        assert abs(transport_cost(nu, nu, cost)) <= 1e-10
+        assert abs(penalty(nu, Transport(nu, cost))) <= 1e-10
 
     def test_total_variation_matches_coupling_grid(self):
         # brute force over the one-parameter family of 2x2 couplings
@@ -240,7 +238,7 @@ class TestTransportCost:
                     [nu.weights[0] - t, 1 - mu.weights[0] - nu.weights[0] + t],
                 ])
                 best = min(best, float((plan * cost).sum()))
-            got = transport_cost(nu, mu, cost)
+            got = penalty(nu, Transport(mu, cost))
             tv = max(nu.weights[0] - mu.weights[0],
                      mu.weights[0] - nu.weights[0])
             assert abs(got - best) <= 2e-3
@@ -250,13 +248,13 @@ class TestTransportCost:
         rng = np.random.default_rng(7)
         cost = rng.uniform(0, 3, (3, 3))
         nu = rand_dist(rng, THREE)
-        got = transport_cost(nu, Dist(THREE, [1, 0, 0]), cost)
+        got = penalty(nu, Transport(Dist(THREE, [1, 0, 0]), cost))
         assert abs(got - float(np.dot(cost[0], nu.weights))) <= 1e-12
 
     def test_infeasible_inf(self):
         cost = np.array([[0.0, math.inf], [math.inf, 1.0]])
-        got = transport_cost(Dist(TWO, [0.2, 0.8]), Dist(TWO, [0.7, 0.3]),
-                             cost)
+        got = penalty(Dist(TWO, [0.2, 0.8]),
+                      Transport(Dist(TWO, [0.7, 0.3]), cost))
         assert got == math.inf
 
     def test_off_simplex_rows_are_inf(self):
@@ -270,9 +268,9 @@ class TestTransportCost:
             negative = np.full(m, 1.0 / m)
             negative[0] -= 0.6
             negative[1] += 0.6
-            got = transport_cost(np.stack([heavy, negative]), mu, cost)
+            got = penalty(np.stack([heavy, negative]), Transport(mu, cost))
             assert np.isposinf(got).all()
-            assert transport_cost(heavy, mu, cost) == math.inf
+            assert penalty(heavy, Transport(mu, cost)) == math.inf
 
     def test_diagonal_flag_validation(self):
         from sanovdual.spaces import SpaceError
@@ -319,11 +317,12 @@ class TestTensorPenalty:
         mu = rand_dist(rng, THREE)
         spec = RelativeEntropy(mu)
         prod = ProductDist.iid(mu, 2)
+        joint = RelativeEntropy(Dist(FiniteSpace.of_size(9), prod.tensor))
         for _ in range(50):
             t = rng.dirichlet(np.ones(9))
             nu = ProductDist(2, THREE, t)
             lhs = tensor_penalty(nu, spec)
-            rhs = relative_entropy(t[None, :], np.asarray(prod.tensor))[0]
+            rhs = penalty(t[None, :], joint)[0]
             assert abs(lhs - rhs) <= 1e-10
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -383,7 +382,7 @@ class TestPenaltyGrad:
         tol = 1e-5 if family == "robust" and m == 3 else 1e-6
         for _ in range(4):
             nu = rand_dist(rng, space).weights
-            g = penalty_grad(spec, nu[None, :])[0]
+            g = spec.grad_rows(nu[None, :])[0]
             for i, j in itertools.combinations(range(m), 2):
                 e = np.zeros(m)
                 e[i], e[j] = h, -h

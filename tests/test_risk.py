@@ -9,10 +9,8 @@ from oracles import (bisect_root, entropic_risk, oce_risk, penalty_from_risk,
 from sanovdual import extreal
 from sanovdual.losses import ExpLoss, PowerLoss
 from sanovdual.penalties import (LpEntropy, RelativeEntropy, Robust,
-                                 SetIndicator, Shortfall, Transport, penalty,
-                                 spec_space)
-from sanovdual.risk import (generic_risk, maximizer_rows, risk_result,
-                            risk_rows)
+                                 SetIndicator, Shortfall, Transport, penalty)
+from sanovdual.risk import generic_risk, risk_result, risk_rows
 from sanovdual.spaces import Dist, FiniteSpace
 
 TWO = FiniteSpace.of_size(2)
@@ -193,7 +191,6 @@ class TestTransportRisk:
 
     def test_matches_simplex_grid_oracle(self):
         from sanovdual.optim import simplex_grid
-        from sanovdual.penalties import transport_cost
         rng = np.random.default_rng(5)
         pts = simplex_grid(3, 0.01)
         for _ in range(3):
@@ -201,7 +198,7 @@ class TestTransportRisk:
             cost = rng.uniform(0.0, 2.0, (3, 3))
             np.fill_diagonal(cost, 0.0)
             f = rng.normal(size=3)
-            vals = pts @ f - transport_cost(pts, mu, cost)
+            vals = pts @ f - penalty(pts, Transport(mu, cost))
             got = risk(f, Transport(mu, cost))
             assert got >= vals.max() - 1e-12
             assert got <= vals.max() + 2e-3
@@ -252,14 +249,13 @@ class TestMaximizerRows:
 
     @staticmethod
     def achieved(row, f, spec):
-        return extreal.integral(row, f) - penalty(Dist(spec_space(spec), row),
-                                                  spec)
+        return extreal.integral(row, f) - penalty(Dist(spec.space, row), spec)
 
     def test_rows_attain_the_value(self):
         rng = np.random.default_rng(16)
         for spec in self.specs(rng):
-            F = edge_fields(rng, spec_space(spec).size)
-            X = maximizer_rows(spec, F)
+            F = edge_fields(rng, spec.space.size)
+            X = spec.maximizer_rows(F)
             vals = risk_rows(spec, F)
             assert X.shape == F.shape
             nan = np.isnan(X).any(axis=1)
@@ -275,11 +271,11 @@ class TestMaximizerRows:
     def test_matches_the_per_row_reference(self):
         rng = np.random.default_rng(17)
         for spec in self.specs(rng):
-            F = edge_fields(rng, spec_space(spec).size)
-            X = maximizer_rows(spec, F)
+            F = edge_fields(rng, spec.space.size)
+            X = spec.maximizer_rows(F)
             for row, f, v in zip(X, F, risk_rows(spec, F)):
                 ref = risk_maximizer(f, spec)
-                one = maximizer_rows(spec, f[None])[0]
+                one = spec.maximizer_rows(f[None])[0]
                 assert np.isnan(one).any() == (ref is None)
                 if ref is None:
                     assert np.isnan(row).all()
@@ -335,8 +331,7 @@ class TestGenericRisk:
             f = rng.normal(size=2)
             res = generic_risk(f, spec, restarts=4, seed=4)
             draws = rng.dirichlet(np.ones(2), size=1000)
-            from sanovdual.penalties import penalty_rows
-            alphas = penalty_rows(spec, draws)
+            alphas = penalty(draws, spec)
             vals = draws @ f - alphas
             vals = vals[np.isfinite(vals)]
             if vals.size:
