@@ -258,23 +258,26 @@ def _grid(obj, path):
     return np.linspace(lo, hi, count)
 
 
-def _pos_int(value, path, low=1):
-    """An integral number in [low, 2^64) (a positive integer by default).
+def _pos_int(value, path, low=1, bits=64):
+    """An integral number in [low, 2^bits) (a positive integer below 2^64
+    by default).
 
     Ints are compared exactly, never through a float, so a literal too
     large for a float is a config error, not an OverflowError."""
     n = int(value) if isinstance(value, float) and math.isfinite(value) \
         and value.is_integer() else value
-    if isinstance(n, int) and not isinstance(n, bool) and low <= n < 2 ** 64:
+    if isinstance(n, int) and not isinstance(n, bool) and \
+            low <= n < 2 ** bits:
         return n
-    raise ConfigError(f"{path}: expected an integer in [{low}, 2^64), "
+    raise ConfigError(f"{path}: expected an integer in [{low}, 2^{bits}), "
                       f"got {value!r}")
 
 
-def _schedule(value, path):
+def _schedule(value, path, bits=64):
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}: expected a nonempty list of integers")
-    return [_pos_int(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return [_pos_int(v, f"{path}[{i}]", bits=bits)
+            for i, v in enumerate(value)]
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +448,8 @@ def cmd_tailbound(cfg, out: Path, seed: int) -> int:
         q = _num(cfg["q"], "q")
         replications = _pos_int(cfg.get("replications", 10000),
                                 "replications")
-        schedule = _schedule(cfg["schedule"], "schedule")
+        schedule = _schedule(cfg["schedule"], "schedule",
+                             bits=mc.SAMPLE_BITS)
         mq = moment_norm(law, q)
         r = _num(cfg["r"], "r") if "r" in cfg else mq + 1.0
         if not r > mq:
@@ -486,7 +490,7 @@ def cmd_tailbound(cfg, out: Path, seed: int) -> int:
                               f"{family_name!r}")
         family = mc.INCREMENT_FAMILIES[family_name]()
         r = _num(cfg["r"], "r")
-        n = _pos_int(cfg["n"], "n")
+        n = _pos_int(cfg["n"], "n", bits=mc.SAMPLE_BITS)
         replications = _pos_int(cfg.get("replications", 10000),
                                 "replications")
         if replications < 1000:
@@ -545,7 +549,7 @@ def cmd_saa(cfg, out: Path, seed: int) -> int:
                                          "replications"),
                 optional=("experiment", "growth", "seed"))
     instance = _parse_saa_instance(cfg)
-    schedule = _schedule(cfg["schedule"], "schedule")
+    schedule = _schedule(cfg["schedule"], "schedule", bits=mc.SAMPLE_BITS)
     replications = _pos_int(cfg["replications"], "replications")
     if replications < 1000:
         raise InconclusiveError("need at least 1e3 replications")

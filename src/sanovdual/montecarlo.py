@@ -37,7 +37,9 @@ BOUND_RATIO_SLACK = 1.2
 SLOPE_SLACK = 0.25
 MARTINGALE_SLACK = 0.1
 
-# Experiment tags: the top byte of a stream id, n the 56 bits below it.
+# Experiment tags: the top byte of a stream id, n the SAMPLE_BITS below it,
+# so every sample size n is below 2^SAMPLE_BITS.
+SAMPLE_BITS = 56
 _TAIL, _SAA_VALUE, _SAA_ARGMIN, _MARTINGALE = 1, 2, 3, 4
 
 # Samples per replication block.  Wide blocks serve the martingale step
@@ -50,9 +52,9 @@ _BLOCK_ELEMENTS = {_TAIL: 2 ** 17, _SAA_VALUE: 2 ** 14, _SAA_ARGMIN: 2 ** 14,
 
 def _stream(experiment: int, n: int) -> int:
     """Stream id of schedule point n of an experiment."""
-    if not 0 < n < 2 ** 56:
-        raise ValueError(f"sample size {n} outside [1, 2^56)")
-    return experiment << 56 | n
+    if not 0 < n < 2 ** SAMPLE_BITS:
+        raise ValueError(f"sample size {n} outside [1, 2^{SAMPLE_BITS})")
+    return experiment << SAMPLE_BITS | n
 
 
 def rep_rng(seed: int, stream: int) -> np.random.Generator:

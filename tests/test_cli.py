@@ -161,6 +161,10 @@ class TestExitCodes:
                      id="azuma-replications-10**400"),
         pytest.param("rho", "seed", -10 ** 400, id="rho-seed--10**400"),
         ("rho", "seed", 2 ** 64),
+        # Monte Carlo sample sizes stay below 2^56, the stream id's n field.
+        ("azuma", "n", 2 ** 60),
+        ("saa", "schedule", [3, 2 ** 60]),
+        ("tailbound", "schedule", [10, 20, 2 ** 56]),
     ])
     def test_integer_fields_are_validated(self, tmp_path, capsys, command,
                                           key, value):
