@@ -46,7 +46,18 @@ def integral_rows(weights, rows) -> np.ndarray:
     ws = w[live]
     neg = np.isneginf(vs).any(axis=1)
     pos = np.isposinf(vs).any(axis=1)
-    out = np.dot(np.where(np.isfinite(vs), vs, 0.0), ws)
+    out = weighted_row_sums(np.where(np.isfinite(vs), vs, 0.0), ws)
     out[pos] = INF
     out[neg] = NEG_INF
+    return out
+
+
+def weighted_row_sums(rows: np.ndarray, w: np.ndarray,
+                      start=0.0) -> np.ndarray:
+    """start + sum_j w_j rows[:, j] for each row of a (B, m) array, added
+    column by column from the left.  A matrix-vector product may round a
+    row differently in batches of different sizes; this sum does not."""
+    out = np.zeros(rows.shape[0]) + start
+    for j, wj in enumerate(w):
+        out += wj * rows[:, j]
     return out

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import extreal
-from .extreal import INF, NEG_INF
+from .extreal import INF, NEG_INF, weighted_row_sums
 from .losses import LossFn, PowerLoss
 from .optim import newton_nonincreasing, pgd_max_simplex, project_simplex
 from .spaces import Dist, FiniteSpace, SpaceError
@@ -149,8 +149,8 @@ class LpEntropy(_LossPair):
         w = self.mu.weights
         live = w > 0.0
         ratio = _ratio(V, w)
-        R = np.power(np.dot(np.power(ratio[:, live], self.p), w[live]),
-                     1.0 / self.p)
+        R = np.power(weighted_row_sums(np.power(ratio[:, live], self.p),
+                                       w[live]), 1.0 / self.p)
         return ratio, R
 
     def penalty_rows(self, V: np.ndarray) -> np.ndarray:
@@ -372,8 +372,8 @@ def entropic_risk_rows(F: np.ndarray, w: np.ndarray) -> np.ndarray:
     dead = np.isneginf(shift)
     s0 = np.where(np.isfinite(shift), shift, 0.0)
     with np.errstate(divide="ignore"):
-        out = s0 + np.log(np.dot(np.exp(np.where(np.isneginf(Fl), -np.inf,
-                                                 Fl) - s0[:, None]), wl))
+        out = s0 + np.log(weighted_row_sums(np.exp(np.where(
+            np.isneginf(Fl), -np.inf, Fl) - s0[:, None]), wl))
     out[dead] = NEG_INF
     out[pos] = INF
     return out
@@ -422,13 +422,8 @@ def shortfall_risk_rows(F: np.ndarray, w: np.ndarray,
         Z = Fz - m[:, None]
         vals = np.where(finw, loss.value(Z), 0.0)
         slopes = np.where(finw, loss.prime(Z), 0.0)
-        # Column by column: a matrix product may round a row differently
-        # in batches of different sizes.
-        value, slope = cw, 0.0
-        for j, wj in enumerate(wl):
-            value = value + wj * vals[:, j]
-            slope = slope - wj * slopes[:, j]
-        return value, slope
+        return (weighted_row_sums(vals, wl, cw),
+                weighted_row_sums(slopes, -wl))
 
     # hi is an upper end, since every loss has l(-1) < 1 and left_limit < 1.
     out[work] = newton_nonincreasing(G, 1.0, lo, hi, hi - lo)
@@ -452,13 +447,14 @@ def _shortfall_rows(V: np.ndarray, w: np.ndarray, loss: LossFn):
     def K(s: np.ndarray):
         Y = R * np.exp(-s)[:, None]
         curv = Y * Y * loss.conjugate_second(np.where(Y > 0.0, Y, 1.0))
-        value = np.dot(loss.value(loss.conjugate_prime(Y)), wl)
-        return value, -np.dot(curv, wl)
+        value = weighted_row_sums(loss.value(loss.conjugate_prime(Y)), wl)
+        return value, weighted_row_sums(curv, -wl)
 
     lo, ones = np.zeros(len(R)), np.ones(len(R))
     tau = np.ones(V.shape[0])
     tau[~off] = np.exp(newton_nonincreasing(K, 1.0, lo, ones, ones))
-    out = tau * (1.0 + np.dot(loss.conjugate(rl / tau[:, None]), wl))
+    out = tau * (1.0 + weighted_row_sums(loss.conjugate(rl / tau[:, None]),
+                                         wl))
     out[off] = INF
     return out, 1.0 / tau
 

@@ -291,6 +291,29 @@ class TestMaximizerRows:
                     assert self.achieved(law, f, spec) >= v - 1e-9
 
 
+    def test_rows_do_not_depend_on_their_batch(self):
+        # Each row of every method equals its one-row call, bit for bit.
+        rng = np.random.default_rng(18)
+        for spec in self.specs(rng):
+            m = spec.space.size
+            F = np.vstack([edge_fields(rng, m), rng.normal(size=(20, m))])
+            X = spec.maximizer_rows(F)
+            V = np.vstack([rng.dirichlet(np.ones(m), size=20), np.eye(m),
+                           X[~np.isnan(X).any(axis=1)]])
+            calls = [(spec.penalty_rows, V), (spec.risk_rows, F),
+                     (spec.maximizer_rows, F)]
+            if spec.grad_rows is not None:
+                calls.append((spec.grad_rows, V))
+            for method, rows in calls:
+                # An L^p gradient off mu's support is nan, with a warning.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    batch = method(rows)
+                    ones = [method(row[None])[0] for row in rows]
+                for one, got in zip(ones, batch):
+                    assert np.asarray(one).tobytes() == \
+                        np.asarray(got).tobytes(), (spec, method.__name__)
+
+
 class TestGenericRisk:
     def test_matches_entropic_closed_form(self):
         rng = np.random.default_rng(7)
