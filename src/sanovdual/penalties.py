@@ -18,7 +18,9 @@ and rho(f) = sup_nu (int f dnu - alpha(nu)), rows in, rows out (see
 ``AlphaSpec``).  Callers go through ``penalty(nu, spec)`` and
 ``risk.risk_rows(spec, F)``.  The shortfall and L^p risks are the smallest
 m with int l(f - m) dmu <= 1 (Foellmer & Schied, Stochastic Finance, 4.9),
-found per row by ``optim.newton_nonincreasing``.
+found per row by ``optim.newton_nonincreasing``.  Weighted sums over
+states go through ``extreal.weighted_row_sums``, so a row's value does not
+depend on the other rows of its batch.
 """
 
 from __future__ import annotations
@@ -67,6 +69,10 @@ class AlphaSpec:
 
 class _Hull(AlphaSpec):
     """A family given by the convex hull of its generator laws."""
+
+    def __post_init__(self):
+        if len(self.generators) < 1:
+            raise SpaceError(f"{self.what} needs a nonempty generator list")
 
     @property
     def space(self) -> FiniteSpace:
@@ -192,9 +198,7 @@ class Robust(_Hull):
 
     generators: tuple[Dist, ...]
 
-    def __post_init__(self):
-        if len(self.generators) < 1:
-            raise SpaceError("robust penalty needs a nonempty generator list")
+    what = "robust penalty"
 
     def penalty_rows(self, V: np.ndarray) -> np.ndarray:
         return _robust_rows(V, self.weights)[0]
@@ -221,11 +225,8 @@ class SetIndicator(_Hull):
 
     generators: tuple[Dist, ...]
 
+    what = "set indicator"
     grad_rows = None
-
-    def __post_init__(self):
-        if len(self.generators) < 1:
-            raise SpaceError("set indicator needs a nonempty generator list")
 
     def penalty_rows(self, V: np.ndarray) -> np.ndarray:
         G = self.weights
