@@ -68,7 +68,8 @@ class AlphaSpec:
 
 
 class _Hull(AlphaSpec):
-    """A family given by the convex hull of its generator laws."""
+    """A family given by the convex hull of its generator laws; ``what``
+    names it in errors."""
 
     def __post_init__(self):
         if len(self.generators) < 1:
