@@ -292,38 +292,9 @@ def _jsonable(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _encode(obj, pad: str) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True, default=_jsonable)``,
-    byte for byte, with ``pad`` (a newline and two spaces per level) as the
-    indentation of the level ``obj`` sits at.
-
-    json's indenting encoder runs in Python, one call per list entry, so a
-    list of finite floats is written from its repr instead; a float subclass
-    such as np.float64 reprs differently and is left to json.  So is every
-    other value, once the lists and dicts that may hold such a list are
-    opened: json's newlines are re-indented, as a JSON string never holds
-    a raw newline.
-    """
-    inner = pad + "  "
-    if isinstance(obj, (list, tuple)) and obj:
-        types = set(map(type, obj))
-        if types == {float} and all(map(math.isfinite, obj)):
-            body = repr(list(obj))[1:-1].replace(", ", "," + inner)
-            return f"[{inner}{body}{pad}]"
-        if any(issubclass(t, (list, tuple, dict)) for t in types):
-            body = ("," + inner).join(_encode(v, inner) for v in obj)
-            return f"[{inner}{body}{pad}]"
-    elif isinstance(obj, dict) and obj and all(isinstance(k, str)
-                                               for k in obj):
-        body = ("," + inner).join(f"{json.dumps(k)}: {_encode(v, inner)}"
-                                  for k, v in sorted(obj.items()))
-        return f"{{{inner}{body}{pad}}}"
-    return json.dumps(obj, indent=2, sort_keys=True,
-                      default=_jsonable).replace("\n", pad)
-
-
 def write_json(path: Path, payload: dict) -> None:
-    path.write_text(_encode(payload, "\n") + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
+                               default=_jsonable) + "\n")
 
 
 def write_csv(path: Path, header, rows) -> None:
@@ -592,7 +563,17 @@ def cmd_superhedge(cfg, out: Path, seed: int) -> int:
     space = spec.space
     f = np.asarray(_num_list(cfg["f"], "f"))
     cert = dp.superhedge(f, space, spec)
-    write_json(out / "certificate.json", cert.to_json_dict())
+    np.save(out / "increments.npy", cert.flat.astype("<f8", copy=False))
+    write_json(out / "certificate.json", {
+        "y": cert.y,
+        "increments": {
+            "file": "increments.npy", "m": space.size,
+            "n": len(cert.increments),
+            "layout": "stage k = 1..n holds m^k entries from offset "
+                      "m + m^2 + ... + m^(k-1)"},
+        "residual_max": cert.residual_max,
+        "slice_risk_max": cert.slice_risk_max,
+    })
     print(f"y = {cert.y:.12g}  residual_max = {cert.residual_max:.3e}  "
           f"slice_risk_max = {cert.slice_risk_max:.3e}")
     if cert.residual_max > 1e-8 or cert.slice_risk_max > 1e-7:

@@ -72,7 +72,7 @@ def backward_value_dense(f, space: FiniteSpace, spec: AlphaSpec,
     for _ in range(n):
         g = risk_rows(spec, g.reshape(-1, m))
         if keep_trace:
-            stages.append(g.copy())
+            stages.append(g)
     value = float(g[0])
     trace = None
     if keep_trace:
@@ -211,42 +211,40 @@ class SuperhedgeCert:
 
     Each increment slice is acceptable: its one-step risk vanishes (up to
     the root-finding tolerance), and y + sum of increments telescopes back
-    to f.
+    to f.  The increments share one buffer, ``flat``: stage k = 1..n holds
+    its m^k entries from offset m + m^2 + ... + m^(k-1).
     """
 
     y: float
-    increments: list[np.ndarray]   # increments[k-1] has length m^k
+    flat: np.ndarray
+    increments: list[np.ndarray]   # views of flat; increments[k-1]: m^k
     residual_max: float
     slice_risk_max: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "y": self.y,
-            "increments": [inc.tolist() for inc in self.increments],
-            "residual_max": self.residual_max,
-            "slice_risk_max": self.slice_risk_max,
-        }
 
 
 def superhedge(f, space: FiniteSpace, spec: AlphaSpec) -> SuperhedgeCert:
     """Decompose f as y + sum of adapted acceptable increments."""
     value, trace = backward_value_dense(f, space, spec, keep_trace=True)
     m = space.size
-    n = trace.n
+    stages = trace.stages
+    flat = np.empty(sum(g.size for g in stages[1:]))
     increments = []
     slice_max = 0.0
-    for k in range(1, n + 1):
-        g_k = trace.stages[k]
-        g_prev = trace.stages[k - 1]
-        inc = g_k - np.repeat(g_prev, m)
+    start = 0
+    for g_prev, g_k in zip(stages, stages[1:]):
+        inc = flat[start:start + g_k.size]
+        start += g_k.size
+        rows = inc.reshape(-1, m)
+        np.subtract(g_k.reshape(-1, m), g_prev[:, None], out=rows)
         increments.append(inc)
-        slice_vals = risk_rows(spec, inc.reshape(-1, m))
+        slice_vals = risk_rows(spec, rows)
         slice_max = max(slice_max, float(np.abs(slice_vals).max()))
     total = np.zeros(1)
     for inc in increments:
         total = np.repeat(total, m) + inc
     residual = np.abs(np.asarray(f, dtype=float).ravel() - value - total)
-    return SuperhedgeCert(value, increments, float(residual.max()), slice_max)
+    return SuperhedgeCert(value, flat, increments, float(residual.max()),
+                          slice_max)
 
 
 # ---------------------------------------------------------------------------

@@ -379,6 +379,41 @@ class TestSuperhedgeCommand:
         assert cert["residual_max"] <= 1e-8
         assert cert["slice_risk_max"] <= 1e-7
 
+    @pytest.mark.parametrize("case", ["bundled_2^3", "three_state_3^5"])
+    def test_certificate_files_on_their_own(self, tmp_path, case):
+        # Read back only certificate.json and increments.npy: the layout
+        # comes from the certificate, and y plus the increments telescope
+        # back to the config's f.
+        if case == "bundled_2^3":
+            config = CONFIGS / "superhedge_power2.json"
+        else:
+            config = write_config(tmp_path, {
+                "spec": {"kind": "lp_entropy", "mu": [0.5, 0.3, 0.2],
+                         "p": 2},
+                "f": np.random.default_rng(5).normal(size=3 ** 5).tolist()})
+        cfg = json.loads(config.read_text())
+        m = len(cfg["spec"]["mu"])
+        out = tmp_path / "out"
+        assert main(["superhedge", "--config", str(config),
+                     "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "certificate.json", "increments.npy", "manifest.json"]
+        cert = json.loads((out / "certificate.json").read_text())
+        layout = cert["increments"]
+        assert layout["file"] == "increments.npy" and layout["m"] == m
+        n = layout["n"]
+        assert len(cfg["f"]) == m ** n
+        flat = np.load(out / layout["file"])
+        assert flat.dtype.str == "<f8"
+        assert flat.shape == ((m ** (n + 1) - m) // (m - 1),)
+        total = np.zeros(1)
+        for k in range(1, n + 1):
+            start = (m ** k - m) // (m - 1)
+            total = np.repeat(total, m) + flat[start:start + m ** k]
+        residual = np.abs(np.asarray(cfg["f"]) - cert["y"] - total).max()
+        assert residual <= cert["residual_max"] <= 1e-8
+        assert cert["slice_risk_max"] <= 1e-7
+
 
 class TestTransportCommand:
     def test_longrun_with_control_check(self, tmp_path):

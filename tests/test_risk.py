@@ -6,6 +6,7 @@ import pytest
 from oracles import (bisect_root, entropic_risk, oce_risk, penalty_from_risk,
                      risk, risk_maximizer, robust_entropic_risk,
                      shortfall_risk)
+import sanovdual.risk as risk_module
 from sanovdual import extreal
 from sanovdual.losses import ExpLoss, PowerLoss
 from sanovdual.penalties import (LpEntropy, RelativeEntropy, Robust,
@@ -315,6 +316,29 @@ class TestMaximizerRows:
 
 
 class TestGenericRisk:
+    def test_objective_rows_do_not_depend_on_their_batch(self, monkeypatch):
+        # The ascent evaluates only the rows still running, so each row of
+        # the objective must equal its one-row value, bit for bit.
+        real, seen = risk_module.pgd_max_simplex, {}
+
+        def spy(objective, x0, **kwargs):
+            seen["J"] = objective
+            return real(objective, x0, **kwargs)
+        monkeypatch.setattr(risk_module, "pgd_max_simplex", spy)
+        rng = np.random.default_rng(19)
+        for spec in TestMaximizerRows().specs(rng):
+            if spec.grad_rows is None:
+                continue
+            m = spec.space.size
+            generic_risk(rng.normal(size=m), spec, restarts=2, seed=5)
+            X = rng.dirichlet(np.ones(m), size=50) * spec.support
+            X /= X.sum(axis=1, keepdims=True)
+            batch = seen["J"](X)
+            assert np.isfinite(batch).any()
+            for row, got in zip(X, batch):
+                assert seen["J"](row[None])[0].tobytes() == got.tobytes(), \
+                    spec
+
     def test_matches_entropic_closed_form(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
