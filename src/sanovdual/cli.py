@@ -280,6 +280,33 @@ def _schedule(value, path, bits=64):
             for i, v in enumerate(value)]
 
 
+def _type_schedule(value, m):
+    """A schedule for the type-class recursion on m states: entry n runs n
+    levels, the top one of C(n + m - 1, m - 1) classes, and both counts
+    must fit the dense cap."""
+    schedule = _schedule(value, "schedule")
+    for i, n in enumerate(schedule):
+        # The class count grows with n, so a capped n decides it cheaply.
+        top = math.comb(min(n, DENSE_CAP + 1) + m - 1, m - 1)
+        if max(n, top) > DENSE_CAP:
+            raise ConfigError(f"schedule[{i}]: n = {n} on {m} states exceeds "
+                              f"the dense cap of {DENSE_CAP} type classes")
+    return schedule
+
+
+def _grid_step(value, m):
+    """A simplex grid step in (0, 1] whose grid, C(k + m - 1, m - 1) points
+    for k = round(1/step), fits the dense cap."""
+    step = _num(value, "grid_step")
+    # Bound 1/step before rounding it: it is inf for a subnormal step.
+    if 0.0 < step <= 1.0 and 1.0 / step <= DENSE_CAP and \
+            math.comb(round(1.0 / step) + m - 1, m - 1) <= DENSE_CAP:
+        return step
+    raise ConfigError(f"grid_step: expected a step in (0, 1] whose simplex "
+                      f"grid on {m} states has at most {DENSE_CAP} points, "
+                      f"got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Output plumbing
 # ---------------------------------------------------------------------------
@@ -370,8 +397,8 @@ def cmd_sanov(cfg, out: Path, seed: int) -> int:
                 optional=("grid_step", "seed"))
     spec = parse_spec(cfg["spec"])
     F = parse_simplex_function(cfg["F"], spec.space.size)
-    schedule = _schedule(cfg["schedule"], "schedule")
-    step = _num(cfg.get("grid_step", 0.01), "grid_step")
+    schedule = _type_schedule(cfg["schedule"], spec.space.size)
+    step = _grid_step(cfg.get("grid_step", 0.01), spec.space.size)
     run = dp.sanov_limit(F, spec, schedule, grid_step=step,
                          label="transport-longrun"
                          if isinstance(spec, Transport) else "sanov")
@@ -591,8 +618,8 @@ def cmd_transport(cfg, out: Path, seed: int) -> int:
     except SpaceError as exc:
         raise ConfigError(f"cost: {exc}") from exc
     F = parse_simplex_function(cfg["F"], mu.m)
-    schedule = _schedule(cfg["schedule"], "schedule")
-    step = _num(cfg.get("grid_step", 0.01), "grid_step")
+    schedule = _type_schedule(cfg["schedule"], mu.m)
+    step = _grid_step(cfg.get("grid_step", 0.01), mu.m)
     n_chk = _pos_int(cfg.get("control_check_n", 2), "control_check_n")
     if mu.m ** min(n_chk, 25) > DENSE_CAP:     # 2^25 already exceeds it
         raise ConfigError(f"control_check_n: a control field of {mu.m}^"

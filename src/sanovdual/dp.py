@@ -24,12 +24,13 @@ from .optim import numeric_tangent_grad, pgd_max_simplex, simplex_grid
 from .penalties import AlphaSpec, Transport, penalty
 from .risk import risk_rows
 from .spaces import (DENSE_CAP, Dist, FiniteSpace, SpaceError,
-                     SymmetricField, type_index, type_rank)
+                     SymmetricField, type_index, type_successors)
 from .transport import solve_transport
 
 __all__ = [
     "DPTrace", "SanovRun", "SuperhedgeCert", "backward_value_dense",
-    "backward_value_symmetric", "symmetric_terminal", "sanov_limit",
+    "backward_value_symmetric", "backward_values_symmetric",
+    "symmetric_terminal", "sanov_limit",
     "superhedge", "transport_control_value", "simplex_supremum",
 ]
 
@@ -86,16 +87,44 @@ def backward_value_symmetric(values_by_type, n: int, space: FiniteSpace,
     """Backward recursion over occupancy vectors of the consumed prefix.
 
     ``values_by_type`` holds the terminal values in rank order (rows of
-    ``type_index(n, m)``).  Valid because every implemented one-step risk is
+    ``type_index(n, m)``).  The one-entry case of
+    ``backward_values_symmetric``, which serves a whole schedule in one
+    pass.
+    """
+    return backward_values_symmetric(lambda _: values_by_type, [n], space,
+                                     spec)[0]
+
+
+def backward_values_symmetric(terminal: Callable[[int], np.ndarray],
+                              schedule: Sequence[int], space: FiniteSpace,
+                              spec: AlphaSpec) -> list[float]:
+    """The backward recursion over type classes for every n of a schedule
+    in one descent from level max(n); the values come in schedule order.
+
+    ``terminal(n)`` gives entry n's terminal values in rank order, one per
+    row of ``type_index(n, m)``.  It is called when the descent reaches
+    level n; from there entry n runs in lockstep with the entries already
+    started: each level builds one ``type_successors`` map and makes one
+    ``risk_rows`` call on the stacked rows of every started entry.  Every
+    one-step risk treats each row on its own, so an entry's value does not
+    depend on the others.  Valid because every implemented one-step risk is
     permutation-equivariant in the conditioning prefix: its parameters do
     not depend on the prefix at all.
     """
     m = space.size
-    V = SymmetricField(n, space, values_by_type).values
-    step = np.eye(m, dtype=np.int64)
-    for k in range(n - 1, -1, -1):
-        V = risk_rows(spec, V[type_rank(type_index(k, m)[:, None] + step)])
-    return float(V[0])
+    joins = sorted(set(schedule))          # levels still to join, top last
+    order = []                             # the n of each stacked block
+    V = np.empty(0)
+    for level in range(joins[-1], -1, -1):
+        if joins and joins[-1] == level:
+            term = SymmetricField(level, space, terminal(joins.pop()))
+            V = np.concatenate([V, term.values])
+            order.append(level)
+        if level:
+            rows = V.reshape(len(order), -1)[:, type_successors(level - 1, m)]
+            V = risk_rows(spec, rows.reshape(-1, m))
+    value = dict(zip(order, V.tolist()))
+    return [value[n] for n in schedule]
 
 
 def symmetric_terminal(F: Callable[[np.ndarray], np.ndarray], n: int,
@@ -167,7 +196,8 @@ def sanov_limit(F: Callable[[np.ndarray], np.ndarray], spec: AlphaSpec,
                 schedule: Sequence[int], grid_step: float = 0.01,
                 label: str = "sanov") -> SanovRun:
     """(1/n) rho_n(n F o L_n) along a schedule, with the limit target
-    sup_nu (F(nu) - alpha(nu)).
+    sup_nu (F(nu) - alpha(nu)).  One backward pass over type classes
+    serves the whole schedule (``backward_values_symmetric``).
 
     A transport spec takes its target sup_nu (F(nu) - W_c(mu, nu)) from the
     coupling form, which is smooth in the kernel K: the ascent from the
@@ -177,10 +207,8 @@ def sanov_limit(F: Callable[[np.ndarray], np.ndarray], spec: AlphaSpec,
     plan between mu and nu*.
     """
     space = spec.space
-    values = []
-    for n in schedule:
-        term = symmetric_terminal(F, n, space)
-        values.append(backward_value_symmetric(term, n, space, spec) / n)
+    values = [v / n for n, v in zip(schedule, backward_values_symmetric(
+        lambda n: symmetric_terminal(F, n, space), schedule, space, spec))]
 
     def J(nu):
         a = penalty(nu, spec)

@@ -95,7 +95,7 @@ class Dist:
 
 def type_index(k: int, m: int) -> np.ndarray:
     """The (C(k+m-1, m-1), m) int array of occupancy vectors with sum k, in
-    reverse lexicographic order: row r has rank r (``type_rank``).  Each
+    reverse lexicographic order, so row r is the class of rank r.  Each
     row with j draws left is repeated for next counts j, j-1, ..., 0."""
     rows = np.zeros((1, 0), dtype=np.int64)
     for _ in range(m - 1):
@@ -106,15 +106,27 @@ def type_index(k: int, m: int) -> np.ndarray:
     return np.column_stack([rows, k - rows.sum(axis=1)])
 
 
-def type_rank(counts) -> np.ndarray:
-    """Rank of (..., m) occupancy vectors within ``type_index(sum, m)``:
-    sum over d < m of C(T_d + d - 1, d), T_d the sum of the last d counts
-    (the combinatorial number system, Knuth, TAOCP 4A, 7.2.1.3)."""
-    tail = np.cumsum(np.asarray(counts, dtype=np.int64)[..., :0:-1], axis=-1)
-    binom = np.ones_like(tail)                      # over T_1, ..., T_{m-1}
-    for i in range(1, tail.shape[-1] + 1):
-        binom[..., i - 1:] = binom[..., i - 1:] * (tail[..., i - 1:] + i - 1) // i
-    return binom.sum(axis=-1)
+def type_successors(k: int, m: int) -> np.ndarray:
+    """The (C(k+m-1, m-1), m) int array of successor ranks: row r, column y
+    is the rank in ``type_index(k + 1, m)`` of class r of level k plus one
+    draw of state y.
+
+    A class's rank is the sum over d < m of C(T_d + d - 1, d), T_d the sum
+    of its last d counts (the combinatorial number system, Knuth, TAOCP 4A,
+    7.2.1.3).  A draw of y raises T_d by one for every d >= m - y, which
+    adds C(T_d + d - 1, d - 1) to the rank; y = 0 keeps it."""
+    counts = type_index(k, m)
+    tail = np.cumsum(counts[:, :0:-1], axis=1)      # T_1, ..., T_{m-1}
+    # binom[d - 1, t] = C(t + d - 1, d - 1), each row the running sum of
+    # the one above (the hockey-stick identity)
+    binom = np.ones((m, k + 1), dtype=np.int64)
+    for j in range(1, m - 1):
+        binom[j] = np.cumsum(binom[j - 1])
+    succ = np.empty_like(counts)
+    succ[:, 0] = np.arange(len(counts))
+    for y in range(1, m):
+        succ[:, y] = succ[:, y - 1] + binom[m - y - 1, tail[:, m - y - 1]]
+    return succ
 
 
 def compositions(n: int, m: int):
@@ -124,10 +136,10 @@ def compositions(n: int, m: int):
 
 def _dense_ranks(n: int, m: int) -> np.ndarray:
     """Type-class rank of every flat index of E^n (row-major order)."""
-    counts = np.zeros((1, m), dtype=np.int64)
-    for _ in range(n):
-        counts = (counts[:, None, :] + np.eye(m, dtype=np.int64)).reshape(-1, m)
-    return type_rank(counts)
+    r = np.zeros(1, dtype=np.int64)
+    for j in range(n):
+        r = type_successors(j, m)[r].ravel()
+    return r
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ The chain-rule toolbox for joint laws on E^n (dense product tensors, stage
 kernels, disintegration and composition, the tensorized penalty), the
 scalar one-row risk wrappers and maximizer, one-off risk measures
 (optimized certainty equivalent, robust entropic risk), the penalty
-recovered from the risk measure, exact enumerations (type classes, SAA
-exceedance, the i.i.d. expectation of a function of the empirical measure)
-and the joint law that attains a dense recursion's value.
+recovered from the risk measure, exact enumerations (type classes and
+their ranks, SAA exceedance, the i.i.d. expectation of a function of the
+empirical measure, the n-step entropic value of one) and the joint law that
+attains a dense recursion's value.
 
 Joint laws on E^n are dense tensors in row-major order: the flat index of
 (x_1, ..., x_n) is x_1 * m^(n-1) + ... + x_n, i.e. x_1 is the slowest axis.
@@ -227,6 +228,17 @@ def greedy_optimizer_from_trace(trace) -> ProductDist:
 # Type classes and exact enumerations
 # ---------------------------------------------------------------------------
 
+def type_rank(counts) -> np.ndarray:
+    """Rank of (..., m) occupancy vectors within ``type_index(sum, m)``:
+    sum over d < m of C(T_d + d - 1, d), T_d the sum of the last d counts
+    (the combinatorial number system, Knuth, TAOCP 4A, 7.2.1.3)."""
+    tail = np.cumsum(np.asarray(counts, dtype=np.int64)[..., :0:-1], axis=-1)
+    binom = np.ones_like(tail)                      # over T_1, ..., T_{m-1}
+    for i in range(1, tail.shape[-1] + 1):
+        binom[..., i - 1:] = binom[..., i - 1:] * (tail[..., i - 1:] + i - 1) // i
+    return binom.sum(axis=-1)
+
+
 def multinomial(counts: Sequence[int]) -> int:
     """Exact multinomial coefficient n! / prod(c_i!)."""
     out = 1
@@ -249,14 +261,30 @@ def type_classes(n: int, m: int) -> list[tuple[tuple[int, ...], int]]:
     return [(c, multinomial(c)) for c in map(tuple, type_index(n, m).tolist())]
 
 
+def _type_log_probs(w: np.ndarray, n: int):
+    """The type classes of E^n that have positive probability under the
+    n-fold product of w, and their log probabilities."""
+    C = type_index(n, w.size)
+    C = C[~((C > 0) & (w <= 0)).any(axis=1)]
+    return C, gammaln(n + 1) - gammaln(C + 1).sum(axis=1) + \
+        C @ np.log(np.where(w > 0, w, 1.0))
+
+
 def iid_empirical_expectation(F, nu_weights, n: int) -> float:
     """E under the n-fold product of nu of F(L_n), summed by type class."""
-    w = np.asarray(nu_weights, dtype=float)
-    C = type_index(n, w.size)
-    C = C[~((C > 0) & (w <= 0)).any(axis=1)]     # classes of probability 0
-    logp = gammaln(n + 1) - gammaln(C + 1).sum(axis=1) + \
-        C @ np.log(np.where(w > 0, w, 1.0))
+    C, logp = _type_log_probs(np.asarray(nu_weights, dtype=float), n)
     return float(sum(np.exp(lp) * float(F(c / n)) for lp, c in zip(logp, C)))
+
+
+def entropic_type_value(F, mu_weights, n: int) -> float:
+    """(1/n) log E exp(n F(L_n)) under the n-fold product of mu, the
+    n-step entropic value of n F(L_n) over n, as one log-sum-exp over the
+    type classes with their multinomial weights; F maps (B, m) laws to
+    (B,) values."""
+    C, logp = _type_log_probs(np.asarray(mu_weights, dtype=float), n)
+    terms = logp + n * F(C / n)
+    peak = terms.max()
+    return float((peak + np.log(np.exp(terms - peak).sum())) / n)
 
 
 def saa_exact_exceedance(instance: SAAInstance, n: int) -> float:

@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from oracles import (ProductDist, check_integrability, entropic_risk,
-                     greedy_optimizer_from_trace, risk, saa_exact_exceedance,
-                     shortfall_risk, tensor_penalty, tensor_penalty_batch)
+                     entropic_type_value, greedy_optimizer_from_trace, risk,
+                     saa_exact_exceedance, shortfall_risk, tensor_penalty,
+                     tensor_penalty_batch)
 from sanovdual.cli import main as cli_main
 from sanovdual.cramer import deviation_bound, moment_norm
 from sanovdual.dp import (backward_value_dense, backward_value_symmetric,
@@ -138,23 +139,21 @@ def test_criterion_04_sanov_limit(record_criterion):
 
     schedule = [25, 50, 100, 200]
     run = sanov_limit(F, RelativeEntropy(UNIF2), schedule, grid_step=0.01)
-    worst_exact = 0.0
-    for n, v in zip(run.schedule, run.values):
-        log_terms = [
-            math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
-            - n * math.log(2.0) + n * F(np.array([j / n, 1 - j / n]))
-            for j in range(n + 1)
-        ]
-        peak = max(log_terms)
-        exact = (peak + math.log(sum(math.exp(t - peak)
-                                     for t in log_terms))) / n
-        worst_exact = max(worst_exact, abs(v - exact))
+    worst_exact = max(abs(v - entropic_type_value(F, UNIF2.weights, n))
+                      for n, v in zip(run.schedule, run.values))
+    # Four states, where the recursion meets C(103, 3) = 176,851 classes.
+    mu4 = Dist(FiniteSpace.of_size(4), [0.1, 0.2, 0.3, 0.4])
+    run4 = sanov_limit(F, RelativeEntropy(mu4), [25, 50, 100], grid_step=0.05)
+    worst_exact = max([worst_exact] + [
+        abs(v - entropic_type_value(F, mu4.weights, n))
+        for n, v in zip(run4.schedule, run4.values)])
     decreasing = all(a > b for a, b in zip(run.gaps, run.gaps[1:]))
     elapsed = time.perf_counter() - t0
     ok = (worst_exact <= 1e-9 and run.gaps[-1] <= 0.05 and decreasing
           and elapsed < 10.0)
     record_criterion(4, ok, f"type-class oracle gap {worst_exact:.2e} "
-                            f"(tol 1e-9), |v_200 - target| = "
+                            f"(tol 1e-9; m = 2 to n = 200, m = 4 to n = 100), "
+                            f"|v_200 - target| = "
                             f"{run.gaps[-1]:.4f} (<= 0.05), gaps decreasing="
                             f"{decreasing}, {elapsed:.1f}s (< 10s)")
     assert ok

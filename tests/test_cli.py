@@ -165,6 +165,9 @@ class TestExitCodes:
         ("azuma", "n", 2 ** 60),
         ("saa", "schedule", [3, 2 ** 60]),
         ("tailbound", "schedule", [10, 20, 2 ** 56]),
+        # A type-class level of 2^24 + 1 classes: over the dense cap.
+        ("sanov", "schedule", [2, 2 ** 24]),
+        ("transport", "schedule", [1, 2 ** 24]),
     ])
     def test_integer_fields_are_validated(self, tmp_path, capsys, command,
                                           key, value):
@@ -200,6 +203,29 @@ class TestExitCodes:
     def test_missing_keys_are_named(self, tmp_path, capsys, command, key):
         assert run_edited(tmp_path, command, key, DROP) == 2
         assert f"{key}: missing required key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sanov", "transport"])
+    @pytest.mark.parametrize("step", [0, -0.1, 1e-300, 5e-324, 1.5, "inf"])
+    def test_grid_step_is_validated(self, tmp_path, capsys, command, step):
+        assert run_edited(tmp_path, command, "grid_step", step) == 2
+        assert "grid_step: expected a step in (0, 1]" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_grid_step_of_one_is_the_vertex_grid(self, tmp_path):
+        assert run_edited(tmp_path, "sanov", "grid_step", 1.0) == 0
+
+    def test_schedule_entry_over_the_class_cap(self, tmp_path, capsys):
+        # n = 10^6 on 3 states has about 5e11 classes at its top level; it
+        # is refused before any of them is built.
+        cfg = write_config(tmp_path, {
+            "spec": {"kind": "relative_entropy", "mu": [0.5, 0.3, 0.2]},
+            "F": {"kind": "square_well"}, "schedule": [5, 10 ** 6]})
+        out = tmp_path / "out"
+        assert main(["sanov", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "schedule[1]: n = 1000000 on 3 states exceeds the dense cap" \
+            in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("command, coeffs", [
         ("transport", [1.0, 0.0, 0.0]),

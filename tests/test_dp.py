@@ -6,14 +6,17 @@ import pytest
 
 from oracles import (ProductDist, entropic_risk, greedy_optimizer_from_trace,
                      iid_empirical_expectation, risk, tensor_penalty,
-                     tensor_penalty_batch)
+                     tensor_penalty_batch, type_rank)
 from sanovdual.dp import (backward_value_dense, backward_value_symmetric,
-                          sanov_limit, simplex_supremum, superhedge,
-                          symmetric_terminal, transport_control_value)
+                          backward_values_symmetric, sanov_limit,
+                          simplex_supremum, superhedge, symmetric_terminal,
+                          transport_control_value)
 from sanovdual.losses import ExpLoss, PowerLoss
 from sanovdual.penalties import (LpEntropy, RelativeEntropy, Robust,
                                  SetIndicator, Shortfall, Transport, penalty)
-from sanovdual.spaces import Dist, FiniteSpace, SpaceError, SymmetricField
+from sanovdual.risk import risk_rows
+from sanovdual.spaces import (Dist, FiniteSpace, SpaceError, SymmetricField,
+                              type_index)
 
 TWO = FiniteSpace.of_size(2)
 THREE = FiniteSpace.of_size(3)
@@ -169,6 +172,37 @@ class TestSymmetricRecursion:
                                           n, TWO)
                 v = backward_value_symmetric(term, n, TWO, spec) / n
                 assert abs(v - 0.37) <= 1e-9
+
+    @pytest.mark.parametrize("space, specs", [
+        (TWO, all_specs()), (THREE, three_state_specs())], ids=["m2", "m3"])
+    def test_schedule_in_lockstep_is_bit_identical(self, space, specs):
+        # One descent for an unsorted schedule with a repeat equals, bit for
+        # bit, each entry's own recursion ranked level by level by the
+        # oracle, and the one-entry call.
+        m = space.size
+        coefs = np.random.default_rng(19).normal(size=m)
+
+        def F(nu):
+            return nu @ coefs + 0.8 * nu[:, 0] ** 2
+
+        schedule = [10, 4, 10]
+        step = np.eye(m, dtype=np.int64)
+        for spec in specs:
+            joined = []
+
+            def terminal(n):
+                joined.append(n)
+                return symmetric_terminal(F, n, space)
+
+            got = backward_values_symmetric(terminal, schedule, space, spec)
+            assert joined == [10, 4]
+            for n, v in zip(schedule, got):
+                V = symmetric_terminal(F, n, space)
+                assert v == backward_value_symmetric(V, n, space, spec)
+                for k in range(n - 1, -1, -1):
+                    V = risk_rows(spec, V[type_rank(type_index(k, m)[:, None]
+                                                    + step)])
+                assert v == float(V[0])
 
     def test_rejects_asymmetric_dense_input(self):
         f = np.array([0.0, 1.0, 2.0, 3.0])

@@ -31,6 +31,8 @@ ALLOWED = {
     "montecarlo.FiniteSampler",
     # perfbench/tracer.py reads it; ROADMAP item 1 deletes it
     "optim.bisect_nonincreasing",
+    # perfbench/tracer.py reads it; ROADMAP item 1 deletes it
+    "dp.backward_value_symmetric",
 }
 
 

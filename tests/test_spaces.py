@@ -6,10 +6,10 @@ import pytest
 
 import oracles
 from oracles import (Kernel, ProductDist, compose, disintegrate,
-                     empirical_measure, multinomial, type_classes)
+                     empirical_measure, multinomial, type_classes, type_rank)
 from sanovdual import extreal
 from sanovdual.spaces import (Dist, FiniteSpace, SpaceError, SymmetricField,
-                              type_index, type_rank)
+                              _dense_ranks, type_index, type_successors)
 
 
 @pytest.fixture
@@ -190,6 +190,25 @@ class TestTypeIndex:
         assert [tuple(c) for c in index.tolist()] == \
             recursive_compositions(n, m)
         assert np.array_equal(type_rank(index), np.arange(len(index)))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_successors_match_the_rank_oracle(self, m):
+        step = np.eye(m, dtype=np.int64)
+        for k in range(13):
+            succ = type_successors(k, m)
+            assert succ.dtype == np.int64
+            assert np.array_equal(
+                succ, type_rank(type_index(k, m)[:, None] + step))
+
+    @pytest.mark.parametrize("m,top", [(1, 8), (2, 16), (3, 10), (4, 8)])
+    def test_dense_ranks_match_counting(self, m, top):
+        # Occupancy vectors of every flat index, built by counting draws,
+        # ranked by the oracle: up to m^n = 2^16, 3^10 and 4^8 entries.
+        counts = np.zeros((1, m), dtype=np.int64)
+        for n in range(top + 1):
+            assert np.array_equal(_dense_ranks(n, m), type_rank(counts))
+            counts = (counts[:, None, :] +
+                      np.eye(m, dtype=np.int64)).reshape(-1, m)
 
 
 class TestValidation:
