@@ -202,13 +202,16 @@ class RatePoint:
     status: str  # "ok" | "diverged"
 
 
-def rate_function(law: Law, x, q: float, ray_radius: float = 1e3) -> RatePoint:
+def rate_function(law: Law, x, q: float, ray_radius: float = 1e3, *,
+                  zero=None) -> RatePoint:
     """sup over dual vectors of <t, x> - cumulant(t), for dim <= 3.
 
     In one dimension: safeguarded Newton on cumulant'(t) = x from t = 0
     (``optim.legendre_max``), stopped once the tangents at the two ends of
     the bracket certify the value within 1e-12 (1 + |value|); the point is
     "diverged", value +inf, if no maximizer lies within ``ray_radius``.
+    ``zero``, if given, is ``_cumulant(law, 0.0, q, curvature=True)``, the
+    pass over the law at t = 0 that every 1-d search makes first.
     In two or three: coarse grid plus coordinate-wise golden section; if
     the objective is still growing on the box of radius ``ray_radius`` the
     value is +inf.  The cumulant is convex, so its tangent at the point
@@ -227,7 +230,10 @@ def rate_function(law: Law, x, q: float, ray_radius: float = 1e3) -> RatePoint:
         if tangent is not None:
             t_i, lam_i, grad_i = tangent
             start = lam_i + float(np.dot(grad_i, t - t_i))
-        lam, grad, curv = _cumulant(law, t, q, start, curvature)
+        if zero is not None and curvature and not t.any():
+            lam, grad, curv = zero
+        else:
+            lam, grad, curv = _cumulant(law, t, q, start, curvature)
         if grad is not None:    # copied: the coordinate ascent mutates t
             tangent = (np.array(t), lam, grad)
         return lam, grad, curv
@@ -311,12 +317,14 @@ def _midpoint_convex(xs: np.ndarray, ys: np.ndarray, tol: float = 1e-7) -> bool:
 
 
 def conjugate_pair(law: Law, q: float, dual_grid, primal_grid) -> ConjugatePair:
-    """Evaluate the pair on grids (1-d laws) and record its invariants."""
+    """Evaluate the pair on grids (1-d laws) and record its invariants.
+    Every rate point shares one pass over the law at t = 0."""
     check_admissible(law, q)
     dual_grid = np.asarray(dual_grid, dtype=float)
     primal_grid = np.asarray(primal_grid, dtype=float)
     dual_values = np.array([cumulant(law, t, q) for t in dual_grid])
-    primal_values = np.array([rate_function(law, x, q).value
+    zero = _cumulant(law, 0.0, q, curvature=True)
+    primal_values = np.array([rate_function(law, x, q, zero=zero).value
                               for x in primal_grid])
     mq = moment_norm(law, q)
     minorant = -1.0 + np.abs(primal_grid) / mq

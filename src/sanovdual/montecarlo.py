@@ -303,18 +303,17 @@ class SAAInstance:
         self.decisions = np.asarray(self.decisions, dtype=float)
 
     def expected_losses(self) -> np.ndarray:
-        """E[h(x, W)] per decision, exactly or by quadrature."""
+        """E[h(x, W)] per decision, exactly or by one quadrature whose rows
+        are the decisions."""
         if isinstance(self.law, FiniteSupportLaw):
             return np.array([
                 float(np.dot(self.law.weights, self.loss(x, self.law.atoms)))
                 for x in self.decisions
             ])
-        out = np.empty(self.decisions.size)
-        for j, x in enumerate(self.decisions):
-            out[j] = _quad_expect(self.law.pdf, *self.law.support,
-                                  lambda w: self.loss(x, w),
-                                  centre=self.law.centre)
-        return out
+        return _quad_expect(self.law.pdf, *self.law.support,
+                            lambda w: np.stack([self.loss(x, w)
+                                                for x in self.decisions]),
+                            centre=self.law.centre)
 
     def true_value(self) -> float:
         return float(self.expected_losses().min())

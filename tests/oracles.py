@@ -6,8 +6,9 @@ scalar one-row risk wrappers and maximizer, one-off risk measures
 (optimized certainty equivalent, robust entropic risk), the penalty
 recovered from the risk measure, exact enumerations (type classes and
 their ranks, SAA exceedance, the i.i.d. expectation of a function of the
-empirical measure, the n-step entropic value of one) and the joint law that
-attains a dense recursion's value.
+empirical measure, the n-step entropic value of one), the joint law that
+attains a dense recursion's value and the segment-at-a-time quadrature
+walk.
 
 Joint laws on E^n are dense tensors in row-major order: the flat index of
 (x_1, ..., x_n) is x_1 * m^(n-1) + ... + x_n, i.e. x_1 is the slowest axis.
@@ -581,3 +582,81 @@ def validate_loss(loss: LossFn, grid: Sequence[float] | None = None) -> None:
     for x in (-1e-3, -1.0, -10.0):
         if float(np.min(loss.value(x))) >= 1.0:
             raise LossError(f"loss({x}) >= 1")
+
+
+# ---------------------------------------------------------------------------
+# Quadrature, one segment at a time
+# ---------------------------------------------------------------------------
+
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+
+def _segment(pdf, fn, a: float, b: float):
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    x = mid + half * _NODES
+    v = fn(x) * pdf(x)
+    if v.ndim == 1:
+        return float(np.dot(_WEIGHTS, v) * half)
+    return (v @ _WEIGHTS) * half
+
+
+def _tiled(pdf, fn, a: float, b: float):
+    """Finite segment integrated on geometrically growing tiles from a."""
+    total = 0.0
+    x = a
+    step = min(1.0 + 0.5 * abs(a), b - a)
+    while x < b - 1e-300:
+        nxt = min(x + step, b)
+        total += _segment(pdf, fn, x, nxt)
+        x = nxt
+        step *= 6.0
+    return total
+
+
+def _sequential_tail(pdf, fn, edge: float, sign: float, total,
+                     rel_tol: float, max_segments: int):
+    """(total plus the tail beyond ``edge``, segments summed, far end of
+    the last one)."""
+    step = max(1.0, abs(edge) * 0.5)
+    small = 0
+    for k in range(max_segments):
+        far = edge + sign * step
+        piece = _segment(pdf, fn, min(edge, far), max(edge, far))
+        total += piece
+        edge = far
+        step *= 6.0
+        small = small + 1 \
+            if np.all(abs(piece) <= rel_tol * (abs(total) + 1e-30)) else 0
+        if small >= 2 and k >= 3:
+            return total, k + 1, edge
+    return total, max_segments, edge
+
+
+def sequential_expect(pdf, lo: float, hi: float, fn, breaks=(), *,
+                      centre: float, rel_tol: float = 1e-13,
+                      max_segments: int = 90):
+    """``quadrature.expect`` with one integrand call per segment and tails
+    walked one segment at a time: (value, {"upper" | "lower": (segments
+    summed in that tail, far end of the last one)})."""
+    edges = sorted({float(b) for b in (*breaks, centre) if lo < b < hi})
+    if np.isfinite(lo):
+        edges = [float(lo)] + edges
+    if np.isfinite(hi):
+        edges = edges + [float(hi)]
+    if not edges:
+        edges = [0.0]
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        if b <= centre:     # tiled from b down, as the mirror image from -b
+            total += _tiled(lambda y: pdf(-y), lambda y: fn(-y), -b, -a)
+        else:
+            total += _tiled(pdf, fn, a, b)
+    tails = {}
+    if not np.isfinite(hi):
+        total, *tails["upper"] = _sequential_tail(
+            pdf, fn, edges[-1], 1.0, total, rel_tol, max_segments)
+    if not np.isfinite(lo):
+        total, *tails["lower"] = _sequential_tail(
+            pdf, fn, edges[0], -1.0, total, rel_tol, max_segments)
+    return total, tails

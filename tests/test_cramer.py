@@ -378,6 +378,23 @@ class TestAdmissibility:
 
 
 class TestConjugatePair:
+    def test_rate_points_share_one_pass_at_zero(self, monkeypatch):
+        # Every 1-d rate search starts at t = 0; the pair pays that pass
+        # over the law once and still gets each point's own value.
+        law, q = ParetoLaw(2.5), 2.0
+        primal = np.linspace(-0.3, 0.3, 3)
+        want = [rate_function(law, x, q).value for x in primal]
+        passes = []
+
+        def counted(law, t, q, start=None, curvature=False):
+            if curvature and not np.any(t):
+                passes.append(t)
+            return _cumulant(law, t, q, start, curvature)
+        monkeypatch.setattr(cramer, "_cumulant", counted)
+        pair = conjugate_pair(law, q, np.linspace(-0.4, 0.4, 3), primal)
+        assert len(passes) == 1
+        assert pair.primal_values.tolist() == want
+
     def test_records(self):
         pair = conjugate_pair(RADEMACHER, 2.0,
                               np.linspace(-0.6, 0.6, 9),

@@ -14,6 +14,7 @@ from sanovdual.montecarlo import (GrowthValidationError, RademacherIncrements,
                                   mann_kendall_upward_p, rate_fit, rep_rng,
                                   saa_run,
                                   wilson_interval, argmin_tracking)
+from sanovdual.quadrature import expect
 
 RADEMACHER = FiniteSupportLaw(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
 
@@ -218,6 +219,26 @@ class TestSAA:
             loss=lambda x, w: (x - 1.0) ** 2 + x * w,
             law=ParetoLaw(2.5), epsilon=0.5, q=2.0)
         assert abs(inst.true_value()) <= 1e-9
+
+    def test_quadrature_rows_are_the_decisions(self, monkeypatch):
+        # One quadrature for every decision; each row agrees with its own
+        # scalar integral up to the shared tail walk.
+        inst = SAAInstance(
+            decisions=np.linspace(0, 2, 5),
+            loss=lambda x, w: (x - 1.0) ** 2 + np.abs(w - x),
+            law=StudentTLaw(4.0), epsilon=0.5, q=2.0)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return expect(*args, **kwargs)
+        monkeypatch.setattr(montecarlo, "_quad_expect", counted)
+        got = inst.expected_losses()
+        assert len(calls) == 1 and got.shape == (5,)
+        for value, x in zip(got, inst.decisions):
+            want = expect(inst.law.pdf, *inst.law.support,
+                          lambda w: inst.loss(x, w), centre=inst.law.centre)
+            assert abs(value - want) <= 1e-13 * abs(want)
 
 
 class TestArgminTracking:
