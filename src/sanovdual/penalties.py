@@ -9,7 +9,7 @@ probability vector with value +inf off its effective domain:
   convex nondecreasing loss l;
 * robust entropy: the infimum of relative entropy over a convex hull of
   reference laws;
-* the indicator of a convex hull (0 inside, +inf outside);
+* the indicator of a convex hull (0 inside, +inf outside), by exact distance;
 * optimal transport cost to the reference law for a nonnegative cost
   matrix (computed exactly by the transportation simplex).
 
@@ -25,6 +25,8 @@ depend on the other rows of its batch.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,12 +34,11 @@ import numpy as np
 from . import extreal
 from .extreal import INF, NEG_INF, weighted_row_sums
 from .losses import LossFn, PowerLoss
-from .optim import newton_nonincreasing, pgd_max_simplex, project_simplex
+from .optim import newton_nonincreasing, pgd_max_simplex
 from .spaces import Dist, FiniteSpace, SpaceError
 from .transport import solve_transport
 
-HULL_TOL = 1e-9      # Euclidean tolerance for membership in a convex hull
-HULL_ITERS = 4000    # projected-gradient steps of ``hull_distance``
+HULL_TOL = 1e-9      # largest exact hull distance counted as membership
 
 
 # ---------------------------------------------------------------------------
@@ -229,18 +230,16 @@ class SetIndicator(_Hull):
     what = "set indicator"
     grad_rows = None
 
+    def __post_init__(self):
+        super().__post_init__()
+        k, m = len(self.generators), self.generators[0].m
+        faces = sum(math.comb(k, r) for r in range(1, min(k, m) + 1))
+        if faces > 4096:
+            raise SpaceError(f"{self.what}: {k} generators on {m} states "
+                             f"have {faces} hull faces, over 4096")
+
     def penalty_rows(self, V: np.ndarray) -> np.ndarray:
-        G = self.weights
-        if G.shape[0] == 1:
-            d = np.linalg.norm(V - G[0][None, :], axis=1)
-        elif V.shape[1] == 2:
-            # Two-state simplex: the hull is the interval of first coordinates.
-            lo, hi = G[:, 0].min(), G[:, 0].max()
-            excess = np.maximum(np.maximum(lo - V[:, 0], V[:, 0] - hi), 0.0)
-            d = excess * np.sqrt(2.0)
-        else:
-            d = hull_distance(V, G)
-        return np.where(d <= HULL_TOL, 0.0, INF)
+        return np.where(hull_distance(V, self.weights) <= HULL_TOL, 0.0, INF)
 
     def risk_rows(self, F: np.ndarray) -> np.ndarray:
         vals = np.stack([extreal.integral_rows(g.weights, F)
@@ -540,16 +539,15 @@ def robust_mixture_argmin(row: np.ndarray, G: np.ndarray
 
 
 def hull_distance(V: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each row of V to the hull of the rows of G."""
-    k = G.shape[0]
-    W = np.full((V.shape[0], k), 1.0 / k)
-    gram = G @ G.T
-    step = 1.0 / (2.0 * float(np.linalg.eigvalsh(gram).max()) + 1e-12)
-    for _ in range(HULL_ITERS):
-        grad = 2.0 * (W @ G - V) @ G.T
-        W_new = project_simplex(W - step * grad)
-        if np.abs(W_new - W).max() < 1e-15:
-            W = W_new
-            break
-        W = W_new
-    return np.linalg.norm(W @ G - V, axis=1)
+    """Euclidean distance from each row of V to the hull of the rows of G:
+    the least distance to the affine hull of a face of at most min(k, m)
+    generators (Caratheodory), among rows with nonnegative face weights."""
+    best = np.full(V.shape[0], INF)
+    for r in range(1, min(G.shape) + 1):
+        for first, *rest in itertools.combinations(range(len(G)), r):
+            D, U = (G[rest] - G[first]).T, (V - G[first]).T
+            c = np.linalg.lstsq(D, U, rcond=None)[0]
+            ok = (c >= 0.0).all(axis=0) & (c.sum(axis=0) <= 1.0)
+            best = np.minimum(best, np.where(
+                ok, np.linalg.norm(U - D @ c, axis=0), INF))
+    return best

@@ -7,8 +7,9 @@ scalar one-row risk wrappers and maximizer, one-off risk measures
 recovered from the risk measure, exact enumerations (type classes and
 their ranks, SAA exceedance, the i.i.d. expectation of a function of the
 empirical measure, the n-step entropic value of one), the joint law that
-attains a dense recursion's value and the segment-at-a-time quadrature
-walk.
+attains a dense recursion's value, the segment-at-a-time quadrature
+walk, and references over the mixture weights of a hull (the distance to
+it by SLSQP, an EM upper bound on robust entropy).
 
 Joint laws on E^n are dense tensors in row-major order: the flat index of
 (x_1, ..., x_n) is x_1 * m^(n-1) + ... + x_n, i.e. x_1 is the slowest axis.
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
+from scipy.optimize import minimize
 from scipy.special import gammaln
 
 from sanovdual import extreal
@@ -392,6 +394,40 @@ def robust_pair_golden(V: np.ndarray, g0: np.ndarray,
         wv = np.where(at_end < out, end, wv)
         out = np.minimum(out, at_end)
     return out, wv
+
+
+# ---------------------------------------------------------------------------
+# References over the mixture weights of a hull
+# ---------------------------------------------------------------------------
+
+def hull_distance_slsqp(v: np.ndarray, G: np.ndarray) -> float:
+    """Euclidean distance from v to the hull of the rows of G, as the least
+    |w^T G - v| over the k-simplex of mixture weights w, by SLSQP from the
+    barycenter: no enumeration of faces."""
+    k = G.shape[0]
+    res = minimize(lambda w: float(np.sum((w @ G - v) ** 2)),
+                   np.full(k, 1.0 / k),
+                   jac=lambda w: 2.0 * G @ (w @ G - v), method="SLSQP",
+                   bounds=[(0.0, 1.0)] * k,
+                   constraints=[{"type": "eq", "fun": lambda w: w.sum() - 1.0,
+                                 "jac": lambda w: np.ones(k)}],
+                   options={"ftol": 1e-16, "maxiter": 1000})
+    w = np.maximum(res.x, 0.0)
+    return float(np.linalg.norm((w / w.sum()) @ G - v))
+
+
+def robust_em_bound(row: np.ndarray, G: np.ndarray,
+                    steps: int = 5000) -> float:
+    """An upper bound on the robust entropy of one law against the rows of
+    G: H(nu | w^T G) after ``steps`` EM updates w <- w (nu / w^T G) G^T of
+    the mixture weights from the barycenter.  Every iterate is a feasible
+    mixture, so the value bounds the infimum from above."""
+    w = np.full(G.shape[0], 1.0 / G.shape[0])
+    for _ in range(steps):
+        w = w * ((row / (w @ G)) @ G.T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(row > 0.0, row * np.log(row / (w @ G)), 0.0)
+    return float(terms.sum())
 
 
 # ---------------------------------------------------------------------------

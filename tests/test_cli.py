@@ -93,6 +93,18 @@ class TestExitCodes:
         assert code == 2
         assert "spec.kind" in capsys.readouterr().err
 
+    def test_set_indicator_face_cap(self, tmp_path, capsys):
+        # 30 generators on 10 states: about 5e7 faces of at most 10 vertices.
+        gens = np.random.default_rng(0).dirichlet(np.ones(10), size=30)
+        cfg = write_config(tmp_path, {
+            "spec": {"kind": "set_indicator", "generators": gens.tolist()},
+            "f": [0.0] * 10})
+        out = tmp_path / "out"
+        assert main(["rho", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "spec: set indicator: 30 generators on 10 states" \
+            in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_missing_config(self, tmp_path):
         assert main(["rho", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -359,6 +371,22 @@ class TestSanovCommand:
         csv_lines = (tmp_path / "out" / "table.csv").read_text().splitlines()
         assert csv_lines[0] == "n,v_n,target,gap"
         assert len(csv_lines) == 1 + len(report["schedule"])
+
+    def test_set_indicator_nearly_coincident_generators(self, tmp_path):
+        # Two of the three generators agree to about 7e-3.  The target is a
+        # grid point of the hull, below the sup 0.7955 at the first
+        # generator; a generator judged outside its own hull made it -inf.
+        gens = np.random.default_rng(1).dirichlet(np.ones(3), size=3)
+        cfg = write_config(tmp_path, {
+            "spec": {"kind": "set_indicator", "generators": gens.tolist()},
+            "F": {"kind": "linear", "coeffs": [0, 0, 1]},
+            "schedule": [5, 10], "grid_step": 0.01})
+        assert main(["sanov", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert math.isfinite(report["target"])
+        assert report["target"] <= gens[:, 2].max() <= 0.7956
+        assert all(math.isfinite(g) for g in report["gaps"])
 
 
 class TestSaaCommand:

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (ProductDist, robust_pair_golden, shortfall_penalty_golden,
+from oracles import (ProductDist, hull_distance_slsqp, robust_em_bound,
+                     robust_pair_golden, shortfall_penalty_golden,
                      tabulated_from_callable, tensor_penalty)
 from sanovdual.losses import ExpLoss, PowerLoss
 from sanovdual.penalties import (LpEntropy, RelativeEntropy, Robust,
-                                 SetIndicator, Shortfall, Transport, penalty)
-from sanovdual.spaces import Dist, FiniteSpace
+                                 SetIndicator, Shortfall, Transport,
+                                 hull_distance, penalty)
+from sanovdual.spaces import Dist, FiniteSpace, SpaceError
 
 # +inf off a support, 0 log 0 and zero generator entries are handled
 # without a numpy warning.
@@ -196,6 +198,17 @@ class TestRobustEntropy:
         g = (Dist(THREE, [0.5, 0.5, 0.0]), Dist(THREE, [0.2, 0.8, 0.0]))
         assert penalty(Dist(THREE, [0.2, 0.2, 0.6]), Robust(g)) == math.inf
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 11: robust_mixture_argmin stops 5.0e-4 above a "
+        "feasible mixture for 4 generators on 5 states"))
+    def test_four_generators_at_most_the_em_bound(self):
+        rng = np.random.default_rng(20)
+        G = rng.dirichlet(np.ones(5), size=4)
+        V = rng.dirichlet(np.ones(5), size=20)
+        five = FiniteSpace.of_size(5)
+        got = penalty(V[16], Robust(tuple(Dist(five, g) for g in G)))
+        assert got <= robust_em_bound(V[16], G) + 1e-12
+
 
 class TestHullIndicator:
     def test_member(self):
@@ -212,6 +225,56 @@ class TestHullIndicator:
         mid = Dist(THREE, 0.5 * g[0].weights + 0.5 * g[1].weights)
         assert penalty(mid, SetIndicator(g)) == 0.0
         assert penalty(UNIF3, SetIndicator(g)) == math.inf
+
+    @staticmethod
+    def spec(G):
+        space = FiniteSpace.of_size(G.shape[1])
+        return SetIndicator(tuple(Dist(space, g) for g in G))
+
+    @pytest.mark.parametrize("m, k", [(3, 3), (4, 4), (5, 5), (4, 3)])
+    def test_generators_and_mixtures_are_members(self, m, k):
+        rng = np.random.default_rng(10 * m + k)
+        for _ in range(40):
+            G = rng.dirichlet(np.ones(m), size=k)
+            V = np.vstack([G, rng.dirichlet(np.ones(k), size=50) @ G])
+            assert (penalty(V, self.spec(G)) == 0.0).all()
+
+    def test_nearly_coincident_generators_are_members(self):
+        # Two generators agree to about 7e-3; the Gram matrix has condition
+        # number 1.9e6.
+        rng = np.random.default_rng(1)
+        G = rng.dirichlet(np.ones(3), size=3)
+        V = np.vstack([G, rng.dirichlet(np.ones(3), size=50) @ G])
+        assert (penalty(V, self.spec(G)) == 0.0).all()
+
+    @pytest.mark.parametrize("m, k", [(4, 1), (3, 2), (3, 3), (4, 3), (5, 5),
+                                      (2, 4), (3, 5), (4, 6)])
+    def test_distance_matches_slsqp(self, m, k):
+        rng = np.random.default_rng(100 * m + k)
+        for _ in range(4):
+            G = rng.dirichlet(np.ones(m), size=k)
+            V = np.vstack([rng.dirichlet(np.ones(m), size=8),
+                           rng.dirichlet(np.ones(k), size=2) @ G,
+                           rng.normal(size=(2, m))])
+            want = [hull_distance_slsqp(v, G) for v in V]
+            assert np.abs(hull_distance(V, G) - want).max() <= 1e-7
+
+    def test_two_states_is_the_interval_excess(self):
+        G = np.array([[0.2, 0.8], [0.7, 0.3], [0.4, 0.6]])
+        x = np.linspace(0.0, 1.0, 101)
+        V = np.column_stack([x, 1.0 - x])
+        excess = np.maximum(np.maximum(0.2 - x, x - 0.7), 0.0)
+        assert np.abs(hull_distance(V, G) - excess * np.sqrt(2.0)).max() \
+            <= 1e-15
+
+    def test_face_cap(self):
+        # 12 generators on 12 states have 2^12 - 1 faces; 13 have 8,191.
+        self.spec(np.eye(12))
+        with pytest.raises(SpaceError, match="8191 hull faces"):
+            self.spec(np.eye(13))
+        rng = np.random.default_rng(4)
+        with pytest.raises(SpaceError, match="30 generators on 10 states"):
+            self.spec(rng.dirichlet(np.ones(10), size=30))
 
 
 class TestTransportCost:
