@@ -13,8 +13,9 @@ exact sums, sample means, or adaptive quadrature accordingly.
 
 The cumulant is a Newton root of its level equation.  In one dimension the
 rate function is a Newton root of cumulant'(t) = x, whose slope and
-curvature come from the same pass over the law as the cumulant itself.
-Dual searches are certified only in dimension d <= 3.
+curvature come from the same pass over the law as the cumulant itself,
+certified by tangent bounds.  Dimensions 2 and 3 use a coarse grid plus
+coordinate-wise golden section, which is not certified; d > 3 is refused.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ Everything here is plain numpy:
 * Euclidean projection onto the probability simplex;
 * one batched projected gradient ascent with Armijo backtracking, over
   simplices and products of simplices;
-* golden-section line search and one safeguarded Newton root finder for
-  the risks and penalty infima, both on scalar or (B,)-array brackets;
+* golden-section line search, for the 2- and 3-d rate function search,
+  and one safeguarded Newton root finder for the risks and penalty
+  infima, both on scalar or (B,)-array brackets;
 * one Legendre transform of a convex function on the line, by
   safeguarded Newton on its first-order condition, for the rate function
   and the Azuma conjugate;

@@ -8,7 +8,9 @@ probability vector with value +inf off its effective domain:
 * shortfall penalty  inf_{t>0} (1/t) (1 + int l*(t dnu/dmu) dmu)  for a
   convex nondecreasing loss l;
 * robust entropy: the infimum of relative entropy over a convex hull of
-  reference laws;
+  reference laws (two generators: a Newton root of the mixture weight's
+  first-order condition; any other number: a batched EM and face-Newton
+  loop over the mixture weights, each row certified by Cover's bound);
 * the indicator of a convex hull (0 inside, +inf outside), by exact distance;
 * optimal transport cost to the reference law for a nonnegative cost
   matrix (computed exactly by the transportation simplex).
@@ -26,6 +28,7 @@ depend on the other rows of its batch.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from dataclasses import dataclass
 
@@ -34,11 +37,15 @@ import numpy as np
 from . import extreal
 from .extreal import INF, NEG_INF, weighted_row_sums
 from .losses import LossFn, PowerLoss
-from .optim import newton_nonincreasing, pgd_max_simplex
+from .optim import newton_nonincreasing
 from .spaces import Dist, FiniteSpace, SpaceError
 from .transport import solve_transport
 
+log = logging.getLogger("sanovdual")
+
 HULL_TOL = 1e-9      # largest exact hull distance counted as membership
+EM_STEPS = 20        # EM steps before the robust mixture loop's Newton steps
+MIXTURE_PASSES = 200  # cap on the passes of the robust mixture loop
 
 
 # ---------------------------------------------------------------------------
@@ -467,12 +474,11 @@ def _robust_rows(V: np.ndarray, G: np.ndarray):
     Two generators: for phi(w) = H(nu | m(w)), m(w) = g1 + w d, d = g0 - g1,
     -phi'(w) = sum nu d / m(w) is nonincreasing in w and convex in
     v = w / (1 - w); its root in v is the minimizer unless that sits at
-    w = 0 or w = 1.  The endpoints win only when strictly lower.  Larger
-    families go to ``robust_mixture_argmin``.
+    w = 0 or w = 1.  The endpoints win only when strictly lower.  Any
+    other number of generators goes to ``_mixture_rows``, which certifies
+    each row by Cover's bound.
     """
     k = G.shape[0]
-    if k == 1:
-        return _rel_rows(V, G[0][None, :]), np.broadcast_to(G[0], V.shape)
     if k == 2:
         g0, g1 = G
         live = (V > 0.0) & ((g0 > 0.0) | (g1 > 0.0))[None, :]
@@ -504,38 +510,122 @@ def _robust_rows(V: np.ndarray, G: np.ndarray):
             wv = np.where(at_end < out, end, wv)
             out = np.minimum(out, at_end)
         return out, mix_at(wv)
-    pairs = [robust_mixture_argmin(row, G) for row in V]
-    return (np.array([val for val, _ in pairs]),
-            np.array([mix for _, mix in pairs]))
+    return _mixture_rows(V, G)
 
 
-def robust_mixture_argmin(row: np.ndarray, G: np.ndarray
-                          ) -> tuple[float, np.ndarray]:
-    """Robust entropy of one law against k >= 3 generators (rows of G) and
-    the minimizing hull mixture: projected ascent over the mixture weights
-    from the barycenter and the k points 0.9 e_j + 0.1/k, as rows of one
-    call, against a vertex-enumeration upper bound."""
-    k = G.shape[0]
+def _state_sums(T: np.ndarray) -> np.ndarray:
+    """Sums of T over its last axis by ``weighted_row_sums``, so that no row
+    depends on its batch."""
+    m = T.shape[-1]
+    sums = weighted_row_sums(T.reshape(-1, m), np.ones(m))
+    return sums.reshape(T.shape[:-1])
 
-    def neg_obj(W):
-        mix = W @ G
-        return -_rel_rows(np.broadcast_to(row, mix.shape), mix)
 
-    def neg_grad(W):
-        mix = (W @ G)[:, None, :]
-        return np.where(mix > 0.0, row * G / np.maximum(mix, 1e-300),
-                        0.0).sum(axis=2)
+def _normalized(W: np.ndarray) -> np.ndarray:
+    """Each row of W over its sum."""
+    return W / _state_sums(W)[:, None]
 
-    starts = np.vstack([np.full(k, 1.0 / k), 0.9 * np.eye(k) + 0.1 / k])
-    W, vals = pgd_max_simplex(neg_obj, starts, gradient=neg_grad)
-    vals = np.where(np.isfinite(vals), -vals, INF)
-    best = int(np.argmin(vals))
-    best_val, best_w = float(vals[best]), W[best]
-    for j in range(k):
-        vj = float(_rel_rows(row[None, :], G[j][None, :])[0])
-        if vj < best_val:
-            best_val, best_w = vj, np.eye(k)[j]
-    return best_val, best_w @ G
+
+def _mixture_state(W: np.ndarray, N: np.ndarray, G: np.ndarray):
+    """At mixture weights W (B, k): the mixtures M = W G, nu / M (0 off
+    nu's support), H(nu | M) (+inf where M misses nu) and r_j = sum_i nu_i
+    G_ji / M_i."""
+    M = sum(W[:, j, None] * G[j] for j in range(len(G)))
+    live = N > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Q = np.where(live, N / M, 0.0)
+        H = _state_sums(np.where(live, N * (np.log(N) - np.log(M)), 0.0))
+        return M, Q, H, _state_sums(Q[:, None, :] * G)
+
+
+def _mixture_rows(V: np.ndarray, G: np.ndarray):
+    """inf over mixture weights w of H(nu | w^T G) for each row nu of V and
+    the minimizing mixture w^T G: the maximum-likelihood mixture problem.
+
+    With s = sum_i nu_i and r_j = sum_i nu_i G_ji / (w^T G)_i, Cover's
+    bound H - s log(max_j r_j / s) <= inf <= H certifies every w.  From the
+    barycenter, ``EM_STEPS`` EM steps w <- w r / s; then each pass takes a
+    Newton step on the face {w_j > 0}, by least squares in the differences
+    G_j - G_ref to the face's largest weight (singular when k > m), cut at
+    the boundary, whose blocking weights drop to 0, and halved up to 7
+    times until it lowers H.  Failing that, the zero weight with the
+    largest r_j > s re-enters by a Newton step towards its vertex (at most
+    halfway), or else an EM step is taken.  A row stops at a gap of
+    1e-12 (1 + |H|); rows open after ``MIXTURE_PASSES`` passes are logged.
+    Rows with mass where every generator is 0 are +inf.
+    """
+    k = len(G)
+    N = np.where(V > 0.0, V, 0.0)
+    s = _state_sums(N)
+    W = np.full((len(V), k), 1.0 / k)
+    run = (s > 0.0) & ~((N > 0.0) & (G <= 0.0).all(axis=0)).any(axis=1)
+
+    def cover_gap(H, r, s):
+        """The gap of each row, and whether it is over 1e-12 (1 + |H|)."""
+        gap = s * np.log(r.max(axis=1) / s)
+        return gap, gap > 1e-12 * (1.0 + np.abs(H))
+
+    for it in range(MIXTURE_PASSES):
+        rows = np.flatnonzero(run)
+        if rows.size == 0:
+            break
+        M, Q, H, r = _mixture_state(W[rows], N[rows], G)
+        go = cover_gap(H, r, s[rows])[1]
+        run[rows] = go
+        rows, M, Q, H, r = (a[go] for a in (rows, M, Q, H, r))
+        Wr, Nr, at = W[rows], N[rows], np.arange(go.sum())
+        step = _normalized(Wr * r)
+        if it < EM_STEPS:
+            W[rows] = step
+            continue
+
+        # Re-entry of the zero weight j with the largest r_j, taken only
+        # where no Newton step below lowers H.
+        Mon = np.where(Nr > 0.0, M, 1.0)
+        slope = np.where(Wr == 0.0, r - s[rows, None], 0.0)
+        j = slope.argmax(axis=1)
+        slope = slope[at, j]
+        d = np.where(Nr > 0.0, G[j] / Mon - 1.0, 0.0)
+        gam = np.clip(slope / np.maximum(_state_sums(Nr * d * d), 1e-300),
+                      0.0, 0.5)[:, None]
+        enter = _normalized(Wr + gam * (np.eye(k)[j] - Wr))
+        step = np.where(gam > 0.0, enter, step)
+
+        # Newton on the face, in the weights other than its largest, ref.
+        ref = Wr.argmax(axis=1)
+        Dg = G[None, :, :] - G[ref][:, None, :]
+        Hess = _state_sums(Dg[:, :, None, :] * Dg[:, None, :, :]
+                           * (Q / Mon)[:, None, None, :])
+        grad = _state_sums(Dg * Q[:, None, :])
+        D = np.zeros_like(Wr)
+        for b, (w, h, g, i) in enumerate(zip(Wr, Hess, grad, ref)):
+            S = np.flatnonzero(w > 0.0)
+            S = S[S != i]
+            D[b, S] = np.linalg.lstsq(h[np.ix_(S, S)], g[S], rcond=None)[0]
+            D[b, i] = -D[b, S].sum()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(D < 0.0, Wr / -D, INF)
+        t = np.minimum(ratio.min(axis=1), 1.0)[:, None]
+        search = np.ones(len(rows), dtype=bool)
+        for _ in range(8):
+            cut = ratio <= t
+            raw = np.where(cut, 0.0, np.maximum(Wr + t * D, 0.0))
+            trial = _normalized(raw)
+            Ht = _mixture_state(trial, Nr, G)[2]
+            ok = search & ((Ht < H) | ((Ht <= H) & cut.any(axis=1)))
+            step = np.where(ok[:, None], trial, step)
+            search &= ~ok & (raw != Wr).any(axis=1)
+            if not search.any():
+                break
+            t = 0.5 * t
+        W[rows] = step
+    M, _, H, r = _mixture_state(W, N, G)
+    gap, over = cover_gap(H[run], r[run], s[run])
+    if over.any():
+        log.warning("_mixture_rows: %d passes left %d row(s) open, largest "
+                    "Cover gap %.3g", MIXTURE_PASSES, int(over.sum()),
+                    gap[over].max())
+    return H, M
 
 
 def hull_distance(V: np.ndarray, G: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -7,10 +8,11 @@ import pytest
 from oracles import (ProductDist, hull_distance_slsqp, robust_em_bound,
                      robust_pair_golden, shortfall_penalty_golden,
                      tabulated_from_callable, tensor_penalty)
+from sanovdual import penalties
 from sanovdual.losses import ExpLoss, PowerLoss
 from sanovdual.penalties import (LpEntropy, RelativeEntropy, Robust,
                                  SetIndicator, Shortfall, Transport,
-                                 hull_distance, penalty)
+                                 _robust_rows, hull_distance, penalty)
 from sanovdual.spaces import Dist, FiniteSpace, SpaceError
 
 # +inf off a support, 0 log 0 and zero generator entries are handled
@@ -198,9 +200,6 @@ class TestRobustEntropy:
         g = (Dist(THREE, [0.5, 0.5, 0.0]), Dist(THREE, [0.2, 0.8, 0.0]))
         assert penalty(Dist(THREE, [0.2, 0.2, 0.6]), Robust(g)) == math.inf
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 11: robust_mixture_argmin stops 5.0e-4 above a "
-        "feasible mixture for 4 generators on 5 states"))
     def test_four_generators_at_most_the_em_bound(self):
         rng = np.random.default_rng(20)
         G = rng.dirichlet(np.ones(5), size=4)
@@ -208,6 +207,33 @@ class TestRobustEntropy:
         five = FiniteSpace.of_size(5)
         got = penalty(V[16], Robust(tuple(Dist(five, g) for g in G)))
         assert got <= robust_em_bound(V[16], G) + 1e-12
+
+    @pytest.mark.parametrize("m, k", [(3, 3), (5, 4), (8, 6), (3, 5)])
+    def test_meets_cover_bound(self, m, k):
+        # Cover's bound at the returned mixture M: H(nu | M) minus
+        # log max_j sum_i nu_i G_ji / M_i is at most the infimum.
+        rng = np.random.default_rng(10 * m + k)
+        G = rng.dirichlet(np.ones(m), size=k)
+        V = rng.dirichlet(np.ones(m), size=20)
+        vals, mix = _robust_rows(V, G)
+        lower = vals - np.log(((V / mix) @ G.T).max(axis=1))
+        assert (lower >= vals - 1e-12 * (1.0 + np.abs(vals))).all()
+        em = np.array([robust_em_bound(v, G) for v in V])
+        assert (vals <= em + 1e-12).all()
+
+    def test_open_rows_are_logged(self, monkeypatch, caplog):
+        monkeypatch.setattr(penalties, "MIXTURE_PASSES", 3)
+        rng = np.random.default_rng(21)
+        G = rng.dirichlet(np.ones(4), size=3)
+        V = rng.dirichlet(np.ones(4), size=5)
+        with caplog.at_level(logging.WARNING, logger="sanovdual"):
+            vals, mix = _robust_rows(V, G)
+        r = (V / mix) @ G.T
+        gap = np.log(r.max(axis=1) / V.sum(axis=1))
+        assert len(caplog.records) == 1
+        msg = caplog.records[0].getMessage()
+        assert msg.startswith("_mixture_rows: 3 passes left 5 row(s) open")
+        assert msg.endswith(f"largest Cover gap {gap.max():.3g}")
 
 
 class TestHullIndicator:
@@ -439,9 +465,8 @@ class TestPenaltyGrad:
             "transport": Transport(mu, cost),
         }[family]
         h = 1e-6
-        # The 3-generator mixture comes from an ascent that stops once its
-        # gains stall below 1e-13; on an edge of the hull that leaves the
-        # gradient off by up to about 5e-6.
+        # Robust entropy over 3 generators keeps a looser tolerance here;
+        # test_robust_matches_sixth_order_differences checks it to 1e-9.
         tol = 1e-5 if family == "robust" and m == 3 else 1e-6
         for _ in range(4):
             nu = rand_dist(rng, space).weights
@@ -451,6 +476,27 @@ class TestPenaltyGrad:
                 e[i], e[j] = h, -h
                 fd = (penalty(nu + e, spec) - penalty(nu - e, spec)) / (2 * h)
                 assert abs(g[i] - g[j] - fd) <= tol * (1.0 + abs(fd))
+
+    @pytest.mark.parametrize("m, k", [(3, 3), (5, 4), (4, 4), (6, 3)])
+    def test_robust_matches_sixth_order_differences(self, m, k):
+        # The mixture loop's gradient log(nu / M) + 1 along e_i - e_j,
+        # against (45 d1 - 9 d2 + d3) / (60 h), dn = f(nu + n h e) -
+        # f(nu - n h e).
+        rng = np.random.default_rng(60 + 10 * m + k)
+        space = FiniteSpace.of_size(m)
+        spec = Robust(tuple(rand_dist(rng, space) for _ in range(k)))
+        h = 1e-5
+        for _ in range(4):
+            nu = rand_dist(rng, space).weights
+            g = spec.grad_rows(nu[None, :])[0]
+            for i, j in itertools.combinations(range(m), 2):
+                e = np.zeros(m)
+                e[i], e[j] = h, -h
+                f = penalty(np.array([nu + n * e for n in (1, -1, 2, -2, 3,
+                                                           -3)]), spec)
+                fd = (45 * (f[0] - f[1]) - 9 * (f[2] - f[3]) +
+                      (f[4] - f[5])) / (60 * h)
+                assert abs(g[i] - g[j] - fd) <= 1e-9 * (1.0 + abs(fd))
 
 
 class TestConvexityAndJensen:

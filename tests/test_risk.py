@@ -16,6 +16,7 @@ from sanovdual.spaces import Dist, FiniteSpace
 
 TWO = FiniteSpace.of_size(2)
 THREE = FiniteSpace.of_size(3)
+FIVE = FiniteSpace.of_size(5)
 UNIF2 = Dist.uniform(TWO)
 LOG2 = 0.6931471805599453
 INF = math.inf
@@ -243,10 +244,11 @@ class TestMaximizerRows:
         cost3 = rng.uniform(0.0, 2.0, (3, 3))
         np.fill_diagonal(cost3, 0.0)
         cost3[0, 1] = INF
+        gens5 = tuple(rand_dist(rng, FIVE) for _ in range(4))
         return all_specs(rng) + [
             RelativeEntropy(mu3), LpEntropy(mu3, 3.0),
             Shortfall(mu3, ExpLoss()), Robust(gens3), SetIndicator(gens3),
-            Transport(Dist(THREE, [0.5, 0.3, 0.2]), cost3)]
+            Transport(Dist(THREE, [0.5, 0.3, 0.2]), cost3), Robust(gens5)]
 
     @staticmethod
     def achieved(row, f, spec):
