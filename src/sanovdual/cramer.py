@@ -11,11 +11,11 @@ r > M_q.  Laws are either empirical samples, finite-support, or closed
 one-dimensional families (Pareto, Student t, log-normal); expectations use
 exact sums, sample means, or adaptive quadrature accordingly.
 
-The cumulant is a Newton root of its level equation.  In one dimension the
-rate function is a Newton root of cumulant'(t) = x, whose slope and
-curvature come from the same pass over the law as the cumulant itself,
-certified by tangent bounds.  Dimensions 2 and 3 use a coarse grid plus
-coordinate-wise golden section, which is not certified; d > 3 is refused.
+The cumulant is a Newton root of its level equation.  The rate function is
+a Newton root of grad cumulant(t) = x, whose gradient and Hessian come from
+the same pass over the law as the cumulant itself, certified by the
+cumulant's tangent planes: two tangents on the line, d + 1 around the
+maximizer in dimensions 2 and 3; d > 3 is refused.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from .extreal import INF
 from .laws import (EmpiricalLaw, FiniteSupportLaw, Law, LawError, ParetoLaw,
                    StudentTLaw)
-from .optim import coordinate_ascent_box, legendre_max, newton_nonincreasing
+from .optim import legendre_max, newton_nonincreasing
 from .quadrature import expect as _expect
 
 log = logging.getLogger("sanovdual")
@@ -46,46 +46,25 @@ def check_admissible(law: Law, q: float) -> None:
         raise LawError(f"Student t df={law.df} does not integrate |x|^{q}")
 
 
-def _discrete(law: Law, t: np.ndarray):
-    """Points, their projections <t, x> and weights (None for equal ones)
-    of a finite or empirical law."""
-    if isinstance(law, FiniteSupportLaw):
-        pts, w = law.atoms, law.weights
-    else:
-        pts, w = law.samples, None
-    proj = pts @ t if pts.ndim == 2 else pts * float(t[0])
-    return pts, proj, w
-
-
 def plus_power_moment(law: Law, t, m: float, q: float) -> float:
-    """E[ ((1 + <t, X> - m)^+)^q ]."""
-    t = np.atleast_1d(t)
-    if isinstance(law, (FiniteSupportLaw, EmpiricalLaw)):
-        _, proj, w = _discrete(law, t)
-        base = np.maximum(1.0 + proj - m, 0.0) ** q
-        return float(np.mean(base) if w is None else np.dot(w, base))
-    ts = float(t[0])
-    if ts == 0.0:
-        return max(1.0 - m, 0.0) ** q
-    kink = (m - 1.0) / ts
-    return _expect(law.pdf, *law.support,
-                   lambda x: np.maximum(1.0 + ts * x - m, 0.0) ** q,
-                   breaks=(kink,), centre=law.centre)
+    """E[ ((1 + <t, X> - m)^+)^q ], the first of ``plus_power_moments``."""
+    return float(plus_power_moments(law, t, m, q)[0])
 
 
 def _power_rows(z, x, q: float, curvature: bool = False) -> np.ndarray:
     """Rows b^q, b^(q-1) and x b^(q-1) for b = z^+ (x: one row per
-    dimension), then for ``curvature`` (one dimension) b^(q-2), x b^(q-2)
-    and x^2 b^(q-2), with b^(q-2) = 0 where b = 0."""
+    dimension), then for ``curvature`` b^(q-2), x b^(q-2) and the k^2 rows
+    x x^T b^(q-2), with b^(q-2) = 0 where b = 0."""
     b = np.maximum(z, 0.0)
     p = b ** (q - 1.0)
     xp = x * p
     k = xp.size // p.size
-    rows = np.empty((2 + k + 3 * curvature, p.size))
+    rows = np.empty((2 + k + (1 + k + k * k) * curvature, p.size))
     rows[0], rows[1], rows[2:2 + k] = p * b, p, xp
     if curvature:
         r = np.divide(p, b, out=np.zeros_like(p), where=b > 0.0)
-        rows[3], rows[4], rows[5] = r, x * r, x * x * r
+        xx = x * x if x.ndim == 1 else (x[:, None] * x).reshape(k * k, -1)
+        rows[2 + k], rows[3 + k:3 + 2 * k], rows[3 + 2 * k:] = r, x * r, xx * r
     return rows
 
 
@@ -93,19 +72,21 @@ def plus_power_moments(law: Law, t, m: float, q: float,
                        curvature: bool = False):
     """E[b^q], E[b^(q-1)] and E[X b^(q-1)] for b = (1 + <t, X> - m)^+,
     from one pass over the law (the last has one entry per dimension).
-    With ``curvature`` (one dimension only) the same pass also gives
-    E[b^(q-2)], E[X b^(q-2)] and E[X^2 b^(q-2)], as a fourth entry.
+    With ``curvature`` the same pass also gives E[b^(q-2)], E[X b^(q-2)]
+    and E[X X^T b^(q-2)], as a fourth entry of 1 + d + d^2 values.
 
     G(m) = E[b^q] has dG/dm = -q E[b^(q-1)] and gradient q E[X b^(q-1)]
     in t, so where G = 1 the cumulant has gradient
     L' = E[X b^(q-1)] / E[b^(q-1)], and, differentiating once more,
-    L'' = (q - 1) E[(X - L')^2 b^(q-2)] / E[b^(q-1)].
+    Hessian L'' = (q - 1) E[(X - L')(X - L')^T b^(q-2)] / E[b^(q-1)].
     """
     t = np.atleast_1d(t)
     if isinstance(law, (FiniteSupportLaw, EmpiricalLaw)):
-        pts, proj, w = _discrete(law, t)
+        finite = isinstance(law, FiniteSupportLaw)
+        pts = law.atoms if finite else law.samples
+        proj = pts @ t if pts.ndim == 2 else pts * float(t[0])
         rows = _power_rows(1.0 + proj - m, pts.T, q, curvature)
-        sums = rows.mean(axis=1) if w is None else rows @ w
+        sums = rows @ law.weights if finite else rows.mean(axis=1)
     else:
         ts = float(t[0])
         sums = _expect(law.pdf, *law.support,
@@ -114,7 +95,7 @@ def plus_power_moments(law: Law, t, m: float, q: float,
                        breaks=((m - 1.0) / ts,) if ts else (),
                        centre=law.centre)
     if curvature:
-        return sums[0], sums[1], sums[2:3], sums[3:]
+        return sums[0], sums[1], sums[2:2 + t.size], sums[2 + t.size:]
     return sums[0], sums[1], sums[2:]
 
 
@@ -147,17 +128,17 @@ def cumulant(law: Law, x_star, q: float) -> float:
 
 def _cumulant(law: Law, x_star, q: float, start: Optional[float] = None,
               curvature: bool = False):
-    """(cumulant, gradient, curvature) at x_star.
+    """(cumulant, gradient, Hessian) at x_star.
 
     ``start`` is a point believed to lie left of the root, such as a lower
     bound from a tangent; it is certified by G > 1 and, if rounding broke
     it, stepped down geometrically from there.  The gradient
     E[X b^(q-1)] / E[b^(q-1)] at the root follows from implicit
-    differentiation of G = 1, and so does the second derivative, returned
-    for ``curvature`` in one dimension (``plus_power_moments``); each is
-    None where it is not finite.  At t = 0 the cumulant is 0 without a
-    search, and its derivatives, E[X] and (q - 1) Var X, cost one pass
-    over the law, made only for ``curvature``.
+    differentiation of G = 1, and so does the (d, d) Hessian, returned
+    for ``curvature`` (``plus_power_moments``); each is None where it is
+    not finite.  At t = 0 the cumulant is 0 without a search, and its
+    derivatives, E[X] and (q - 1) Cov X, cost one pass over the law, made
+    only for ``curvature``.
     """
     check_admissible(law, q)
     t = np.atleast_1d(np.asarray(x_star, dtype=float))
@@ -190,10 +171,11 @@ def _cumulant(law: Law, x_star, q: float, start: Optional[float] = None,
         return float(m), None, None
     if not curvature:
         return float(m), grad, None
-    r0, r1, r2 = rows[0]
-    g = float(grad[0])
-    curv = (q - 1.0) * (r2 - 2.0 * g * r1 + g * g * r0) / s1
-    return float(m), grad, (float(curv) if np.isfinite(curv) else None)
+    k = t.size
+    r0, r1, r2 = rows[0][0], rows[0][1:1 + k], rows[0][1 + k:].reshape(k, k)
+    gr = grad[:, None] * r1
+    curv = (q - 1.0) * (r2 - (gr + gr.T) + grad[:, None] * grad * r0) / s1
+    return float(m), grad, (curv if np.isfinite(curv).all() else None)
 
 
 @dataclass(frozen=True)
@@ -201,23 +183,20 @@ class RatePoint:
     value: float
     argmax: Optional[np.ndarray]
     status: str  # "ok" | "diverged"
+    bound: float  # bounds the supremum; +inf if diverged or uncertified
 
 
 def rate_function(law: Law, x, q: float, ray_radius: float = 1e3, *,
                   zero=None) -> RatePoint:
-    """sup over dual vectors of <t, x> - cumulant(t), for dim <= 3.
-
-    In one dimension: safeguarded Newton on cumulant'(t) = x from t = 0
-    (``optim.legendre_max``), stopped once the tangents at the two ends of
-    the bracket certify the value within 1e-12 (1 + |value|); the point is
-    "diverged", value +inf, if no maximizer lies within ``ray_radius``.
-    ``zero``, if given, is ``_cumulant(law, 0.0, q, curvature=True)``, the
-    pass over the law at t = 0 that every 1-d search makes first.
-    In two or three: coarse grid plus coordinate-wise golden section; if
-    the objective is still growing on the box of radius ``ray_radius`` the
-    value is +inf.  The cumulant is convex, so its tangent at the point
-    solved last bounds it from below; each Newton solve of the cumulant
-    starts from that tangent.
+    """sup over dual vectors of <t, x> - cumulant(t), for dim <= 3, by
+    ``optim.legendre_max`` from t = 0 with the cumulant's gradient and
+    Hessian, certified within 1e-12 (1 + |value|) by its tangents; the
+    point is "diverged", value +inf, if no maximizer lies within
+    ``ray_radius``.  ``zero``, if given, is
+    ``_cumulant(law, 0.0, q, curvature=True)``, the pass over the law at
+    t = 0 that every search makes first.  Each Newton solve of the
+    cumulant starts from its tangent at the point solved last, a lower
+    bound by convexity.
     """
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     d = xv.size
@@ -225,48 +204,27 @@ def rate_function(law: Law, x, q: float, ray_radius: float = 1e3, *,
         raise LawError("dual search is certified only for d <= 3")
     tangent = None  # the latest (t_i, cumulant(t_i), gradient at t_i)
 
-    def solve(t, curvature=False):
+    def fn(t):
         nonlocal tangent
+        t = np.atleast_1d(t)
         start = None
         if tangent is not None:
             t_i, lam_i, grad_i = tangent
             start = lam_i + float(np.dot(grad_i, t - t_i))
-        if zero is not None and curvature and not t.any():
-            lam, grad, curv = zero
-        else:
-            lam, grad, curv = _cumulant(law, t, q, start, curvature)
-        if grad is not None:    # copied: the coordinate ascent mutates t
-            tangent = (np.array(t), lam, grad)
-        return lam, grad, curv
+        lam, grad, curv = zero if zero is not None and not t.any() else \
+            _cumulant(law, t, q, start, curvature=True)
+        if grad is not None:
+            tangent = (t, lam, grad)
+        grad = np.full(d, math.nan) if grad is None else grad
+        curv = np.zeros((d, d)) if curv is None else curv
+        return (lam, grad, curv) if d > 1 else \
+            (lam, float(grad[0]), float(curv[0, 0]))
 
-    if d == 1:
-        def fn(s):
-            lam, grad, curv = solve(np.array([s]), curvature=True)
-            return (lam, math.nan if grad is None else float(grad[0]),
-                    0.0 if curv is None else curv)
-
-        t_best, v_best, status = legendre_max(fn, float(xv[0]), ray_radius)
-        if status == "diverged":
-            return RatePoint(INF, None, "diverged")
-        return RatePoint(v_best, np.array([t_best]), "ok")
-
-    def g(t):
-        return float(np.dot(xv, t)) - solve(t)[0]
-
-    grid = np.linspace(-2.0, 2.0, 7)
-    mesh = np.stack(np.meshgrid(*([grid] * d), indexing="ij"),
-                    axis=-1).reshape(-1, d)
-    vals = [g(t) for t in mesh]
-    t0 = mesh[int(np.argmax(vals))]
-    for radius in (16.0, ray_radius):
-        t_star, v_star = coordinate_ascent_box(g, t0, -radius, radius,
-                                               sweeps=30)
-        if radius == 16.0:
-            v_inner = v_star
-            t0 = t_star
-    if v_star > v_inner + 1e-6 * (1.0 + abs(v_inner)):
-        return RatePoint(INF, None, "diverged")
-    return RatePoint(v_star, t_star, "ok")
+    t_best, v_best, status, bound = legendre_max(
+        fn, float(xv[0]) if d == 1 else xv, ray_radius)
+    if status == "diverged":
+        return RatePoint(INF, None, "diverged", INF)
+    return RatePoint(v_best, np.atleast_1d(t_best), "ok", bound)
 
 
 def deviation_bound(r: float, m_q: float, q: float, n: int) -> float:

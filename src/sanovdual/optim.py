@@ -5,13 +5,13 @@ Everything here is plain numpy:
 * Euclidean projection onto the probability simplex;
 * one batched projected gradient ascent with Armijo backtracking, over
   simplices and products of simplices;
-* golden-section line search, for the 2- and 3-d rate function search,
-  and one safeguarded Newton root finder for the risks and penalty
-  infima, both on scalar or (B,)-array brackets;
-* one Legendre transform of a convex function on the line, by
-  safeguarded Newton on its first-order condition, for the rate function
-  and the Azuma conjugate;
-* simplex grids and cyclic coordinate ascent on a box.
+* one safeguarded Newton root finder for the risks and penalty infima,
+  and golden-section line search (tests only), on scalar or (B,)-array
+  brackets;
+* one Legendre transform of a convex function on the line or in R^d, by
+  Newton steps certified by tangent planes, for the rate function and the
+  Azuma conjugate;
+* simplex grids.
 
 A search that exhausts its iteration cap unconverged logs a ``sanovdual``
 warning naming the solver and its last bracket.
@@ -101,11 +101,6 @@ def golden_min(fn: Callable, lo, hi, tol: float = 1e-12, max_iter: int = 200):
     return where(best, c, d), where(best, fc, fd)
 
 
-def golden_max(fn, lo, hi, tol=1e-12, max_iter=200):
-    x, v = golden_min(lambda t: -fn(t), lo, hi, tol, max_iter)
-    return x, -v
-
-
 def newton_nonincreasing(G: Callable, target: float, lo, hi, step,
                          max_iter: int = 200):
     """Smallest m with G(m) <= target, per row, for G continuous and
@@ -183,12 +178,16 @@ def newton_nonincreasing(G: Callable, target: float, lo, hi, step,
 bisect_nonincreasing = newton_nonincreasing
 
 
-def legendre_max(fn: Callable, x: float, radius: float, max_iter: int = 200):
-    """sup over t of t x - f(t) for a convex f on the line, where ``fn(t)``
-    returns (f(t), f'(t), f''(t)): safeguarded Newton on f'(t) = x from
-    t = 0 (rtsafe, as in ``newton_nonincreasing``), each step taken from
-    the latest point.  Returns (t, value, status) at the best point found.
+def legendre_max(fn: Callable, x, radius: float, max_iter: int = 200):
+    """sup over t of <t, x> - f(t) for a convex f, on the line when ``x``
+    is a float and in R^d (``_legendre_newton``) when it is a (d,) array,
+    where ``fn(t)`` returns f(t) with its gradient and Hessian.  Returns
+    (t, value, status, bound): the objective at t is at least ``value``,
+    and ``bound``, +inf if none was found, bounds the supremum.  A
+    non-finite f or gradient raises FloatingPointError.
 
+    On the line: safeguarded Newton on f'(t) = x from t = 0 (rtsafe, as in
+    ``newton_nonincreasing``), each step taken from the latest point.
     A point with f' <= x lies left of a maximizer and one with f' >= x
     right of it.  Until both are known, a Newton step longer than the width
     or than half the last step is replaced by the width, which then doubles
@@ -204,10 +203,12 @@ def legendre_max(fn: Callable, x: float, radius: float, max_iter: int = 200):
     from above; the search stops, "ok", once the bound where they cross is
     within 1e-12 (1 + |value|) of the best value, which certifies it
     without a narrow t bracket, or once the bracket is within rounding.
-    A non-finite f or f' raises FloatingPointError.
     """
+    if np.ndim(x):
+        return _legendre_newton(fn, np.asarray(x, dtype=float), radius,
+                                max_iter)
     t, width, last, before, probed = 0.0, 1.0, INF, INF, False
-    best_t, best_v = 0.0, NEG_INF
+    best_t, best_v, upper = 0.0, NEG_INF, INF
     lo = hi = None      # (t, t x - f(t), |x - f'(t)|) with f' <= x, f' >= x
     for _ in range(max_iter):
         f, s, c = fn(t)
@@ -228,12 +229,12 @@ def legendre_max(fn: Callable, x: float, radius: float, max_iter: int = 200):
             upper = min(va, vb) if ca + cb == 0.0 else \
                 va + ca * (vb - va + cb * (b - a)) / (ca + cb)
             if upper - best_v <= tol:
-                return best_t, best_v, "ok"
+                return best_t, best_v, "ok", upper
             step = t + d
             if not (min(a, b) < step < max(a, b)) or abs(d) > 0.5 * before:
                 step = 0.5 * (a + b)
                 if step in (a, b):          # bracket within rounding
-                    return best_t, best_v, "ok"
+                    return best_t, best_v, "ok", upper
         else:
             if probed or abs(d) > min(0.5 * last, width):
                 d = math.copysign(width, d)     # not converging: expand
@@ -244,12 +245,73 @@ def legendre_max(fn: Callable, x: float, radius: float, max_iter: int = 200):
                 probed = True
             step = min(max(t + d, -radius), radius)
             if step == t == math.copysign(radius, d):
-                return best_t, best_v, "diverged"
+                return best_t, best_v, "diverged", INF
         last, before = abs(step - t), last
         t = step
     _warn_open("legendre_max", max_iter, False, lo[0] if lo else math.nan,
                hi[0] if hi else math.nan)
-    return best_t, best_v, "ok"
+    return best_t, best_v, "ok", upper
+
+
+def _legendre_newton(fn: Callable, x, radius: float, max_iter: int):
+    """``legendre_max`` in R^d: damped Newton on grad f(t) = x from t = 0,
+    halving steps that do not gain; where H is singular or the Newton step
+    exceeds the width (1, 2, 4, ...), a Levenberg-Marquardt step within it.
+    |t| is capped at ``radius``; leaving the ball from its boundary is
+    "diverged".  Once a Newton step gains less than tolerance, d + 1 points
+    t_k around its end c give lam >= 0, sum lam_k = 1, sum lam_k g_k = 0 for
+    the objective's gradients g_k, and by concavity the supremum lies
+    between sum lam_k v_k and sum lam_k (v_k + g_k . (c - t_k)).  The README
+    gives the details.
+    """
+    d = x.size
+    simplex = np.vstack([np.eye(d), -np.ones(d)])   # centred: rows sum to 0
+
+    def point(t):
+        f, s, H = fn(t)
+        if not (math.isfinite(f) and np.isfinite(s).all()):
+            raise FloatingPointError(f"legendre_max: f = {f}, grad f = {s} "
+                                     f"at t = {t!r} for x = {x!r}")
+        return t, float(t @ x) - f, x - s, H
+
+    base, width, step, capped = point(np.zeros(d)), 1.0, None, False
+    for _ in range(max_iter):
+        t0, v0, g0, H0 = base
+        tol = 1e-12 * (1.0 + abs(v0))
+        if step is None:    # a new base: its step
+            w, Q = np.linalg.eigh(H0)
+            gQ, alpha = g0 @ Q, 1.0
+            with np.errstate(over="ignore"):    # an overflow reads as long
+                newton = w[0] > 0.0 and np.linalg.norm(gQ / w) <= width
+            shift = 0.0 if newton else np.linalg.norm(g0) / width
+            step = Q @ (gQ / (np.maximum(w, 0.0) + shift))
+            gain = 0.5 * float(g0 @ step) if newton else INF
+        if alpha * gain <= tol:
+            c = t0 + alpha * step
+            probes = [point(c + 3e-7 * u)
+                      for u in simplex @ (Q / np.sqrt(w)) @ Q.T]
+            P, V, G = (np.array(a) for a in list(zip(*probes))[:3])
+            lam = np.linalg.solve(np.vstack([G.T, np.ones(d + 1)]),
+                                  np.eye(d + 1)[d])
+            gap = float(lam @ (G * (c - P)).sum(axis=1))
+            if (lam >= 0.0).all() and gap <= tol:
+                return lam @ P, float(lam @ V), "ok", float(lam @ V) + gap
+            base, step, capped = point(c), None, False
+            continue
+        trial = t0 + alpha * step
+        norm = float(np.linalg.norm(trial))
+        if norm > radius:
+            if capped:
+                return t0, v0, "diverged", INF
+            trial = trial * (radius / norm)
+        p = point(trial)
+        if p[1] > v0:
+            width *= 2.0 if shift and alpha == 1.0 else 1.0
+            base, step, capped = p, None, norm > radius
+        else:
+            alpha *= 0.5
+    _warn_open("legendre_max", max_iter, False, base[1], INF)
+    return base[0], base[1], "ok", INF
 
 
 def _warn_open(solver: str, max_iter: int, done, lo, hi) -> None:
@@ -380,25 +442,3 @@ def pgd_max_simplex(objective: Callable[[np.ndarray], np.ndarray],
     if single:
         return X[0], float(fx[0])
     return X, fx
-
-
-def coordinate_ascent_box(objective: Callable[[np.ndarray], float],
-                          x0: np.ndarray, lo: float, hi: float,
-                          sweeps: int = 50, tol: float = 1e-10) -> tuple[np.ndarray, float]:
-    """Cyclic coordinate maximization over the box [lo, hi]^d."""
-    x = np.asarray(x0, dtype=float).copy()
-    fx = objective(x)
-    for _ in range(sweeps):
-        improved = 0.0
-        for i in range(x.size):
-            def slice_fn(t, i=i):
-                y = x.copy()
-                y[i] = t
-                return objective(y)
-            ti, vi = golden_max(slice_fn, lo, hi, tol=1e-11)
-            if vi > fx + 1e-15:
-                improved += vi - fx
-                x[i], fx = ti, vi
-        if improved <= tol:
-            break
-    return x, fx

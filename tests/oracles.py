@@ -8,8 +8,10 @@ recovered from the risk measure, exact enumerations (type classes and
 their ranks, SAA exceedance, the i.i.d. expectation of a function of the
 empirical measure, the n-step entropic value of one), the joint law that
 attains a dense recursion's value, the segment-at-a-time quadrature
-walk, and references over the mixture weights of a hull (the distance to
-it by SLSQP, an EM upper bound on robust entropy).
+walk, references over the mixture weights of a hull (the distance to
+it by SLSQP, an EM upper bound on robust entropy), and maximization by
+golden section along coordinates (on a box, and the former 2- and 3-d
+rate function search).
 
 Joint laws on E^n are dense tensors in row-major order: the flat index of
 (x_1, ..., x_n) is x_1 * m^(n-1) + ... + x_n, i.e. x_1 is the slowest axis.
@@ -32,7 +34,8 @@ from sanovdual.extreal import INF, NEG_INF
 from sanovdual.losses import LossError, LossFn, TabulatedLoss
 from sanovdual.montecarlo import GrowthValidationError, SAAInstance, rep_rng
 from sanovdual.laws import FiniteSupportLaw
-from sanovdual.optim import coordinate_ascent_box, golden_min
+from sanovdual.cramer import _cumulant
+from sanovdual.optim import golden_min
 from sanovdual.penalties import (AlphaSpec, LpEntropy, RelativeEntropy, Robust,
                                  SetIndicator, Shortfall, Transport,
                                  entropic_risk_rows, penalty,
@@ -397,6 +400,80 @@ def robust_pair_golden(V: np.ndarray, g0: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# Maximization by golden section along coordinates
+# ---------------------------------------------------------------------------
+
+def golden_max(fn, lo, hi, tol=1e-12, max_iter=200):
+    """Golden-section maximum of a unimodal function on [lo, hi]."""
+    x, v = golden_min(lambda t: -fn(t), lo, hi, tol, max_iter)
+    return x, -v
+
+
+def coordinate_ascent_box(objective: Callable[[np.ndarray], float],
+                          x0: np.ndarray, lo: float, hi: float,
+                          sweeps: int = 50,
+                          tol: float = 1e-10) -> tuple[np.ndarray, float]:
+    """Cyclic coordinate maximization over the box [lo, hi]^d, by golden
+    section along each coordinate, until a sweep gains at most ``tol``; a
+    ``sanovdual`` warning is logged if ``sweeps`` sweeps do not get there."""
+    x = np.asarray(x0, dtype=float).copy()
+    fx = objective(x)
+    for _ in range(sweeps):
+        improved = 0.0
+        for i in range(x.size):
+            def slice_fn(t, i=i):
+                y = x.copy()
+                y[i] = t
+                return objective(y)
+            ti, vi = golden_max(slice_fn, lo, hi, tol=1e-11)
+            if vi > fx + 1e-15:
+                improved += vi - fx
+                x[i], fx = ti, vi
+        if improved <= tol:
+            break
+    else:
+        log.warning("coordinate_ascent_box: %d sweeps left the ascent open, "
+                    "the last one gained %.3g", sweeps, improved)
+    return x, fx
+
+
+def rate_coordinate_search(law, x, q: float, ray_radius: float = 1e3):
+    """The rate function in two or three dimensions as sanovdual computed
+    it before its Newton search: the best point of a 7^d grid on [-2, 2]^d,
+    then coordinate ascent on the box of radius 16 and on the box of
+    radius ``ray_radius``; +inf where the value still grows by more than
+    1e-6 (1 + |value|) from the first box to the second, so a maximizer
+    beyond 16 reads as +inf.  Each cumulant root starts from the tangent at
+    the point solved last."""
+    xv = np.asarray(x, dtype=float)
+    d = xv.size
+    tangent = None
+
+    def objective(t):
+        nonlocal tangent
+        start = None
+        if tangent is not None:
+            t_i, lam_i, grad_i = tangent
+            start = lam_i + float(np.dot(grad_i, t - t_i))
+        lam, grad, _ = _cumulant(law, t, q, start)
+        if grad is not None:    # copied: the coordinate ascent mutates t
+            tangent = (np.array(t), lam, grad)
+        return float(np.dot(xv, t)) - lam
+
+    grid = np.linspace(-2.0, 2.0, 7)
+    mesh = np.stack(np.meshgrid(*([grid] * d), indexing="ij"),
+                    axis=-1).reshape(-1, d)
+    t0 = mesh[int(np.argmax([objective(t) for t in mesh]))]
+    t_inner, v_inner = coordinate_ascent_box(objective, t0, -16.0, 16.0,
+                                             sweeps=30)
+    _, v_outer = coordinate_ascent_box(objective, t_inner, -ray_radius,
+                                       ray_radius, sweeps=30)
+    if v_outer > v_inner + 1e-6 * (1.0 + abs(v_inner)):
+        return INF
+    return v_outer
+
+
+# ---------------------------------------------------------------------------
 # References over the mixture weights of a hull
 # ---------------------------------------------------------------------------
 
@@ -424,7 +501,8 @@ def robust_em_bound(row: np.ndarray, G: np.ndarray,
     mixture, so the value bounds the infimum from above."""
     w = np.full(G.shape[0], 1.0 / G.shape[0])
     for _ in range(steps):
-        w = w * ((row / (w @ G)) @ G.T)
+        ratio = np.divide(row, w @ G, out=np.zeros_like(row), where=row > 0.0)
+        w = w * (ratio @ G.T)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(row > 0.0, row * np.log(row / (w @ G)), 0.0)
     return float(terms.sum())

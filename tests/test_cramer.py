@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bisect_root
+from oracles import bisect_root, golden_max, rate_coordinate_search
 from sanovdual import cramer
 from sanovdual.cramer import (ConjugatePair, _cumulant, check_admissible,
                               conjugate_pair, cumulant, deviation_bound,
@@ -12,7 +12,6 @@ from sanovdual.cramer import (ConjugatePair, _cumulant, check_admissible,
                               plus_power_moments, rate_function)
 from sanovdual.laws import (EmpiricalLaw, FiniteSupportLaw, LawError,
                             LogNormalLaw, ParetoLaw, StudentTLaw)
-from sanovdual.optim import golden_max
 from sanovdual.quadrature import expect as _expect
 
 RADEMACHER = FiniteSupportLaw(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
@@ -79,6 +78,20 @@ ORACLE_LAWS = {
     "empirical_1d": (EmpiricalLaw(_RNG.standard_t(5.0, 60)), 2.5),
     "empirical_2d": (EmpiricalLaw(_RNG.standard_t(5.0, (60, 2))), 2.0),
 }
+EMPIRICAL_3D = EmpiricalLaw(np.random.default_rng(8).standard_t(5.0, (60, 3)))
+# Interior points whose maximizers lie well within the oracle's inner box.
+POINTS_2D_3D = [
+    ("empirical_2d", (0.2, -0.1)), ("empirical_2d", (-0.4, 0.3)),
+    ("empirical_2d", (0.5, 0.45)), ("empirical_2d", (-0.25, -0.5)),
+    ("empirical_2d", (0.0, 0.0)), ("empirical_2d", (0.6, -0.3)),
+    ("empirical_3d", (0.1, 0.2, -0.1)), ("empirical_3d", (-0.4, 0.3, 0.2)),
+    ("empirical_3d", (0.5, -0.2, 0.4)), ("empirical_3d", (0.0, 0.0, 0.0)),
+    ("empirical_3d", (-0.3, -0.4, -0.5)),
+    ("empirical_3d", (0.45, 0.5, -0.35))]
+
+
+def law_2d_3d(name):
+    return (EMPIRICAL_3D, 2.0) if name == "empirical_3d" else ORACLE_LAWS[name]
 
 
 class TestNewtonCumulant:
@@ -207,6 +220,43 @@ class TestWarmRateFunction:
         cold = rate_function(law, x, q)
         assert got.status == cold.status == "ok"
         assert abs(got.value - cold.value) <= 1e-10
+
+
+class TestRateFunctionInTwoAndThreeDimensions:
+    @pytest.mark.parametrize("name,x", POINTS_2D_3D)
+    def test_matches_coordinate_search_oracle(self, name, x):
+        law, q = law_2d_3d(name)
+        got = rate_function(law, x, q)
+        assert got.status == "ok"
+        assert abs(got.value - rate_coordinate_search(law, x, q)) <= 1e-10
+
+    @pytest.mark.parametrize("name,x", POINTS_2D_3D)
+    def test_certificate_bounds_the_value(self, name, x):
+        # The tangent planes bound the supremum within tolerance of the
+        # value, which the objective reaches at the returned point.
+        law, q = law_2d_3d(name)
+        got = rate_function(law, x, q)
+        assert got.status == "ok"
+        tol = 1e-12 * (1.0 + abs(got.value))
+        assert got.value <= got.bound <= got.value + tol
+        at = float(np.dot(x, got.argmax)) - cumulant(law, got.argmax, q)
+        assert at >= got.value - tol
+
+    def test_diverged_point_is_cheap(self, monkeypatch):
+        # x exceeds every sample in each coordinate, so it lies outside
+        # their hull and the supremum runs off to |t| = inf.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return _cumulant(*args, **kwargs)
+        monkeypatch.setattr(cramer, "_cumulant", counted)
+        radius = 1e3
+        x = EMPIRICAL_3D.samples.max(axis=0) + 0.5
+        got = rate_function(EMPIRICAL_3D, x, 2.0, ray_radius=radius)
+        assert got.status == "diverged"
+        assert got.value == got.bound == math.inf
+        assert len(calls) <= 2.0 * math.log2(radius) + 10.0
 
 
 class TestMomentNorm:

@@ -33,6 +33,8 @@ ALLOWED = {
     "optim.bisect_nonincreasing",
     # perfbench/tracer.py reads it; ROADMAP item 1 deletes it
     "dp.backward_value_symmetric",
+    # perfbench/tracer.py reads it; ROADMAP item 1 deletes it
+    "optim.golden_min",
 }
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import coordinate_ascent_box
 from sanovdual.optim import (golden_min, legendre_max, newton_nonincreasing,
                              pgd_max_simplex)
 
@@ -164,7 +165,7 @@ def test_batched_ascent_rows_match_one_row_calls(shape, exact):
 
 
 @pytest.mark.parametrize("solver", ["golden", "newton", "newton_rows",
-                                    "pgd", "legendre"])
+                                    "pgd", "legendre", "legendre_plane"])
 def test_exhausted_iteration_cap_warns(caplog, solver):
     with caplog.at_level(logging.WARNING, logger="sanovdual"):
         if solver == "golden":
@@ -178,11 +179,14 @@ def test_exhausted_iteration_cap_warns(caplog, solver):
                                  max_iter=2)
         elif solver == "pgd":
             pgd_max_simplex(_bowl, np.full((2, 4), 0.25), max_iter=1)
-        else:
+        elif solver == "legendre":
             legendre_max(_exp3, 5.0, 1e3, max_iter=2)
+        else:
+            legendre_max(_log_sum_exp, np.array([0.2, 0.3]), 1e3, max_iter=2)
     name = {"golden": "golden_min", "newton": "newton_nonincreasing",
             "newton_rows": "newton_nonincreasing",
-            "pgd": "pgd_max_simplex", "legendre": "legendre_max"}[solver]
+            "pgd": "pgd_max_simplex", "legendre": "legendre_max",
+            "legendre_plane": "legendre_max"}[solver]
     assert any(r.message.startswith(f"{name}: ") and "last bracket" in
                r.message for r in caplog.records)
 
@@ -195,6 +199,7 @@ def test_converged_searches_stay_quiet(caplog):
                              np.array([3.0, 0.5]), np.array([4.0, 0.1]))
         pgd_max_simplex(_bowl, np.full((2, 4), 0.25))
         legendre_max(_exp3, 5.0, 1e3)
+        legendre_max(_log_sum_exp, np.array([0.2, 0.3]), 1e3)
     assert not caplog.records
 
 
@@ -208,10 +213,11 @@ def _exp3(t):
 def test_legendre_of_exp(x):
     # Newton from t = 0 toward log(1e6) = 13.8 would step 1e6: the steps
     # are capped at 1, 2, 4, ... until the maximizer is bracketed.
-    t, v, status = legendre_max(_exp3, x, 1e3)
+    t, v, status, bound = legendre_max(_exp3, x, 1e3)
     want = x * math.log(x) - x
     assert status == "ok"
     assert want - 1e-12 * (1.0 + abs(want)) <= v <= want + 1e-15 * abs(want)
+    assert v <= bound <= v + 1e-12 * (1.0 + abs(v))
     assert abs(t - math.log(x)) <= 1e-3
 
 
@@ -224,8 +230,8 @@ def test_legendre_beyond_the_slopes_diverges(x):
     def fn(t):
         calls.append(t)
         return _exp3(t)
-    t, v, status = legendre_max(fn, x, 1e3)
-    assert status == "diverged" and t == -1e3
+    t, v, status, bound = legendre_max(fn, x, 1e3)
+    assert status == "diverged" and t == -1e3 and bound == math.inf
     assert len(calls) <= 2 * math.log2(1e3) + 2
 
 
@@ -235,7 +241,7 @@ def test_legendre_quadratic_stops_on_the_exact_root():
     def fn(t):
         calls.append(t)
         return 0.5 * t * t, t, 1.0
-    t, v, status = legendre_max(fn, 0.7, 1e3)
+    t, v, status, _ = legendre_max(fn, 0.7, 1e3)
     assert (t, status) == (0.7, "ok") and v == 0.7 * 0.7 - 0.5 * 0.7 * 0.7
     assert len(calls) == 2
 
@@ -248,7 +254,7 @@ def test_legendre_kinked_function_certifies_by_bisection():
         p = 0.5 * (1.0 + math.tanh(0.5 * z))
         return np.logaddexp(0.0, z) / 20.0, p, 20.0 * p * (1.0 - p)
     for x in (0.001, 0.25, 0.999):
-        t, v, status = legendre_max(fn, x, 1e3)
+        t, v, status, _ = legendre_max(fn, x, 1e3)
         want = (x * math.log(x) + (1 - x) * math.log1p(-x)) / 20.0
         assert status == "ok" and abs(v - want) <= 1e-12 * (1 + abs(want))
 
@@ -256,3 +262,50 @@ def test_legendre_kinked_function_certifies_by_bisection():
 def test_legendre_non_finite_evaluation_raises():
     with pytest.raises(FloatingPointError, match="legendre_max"):
         legendre_max(lambda t: (0.0, math.nan, 0.0), 0.5, 1e3)
+
+
+def _log_sum_exp(t):
+    """log(1 + e^t_1 + e^t_2) with its gradient and Hessian: convex, and
+    its conjugate at x is the negative entropy of (1 - x_1 - x_2, x_1, x_2)
+    inside the simplex, +inf outside it."""
+    z = np.concatenate(([0.0], t))
+    e = np.exp(z - z.max())
+    p = e[1:] / e.sum()
+    return z.max() + math.log(e.sum()), p, np.diag(p) - np.outer(p, p)
+
+
+@pytest.mark.parametrize("x", [(0.2, 0.3), (0.05, 0.9), (1e-4, 0.5)])
+def test_legendre_in_the_plane(x):
+    x = np.array(x)
+    t, v, status, bound = legendre_max(_log_sum_exp, x, 1e3)
+    p = np.array([1.0 - x.sum(), *x])
+    want = float(p @ np.log(p))
+    tol = 1e-12 * (1.0 + abs(want))
+    assert status == "ok" and abs(v - want) <= tol
+    assert v <= bound <= v + tol
+    assert np.abs(t - np.log(x / p[0])).max() <= 1e-5
+
+
+@pytest.mark.parametrize("x", [(0.7, 0.6), (-0.1, 0.5)])
+def test_legendre_outside_the_plane_domain_diverges(x):
+    # The gradient of log-sum-exp never leaves the open simplex, so the
+    # search runs to the radius in doubling steps.
+    calls = []
+
+    def fn(t):
+        calls.append(t)
+        return _log_sum_exp(t)
+    t, v, status, bound = legendre_max(fn, np.array(x), 1e3)
+    assert status == "diverged" and bound == math.inf
+    assert np.linalg.norm(t) <= 1e3 * (1.0 + 1e-15)
+    assert len(calls) <= 2 * math.log2(1e3) + 10
+
+
+def test_oracle_coordinate_ascent_warns_at_its_sweep_cap(caplog):
+    # Along a narrow diagonal ridge each coordinate sweep gains little.
+    def ridge(y):
+        return -100.0 * (y[0] - y[1]) ** 2 - (y[0] + y[1] - 1.0) ** 2
+    with caplog.at_level(logging.WARNING, logger="sanovdual"):
+        coordinate_ascent_box(ridge, np.zeros(2), -2.0, 2.0, sweeps=2)
+    assert any(r.message.startswith("coordinate_ascent_box: 2 sweeps")
+               for r in caplog.records)

@@ -208,6 +208,16 @@ class TestRobustEntropy:
         got = penalty(V[16], Robust(tuple(Dist(five, g) for g in G)))
         assert got <= robust_em_bound(V[16], G) + 1e-12
 
+    def test_em_bound_is_finite_where_the_mixture_vanishes(self):
+        # nu is 0 on the only state where the third generator has mass, so
+        # EM drives that weight, and the mixture on that state, to 0.
+        nu = np.array([0.5, 0.5, 0.0])
+        G = np.array([[0.5, 0.5, 0.0], [0.2, 0.8, 0.0], [0.1, 0.6, 0.3]])
+        with np.errstate(invalid="raise", divide="raise"):
+            em = robust_em_bound(nu, G)
+        assert math.isfinite(em)
+        assert em >= penalties._mixture_rows(nu[None], G)[0][0]
+
     @pytest.mark.parametrize("m, k", [(3, 3), (5, 4), (8, 6), (3, 5)])
     def test_meets_cover_bound(self, m, k):
         # Cover's bound at the returned mixture M: H(nu | M) minus
