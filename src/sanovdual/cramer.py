@@ -30,7 +30,7 @@ import numpy as np
 from .extreal import INF
 from .laws import (EmpiricalLaw, FiniteSupportLaw, Law, LawError, ParetoLaw,
                    StudentTLaw)
-from .optim import legendre_max, newton_nonincreasing
+from .optim import legendre_max, legendre_max_nd, newton_nonincreasing
 from .quadrature import expect as _expect
 
 log = logging.getLogger("sanovdual")
@@ -102,14 +102,12 @@ def plus_power_moments(law: Law, t, m: float, q: float,
 def moment_norm(law: Law, q: float) -> float:
     """M_q = E[||X||^q]^(1/q)."""
     check_admissible(law, q)
-    if isinstance(law, FiniteSupportLaw):
-        mags = np.abs(law.atoms) if law.atoms.ndim == 1 \
-            else np.linalg.norm(law.atoms, axis=1)
-        return float(np.dot(law.weights, mags ** q) ** (1.0 / q))
-    if isinstance(law, EmpiricalLaw):
-        mags = np.abs(law.samples) if law.samples.ndim == 1 \
-            else np.linalg.norm(law.samples, axis=1)
-        return float(np.mean(mags ** q) ** (1.0 / q))
+    if isinstance(law, (FiniteSupportLaw, EmpiricalLaw)):
+        finite = isinstance(law, FiniteSupportLaw)
+        pts = law.atoms if finite else law.samples
+        mags = np.abs(pts) if pts.ndim == 1 else np.linalg.norm(pts, axis=1)
+        s = np.dot(law.weights, mags ** q) if finite else np.mean(mags ** q)
+        return float(s ** (1.0 / q))
     return float(_expect(law.pdf, *law.support, lambda x: np.abs(x) ** q,
                          breaks=(0.0,), centre=law.centre) ** (1.0 / q))
 
@@ -189,14 +187,13 @@ class RatePoint:
 def rate_function(law: Law, x, q: float, ray_radius: float = 1e3, *,
                   zero=None) -> RatePoint:
     """sup over dual vectors of <t, x> - cumulant(t), for dim <= 3, by
-    ``optim.legendre_max`` from t = 0 with the cumulant's gradient and
-    Hessian, certified within 1e-12 (1 + |value|) by its tangents; the
-    point is "diverged", value +inf, if no maximizer lies within
-    ``ray_radius``.  ``zero``, if given, is
-    ``_cumulant(law, 0.0, q, curvature=True)``, the pass over the law at
-    t = 0 that every search makes first.  Each Newton solve of the
-    cumulant starts from its tangent at the point solved last, a lower
-    bound by convexity.
+    ``optim.legendre_max`` (``legendre_max_nd`` in 2 and 3 dimensions) from
+    t = 0 with the cumulant's gradient and Hessian, certified within
+    1e-12 (1 + |value|) by its tangents; "diverged", value +inf, where no
+    maximizer lies within ``ray_radius`` (in 2 and 3 dimensions, within
+    (1 - 1e-6) ``ray_radius``).  ``zero``, if given, is ``_cumulant(law, 0.0, q,
+    curvature=True)``, the pass at t = 0 that every search makes first.
+    Each cumulant solve starts from the tangent at the point solved last.
     """
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     d = xv.size
@@ -220,8 +217,8 @@ def rate_function(law: Law, x, q: float, ray_radius: float = 1e3, *,
         return (lam, grad, curv) if d > 1 else \
             (lam, float(grad[0]), float(curv[0, 0]))
 
-    t_best, v_best, status, bound = legendre_max(
-        fn, float(xv[0]) if d == 1 else xv, ray_radius)
+    t_best, v_best, status, bound = legendre_max_nd(fn, xv, ray_radius) \
+        if d > 1 else legendre_max(fn, float(xv[0]), ray_radius)
     if status == "diverged":
         return RatePoint(INF, None, "diverged", INF)
     return RatePoint(v_best, np.atleast_1d(t_best), "ok", bound)

@@ -8,9 +8,9 @@ Everything here is plain numpy:
 * one safeguarded Newton root finder for the risks and penalty infima,
   and golden-section line search (tests only), on scalar or (B,)-array
   brackets;
-* one Legendre transform of a convex function on the line or in R^d, by
-  Newton steps certified by tangent planes, for the rate function and the
-  Azuma conjugate;
+* the Legendre transform of a convex function, on the line and in R^d,
+  by Newton steps certified by tangent planes, for the rate function and
+  the Azuma conjugate;
 * simplex grids.
 
 A search that exhausts its iteration cap unconverged logs a ``sanovdual``
@@ -179,14 +179,13 @@ bisect_nonincreasing = newton_nonincreasing
 
 
 def legendre_max(fn: Callable, x, radius: float, max_iter: int = 200):
-    """sup over t of <t, x> - f(t) for a convex f, on the line when ``x``
-    is a float and in R^d (``_legendre_newton``) when it is a (d,) array,
-    where ``fn(t)`` returns f(t) with its gradient and Hessian.  Returns
-    (t, value, status, bound): the objective at t is at least ``value``,
-    and ``bound``, +inf if none was found, bounds the supremum.  A
-    non-finite f or gradient raises FloatingPointError.
+    """sup over t of t x - f(t) for a convex f on the line, where ``fn(t)``
+    returns (f(t), f'(t), f''(t)).  Returns (t, value, status, bound): the
+    objective at t is at least ``value``, and ``bound`` >= ``value`` (+inf
+    if none was found) bounds the supremum up to the rounding of f.  A
+    non-finite f or f' raises FloatingPointError.
 
-    On the line: safeguarded Newton on f'(t) = x from t = 0 (rtsafe, as in
+    Safeguarded Newton on f'(t) = x from t = 0 (rtsafe, as in
     ``newton_nonincreasing``), each step taken from the latest point.
     A point with f' <= x lies left of a maximizer and one with f' >= x
     right of it.  Until both are known, a Newton step longer than the width
@@ -204,9 +203,6 @@ def legendre_max(fn: Callable, x, radius: float, max_iter: int = 200):
     within 1e-12 (1 + |value|) of the best value, which certifies it
     without a narrow t bracket, or once the bracket is within rounding.
     """
-    if np.ndim(x):
-        return _legendre_newton(fn, np.asarray(x, dtype=float), radius,
-                                max_iter)
     t, width, last, before, probed = 0.0, 1.0, INF, INF, False
     best_t, best_v, upper = 0.0, NEG_INF, INF
     lo = hi = None      # (t, t x - f(t), |x - f'(t)|) with f' <= x, f' >= x
@@ -229,12 +225,12 @@ def legendre_max(fn: Callable, x, radius: float, max_iter: int = 200):
             upper = min(va, vb) if ca + cb == 0.0 else \
                 va + ca * (vb - va + cb * (b - a)) / (ca + cb)
             if upper - best_v <= tol:
-                return best_t, best_v, "ok", upper
+                return best_t, best_v, "ok", max(upper, best_v)
             step = t + d
             if not (min(a, b) < step < max(a, b)) or abs(d) > 0.5 * before:
                 step = 0.5 * (a + b)
                 if step in (a, b):          # bracket within rounding
-                    return best_t, best_v, "ok", upper
+                    return best_t, best_v, "ok", max(upper, best_v)
         else:
             if probed or abs(d) > min(0.5 * last, width):
                 d = math.copysign(width, d)     # not converging: expand
@@ -250,67 +246,75 @@ def legendre_max(fn: Callable, x, radius: float, max_iter: int = 200):
         t = step
     _warn_open("legendre_max", max_iter, False, lo[0] if lo else math.nan,
                hi[0] if hi else math.nan)
-    return best_t, best_v, "ok", upper
+    return best_t, best_v, "ok", max(upper, best_v)
 
 
-def _legendre_newton(fn: Callable, x, radius: float, max_iter: int):
-    """``legendre_max`` in R^d: damped Newton on grad f(t) = x from t = 0,
-    halving steps that do not gain; where H is singular or the Newton step
-    exceeds the width (1, 2, 4, ...), a Levenberg-Marquardt step within it.
-    |t| is capped at ``radius``; leaving the ball from its boundary is
-    "diverged".  Once a Newton step gains less than tolerance, d + 1 points
-    t_k around its end c give lam >= 0, sum lam_k = 1, sum lam_k g_k = 0 for
-    the objective's gradients g_k, and by concavity the supremum lies
-    between sum lam_k v_k and sum lam_k (v_k + g_k . (c - t_k)).  The README
-    gives the details.
-    """
-    d = x.size
-    simplex = np.vstack([np.eye(d), -np.ones(d)])   # centred: rows sum to 0
-
+def legendre_max_nd(fn: Callable, x, radius: float, max_iter: int = 200):
+    """``legendre_max`` in R^d, where ``fn(t)`` returns f(t) with its
+    gradient and Hessian H: damped Newton on grad f(t) = x from t = 0 on the
+    range of H, and on g = mu t along the sphere |t| = ``radius``.  "ok"
+    needs Kelley's tangent-plane bound (over |t| <= ``radius``) within
+    1e-12 (1 + |value|), and "diverged" a point t0 with g0 . t0 >=
+    (1 - 1e-6) ``radius`` |g0|.  The README gives the details."""
     def point(t):
         f, s, H = fn(t)
         if not (math.isfinite(f) and np.isfinite(s).all()):
-            raise FloatingPointError(f"legendre_max: f = {f}, grad f = {s} "
-                                     f"at t = {t!r} for x = {x!r}")
+            raise FloatingPointError(f"legendre_max_nd: f = {f}, grad f = "
+                                     f"{s} at t = {t!r} for x = {x!r}")
         return t, float(t @ x) - f, x - s, H
 
-    base, width, step, capped = point(np.zeros(d)), 1.0, None, False
+    base, width, step = point(np.zeros(x.size)), 1.0, None
     for _ in range(max_iter):
         t0, v0, g0, H0 = base
         tol = 1e-12 * (1.0 + abs(v0))
         if step is None:    # a new base: its step
+            if not g0.any():
+                return t0, v0, "ok", v0
+            # no worse than t0, a maximizer t has g0 . t >= g0 . t0
+            if g0 @ t0 >= (1.0 - 1e-6) * radius * np.linalg.norm(g0):
+                return t0, v0, "diverged", INF
             w, Q = np.linalg.eigh(H0)
-            gQ, alpha = g0 @ Q, 1.0
+            keep = w > 1e-10 * max(w[-1], 0.0)
+            R, gQ, alpha = Q[:, keep], g0 @ Q, 1.0
             with np.errstate(over="ignore"):    # an overflow reads as long
-                newton = w[0] > 0.0 and np.linalg.norm(gQ / w) <= width
-            shift = 0.0 if newton else np.linalg.norm(g0) / width
-            step = Q @ (gQ / (np.maximum(w, 0.0) + shift))
-            gain = 0.5 * float(g0 @ step) if newton else INF
+                newton = gQ[keep] / w[keep]
+            shift = 0.0 if np.linalg.norm(gQ[~keep]) * radius <= tol and \
+                np.linalg.norm(newton) <= width else np.linalg.norm(g0) / width
+            step = Q @ (gQ / (np.maximum(w, 0.0) + shift)) if shift else \
+                R @ newton
+            gain = INF if shift else 0.5 * float(gQ[keep] @ newton)
+            arc = np.linalg.norm(t0) >= (1.0 - 1e-6) * radius and \
+                g0 @ t0 > 0.0 and np.linalg.norm(t0 + step) > radius
+            if arc:     # Newton on g = mu t within the sphere, mu > 0
+                e = t0 / np.linalg.norm(t0)
+                along = np.eye(x.size) - np.outer(e, e)
+                mu = float(g0 @ e) / radius
+                step = np.linalg.solve(along @ (H0 + mu * np.eye(x.size)) @
+                                       along + np.outer(e, e), along @ g0)
+                gain = 0.5 * float(g0 @ step)
         if alpha * gain <= tol:
-            c = t0 + alpha * step
-            probes = [point(c + 3e-7 * u)
-                      for u in simplex @ (Q / np.sqrt(w)) @ Q.T]
+            c, r = t0 + alpha * step, R.shape[1]
+            probes = [point(c + 3e-7 * u) for u in np.vstack(
+                [np.eye(r), -np.ones(r)]) @ (R / np.sqrt(w[keep])).T]
             P, V, G = (np.array(a) for a in list(zip(*probes))[:3])
-            lam = np.linalg.solve(np.vstack([G.T, np.ones(d + 1)]),
-                                  np.eye(d + 1)[d])
-            gap = float(lam @ (G * (c - P)).sum(axis=1))
-            if (lam >= 0.0).all() and gap <= tol:
-                return lam @ P, float(lam @ V), "ok", float(lam @ V) + gap
-            base, step, capped = point(c), None, False
+            lam = np.linalg.solve(np.vstack([(G @ R).T, np.ones(r + 1)]),
+                                  np.eye(r + 1)[r])
+            value, bound = float(lam @ V), float(
+                lam @ (V + (G * (c - P)).sum(axis=1)) +
+                np.linalg.norm(lam @ G) * (radius + np.linalg.norm(c)))
+            if (lam >= 0.0).all() and bound - value <= tol:
+                return lam @ P, value, "ok", bound
+            base, step = point(c), None
             continue
         trial = t0 + alpha * step
         norm = float(np.linalg.norm(trial))
-        if norm > radius:
-            if capped:
-                return t0, v0, "diverged", INF
-            trial = trial * (radius / norm)
-        p = point(trial)
+        p = point(trial * (radius / norm if arc or norm > radius else 1.0))
         if p[1] > v0:
             width *= 2.0 if shift and alpha == 1.0 else 1.0
-            base, step, capped = p, None, norm > radius
+            base, step = p, None
         else:
             alpha *= 0.5
-    _warn_open("legendre_max", max_iter, False, base[1], INF)
+    _warn_open("legendre_max_nd", max_iter, False, base[1], INF)
     return base[0], base[1], "ok", INF
 
 

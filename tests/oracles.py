@@ -33,8 +33,9 @@ from sanovdual import extreal
 from sanovdual.extreal import INF, NEG_INF
 from sanovdual.losses import LossError, LossFn, TabulatedLoss
 from sanovdual.montecarlo import GrowthValidationError, SAAInstance, rep_rng
-from sanovdual.laws import FiniteSupportLaw
+from sanovdual.laws import EmpiricalLaw, FiniteSupportLaw
 from sanovdual.cramer import _cumulant
+from sanovdual.quadrature import expect
 from sanovdual.optim import golden_min
 from sanovdual.penalties import (AlphaSpec, LpEntropy, RelativeEntropy, Robust,
                                  SetIndicator, Shortfall, Transport,
@@ -435,6 +436,24 @@ def coordinate_ascent_box(objective: Callable[[np.ndarray], float],
         log.warning("coordinate_ascent_box: %d sweeps left the ascent open, "
                     "the last one gained %.3g", sweeps, improved)
     return x, fx
+
+
+def plus_power_moment(law, t, m: float, q: float) -> float:
+    """E[ ((1 + <t, X> - m)^+)^q ] alone, apart from the moment rows that
+    the cumulant's Newton search uses."""
+    t = np.atleast_1d(t)
+    if isinstance(law, (FiniteSupportLaw, EmpiricalLaw)):
+        finite = isinstance(law, FiniteSupportLaw)
+        pts = law.atoms if finite else law.samples
+        proj = pts @ t if pts.ndim == 2 else pts * float(t[0])
+        base = np.maximum(1.0 + proj - m, 0.0) ** q
+        return float(np.dot(law.weights, base) if finite else np.mean(base))
+    ts = float(t[0])
+    if ts == 0.0:
+        return max(1.0 - m, 0.0) ** q
+    return expect(law.pdf, *law.support,
+                  lambda x: np.maximum(1.0 + ts * x - m, 0.0) ** q,
+                  breaks=((m - 1.0) / ts,), centre=law.centre)
 
 
 def rate_coordinate_search(law, x, q: float, ray_radius: float = 1e3):

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bisect_root, golden_max, rate_coordinate_search
+from oracles import (bisect_root, golden_max, plus_power_moment,
+                     rate_coordinate_search)
 from sanovdual import cramer
 from sanovdual.cramer import (ConjugatePair, _cumulant, check_admissible,
                               conjugate_pair, cumulant, deviation_bound,
-                              moment_norm, plus_power_moment,
-                              plus_power_moments, rate_function)
+                              moment_norm, plus_power_moments,
+                              rate_function)
 from sanovdual.laws import (EmpiricalLaw, FiniteSupportLaw, LawError,
                             LogNormalLaw, ParetoLaw, StudentTLaw)
 from sanovdual.quadrature import expect as _expect
@@ -181,20 +182,32 @@ class TestCumulant:
             assert abs(cumulant(fin, t, 2.0) - cumulant(emp, t, 2.0)) <= 1e-10
 
 
+POINTS_1D = [
+    ("pareto2.5_q2", -0.3), ("pareto2.5_q2", 0.25),
+    ("pareto2.5_q2", -0.6), ("pareto3.5_q3", -0.15),
+    ("pareto2.5_q1.5", -0.6), ("pareto2.5_q1.5", 0.3),
+    ("student_t", 0.1), ("student_t", -0.6),
+    ("lognormal", -0.3), ("lognormal", 0.4),
+    ("finite", 0.4), ("finite", -0.5),
+    ("empirical_1d", -0.6), ("empirical_1d", 0.25)]
+
+
 class TestWarmRateFunction:
-    @pytest.mark.parametrize("name,x", [
-        ("pareto2.5_q2", -0.3), ("pareto2.5_q2", 0.25),
-        ("pareto2.5_q2", -0.6), ("pareto3.5_q3", -0.15),
-        ("pareto2.5_q1.5", -0.6), ("pareto2.5_q1.5", 0.3),
-        ("student_t", 0.1), ("student_t", -0.6),
-        ("lognormal", -0.3), ("lognormal", 0.4),
-        ("finite", 0.4), ("finite", -0.5),
-        ("empirical_1d", -0.6), ("empirical_1d", 0.25)])
+    @pytest.mark.parametrize("name,x", POINTS_1D)
     def test_matches_cold_golden_oracle(self, name, x):
         law, q = ORACLE_LAWS[name]
         got = rate_function(law, x, q)
         assert got.status == "ok"
         assert abs(got.value - rate_golden_oracle(law, x, q)) <= 1e-10
+
+    @pytest.mark.parametrize("name,x", POINTS_1D)
+    def test_bound_is_within_tolerance_of_the_value(self, name, x):
+        # The two-tangent bound carries the cumulant's rounding, so the
+        # search reports the value where rounding puts the bound below it.
+        law, q = ORACLE_LAWS[name]
+        got = rate_function(law, x, q)
+        assert got.value <= got.bound <= got.value + 1e-12 * (
+            1.0 + abs(got.value))
 
     def test_diverged_point_is_cheap(self, monkeypatch):
         # Below the support of the centered Pareto the supremum runs off to
@@ -257,6 +270,45 @@ class TestRateFunctionInTwoAndThreeDimensions:
         assert got.status == "diverged"
         assert got.value == got.bound == math.inf
         assert len(calls) <= 2.0 * math.log2(radius) + 10.0
+
+
+class TestRateFunctionOnDegenerateLaws:
+    # Atoms on a line in the plane and in a plane in space: the Hessian of
+    # the cumulant is singular at every t.
+    LINE = FiniteSupportLaw(np.array([[-1.0, -1.0], [1.0, 1.0]]),
+                            np.array([0.5, 0.5]))
+    PLANE = FiniteSupportLaw(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                       [0.0, 1.0, 0.0]]),
+                             np.array([0.5, 0.3, 0.2]))
+
+    def test_mean_is_zero(self):
+        got = rate_function(self.LINE, (0.0, 0.0), 2.0)
+        assert got.status == "ok" and got.value == got.bound == 0.0
+
+    @pytest.mark.parametrize("a", [0.3, -0.9])
+    def test_line_matches_the_law_on_the_line(self, a):
+        # Along (1, 1) / sqrt(2) the atoms sit at -sqrt(2) and sqrt(2).
+        line = FiniteSupportLaw(np.array([-math.sqrt(2.0), math.sqrt(2.0)]),
+                                np.array([0.5, 0.5]))
+        got = rate_function(self.LINE, (a, a), 2.0)
+        want = rate_function(line, a * math.sqrt(2.0), 2.0).value
+        tol = 1e-12 * (1.0 + abs(got.value))
+        assert got.status == "ok" and abs(got.value - want) <= 1e-10
+        assert got.value <= got.bound <= got.value + tol
+
+    def test_plane_matches_the_law_in_the_plane(self):
+        flat = FiniteSupportLaw(self.PLANE.atoms[:, :2], self.PLANE.weights)
+        got = rate_function(self.PLANE, (0.2, 0.3, 0.0), 2.0)
+        want = rate_function(flat, (0.2, 0.3), 2.0).value
+        tol = 1e-12 * (1.0 + abs(got.value))
+        assert got.status == "ok" and abs(got.value - want) <= 1e-10
+        assert got.value <= got.bound <= got.value + tol
+
+    @pytest.mark.parametrize("law,x", [(LINE, (0.3, 0.2)),
+                                       (PLANE, (0.2, 0.3, 0.1))])
+    def test_off_the_support_diverges(self, law, x):
+        got = rate_function(law, x, 2.0)
+        assert got.status == "diverged" and got.value == math.inf
 
 
 class TestMomentNorm:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from oracles import coordinate_ascent_box
-from sanovdual.optim import (golden_min, legendre_max, newton_nonincreasing,
-                             pgd_max_simplex)
+from sanovdual.optim import (golden_min, legendre_max, legendre_max_nd,
+                             newton_nonincreasing, pgd_max_simplex)
 
 
 def test_batched_golden_rows_match_scalar_searches():
@@ -182,11 +182,12 @@ def test_exhausted_iteration_cap_warns(caplog, solver):
         elif solver == "legendre":
             legendre_max(_exp3, 5.0, 1e3, max_iter=2)
         else:
-            legendre_max(_log_sum_exp, np.array([0.2, 0.3]), 1e3, max_iter=2)
+            legendre_max_nd(_log_sum_exp, np.array([0.2, 0.3]), 1e3,
+                            max_iter=2)
     name = {"golden": "golden_min", "newton": "newton_nonincreasing",
             "newton_rows": "newton_nonincreasing",
             "pgd": "pgd_max_simplex", "legendre": "legendre_max",
-            "legendre_plane": "legendre_max"}[solver]
+            "legendre_plane": "legendre_max_nd"}[solver]
     assert any(r.message.startswith(f"{name}: ") and "last bracket" in
                r.message for r in caplog.records)
 
@@ -199,7 +200,7 @@ def test_converged_searches_stay_quiet(caplog):
                              np.array([3.0, 0.5]), np.array([4.0, 0.1]))
         pgd_max_simplex(_bowl, np.full((2, 4), 0.25))
         legendre_max(_exp3, 5.0, 1e3)
-        legendre_max(_log_sum_exp, np.array([0.2, 0.3]), 1e3)
+        legendre_max_nd(_log_sum_exp, np.array([0.2, 0.3]), 1e3)
     assert not caplog.records
 
 
@@ -277,7 +278,7 @@ def _log_sum_exp(t):
 @pytest.mark.parametrize("x", [(0.2, 0.3), (0.05, 0.9), (1e-4, 0.5)])
 def test_legendre_in_the_plane(x):
     x = np.array(x)
-    t, v, status, bound = legendre_max(_log_sum_exp, x, 1e3)
+    t, v, status, bound = legendre_max_nd(_log_sum_exp, x, 1e3)
     p = np.array([1.0 - x.sum(), *x])
     want = float(p @ np.log(p))
     tol = 1e-12 * (1.0 + abs(want))
@@ -295,9 +296,58 @@ def test_legendre_outside_the_plane_domain_diverges(x):
     def fn(t):
         calls.append(t)
         return _log_sum_exp(t)
-    t, v, status, bound = legendre_max(fn, np.array(x), 1e3)
+    t, v, status, bound = legendre_max_nd(fn, np.array(x), 1e3)
     assert status == "diverged" and bound == math.inf
     assert np.linalg.norm(t) <= 1e3 * (1.0 + 1e-15)
+    assert len(calls) <= 2 * math.log2(1e3) + 10
+
+
+def _scaled_log_sum_exp(t, s=100.0):
+    """s log(1 + e^(t_1 / s) + e^(t_2 / s)): its conjugate is s times the
+    negative entropy, and its maximizers lie s times further out."""
+    f, grad, hess = _log_sum_exp(t / s)
+    return s * f, grad, hess / s
+
+
+def test_legendre_plane_maximizer_near_the_radius_is_found():
+    # The maximizer s (log(x / p_0)) lies at |t| = 621, inside the radius,
+    # and the search reaches the sphere on its way there.
+    x = np.array([0.001, 0.5])
+    t, v, status, bound = legendre_max_nd(_scaled_log_sum_exp, x, 1e3)
+    p = np.array([1.0 - x.sum(), *x])
+    want = 100.0 * float(p @ np.log(p))
+    tol = 1e-12 * (1.0 + abs(want))
+    assert status == "ok" and abs(v - want) <= 1e-10 * (1.0 + abs(want))
+    assert v <= bound <= v + tol
+    assert abs(np.linalg.norm(t) - 621.3) <= 0.1
+
+
+def _softplus_of_sum(t):
+    """log(1 + e^(t_1 + t_2)): its Hessian is singular at every t, and its
+    conjugate is finite only on the segment x_1 = x_2 in [0, 1]."""
+    z = float(t.sum())
+    p = 0.5 * (1.0 + math.tanh(0.5 * z))
+    return np.logaddexp(0.0, z), np.full(2, p), np.full((2, 2), p * (1 - p))
+
+
+@pytest.mark.parametrize("a", [0.5, 0.3, 0.9])
+def test_legendre_singular_hessian_on_its_range(a):
+    t, v, status, bound = legendre_max_nd(_softplus_of_sum,
+                                          np.array([a, a]), 1e3)
+    want = a * math.log(a) + (1.0 - a) * math.log1p(-a)
+    tol = 1e-12 * (1.0 + abs(want))
+    assert status == "ok" and abs(v - want) <= tol
+    assert v <= bound <= v + tol
+
+
+def test_legendre_singular_hessian_off_its_range_diverges():
+    calls = []
+
+    def fn(t):
+        calls.append(t)
+        return _softplus_of_sum(t)
+    t, v, status, bound = legendre_max_nd(fn, np.array([0.3, 0.4]), 1e3)
+    assert status == "diverged" and bound == math.inf
     assert len(calls) <= 2 * math.log2(1e3) + 10
 
 
