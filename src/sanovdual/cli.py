@@ -183,20 +183,22 @@ def parse_spec(obj, path="spec"):
 
 
 def parse_simplex_function(obj, m, path="F"):
-    """A function of the law on m states, rows in: it maps a (B, m) array
-    of laws to their (B,) values."""
+    """(F, dF): a function of the law on m states and its gradient, rows
+    in.  F maps a (B, m) array of laws to their (B,) values and dF to
+    their (B, m) gradients; ``abs_well``'s reads 0 at its kink."""
     _check_keys(obj, path, required=("kind",),
                 optional=("value", "coeffs", "coordinate", "center", "scale"))
     kind = obj["kind"]
     if kind == "constant":
         c = _num(obj.get("value", 0.0), f"{path}.value")
-        return lambda nu: np.full(len(nu), c)
+        return lambda nu: np.full(len(nu), c), np.zeros_like
     if kind == "linear":
         coeffs = np.asarray(_num_list(obj["coeffs"], f"{path}.coeffs"))
         if coeffs.shape != (m,):
             raise ConfigError(f"{path}.coeffs: expected {m} coefficients, "
                               f"got {len(coeffs)}")
-        return lambda nu: nu @ coeffs
+        return lambda nu: nu @ coeffs, \
+            lambda nu: np.broadcast_to(coeffs, nu.shape)
     coord = obj.get("coordinate", 0)
     if isinstance(coord, bool) or coord not in range(m):
         raise ConfigError(f"{path}.coordinate: expected an integer in "
@@ -204,10 +206,13 @@ def parse_simplex_function(obj, m, path="F"):
     coord = int(coord)
     center = _num(obj.get("center", 0.5), f"{path}.center")
     scale = _num(obj.get("scale", -1.0), f"{path}.scale")
+    e = np.eye(m)[coord]
     if kind == "square_well":
-        return lambda nu: scale * (nu[:, coord] - center) ** 2
+        return lambda nu: scale * (nu[:, coord] - center) ** 2, \
+            lambda nu: 2.0 * scale * (nu[:, coord, None] - center) * e
     if kind == "abs_well":
-        return lambda nu: scale * np.abs(nu[:, coord] - center)
+        return lambda nu: scale * np.abs(nu[:, coord] - center), \
+            lambda nu: scale * np.sign(nu[:, coord, None] - center) * e
     raise ConfigError(f"{path}.kind: unknown function kind {kind!r}")
 
 
@@ -396,10 +401,10 @@ def cmd_sanov(cfg, out: Path, seed: int) -> int:
     _check_keys(cfg, "config", required=("spec", "F", "schedule"),
                 optional=("grid_step", "seed"))
     spec = parse_spec(cfg["spec"])
-    F = parse_simplex_function(cfg["F"], spec.space.size)
+    F, dF = parse_simplex_function(cfg["F"], spec.space.size)
     schedule = _type_schedule(cfg["schedule"], spec.space.size)
     step = _grid_step(cfg.get("grid_step", 0.01), spec.space.size)
-    run = dp.sanov_limit(F, spec, schedule, grid_step=step,
+    run = dp.sanov_limit(F, dF, spec, schedule, grid_step=step,
                          label="transport-longrun"
                          if isinstance(spec, Transport) else "sanov")
     write_json(out / "report.json", run.to_json_dict())
@@ -617,7 +622,7 @@ def cmd_transport(cfg, out: Path, seed: int) -> int:
         spec = Transport(mu, cost)
     except SpaceError as exc:
         raise ConfigError(f"cost: {exc}") from exc
-    F = parse_simplex_function(cfg["F"], mu.m)
+    F, dF = parse_simplex_function(cfg["F"], mu.m)
     schedule = _type_schedule(cfg["schedule"], mu.m)
     step = _grid_step(cfg.get("grid_step", 0.01), mu.m)
     n_chk = _pos_int(cfg.get("control_check_n", 2), "control_check_n")
@@ -625,7 +630,7 @@ def cmd_transport(cfg, out: Path, seed: int) -> int:
         raise ConfigError(f"control_check_n: a control field of {mu.m}^"
                           f"{n_chk} entries exceeds the dense cap of "
                           f"{DENSE_CAP}")
-    run = dp.sanov_limit(F, spec, schedule, grid_step=step,
+    run = dp.sanov_limit(F, dF, spec, schedule, grid_step=step,
                          label="transport-longrun")
     rng = np.random.default_rng(seed)
     f_chk = rng.normal(size=mu.m ** n_chk)

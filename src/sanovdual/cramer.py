@@ -186,7 +186,8 @@ class RatePoint:
 
 def rate_function(law: Law, x, q: float, ray_radius: float = 1e3, *,
                   zero=None) -> RatePoint:
-    """sup over dual vectors of <t, x> - cumulant(t), for dim <= 3, by
+    """sup over dual vectors of <t, x> - cumulant(t), for x of the law's
+    dimension, at most 3 (``LawError`` otherwise), by
     ``optim.legendre_max`` (``legendre_max_nd`` in 2 and 3 dimensions) from
     t = 0 with the cumulant's gradient and Hessian, certified within
     1e-12 (1 + |value|) by its tangents; "diverged", value +inf, where no
@@ -199,6 +200,10 @@ def rate_function(law: Law, x, q: float, ray_radius: float = 1e3, *,
     d = xv.size
     if d > 3:
         raise LawError("dual search is certified only for d <= 3")
+    pts = getattr(law, "atoms", getattr(law, "samples", np.zeros(1)))
+    dim = 1 if pts.ndim == 1 else pts.shape[1]
+    if d != dim:
+        raise LawError(f"x has dimension {d}, the law dimension {dim}")
     tangent = None  # the latest (t_i, cumulant(t_i), gradient at t_i)
 
     def fn(t):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import extreal
 from .extreal import INF, NEG_INF
-from .optim import numeric_tangent_grad, pgd_max_simplex, simplex_grid
+from .optim import pgd_max_simplex, simplex_grid
 from .penalties import AlphaSpec, Transport, penalty
 from .risk import risk_rows
 from .spaces import (DENSE_CAP, Dist, FiniteSpace, SpaceError,
@@ -133,13 +133,15 @@ def symmetric_terminal(F: Callable[[np.ndarray], np.ndarray], n: int,
     return n * _values(F, type_index(n, space.size) / n)
 
 
-def _values(F: Callable[[np.ndarray], np.ndarray],
-            rows: np.ndarray) -> np.ndarray:
-    """F at each row of a (B, m) batch of laws; F must return (B,) values."""
+def _values(F: Callable[[np.ndarray], np.ndarray], rows: np.ndarray,
+            name: str = "F", per_row: tuple = ()) -> np.ndarray:
+    """F at each row of a (B, m) batch of laws; F must return shape
+    (B,) + ``per_row``: (B,) values, or (B, m) gradients for a dF."""
     vals = np.asarray(F(rows), dtype=float)
-    if vals.shape != (len(rows),):
-        raise TypeError(f"F must map a batch of {len(rows)} laws to shape "
-                        f"({len(rows)},), got {vals.shape}")
+    want = (len(rows),) + per_row
+    if vals.shape != want:
+        raise TypeError(f"{name} must map a batch of {len(rows)} laws to "
+                        f"shape {want}, got {vals.shape}")
     return vals
 
 
@@ -148,16 +150,19 @@ def _values(F: Callable[[np.ndarray], np.ndarray],
 # ---------------------------------------------------------------------------
 
 def simplex_supremum(objective: Callable[[np.ndarray], np.ndarray],
+                     gradient: Optional[Callable[[np.ndarray], np.ndarray]],
                      m: int, step: float = 0.01) -> tuple[float, np.ndarray]:
     """sup of a rows-in, values-out function over the simplex: one call on
-    the (B, m) grid, then projected ascent from the best grid point."""
+    the (B, m) grid, then projected ascent along the rows-in (super)gradient
+    from the best grid point; without a gradient (None), that grid point."""
     pts = simplex_grid(m, step)
     vals = objective(pts)
     i = int(np.argmax(vals))
     best, best_v = pts[i], float(vals[i])
-    x, v = pgd_max_simplex(objective, best)
-    if v > best_v:
-        best, best_v = x, v
+    if gradient is not None:
+        x, v = pgd_max_simplex(objective, best, gradient=gradient)
+        if v > best_v:
+            best, best_v = x, v
     return best_v, best
 
 
@@ -192,12 +197,18 @@ class SanovRun:
                 for n, v, g in zip(self.schedule, self.values, self.gaps)]
 
 
-def sanov_limit(F: Callable[[np.ndarray], np.ndarray], spec: AlphaSpec,
+def sanov_limit(F: Callable[[np.ndarray], np.ndarray],
+                dF: Callable[[np.ndarray], np.ndarray], spec: AlphaSpec,
                 schedule: Sequence[int], grid_step: float = 0.01,
                 label: str = "sanov") -> SanovRun:
     """(1/n) rho_n(n F o L_n) along a schedule, with the limit target
     sup_nu (F(nu) - alpha(nu)).  One backward pass over type classes
-    serves the whole schedule (``backward_values_symmetric``).
+    serves the whole schedule (``backward_values_symmetric``).  F maps a
+    (B, m) batch of laws to (B,) values and dF to their (B, m)
+    (super)gradients; other shapes raise TypeError.
+
+    The target ascends from the best grid point along dF - grad alpha; a
+    penalty without a gradient (a set indicator) keeps the grid point.
 
     A transport spec takes its target sup_nu (F(nu) - W_c(mu, nu)) from the
     coupling form, which is smooth in the kernel K: the ascent from the
@@ -217,11 +228,14 @@ def sanov_limit(F: Callable[[np.ndarray], np.ndarray], spec: AlphaSpec,
     coupling = None
     if isinstance(spec, Transport):
         pts = simplex_grid(space.size, grid_step)
-        coupling, arg = _coupling_supremum(F, spec.mu, spec.cost,
+        coupling, arg = _coupling_supremum(F, dF, spec.mu, spec.cost,
                                            pts[int(np.argmax(J(pts)))])
         target = float(J(arg[None])[0])
     else:
-        target, arg = simplex_supremum(J, space.size, step=grid_step)
+        grad = None if spec.grad_rows is None else (
+            lambda nu: _values(dF, nu, "dF", nu.shape[1:]) -
+            spec.grad_rows(nu))
+        target, arg = simplex_supremum(J, grad, space.size, step=grid_step)
     gaps = [abs(v - target) for v in values]
     return SanovRun(label, [int(n) for n in schedule],
                     [float(v) for v in values], float(target), gaps,
@@ -301,12 +315,13 @@ def transport_control_value(f, space: FiniteSpace, mu: Dist, cost) -> float:
     return float(J[0])
 
 
-def _coupling_supremum(F, mu: Dist, c: np.ndarray, nu0: np.ndarray
+def _coupling_supremum(F, dF, mu: Dist, c: np.ndarray, nu0: np.ndarray
                        ) -> tuple[float, np.ndarray]:
     """sup over couplings pi with first marginal mu of
     F(second marginal) - int c dpi, and the second marginal of the best
     coupling: one projected ascent over the kernels K (pi = diag(mu) K, a
-    product of m simplices), with one row per start.
+    product of m simplices), with one row per start, along the gradient
+    mu_x (dF(mu K)_y - c(x, y)) in cell (x, y).
 
     The starts are the optimal plan to nu0, the uniform kernel on the
     allowed cells and the cheapest cell of each row.
@@ -320,7 +335,7 @@ def _coupling_supremum(F, mu: Dist, c: np.ndarray, nu0: np.ndarray
         return _values(F, w @ K) - (K * wc).reshape(len(K), -1).sum(axis=1)
 
     def gradient(K):
-        gF = numeric_tangent_grad(lambda N: _values(F, N), w @ K)
+        gF = _values(dF, w @ K, "dF", (m,))
         return w[:, None] * gF[:, None, :] - wc
 
     starts = []

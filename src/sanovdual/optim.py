@@ -4,7 +4,8 @@ Everything here is plain numpy:
 
 * Euclidean projection onto the probability simplex;
 * one batched projected gradient ascent with Armijo backtracking, over
-  simplices and products of simplices;
+  simplices and products of simplices, on the caller's exact
+  (super)gradient;
 * one safeguarded Newton root finder for the risks and penalty infima,
   and golden-section line search (tests only), on scalar or (B,)-array
   brackets;
@@ -333,41 +334,14 @@ def simplex_grid(m: int, step: float) -> np.ndarray:
     return type_index(k, m) / k
 
 
-def numeric_tangent_grad(fn: Callable[[np.ndarray], np.ndarray],
-                         X: np.ndarray) -> np.ndarray:
-    """Central-difference gradient of a rows-in, values-out ``fn`` at each
-    row of X, of shape (k, ...), from one ``fn`` call on the k (2n + 1)
-    rows X, X + h e_i and X - h e_i (n entries per row, h = 1e-7).
-
-    Where one probe is not finite the difference is one-sided; where
-    neither is, the entry is 0.
-    """
-    X = np.asarray(X, dtype=float)
-    k, shape = X.shape[0], X.shape[1:]
-    n = int(np.prod(shape))
-    h = 1e-7
-    eye = np.eye(n)
-    steps = np.concatenate([np.zeros((1, n)), h * eye, -h * eye])
-    probes = (X.reshape(k, 1, n) + steps).reshape((-1,) + shape)
-    vals = np.asarray(fn(probes), dtype=float).reshape(k, 2 * n + 1)
-    fx, up, dn = vals[:, :1], vals[:, 1:n + 1], vals[:, n + 1:]
-    fin_up, fin_dn = np.isfinite(up), np.isfinite(dn)
-    with np.errstate(invalid="ignore"):
-        g = np.where(fin_up & fin_dn, (up - dn) / (2 * h),
-                     np.where(fin_up, (up - fx) / h,
-                              np.where(fin_dn, (fx - dn) / h, 0.0)))
-    return g.reshape(X.shape)
-
-
 def _row_sums(A: np.ndarray) -> np.ndarray:
     return np.add.reduce(A.reshape(len(A), -1), axis=1)
 
 
 def pgd_max_simplex(objective: Callable[[np.ndarray], np.ndarray],
                     x0: np.ndarray,
-                    gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+                    gradient: Callable[[np.ndarray], np.ndarray],
                     max_iter: int = 500,
-                    grad_tol: float = 1e-9,
                     ftol: float = 1e-13,
                     support: Optional[np.ndarray] = None):
     """Maximize a concave function over the simplex, or over a product of
@@ -377,7 +351,7 @@ def pgd_max_simplex(objective: Callable[[np.ndarray], np.ndarray],
     Starts are rows: ``x0`` is one point (m,), a batch (B, m), or a batch
     (B, r, m) of kernels whose r rows each lie in a simplex.  ``objective``
     maps a (k, ...) stack of points to their (k,) values and ``gradient``
-    to their (k, ...) gradients (central differences by default).  Both
+    to their (k, ...) (super)gradients; non-finite entries read 0.  Both
     see only the rows still running, so each row makes the evaluations it
     would make alone.  Entries where ``support`` (broadcast against one
     start) is False stay at 0.  The objective may return -inf off its
@@ -385,9 +359,8 @@ def pgd_max_simplex(objective: Callable[[np.ndarray], np.ndarray],
     that starts there is returned as it is.
 
     A row stops when 60 halvings of the unit step find no gain of
-    1e-4 <g, d>, after two gains in a row below ftol (1 + |f|), or when
-    its projected gradient is shorter than ``grad_tol``.  Rows still
-    running after ``max_iter`` iterations are logged, with the values
+    1e-4 <g, d>, or after two gains in a row below ftol (1 + |f|).  Rows
+    still running after ``max_iter`` iterations are logged, with the values
     before and after their last step.  Returns (points, values) in the
     shape of ``x0``; the value of a single point is a float.
     """
@@ -396,8 +369,6 @@ def pgd_max_simplex(objective: Callable[[np.ndarray], np.ndarray],
     X = project_simplex(X0[None] if single else X0, support)
     fx = np.array(objective(X), dtype=float)
     before = fx.copy()
-    grad = gradient if gradient is not None else (
-        lambda Z: numeric_tangent_grad(objective, Z))
     per_row = (slice(None),) + (None,) * (X.ndim - 1)
     stall = np.zeros(fx.size, dtype=int)
     run = np.isfinite(fx)
@@ -405,7 +376,7 @@ def pgd_max_simplex(objective: Callable[[np.ndarray], np.ndarray],
         rows = np.flatnonzero(run)
         if rows.size == 0:
             break
-        g = grad(X[rows])
+        g = gradient(X[rows])
         g = np.where(np.isfinite(g), g, 0.0)
         t = np.ones(rows.size)
         moved = np.zeros(rows.size, dtype=bool)
@@ -434,12 +405,7 @@ def pgd_max_simplex(objective: Callable[[np.ndarray], np.ndarray],
             if search.size == 0:
                 break
             t[search] *= 0.5
-        go = moved & (stall[rows] < 2)
-        run[rows] = go
-        if go.any():
-            i = rows[go]
-            pg = project_simplex(X[i] + g[go], support) - X[i]
-            run[i[np.sqrt(_row_sums(pg * pg)) <= grad_tol]] = False
+        run[rows] = moved & (stall[rows] < 2)
     else:
         if run.any():
             _warn_open("pgd_max_simplex", max_iter, ~run, before, fx)

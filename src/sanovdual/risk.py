@@ -91,11 +91,8 @@ def generic_risk(f, spec: AlphaSpec, restarts: int = 200,
     X0 = np.zeros((len(starts), fv.size))
     X0[:, sub] = starts
 
-    # Closed-form certification at 1e-6 is the accuracy gate.  The gradients
-    # match central differences of the penalty to ~1e-11, and rows stop on
-    # ftol: grad_tol from 3e-8 down to 1e-11 changes nothing.
     X, vals = pgd_max_simplex(J, X0, gradient=grad, max_iter=250,
-                              grad_tol=3e-8, ftol=1e-12, support=sub)
+                              ftol=1e-12, support=sub)
     best = int(np.argmax(vals))
     maximizer = Dist(space, X[best]) if np.isfinite(vals[best]) else None
     return RhoResult(float(vals[best]), maximizer, "simplex_opt")

@@ -11,7 +11,8 @@ attains a dense recursion's value, the segment-at-a-time quadrature
 walk, references over the mixture weights of a hull (the distance to
 it by SLSQP, an EM upper bound on robust entropy), and maximization by
 golden section along coordinates (on a box, and the former 2- and 3-d
-rate function search).
+rate function search), and central-difference gradients of rows-in,
+values-out functions.
 
 Joint laws on E^n are dense tensors in row-major order: the flat index of
 (x_1, ..., x_n) is x_1 * m^(n-1) + ... + x_n, i.e. x_1 is the slowest axis.
@@ -398,6 +399,36 @@ def robust_pair_golden(V: np.ndarray, g0: np.ndarray,
         wv = np.where(at_end < out, end, wv)
         out = np.minimum(out, at_end)
     return out, wv
+
+
+# ---------------------------------------------------------------------------
+# Central differences
+# ---------------------------------------------------------------------------
+
+def numeric_tangent_grad(fn: Callable[[np.ndarray], np.ndarray],
+                         X: np.ndarray) -> np.ndarray:
+    """Central-difference gradient of a rows-in, values-out ``fn`` at each
+    row of X, of shape (k, ...), from one ``fn`` call on the k (2n + 1)
+    rows X, X + h e_i and X - h e_i (n entries per row, h = 1e-7).
+
+    Where one probe is not finite the difference is one-sided; where
+    neither is, the entry is 0.
+    """
+    X = np.asarray(X, dtype=float)
+    k, shape = X.shape[0], X.shape[1:]
+    n = int(np.prod(shape))
+    h = 1e-7
+    eye = np.eye(n)
+    steps = np.concatenate([np.zeros((1, n)), h * eye, -h * eye])
+    probes = (X.reshape(k, 1, n) + steps).reshape((-1,) + shape)
+    vals = np.asarray(fn(probes), dtype=float).reshape(k, 2 * n + 1)
+    fx, up, dn = vals[:, :1], vals[:, 1:n + 1], vals[:, n + 1:]
+    fin_up, fin_dn = np.isfinite(up), np.isfinite(dn)
+    with np.errstate(invalid="ignore"):
+        g = np.where(fin_up & fin_dn, (up - dn) / (2 * h),
+                     np.where(fin_up, (up - fx) / h,
+                              np.where(fin_dn, (fx - dn) / h, 0.0)))
+    return g.reshape(X.shape)
 
 
 # ---------------------------------------------------------------------------

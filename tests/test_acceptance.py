@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from oracles import (ProductDist, check_integrability, entropic_risk,
-                     entropic_type_value, greedy_optimizer_from_trace, risk,
-                     saa_exact_exceedance, shortfall_risk, tensor_penalty,
-                     tensor_penalty_batch)
+                     entropic_type_value, greedy_optimizer_from_trace,
+                     numeric_tangent_grad, risk, saa_exact_exceedance,
+                     shortfall_risk, tensor_penalty, tensor_penalty_batch)
 from sanovdual.cli import main as cli_main
 from sanovdual.cramer import deviation_bound, moment_norm
 from sanovdual.dp import (backward_value_dense, backward_value_symmetric,
@@ -137,13 +137,20 @@ def test_criterion_04_sanov_limit(record_criterion):
     def F(nu):      # one law (m,) or a batch of rows (B, m)
         return -(nu[..., 0] - 0.7) ** 2
 
+    def dF(nu):     # a batch of rows (B, m)
+        g = np.zeros_like(nu)
+        g[:, 0] = -2.0 * (nu[:, 0] - 0.7)
+        return g
+
     schedule = [25, 50, 100, 200]
-    run = sanov_limit(F, RelativeEntropy(UNIF2), schedule, grid_step=0.01)
+    run = sanov_limit(F, dF, RelativeEntropy(UNIF2), schedule,
+                      grid_step=0.01)
     worst_exact = max(abs(v - entropic_type_value(F, UNIF2.weights, n))
                       for n, v in zip(run.schedule, run.values))
     # Four states, where the recursion meets C(103, 3) = 176,851 classes.
     mu4 = Dist(FiniteSpace.of_size(4), [0.1, 0.2, 0.3, 0.4])
-    run4 = sanov_limit(F, RelativeEntropy(mu4), [25, 50, 100], grid_step=0.05)
+    run4 = sanov_limit(F, dF, RelativeEntropy(mu4), [25, 50, 100],
+                       grid_step=0.05)
     worst_exact = max([worst_exact] + [
         abs(v - entropic_type_value(F, mu4.weights, n))
         for n, v in zip(run4.schedule, run4.values)])
@@ -232,7 +239,8 @@ def test_criterion_08_transport_duality(record_criterion):
             return np.where(np.isfinite(a), nu @ f - a, -math.inf)
 
         x0 = grid[int(np.argmax(vals))]
-        _, refined = pgd_max_simplex(J, x0, max_iter=120)
+        _, refined = pgd_max_simplex(
+            J, x0, lambda X: numeric_tangent_grad(J, X), max_iter=120)
         oracle = max(best, refined)
         worst_gap = max(worst_gap, abs(rho - oracle))
     worst_ctl = 0.0

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 import scipy
 
+from oracles import numeric_tangent_grad
 from sanovdual.cli import (ConfigError, _jsonable, _num, _num_list, main,
-                           parse_law, write_json)
+                           parse_law, parse_simplex_function, write_json)
 from sanovdual.losses import PowerLoss
 from sanovdual.penalties import Shortfall
 from sanovdual.risk import risk_result
@@ -328,6 +329,33 @@ class TestRhoCommand:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         # forced identity relaxation: value is the plain expectation
         assert abs(report["value"] - (0.5 * 0.3 - 0.5 * 0.4)) <= 1e-12
+
+
+class TestSimplexFunctions:
+    KINDS = {
+        "constant": {"kind": "constant", "value": 0.4},
+        "linear": {"kind": "linear", "coeffs": [0.3, -0.1, 0.7]},
+        "square_well": {"kind": "square_well", "coordinate": 1,
+                        "center": 0.3, "scale": -2.0},
+        "abs_well": {"kind": "abs_well", "coordinate": 2, "center": 0.25,
+                     "scale": -1.5},
+    }
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_gradient_matches_central_differences(self, kind):
+        F, dF = parse_simplex_function(self.KINDS[kind], 3)
+        X = np.random.default_rng(7).dirichlet(np.ones(3), size=40)
+        X = X[np.abs(X[:, 2] - 0.25) > 1e-3]    # off abs_well's kink
+        g = dF(X)
+        assert g.shape == X.shape
+        np.testing.assert_allclose(g, numeric_tangent_grad(F, X), atol=1e-7)
+
+    def test_abs_well_gradient_is_zero_at_its_kink(self):
+        F, dF = parse_simplex_function(self.KINDS["abs_well"], 3)
+        X = np.array([[0.5, 0.25, 0.25], [0.1, 0.65, 0.25]])
+        assert (dF(X) == 0.0).all()
+        np.testing.assert_allclose(numeric_tangent_grad(F, X), 0.0,
+                                   atol=1e-6)
 
 
 class TestSanovCommand:

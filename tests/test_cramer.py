@@ -423,6 +423,15 @@ class TestRateFunction:
         with pytest.raises(LawError):
             rate_function(RADEMACHER, np.zeros(4), 2.0)
 
+    @pytest.mark.parametrize("law,x", [
+        (RADEMACHER, [0.1, 0.2]),
+        (ORACLE_LAWS["empirical_2d"][0], [0.1]),
+        (ORACLE_LAWS["empirical_2d"][0], [0.1, 0.2, 0.3]),
+    ], ids=["2d_x_1d_finite", "1d_x_2d_empirical", "3d_x_2d_empirical"])
+    def test_x_of_another_dimension_than_the_law(self, law, x):
+        with pytest.raises(LawError, match="dimension"):
+            rate_function(law, np.array(x), 2.0)
+
 
 class TestDeviationBound:
     def test_reference_value(self):

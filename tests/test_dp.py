@@ -7,6 +7,7 @@ import pytest
 from oracles import (ProductDist, entropic_risk, greedy_optimizer_from_trace,
                      iid_empirical_expectation, risk, tensor_penalty,
                      tensor_penalty_batch, type_rank)
+import sanovdual.dp as dp_module
 from sanovdual.dp import (backward_value_dense, backward_value_symmetric,
                           backward_values_symmetric, sanov_limit,
                           simplex_supremum, superhedge, symmetric_terminal,
@@ -22,6 +23,24 @@ TWO = FiniteSpace.of_size(2)
 THREE = FiniteSpace.of_size(3)
 UNIF2 = Dist.uniform(TWO)
 COST_TV = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _well(center, scale=-1.0):
+    """F(nu) = scale (nu_0 - center)^2, on one law (m,) or a batch of rows
+    (B, m), and its gradient dF on a batch."""
+    def F(nu):
+        return scale * (nu[..., 0] - center) ** 2
+
+    def dF(nu):
+        g = np.zeros_like(nu)
+        g[:, 0] = 2.0 * scale * (nu[:, 0] - center)
+        return g
+    return F, dF
+
+
+def _linear(fbar):
+    """F(nu) = <nu, fbar> on a batch of laws, and its gradient."""
+    return (lambda nu: nu @ fbar), (lambda nu: np.zeros_like(nu) + fbar)
 
 
 def all_specs():
@@ -214,15 +233,13 @@ class TestSanovLimit:
     def test_linear_gap_is_zero(self):
         rng = np.random.default_rng(8)
         fbar = rng.normal(size=2)
-        run = sanov_limit(lambda nu: nu @ fbar, RelativeEntropy(UNIF2),
+        run = sanov_limit(*_linear(fbar), RelativeEntropy(UNIF2),
                           [1, 2, 5, 10])
         assert max(run.gaps) <= 1e-6
 
     def test_classical_matches_binomial_log_sum(self):
-        def F(nu):      # one law (m,) or a batch of rows (B, m)
-            return -(nu[..., 0] - 0.7) ** 2
-
-        run = sanov_limit(F, RelativeEntropy(UNIF2), [25, 50])
+        F, dF = _well(0.7)
+        run = sanov_limit(F, dF, RelativeEntropy(UNIF2), [25, 50])
         for n, v in zip(run.schedule, run.values):
             total = sum(math.comb(n, j) * 0.5 ** n *
                         math.exp(n * F(np.array([j / n, 1 - j / n])))
@@ -233,11 +250,8 @@ class TestSanovLimit:
         # Adapted hull kernels dominate i.i.d. product laws at finite n, and
         # the scaled value never exceeds the limiting sup of F on the hull.
         g = (Dist(TWO, [0.2, 0.8]), Dist(TWO, [0.7, 0.3]))
-
-        def F(nu):      # one law (m,) or a batch of rows (B, m)
-            return -(nu[..., 0] - 0.5) ** 2
-
-        run = sanov_limit(F, SetIndicator(g), [2, 4, 8, 16])
+        F, dF = _well(0.5)
+        run = sanov_limit(F, dF, SetIndicator(g), [2, 4, 8, 16])
         limit = max(F(w * g[0].weights + (1 - w) * g[1].weights)
                     for w in np.linspace(0, 1, 2001))
         assert abs(run.target - limit) <= 1e-9
@@ -253,17 +267,27 @@ class TestSanovLimit:
     def test_scalar_contract_f_is_refused(self):
         # F maps a (B, m) batch to (B,) values.  A one-law F would read row
         # 0 of the batch, or return one number; both raise.
+        _, dF = _well(0.7)
         for F in (lambda nu: -(nu[0] - 0.7) ** 2, lambda nu: 0.37):
             with pytest.raises(TypeError, match="batch"):
-                sanov_limit(F, RelativeEntropy(UNIF2), [25])
+                sanov_limit(F, dF, RelativeEntropy(UNIF2), [25])
+
+    @pytest.mark.parametrize("spec", [RelativeEntropy(UNIF2),
+                                      Transport(UNIF2, COST_TV)])
+    def test_misshapen_gradient_is_refused(self, spec):
+        # dF maps a (B, m) batch to (B, m) gradients: one value per law, or
+        # the gradient of one law, raises in the nu-form and the coupling
+        # ascent alike.
+        F, _ = _well(0.7)
+        for dF in (lambda nu: nu[:, 0], lambda nu: np.array([1.0, 0.0])):
+            with pytest.raises(TypeError, match="dF must map a batch"):
+                sanov_limit(F, dF, spec, [5])
 
     def test_finite_n_lower_bound(self):
         # v_n >= E_{nu^n}[F o L_n] - alpha(nu) on a grid of product laws
-        def F(nu):      # one law (m,) or a batch of rows (B, m)
-            return -(nu[..., 0] - 0.7) ** 2
-
+        F, dF = _well(0.7)
         spec = RelativeEntropy(UNIF2)
-        run = sanov_limit(F, spec, [5, 10])
+        run = sanov_limit(F, dF, spec, [5, 10])
         for n, v in zip(run.schedule, run.values):
             for w in np.linspace(0.05, 0.95, 19):
                 nu = np.array([w, 1 - w])
@@ -334,32 +358,79 @@ class TestTransportLongrun:
     def test_linear_target_is_one_step_risk(self):
         rng = np.random.default_rng(15)
         fbar = rng.normal(size=2)
-        run = sanov_limit(lambda nu: nu @ fbar, Transport(UNIF2, COST_TV),
+        run = sanov_limit(*_linear(fbar), Transport(UNIF2, COST_TV),
                           [1, 2, 4])
         want = risk(fbar, Transport(UNIF2, COST_TV))
         assert abs(run.target - want) <= 2e-3
         assert abs(run.coupling_target - want) <= 1e-6
 
     def test_constant_target(self):
-        run = sanov_limit(lambda nu: np.full(len(nu), 0.21),
+        run = sanov_limit(lambda nu: np.full(len(nu), 0.21), np.zeros_like,
                           Transport(UNIF2, COST_TV), [1, 3])
         assert abs(run.target - 0.21) <= 1e-9
         assert abs(run.coupling_target - 0.21) <= 1e-9
 
     def test_two_targets_agree(self):
-        for F, mu, cost in [
-            (lambda nu: -np.abs(nu[:, 0] - 0.9), UNIF2, COST_TV),
+        def abs_grad(nu):
+            return -np.sign(nu[:, :1] - 0.9) * np.array([1.0, 0.0])
+
+        for (F, dF), mu, cost in [
+            ((lambda nu: -np.abs(nu[:, 0] - 0.9), abs_grad), UNIF2, COST_TV),
             # A forbidden cell and an optimum off the grid.
-            (lambda nu: -3.0 * (nu[:, 0] - 0.2) ** 2, Dist(TWO, [0.6, 0.4]),
+            (_well(0.2, -3.0), Dist(TWO, [0.6, 0.4]),
              np.array([[0.0, 1.0], [math.inf, 0.0]])),
         ]:
-            run = sanov_limit(F, Transport(mu, cost), [2, 4, 8])
+            run = sanov_limit(F, dF, Transport(mu, cost), [2, 4, 8])
             assert abs(run.target - run.coupling_target) <= 1e-6
 
 
 class TestSimplexSupremum:
     def test_concave_quadratic(self):
-        val, arg = simplex_supremum(lambda x: -(x[..., 0] - 0.3) ** 2, 2,
-                                    step=0.01)
+        F, dF = _well(0.3)
+        val, arg = simplex_supremum(F, dF, 2, step=0.01)
         assert abs(val) <= 1e-10
         assert abs(arg[0] - 0.3) <= 1e-4
+
+    def test_no_gradient_keeps_the_best_grid_point(self):
+        F, _ = _well(0.333)
+        val, arg = simplex_supremum(F, None, 2, step=0.01)
+        assert arg.tolist() == [0.33, 0.67] and val == F(arg)
+
+
+class TestAscentGradients:
+    """The Sanov and coupling ascents take dF: every objective call covers
+    at most the rows still running, never a stack of difference probes."""
+
+    def _spy(self, monkeypatch):
+        seen = []
+        real = dp_module.pgd_max_simplex
+
+        def spy(objective, x0, gradient, **kwargs):
+            starts = 1 if np.ndim(x0) == 1 else len(x0)
+            calls = {"starts": starts, "objective": [], "gradient": 0}
+            seen.append(calls)
+
+            def obj(X):
+                calls["objective"].append(len(X))
+                return objective(X)
+
+            def grad(X):
+                calls["gradient"] += 1
+                return gradient(X)
+            return real(obj, x0, grad, **kwargs)
+        monkeypatch.setattr(dp_module, "pgd_max_simplex", spy)
+        return seen
+
+    @pytest.mark.parametrize("spec", [
+        s for s in three_state_specs() if not isinstance(s, SetIndicator)])
+    def test_objective_never_sees_probe_stacks(self, monkeypatch, spec):
+        seen = self._spy(monkeypatch)
+        sanov_limit(*_well(0.7), spec, [2])
+        assert len(seen) == 1 and seen[0]["gradient"] >= 1
+        assert max(seen[0]["objective"]) <= seen[0]["starts"]
+
+    def test_set_indicator_makes_no_ascent(self, monkeypatch):
+        seen = self._spy(monkeypatch)
+        g = (Dist(TWO, [0.2, 0.8]), Dist(TWO, [0.7, 0.3]))
+        sanov_limit(*_well(0.5), SetIndicator(g), [2])
+        assert seen == []
