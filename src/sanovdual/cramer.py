@@ -112,6 +112,16 @@ def moment_norm(law: Law, q: float) -> float:
                          breaks=(0.0,), centre=law.centre) ** (1.0 / q))
 
 
+def _check_dimension(law: Law, v: np.ndarray, name: str) -> None:
+    """Raise ``LawError`` unless the vector v has the law's dimension: the
+    width of its atoms or samples, 1 for the closed families."""
+    pts = getattr(law, "atoms", getattr(law, "samples", np.zeros(1)))
+    dim = 1 if pts.ndim == 1 else pts.shape[1]
+    if v.size != dim:
+        raise LawError(f"{name} has dimension {v.size}, the law dimension "
+                       f"{dim}")
+
+
 def cumulant(law: Law, x_star, q: float) -> float:
     """Smallest m with G(m) = E[((1 + <x_star, X> - m)^+)^q] <= 1.
 
@@ -119,7 +129,8 @@ def cumulant(law: Law, x_star, q: float) -> float:
     with its slope, so safeguarded Newton steps from the left apply
     (``optim.newton_nonincreasing``, on the cold bracket
     [-2 (1 + |t|), 2 (1 + |t|)], expanded until it holds the root); +inf is
-    returned (with a diagnostic) if G never reaches 1.
+    returned (with a diagnostic) if G never reaches 1.  ``x_star`` must
+    have the law's dimension (``LawError`` otherwise).
     """
     return _cumulant(law, x_star, q)[0]
 
@@ -140,6 +151,7 @@ def _cumulant(law: Law, x_star, q: float, start: Optional[float] = None,
     """
     check_admissible(law, q)
     t = np.atleast_1d(np.asarray(x_star, dtype=float))
+    _check_dimension(law, t, "t")
 
     moments = {}    # m -> the moments behind the gradient and curvature
 
@@ -200,10 +212,7 @@ def rate_function(law: Law, x, q: float, ray_radius: float = 1e3, *,
     d = xv.size
     if d > 3:
         raise LawError("dual search is certified only for d <= 3")
-    pts = getattr(law, "atoms", getattr(law, "samples", np.zeros(1)))
-    dim = 1 if pts.ndim == 1 else pts.shape[1]
-    if d != dim:
-        raise LawError(f"x has dimension {d}, the law dimension {dim}")
+    _check_dimension(law, xv, "x")
     tangent = None  # the latest (t_i, cumulant(t_i), gradient at t_i)
 
     def fn(t):

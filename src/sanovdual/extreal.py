@@ -10,6 +10,8 @@ everywhere in this package:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 INF = float("inf")
@@ -39,17 +41,20 @@ def integral_rows(weights, rows) -> np.ndarray:
     """Row-wise ``integral``: rows has shape (B, m), weights shape (m,)."""
     w = np.asarray(weights, dtype=float)
     v = np.asarray(rows, dtype=float)
-    live = w > 0.0
-    if not live.any():
+    live = (w > 0.0).nonzero()[0]
+    if not live.size:
         return np.zeros(v.shape[0])
+    low, high = (fold_columns(f, v, live) for f in (np.minimum, np.maximum))
     vs = v[:, live]
-    ws = w[live]
-    neg = np.isneginf(vs).any(axis=1)
-    pos = np.isposinf(vs).any(axis=1)
-    out = weighted_row_sums(np.where(np.isfinite(vs), vs, 0.0), ws)
-    out[pos] = INF
-    out[neg] = NEG_INF
-    return out
+    out = weighted_row_sums(np.where(np.isfinite(vs), vs, 0.0), w[live])
+    return np.where(low == NEG_INF, NEG_INF, np.where(high == INF, INF, out))
+
+
+def fold_columns(ufunc, rows: np.ndarray, cols) -> np.ndarray:
+    """``ufunc`` folded over the columns ``cols`` of a (B, m) array from the
+    left, such as each row's largest entry for ``np.maximum``.  Whole
+    columns at a time are far faster than a reduction along a short row."""
+    return functools.reduce(ufunc, (rows[:, j] for j in cols))
 
 
 def weighted_row_sums(rows: np.ndarray, w: np.ndarray,
@@ -58,6 +63,6 @@ def weighted_row_sums(rows: np.ndarray, w: np.ndarray,
     column by column from the left.  A matrix-vector product may round a
     row differently in batches of different sizes; this sum does not."""
     out = np.zeros(rows.shape[0]) + start
-    for j, wj in enumerate(w):
+    for j, wj in enumerate(np.asarray(w).tolist()):
         out += wj * rows[:, j]
     return out

@@ -62,11 +62,12 @@ def _pick(cond, a, b):
 
 
 def _namespace(lo, hi):
-    """(where, any, all, lo, hi) for scalar or (B,)-array brackets."""
+    """(where, any, all, lo, hi) for scalar or (B,)-array brackets; array
+    brackets are copied, so the caller's arrays are never written to."""
     if np.ndim(lo) == 0:
         return _pick, bool, bool, float(lo), float(hi)
     return (np.where, np.ndarray.any, np.ndarray.all,
-            np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+            np.array(lo, dtype=float), np.array(hi, dtype=float))
 
 
 def golden_min(fn: Callable, lo, hi, tol: float = 1e-12, max_iter: int = 200):
@@ -130,6 +131,7 @@ def newton_nonincreasing(G: Callable, target: float, lo, hi, step,
     end after ``max_iter`` steps is +inf.
     """
     where, any_, all_, lo, hi = _namespace(lo, hi)
+    batched = np.ndim(lo) > 0
     upper, width = hi, where(hi - lo > 1.0, hi - lo, 1.0)
     hi = last = lo + INF        # no upper end yet, and no step before
     for _ in range(200):
@@ -141,38 +143,63 @@ def newton_nonincreasing(G: Callable, target: float, lo, hi, step,
         lo = where(above, lo - step, lo)
         step = where(above, 2.0 * step, step)
     never = above
+    lo = where(never, hi, lo)   # closes those rows at a known point
     probed = hi < lo            # False per row
     for it in range(max_iter + 1):
         tol = 1e-12 * (1.0 + abs(where(hi < INF, hi, lo)))
-        done = never | (hi - lo <= tol)
+        gap = hi - lo
+        done = gap <= tol
         if all_(done):
             break
         if it == max_iter:
             _warn_open("newton_nonincreasing", max_iter, done, lo, hi)
             break
         descent = slope < 0.0
-        d = where(descent, (value - target) / where(descent, -slope, 1.0),
+        d = where(descent, (target - value) / where(descent, slope, -1.0),
                   INF)
-        reach = where(probed, False, descent & (d >= hi - lo))
-        newton = reach | ((d < hi - lo) &
-                          ((d <= 0.5 * last) | (2.0 * d >= hi - lo)))
-        x = lo + where(d > 0.5 * tol, d, 0.5 * tol)
-        x = where(newton, where(x < hi - 0.5 * tol, x, hi - 0.5 * tol),
-                  where(hi < INF, 0.5 * (lo + hi),
-                        where(upper > lo + width, upper, lo + width)))
-        grow = where(newton, False, hi == INF)
-        upper = where(grow, x + width, upper)
-        width = where(grow, 2.0 * width, width)
-        last, probed = x - lo, reach
+        if batched:
+            # A row whose plain Newton step lo + d passes every safeguard
+            # takes it as it is; only the other open rows go through the
+            # safeguards, on their own.  A closed row steps to lo, where G
+            # is known, so the update below leaves it as it is.
+            x, half = lo + d, 0.5 * tol
+            plain = ((d < gap) & (d <= 0.5 * last) & (d > half) &
+                     (x < hi - half))
+            x = where(done, lo, x)
+            guard = (~(plain | done)).nonzero()[0]
+            reach = np.zeros(len(x), dtype=bool)
+            if guard.size:
+                x[guard], upper[guard], width[guard], reach[guard] = \
+                    _safeguard(np.where, *(a[guard] for a in (
+                        lo, hi, d, descent, tol, last, probed, upper,
+                        width)))
+            probed = reach
+        else:       # a scalar search stops as soon as it is done
+            x, upper, width, probed = _safeguard(
+                where, lo, hi, d, descent, tol, last, probed, upper, width)
+        last = x - lo
         value_x, slope_x = G(x)
         below = value_x <= target
-        new = (where(below, lo, x), where(below, x, hi),
-               where(below, value, value_x), where(below, slope, slope_x))
-        if any_(done):      # rows already within tolerance keep their state
-            new = [where(done, o, n)
-                   for o, n in zip((lo, hi, value, slope), new)]
-        lo, hi, value, slope = new
+        lo, hi, value, slope = (where(below, lo, x), where(below, x, hi),
+                                where(below, value, value_x),
+                                where(below, slope, slope_x))
     return where(never, NEG_INF, hi)
+
+
+def _safeguard(where, lo, hi, d, descent, tol, last, probed, upper, width):
+    """The safeguarded step of ``newton_nonincreasing`` from lo, for a
+    Newton step d: the next point, the new expansion end and width, and
+    whether the point is a probe below hi."""
+    reach = where(probed, False, descent & (d >= hi - lo))
+    newton = reach | ((d < hi - lo) &
+                      ((d <= 0.5 * last) | (2.0 * d >= hi - lo)))
+    x = lo + where(d > 0.5 * tol, d, 0.5 * tol)
+    x = where(newton, where(x < hi - 0.5 * tol, x, hi - 0.5 * tol),
+              where(hi < INF, 0.5 * (lo + hi),
+                    where(upper > lo + width, upper, lo + width)))
+    grow = where(newton, False, hi == INF)
+    return (x, where(grow, x + width, upper),
+            where(grow, 2.0 * width, width), reach)
 
 
 # perfbench/tracer.py reads it; ROADMAP item 1 deletes it

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import extreal
-from .extreal import INF, NEG_INF, weighted_row_sums
+from .extreal import INF, NEG_INF, fold_columns, weighted_row_sums
 from .losses import LossFn, PowerLoss
 from .optim import newton_nonincreasing
 from .spaces import Dist, FiniteSpace, SpaceError
@@ -316,8 +316,15 @@ class Transport(AlphaSpec):
                         -np.inf, F[:, None, :] - c[None, :, :])
 
     def risk_rows(self, F: np.ndarray) -> np.ndarray:
-        return extreal.integral_rows(self.mu.weights,
-                                     self._relaxed(F).max(axis=2))
+        """mu's integral of max_y f(y) - c(x, y), over the finite c(x, y)
+        only: f(y) = -inf gives -inf there by itself."""
+        w, finite = self.mu.weights, np.isfinite(self.cost)
+        best = np.zeros(F.shape)
+        for x in np.flatnonzero(w > 0):
+            best[:, x] = fold_columns(
+                np.maximum, F - np.where(finite[x], self.cost[x], 0.0),
+                np.flatnonzero(finite[x]))
+        return extreal.integral_rows(w, best)
 
     def maximizer_rows(self, F: np.ndarray) -> np.ndarray:
         """mu's mass at x moved to a best reply argmax_y f(y) - c(x, y)."""
@@ -371,20 +378,16 @@ def _entropy_grad(V: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 
 def entropic_risk_rows(F: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """log int e^f dmu of each row, with a max shift."""
-    live = w > 0.0
-    Fl = F[:, live]
-    wl = w[live]
-    pos = np.isposinf(Fl).any(axis=1)
-    shift = np.max(np.where(np.isneginf(Fl), -np.inf, Fl), axis=1)
-    dead = np.isneginf(shift)
-    s0 = np.where(np.isfinite(shift), shift, 0.0)
+    """log int e^f dmu of each row, shifted by its largest entry on mu's
+    support, which is the value where it is +inf or -inf."""
+    live = (w > 0.0).nonzero()[0]
+    shift = fold_columns(np.maximum, F, live)
+    fin = np.isfinite(shift)
+    s0 = np.where(fin, shift, 0.0)
     with np.errstate(divide="ignore"):
-        out = s0 + np.log(weighted_row_sums(np.exp(np.where(
-            np.isneginf(Fl), -np.inf, Fl) - s0[:, None]), wl))
-    out[dead] = NEG_INF
-    out[pos] = INF
-    return out
+        out = s0 + np.log(weighted_row_sums(np.exp(F[:, live] - s0[:, None]),
+                                            w[live]))
+    return np.where(fin, out, shift)
 
 
 def _gibbs_rows(F: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -401,37 +404,32 @@ def _gibbs_rows(F: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 def shortfall_risk_rows(F: np.ndarray, w: np.ndarray,
                         loss: LossFn) -> np.ndarray:
-    """The smallest m with int l(f - m) dmu <= 1, per row."""
-    live = w > 0.0
+    """The smallest m with int l(f - m) dmu <= 1, per row.  It is the
+    row's largest entry on mu's support where that is +inf or -inf."""
+    live = (w > 0.0).nonzero()[0]
     Fl = np.asarray(F, dtype=float)[:, live]
     wl = w[live]
-    B = Fl.shape[0]
-    out = np.full(B, np.nan)
-
-    pos = np.isposinf(Fl).any(axis=1)
-    fin = np.isfinite(Fl)
-    const = (wl[None, :] * np.isneginf(Fl)).sum(axis=1) * loss.left_limit
-    no_finite = ~fin.any(axis=1)
-    out[pos] = INF
-    out[no_finite & ~pos] = NEG_INF
-    work = ~(pos | no_finite)
+    cols = range(len(live))
+    top = fold_columns(np.maximum, Fl, cols)
+    work = np.isfinite(top)
+    out = np.array(top)
     if not work.any():
         return out
 
     Fw = Fl[work]
-    finw = fin[work]
-    cw = const[work]
-    lo = np.where(finw, Fw, np.inf).min(axis=1) - 1.0
-    hi = np.where(finw, Fw, -np.inf).max(axis=1) + 1.0
+    finw = np.isfinite(Fw)
+    cw = weighted_row_sums(np.isneginf(Fw), wl) * loss.left_limit
+    lo = fold_columns(np.minimum, np.where(finw, Fw, INF), cols) - 1.0
+    hi = top[work] + 1.0
 
-    Fz = np.where(finw, Fw, 0.0)
+    Fz, down = np.where(finw, Fw, 0.0), -wl
 
     def G(m):
         Z = Fz - m[:, None]
         vals = np.where(finw, loss.value(Z), 0.0)
         slopes = np.where(finw, loss.prime(Z), 0.0)
         return (weighted_row_sums(vals, wl, cw),
-                weighted_row_sums(slopes, -wl))
+                weighted_row_sums(slopes, down))
 
     # hi is an upper end, since every loss has l(-1) < 1 and left_limit < 1.
     out[work] = newton_nonincreasing(G, 1.0, lo, hi, hi - lo)

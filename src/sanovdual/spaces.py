@@ -93,17 +93,34 @@ class Dist:
         return cls(space, w)
 
 
+def _tail_sums(k: int, m: int) -> list[np.ndarray]:
+    """The tail sums T_{m-1}, ..., T_1 of the classes of level k in rank
+    order, T_d the sum of a class's last d counts, as m - 1 int columns.
+
+    In reverse lexicographic order the classes that share their first
+    m - d counts, and so T_d, fall into T_d + 1 runs by their next count,
+    T_d, T_d - 1, ..., 0, along which T_{d-1} runs 0, 1, ..., T_d."""
+    tails, left = [], np.array([k])
+    for _ in range(m - 1):
+        reps = left + 1
+        left = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        tails = [np.repeat(t, reps) for t in tails] + [left]
+    return tails
+
+
 def type_index(k: int, m: int) -> np.ndarray:
     """The (C(k+m-1, m-1), m) int array of occupancy vectors with sum k, in
-    reverse lexicographic order, so row r is the class of rank r.  Each
-    row with j draws left is repeated for next counts j, j-1, ..., 0."""
-    rows = np.zeros((1, 0), dtype=np.int64)
-    for _ in range(m - 1):
-        reps = k - rows.sum(axis=1) + 1
-        offset = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-        rows = np.repeat(rows, reps, axis=0)            # offset: within a block
-        rows = np.column_stack([rows, k - rows.sum(axis=1) - offset])
-    return np.column_stack([rows, k - rows.sum(axis=1)])
+    reverse lexicographic order, so row r is the class of rank r: count j
+    is the difference of the tail sums T_{m-j} and T_{m-1-j}, T_m = k and
+    T_0 = 0."""
+    tails = _tail_sums(k, m)
+    counts = np.empty((math.comb(k + m - 1, m - 1), m), dtype=np.int64)
+    before = k
+    for j, t in enumerate(tails):
+        counts[:, j] = before - t
+        before = t
+    counts[:, m - 1] = before
+    return counts
 
 
 def type_successors(k: int, m: int) -> np.ndarray:
@@ -115,17 +132,18 @@ def type_successors(k: int, m: int) -> np.ndarray:
     of its last d counts (the combinatorial number system, Knuth, TAOCP 4A,
     7.2.1.3).  A draw of y raises T_d by one for every d >= m - y, which
     adds C(T_d + d - 1, d - 1) to the rank; y = 0 keeps it."""
-    counts = type_index(k, m)
-    tail = np.cumsum(counts[:, :0:-1], axis=1)      # T_1, ..., T_{m-1}
+    tails = _tail_sums(k, m)                        # T_{m-1}, ..., T_1
     # binom[d - 1, t] = C(t + d - 1, d - 1), each row the running sum of
     # the one above (the hockey-stick identity)
     binom = np.ones((m, k + 1), dtype=np.int64)
     for j in range(1, m - 1):
         binom[j] = np.cumsum(binom[j - 1])
-    succ = np.empty_like(counts)
-    succ[:, 0] = np.arange(len(counts))
+    rank = np.arange(math.comb(k + m - 1, m - 1))
+    succ = np.empty((rank.size, m), dtype=np.int64)
+    succ[:, 0] = rank
     for y in range(1, m):
-        succ[:, y] = succ[:, y - 1] + binom[m - y - 1, tail[:, m - y - 1]]
+        rank = rank + binom[m - y - 1][tails[y - 1]]
+        succ[:, y] = rank
     return succ
 
 

@@ -37,7 +37,7 @@ from sanovdual.montecarlo import GrowthValidationError, SAAInstance, rep_rng
 from sanovdual.laws import EmpiricalLaw, FiniteSupportLaw
 from sanovdual.cramer import _cumulant
 from sanovdual.quadrature import expect
-from sanovdual.optim import golden_min
+from sanovdual.optim import golden_min, newton_nonincreasing
 from sanovdual.penalties import (AlphaSpec, LpEntropy, RelativeEntropy, Robust,
                                  SetIndicator, Shortfall, Transport,
                                  entropic_risk_rows, penalty,
@@ -556,6 +556,89 @@ def robust_em_bound(row: np.ndarray, G: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(row > 0.0, row * np.log(row / (w @ G)), 0.0)
     return float(terms.sum())
+
+
+# ---------------------------------------------------------------------------
+# Row kernels as reductions along each row
+# ---------------------------------------------------------------------------
+# The one-step risk kernels in the form they had before their max, min,
+# any and sum over a row's states became elementwise operations on whole
+# state columns.  Every value must stay bit for bit what these give.
+
+def integral_rows_by_row(weights, rows) -> np.ndarray:
+    """``extreal.integral_rows`` by reductions along each row."""
+    w = np.asarray(weights, dtype=float)
+    v = np.asarray(rows, dtype=float)
+    live = w > 0.0
+    if not live.any():
+        return np.zeros(v.shape[0])
+    vs = v[:, live]
+    neg = np.isneginf(vs).any(axis=1)
+    pos = np.isposinf(vs).any(axis=1)
+    out = extreal.weighted_row_sums(np.where(np.isfinite(vs), vs, 0.0),
+                                    w[live])
+    out[pos] = INF
+    out[neg] = NEG_INF
+    return out
+
+
+def entropic_risk_rows_by_row(F: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``penalties.entropic_risk_rows`` by reductions along each row."""
+    live = w > 0.0
+    Fl = F[:, live]
+    pos = np.isposinf(Fl).any(axis=1)
+    shift = np.max(np.where(np.isneginf(Fl), -np.inf, Fl), axis=1)
+    s0 = np.where(np.isfinite(shift), shift, 0.0)
+    with np.errstate(divide="ignore"):
+        out = s0 + np.log(extreal.weighted_row_sums(np.exp(np.where(
+            np.isneginf(Fl), -np.inf, Fl) - s0[:, None]), w[live]))
+    out[np.isneginf(shift)] = NEG_INF
+    out[pos] = INF
+    return out
+
+
+def shortfall_risk_rows_by_row(F: np.ndarray, w: np.ndarray,
+                               loss: LossFn) -> np.ndarray:
+    """``penalties.shortfall_risk_rows`` by reductions along each row.  Its
+    weight sum of the -inf states rounds alike for fewer than 8 states."""
+    live = w > 0.0
+    Fl = np.asarray(F, dtype=float)[:, live]
+    wl = w[live]
+    out = np.full(Fl.shape[0], np.nan)
+    pos = np.isposinf(Fl).any(axis=1)
+    fin = np.isfinite(Fl)
+    const = (wl[None, :] * np.isneginf(Fl)).sum(axis=1) * loss.left_limit
+    no_finite = ~fin.any(axis=1)
+    out[pos] = INF
+    out[no_finite & ~pos] = NEG_INF
+    work = ~(pos | no_finite)
+    if not work.any():
+        return out
+    Fw, finw, cw = Fl[work], fin[work], const[work]
+    lo = np.where(finw, Fw, np.inf).min(axis=1) - 1.0
+    hi = np.where(finw, Fw, -np.inf).max(axis=1) + 1.0
+    Fz = np.where(finw, Fw, 0.0)
+
+    def G(m):
+        Z = Fz - m[:, None]
+        vals = np.where(finw, loss.value(Z), 0.0)
+        slopes = np.where(finw, loss.prime(Z), 0.0)
+        return (extreal.weighted_row_sums(vals, wl, cw),
+                extreal.weighted_row_sums(slopes, -wl))
+
+    out[work] = newton_nonincreasing(G, 1.0, lo, hi, hi - lo)
+    return out
+
+
+def transport_risk_rows_by_row(spec: Transport, F: np.ndarray) -> np.ndarray:
+    """``Transport.risk_rows`` by a maximum along each row of the (B, m, m)
+    relaxation f(y) - c(x, y)."""
+    c = spec.cost
+    with np.errstate(invalid="ignore"):     # inf - inf, masked out
+        relaxed = np.where(np.isinf(c)[None, :, :] |
+                           np.isneginf(F)[:, None, :],
+                           -np.inf, F[:, None, :] - c[None, :, :])
+    return integral_rows_by_row(spec.mu.weights, relaxed.max(axis=2))
 
 
 # ---------------------------------------------------------------------------

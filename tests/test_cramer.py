@@ -432,6 +432,23 @@ class TestRateFunction:
         with pytest.raises(LawError, match="dimension"):
             rate_function(law, np.array(x), 2.0)
 
+    @pytest.mark.parametrize("law,t,dims", [
+        (RADEMACHER, [0.1, 0.2], "t has dimension 2, the law dimension 1"),
+        (ORACLE_LAWS["empirical_2d"][0], [0.1],
+         "t has dimension 1, the law dimension 2"),
+        (ORACLE_LAWS["empirical_2d"][0], 0.0,
+         "t has dimension 1, the law dimension 2"),
+        (ParetoLaw(2.5), [0.1, 0.2], "t has dimension 2, the law dimension 1"),
+    ], ids=["2d_t_1d_finite", "1d_t_2d_empirical", "zero_t_2d_empirical",
+            "2d_t_pareto"])
+    def test_cumulant_of_t_of_another_dimension_than_the_law(self, law, t,
+                                                            dims):
+        # A 1-d law once read only t's first entry, and a 2-d sample failed
+        # inside numpy's matmul; both name the two dimensions now.
+        for solve in (cumulant, lambda *a: _cumulant(*a, curvature=True)):
+            with pytest.raises(LawError, match=dims):
+                solve(law, np.asarray(t, dtype=float), 2.0)
+
 
 class TestDeviationBound:
     def test_reference_value(self):

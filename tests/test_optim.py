@@ -54,26 +54,51 @@ def test_newton_returns_certified_root():
 def test_batched_newton_rows_match_scalar_searches():
     # Each row of one call ends exactly where a scalar search on that row
     # ends, whatever the other rows need: steep and flat rows, a row that
-    # must step its lower end down and one that must find its upper end.
-    # G = ((1 + c - m)^+)^2 or ^16, by products only, so that a row and a
-    # float round alike.
-    roots = np.array([0.3, -7.5, 1e3, 0.25, 40.0])
-    slow = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
+    # must step its lower end down and ones that must find their upper end
+    # by expanding the bracket; rows where G is concave left of its root,
+    # so that a Newton step overshoots it; a row below the target
+    # everywhere (-inf) and one above it everywhere (+inf, after the
+    # iteration cap).  Kind 0 is ((1 + c - m)^+)^2, kind 1 the same to the
+    # 16th power, kind 2 1 - z / (1 + |z|) with z = m - c, kinds 3 and 4
+    # the constants 0.5 and 2.  Products and quotients only, so that a row
+    # and a float round alike.  The caller's arrays stay as they were.
+    roots = np.array([0.3, -7.5, 1e3, 0.25, 40.0, 0.3, -2.5, 5.0, 0.0,
+                      0.0, 1e4, 3.0])
+    kind = np.array([0, 1, 0, 1, 1, 2, 2, 2, 3, 4, 1, 0])
 
-    def G(m, c=roots, s=slow):
+    @np.errstate(over="ignore")     # far left of the root, b^16 = inf
+    def G(m, c=roots, k=kind):
         b = np.maximum(1.0 + c - m, 0.0)
         b2 = b * b
         b4 = b2 * b2
         b15 = b4 * b4 * b4 * b2 * b
-        return ((1.0 - s) * b2 + s * (b15 * b),
-                -((1.0 - s) * 2.0 * b + s * 16.0 * b15))
+        z = m - c
+        a = 1.0 + np.abs(z)
+        return (np.select([k == 0, k == 1, k == 2, k == 3],
+                          [b2, b15 * b, 1.0 - z / a, 0.5], 2.0),
+                np.select([k == 0, k == 1, k == 2],
+                          [-2.0 * b, -16.0 * b15, -1.0 / (a * a)], 0.0))
 
-    lo, hi = np.full(5, -1.0), np.full(5, 1.0)
-    got = newton_nonincreasing(G, 1.0, lo, hi, hi - lo)
-    for i in range(5):
-        m = newton_nonincreasing(lambda m: G(m, roots[i], slow[i]), 1.0,
-                                 lo[i], hi[i], hi[i] - lo[i])
-        assert got[i] == m and abs(m - roots[i]) <= 1e-12 * (1.0 + abs(m))
+    n = roots.size
+    lo, hi = np.full(n, -1.0), np.full(n, 1.0)
+    step = hi - lo
+    args = [a.copy() for a in (lo, hi, step)]
+    got = newton_nonincreasing(G, 1.0, *args)
+    for a, b in zip(args, (lo, hi, step)):
+        assert np.array_equal(a, b)
+    for i in range(n):
+        def row(m, i=i):
+            v, s = G(np.array([m]), roots[i:i + 1], kind[i:i + 1])
+            return float(v[0]), float(s[0])
+
+        m = newton_nonincreasing(row, 1.0, lo[i], hi[i], step[i])
+        assert got[i] == m
+        if kind[i] == 3:
+            assert m == -math.inf
+        elif kind[i] == 4:
+            assert m == math.inf
+        else:
+            assert abs(m - roots[i]) <= 1e-12 * (1.0 + abs(m))
 
 
 @pytest.mark.parametrize("q", [20.0, 50.0])

@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (bisect_root, entropic_risk, oce_risk, penalty_from_risk,
-                     risk, risk_maximizer, robust_entropic_risk,
-                     shortfall_risk)
+from oracles import (bisect_root, entropic_risk, entropic_risk_rows_by_row,
+                     integral_rows_by_row, oce_risk, penalty_from_risk, risk,
+                     risk_maximizer, robust_entropic_risk, shortfall_risk,
+                     shortfall_risk_rows_by_row, transport_risk_rows_by_row)
 import sanovdual.risk as risk_module
 from sanovdual import extreal
-from sanovdual.losses import ExpLoss, PowerLoss
+from sanovdual.losses import ExpLoss, PowerLoss, TabulatedLoss
 from sanovdual.penalties import (LpEntropy, RelativeEntropy, Robust,
-                                 SetIndicator, Shortfall, Transport, penalty)
+                                 SetIndicator, Shortfall, Transport,
+                                 entropic_risk_rows, penalty,
+                                 shortfall_risk_rows)
 from sanovdual.risk import generic_risk, risk_result, risk_rows
 from sanovdual.spaces import Dist, FiniteSpace
 
@@ -114,6 +117,77 @@ class TestShortfallRisk:
                 lambda m: float(np.dot(mu.weights, loss.value(f - m))), 1.0,
                 f.min() - 1.0, f.max() + 1.0)
             assert abs(value - root) <= 1e-11 * (1.0 + abs(root))
+
+
+def edge_rows(m: int, dead: int, seed: int = 0) -> np.ndarray:
+    """Random rows on m states, then rows with +inf, -inf and both among
+    them, with every entry -inf, and with -inf everywhere but the state
+    ``dead`` (or +inf, -inf only there)."""
+    rng = np.random.default_rng(seed)
+    F = rng.normal(size=(24, m)) * 3.0
+    F[0, 1] = INF
+    F[1, 0] = F[1, 2] = -INF
+    F[2, :] = -INF
+    F[3, 0], F[3, 1] = INF, -INF
+    F[4, :] = -INF
+    F[4, dead] = 0.5
+    F[5, dead] = INF
+    F[6, dead] = -INF
+    F[7, :-1] = INF
+    F[8, 1:] = -INF
+    return F
+
+
+class TestColumnKernels:
+    """The row kernels on edge rows, against their by-row forms in
+    ``oracles``: each row bit for bit that value and its one-row value."""
+
+    TAB = TabulatedLoss((-2.0, -1.0, 0.0, 1.0), (0.25, 0.25, 1.0, 2.0),
+                        left_limit=0.25)
+
+    @staticmethod
+    def check(kernel, reference, F):
+        got = kernel(F)
+        assert got.dtype == np.float64 and got.shape == (len(F),)
+        assert got.tobytes() == reference(F).tobytes()
+        for f, value in zip(F, got):
+            assert kernel(f[None]).tobytes() == np.float64(value).tobytes()
+
+    @pytest.mark.parametrize("m,dead", [(3, 1), (5, 4), (4, None)])
+    def test_every_kernel_on_edge_rows(self, m, dead):
+        w = np.linspace(1.0, 2.0, m)
+        if dead is not None:
+            w[dead] = 0.0
+        w = w / w.sum()
+        F = edge_rows(m, 2 if dead is None else dead)
+        mu = Dist(FiniteSpace.of_size(m), w)
+        self.check(lambda X: entropic_risk_rows(X, w),
+                   lambda X: entropic_risk_rows_by_row(X, w), F)
+        self.check(lambda X: extreal.integral_rows(w, X),
+                   lambda X: integral_rows_by_row(w, X), F)
+        for loss in (PowerLoss(2.0), PowerLoss(3.5), ExpLoss(), self.TAB):
+            self.check(lambda X: shortfall_risk_rows(X, w, loss),
+                       lambda X: shortfall_risk_rows_by_row(X, w, loss), F)
+        cost = np.abs(np.subtract.outer(np.arange(m), np.arange(m))) * 0.7
+        cost[0, m - 1] = cost[m - 1, 1] = INF
+        spec = Transport(mu, cost)
+        self.check(spec.risk_rows,
+                   lambda X: transport_risk_rows_by_row(spec, X), F)
+
+    def test_edge_values(self):
+        # The bookkeeping itself: +inf on a charged state wins, -inf rules
+        # a row where it covers mu's support (in an integral, where it
+        # charges any state), and the zero-weight state counts for nothing.
+        w = np.array([0.5, 0.0, 0.5])
+        F = edge_rows(3, 1)
+        integral = extreal.integral_rows(w, F)
+        for vals in (entropic_risk_rows(F, w), integral,
+                     shortfall_risk_rows(F, w, PowerLoss(2.0))):
+            assert np.isfinite(vals[[0, 5, 6]]).all()
+            assert (vals[[1, 2, 4]] == -INF).all()
+            assert (vals[[3, 7]] == INF).all()
+            assert vals[8] == -INF if vals is integral else \
+                np.isfinite(vals[8])
 
 
 class TestOceRisk:
