@@ -594,6 +594,10 @@ def cmd_superhedge(cfg, out: Path, seed: int) -> int:
     spec = parse_spec(cfg["spec"])
     space = spec.space
     f = np.asarray(_num_list(cfg["f"], "f"))
+    bad = np.flatnonzero(~np.isfinite(f))
+    if bad.size:
+        raise ConfigError(f"f[{bad[0]}]: superhedging needs finite "
+                          f"entries, got {f[bad[0]]}")
     cert = dp.superhedge(f, space, spec)
     np.save(out / "increments.npy", cert.flat.astype("<f8", copy=False))
     write_json(out / "certificate.json", {
@@ -608,7 +612,8 @@ def cmd_superhedge(cfg, out: Path, seed: int) -> int:
     })
     print(f"y = {cert.y:.12g}  residual_max = {cert.residual_max:.3e}  "
           f"slice_risk_max = {cert.slice_risk_max:.3e}")
-    if cert.residual_max > 1e-8 or cert.slice_risk_max > 1e-7:
+    # not <=, so that a NaN certificate fails its gate
+    if not (cert.residual_max <= 1e-8 and cert.slice_risk_max <= 1e-7):
         raise ArithmeticError("superhedge certificate out of tolerance")
     return EXIT_OK
 

@@ -168,7 +168,11 @@ def newton_nonincreasing(G: Callable, target: float, lo, hi, step,
             x = where(done, lo, x)
             guard = (~(plain | done)).nonzero()[0]
             reach = np.zeros(len(x), dtype=bool)
-            if guard.size:
+            if guard.size == len(x):    # every row: no subset copies
+                x, upper, width, reach = _safeguard(
+                    np.where, lo, hi, d, descent, tol, last, probed, upper,
+                    width)
+            elif guard.size:
                 x[guard], upper[guard], width[guard], reach[guard] = \
                     _safeguard(np.where, *(a[guard] for a in (
                         lo, hi, d, descent, tol, last, probed, upper,

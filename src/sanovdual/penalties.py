@@ -55,8 +55,10 @@ MIXTURE_PASSES = 200  # cap on the passes of the robust mixture loop
 class AlphaSpec:
     """A penalty family.  On (B, m) float batches, ``penalty_rows(V)`` and
     ``grad_rows(V)`` (``None`` without a gradient) give alpha and its
-    gradient at each row of V, ``risk_rows(F)`` and ``maximizer_rows(F)``
-    rho and the law attaining it (NaN where none does) for each row of F.
+    gradient at each row of V, ``risk_rows(F, near)`` and
+    ``maximizer_rows(F)`` rho and the law attaining it (NaN where none
+    does) for each row of F.  ``near`` (None or a level) says where each
+    row's rho is expected; only the root-finding families use it.
     """
 
     method = "closed_form"    # how rho is found: "closed_form" | "root_find"
@@ -113,7 +115,7 @@ class RelativeEntropy(AlphaSpec):
     def grad_rows(self, V: np.ndarray) -> np.ndarray:
         return _entropy_grad(V, self.mu.weights[None, :])
 
-    def risk_rows(self, F: np.ndarray) -> np.ndarray:
+    def risk_rows(self, F: np.ndarray, near=None) -> np.ndarray:
         return entropic_risk_rows(F, self.mu.weights)
 
     def maximizer_rows(self, F: np.ndarray) -> np.ndarray:
@@ -125,8 +127,8 @@ class _LossPair(AlphaSpec):
 
     method = "root_find"
 
-    def risk_rows(self, F: np.ndarray) -> np.ndarray:
-        return shortfall_risk_rows(F, self.mu.weights, self.loss)
+    def risk_rows(self, F: np.ndarray, near=None) -> np.ndarray:
+        return shortfall_risk_rows(F, self.mu.weights, self.loss, near)
 
     def maximizer_rows(self, F: np.ndarray) -> np.ndarray:
         """mu tilted by l'(f - rho(f)), normalized."""
@@ -216,7 +218,7 @@ class Robust(_Hull):
         """log(nu / m) + 1 against the minimizing hull mixture m."""
         return _entropy_grad(V, _robust_rows(V, self.weights)[1])
 
-    def risk_rows(self, F: np.ndarray) -> np.ndarray:
+    def risk_rows(self, F: np.ndarray, near=None) -> np.ndarray:
         vals = np.stack([entropic_risk_rows(F, g.weights)
                          for g in self.generators])
         return vals.max(axis=0)
@@ -248,7 +250,7 @@ class SetIndicator(_Hull):
     def penalty_rows(self, V: np.ndarray) -> np.ndarray:
         return np.where(hull_distance(V, self.weights) <= HULL_TOL, 0.0, INF)
 
-    def risk_rows(self, F: np.ndarray) -> np.ndarray:
+    def risk_rows(self, F: np.ndarray, near=None) -> np.ndarray:
         vals = np.stack([extreal.integral_rows(g.weights, F)
                          for g in self.generators])
         return vals.max(axis=0)
@@ -291,20 +293,24 @@ class Transport(AlphaSpec):
         live = self.mu.weights > 0
         return np.isfinite(self.cost[live]).any(axis=0)
 
+    def _off(self, V: np.ndarray) -> np.ndarray:
+        """Rows off the domain: a negative entry, or mass other than mu's."""
+        w = self.mu.weights
+        return (V < 0).any(axis=1) | (np.abs(V.sum(axis=1) - w.sum()) > 1e-9)
+
     def penalty_rows(self, V: np.ndarray) -> np.ndarray:
         """One transportation simplex solve per row; +inf when no
-        finite-cost coupling exists and on rows off the domain (a negative
-        entry, or mass other than mu's)."""
+        finite-cost coupling exists and on rows off the domain."""
         w = self.mu.weights
-        off = (V < 0).any(axis=1) | (np.abs(V.sum(axis=1) - w.sum()) > 1e-9)
         return np.array([INF if o else solve_transport(w, v, self.cost).value
-                         for v, o in zip(V, off)])
+                         for v, o in zip(V, self._off(V))])
 
     def grad_rows(self, V: np.ndarray) -> np.ndarray:
-        """The column potentials of an optimal plan (nan without one)."""
+        """The column potentials of an optimal plan (nan without one, and
+        on rows off the domain)."""
         out = np.full(V.shape, np.nan)
-        for b, v in enumerate(V):
-            sol = solve_transport(self.mu.weights, v, self.cost)
+        for b in np.flatnonzero(~self._off(V)):
+            sol = solve_transport(self.mu.weights, V[b], self.cost)
             if sol.col_potentials is not None:
                 out[b] = sol.col_potentials
         return out
@@ -315,7 +321,7 @@ class Transport(AlphaSpec):
         return np.where(np.isinf(c)[None, :, :] | np.isneginf(F)[:, None, :],
                         -np.inf, F[:, None, :] - c[None, :, :])
 
-    def risk_rows(self, F: np.ndarray) -> np.ndarray:
+    def risk_rows(self, F: np.ndarray, near=None) -> np.ndarray:
         """mu's integral of max_y f(y) - c(x, y), over the finite c(x, y)
         only: f(y) = -inf gives -inf there by itself."""
         w, finite = self.mu.weights, np.isfinite(self.cost)
@@ -402,10 +408,15 @@ def _gibbs_rows(F: np.ndarray, W: np.ndarray) -> np.ndarray:
         return out / out.sum(axis=1, keepdims=True)
 
 
-def shortfall_risk_rows(F: np.ndarray, w: np.ndarray,
-                        loss: LossFn) -> np.ndarray:
+def shortfall_risk_rows(F: np.ndarray, w: np.ndarray, loss: LossFn,
+                        near=None) -> np.ndarray:
     """The smallest m with int l(f - m) dmu <= 1, per row.  It is the
-    row's largest entry on mu's support where that is +inf or -inf."""
+    row's largest entry on mu's support where that is +inf or -inf.
+
+    The root finder starts from [min f - 1, max f + 1], or, given a level
+    ``near`` where the roots are expected, from near -+ 1e-9 (1 + |near|).
+    A bracket that misses a row is stepped out like any other, so every
+    row is certified either way."""
     live = (w > 0.0).nonzero()[0]
     Fl = np.asarray(F, dtype=float)[:, live]
     wl = w[live]
@@ -419,8 +430,15 @@ def shortfall_risk_rows(F: np.ndarray, w: np.ndarray,
     Fw = Fl[work]
     finw = np.isfinite(Fw)
     cw = weighted_row_sums(np.isneginf(Fw), wl) * loss.left_limit
-    lo = fold_columns(np.minimum, np.where(finw, Fw, INF), cols) - 1.0
-    hi = top[work] + 1.0
+    if near is None:
+        # hi is an upper end, since every loss has l(-1) < 1 and
+        # left_limit < 1.
+        lo = fold_columns(np.minimum, np.where(finw, Fw, INF), cols) - 1.0
+        hi = top[work] + 1.0
+    else:
+        delta = 1e-9 * (1.0 + abs(near))
+        lo = np.full(len(Fw), near - delta)
+        hi = np.full(len(Fw), near + delta)
 
     Fz, down = np.where(finw, Fw, 0.0), -wl
 
@@ -431,7 +449,6 @@ def shortfall_risk_rows(F: np.ndarray, w: np.ndarray,
         return (weighted_row_sums(vals, wl, cw),
                 weighted_row_sums(slopes, down))
 
-    # hi is an upper end, since every loss has l(-1) < 1 and left_limit < 1.
     out[work] = newton_nonincreasing(G, 1.0, lo, hi, hi - lo)
     return out
 

@@ -34,9 +34,11 @@ class RhoResult:
     method: str  # "closed_form" | "root_find" | "simplex_opt"
 
 
-def risk_rows(spec: AlphaSpec, F: np.ndarray) -> np.ndarray:
-    """rho of each row of a (B, m) batch (or of one field, as one row)."""
-    return spec.risk_rows(np.atleast_2d(np.asarray(F, dtype=float)))
+def risk_rows(spec: AlphaSpec, F: np.ndarray, near=None) -> np.ndarray:
+    """rho of each row of a (B, m) batch (or of one field, as one row).
+    ``near``, a level where the values are expected, is where the
+    root-finding families start their brackets; the others ignore it."""
+    return spec.risk_rows(np.atleast_2d(np.asarray(F, dtype=float)), near)
 
 
 def risk_result(f, spec: AlphaSpec) -> RhoResult:

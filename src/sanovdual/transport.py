@@ -6,10 +6,12 @@ constraint; the row of u_0 is dropped, since u_0 = 0 fixes the potentials.
 A basis is R + C - 1 cell ids whose columns B = A[:, basis] form a spanning
 tree of the bipartite row/column graph, so B is square and nonsingular.  A
 is totally unimodular, so B^-1 has entries in {-1, 0, 1} and the rounded
-inverse is exact.  Each pivot inverts B once: the potentials solve
-B^T y = cost[basis], the basic flows x and the pivot cycle d solve
-B [x, d] = [marginals, A_e] (Bertsimas & Tsitsiklis, *Introduction to
-Linear Optimization*, ch. 5 and 7).
+inverse is exact.  The potentials solve B^T y = cost[basis], the basic
+flows x and the pivot cycle d solve B [x, d] = [marginals, A_e]
+(Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*, ch. 5
+and 7).  Only x depends on the marginals: A, B^-1, y, the entering cell
+and d depend on the cost and the basis alone, so they are computed once
+per (cost, basis) and kept for the last few cost matrices.
 
 Northwest-corner start, Bland's rule for entering (first cell in row-major
 order with a negative reduced cost) and leaving (first basic cell on the
@@ -35,6 +37,9 @@ from .extreal import INF
 
 _PEN_TOL = 1e-9     # penalties are near-integers
 _MAX_PIVOTS = 20000
+_COST_CAP = 4       # cost matrices whose tables are kept
+_BASIS_CAP = 1024   # bases kept per cost matrix
+_TABLES: dict = {}
 
 
 @dataclass
@@ -69,6 +74,72 @@ def _northwest_corner(a, b):
     return basis
 
 
+class _CostTables:
+    """What a cost matrix alone fixes: the constraint matrix A, the
+    lexicographic cost pairs and, per basis (its cell ids in order), the
+    rounded inverse, the potentials, the entering cell (-1 at an optimum)
+    and the decreasing half of its cycle.  Each is a pure function of the
+    cost and the basis, so a solve that reuses them is bit-identical to
+    one that recomputes them."""
+
+    def __init__(self, cost: np.ndarray):
+        if (cost < 0).any():
+            raise ValueError("cost entries must be >= 0")
+        R, C = cost.shape
+        self.forbidden = np.isinf(cost)
+        self.fin = np.where(self.forbidden, 0.0, cost)
+        self.pair = np.column_stack([self.forbidden.ravel(),
+                                     self.fin.ravel()])
+        self.val_tol = 1e-12 * (1.0 + float(np.abs(self.fin).max(
+            initial=0.0)))
+        cells = np.arange(R * C)
+        A = np.zeros((R + C, R * C))
+        A[cells // C, cells] = 1.0
+        A[R + cells % C, cells] = 1.0
+        self.A = A[1:]
+        self.bases = {}
+
+    def at(self, basis: list):
+        """(B^-1, y, entering, minus) of a basis, computed once."""
+        key = tuple(basis)
+        hit = self.bases.get(key)
+        if hit is not None:
+            return hit
+        A, pair = self.A, self.pair
+        Binv = np.rint(np.linalg.inv(A.take(basis, axis=1)))
+        y = Binv.T @ pair.take(basis, axis=0)
+        # Lexicographically negative: fewer forbidden units, or as many and
+        # a lower finite cost.
+        r0, r1 = (pair - A.T @ y).T
+        negative = (r0 < -_PEN_TOL) | ((r0 <= _PEN_TOL) &
+                                       (r1 < -self.val_tol))
+        negative[basis] = False
+        entering = int(negative.argmax())
+        if negative[entering]:
+            # Raising the entering flow by theta moves the basic flows by
+            # -theta * d; the cells with d = +1 are the decreasing half of
+            # the cycle.
+            hit = (Binv, y, entering, Binv @ A[:, entering] > 0.5)
+        else:
+            hit = (Binv, y, -1, None)
+        if len(self.bases) == _BASIS_CAP:
+            del self.bases[next(iter(self.bases))]
+        self.bases[key] = hit
+        return hit
+
+
+def _tables(cost: np.ndarray) -> _CostTables:
+    """The tables of a cost matrix, kept for the last few matrices."""
+    key = (cost.shape, cost.tobytes())
+    tables = _TABLES.pop(key, None)
+    if tables is None:
+        tables = _CostTables(cost)
+        if len(_TABLES) == _COST_CAP:
+            del _TABLES[next(iter(_TABLES))]
+    _TABLES[key] = tables
+    return tables
+
+
 def solve_transport(a, b, cost, eps: float = 1e-13) -> TransportSolution:
     """Minimize sum(cost * plan) over couplings of marginals (a, b).
 
@@ -81,20 +152,9 @@ def solve_transport(a, b, cost, eps: float = 1e-13) -> TransportSolution:
     R, C = a.size, b.size
     if cost.shape != (R, C):
         raise ValueError("cost matrix shape mismatch")
-    if (cost < 0).any():
-        raise ValueError("cost entries must be >= 0")
+    tables = _tables(cost)
     if abs(a.sum() - b.sum()) > 1e-9:
         raise ValueError("marginals must have equal mass")
-
-    forbidden = np.isinf(cost)
-    fin = np.where(forbidden, 0.0, cost)
-    pair = np.column_stack([forbidden.ravel(), fin.ravel()])
-    val_tol = 1e-12 * (1.0 + float(np.abs(fin).max(initial=0.0)))
-    cells = np.arange(R * C)
-    A = np.zeros((R + C, R * C))
-    A[cells // C, cells] = 1.0
-    A[R + cells % C, cells] = 1.0
-    A = A[1:]
 
     ap = a + eps
     bp = b.copy()
@@ -104,24 +164,13 @@ def solve_transport(a, b, cost, eps: float = 1e-13) -> TransportSolution:
 
     pivots = 0
     while True:
-        Binv = np.rint(np.linalg.inv(A.take(basis, axis=1)))
-        y = Binv.T @ pair.take(basis, axis=0)
-        # Lexicographically negative: fewer forbidden units, or as many and
-        # a lower finite cost.
-        r0, r1 = (pair - A.T @ y).T
-        negative = (r0 < -_PEN_TOL) | ((r0 <= _PEN_TOL) & (r1 < -val_tol))
-        negative[basis] = False
-        entering = int(negative.argmax())
-        if not negative[entering]:
+        Binv, y, entering, minus = tables.at(basis)
+        if entering < 0:
             break
         if pivots == _MAX_PIVOTS:
             raise ArithmeticError("transportation simplex failed to terminate")
         pivots += 1
-        # Raising the entering flow by theta moves the basic flows by
-        # -theta * d; the cells with d = +1 are the decreasing half of the
-        # cycle.
         x = Binv @ rhs
-        minus = Binv @ A[:, entering] > 0.5
         theta = x[minus].min()
         del basis[int((minus & (x <= theta)).argmax())]
         basis.append(entering)
@@ -135,8 +184,8 @@ def solve_transport(a, b, cost, eps: float = 1e-13) -> TransportSolution:
     plan[basis] = np.maximum(exact, 0.0)
     plan = plan.reshape(R, C)
 
-    if float(plan[forbidden].sum()) > 1e-12:
+    if float(plan[tables.forbidden].sum()) > 1e-12:
         return TransportSolution(INF, None, None, None, pivots)
     u = np.concatenate([[0.0], y[:R - 1, 1]])
-    value = float((plan * fin).sum())
+    value = float((plan * tables.fin).sum())
     return TransportSolution(value, plan, u, y[R - 1:, 1].copy(), pivots)

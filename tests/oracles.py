@@ -8,7 +8,7 @@ recovered from the risk measure, exact enumerations (type classes and
 their ranks, SAA exceedance, the i.i.d. expectation of a function of the
 empirical measure, the n-step entropic value of one), the joint law that
 attains a dense recursion's value, the segment-at-a-time quadrature
-walk, references over the mixture weights of a hull (the distance to
+walk, the transportation simplex without kept tables, references over the mixture weights of a hull (the distance to
 it by SLSQP, an EM upper bound on robust entropy), and maximization by
 golden section along coordinates (on a box, and the former 2- and 3-d
 rate function search), and central-difference gradients of rows-in,
@@ -43,6 +43,8 @@ from sanovdual.penalties import (AlphaSpec, LpEntropy, RelativeEntropy, Robust,
                                  entropic_risk_rows, penalty,
                                  shortfall_risk_rows)
 from sanovdual.risk import risk_rows
+from sanovdual.transport import (_MAX_PIVOTS, _PEN_TOL, TransportSolution,
+                                 _northwest_corner)
 from sanovdual.spaces import (DENSE_CAP, SUM_SLACK, Dist, FiniteSpace,
                               SpaceError, _as_prob_vector, _freeze,
                               type_index)
@@ -319,6 +321,74 @@ def check_integrability(instance: SAAInstance, seed: int = 0,
     if not math.isfinite(val):
         raise GrowthValidationError("sampled psi^q moment is not finite")
     return val
+
+
+# ---------------------------------------------------------------------------
+# The transportation simplex without kept tables
+# ---------------------------------------------------------------------------
+
+def solve_transport_uncached(a, b, cost,
+                             eps: float = 1e-13) -> TransportSolution:
+    """``transport.solve_transport`` as it was before it kept its tables:
+    it builds A and inverts the basis afresh on every pivot."""
+    a = np.asarray(a, dtype=float).copy()
+    b = np.asarray(b, dtype=float).copy()
+    cost = np.asarray(cost, dtype=float)
+    R, C = a.size, b.size
+    if cost.shape != (R, C):
+        raise ValueError("cost matrix shape mismatch")
+    if (cost < 0).any():
+        raise ValueError("cost entries must be >= 0")
+    if abs(a.sum() - b.sum()) > 1e-9:
+        raise ValueError("marginals must have equal mass")
+
+    forbidden = np.isinf(cost)
+    fin = np.where(forbidden, 0.0, cost)
+    pair = np.column_stack([forbidden.ravel(), fin.ravel()])
+    val_tol = 1e-12 * (1.0 + float(np.abs(fin).max(initial=0.0)))
+    cells = np.arange(R * C)
+    A = np.zeros((R + C, R * C))
+    A[cells // C, cells] = 1.0
+    A[R + cells % C, cells] = 1.0
+    A = A[1:]
+
+    ap = a + eps
+    bp = b.copy()
+    bp[-1] += R * eps
+    rhs = np.concatenate([ap[1:], bp])
+    basis = _northwest_corner(ap, bp)
+
+    pivots = 0
+    while True:
+        Binv = np.rint(np.linalg.inv(A.take(basis, axis=1)))
+        y = Binv.T @ pair.take(basis, axis=0)
+        r0, r1 = (pair - A.T @ y).T
+        negative = (r0 < -_PEN_TOL) | ((r0 <= _PEN_TOL) & (r1 < -val_tol))
+        negative[basis] = False
+        entering = int(negative.argmax())
+        if not negative[entering]:
+            break
+        if pivots == _MAX_PIVOTS:
+            raise ArithmeticError("transportation simplex failed to terminate")
+        pivots += 1
+        x = Binv @ rhs
+        minus = Binv @ A[:, entering] > 0.5
+        theta = x[minus].min()
+        del basis[int((minus & (x <= theta)).argmax())]
+        basis.append(entering)
+
+    exact = Binv @ np.concatenate([a[1:], b])
+    if (exact < -1e-8).any():
+        raise ArithmeticError("tree flow went negative beyond tolerance")
+    plan = np.zeros(R * C)
+    plan[basis] = np.maximum(exact, 0.0)
+    plan = plan.reshape(R, C)
+
+    if float(plan[forbidden].sum()) > 1e-12:
+        return TransportSolution(INF, None, None, None, pivots)
+    u = np.concatenate([[0.0], y[:R - 1, 1]])
+    value = float((plan * fin).sum())
+    return TransportSolution(value, plan, u, y[R - 1:, 1].copy(), pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 import scipy
 
 from oracles import numeric_tangent_grad
+from sanovdual import dp
 from sanovdual.cli import (ConfigError, _jsonable, _num, _num_list, main,
                            parse_law, parse_simplex_function, write_json)
 from sanovdual.losses import PowerLoss
@@ -495,6 +496,35 @@ class TestSuperhedgeCommand:
         residual = np.abs(np.asarray(cfg["f"]) - cert["y"] - total).max()
         assert residual <= cert["residual_max"] <= 1e-8
         assert cert["slice_risk_max"] <= 1e-7
+
+
+    @pytest.mark.parametrize("bad", [-math.inf, math.inf])
+    def test_non_finite_field_is_config_error(self, tmp_path, capsys, bad):
+        # json.dumps writes the entry as -Infinity or Infinity.
+        cfg = write_config(tmp_path, {
+            "spec": {"kind": "relative_entropy", "mu": [0.5, 0.5]},
+            "f": [0.0, bad, 1.0, 2.0]})
+        out = tmp_path / "out"
+        assert main(["superhedge", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert "f[1]" in capsys.readouterr().err
+        assert not (out / "certificate.json").exists()
+
+    @pytest.mark.parametrize("field", ["residual_max", "slice_risk_max"])
+    def test_nan_certificate_fails_its_gate(self, tmp_path, monkeypatch,
+                                            capsys, field):
+        real = dp.superhedge
+
+        def nan_cert(*args):
+            cert = real(*args)
+            setattr(cert, field, math.nan)
+            return cert
+
+        monkeypatch.setattr(dp, "superhedge", nan_cert)
+        assert main(["superhedge", "--config",
+                     str(CONFIGS / "superhedge_power2.json"),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "out of tolerance" in capsys.readouterr().err
 
 
 class TestTransportCommand:

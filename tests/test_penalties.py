@@ -371,6 +371,26 @@ class TestTransportCost:
             assert np.isposinf(got).all()
             assert penalty(heavy, Transport(mu, cost)) == math.inf
 
+    def test_grad_is_nan_on_off_simplex_rows(self):
+        # The rows penalty_rows maps to +inf have no gradient: NaN rows,
+        # not a raise; the rows on the domain keep their potentials.
+        for mu in (UNIF2, UNIF3):
+            m = mu.m
+            spec = Transport(mu, 1.0 - np.eye(m))
+            good = np.linspace(1.0, 2.0, m)
+            good /= good.sum()
+            heavy = good.copy()
+            heavy[0] += 1e-7
+            negative = good.copy()
+            negative[0] -= 0.6
+            negative[1] += 0.6
+            V = np.stack([heavy, good, negative])
+            assert np.isposinf(spec.penalty_rows(V)[[0, 2]]).all()
+            g = spec.grad_rows(V)
+            assert np.isnan(g[[0, 2]]).all()
+            assert g[1].tobytes() == spec.grad_rows(good[None])[0].tobytes()
+            assert np.isfinite(g[1]).all()
+
     def test_diagonal_flag_validation(self):
         from sanovdual.spaces import SpaceError
         cost = np.array([[math.inf, 1.0], [1.0, 0.0]])

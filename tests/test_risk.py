@@ -190,6 +190,67 @@ class TestColumnKernels:
                 np.isfinite(vals[8])
 
 
+class TestWarmBracket:
+    """A ``near`` hint only moves where the root finder starts: every row
+    keeps G(rho) <= 1 and agrees with the cold bracket, also where its
+    root lies far from the hint."""
+
+    @staticmethod
+    def G(F, w, loss, m):
+        """int l(f - m) dmu per row, summed as the root finder sums it."""
+        live = w > 0.0
+        Fl, wl = F[:, live], w[live]
+        fin = np.isfinite(Fl)
+        with np.errstate(invalid="ignore"):
+            vals = np.where(fin, loss.value(np.where(fin, Fl, 0.0) -
+                                            m[:, None]), 0.0)
+        return extreal.weighted_row_sums(
+            vals, wl, extreal.weighted_row_sums(np.isneginf(Fl), wl) *
+            loss.left_limit)
+
+    @pytest.mark.parametrize("loss", [PowerLoss(2.0), PowerLoss(3.5),
+                                      ExpLoss(), TestColumnKernels.TAB],
+                             ids=["q2", "q3.5", "exp", "tabulated"])
+    @pytest.mark.parametrize("m,dead", [(3, 1), (4, None)])
+    def test_matches_cold_bracket(self, loss, m, dead):
+        w = np.linspace(1.0, 2.0, m)
+        if dead is not None:
+            w[dead] = 0.0
+        w = w / w.sum()
+        F = edge_rows(m, 2 if dead is None else dead)
+        cold = shortfall_risk_rows(F, w, loss)
+        fin = np.isfinite(cold)
+        # Rows with their roots at 0, up to rounding, then moved off it.
+        F0 = F - np.where(fin, cold, 0.0)[:, None]
+        for shift in (0.0, 5.0, -5.0, 1e-6, -1e-6):
+            Fs = F0 + shift
+            want = shortfall_risk_rows(Fs, w, loss)
+            got = shortfall_risk_rows(Fs, w, loss, near=0.0)
+            assert got[~fin].tobytes() == want[~fin].tobytes()
+            assert (np.abs(got[fin] - want[fin]) <=
+                    1e-12 * (1.0 + np.abs(want[fin]))).all()
+            assert (np.abs(got[fin] - shift) <= 1e-9).all()
+            assert (self.G(Fs[fin], w, loss, got[fin]) <= 1.0).all()
+
+    def test_risk_rows_passes_the_hint(self):
+        rng = np.random.default_rng(3)
+        F = rng.normal(size=(40, 3))
+        mu = Dist(THREE, [0.5, 0.3, 0.2])
+        for spec in (Shortfall(mu, ExpLoss()), LpEntropy(mu, 2.0)):
+            F0 = F - risk_rows(spec, F)[:, None]
+            warm = risk_rows(spec, F0, near=0.0)
+            assert warm.tobytes() == shortfall_risk_rows(
+                F0, mu.weights, spec.loss, near=0.0).tobytes()
+            assert np.abs(warm).max() <= 1e-11
+        # The closed-form families ignore it.
+        cost = np.abs(np.subtract.outer(np.arange(3), np.arange(3)))
+        for spec in (RelativeEntropy(mu), Transport(mu, cost),
+                     Robust((mu, Dist(THREE, [0.2, 0.2, 0.6]))),
+                     SetIndicator((mu, Dist(THREE, [0.2, 0.2, 0.6])))):
+            assert risk_rows(spec, F, near=0.0).tobytes() == \
+                risk_rows(spec, F).tobytes()
+
+
 class TestOceRisk:
     def test_exp_phi_matches_entropic(self):
         rng = np.random.default_rng(1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from oracles import solve_transport_uncached
 from sanovdual import transport
 from sanovdual.transport import solve_transport
 
@@ -123,4 +124,96 @@ def test_pivot_cap_raises(monkeypatch):
     assert solve_transport(a, a, cost).pivots >= 1
     monkeypatch.setattr(transport, "_MAX_PIVOTS", 0)
     with pytest.raises(ArithmeticError, match="terminate"):
+        solve_transport(a, a, cost)
+
+
+# ---------------------------------------------------------------------------
+# Kept tables: every solve is bit for bit the solve that keeps none
+# ---------------------------------------------------------------------------
+
+def assert_same_solution(got, want):
+    assert got.pivots == want.pivots
+    assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+    for g, w in ((got.plan, want.plan),
+                 (got.row_potentials, want.row_potentials),
+                 (got.col_potentials, want.col_potentials)):
+        assert (g is None) == (w is None)
+        if g is not None:
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@pytest.fixture
+def no_tables(monkeypatch):
+    """Start from empty tables, and leave the module's own as they were."""
+    monkeypatch.setattr(transport, "_TABLES", {})
+
+
+def random_cost(rng, R, C):
+    # Integer costs make ties and degenerate pivots; some cells forbidden.
+    if rng.random() < 0.5:
+        cost = rng.integers(0, 4, (R, C)).astype(float)
+    else:
+        cost = rng.uniform(0.0, 3.0, (R, C))
+    cost[rng.random((R, C)) < 0.25] = math.inf
+    return cost
+
+
+def random_marginals(rng, R, C):
+    a, b = rng.dirichlet(np.ones(R)), rng.dirichlet(np.ones(C))
+    if rng.random() < 0.3:
+        a[rng.integers(R)] = 0.0
+        a /= a.sum()
+    return a, b
+
+
+def test_kept_tables_match_uncached_solves(no_tables):
+    # More cost matrices than are kept, each met many times, so solves run
+    # on new, kept and evicted tables alike.
+    rng = np.random.default_rng(12)
+    costs = [random_cost(rng, *rng.integers(2, 9, 2)) for _ in range(7)]
+    seen = {"forbidden": 0, "infeasible": 0, "pivots": 0}
+    for trial in range(700):
+        cost = costs[rng.integers(len(costs))]
+        a, b = random_marginals(rng, *cost.shape)
+        got = solve_transport(a, b, cost)
+        assert_same_solution(got, solve_transport_uncached(a, b, cost))
+        seen["forbidden"] += bool(np.isinf(cost).any())
+        seen["infeasible"] += math.isinf(got.value)
+        seen["pivots"] += got.pivots >= 1
+    assert min(seen.values()) >= 20
+    assert len(transport._TABLES) == transport._COST_CAP
+
+
+def test_same_solve_before_and_after_the_basis_cap(no_tables, monkeypatch):
+    monkeypatch.setattr(transport, "_BASIS_CAP", 6)
+    rng = np.random.default_rng(13)
+    cost = rng.uniform(0.0, 2.0, (5, 5))
+    a, b = random_marginals(rng, 5, 5)
+    first = solve_transport(a, b, cost)
+    assert first.pivots >= 1
+    for _ in range(100):
+        solve_transport(*random_marginals(rng, 5, 5), cost)
+    (tables,) = transport._TABLES.values()
+    assert len(tables.bases) == 6
+    again = solve_transport(a, b, cost)
+    assert_same_solution(again, first)
+    assert_same_solution(again, solve_transport_uncached(a, b, cost))
+
+
+def test_errors_raise_on_every_call(no_tables):
+    a = np.array([0.2, 0.3, 0.5])
+    cost = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    for _ in range(2):
+        solve_transport(a, a[::-1], cost)
+        with pytest.raises(ValueError, match="equal mass"):
+            solve_transport(a, np.array([0.5, 0.5, 0.5]), cost)
+        with pytest.raises(ValueError, match="shape"):
+            solve_transport(a, np.array([0.5, 0.5]), cost)
+        negative = cost.copy()
+        negative[0, 1] = -1.0
+        with pytest.raises(ValueError, match=">= 0"):
+            solve_transport(a, a, negative)
+    # The same array, made negative in place after a good solve.
+    cost[0, 1] = -1.0
+    with pytest.raises(ValueError, match=">= 0"):
         solve_transport(a, a, cost)
