@@ -115,6 +115,22 @@ def _check_keys(obj, path, required, optional=()):
             raise ConfigError(f"{path}.{key}: missing required key")
 
 
+def _kind(obj, path, what, keys, field="kind"):
+    """The kind (the ``field``) of the config object ``obj``, checked
+    first; then ``obj`` may hold only the keys of that kind, which ``keys``
+    maps to its (required, optional) keys."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected an object")
+    if field not in obj:
+        raise ConfigError(f"{path}.{field}: missing required key")
+    kind = obj[field]
+    if not isinstance(kind, str) or kind not in keys:
+        raise ConfigError(f"{path}.{field}: unknown {what} {kind!r}")
+    required, optional = keys[kind]
+    _check_keys(obj, path, (field, *required), optional)
+    return kind
+
+
 def _dist(value, path, space=None):
     w = _num_list(value, path)
     if space is None:
@@ -126,33 +142,28 @@ def _dist(value, path, space=None):
 
 
 def parse_loss(obj, path):
-    _check_keys(obj, path, required=("kind",),
-                optional=("q", "xs", "ys", "left_limit"))
-    kind = obj["kind"]
+    kind = _kind(obj, path, "loss kind", {
+        "exp": ((), ()), "power_plus": (("q",), ()),
+        "tabulated": (("xs", "ys"), ("left_limit",))})
     try:
         if kind == "exp":
             return ExpLoss()
         if kind == "power_plus":
-            if "q" not in obj:
-                raise ConfigError(f"{path}.q: missing required key")
             return PowerLoss(_num(obj["q"], f"{path}.q"))
-        if kind == "tabulated":
-            for key in ("xs", "ys"):
-                if key not in obj:
-                    raise ConfigError(f"{path}.{key}: missing required key")
-            return TabulatedLoss(tuple(_num_list(obj["xs"], f"{path}.xs")),
-                                 tuple(_num_list(obj["ys"], f"{path}.ys")),
-                                 _num(obj.get("left_limit", 0.0),
-                                      f"{path}.left_limit"))
+        return TabulatedLoss(tuple(_num_list(obj["xs"], f"{path}.xs")),
+                             tuple(_num_list(obj["ys"], f"{path}.ys")),
+                             _num(obj.get("left_limit", 0.0),
+                                  f"{path}.left_limit"))
     except LossError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.kind: unknown loss kind {kind!r}")
 
 
 def parse_spec(obj, path="spec"):
-    _check_keys(obj, path, required=("kind",),
-                optional=("mu", "p", "loss", "generators", "cost"))
-    kind = obj.get("kind")
+    kind = _kind(obj, path, "spec kind", {
+        "relative_entropy": (("mu",), ()), "lp_entropy": (("mu", "p"), ()),
+        "shortfall": (("mu", "loss"), ()), "robust": (("generators",), ()),
+        "set_indicator": (("generators",), ()),
+        "transport": (("mu", "cost"), ())})
     try:
         if kind == "relative_entropy":
             return RelativeEntropy(_dist(obj["mu"], f"{path}.mu"))
@@ -163,7 +174,7 @@ def parse_spec(obj, path="spec"):
             return Shortfall(_dist(obj["mu"], f"{path}.mu"),
                              parse_loss(obj["loss"], f"{path}.loss"))
         if kind in ("robust", "set_indicator"):
-            gens = obj.get("generators")
+            gens = obj["generators"]
             if not isinstance(gens, list) or not gens:
                 raise ConfigError(f"{path}.generators: need a nonempty list")
             space = FiniteSpace.of_size(len(_num_list(gens[0],
@@ -171,24 +182,20 @@ def parse_spec(obj, path="spec"):
             dists = tuple(_dist(g, f"{path}.generators[{i}]", space)
                           for i, g in enumerate(gens))
             return Robust(dists) if kind == "robust" else SetIndicator(dists)
-        if kind == "transport":
-            mu = _dist(obj["mu"], f"{path}.mu")
-            return Transport(mu, np.asarray(_matrix(obj["cost"],
-                                                    f"{path}.cost")))
-    except KeyError as exc:
-        raise ConfigError(f"{path}.{exc.args[0]}: missing required key") from exc
+        mu = _dist(obj["mu"], f"{path}.mu")
+        return Transport(mu, np.asarray(_matrix(obj["cost"], f"{path}.cost")))
     except SpaceError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.kind: unknown spec kind {kind!r}")
 
 
 def parse_simplex_function(obj, m, path="F"):
     """(F, dF): a function of the law on m states and its gradient, rows
     in.  F maps a (B, m) array of laws to their (B,) values and dF to
     their (B, m) gradients; ``abs_well``'s reads 0 at its kink."""
-    _check_keys(obj, path, required=("kind",),
-                optional=("value", "coeffs", "coordinate", "center", "scale"))
-    kind = obj["kind"]
+    well = ((), ("coordinate", "center", "scale"))
+    kind = _kind(obj, path, "function kind", {
+        "constant": ((), ("value",)), "linear": (("coeffs",), ()),
+        "square_well": well, "abs_well": well})
     if kind == "constant":
         c = _num(obj.get("value", 0.0), f"{path}.value")
         return lambda nu: np.full(len(nu), c), np.zeros_like
@@ -210,39 +217,31 @@ def parse_simplex_function(obj, m, path="F"):
     if kind == "square_well":
         return lambda nu: scale * (nu[:, coord] - center) ** 2, \
             lambda nu: 2.0 * scale * (nu[:, coord, None] - center) * e
-    if kind == "abs_well":
-        return lambda nu: scale * np.abs(nu[:, coord] - center), \
-            lambda nu: scale * np.sign(nu[:, coord, None] - center) * e
-    raise ConfigError(f"{path}.kind: unknown function kind {kind!r}")
+    return lambda nu: scale * np.abs(nu[:, coord] - center), \
+        lambda nu: scale * np.sign(nu[:, coord, None] - center) * e
 
 
 def parse_law(obj, path="law"):
-    _check_keys(obj, path, required=("kind",),
-                optional=("a", "df", "sigma", "centered", "atoms", "weights",
-                          "samples"))
-    kind = obj["kind"]
-    try:
-        if kind == "pareto":
-            return ParetoLaw(_num(obj["a"], f"{path}.a"),
-                             _bool(obj.get("centered", True),
-                                   f"{path}.centered"))
-        if kind == "student_t":
-            return StudentTLaw(_num(obj["df"], f"{path}.df"))
-        if kind == "lognormal":
-            return LogNormalLaw(_num(obj["sigma"], f"{path}.sigma"),
-                                _bool(obj.get("centered", True),
-                                      f"{path}.centered"))
-        if kind == "finite":
-            return FiniteSupportLaw(np.asarray(_num_list(obj["atoms"],
-                                                         f"{path}.atoms")),
-                                    np.asarray(_num_list(obj["weights"],
-                                                         f"{path}.weights")))
-        if kind == "empirical":
-            return EmpiricalLaw(np.asarray(_num_list(obj["samples"],
-                                                     f"{path}.samples")))
-    except KeyError as exc:
-        raise ConfigError(f"{path}.{exc.args[0]}: missing required key") from exc
-    raise ConfigError(f"{path}.kind: unknown law kind {kind!r}")
+    kind = _kind(obj, path, "law kind", {
+        "pareto": (("a",), ("centered",)), "student_t": (("df",), ()),
+        "lognormal": (("sigma",), ("centered",)),
+        "finite": (("atoms", "weights"), ()), "empirical": (("samples",), ())})
+    if kind == "pareto":
+        return ParetoLaw(_num(obj["a"], f"{path}.a"),
+                         _bool(obj.get("centered", True), f"{path}.centered"))
+    if kind == "student_t":
+        return StudentTLaw(_num(obj["df"], f"{path}.df"))
+    if kind == "lognormal":
+        return LogNormalLaw(_num(obj["sigma"], f"{path}.sigma"),
+                            _bool(obj.get("centered", True),
+                                  f"{path}.centered"))
+    if kind == "finite":
+        return FiniteSupportLaw(np.asarray(_num_list(obj["atoms"],
+                                                     f"{path}.atoms")),
+                                np.asarray(_num_list(obj["weights"],
+                                                     f"{path}.weights")))
+    return EmpiricalLaw(np.asarray(_num_list(obj["samples"],
+                                             f"{path}.samples")))
 
 
 def _sampled_law(obj, path="law"):
@@ -258,6 +257,9 @@ def _grid(obj, path):
     lo = _num(obj["lo"], f"{path}.lo")
     hi = _num(obj["hi"], f"{path}.hi")
     count = _pos_int(obj["count"], f"{path}.count")
+    if count > DENSE_CAP:
+        raise ConfigError(f"{path}.count: {count} points exceed the dense "
+                          f"cap of {DENSE_CAP}")
     if count < 2 or not hi > lo:
         raise ConfigError(f"{path}: need hi > lo and count >= 2")
     return np.linspace(lo, hi, count)
@@ -372,11 +374,15 @@ def _maximizer_payload(result):
 def cmd_rho(cfg, out: Path, seed: int) -> int:
     _check_keys(cfg, "config", required=("spec", "f"),
                 optional=("generic", "restarts", "seed"))
+    generic = _bool(cfg.get("generic", False), "generic")
+    if "restarts" in cfg and not generic:
+        raise ConfigError("restarts: only a generic run (generic: true) "
+                          "takes restarts")
     spec = parse_spec(cfg["spec"])
     f = np.asarray(_num_list(cfg["f"], "f"))
     if f.size != spec.space.size:
         raise ConfigError("f: length must match the spec's space size")
-    if _bool(cfg.get("generic", False), "generic"):
+    if generic:
         result = generic_risk(f, spec,
                               restarts=_pos_int(cfg.get("restarts", 200),
                                                 "restarts"),
@@ -404,9 +410,7 @@ def cmd_sanov(cfg, out: Path, seed: int) -> int:
     F, dF = parse_simplex_function(cfg["F"], spec.space.size)
     schedule = _type_schedule(cfg["schedule"], spec.space.size)
     step = _grid_step(cfg.get("grid_step", 0.01), spec.space.size)
-    run = dp.sanov_limit(F, dF, spec, schedule, grid_step=step,
-                         label="transport-longrun"
-                         if isinstance(spec, Transport) else "sanov")
+    run = dp.sanov_limit(F, dF, spec, schedule, grid_step=step)
     write_json(out / "report.json", run.to_json_dict())
     write_csv(out / "table.csv", ("n", "v_n", "target", "gap"), run.csv_rows())
     for n, v, g in zip(run.schedule, run.values, run.gaps):
@@ -438,14 +442,10 @@ def cmd_cramer(cfg, out: Path, seed: int) -> int:
 
 
 def cmd_tailbound(cfg, out: Path, seed: int) -> int:
-    _check_keys(cfg, "config", required=("experiment",),
-                optional=("law", "q", "r", "schedule", "replications",
-                          "family", "n", "seed"))
-    experiment = cfg["experiment"]
-    for key in {"mean_tail": ("law", "q", "schedule"),
-                "azuma": ("r", "n")}.get(experiment, ()):
-        if key not in cfg:
-            raise ConfigError(f"config.{key}: missing required key")
+    experiment = _kind(cfg, "config", "experiment", {
+        "mean_tail": (("law", "q", "schedule"), ("r", "replications", "seed")),
+        "azuma": (("r", "n"), ("family", "replications", "seed"))},
+        field="experiment")
     if experiment == "mean_tail":
         law = _sampled_law(cfg["law"])
         q = _num(cfg["q"], "q")
@@ -486,32 +486,29 @@ def cmd_tailbound(cfg, out: Path, seed: int) -> int:
         print(f"slope={fit.slope:.3f} (upper95 {fit.upper95:.3f}, "
               f"budget {(1.0 - q) + mc.SLOPE_SLACK:.3f})")
         return EXIT_OK
-    if experiment == "azuma":
-        family_name = cfg.get("family", "rademacher")
-        if family_name not in mc.INCREMENT_FAMILIES:
-            raise ConfigError(f"family: unknown increment family "
-                              f"{family_name!r}")
-        family = mc.INCREMENT_FAMILIES[family_name]()
-        r = _num(cfg["r"], "r")
-        n = _pos_int(cfg["n"], "n", bits=mc.SAMPLE_BITS)
-        replications = _pos_int(cfg.get("replications", 10000),
-                                "replications")
-        if replications < 1000:
-            raise InconclusiveError("need at least 1e3 replications")
-        res = mc.azuma_experiment(family, r, n, replications, seed=seed)
-        write_json(out / "report.json", {
-            "experiment": "azuma", "family": family_name, "n": n, "r": r,
-            "p_hat": res.p_hat, "hits": res.hits,
-            "phi_star": res.phi_star,
-            "empirical_exponent": res.empirical_exponent,
-            "budget": res.budget, "ok": res.ok,
-            "exact_tail": res.exact_tail,
-        })
-        print(f"p_hat={res.p_hat:.3e}  (1/n)log p = "
-              f"{res.empirical_exponent:.4f}  budget={res.budget:.4f}  "
-              f"ok={res.ok}")
-        return EXIT_OK if res.ok else EXIT_NUMERIC
-    raise ConfigError(f"experiment: unknown experiment {experiment!r}")
+    family_name = cfg.get("family", "rademacher")
+    if family_name not in mc.INCREMENT_FAMILIES:
+        raise ConfigError(f"family: unknown increment family "
+                          f"{family_name!r}")
+    family = mc.INCREMENT_FAMILIES[family_name]()
+    r = _num(cfg["r"], "r")
+    n = _pos_int(cfg["n"], "n", bits=mc.SAMPLE_BITS)
+    replications = _pos_int(cfg.get("replications", 10000), "replications")
+    if replications < 1000:
+        raise InconclusiveError("need at least 1e3 replications")
+    res = mc.azuma_experiment(family, r, n, replications, seed=seed)
+    write_json(out / "report.json", {
+        "experiment": "azuma", "family": family_name, "n": n, "r": r,
+        "p_hat": res.p_hat, "hits": res.hits,
+        "phi_star": res.phi_star,
+        "empirical_exponent": res.empirical_exponent,
+        "budget": res.budget, "ok": res.ok,
+        "exact_tail": res.exact_tail,
+    })
+    print(f"p_hat={res.p_hat:.3e}  (1/n)log p = "
+          f"{res.empirical_exponent:.4f}  budget={res.budget:.4f}  "
+          f"ok={res.ok}")
+    return EXIT_OK if res.ok else EXIT_NUMERIC
 
 
 def _parse_saa_instance(cfg) -> mc.SAAInstance:
@@ -521,15 +518,13 @@ def _parse_saa_instance(cfg) -> mc.SAAInstance:
     else:
         decisions = np.asarray(_num_list(dec, "decisions"))
     loss_obj = cfg["loss"]
-    _check_keys(loss_obj, "loss", required=("kind",), optional=("x0",))
-    kind = loss_obj["kind"]
+    kind = _kind(loss_obj, "loss", "loss kind",
+                 {"abs_diff": ((), ()), "well_linear": ((), ("x0",))})
     if kind == "abs_diff":
         loss = lambda x, w: np.abs(w - x)
-    elif kind == "well_linear":
+    else:
         x0 = _num(loss_obj.get("x0", 1.0), "loss.x0")
         loss = lambda x, w: (x - x0) ** 2 + x * w
-    else:
-        raise ConfigError(f"loss.kind: unknown loss kind {kind!r}")
     law = _sampled_law(cfg["law"])
     q = _num(cfg["q"], "q")
     check_admissible(law, q)
@@ -551,21 +546,24 @@ def cmd_saa(cfg, out: Path, seed: int) -> int:
                                          "epsilon", "q", "schedule",
                                          "replications"),
                 optional=("experiment", "growth", "seed"))
+    experiment = cfg.get("experiment", "value")
+    if experiment not in ("value", "argmin"):
+        raise ConfigError(f"experiment: unknown experiment {experiment!r}")
+    if "growth" in cfg and experiment != "argmin":
+        raise ConfigError("growth: only the argmin experiment takes a "
+                          "growth function")
     instance = _parse_saa_instance(cfg)
     schedule = _schedule(cfg["schedule"], "schedule", bits=mc.SAMPLE_BITS)
     replications = _pos_int(cfg["replications"], "replications")
     if replications < 1000:
         raise InconclusiveError("need at least 1e3 replications")
-    experiment = cfg.get("experiment", "value")
     if experiment == "value":
         run = mc.saa_run(instance, schedule, replications, seed)
-    elif experiment == "argmin":
+    else:
         try:
             run = mc.argmin_tracking(instance, schedule, replications, seed)
         except mc.GrowthValidationError as exc:
             raise ConfigError(f"growth: {exc}") from exc
-    else:
-        raise ConfigError(f"experiment: unknown experiment {experiment!r}")
     write_csv(out / "estimates.csv", ("n", "r", "p_hat", "lo", "hi", "bound"),
               [e.csv_row() for e in run.estimates])
     payload = {
@@ -635,8 +633,7 @@ def cmd_transport(cfg, out: Path, seed: int) -> int:
         raise ConfigError(f"control_check_n: a control field of {mu.m}^"
                           f"{n_chk} entries exceeds the dense cap of "
                           f"{DENSE_CAP}")
-    run = dp.sanov_limit(F, dF, spec, schedule, grid_step=step,
-                         label="transport-longrun")
+    run = dp.sanov_limit(F, dF, spec, schedule, grid_step=step)
     rng = np.random.default_rng(seed)
     f_chk = rng.normal(size=mu.m ** n_chk)
     v_rec, _ = dp.backward_value_dense(f_chk, mu.space, spec)

@@ -7,9 +7,9 @@ function for exponent q > 1,
 
 its conjugate rate function, the moment constant E[||X||^q]^(1/q), and the
 explicit mean-deviation bound (M_q / (r - M_q))^q * n^(1-q) valid for
-r > M_q.  Laws are either empirical samples, finite-support, or closed
-one-dimensional families (Pareto, Student t, log-normal); expectations use
-exact sums, sample means, or adaptive quadrature accordingly.
+r > M_q.  Every expectation comes from the law itself (``Law.expect``):
+exact sums over finite support, sample means, or adaptive quadrature for
+the closed one-dimensional families (Pareto, Student t, log-normal).
 
 The cumulant is a Newton root of its level equation.  The rate function is
 a Newton root of grad cumulant(t) = x, whose gradient and Hessian come from
@@ -28,10 +28,8 @@ from typing import Optional
 import numpy as np
 
 from .extreal import INF
-from .laws import (EmpiricalLaw, FiniteSupportLaw, Law, LawError, ParetoLaw,
-                   StudentTLaw)
+from .laws import Law, LawError
 from .optim import legendre_max, legendre_max_nd, newton_nonincreasing
-from .quadrature import expect as _expect
 
 log = logging.getLogger("sanovdual")
 
@@ -40,10 +38,7 @@ def check_admissible(law: Law, q: float) -> None:
     """The q-th moment must exist for the declared exponent."""
     if not q > 1.0:
         raise LawError("exponent q must exceed 1")
-    if isinstance(law, ParetoLaw) and not law.a > q:
-        raise LawError(f"Pareto tail a={law.a} does not integrate |x|^{q}")
-    if isinstance(law, StudentTLaw) and not law.df > q:
-        raise LawError(f"Student t df={law.df} does not integrate |x|^{q}")
+    law.check_moment(q)
 
 
 def plus_power_moment(law: Law, t, m: float, q: float) -> float:
@@ -81,19 +76,12 @@ def plus_power_moments(law: Law, t, m: float, q: float,
     Hessian L'' = (q - 1) E[(X - L')(X - L')^T b^(q-2)] / E[b^(q-1)].
     """
     t = np.atleast_1d(t)
-    if isinstance(law, (FiniteSupportLaw, EmpiricalLaw)):
-        finite = isinstance(law, FiniteSupportLaw)
-        pts = law.atoms if finite else law.samples
-        proj = pts @ t if pts.ndim == 2 else pts * float(t[0])
-        rows = _power_rows(1.0 + proj - m, pts.T, q, curvature)
-        sums = rows @ law.weights if finite else rows.mean(axis=1)
-    else:
-        ts = float(t[0])
-        sums = _expect(law.pdf, *law.support,
-                       lambda x: _power_rows(1.0 + ts * x - m, x, q,
-                                             curvature),
-                       breaks=((m - 1.0) / ts,) if ts else (),
-                       centre=law.centre)
+    ts = float(t[0])
+
+    def rows(x):
+        proj = x @ t if x.ndim == 2 else x * ts
+        return _power_rows(1.0 + proj - m, x.T, q, curvature)
+    sums = law.expect(rows, breaks=((m - 1.0) / ts,) if ts else ())
     if curvature:
         return sums[0], sums[1], sums[2:2 + t.size], sums[2 + t.size:]
     return sums[0], sums[1], sums[2:]
@@ -102,24 +90,16 @@ def plus_power_moments(law: Law, t, m: float, q: float,
 def moment_norm(law: Law, q: float) -> float:
     """M_q = E[||X||^q]^(1/q)."""
     check_admissible(law, q)
-    if isinstance(law, (FiniteSupportLaw, EmpiricalLaw)):
-        finite = isinstance(law, FiniteSupportLaw)
-        pts = law.atoms if finite else law.samples
-        mags = np.abs(pts) if pts.ndim == 1 else np.linalg.norm(pts, axis=1)
-        s = np.dot(law.weights, mags ** q) if finite else np.mean(mags ** q)
-        return float(s ** (1.0 / q))
-    return float(_expect(law.pdf, *law.support, lambda x: np.abs(x) ** q,
-                         breaks=(0.0,), centre=law.centre) ** (1.0 / q))
+    s = law.expect(lambda x: (np.abs(x) if x.ndim == 1 else
+                              np.linalg.norm(x, axis=1)) ** q, breaks=(0.0,))
+    return float(s ** (1.0 / q))
 
 
 def _check_dimension(law: Law, v: np.ndarray, name: str) -> None:
-    """Raise ``LawError`` unless the vector v has the law's dimension: the
-    width of its atoms or samples, 1 for the closed families."""
-    pts = getattr(law, "atoms", getattr(law, "samples", np.zeros(1)))
-    dim = 1 if pts.ndim == 1 else pts.shape[1]
-    if v.size != dim:
+    """Raise ``LawError`` unless the vector v has the law's dimension."""
+    if v.size != law.dim:
         raise LawError(f"{name} has dimension {v.size}, the law dimension "
-                       f"{dim}")
+                       f"{law.dim}")
 
 
 def cumulant(law: Law, x_star, q: float) -> float:

@@ -199,8 +199,7 @@ class SanovRun:
 
 def sanov_limit(F: Callable[[np.ndarray], np.ndarray],
                 dF: Callable[[np.ndarray], np.ndarray], spec: AlphaSpec,
-                schedule: Sequence[int], grid_step: float = 0.01,
-                label: str = "sanov") -> SanovRun:
+                schedule: Sequence[int], grid_step: float = 0.01) -> SanovRun:
     """(1/n) rho_n(n F o L_n) along a schedule, with the limit target
     sup_nu (F(nu) - alpha(nu)).  One backward pass over type classes
     serves the whole schedule (``backward_values_symmetric``).  F maps a
@@ -215,7 +214,8 @@ def sanov_limit(F: Callable[[np.ndarray], np.ndarray],
     grid maximizer gives ``coupling_target``, and ``target`` is the exact
     F(nu*) - W_c(mu, nu*) at nu* = mu K* (``argmax``).  grid max <=
     coupling_target <= target <= sup, with equality when K* is an optimal
-    plan between mu and nu*.
+    plan between mu and nu*.  Its run is labelled "transport-longrun", any
+    other "sanov".
     """
     space = spec.space
     values = [v / n for n, v in zip(schedule, backward_values_symmetric(
@@ -225,8 +225,9 @@ def sanov_limit(F: Callable[[np.ndarray], np.ndarray],
         a = penalty(nu, spec)
         return np.where(np.isfinite(a), _values(F, nu) - a, NEG_INF)
 
-    coupling = None
+    label, coupling = "sanov", None
     if isinstance(spec, Transport):
+        label = "transport-longrun"
         pts = simplex_grid(space.size, grid_step)
         coupling, arg = _coupling_supremum(F, dF, spec.mu, spec.cost,
                                            pts[int(np.argmax(J(pts)))])

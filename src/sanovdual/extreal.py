@@ -18,27 +18,13 @@ INF = float("inf")
 NEG_INF = float("-inf")
 
 
-def integral(weights, values) -> float:
-    """Integrate ``values`` against the nonnegative vector ``weights``.
+def integral_rows(weights, rows) -> np.ndarray:
+    """Integrate each row of ``rows`` (B, m) against the nonnegative
+    ``weights`` (m,).
 
     Zero-weight points are ignored; among the rest, -inf dominates +inf
     per the standing convention.
     """
-    w = np.asarray(weights, dtype=float)
-    v = np.asarray(values, dtype=float)
-    live = w > 0.0
-    if not live.any():
-        return 0.0
-    vs = v[live]
-    if np.isneginf(vs).any():
-        return NEG_INF
-    if np.isposinf(vs).any():
-        return INF
-    return float(np.dot(w[live], vs))
-
-
-def integral_rows(weights, rows) -> np.ndarray:
-    """Row-wise ``integral``: rows has shape (B, m), weights shape (m,)."""
     w = np.asarray(weights, dtype=float)
     v = np.asarray(rows, dtype=float)
     live = (w > 0.0).nonzero()[0]

@@ -1,9 +1,12 @@
 """Law families of the heavy-tail apparatus, one frozen class per family.
 
-Each class validates its parameters on construction.  The continuous
-families (Pareto, Student t, log-normal) carry their closed-form density,
-support and centre (where the density concentrates; quadrature tiles
-outward from it), and every family except the empirical one
+Each class validates its parameters on construction and owns its
+``expect(fn, breaks)`` (one value per row of a vectorized integrand),
+``dim`` and ``check_moment(q)`` (``LawError`` unless E|X|^q is finite).
+The continuous families (Pareto, Student t, log-normal) integrate by
+quadrature against their closed-form density, with ``breaks`` exact, from
+their support and centre (where the density concentrates; quadrature
+tiles outward from it).  Every family except the empirical one
 draws Monte Carlo samples from a numpy Generator: ``draw(rng, size, out)``
 fills and returns ``out`` where numpy can draw in place, and returns a new
 array otherwise.  Consecutive draws from one generator are the same
@@ -18,14 +21,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extreal import INF
+from .quadrature import expect as _quad_expect
 
 
 class LawError(ValueError):
     """Law not admissible for the requested exponent."""
 
 
+class _Law:
+    def check_moment(self, q: float) -> None:
+        """Every moment exists unless a family says otherwise."""
+
+
+class _DensityLaw(_Law):
+    """A closed one-dimensional family with a density."""
+
+    dim = 1
+
+    def expect(self, fn, breaks=()):
+        return _quad_expect(self.pdf, *self.support, fn, breaks,
+                            centre=self.centre)
+
+
 @dataclass(frozen=True)
-class FiniteSupportLaw:
+class FiniteSupportLaw(_Law):
     """Atoms of shape (k,) or (k, d) with probability weights."""
 
     atoms: np.ndarray
@@ -41,13 +60,20 @@ class FiniteSupportLaw:
         object.__setattr__(self, "atoms", a)
         object.__setattr__(self, "weights", w / w.sum())
 
+    @property
+    def dim(self) -> int:
+        return 1 if self.atoms.ndim == 1 else self.atoms.shape[1]
+
+    def expect(self, fn, breaks=()):
+        return fn(self.atoms) @ self.weights
+
     def draw(self, rng: np.random.Generator, size, out=None) -> np.ndarray:
         idx = rng.choice(self.weights.size, size=size, p=self.weights)
         return np.take(self.atoms, idx, axis=0, out=out)
 
 
 @dataclass(frozen=True)
-class EmpiricalLaw:
+class EmpiricalLaw(_Law):
     """Plug-in law of observed samples, shape (N,) or (N, d)."""
 
     samples: np.ndarray
@@ -58,9 +84,16 @@ class EmpiricalLaw:
             raise LawError("samples must be finite")
         object.__setattr__(self, "samples", s)
 
+    @property
+    def dim(self) -> int:
+        return 1 if self.samples.ndim == 1 else self.samples.shape[1]
+
+    def expect(self, fn, breaks=()):
+        return fn(self.samples).mean(axis=-1)
+
 
 @dataclass(frozen=True)
-class ParetoLaw:
+class ParetoLaw(_DensityLaw):
     """Standard Pareto with survival x^(-a) on [1, inf), optionally centered
     by its analytic mean a/(a-1)."""
 
@@ -70,6 +103,10 @@ class ParetoLaw:
     def __post_init__(self):
         if not self.a > 1.0:
             raise LawError("Pareto needs tail index a > 1 for a finite mean")
+
+    def check_moment(self, q: float) -> None:
+        if not self.a > q:
+            raise LawError(f"Pareto tail a={self.a} does not integrate |x|^{q}")
 
     @property
     def shift(self) -> float:
@@ -96,12 +133,16 @@ class ParetoLaw:
 
 
 @dataclass(frozen=True)
-class StudentTLaw:
+class StudentTLaw(_DensityLaw):
     df: float
 
     def __post_init__(self):
         if not self.df > 1.0:
             raise LawError("Student t needs df > 1")
+
+    def check_moment(self, q: float) -> None:
+        if not self.df > q:
+            raise LawError(f"Student t df={self.df} does not integrate |x|^{q}")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -121,7 +162,7 @@ class StudentTLaw:
 
 
 @dataclass(frozen=True)
-class LogNormalLaw:
+class LogNormalLaw(_DensityLaw):
     sigma: float
     centered: bool = True
 

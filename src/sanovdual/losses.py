@@ -121,22 +121,14 @@ class TabulatedLoss:
             raise LossError("loss is not convex on the sample grid")
         if (slopes < -1e-12).any():
             raise LossError("loss is not nondecreasing")
-        for x in (-1e-3, -1.0, -10.0):
-            if self._interp(xs, ys, slopes, x) >= 1.0:
-                raise LossError("loss must stay below 1 on the negative axis")
-        if not self.left_limit < 1.0:
-            raise LossError("declared left limit must be < 1")
         object.__setattr__(self, "xs", tuple(float(x) for x in xs))
         object.__setattr__(self, "ys", tuple(float(y) for y in ys))
         object.__setattr__(self, "_slopes", slopes)
-
-    @staticmethod
-    def _interp(xs, ys, slopes, x):
-        if x <= xs[0]:
-            return ys[0] + slopes[0] * (x - xs[0])
-        if x >= xs[-1]:
-            return ys[-1] + slopes[-1] * (x - xs[-1])
-        return float(np.interp(x, xs, ys))
+        for x in (-1e-3, -1.0, -10.0):
+            if self.value(x) >= 1.0:
+                raise LossError("loss must stay below 1 on the negative axis")
+        if not self.left_limit < 1.0:
+            raise LossError("declared left limit must be < 1")
 
     def value(self, x):
         xs = np.asarray(self.xs)

@@ -29,7 +29,6 @@ import numpy as np
 
 from .laws import FiniteSupportLaw, Law, LogNormalLaw, ParetoLaw, StudentTLaw
 from .optim import legendre_max
-from .quadrature import expect as _quad_expect
 
 WILSON_Z = 1.959963984540054   # two-sided 95%
 
@@ -288,8 +287,7 @@ class SAAInstance:
     pass (rows, n) blocks of replications, and exact values pass the atoms
     or quadrature nodes.  ``growth`` must be vectorized too; it maps an
     array of decision distances to growth values.  ``law`` provides the
-    Monte Carlo draws; exact values V(mu) use its finite support or
-    quadrature against its closed-form density.
+    Monte Carlo draws and the exact values V(mu), by ``law.expect``.
     """
 
     decisions: np.ndarray
@@ -303,17 +301,10 @@ class SAAInstance:
         self.decisions = np.asarray(self.decisions, dtype=float)
 
     def expected_losses(self) -> np.ndarray:
-        """E[h(x, W)] per decision, exactly or by one quadrature whose rows
-        are the decisions."""
-        if isinstance(self.law, FiniteSupportLaw):
-            return np.array([
-                float(np.dot(self.law.weights, self.loss(x, self.law.atoms)))
-                for x in self.decisions
-            ])
-        return _quad_expect(self.law.pdf, *self.law.support,
-                            lambda w: np.stack([self.loss(x, w)
-                                                for x in self.decisions]),
-                            centre=self.law.centre)
+        """E[h(x, W)] per decision, by one expectation whose rows are the
+        decisions."""
+        return self.law.expect(lambda w: np.stack([self.loss(x, w)
+                                                   for x in self.decisions]))
 
     def true_value(self) -> float:
         return float(self.expected_losses().min())

@@ -63,7 +63,7 @@ def generic_risk(f, spec: AlphaSpec, restarts: int = 200,
 
     if spec.grad_rows is None:     # a set indicator: rho at a generator
         row = spec.maximizer_rows(fv[None])[0]
-        return RhoResult(extreal.integral(row, fv), spec.law(row),
+        return RhoResult(float(spec.risk_rows(fv[None])[0]), spec.law(row),
                          "simplex_opt")
 
     sub = spec.support & ~np.isneginf(fv)

@@ -75,6 +75,26 @@ def sub(a: float, b: float) -> float:
     return add(a, INF if b == NEG_INF else -b)
 
 
+def integral(weights, values) -> float:
+    """Integrate ``values`` against the nonnegative vector ``weights``, one
+    point at a time: a reference for ``extreal.integral_rows``.
+
+    Zero-weight points are ignored; among the rest, -inf dominates +inf
+    per the standing convention.
+    """
+    w = np.asarray(weights, dtype=float)
+    v = np.asarray(values, dtype=float)
+    live = w > 0.0
+    if not live.any():
+        return 0.0
+    vs = v[live]
+    if np.isneginf(vs).any():
+        return NEG_INF
+    if np.isposinf(vs).any():
+        return INF
+    return float(np.dot(w[live], vs))
+
+
 # ---------------------------------------------------------------------------
 # Joint laws on E^n, kernels and the chain rule
 # ---------------------------------------------------------------------------
@@ -774,7 +794,7 @@ def risk_maximizer(f, spec: AlphaSpec) -> Optional[Dist]:
         return Dist(space, out / out.sum())
 
     if isinstance(spec, SetIndicator):
-        vals = [extreal.integral(g.weights, fv) for g in spec.generators]
+        vals = [integral(g.weights, fv) for g in spec.generators]
         return spec.generators[int(np.argmax(vals))]
 
     if isinstance(spec, Transport):

@@ -31,6 +31,11 @@ DROP = object()     # run_edited: delete the key instead of setting it
 def run_edited(tmp_path, command, key, value):
     """Run a small valid config for `command` with the dotted `key` set to
     `value` (or deleted, for DROP); "azuma" is the tailbound experiment."""
+    return run_with(tmp_path, command, {key: value})
+
+
+def run_with(tmp_path, command, edits):
+    """``run_edited`` with every (dotted key, value) of `edits` applied."""
     two = [0.5, 0.5]
     grid = {"lo": -0.5, "hi": 0.5, "count": 3}
     payload = {
@@ -53,14 +58,15 @@ def run_edited(tmp_path, command, key, value):
         "sanov": {"spec": {"kind": "relative_entropy", "mu": two},
                   "F": {"kind": "square_well"}, "schedule": [2]},
     }[command]
-    *parents, leaf = key.split(".")
-    obj = payload
-    for name in parents:
-        obj = obj[name]
-    if value is DROP:
-        del obj[leaf]
-    else:
-        obj[leaf] = value
+    for key, value in edits.items():
+        *parents, leaf = key.split(".")
+        obj = payload
+        for name in parents:
+            obj = obj[name]
+        if value is DROP:
+            del obj[leaf]
+        else:
+            obj[leaf] = value
     cfg = write_config(tmp_path, payload)
     return main(["tailbound" if command == "azuma" else command,
                  "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -182,11 +188,43 @@ class TestExitCodes:
         # A type-class level of 2^24 + 1 classes: over the dense cap.
         ("sanov", "schedule", [2, 2 ** 24]),
         ("transport", "schedule", [1, 2 ** 24]),
+        # Grids of 2^24 + 1 points: over the dense cap.
+        ("cramer", "dual_grid.count", 2 ** 24 + 1),
+        ("saa", "decisions", {"lo": 0.0, "hi": 1.0, "count": 2 ** 24 + 1}),
     ])
     def test_integer_fields_are_validated(self, tmp_path, capsys, command,
                                           key, value):
         assert run_edited(tmp_path, command, key, value) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, edits, named", [
+        ("cramer", {"law": {"kind": "pareto", "a": 2.5, "centered": True,
+                            "df": 3, "samples": [1, 2]}}, "law.df"),
+        ("cramer", {"law": {"kind": "finite", "atoms": [-1.0, 1.0],
+                            "weights": [0.5, 0.5], "centered": True}},
+         "law.centered"),
+        ("sanov", {"spec": {"kind": "relative_entropy", "mu": [0.5, 0.5],
+                            "p": 7, "cost": [[0, 1], [1, 0]]}}, "spec.p"),
+        ("sanov", {"F": {"kind": "linear", "coeffs": [0.1, 0.2],
+                         "center": 0.3}}, "F.center"),
+        ("sanov", {"F.value": 1.0}, "F.value"),
+        ("rho", {"spec": {"kind": "shortfall", "mu": [0.5, 0.5],
+                          "loss": {"kind": "exp", "q": 3, "xs": [1]}}},
+         "spec.loss.q"),
+        ("azuma", {"law": {"kind": "pareto", "a": 2.5}}, "config.law"),
+        ("azuma", {"q": 2}, "config.q"),
+        ("azuma", {"schedule": [10, 20]}, "config.schedule"),
+        ("tailbound", {"family": "uniform"}, "config.family"),
+        ("tailbound", {"n": 10}, "config.n"),
+        ("rho", {"generic": DROP, "restarts": 5}, "restarts"),
+        ("rho", {"generic": False, "restarts": 5}, "restarts"),
+        ("saa", {"growth": {"kind": "quadratic"}}, "growth"),
+        ("saa", {"loss.x0": 2.0}, "loss.x0"),
+    ])
+    def test_keys_of_another_kind_are_config_errors(self, tmp_path, capsys,
+                                                    command, edits, named):
+        assert run_with(tmp_path, command, edits) == 2
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, key, value, named", [
         ("rho", "generic", "no", "generic"),
@@ -213,6 +251,8 @@ class TestExitCodes:
         ("tailbound", "schedule"),
         ("azuma", "n"),
         ("azuma", "r"),
+        ("transport", "F.coeffs"),
+        ("cramer", "law.weights"),
     ])
     def test_missing_keys_are_named(self, tmp_path, capsys, command, key):
         assert run_edited(tmp_path, command, key, DROP) == 2

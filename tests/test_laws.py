@@ -10,7 +10,9 @@ import pytest
 from scipy import stats
 
 import sanovdual
-from sanovdual.laws import LogNormalLaw, StudentTLaw
+from oracles import sequential_expect
+from sanovdual.laws import (EmpiricalLaw, FiniteSupportLaw, LogNormalLaw,
+                            ParetoLaw, StudentTLaw)
 from sanovdual.montecarlo import rate_fit
 
 
@@ -27,6 +29,59 @@ def test_student_t_pdf_matches_scipy(df):
     x = np.sinh(np.linspace(-10.0, 10.0, 2001))
     ref = stats.t(df).pdf(x)
     assert np.all(np.abs(StudentTLaw(df).pdf(x) - ref) <= 1e-12 * ref)
+
+
+def test_finite_expect_is_the_weighted_sum():
+    atoms, weights = [-1.0, 0.5, 2.0], [0.3, 0.5, 0.2]
+    law = FiniteSupportLaw(np.array(atoms), np.array(weights))
+    assert law.dim == 1
+    want = [sum(w * a for a, w in zip(atoms, weights)),
+            sum(w * a ** 3 for a, w in zip(atoms, weights))]
+    got = law.expect(lambda x: np.stack([x, x ** 3]))
+    assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+    assert law.expect(np.abs) == pytest.approx(
+        sum(w * abs(a) for a, w in zip(atoms, weights)), rel=1e-15)
+
+
+def test_finite_expect_in_two_dimensions():
+    atoms = [(1.0, -2.0), (0.5, 3.0), (-1.5, 0.25)]
+    weights = [0.2, 0.3, 0.5]
+    law = FiniteSupportLaw(np.array(atoms), np.array(weights))
+    assert law.dim == 2
+    # one row per coordinate, then their product
+    want = [sum(w * a[0] for a, w in zip(atoms, weights)),
+            sum(w * a[1] for a, w in zip(atoms, weights)),
+            sum(w * a[0] * a[1] for a, w in zip(atoms, weights))]
+    got = law.expect(lambda x: np.vstack([x.T, x[:, 0] * x[:, 1]]))
+    assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("shape", [(7,), (7, 3)])
+def test_empirical_expect_is_the_sample_mean(shape):
+    samples = np.random.default_rng(3).normal(size=shape)
+    law = EmpiricalLaw(samples)
+    assert law.dim == (1 if len(shape) == 1 else shape[1])
+    if len(shape) == 1:
+        assert law.expect(np.exp) == np.mean(np.exp(samples))
+    else:
+        assert law.expect(lambda x: x[:, 0] * x[:, 1] - x[:, 2]) == \
+            np.mean(samples[:, 0] * samples[:, 1] - samples[:, 2])
+
+
+@pytest.mark.parametrize("law", [ParetoLaw(2.5), ParetoLaw(3.0, False),
+                                 StudentTLaw(4.0), LogNormalLaw(0.5)],
+                         ids=repr)
+def test_density_expect_matches_sequential_quadrature(law):
+    # A kinked integrand whose kink is passed as a break point.
+    kink = 0.5
+
+    def fn(x):
+        return np.maximum(x - kink, 0.0) ** 1.5 + np.abs(x) ** 0.5
+    assert law.dim == 1
+    got = law.expect(fn, breaks=(kink,))
+    want, _ = sequential_expect(law.pdf, *law.support, fn, (kink,),
+                                centre=law.centre)
+    assert abs(got - want) <= 1e-14 * abs(want)
 
 
 # scipy.stats and scipy.special would double the time of a fresh

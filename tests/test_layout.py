@@ -184,3 +184,32 @@ def test_no_type_switch_on_a_penalty_family():
             if named & families and id(node) not in inside:
                 found.append(f"{mod}.py:{node.lineno}")
     assert not found, f"isinstance on a penalty family at {found}"
+
+
+def test_no_type_switch_on_a_law_family():
+    # Each law family owns its expectation, dimension and moment check, so
+    # neither cramer.py nor montecarlo.py imports the quadrature or branches
+    # on a law's type, whether by its name or by an alias of it.
+    from sanovdual import cramer, laws, montecarlo
+    classes = {obj for obj in vars(laws).values()
+               if isinstance(obj, type) and obj.__module__ == laws.__name__}
+    found = []
+    for module in (cramer, montecarlo):
+        mod = module.__name__.rsplit(".", 1)[1]
+        families = {name for name, obj in vars(module).items()
+                    if isinstance(obj, type) and obj in classes} | \
+            {cls.__name__ for cls in classes}
+        for node in ast.walk(ast.parse((SRC / f"{mod}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and "quadrature" in \
+                    {node.module, *(alias.name for alias in node.names)}:
+                found.append(f"{mod}.py:{node.lineno} imports quadrature")
+            if not (isinstance(node, ast.Call) and
+                    isinstance(node.func, ast.Name) and
+                    node.func.id == "isinstance" and len(node.args) == 2):
+                continue
+            named = {n.id if isinstance(n, ast.Name) else n.attr
+                     for n in ast.walk(node.args[1])
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            if named & families:
+                found.append(f"{mod}.py:{node.lineno} isinstance on a law")
+    assert not found, found

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import check_integrability, saa_exact_exceedance
-from sanovdual import montecarlo
+from sanovdual import laws, montecarlo
 from sanovdual.laws import (FiniteSupportLaw, LogNormalLaw, ParetoLaw,
                             StudentTLaw)
 from sanovdual.montecarlo import (GrowthValidationError, RademacherIncrements,
@@ -232,7 +232,7 @@ class TestSAA:
         def counted(*args, **kwargs):
             calls.append(args)
             return expect(*args, **kwargs)
-        monkeypatch.setattr(montecarlo, "_quad_expect", counted)
+        monkeypatch.setattr(laws, "_quad_expect", counted)
         got = inst.expected_losses()
         assert len(calls) == 1 and got.shape == (5,)
         for value, x in zip(got, inst.decisions):

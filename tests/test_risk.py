@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import (bisect_root, entropic_risk, entropic_risk_rows_by_row,
-                     integral_rows_by_row, oce_risk, penalty_from_risk, risk,
-                     risk_maximizer, robust_entropic_risk, shortfall_risk,
+                     integral, integral_rows_by_row, oce_risk,
+                     penalty_from_risk, risk, risk_maximizer,
+                     robust_entropic_risk, shortfall_risk,
                      shortfall_risk_rows_by_row, transport_risk_rows_by_row)
 import sanovdual.risk as risk_module
 from sanovdual import extreal
@@ -387,7 +388,7 @@ class TestMaximizerRows:
 
     @staticmethod
     def achieved(row, f, spec):
-        return extreal.integral(row, f) - penalty(Dist(spec.space, row), spec)
+        return integral(row, f) - penalty(Dist(spec.space, row), spec)
 
     def test_rows_attain_the_value(self):
         rng = np.random.default_rng(16)

@@ -39,9 +39,11 @@ class TestExtReal:
         assert oracles.sub(3.0, 1.0) == 2.0
 
     def test_integral_ignores_null_sets(self):
-        assert extreal.integral([0.0, 1.0], [math.inf, 2.0]) == 2.0
-        assert extreal.integral([0.5, 0.5], [math.inf, 2.0]) == math.inf
-        assert extreal.integral([0.5, 0.5], [math.inf, -math.inf]) == -math.inf
+        assert extreal.integral_rows([0.0, 1.0], [[math.inf, 2.0]])[0] == 2.0
+        assert extreal.integral_rows([0.5, 0.5],
+                                     [[math.inf, 2.0]])[0] == math.inf
+        assert extreal.integral_rows([0.5, 0.5],
+                                     [[math.inf, -math.inf]])[0] == -math.inf
 
     def test_integral_rows(self):
         out = extreal.integral_rows(
