@@ -36,7 +36,7 @@ from .laws import (EmpiricalLaw, FiniteSupportLaw, LawError, LogNormalLaw,
 from .losses import ExpLoss, LossError, PowerLoss, TabulatedLoss
 from .penalties import (LpEntropy, RelativeEntropy, Robust, SetIndicator,
                         Shortfall, Transport)
-from .risk import generic_risk, risk_result
+from .risk import RESTARTS, generic_risk, risk_result
 from .spaces import DENSE_CAP, Dist, FiniteSpace, SpaceError
 
 log = logging.getLogger("sanovdual")
@@ -45,6 +45,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_INCONCLUSIVE = 4
+
+REPLICATIONS = 10000    # tailbound replications unless a config sets them
 
 
 class ConfigError(Exception):
@@ -158,61 +160,61 @@ def parse_loss(obj, path):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def parse_spec(obj, path="spec"):
-    kind = _kind(obj, path, "spec kind", {
+def parse_spec(obj):
+    kind = _kind(obj, "spec", "spec kind", {
         "relative_entropy": (("mu",), ()), "lp_entropy": (("mu", "p"), ()),
         "shortfall": (("mu", "loss"), ()), "robust": (("generators",), ()),
         "set_indicator": (("generators",), ()),
         "transport": (("mu", "cost"), ())})
     try:
         if kind == "relative_entropy":
-            return RelativeEntropy(_dist(obj["mu"], f"{path}.mu"))
+            return RelativeEntropy(_dist(obj["mu"], "spec.mu"))
         if kind == "lp_entropy":
-            return LpEntropy(_dist(obj["mu"], f"{path}.mu"),
-                             _num(obj["p"], f"{path}.p"))
+            return LpEntropy(_dist(obj["mu"], "spec.mu"),
+                             _num(obj["p"], "spec.p"))
         if kind == "shortfall":
-            return Shortfall(_dist(obj["mu"], f"{path}.mu"),
-                             parse_loss(obj["loss"], f"{path}.loss"))
+            return Shortfall(_dist(obj["mu"], "spec.mu"),
+                             parse_loss(obj["loss"], "spec.loss"))
         if kind in ("robust", "set_indicator"):
             gens = obj["generators"]
             if not isinstance(gens, list) or not gens:
-                raise ConfigError(f"{path}.generators: need a nonempty list")
+                raise ConfigError("spec.generators: need a nonempty list")
             space = FiniteSpace.of_size(len(_num_list(gens[0],
-                                                      f"{path}.generators[0]")))
-            dists = tuple(_dist(g, f"{path}.generators[{i}]", space)
+                                                      "spec.generators[0]")))
+            dists = tuple(_dist(g, f"spec.generators[{i}]", space)
                           for i, g in enumerate(gens))
             return Robust(dists) if kind == "robust" else SetIndicator(dists)
-        mu = _dist(obj["mu"], f"{path}.mu")
-        return Transport(mu, np.asarray(_matrix(obj["cost"], f"{path}.cost")))
+        mu = _dist(obj["mu"], "spec.mu")
+        return Transport(mu, np.asarray(_matrix(obj["cost"], "spec.cost")))
     except SpaceError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"spec: {exc}") from exc
 
 
-def parse_simplex_function(obj, m, path="F"):
+def parse_simplex_function(obj, m):
     """(F, dF): a function of the law on m states and its gradient, rows
     in.  F maps a (B, m) array of laws to their (B,) values and dF to
     their (B, m) gradients; ``abs_well``'s reads 0 at its kink."""
     well = ((), ("coordinate", "center", "scale"))
-    kind = _kind(obj, path, "function kind", {
+    kind = _kind(obj, "F", "function kind", {
         "constant": ((), ("value",)), "linear": (("coeffs",), ()),
         "square_well": well, "abs_well": well})
     if kind == "constant":
-        c = _num(obj.get("value", 0.0), f"{path}.value")
+        c = _num(obj.get("value", 0.0), "F.value")
         return lambda nu: np.full(len(nu), c), np.zeros_like
     if kind == "linear":
-        coeffs = np.asarray(_num_list(obj["coeffs"], f"{path}.coeffs"))
+        coeffs = np.asarray(_num_list(obj["coeffs"], "F.coeffs"))
         if coeffs.shape != (m,):
-            raise ConfigError(f"{path}.coeffs: expected {m} coefficients, "
+            raise ConfigError(f"F.coeffs: expected {m} coefficients, "
                               f"got {len(coeffs)}")
         return lambda nu: nu @ coeffs, \
             lambda nu: np.broadcast_to(coeffs, nu.shape)
     coord = obj.get("coordinate", 0)
     if isinstance(coord, bool) or coord not in range(m):
-        raise ConfigError(f"{path}.coordinate: expected an integer in "
+        raise ConfigError("F.coordinate: expected an integer in "
                           f"[0, {m}), got {coord!r}")
     coord = int(coord)
-    center = _num(obj.get("center", 0.5), f"{path}.center")
-    scale = _num(obj.get("scale", -1.0), f"{path}.scale")
+    center = _num(obj.get("center", 0.5), "F.center")
+    scale = _num(obj.get("scale", -1.0), "F.scale")
     e = np.eye(m)[coord]
     if kind == "square_well":
         return lambda nu: scale * (nu[:, coord] - center) ** 2, \
@@ -221,34 +223,33 @@ def parse_simplex_function(obj, m, path="F"):
         lambda nu: scale * np.sign(nu[:, coord, None] - center) * e
 
 
-def parse_law(obj, path="law"):
-    kind = _kind(obj, path, "law kind", {
+def parse_law(obj):
+    kind = _kind(obj, "law", "law kind", {
         "pareto": (("a",), ("centered",)), "student_t": (("df",), ()),
         "lognormal": (("sigma",), ("centered",)),
         "finite": (("atoms", "weights"), ()), "empirical": (("samples",), ())})
     if kind == "pareto":
-        return ParetoLaw(_num(obj["a"], f"{path}.a"),
-                         _bool(obj.get("centered", True), f"{path}.centered"))
+        return ParetoLaw(_num(obj["a"], "law.a"),
+                         _bool(obj.get("centered", True), "law.centered"))
     if kind == "student_t":
-        return StudentTLaw(_num(obj["df"], f"{path}.df"))
+        return StudentTLaw(_num(obj["df"], "law.df"))
     if kind == "lognormal":
-        return LogNormalLaw(_num(obj["sigma"], f"{path}.sigma"),
-                            _bool(obj.get("centered", True),
-                                  f"{path}.centered"))
+        return LogNormalLaw(_num(obj["sigma"], "law.sigma"),
+                            _bool(obj.get("centered", True), "law.centered"))
     if kind == "finite":
         return FiniteSupportLaw(np.asarray(_num_list(obj["atoms"],
-                                                     f"{path}.atoms")),
+                                                     "law.atoms")),
                                 np.asarray(_num_list(obj["weights"],
-                                                     f"{path}.weights")))
+                                                     "law.weights")))
     return EmpiricalLaw(np.asarray(_num_list(obj["samples"],
-                                             f"{path}.samples")))
+                                             "law.samples")))
 
 
-def _sampled_law(obj, path="law"):
+def _sampled_law(obj):
     """A law the Monte Carlo experiments can draw from."""
-    law = parse_law(obj, path)
-    if isinstance(law, EmpiricalLaw):
-        raise ConfigError(f"{path}.kind: an empirical law cannot be sampled")
+    law = parse_law(obj)
+    if law.draw is None:
+        raise ConfigError(f"law.kind: an {obj['kind']} law cannot be sampled")
     return law
 
 
@@ -280,18 +281,28 @@ def _pos_int(value, path, low=1, bits=64):
                       f"got {value!r}")
 
 
-def _schedule(value, path, bits=64):
+def _schedule(value, bits=64):
     if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a nonempty list of integers")
-    return [_pos_int(v, f"{path}[{i}]", bits=bits)
+        raise ConfigError("schedule: expected a nonempty list of integers")
+    return [_pos_int(v, f"schedule[{i}]", bits=bits)
             for i, v in enumerate(value)]
+
+
+def _sample_schedule(value):
+    """A Monte Carlo schedule: distinct sample sizes below 2^SAMPLE_BITS.
+    A repeated n would draw its stream again, a copy and not a new point."""
+    schedule = _schedule(value, bits=mc.SAMPLE_BITS)
+    for i, n in enumerate(schedule):
+        if n in schedule[:i]:
+            raise ConfigError(f"schedule[{i}]: {n} repeats an earlier entry")
+    return schedule
 
 
 def _type_schedule(value, m):
     """A schedule for the type-class recursion on m states: entry n runs n
     levels, the top one of C(n + m - 1, m - 1) classes, and both counts
     must fit the dense cap."""
-    schedule = _schedule(value, "schedule")
+    schedule = _schedule(value)
     for i, n in enumerate(schedule):
         # The class count grows with n, so a capped n decides it cheaply.
         top = math.comb(min(n, DENSE_CAP + 1) + m - 1, m - 1)
@@ -384,7 +395,7 @@ def cmd_rho(cfg, out: Path, seed: int) -> int:
         raise ConfigError("f: length must match the spec's space size")
     if generic:
         result = generic_risk(f, spec,
-                              restarts=_pos_int(cfg.get("restarts", 200),
+                              restarts=_pos_int(cfg.get("restarts", RESTARTS),
                                                 "restarts"),
                               seed=seed)
     else:
@@ -409,14 +420,22 @@ def cmd_sanov(cfg, out: Path, seed: int) -> int:
     spec = parse_spec(cfg["spec"])
     F, dF = parse_simplex_function(cfg["F"], spec.space.size)
     schedule = _type_schedule(cfg["schedule"], spec.space.size)
-    step = _grid_step(cfg.get("grid_step", 0.01), spec.space.size)
+    step = _grid_step(cfg.get("grid_step", dp.GRID_STEP), spec.space.size)
     run = dp.sanov_limit(F, dF, spec, schedule, grid_step=step)
     write_json(out / "report.json", run.to_json_dict())
     write_csv(out / "table.csv", ("n", "v_n", "target", "gap"), run.csv_rows())
     for n, v, g in zip(run.schedule, run.values, run.gaps):
         print(f"n={n:6d}  v_n={v: .9f}  gap={g:.3e}")
     print(f"target = {run.target:.9f}")
+    _check_coupling(run)
     return EXIT_OK
+
+
+def _check_coupling(run: dp.SanovRun) -> None:
+    """A transport run's two targets must agree within 1e-6."""
+    if run.coupling_target is not None and \
+            abs(run.target - run.coupling_target) > 1e-6:
+        raise ArithmeticError("transport limit targets disagree beyond 1e-6")
 
 
 def cmd_cramer(cfg, out: Path, seed: int) -> int:
@@ -449,10 +468,9 @@ def cmd_tailbound(cfg, out: Path, seed: int) -> int:
     if experiment == "mean_tail":
         law = _sampled_law(cfg["law"])
         q = _num(cfg["q"], "q")
-        replications = _pos_int(cfg.get("replications", 10000),
+        replications = _pos_int(cfg.get("replications", REPLICATIONS),
                                 "replications")
-        schedule = _schedule(cfg["schedule"], "schedule",
-                             bits=mc.SAMPLE_BITS)
+        schedule = _sample_schedule(cfg["schedule"])
         mq = moment_norm(law, q)
         r = _num(cfg["r"], "r") if "r" in cfg else mq + 1.0
         if not r > mq:
@@ -493,7 +511,8 @@ def cmd_tailbound(cfg, out: Path, seed: int) -> int:
     family = mc.INCREMENT_FAMILIES[family_name]()
     r = _num(cfg["r"], "r")
     n = _pos_int(cfg["n"], "n", bits=mc.SAMPLE_BITS)
-    replications = _pos_int(cfg.get("replications", 10000), "replications")
+    replications = _pos_int(cfg.get("replications", REPLICATIONS),
+                            "replications")
     if replications < 1000:
         raise InconclusiveError("need at least 1e3 replications")
     res = mc.azuma_experiment(family, r, n, replications, seed=seed)
@@ -553,7 +572,7 @@ def cmd_saa(cfg, out: Path, seed: int) -> int:
         raise ConfigError("growth: only the argmin experiment takes a "
                           "growth function")
     instance = _parse_saa_instance(cfg)
-    schedule = _schedule(cfg["schedule"], "schedule", bits=mc.SAMPLE_BITS)
+    schedule = _sample_schedule(cfg["schedule"])
     replications = _pos_int(cfg["replications"], "replications")
     if replications < 1000:
         raise InconclusiveError("need at least 1e3 replications")
@@ -627,7 +646,7 @@ def cmd_transport(cfg, out: Path, seed: int) -> int:
         raise ConfigError(f"cost: {exc}") from exc
     F, dF = parse_simplex_function(cfg["F"], mu.m)
     schedule = _type_schedule(cfg["schedule"], mu.m)
-    step = _grid_step(cfg.get("grid_step", 0.01), mu.m)
+    step = _grid_step(cfg.get("grid_step", dp.GRID_STEP), mu.m)
     n_chk = _pos_int(cfg.get("control_check_n", 2), "control_check_n")
     if mu.m ** min(n_chk, 25) > DENSE_CAP:     # 2^25 already exceeds it
         raise ConfigError(f"control_check_n: a control field of {mu.m}^"
@@ -650,8 +669,7 @@ def cmd_transport(cfg, out: Path, seed: int) -> int:
           f"{run.coupling_target:.9f}")
     print(f"control check: |{v_ctl:.12g} - {v_rec:.12g}| = "
           f"{abs(v_ctl - v_rec):.3e}")
-    if abs(run.target - run.coupling_target) > 1e-6:
-        raise ArithmeticError("transport limit targets disagree beyond 1e-6")
+    _check_coupling(run)
     if abs(v_ctl - v_rec) > 1e-10:
         raise ArithmeticError("control value disagrees with the recursion")
     return EXIT_OK

@@ -33,6 +33,8 @@ from .optim import legendre_max, legendre_max_nd, newton_nonincreasing
 
 log = logging.getLogger("sanovdual")
 
+CONVEX_TOL = 1e-7   # slack of the midpoint convexity records
+
 
 def check_admissible(law: Law, q: float) -> None:
     """The q-th moment must exist for the declared exponent."""
@@ -176,16 +178,15 @@ class RatePoint:
     bound: float  # bounds the supremum; +inf if diverged or uncertified
 
 
-def rate_function(law: Law, x, q: float, ray_radius: float = 1e3, *,
-                  zero=None) -> RatePoint:
+def rate_function(law: Law, x, q: float, *, zero=None) -> RatePoint:
     """sup over dual vectors of <t, x> - cumulant(t), for x of the law's
     dimension, at most 3 (``LawError`` otherwise), by
     ``optim.legendre_max`` (``legendre_max_nd`` in 2 and 3 dimensions) from
     t = 0 with the cumulant's gradient and Hessian, certified within
-    1e-12 (1 + |value|) by its tangents; "diverged", value +inf, where no
-    maximizer lies within ``ray_radius`` (in 2 and 3 dimensions, within
-    (1 - 1e-6) ``ray_radius``).  ``zero``, if given, is ``_cumulant(law, 0.0, q,
-    curvature=True)``, the pass at t = 0 that every search makes first.
+    ``optim.TOL`` (1 + |value|) by its tangents; "diverged", value +inf,
+    where no maximizer lies within the ray radius (``optim.legendre_max``).
+    ``zero``, if given, is ``_cumulant(law, 0.0, q, curvature=True)``, the
+    pass at t = 0 that every search makes first.
     Each cumulant solve starts from the tangent at the point solved last.
     """
     xv = np.atleast_1d(np.asarray(x, dtype=float))
@@ -211,8 +212,8 @@ def rate_function(law: Law, x, q: float, ray_radius: float = 1e3, *,
         return (lam, grad, curv) if d > 1 else \
             (lam, float(grad[0]), float(curv[0, 0]))
 
-    t_best, v_best, status, bound = legendre_max_nd(fn, xv, ray_radius) \
-        if d > 1 else legendre_max(fn, float(xv[0]), ray_radius)
+    t_best, v_best, status, bound = legendre_max_nd(fn, xv) if d > 1 else \
+        legendre_max(fn, float(xv[0]))
     if status == "diverged":
         return RatePoint(INF, None, "diverged", INF)
     return RatePoint(v_best, np.atleast_1d(t_best), "ok", bound)
@@ -256,13 +257,13 @@ class ConjugatePair:
         return list(zip(self.primal_grid.tolist(), self.primal_values.tolist()))
 
 
-def _midpoint_convex(xs: np.ndarray, ys: np.ndarray, tol: float = 1e-7) -> bool:
+def _midpoint_convex(xs: np.ndarray, ys: np.ndarray) -> bool:
     fin = np.isfinite(ys)
     ok = True
     for i in range(1, xs.size - 1):
         if fin[i - 1] and fin[i] and fin[i + 1] and \
                 abs(xs[i + 1] - xs[i] - (xs[i] - xs[i - 1])) < 1e-12:
-            ok &= ys[i] <= 0.5 * (ys[i - 1] + ys[i + 1]) + tol
+            ok &= ys[i] <= 0.5 * (ys[i - 1] + ys[i + 1]) + CONVEX_TOL
     return bool(ok)
 
 

@@ -28,25 +28,13 @@ from .spaces import (DENSE_CAP, Dist, FiniteSpace, SpaceError,
 from .transport import solve_transport
 
 __all__ = [
-    "DPTrace", "SanovRun", "SuperhedgeCert", "backward_value_dense",
+    "SanovRun", "SuperhedgeCert", "backward_value_dense",
     "backward_value_symmetric", "backward_values_symmetric",
     "symmetric_terminal", "sanov_limit",
     "superhedge", "transport_control_value", "simplex_supremum",
 ]
 
-
-@dataclass
-class DPTrace:
-    """Stage values of the backward recursion: stages[k] has length m^k."""
-
-    n: int
-    space: FiniteSpace
-    spec: AlphaSpec
-    stages: list[np.ndarray]   # stages[0] is the scalar value
-
-    @property
-    def value(self) -> float:
-        return float(self.stages[0][0])
+GRID_STEP = 0.01    # mesh of the simplex grid that starts a limit target
 
 
 def _flatten_field(f, space: FiniteSpace) -> tuple[np.ndarray, int]:
@@ -61,8 +49,10 @@ def _flatten_field(f, space: FiniteSpace) -> tuple[np.ndarray, int]:
 
 def backward_value_dense(f, space: FiniteSpace, spec: AlphaSpec,
                          keep_trace: bool = False
-                         ) -> tuple[float, Optional[DPTrace]]:
-    """n-step risk of a dense field by the backward recursion."""
+                         ) -> tuple[float, Optional[list[np.ndarray]]]:
+    """n-step risk of a dense field by the backward recursion, and with
+    ``keep_trace`` its stage values: stage k has m^k entries, and stage 0
+    is the value."""
     flat, n = _flatten_field(f, space)
     m = space.size
     if flat.size > DENSE_CAP:
@@ -74,12 +64,8 @@ def backward_value_dense(f, space: FiniteSpace, spec: AlphaSpec,
         g = risk_rows(spec, g.reshape(-1, m))
         if keep_trace:
             stages.append(g)
-    value = float(g[0])
-    trace = None
-    if keep_trace:
-        stages.reverse()
-        trace = DPTrace(n, space, spec, stages)
-    return value, trace
+    stages.reverse()
+    return float(g[0]), stages if keep_trace else None
 
 
 def backward_value_symmetric(values_by_type, n: int, space: FiniteSpace,
@@ -151,7 +137,7 @@ def _values(F: Callable[[np.ndarray], np.ndarray], rows: np.ndarray,
 
 def simplex_supremum(objective: Callable[[np.ndarray], np.ndarray],
                      gradient: Optional[Callable[[np.ndarray], np.ndarray]],
-                     m: int, step: float = 0.01) -> tuple[float, np.ndarray]:
+                     m: int, step: float) -> tuple[float, np.ndarray]:
     """sup of a rows-in, values-out function over the simplex: one call on
     the (B, m) grid, then projected ascent along the rows-in (super)gradient
     from the best grid point; without a gradient (None), that grid point."""
@@ -199,7 +185,8 @@ class SanovRun:
 
 def sanov_limit(F: Callable[[np.ndarray], np.ndarray],
                 dF: Callable[[np.ndarray], np.ndarray], spec: AlphaSpec,
-                schedule: Sequence[int], grid_step: float = 0.01) -> SanovRun:
+                schedule: Sequence[int], grid_step: float = GRID_STEP
+                ) -> SanovRun:
     """(1/n) rho_n(n F o L_n) along a schedule, with the limit target
     sup_nu (F(nu) - alpha(nu)).  One backward pass over type classes
     serves the whole schedule (``backward_values_symmetric``).  F maps a
@@ -267,9 +254,8 @@ class SuperhedgeCert:
 
 def superhedge(f, space: FiniteSpace, spec: AlphaSpec) -> SuperhedgeCert:
     """Decompose f as y + sum of adapted acceptable increments."""
-    value, trace = backward_value_dense(f, space, spec, keep_trace=True)
+    value, stages = backward_value_dense(f, space, spec, keep_trace=True)
     m = space.size
-    stages = trace.stages
     flat = np.empty(sum(g.size for g in stages[1:]))
     increments = []
     slice_max = 0.0

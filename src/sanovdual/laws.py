@@ -6,12 +6,12 @@ Each class validates its parameters on construction and owns its
 The continuous families (Pareto, Student t, log-normal) integrate by
 quadrature against their closed-form density, with ``breaks`` exact, from
 their support and centre (where the density concentrates; quadrature
-tiles outward from it).  Every family except the empirical one
-draws Monte Carlo samples from a numpy Generator: ``draw(rng, size, out)``
-fills and returns ``out`` where numpy can draw in place, and returns a new
-array otherwise.  Consecutive draws from one generator are the same
-samples as one draw of their joint size.  Centering subtracts the
-analytic mean, so a centered law has mean zero.
+tiles outward from it).  Every family except the empirical one, whose
+``draw`` is None, draws Monte Carlo samples from a numpy Generator:
+``draw(rng, size, out)`` fills and returns ``out`` where numpy can draw in
+place, and returns a new array otherwise.  Consecutive draws from one
+generator are the same samples as one draw of their joint size.
+Centering subtracts the analytic mean, so a centered law has mean zero.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ class LawError(ValueError):
 
 
 class _Law:
+    draw = None     # a family that can be sampled defines draw
+
     def check_moment(self, q: float) -> None:
         """Every moment exists unless a family says otherwise."""
 

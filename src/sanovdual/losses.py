@@ -23,7 +23,7 @@ class LossError(ValueError):
 class ExpLoss:
     """l(x) = exp(x); the entropic loss."""
 
-    left_limit: float = 0.0
+    left_limit = 0.0    # l(x) -> 0 as x -> -inf
 
     def value(self, x):
         return np.exp(x)
@@ -55,7 +55,7 @@ class PowerLoss:
     """l(x) = ((1+x)^+)^q for q > 1; the heavy-tail (L^p) loss."""
 
     q: float
-    left_limit: float = 0.0
+    left_limit = 0.0    # l(x) = 0 for x <= -1
 
     def __post_init__(self):
         if not self.q > 1.0:

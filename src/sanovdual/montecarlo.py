@@ -90,8 +90,15 @@ LogNormalSampler = LogNormalLaw
 FiniteSampler = FiniteSupportLaw
 
 
-# Martingale increment families: each maps per-step uniforms to increments,
-# possibly depending on the running sum (conditionally centered, bounded).
+class IncrementFamily:
+    """A martingale increment family: it maps per-step uniforms to
+    increments, possibly depending on the running sum (conditionally
+    centered, bounded)."""
+
+    def exact_tail(self, n: int, r: float) -> Optional[float]:
+        """Exact P(S_n / n >= r), or None without a closed form."""
+        return None
+
 
 def _log_cosh(y: float) -> tuple[float, float, float]:
     """log cosh y and its first two derivatives."""
@@ -100,7 +107,7 @@ def _log_cosh(y: float) -> tuple[float, float, float]:
 
 
 @dataclass(frozen=True)
-class RademacherIncrements:
+class RademacherIncrements(IncrementFamily):
     """Fair +-1 increments; log-mgf bound phi(y) = log cosh y."""
 
     def phi(self, y: float) -> float:
@@ -112,9 +119,21 @@ class RademacherIncrements:
     def step(self, u: np.ndarray, s: np.ndarray) -> np.ndarray:
         return np.where(u < 0.5, -1.0, 1.0)
 
+    def exact_tail(self, n: int, r: float) -> float:
+        """Exact P(S_n / n >= r), summed in log space."""
+        k_min = math.ceil((n + r * n) / 2.0)
+        if k_min > n:
+            return 0.0
+        log_half = -n * math.log(2.0)
+        total = 0.0
+        for k in range(int(k_min), n + 1):
+            total += math.exp(math.lgamma(n + 1) - math.lgamma(k + 1)
+                              - math.lgamma(n - k + 1) + log_half)
+        return total
+
 
 @dataclass(frozen=True)
-class UniformIncrements:
+class UniformIncrements(IncrementFamily):
     """Uniform[-1, 1] increments; phi(y) = log(sinh y / y)."""
 
     def phi(self, y: float) -> float:
@@ -141,7 +160,7 @@ class UniformIncrements:
 
 
 @dataclass(frozen=True)
-class ScriptedIncrements:
+class ScriptedIncrements(IncrementFamily):
     """Past-dependent, conditionally centered increments in [-1, 1].
 
     When the running sum is nonnegative the step is -1/2 w.p. 2/3 and +1
@@ -159,8 +178,6 @@ class ScriptedIncrements:
         return np.where(s >= 0.0, up, dn)
 
 
-IncrementFamily = RademacherIncrements | UniformIncrements | ScriptedIncrements
-
 INCREMENT_FAMILIES = {
     "rademacher": RademacherIncrements,
     "uniform": UniformIncrements,
@@ -172,10 +189,10 @@ INCREMENT_FAMILIES = {
 # Tail estimation
 # ---------------------------------------------------------------------------
 
-def wilson_interval(hits: int, total: int,
-                    z: float = WILSON_Z) -> tuple[float, float]:
+def wilson_interval(hits: int, total: int) -> tuple[float, float]:
     if total <= 0:
         raise ValueError("need at least one replication")
+    z = WILSON_Z
     p = hits / total
     denom = 1.0 + z * z / total
     center = (p + z * z / (2 * total)) / denom
@@ -228,11 +245,12 @@ class RateFit:
 
 
 def rate_fit(ns: Sequence[int], p_hats: Sequence[float]) -> RateFit:
-    """Least-squares slope of log p against log n, zero-hit cells excluded."""
+    """Least-squares slope of log p against log n, zero-hit cells excluded;
+    "inconclusive" unless at least 3 distinct n have hits."""
     ns = np.asarray(ns, dtype=float)
     ps = np.asarray(p_hats, dtype=float)
     keep = ps > 0.0
-    if keep.sum() < 3:
+    if np.unique(ns[keep]).size < 3:
         return RateFit(math.nan, math.nan, math.nan, int(keep.sum()),
                        "inconclusive")
     from scipy.special import stdtrit   # lazy, as in StudentTLaw.pdf
@@ -308,10 +326,6 @@ class SAAInstance:
 
     def true_value(self) -> float:
         return float(self.expected_losses().min())
-
-    def true_argmin(self) -> float:
-        ev = self.expected_losses()
-        return float(self.decisions[int(np.argmin(ev))])
 
     def empirical_losses(self, W: np.ndarray) -> np.ndarray:
         """(decisions, rows) mean loss over each row of a (rows, n) block."""
@@ -422,12 +436,11 @@ class AzumaResult:
     exact_tail: Optional[float] = None
 
 
-def conjugate_scalar(family: IncrementFamily, r: float,
-                     radius: float = 1e3) -> float:
+def conjugate_scalar(family: IncrementFamily, r: float) -> float:
     """phi*(r) = sup_y (r y - phi(y)) for the family's convex phi, by
-    ``optim.legendre_max``; where no maximizer lies within ``radius`` it
-    is the best value within it, a lower bound."""
-    return legendre_max(family.phi_derivatives, r, radius)[1]
+    ``optim.legendre_max``; where no maximizer lies within
+    ``optim.RAY_RADIUS`` it is the best value within it, a lower bound."""
+    return legendre_max(family.phi_derivatives, r)[1]
 
 
 def _simulate_final_means(family: IncrementFamily, n: int, replications: int,
@@ -444,30 +457,13 @@ def _simulate_final_means(family: IncrementFamily, n: int, replications: int,
 
 
 def azuma_experiment(family: IncrementFamily, r: float, n: int,
-                     replications: int, seed: int,
-                     slack: float = MARTINGALE_SLACK) -> AzumaResult:
-    """Compare (1/n) log P(S_n/n >= r) against -phi*(r) + slack."""
+                     replications: int, seed: int) -> AzumaResult:
+    """Compare (1/n) log P(S_n/n >= r) against -phi*(r) + MARTINGALE_SLACK."""
     means = _simulate_final_means(family, n, replications, seed)
     hits = int((means >= r).sum())
     p_hat = hits / replications
     phi_star = conjugate_scalar(family, r)
     emp = math.log(p_hat) / n if hits > 0 else -math.inf
-    budget = -phi_star + slack
-    exact = None
-    if isinstance(family, RademacherIncrements):
-        exact = _rademacher_exact_tail(n, r)
+    budget = -phi_star + MARTINGALE_SLACK
     return AzumaResult(n, r, replications, hits, p_hat, phi_star, emp,
-                       budget, emp <= budget, exact)
-
-
-def _rademacher_exact_tail(n: int, r: float) -> float:
-    """Exact P(S_n / n >= r) for fair +-1 steps, summed in log space."""
-    k_min = math.ceil((n + r * n) / 2.0)
-    if k_min > n:
-        return 0.0
-    log_half = -n * math.log(2.0)
-    total = 0.0
-    for k in range(int(k_min), n + 1):
-        total += math.exp(math.lgamma(n + 1) - math.lgamma(k + 1)
-                          - math.lgamma(n - k + 1) + log_half)
-    return total
+                       budget, emp <= budget, family.exact_tail(n, r))

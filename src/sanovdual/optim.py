@@ -14,8 +14,11 @@ Everything here is plain numpy:
   the Azuma conjugate;
 * simplex grids.
 
-A search that exhausts its iteration cap unconverged logs a ``sanovdual``
-warning naming the solver and its last bracket.
+The root finder, the line search and both Legendre transforms share one
+relative tolerance ``TOL`` and one step cap ``STEP_CAP``, and both
+transforms search within ``RAY_RADIUS`` of 0.  A search that exhausts its
+iteration cap unconverged logs a ``sanovdual`` warning naming the solver
+and its last bracket.
 """
 
 from __future__ import annotations
@@ -32,6 +35,10 @@ from .spaces import type_index
 log = logging.getLogger("sanovdual")
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+TOL = 1e-12
+STEP_CAP = 200
+RAY_RADIUS = 1e3
 
 
 def project_simplex(v: np.ndarray, support=None) -> np.ndarray:
@@ -70,7 +77,7 @@ def _namespace(lo, hi):
             np.array(lo, dtype=float), np.array(hi, dtype=float))
 
 
-def golden_min(fn: Callable, lo, hi, tol: float = 1e-12, max_iter: int = 200):
+def golden_min(fn: Callable, lo, hi):
     """Golden-section minimum of a unimodal function on [lo, hi].
 
     With scalar brackets ``fn`` maps a float to a float.  With (B,) arrays
@@ -82,12 +89,12 @@ def golden_min(fn: Callable, lo, hi, tol: float = 1e-12, max_iter: int = 200):
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
-    for it in range(max_iter + 1):
-        done = b - a <= tol * (1.0 + abs(a) + abs(b))
+    for it in range(STEP_CAP + 1):
+        done = b - a <= TOL * (1.0 + abs(a) + abs(b))
         if all_(done):
             break
-        if it == max_iter:
-            _warn_open("golden_min", max_iter, done, a, b)
+        if it == STEP_CAP:
+            _warn_open("golden_min", STEP_CAP, done, a, b)
             break
         left = fc <= fd
         na, nb = where(left, a, c), where(left, d, b)
@@ -103,8 +110,7 @@ def golden_min(fn: Callable, lo, hi, tol: float = 1e-12, max_iter: int = 200):
     return where(best, c, d), where(best, fc, fd)
 
 
-def newton_nonincreasing(G: Callable, target: float, lo, hi, step,
-                         max_iter: int = 200):
+def newton_nonincreasing(G: Callable, target: float, lo, hi, step):
     """Smallest m with G(m) <= target, per row, for G continuous and
     nonincreasing in each row, by safeguarded Newton steps (rtsafe,
     Press et al., Numerical Recipes, section 9.4).
@@ -112,10 +118,11 @@ def newton_nonincreasing(G: Callable, target: float, lo, hi, step,
     With scalar brackets ``G(m)`` maps a float to the pair (G(m), G'(m));
     with (B,) arrays of brackets and steps it maps a (B,) array of levels
     to a pair of (B,) arrays.  ``lo`` first steps down by ``step``,
-    ``2 step``, ... until G(lo) > target (-inf if it never does); the
-    points it leaves are upper ends.  Every Newton step starts at lo; it
-    overshoots the root only where G is not convex, which costs speed, as
-    the point reached becomes hi and the bracket stays certified.
+    ``2 step``, ... until G(lo) > target (-inf if it never does within
+    ``STEP_CAP`` steps); the points it leaves are upper ends.  Every Newton
+    step starts at lo; it overshoots the root only where G is not convex,
+    which costs speed, as the point reached becomes hi and the bracket
+    stays certified.
     A Newton step is refused if it has no negative slope to follow, or if
     it neither halves the bracket nor is at most half the step before it.
     A step that reaches a known upper end hi means lo lies within rounding
@@ -127,14 +134,14 @@ def newton_nonincreasing(G: Callable, target: float, lo, hi, step,
     lo + tol/2, which closes the bracket.
 
     A row stops, and keeps its state, once G(hi) <= target < G(lo) with
-    hi - lo <= tol = 1e-12 (1 + |hi|); it returns hi.  A row with no upper
-    end after ``max_iter`` steps is +inf.
+    hi - lo <= tol = ``TOL`` (1 + |hi|); it returns hi.  A row with no upper
+    end after ``STEP_CAP`` steps is +inf.
     """
     where, any_, all_, lo, hi = _namespace(lo, hi)
     batched = np.ndim(lo) > 0
     upper, width = hi, where(hi - lo > 1.0, hi - lo, 1.0)
     hi = last = lo + INF        # no upper end yet, and no step before
-    for _ in range(200):
+    for _ in range(STEP_CAP):
         value, slope = G(lo)
         above = value <= target     # lo is an upper end: step it down
         if not any_(above):
@@ -145,14 +152,14 @@ def newton_nonincreasing(G: Callable, target: float, lo, hi, step,
     never = above
     lo = where(never, hi, lo)   # closes those rows at a known point
     probed = hi < lo            # False per row
-    for it in range(max_iter + 1):
-        tol = 1e-12 * (1.0 + abs(where(hi < INF, hi, lo)))
+    for it in range(STEP_CAP + 1):
+        tol = TOL * (1.0 + abs(where(hi < INF, hi, lo)))
         gap = hi - lo
         done = gap <= tol
         if all_(done):
             break
-        if it == max_iter:
-            _warn_open("newton_nonincreasing", max_iter, done, lo, hi)
+        if it == STEP_CAP:
+            _warn_open("newton_nonincreasing", STEP_CAP, done, lo, hi)
             break
         descent = slope < 0.0
         d = where(descent, (target - value) / where(descent, slope, -1.0),
@@ -210,7 +217,7 @@ def _safeguard(where, lo, hi, d, descent, tol, last, probed, upper, width):
 bisect_nonincreasing = newton_nonincreasing
 
 
-def legendre_max(fn: Callable, x, radius: float, max_iter: int = 200):
+def legendre_max(fn: Callable, x):
     """sup over t of t x - f(t) for a convex f on the line, where ``fn(t)``
     returns (f(t), f'(t), f''(t)).  Returns (t, value, status, bound): the
     objective at t is at least ``value``, and ``bound`` >= ``value`` (+inf
@@ -222,8 +229,8 @@ def legendre_max(fn: Callable, x, radius: float, max_iter: int = 200):
     A point with f' <= x lies left of a maximizer and one with f' >= x
     right of it.  Until both are known, a Newton step longer than the width
     or than half the last step is replaced by the width, which then doubles
-    (1, 2, 4, ...), and |t| stays within ``radius``: a slope that never
-    reaches x ends at the radius, "diverged", after about log2(radius)
+    (1, 2, 4, ...), and |t| stays within ``RAY_RADIUS``: a slope that never
+    reaches x ends at the radius, "diverged", after about log2(RAY_RADIUS)
     steps, with the best value within it.  A Newton step whose predicted
     gain (x - f') d / 2 is below tolerance is doubled to probe for the far
     side; a probe that falls short is followed by the width.  Once both are
@@ -232,13 +239,13 @@ def legendre_max(fn: Callable, x, radius: float, max_iter: int = 200):
 
     By convexity the tangent lines of t x - f(t) at the two ends bound it
     from above; the search stops, "ok", once the bound where they cross is
-    within 1e-12 (1 + |value|) of the best value, which certifies it
+    within ``TOL`` (1 + |value|) of the best value, which certifies it
     without a narrow t bracket, or once the bracket is within rounding.
     """
     t, width, last, before, probed = 0.0, 1.0, INF, INF, False
     best_t, best_v, upper = 0.0, NEG_INF, INF
     lo = hi = None      # (t, t x - f(t), |x - f'(t)|) with f' <= x, f' >= x
-    for _ in range(max_iter):
+    for _ in range(STEP_CAP):
         f, s, c = fn(t)
         if not (math.isfinite(f) and math.isfinite(s)):
             raise FloatingPointError(f"legendre_max: f = {f}, f' = {s} at "
@@ -250,7 +257,7 @@ def legendre_max(fn: Callable, x, radius: float, max_iter: int = 200):
             lo = (t, v, x - s)
         if s >= x:
             hi = (t, v, s - x)
-        tol = 1e-12 * (1.0 + abs(best_v))
+        tol = TOL * (1.0 + abs(best_v))
         d = (x - s) / c if c > 0.0 else math.copysign(INF, x - s)
         if lo is not None and hi is not None:
             (a, va, ca), (b, vb, cb) = lo, hi
@@ -271,23 +278,23 @@ def legendre_max(fn: Callable, x, radius: float, max_iter: int = 200):
             elif 0.5 * (x - s) * d <= tol:      # probe for the far side
                 d = math.copysign(max(2.0 * abs(d), 4.0 * math.ulp(t)), d)
                 probed = True
-            step = min(max(t + d, -radius), radius)
-            if step == t == math.copysign(radius, d):
+            step = min(max(t + d, -RAY_RADIUS), RAY_RADIUS)
+            if step == t == math.copysign(RAY_RADIUS, d):
                 return best_t, best_v, "diverged", INF
         last, before = abs(step - t), last
         t = step
-    _warn_open("legendre_max", max_iter, False, lo[0] if lo else math.nan,
+    _warn_open("legendre_max", STEP_CAP, False, lo[0] if lo else math.nan,
                hi[0] if hi else math.nan)
     return best_t, best_v, "ok", max(upper, best_v)
 
 
-def legendre_max_nd(fn: Callable, x, radius: float, max_iter: int = 200):
+def legendre_max_nd(fn: Callable, x):
     """``legendre_max`` in R^d, where ``fn(t)`` returns f(t) with its
     gradient and Hessian H: damped Newton on grad f(t) = x from t = 0 on the
-    range of H, and on g = mu t along the sphere |t| = ``radius``.  "ok"
-    needs Kelley's tangent-plane bound (over |t| <= ``radius``) within
-    1e-12 (1 + |value|), and "diverged" a point t0 with g0 . t0 >=
-    (1 - 1e-6) ``radius`` |g0|.  The README gives the details."""
+    range of H, and on g = mu t along the sphere |t| = ``RAY_RADIUS``.
+    "ok" needs Kelley's tangent-plane bound (over |t| <= ``RAY_RADIUS``)
+    within ``TOL`` (1 + |value|), and "diverged" a point t0 with g0 . t0 >=
+    (1 - 1e-6) ``RAY_RADIUS`` |g0|.  The README gives the details."""
     def point(t):
         f, s, H = fn(t)
         if not (math.isfinite(f) and np.isfinite(s).all()):
@@ -296,31 +303,31 @@ def legendre_max_nd(fn: Callable, x, radius: float, max_iter: int = 200):
         return t, float(t @ x) - f, x - s, H
 
     base, width, step = point(np.zeros(x.size)), 1.0, None
-    for _ in range(max_iter):
+    for _ in range(STEP_CAP):
         t0, v0, g0, H0 = base
-        tol = 1e-12 * (1.0 + abs(v0))
+        tol = TOL * (1.0 + abs(v0))
         if step is None:    # a new base: its step
             if not g0.any():
                 return t0, v0, "ok", v0
             # no worse than t0, a maximizer t has g0 . t >= g0 . t0
-            if g0 @ t0 >= (1.0 - 1e-6) * radius * np.linalg.norm(g0):
+            if g0 @ t0 >= (1.0 - 1e-6) * RAY_RADIUS * np.linalg.norm(g0):
                 return t0, v0, "diverged", INF
             w, Q = np.linalg.eigh(H0)
             keep = w > 1e-10 * max(w[-1], 0.0)
             R, gQ, alpha = Q[:, keep], g0 @ Q, 1.0
             with np.errstate(over="ignore"):    # an overflow reads as long
                 newton = gQ[keep] / w[keep]
-            shift = 0.0 if np.linalg.norm(gQ[~keep]) * radius <= tol and \
+            shift = 0.0 if np.linalg.norm(gQ[~keep]) * RAY_RADIUS <= tol and \
                 np.linalg.norm(newton) <= width else np.linalg.norm(g0) / width
             step = Q @ (gQ / (np.maximum(w, 0.0) + shift)) if shift else \
                 R @ newton
             gain = INF if shift else 0.5 * float(gQ[keep] @ newton)
-            arc = np.linalg.norm(t0) >= (1.0 - 1e-6) * radius and \
-                g0 @ t0 > 0.0 and np.linalg.norm(t0 + step) > radius
+            arc = np.linalg.norm(t0) >= (1.0 - 1e-6) * RAY_RADIUS and \
+                g0 @ t0 > 0.0 and np.linalg.norm(t0 + step) > RAY_RADIUS
             if arc:     # Newton on g = mu t within the sphere, mu > 0
                 e = t0 / np.linalg.norm(t0)
                 along = np.eye(x.size) - np.outer(e, e)
-                mu = float(g0 @ e) / radius
+                mu = float(g0 @ e) / RAY_RADIUS
                 step = np.linalg.solve(along @ (H0 + mu * np.eye(x.size)) @
                                        along + np.outer(e, e), along @ g0)
                 gain = 0.5 * float(g0 @ step)
@@ -333,20 +340,21 @@ def legendre_max_nd(fn: Callable, x, radius: float, max_iter: int = 200):
                                   np.eye(r + 1)[r])
             value, bound = float(lam @ V), float(
                 lam @ (V + (G * (c - P)).sum(axis=1)) +
-                np.linalg.norm(lam @ G) * (radius + np.linalg.norm(c)))
+                np.linalg.norm(lam @ G) * (RAY_RADIUS + np.linalg.norm(c)))
             if (lam >= 0.0).all() and bound - value <= tol:
                 return lam @ P, value, "ok", bound
             base, step = point(c), None
             continue
         trial = t0 + alpha * step
         norm = float(np.linalg.norm(trial))
-        p = point(trial * (radius / norm if arc or norm > radius else 1.0))
+        p = point(trial * (RAY_RADIUS / norm if arc or norm > RAY_RADIUS
+                           else 1.0))
         if p[1] > v0:
             width *= 2.0 if shift and alpha == 1.0 else 1.0
             base, step = p, None
         else:
             alpha *= 0.5
-    _warn_open("legendre_max_nd", max_iter, False, base[1], INF)
+    _warn_open("legendre_max_nd", STEP_CAP, False, base[1], INF)
     return base[0], base[1], "ok", INF
 
 

@@ -7,9 +7,10 @@ and at the density's centre, tile each finite piece and each unbounded
 direction with geometrically growing segments outward from the centre, and
 apply fixed Gauss-Legendre nodes on each segment, with one integrand call
 per finite piece or block of 4, 8, 16, ... tail segments.  A tail stops
-once two pieces in a row fall below tolerance, which a polynomially
-decaying integrable tail guarantees, having summed the segments a walk one
-at a time would sum.  An integrand may also return a (k, N) array for N
+once two pieces in a row fall below ``REL_TOL`` of the running total,
+which a polynomially decaying integrable tail guarantees, having summed the
+segments a walk one at a time would sum; it warns after ``MAX_SEGMENTS``
+segments.  An integrand may also return a (k, N) array for N
 nodes: its k rows share the nodes, the density values and the tail walk,
 and a tail stops only once every row falls below tolerance.
 """
@@ -24,6 +25,9 @@ import numpy as np
 log = logging.getLogger("sanovdual")
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+REL_TOL = 1e-13
+MAX_SEGMENTS = 90
 
 
 def _ends(start: float, step: float, n: int, sign: float = 1.0):
@@ -56,8 +60,7 @@ def _tiles(a: float, b: float) -> np.ndarray:
 
 def expect(pdf: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
            fn: Callable[[np.ndarray], np.ndarray],
-           breaks: Sequence[float] = (), *, centre: float,
-           rel_tol: float = 1e-13, max_segments: int = 90):
+           breaks: Sequence[float] = (), *, centre: float):
     """Integral of fn * pdf over (lo, hi) with breakpoints honored exactly:
     a float, or the (k,) integrals of an integrand with k rows.
 
@@ -76,25 +79,24 @@ def expect(pdf: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
         total += np.cumsum(_pieces(pdf, fn, ends, sign), axis=-1)[..., -1]
 
     if not np.isfinite(hi):
-        total = _tail(pdf, fn, edges[-1], 1.0, total, rel_tol, max_segments)
+        total = _tail(pdf, fn, edges[-1], 1.0, total)
     if not np.isfinite(lo):
-        total = _tail(pdf, fn, edges[0], -1.0, total, rel_tol, max_segments)
+        total = _tail(pdf, fn, edges[0], -1.0, total)
     return float(total) if np.ndim(total) == 0 else total
 
 
-def _tail(pdf, fn, edge: float, sign: float, total, rel_tol: float,
-          max_segments: int):
+def _tail(pdf, fn, edge: float, sign: float, total):
     """Add the tail beyond ``edge`` (upper for sign +1, lower for -1) to
     ``total``, in blocks of 4, 8, 16, ... segments, until two pieces in a row
-    fall below tolerance (from the 4th on); warns past ``max_segments``."""
+    fall below tolerance (from the 4th on); warns past ``MAX_SEGMENTS``."""
     step, done, small = max(1.0, abs(edge) * 0.5), 0, False
-    while done < max_segments:
-        n = min(done + 4, max_segments - done)
+    while done < MAX_SEGMENTS:
+        n = min(done + 4, MAX_SEGMENTS - done)
         ends, step = _ends(edge, step, n, sign)
         pieces = _pieces(pdf, fn, ends)
         head = np.asarray(total)[..., None] + pieces[..., :1]
         running = np.concatenate((head, pieces[..., 1:]), -1).cumsum(-1)
-        tiny = np.all((abs(pieces) <= rel_tol * (abs(running) + 1e-30))
+        tiny = np.all((abs(pieces) <= REL_TOL * (abs(running) + 1e-30))
                       .reshape(-1, n), axis=0)
         stop = tiny & np.concatenate(([small], tiny[:-1]))
         stop[:max(3 - done, 0)] = False     # never before the 4th segment
@@ -103,5 +105,5 @@ def _tail(pdf, fn, edge: float, sign: float, total, rel_tol: float,
         total, small = running[..., -1], tiny[-1]
         edge, done = ends[-1], done + n
     log.warning("quadrature: %s tail truncated after %d segments at %g",
-                "upper" if sign > 0 else "lower", max_segments, edge)
+                "upper" if sign > 0 else "lower", MAX_SEGMENTS, edge)
     return total

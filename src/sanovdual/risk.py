@@ -24,6 +24,8 @@ from .optim import pgd_max_simplex
 from .penalties import AlphaSpec, penalty
 from .spaces import Dist
 
+RESTARTS = 200      # starts of a generic run that does not set its own
+
 
 @dataclass(frozen=True)
 class RhoResult:
@@ -53,7 +55,7 @@ def risk_result(f, spec: AlphaSpec) -> RhoResult:
 # Generic simplex maximizer
 # ---------------------------------------------------------------------------
 
-def generic_risk(f, spec: AlphaSpec, restarts: int = 200,
+def generic_risk(f, spec: AlphaSpec, restarts: int = RESTARTS,
                  seed: int = 0) -> RhoResult:
     """Maximize int f dnu - alpha(nu) over the simplex by one batched
     projected gradient ascent, one row per start: the uniform law on the

@@ -47,11 +47,11 @@ class FiniteSpace:
         return len(self.labels)
 
     @classmethod
-    def of_size(cls, m: int, prefix: str = "s") -> "FiniteSpace":
-        return cls(tuple(f"{prefix}{i}" for i in range(m)))
+    def of_size(cls, m: int) -> "FiniteSpace":
+        return cls(tuple(f"s{i}" for i in range(m)))
 
 
-def _as_prob_vector(weights, slack: float = SUM_SLACK) -> np.ndarray:
+def _as_prob_vector(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float).ravel().copy()
     if not np.isfinite(w).all():
         raise SpaceError("probability weights must be finite")
@@ -59,7 +59,7 @@ def _as_prob_vector(weights, slack: float = SUM_SLACK) -> np.ndarray:
         raise SpaceError("negative probability weight")
     w[w < 0.0] = 0.0
     s = w.sum()
-    if abs(s - 1.0) > slack:
+    if abs(s - 1.0) > SUM_SLACK:
         raise SpaceError(f"weights sum to {s!r}, not 1")
     return w / s
 
@@ -85,12 +85,6 @@ class Dist:
     def uniform(cls, space: FiniteSpace) -> "Dist":
         m = space.size
         return cls(space, np.full(m, 1.0 / m))
-
-    @classmethod
-    def point_mass(cls, space: FiniteSpace, i: int) -> "Dist":
-        w = np.zeros(space.size)
-        w[i] = 1.0
-        return cls(space, w)
 
 
 def _tail_sums(k: int, m: int) -> list[np.ndarray]:
@@ -174,21 +168,6 @@ class SymmetricField:
         if v.shape != (math.comb(self.n + m - 1, m - 1),):
             raise SpaceError("symmetric field must cover every type class exactly")
         object.__setattr__(self, "values", _freeze(v))
-
-    @classmethod
-    def from_dense(cls, f: np.ndarray, n: int, space: FiniteSpace,
-                   tol: float = 1e-12) -> "SymmetricField":
-        """Compress a dense field, rejecting non-symmetric input; each type
-        class keeps the value at its first flat index."""
-        m = space.size
-        flat = np.asarray(f, dtype=float).ravel()
-        if flat.size != m ** n:
-            raise SpaceError("dense field length does not match m^n")
-        rank = _dense_ranks(n, m)
-        _, first = np.unique(rank, return_index=True)
-        if not np.isclose(flat, flat[first][rank], rtol=0.0, atol=tol).all():
-            raise SpaceError("field is not permutation-invariant")
-        return cls(n, space, flat[first])
 
     def expand_dense(self) -> np.ndarray:
         return self.values[_dense_ranks(self.n, self.space.size)]

@@ -15,7 +15,7 @@ per (cost, basis) and kept for the last few cost matrices.
 
 Northwest-corner start, Bland's rule for entering (first cell in row-major
 order with a negative reduced cost) and leaving (first basic cell on the
-cycle that reaches zero), and a 1e-13 perturbation of the marginals to
+cycle that reaches zero), and a perturbation ``_EPS`` of the marginals to
 break degenerate ties.  Forbidden (infinite-cost) cells are handled with a
 symbolic big-M: costs are pairs (penalty_units, cost) compared
 lexicographically, so the solver first minimizes mass on forbidden cells
@@ -36,6 +36,7 @@ import numpy as np
 from .extreal import INF
 
 _PEN_TOL = 1e-9     # penalties are near-integers
+_EPS = 1e-13        # marginal perturbation
 _MAX_PIVOTS = 20000
 _COST_CAP = 4       # cost matrices whose tables are kept
 _BASIS_CAP = 1024   # bases kept per cost matrix
@@ -140,7 +141,7 @@ def _tables(cost: np.ndarray) -> _CostTables:
     return tables
 
 
-def solve_transport(a, b, cost, eps: float = 1e-13) -> TransportSolution:
+def solve_transport(a, b, cost) -> TransportSolution:
     """Minimize sum(cost * plan) over couplings of marginals (a, b).
 
     ``cost`` entries must be >= 0; +inf marks forbidden cells.  Returns
@@ -156,9 +157,9 @@ def solve_transport(a, b, cost, eps: float = 1e-13) -> TransportSolution:
     if abs(a.sum() - b.sum()) > 1e-9:
         raise ValueError("marginals must have equal mass")
 
-    ap = a + eps
+    ap = a + _EPS
     bp = b.copy()
-    bp[-1] += R * eps
+    bp[-1] += R * _EPS
     rhs = np.concatenate([ap[1:], bp])
     basis = _northwest_corner(ap, bp)
 

@@ -46,8 +46,8 @@ from sanovdual.risk import risk_rows
 from sanovdual.transport import (_MAX_PIVOTS, _PEN_TOL, TransportSolution,
                                  _northwest_corner)
 from sanovdual.spaces import (DENSE_CAP, SUM_SLACK, Dist, FiniteSpace,
-                              SpaceError, _as_prob_vector, _freeze,
-                              type_index)
+                              SpaceError, SymmetricField, _as_prob_vector,
+                              _dense_ranks, _freeze, type_index)
 
 log = logging.getLogger("sanovdual")
 
@@ -242,21 +242,36 @@ def tensor_penalty_batch(tensors: np.ndarray, n: int, m: int,
     return total
 
 
-def greedy_optimizer_from_trace(trace) -> ProductDist:
-    """The joint law attaining a dense recursion's value: the maximizer of
-    the first stage, then one kernel row per prefix, stage by stage."""
-    m = trace.space.size
-    spec = trace.spec
-    first = Dist(trace.space, spec.maximizer_rows(trace.stages[1][None])[0])
-    kernels = [Kernel(k, trace.space,
-                      spec.maximizer_rows(trace.stages[k].reshape(-1, m)))
-               for k in range(2, trace.n + 1)]
+def greedy_optimizer_from_trace(stages, space: FiniteSpace,
+                                spec: AlphaSpec) -> ProductDist:
+    """The joint law attaining a dense recursion's value, from its stage
+    values (``backward_value_dense(..., keep_trace=True)``): the maximizer
+    of the first stage, then one kernel row per prefix, stage by stage."""
+    m = space.size
+    first = Dist(space, spec.maximizer_rows(stages[1][None])[0])
+    kernels = [Kernel(k, space, spec.maximizer_rows(stages[k].reshape(-1, m)))
+               for k in range(2, len(stages))]
     return compose(first, kernels)
 
 
 # ---------------------------------------------------------------------------
 # Type classes and exact enumerations
 # ---------------------------------------------------------------------------
+
+def symmetric_from_dense(f: np.ndarray, n: int,
+                         space: FiniteSpace) -> SymmetricField:
+    """Compress a dense field, rejecting non-symmetric input; each type
+    class keeps the value at its first flat index."""
+    m = space.size
+    flat = np.asarray(f, dtype=float).ravel()
+    if flat.size != m ** n:
+        raise SpaceError("dense field length does not match m^n")
+    rank = _dense_ranks(n, m)
+    _, first = np.unique(rank, return_index=True)
+    if not np.isclose(flat, flat[first][rank], rtol=0.0, atol=1e-12).all():
+        raise SpaceError("field is not permutation-invariant")
+    return SymmetricField(n, space, flat[first])
+
 
 def type_rank(counts) -> np.ndarray:
     """Rank of (..., m) occupancy vectors within ``type_index(sum, m)``:
@@ -525,9 +540,9 @@ def numeric_tangent_grad(fn: Callable[[np.ndarray], np.ndarray],
 # Maximization by golden section along coordinates
 # ---------------------------------------------------------------------------
 
-def golden_max(fn, lo, hi, tol=1e-12, max_iter=200):
+def golden_max(fn, lo, hi):
     """Golden-section maximum of a unimodal function on [lo, hi]."""
-    x, v = golden_min(lambda t: -fn(t), lo, hi, tol, max_iter)
+    x, v = golden_min(lambda t: -fn(t), lo, hi)
     return x, -v
 
 
@@ -547,7 +562,7 @@ def coordinate_ascent_box(objective: Callable[[np.ndarray], float],
                 y = x.copy()
                 y[i] = t
                 return objective(y)
-            ti, vi = golden_max(slice_fn, lo, hi, tol=1e-11)
+            ti, vi = golden_max(slice_fn, lo, hi)
             if vi > fx + 1e-15:
                 improved += vi - fx
                 x[i], fx = ti, vi
@@ -821,14 +836,14 @@ def robust_entropic_risk(f, generators: Sequence[Dist]) -> float:
     return float(max(vals))
 
 
-def grid_then_golden_min(fn, lo, hi, coarse: int = 121, tol: float = 1e-12):
+def grid_then_golden_min(fn, lo, hi, coarse: int = 121):
     """Coarse scan to bracket the minimum, then golden section inside."""
     xs = np.linspace(lo, hi, coarse)
     vals = np.array([fn(x) for x in xs])
     i = int(np.argmin(vals))
     a = xs[max(i - 1, 0)]
     b = xs[min(i + 1, coarse - 1)]
-    return golden_min(fn, a, b, tol=tol)
+    return golden_min(fn, a, b)
 
 
 def oce_risk(f, mu, phi_star: Callable[[np.ndarray], np.ndarray]) -> float:

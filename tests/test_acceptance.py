@@ -94,14 +94,14 @@ def test_criterion_02_recursion_vs_brute_force(record_criterion):
         draws = rng.dirichlet(np.ones(2 ** n), size=10_000)
         for name, spec in six_specs().items():
             f = rng.normal(size=2 ** n)
-            value, trace = backward_value_dense(f, TWO, spec,
-                                                keep_trace=True)
+            value, stages = backward_value_dense(f, TWO, spec,
+                                                 keep_trace=True)
             alphas = tensor_penalty_batch(draws, n, 2, spec)
             sampled = draws @ f - alphas
             sampled = sampled[np.isfinite(sampled)]
             if sampled.size:
                 worst_lower = max(worst_lower, float(sampled.max()) - value)
-            nu_star = greedy_optimizer_from_trace(trace)
+            nu_star = greedy_optimizer_from_trace(stages, TWO, spec)
             achieved = float(np.dot(nu_star.tensor, f)) - \
                 tensor_penalty(nu_star, spec)
             worst_upper = max(worst_upper, value - achieved)

@@ -309,6 +309,14 @@ class TestExitCodes:
                      str(tmp_path / "out")])
         assert code == 4
 
+    @pytest.mark.parametrize("command", ["tailbound", "saa"])
+    def test_repeated_sample_size_is_config_error(self, tmp_path, capsys,
+                                                  command):
+        # A repeated n draws its replication stream again: a copy, not a
+        # new schedule point.
+        assert run_edited(tmp_path, command, "schedule", [10, 20, 10]) == 2
+        assert "schedule[2]: 10 repeats an earlier entry" in capsys.readouterr().err
+
 
 class TestFlagMode:
     def test_deviation_bound_printout(self, capsys):
@@ -604,6 +612,24 @@ class TestTransportCommand:
             report = json.loads((out / "report.json").read_text())
             assert abs(report["target"] - report["coupling_target"]) <= 1e-6
             assert report["control_gap"] <= 1e-10
+
+    @pytest.mark.parametrize("command", ["transport", "sanov"])
+    def test_targets_that_disagree_fail_the_gate(self, tmp_path, capsys,
+                                                 command):
+        # The coupling ascent stalls on the abs_well kink: its target is
+        # below the exact target at its second marginal by about 9.5e-3.
+        # Both commands run the same path, so both gate it.
+        mu, cost = [0.2, 0.2, 0.6], [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+        edits = {"F": {"kind": "abs_well", "coordinate": 2, "center": 0.75,
+                       "scale": -3}, "schedule": [2], "grid_step": 0.1}
+        if command == "transport":
+            edits.update(mu=mu, cost=cost)
+        else:
+            edits["spec"] = {"kind": "transport", "mu": mu, "cost": cost}
+        assert run_with(tmp_path, command, edits) == 3
+        assert "transport limit targets disagree" in capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["target"] - report["coupling_target"] > 1e-6
 
 
 class TestCramerCommand:

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import (bisect_root, golden_max, plus_power_moment,
                      rate_coordinate_search)
-from sanovdual import cramer
+from sanovdual import cramer, optim
 from sanovdual.cramer import (ConjugatePair, _cumulant, check_admissible,
                               conjugate_pair, cumulant, deviation_bound,
                               moment_norm, plus_power_moments,
@@ -45,8 +45,7 @@ def rate_golden_oracle(law, x, q):
     section on [-1, 1], doubled while the maximizer sits at an edge."""
     lo, hi = -1.0, 1.0
     while True:
-        t, v = golden_max(lambda s: s * x - cumulant(law, s, q), lo, hi,
-                          tol=1e-11)
+        t, v = golden_max(lambda s: s * x - cumulant(law, s, q), lo, hi)
         if min(t - lo, hi - t) >= 0.05 * (hi - lo):
             return v
         lo, hi = 2.0 * lo, 2.0 * hi
@@ -218,8 +217,8 @@ class TestWarmRateFunction:
             calls.append(args[1])
             return _cumulant(*args, **kwargs)
         monkeypatch.setattr(cramer, "_cumulant", counted)
-        radius = 1e3
-        got = rate_function(ParetoLaw(2.5), -1.5, 2.0, ray_radius=radius)
+        radius = optim.RAY_RADIUS
+        got = rate_function(ParetoLaw(2.5), -1.5, 2.0)
         assert got.status == "diverged" and got.value == math.inf
         assert len(calls) <= 2.0 * math.log2(radius) + 10.0
 
@@ -264,9 +263,9 @@ class TestRateFunctionInTwoAndThreeDimensions:
             calls.append(args[1])
             return _cumulant(*args, **kwargs)
         monkeypatch.setattr(cramer, "_cumulant", counted)
-        radius = 1e3
+        radius = optim.RAY_RADIUS
         x = EMPIRICAL_3D.samples.max(axis=0) + 0.5
-        got = rate_function(EMPIRICAL_3D, x, 2.0, ray_radius=radius)
+        got = rate_function(EMPIRICAL_3D, x, 2.0)
         assert got.status == "diverged"
         assert got.value == got.bound == math.inf
         assert len(calls) <= 2.0 * math.log2(radius) + 10.0

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from oracles import (ProductDist, entropic_risk, greedy_optimizer_from_trace,
-                     iid_empirical_expectation, risk, tensor_penalty,
-                     tensor_penalty_batch, type_rank)
+                     iid_empirical_expectation, risk, symmetric_from_dense,
+                     tensor_penalty, tensor_penalty_batch, type_rank)
 import sanovdual.dp as dp_module
 from sanovdual.dp import (backward_value_dense, backward_value_symmetric,
                           backward_values_symmetric, sanov_limit,
@@ -140,13 +140,13 @@ class TestSampledSupremum:
         draws = rng.dirichlet(np.ones(2 ** n), size=500)
         for spec in all_specs():
             f = rng.normal(size=2 ** n)
-            v, trace = backward_value_dense(f, TWO, spec, keep_trace=True)
+            v, stages = backward_value_dense(f, TWO, spec, keep_trace=True)
             alphas = tensor_penalty_batch(draws, n, 2, spec)
             vals = draws @ f - alphas
             vals = vals[np.isfinite(vals)]
             if vals.size:
                 assert v >= vals.max() - 1e-7
-            nu_star = greedy_optimizer_from_trace(trace)
+            nu_star = greedy_optimizer_from_trace(stages, TWO, spec)
             achieved = float(np.dot(nu_star.tensor, f)) - \
                 tensor_penalty(nu_star, spec)
             assert achieved >= v - 1e-6
@@ -226,7 +226,7 @@ class TestSymmetricRecursion:
     def test_rejects_asymmetric_dense_input(self):
         f = np.array([0.0, 1.0, 2.0, 3.0])
         with pytest.raises(SpaceError, match="permutation"):
-            SymmetricField.from_dense(f, 2, TWO)
+            symmetric_from_dense(f, 2, TWO)
 
 
 class TestSanovLimit:

@@ -161,6 +161,21 @@ class TestRateFit:
         fit = rate_fit([10, 20, 40], [0.1, 0.0, 0.0])
         assert fit.status == "inconclusive"
 
+    @pytest.mark.parametrize("ns,p_hats", [
+        ([10, 10, 10], [0.1, 0.2, 0.3]),
+        ([10, 20, 10, 20], [0.1, 0.05, 0.12, 0.06]),
+        ([10, 20, 40, 10], [0.1, 0.05, 0.0, 0.12])])
+    def test_fewer_than_three_distinct_sizes_with_hits(self, ns, p_hats):
+        # Repeated sizes give no spread in log n to fit a slope on.
+        fit = rate_fit(ns, p_hats)
+        assert fit.status == "inconclusive" and math.isnan(fit.slope)
+
+    def test_a_repeated_size_among_three_distinct_ones(self):
+        fit = rate_fit([10, 10, 100, 1000], [10 ** -1.5] * 2 +
+                       [100 ** -1.5, 1000 ** -1.5])
+        assert fit.status == "ok" and fit.points_used == 4
+        assert abs(fit.slope + 1.5) <= 1e-12
+
 
 class TestMannKendall:
     def test_monotone_directions(self):
@@ -186,7 +201,8 @@ class TestSAA:
         inst = make_finite_instance()
         # E|w| = 0.3 + 0.2 = 0.5; E|w - 1| = 0.6 + 0.1 = 0.7
         assert abs(inst.true_value() - 0.5) <= 1e-12
-        assert inst.true_argmin() == 0.0
+        ev = inst.expected_losses()
+        assert inst.decisions[int(np.argmin(ev))] == 0.0
 
     def test_loss_independent_of_w_never_exceeds(self):
         inst = SAAInstance(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import coordinate_ascent_box
+from sanovdual import optim
 from sanovdual.optim import (golden_min, legendre_max, legendre_max_nd,
                              newton_nonincreasing, pgd_max_simplex)
 
@@ -191,25 +192,23 @@ def test_batched_ascent_rows_match_one_row_calls(shape):
 
 @pytest.mark.parametrize("solver", ["golden", "newton", "newton_rows",
                                     "pgd", "legendre", "legendre_plane"])
-def test_exhausted_iteration_cap_warns(caplog, solver):
+def test_exhausted_iteration_cap_warns(caplog, monkeypatch, solver):
+    monkeypatch.setattr(optim, "STEP_CAP", 3 if solver == "golden" else 2)
     with caplog.at_level(logging.WARNING, logger="sanovdual"):
         if solver == "golden":
-            golden_min(lambda x: (x - 0.3) ** 2, 0.0, 1.0, max_iter=3)
+            golden_min(lambda x: (x - 0.3) ** 2, 0.0, 1.0)
         elif solver == "newton":
-            newton_nonincreasing(_square_drop, 1.0, -3.0, 3.0, 4.0,
-                                 max_iter=2)
+            newton_nonincreasing(_square_drop, 1.0, -3.0, 3.0, 4.0)
         elif solver == "newton_rows":
             newton_nonincreasing(_square_drop, 1.0, np.array([-3.0, 0.4]),
-                                 np.array([3.0, 0.5]), np.array([4.0, 0.1]),
-                                 max_iter=2)
+                                 np.array([3.0, 0.5]), np.array([4.0, 0.1]))
         elif solver == "pgd":
             pgd_max_simplex(_bowl, np.full((2, 4), 0.25), _bowl_grad,
                             max_iter=1)
         elif solver == "legendre":
-            legendre_max(_exp3, 5.0, 1e3, max_iter=2)
+            legendre_max(_exp3, 5.0)
         else:
-            legendre_max_nd(_log_sum_exp, np.array([0.2, 0.3]), 1e3,
-                            max_iter=2)
+            legendre_max_nd(_log_sum_exp, np.array([0.2, 0.3]))
     name = {"golden": "golden_min", "newton": "newton_nonincreasing",
             "newton_rows": "newton_nonincreasing",
             "pgd": "pgd_max_simplex", "legendre": "legendre_max",
@@ -225,8 +224,8 @@ def test_converged_searches_stay_quiet(caplog):
         newton_nonincreasing(_square_drop, 1.0, np.array([-3.0, 0.4]),
                              np.array([3.0, 0.5]), np.array([4.0, 0.1]))
         pgd_max_simplex(_bowl, np.full((2, 4), 0.25), _bowl_grad)
-        legendre_max(_exp3, 5.0, 1e3)
-        legendre_max_nd(_log_sum_exp, np.array([0.2, 0.3]), 1e3)
+        legendre_max(_exp3, 5.0)
+        legendre_max_nd(_log_sum_exp, np.array([0.2, 0.3]))
     assert not caplog.records
 
 
@@ -240,7 +239,7 @@ def _exp3(t):
 def test_legendre_of_exp(x):
     # Newton from t = 0 toward log(1e6) = 13.8 would step 1e6: the steps
     # are capped at 1, 2, 4, ... until the maximizer is bracketed.
-    t, v, status, bound = legendre_max(_exp3, x, 1e3)
+    t, v, status, bound = legendre_max(_exp3, x)
     want = x * math.log(x) - x
     assert status == "ok"
     assert want - 1e-12 * (1.0 + abs(want)) <= v <= want + 1e-15 * abs(want)
@@ -257,7 +256,7 @@ def test_legendre_beyond_the_slopes_diverges(x):
     def fn(t):
         calls.append(t)
         return _exp3(t)
-    t, v, status, bound = legendre_max(fn, x, 1e3)
+    t, v, status, bound = legendre_max(fn, x)
     assert status == "diverged" and t == -1e3 and bound == math.inf
     assert len(calls) <= 2 * math.log2(1e3) + 2
 
@@ -268,7 +267,7 @@ def test_legendre_quadratic_stops_on_the_exact_root():
     def fn(t):
         calls.append(t)
         return 0.5 * t * t, t, 1.0
-    t, v, status, _ = legendre_max(fn, 0.7, 1e3)
+    t, v, status, _ = legendre_max(fn, 0.7)
     assert (t, status) == (0.7, "ok") and v == 0.7 * 0.7 - 0.5 * 0.7 * 0.7
     assert len(calls) == 2
 
@@ -281,14 +280,14 @@ def test_legendre_kinked_function_certifies_by_bisection():
         p = 0.5 * (1.0 + math.tanh(0.5 * z))
         return np.logaddexp(0.0, z) / 20.0, p, 20.0 * p * (1.0 - p)
     for x in (0.001, 0.25, 0.999):
-        t, v, status, _ = legendre_max(fn, x, 1e3)
+        t, v, status, _ = legendre_max(fn, x)
         want = (x * math.log(x) + (1 - x) * math.log1p(-x)) / 20.0
         assert status == "ok" and abs(v - want) <= 1e-12 * (1 + abs(want))
 
 
 def test_legendre_non_finite_evaluation_raises():
     with pytest.raises(FloatingPointError, match="legendre_max"):
-        legendre_max(lambda t: (0.0, math.nan, 0.0), 0.5, 1e3)
+        legendre_max(lambda t: (0.0, math.nan, 0.0), 0.5)
 
 
 def _log_sum_exp(t):
@@ -304,7 +303,7 @@ def _log_sum_exp(t):
 @pytest.mark.parametrize("x", [(0.2, 0.3), (0.05, 0.9), (1e-4, 0.5)])
 def test_legendre_in_the_plane(x):
     x = np.array(x)
-    t, v, status, bound = legendre_max_nd(_log_sum_exp, x, 1e3)
+    t, v, status, bound = legendre_max_nd(_log_sum_exp, x)
     p = np.array([1.0 - x.sum(), *x])
     want = float(p @ np.log(p))
     tol = 1e-12 * (1.0 + abs(want))
@@ -322,7 +321,7 @@ def test_legendre_outside_the_plane_domain_diverges(x):
     def fn(t):
         calls.append(t)
         return _log_sum_exp(t)
-    t, v, status, bound = legendre_max_nd(fn, np.array(x), 1e3)
+    t, v, status, bound = legendre_max_nd(fn, np.array(x))
     assert status == "diverged" and bound == math.inf
     assert np.linalg.norm(t) <= 1e3 * (1.0 + 1e-15)
     assert len(calls) <= 2 * math.log2(1e3) + 10
@@ -339,7 +338,7 @@ def test_legendre_plane_maximizer_near_the_radius_is_found():
     # The maximizer s (log(x / p_0)) lies at |t| = 621, inside the radius,
     # and the search reaches the sphere on its way there.
     x = np.array([0.001, 0.5])
-    t, v, status, bound = legendre_max_nd(_scaled_log_sum_exp, x, 1e3)
+    t, v, status, bound = legendre_max_nd(_scaled_log_sum_exp, x)
     p = np.array([1.0 - x.sum(), *x])
     want = 100.0 * float(p @ np.log(p))
     tol = 1e-12 * (1.0 + abs(want))
@@ -358,8 +357,7 @@ def _softplus_of_sum(t):
 
 @pytest.mark.parametrize("a", [0.5, 0.3, 0.9])
 def test_legendre_singular_hessian_on_its_range(a):
-    t, v, status, bound = legendre_max_nd(_softplus_of_sum,
-                                          np.array([a, a]), 1e3)
+    t, v, status, bound = legendre_max_nd(_softplus_of_sum, np.array([a, a]))
     want = a * math.log(a) + (1.0 - a) * math.log1p(-a)
     tol = 1e-12 * (1.0 + abs(want))
     assert status == "ok" and abs(v - want) <= tol
@@ -372,7 +370,7 @@ def test_legendre_singular_hessian_off_its_range_diverges():
     def fn(t):
         calls.append(t)
         return _softplus_of_sum(t)
-    t, v, status, bound = legendre_max_nd(fn, np.array([0.3, 0.4]), 1e3)
+    t, v, status, bound = legendre_max_nd(fn, np.array([0.3, 0.4]))
     assert status == "diverged" and bound == math.inf
     assert len(calls) <= 2 * math.log2(1e3) + 10
 

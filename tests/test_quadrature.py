@@ -6,6 +6,7 @@ import pytest
 from oracles import sequential_expect
 from sanovdual.cramer import moment_norm
 from sanovdual.laws import LogNormalLaw, ParetoLaw, StudentTLaw
+from sanovdual import quadrature
 from sanovdual.quadrature import expect
 
 
@@ -105,8 +106,10 @@ def _truncated(caplog, call, max_segments):
     """The tails ("upper", "lower") that ``call`` truncates at
     ``max_segments``."""
     caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="sanovdual"):
-        call(max_segments)
+    with caplog.at_level(logging.WARNING, logger="sanovdual"), \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "MAX_SEGMENTS", max_segments)
+        call()
     return {tail for r in caplog.records for tail in ("upper", "lower")
             if f"{tail} tail truncated" in r.getMessage()}
 
@@ -121,8 +124,8 @@ def _same_walk(caplog, law, fn, kw):
     # Each tail stops after the same segment: capped one segment short it
     # is truncated, capped there it is not.
     for tail, (k, _) in tails.items():
-        def call(cap):
-            return expect(*args, **kw, max_segments=cap)
+        def call():
+            return expect(*args, **kw)
         assert tail in _truncated(caplog, call, k - 1)
         assert tail not in _truncated(caplog, call, k)
     # The segments of a block past the stop are integrated but not summed.
@@ -202,12 +205,12 @@ def test_one_integrand_call_per_piece_and_tail_block(t, m, pieces):
 
 @pytest.mark.parametrize("max_segments,sizes", [(90, [4, 8, 16, 32, 30]),
                                                 (7, [4, 3])])
-def test_tail_that_never_decays_stops_at_max_segments(caplog, max_segments,
-                                                      sizes):
+def test_tail_that_never_decays_stops_at_max_segments(caplog, monkeypatch,
+                                                      max_segments, sizes):
+    monkeypatch.setattr(quadrature, "MAX_SEGMENTS", max_segments)
     fn, calls = _counting(np.ones_like)
     with caplog.at_level(logging.WARNING, logger="sanovdual"):
-        got = expect(np.ones_like, 0.0, np.inf, fn, centre=0.0,
-                     max_segments=max_segments)
+        got = expect(np.ones_like, 0.0, np.inf, fn, centre=0.0)
     assert calls == [64 * n for n in sizes]
     messages = [r.getMessage() for r in caplog.records]
     assert len(messages) == 1 and messages[0].startswith(
