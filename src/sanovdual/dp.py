@@ -22,7 +22,7 @@ from . import extreal
 from .extreal import INF, NEG_INF
 from .optim import pgd_max_simplex, simplex_grid
 from .penalties import AlphaSpec, Transport, penalty
-from .risk import risk_rows
+from .risk import penalized_objective, risk_rows
 from .spaces import (DENSE_CAP, Dist, FiniteSpace, SpaceError,
                      SymmetricField, type_index, type_successors)
 from .transport import solve_transport
@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 GRID_STEP = 0.01    # mesh of the simplex grid that starts a limit target
+GRID_BLOCK = 2 ** 14    # grid rows per evaluator call of that scan
 
 
 def _flatten_field(f, space: FiniteSpace) -> tuple[np.ndarray, int]:
@@ -135,18 +136,22 @@ def _values(F: Callable[[np.ndarray], np.ndarray], rows: np.ndarray,
 # Limit harness
 # ---------------------------------------------------------------------------
 
-def simplex_supremum(objective: Callable[[np.ndarray], np.ndarray],
-                     gradient: Optional[Callable[[np.ndarray], np.ndarray]],
-                     m: int, step: float) -> tuple[float, np.ndarray]:
-    """sup of a rows-in, values-out function over the simplex: one call on
-    the (B, m) grid, then projected ascent along the rows-in (super)gradient
-    from the best grid point; without a gradient (None), that grid point."""
+def simplex_supremum(objective: Callable, m: int, step: float,
+                     support: np.ndarray) -> tuple[float, np.ndarray]:
+    """sup over the simplex of an evaluator that maps (B, m) rows to their
+    (values, (super)gradients): a scan of the grid, GRID_BLOCK rows per
+    call so that its gradients stay small, then projected ascent from the
+    first best grid point, with the entries where ``support`` is False held
+    at 0; when the evaluator returns ``None`` gradients, that grid point."""
     pts = simplex_grid(m, step)
-    vals = objective(pts)
-    i = int(np.argmax(vals))
-    best, best_v = pts[i], float(vals[i])
-    if gradient is not None:
-        x, v = pgd_max_simplex(objective, best, gradient=gradient)
+    best_v, best = NEG_INF, pts[0]
+    for lo in range(0, len(pts), GRID_BLOCK):
+        vals, grads = objective(pts[lo:lo + GRID_BLOCK])
+        i = int(np.argmax(vals))
+        if vals[i] > best_v:
+            best_v, best = float(vals[i]), pts[lo + i]
+    if grads is not None:
+        x, v = pgd_max_simplex(objective, best, support=support)
         if v > best_v:
             best, best_v = x, v
     return best_v, best
@@ -193,8 +198,9 @@ def sanov_limit(F: Callable[[np.ndarray], np.ndarray],
     (B, m) batch of laws to (B,) values and dF to their (B, m)
     (super)gradients; other shapes raise TypeError.
 
-    The target ascends from the best grid point along dF - grad alpha; a
-    penalty without a gradient (a set indicator) keeps the grid point.
+    The target ascends from the best grid point along dF - grad alpha on
+    the spec's support, one pass of F - alpha per point; a penalty without
+    a gradient (a set indicator) keeps the grid point.
 
     A transport spec takes its target sup_nu (F(nu) - W_c(mu, nu)) from the
     coupling form, which is smooth in the kernel K: the ascent from the
@@ -208,22 +214,22 @@ def sanov_limit(F: Callable[[np.ndarray], np.ndarray],
     values = [v / n for n, v in zip(schedule, backward_values_symmetric(
         lambda n: symmetric_terminal(F, n, space), schedule, space, spec))]
 
-    def J(nu):
-        a = penalty(nu, spec)
-        return np.where(np.isfinite(a), _values(F, nu) - a, NEG_INF)
-
     label, coupling = "sanov", None
     if isinstance(spec, Transport):
+        def J(nu):
+            a = penalty(nu, spec)
+            return np.where(np.isfinite(a), _values(F, nu) - a, NEG_INF)
+
         label = "transport-longrun"
         pts = simplex_grid(space.size, grid_step)
         coupling, arg = _coupling_supremum(F, dF, spec.mu, spec.cost,
                                            pts[int(np.argmax(J(pts)))])
         target = float(J(arg[None])[0])
     else:
-        grad = None if spec.grad_rows is None else (
-            lambda nu: _values(dF, nu, "dF", nu.shape[1:]) -
-            spec.grad_rows(nu))
-        target, arg = simplex_supremum(J, grad, space.size, step=grid_step)
+        target, arg = simplex_supremum(penalized_objective(
+            spec, lambda nu: _values(F, nu),
+            lambda nu: _values(dF, nu, "dF", nu.shape[1:])),
+            space.size, grid_step, spec.support)
     gaps = [abs(v - target) for v in values]
     return SanovRun(label, [int(n) for n in schedule],
                     [float(v) for v in values], float(target), gaps,
@@ -321,11 +327,9 @@ def _coupling_supremum(F, dF, mu: Dist, c: np.ndarray, nu0: np.ndarray
     wc = w[:, None] * np.where(allowed, c, 0.0)
 
     def objective(K):
-        return _values(F, w @ K) - (K * wc).reshape(len(K), -1).sum(axis=1)
-
-    def gradient(K):
-        gF = _values(dF, w @ K, "dF", (m,))
-        return w[:, None] * gF[:, None, :] - wc
+        nu = w @ K
+        vals = _values(F, nu) - (K * wc).reshape(len(K), -1).sum(axis=1)
+        return vals, w[:, None] * _values(dF, nu, "dF", (m,))[:, None, :] - wc
 
     starts = []
     sol = solve_transport(w, Dist(mu.space, nu0).weights, c)
@@ -336,7 +340,6 @@ def _coupling_supremum(F, dF, mu: Dist, c: np.ndarray, nu0: np.ndarray
     greedy = np.zeros((m, m))
     greedy[np.arange(m), np.argmin(np.where(allowed, c, INF), axis=1)] = 1.0
     starts.append(greedy)
-    K, vals = pgd_max_simplex(objective, np.array(starts), gradient=gradient,
-                              support=allowed)
+    K, vals = pgd_max_simplex(objective, np.array(starts), support=allowed)
     best = int(np.argmax(vals))
     return float(vals[best]), w @ K[best]

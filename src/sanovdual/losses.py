@@ -14,6 +14,8 @@ import numpy as np
 
 from .extreal import INF, NEG_INF
 
+SCAN_BLOCK = 512    # entries per block of a full node scan (TabulatedLoss)
+
 
 class LossError(ValueError):
     """Loss fails the admissibility checks."""
@@ -147,57 +149,63 @@ class TabulatedLoss:
         out = self._slopes[idx]
         return out if out.ndim else float(out)
 
-    def _refine(self, yy: float) -> tuple[float, float]:
-        """Node sup of x*y - l(x) plus a local quadratic correction.
+    @np.errstate(invalid="ignore")
+    def _node_search(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Node sup of x*y - l(x) and its node, plus a local quadratic
+        correction, for each entry of a flat array y.
 
-        Fitting a parabola through the three nodes around the best one
-        recovers smooth-loss accuracy O(h^3) instead of the O(h^2) of the
-        bare node maximum; for genuinely piecewise-linear samples the
-        parabola degenerates and the node value stands.
+        The node is the first best gain x*y - l(x).  Nondecreasing slopes
+        put it among the three nodes at the ``searchsorted`` position of y
+        in the slopes (NaN: the first node); slopes that drop, by the
+        rounding ``__post_init__`` allows, scan every node, in blocks of
+        SCAN_BLOCK entries.  Fitting a parabola through the three nodes
+        around the best one recovers smooth-loss accuracy O(h^3) instead of
+        the O(h^2) of the bare node maximum; for genuinely piecewise-linear
+        samples the parabola degenerates and the node value stands.
         """
-        xs = np.asarray(self.xs)
-        vs = np.asarray(self.ys)
-        gains = xs * yy - vs
-        j = int(np.argmax(gains))
-        best_x, best_v = xs[j], float(gains[j])
-        if 0 < j < xs.size - 1:
-            x0, x1, x2 = xs[j - 1:j + 2]
-            v0, v1, v2 = vs[j - 1:j + 2]
-            d1 = (v1 - v0) / (x1 - x0)
-            d2 = (v2 - v1) / (x2 - x1)
-            a = (d2 - d1) / (x2 - x0)
-            if a > 1e-12:
-                b = d1 - a * (x0 + x1)
-                xv = float(np.clip((yy - b) / (2 * a), x0, x2))
-                c = v0 - (a * x0 + b) * x0
-                cand = xv * yy - (a * xv * xv + b * xv + c)
-                if cand > best_v:
-                    best_x, best_v = xv, float(cand)
-        return best_x, best_v
+        xs, vs = np.asarray(self.xs), np.asarray(self.ys)
+        if (np.diff(self._slopes) >= 0.0).all():
+            k = np.where(np.isnan(y), 0, np.searchsorted(self._slopes, y))
+            near = np.clip(k[:, None] + np.arange(-1, 2), 0, xs.size - 1)
+            j = near[np.arange(y.size),
+                     np.argmax(xs[near] * y[:, None] - vs[near], axis=1)]
+        else:
+            j = np.concatenate([np.argmax(xs * part[:, None] - vs, axis=1)
+                                for part in np.array_split(
+                                    y, y.size // SCAN_BLOCK + 1)])
+        best_x, best_v = xs[j], xs[j] * y - vs[j]
+        i = np.clip(j, 1, xs.size - 2)
+        x0, x1, x2 = xs[i - 1], xs[i], xs[i + 1]
+        d1, d2 = self._slopes[i - 1], self._slopes[i]
+        a = (d2 - d1) / (x2 - x0)
+        fit = (j > 0) & (j < xs.size - 1) & (a > 1e-12)
+        a = np.where(fit, a, 1.0)
+        b = d1 - a * (x0 + x1)
+        xv = np.clip((y - b) / (2 * a), x0, x2)
+        c = vs[i - 1] - (a * x0 + b) * x0
+        cand = xv * y - (a * xv * xv + b * xv + c)
+        take = fit & (cand > best_v)
+        return np.where(take, xv, best_x), np.where(take, cand, best_v)
 
     def conjugate(self, y):
         """sup_x (x y - l(x)): node maximum with local quadratic refinement."""
         arr = np.asarray(y, dtype=float)
         flat = np.atleast_1d(arr).ravel()
-        out = np.empty_like(flat)
-        s_lo, s_hi = self._slopes[0], self._slopes[-1]
-        for j, yy in enumerate(flat):
-            if yy < 0.0 or yy > s_hi + 1e-15:
-                out[j] = INF
-            elif yy == 0.0 and s_lo == 0.0:
-                # Flat left tail: the sup over x -> -inf is -left_limit.
-                out[j] = max(self._refine(yy)[1], -self.left_limit)
-            else:
-                out[j] = self._refine(yy)[1]
+        out = self._node_search(flat)[1]
+        if self._slopes[0] == 0.0:
+            # Flat left tail: the sup over x -> -inf is -left_limit.
+            out = np.where((flat == 0.0) & (-self.left_limit > out),
+                           -self.left_limit, out)
+        out = np.where((flat < 0.0) | (flat > self._slopes[-1] + 1e-15),
+                       INF, out)
         return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
     def conjugate_prime(self, y):
         arr = np.asarray(y, dtype=float)
         flat = np.atleast_1d(arr).ravel()
-        out = np.empty_like(flat)
-        for j, yy in enumerate(flat):     # +inf where the conjugate is +inf
-            out[j] = INF if yy > self._slopes[-1] + 1e-15 else \
-                self._refine(yy)[0]
+        out = self._node_search(flat)[0]
+        # +inf where the conjugate is +inf
+        out = np.where(flat > self._slopes[-1] + 1e-15, INF, out)
         return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
     def conjugate_second(self, y):

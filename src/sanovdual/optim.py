@@ -4,8 +4,8 @@ Everything here is plain numpy:
 
 * Euclidean projection onto the probability simplex;
 * one batched projected gradient ascent with Armijo backtracking, over
-  simplices and products of simplices, on the caller's exact
-  (super)gradient;
+  simplices and products of simplices, on one evaluator of the caller's
+  values and exact (super)gradients;
 * one safeguarded Newton root finder for the risks and penalty infima,
   and golden-section line search (tests only), on scalar or (B,)-array
   brackets;
@@ -377,9 +377,7 @@ def _row_sums(A: np.ndarray) -> np.ndarray:
     return np.add.reduce(A.reshape(len(A), -1), axis=1)
 
 
-def pgd_max_simplex(objective: Callable[[np.ndarray], np.ndarray],
-                    x0: np.ndarray,
-                    gradient: Callable[[np.ndarray], np.ndarray],
+def pgd_max_simplex(objective: Callable, x0: np.ndarray,
                     max_iter: int = 500,
                     ftol: float = 1e-13,
                     support: Optional[np.ndarray] = None):
@@ -389,13 +387,14 @@ def pgd_max_simplex(objective: Callable[[np.ndarray], np.ndarray],
 
     Starts are rows: ``x0`` is one point (m,), a batch (B, m), or a batch
     (B, r, m) of kernels whose r rows each lie in a simplex.  ``objective``
-    maps a (k, ...) stack of points to their (k,) values and ``gradient``
-    to their (k, ...) (super)gradients; non-finite entries read 0.  Both
-    see only the rows still running, so each row makes the evaluations it
-    would make alone.  Entries where ``support`` (broadcast against one
-    start) is False stay at 0.  The objective may return -inf off its
-    effective domain: backtracking rejects steps that land there, and a row
-    that starts there is returned as it is.
+    maps a (k, ...) stack of points to their (k,) values and their (k, ...)
+    (super)gradients in one pass; non-finite gradient entries read 0.  It
+    sees only the rows still running, so each row makes the evaluations it
+    would make alone, and a row steps along the gradient its accepted point
+    returned.  Entries where ``support`` (broadcast against one start) is
+    False stay at 0.  The objective may return -inf off its effective
+    domain: backtracking rejects steps that land there, and a row that
+    starts there is returned as it is.
 
     A row stops when 60 halvings of the unit step find no gain of
     1e-4 <g, d>, or after two gains in a row below ftol (1 + |f|).  Rows
@@ -406,7 +405,7 @@ def pgd_max_simplex(objective: Callable[[np.ndarray], np.ndarray],
     X0 = np.asarray(x0, dtype=float)
     single = X0.ndim == 1
     X = project_simplex(X0[None] if single else X0, support)
-    fx = np.array(objective(X), dtype=float)
+    fx, G = (np.array(a, dtype=float) for a in objective(X))
     before = fx.copy()
     per_row = (slice(None),) + (None,) * (X.ndim - 1)
     stall = np.zeros(fx.size, dtype=int)
@@ -415,8 +414,7 @@ def pgd_max_simplex(objective: Callable[[np.ndarray], np.ndarray],
         rows = np.flatnonzero(run)
         if rows.size == 0:
             break
-        g = gradient(X[rows])
-        g = np.where(np.isfinite(g), g, 0.0)
+        g = np.where(np.isfinite(G[rows]), G[rows], 0.0)
         t = np.ones(rows.size)
         moved = np.zeros(rows.size, dtype=bool)
         search = np.arange(rows.size)       # rows still backtracking
@@ -430,13 +428,13 @@ def pgd_max_simplex(objective: Callable[[np.ndarray], np.ndarray],
                 search, i, gs, Y, D = (a[far] for a in (search, i, gs, Y, D))
                 if search.size == 0:
                     break
-            fy = np.asarray(objective(Y), dtype=float)
+            fy, gy = (np.asarray(a, dtype=float) for a in objective(Y))
             ok = np.isfinite(fy) & (fy >= fx[i] + 1e-4 * _row_sums(gs * D))
             if ok.any():
                 i, fy = i[ok], fy[ok]
                 gain = fy - fx[i]
                 before[i] = fx[i]
-                X[i], fx[i] = Y[ok], fy
+                X[i], fx[i], G[i] = Y[ok], fy, gy[ok]
                 stall[i] = np.where(gain <= ftol * (1.0 + np.abs(fy)),
                                     stall[i] + 1, 0)
                 moved[search[ok]] = True

@@ -16,8 +16,9 @@ probability vector with value +inf off its effective domain:
   matrix (computed exactly by the transportation simplex).
 
 Each family is one class that owns both halves of its dual pair: alpha
-and rho(f) = sup_nu (int f dnu - alpha(nu)), rows in, rows out (see
-``AlphaSpec``).  Callers go through ``penalty(nu, spec)`` and
+with its supergradient from one pass, and rho(f) = sup_nu (int f dnu -
+alpha(nu)), rows in, rows out (see ``AlphaSpec``).  Callers go through
+``penalty(nu, spec)`` (values only), ``penalty_rows`` (the ascents) and
 ``risk.risk_rows(spec, F)``.  The shortfall and L^p risks are the smallest
 m with int l(f - m) dmu <= 1 (Foellmer & Schied, Stochastic Finance, 4.9),
 found per row by ``optim.newton_nonincreasing``.  Weighted sums over
@@ -53,15 +54,16 @@ MIXTURE_PASSES = 200  # cap on the passes of the robust mixture loop
 # ---------------------------------------------------------------------------
 
 class AlphaSpec:
-    """A penalty family.  On (B, m) float batches, ``penalty_rows(V)`` and
-    ``grad_rows(V)`` (``None`` without a gradient) give alpha and its
-    gradient at each row of V, ``risk_rows(F, near)`` and
+    """A penalty family.  On (B, m) float batches, ``penalty_rows(V)`` gives
+    alpha and its gradient (``None`` for a family without one) at each row
+    of V from one inner solve, ``risk_rows(F, near)`` and
     ``maximizer_rows(F)`` rho and the law attaining it (NaN where none
     does) for each row of F.  ``near`` (None or a level) says where each
     row's rho is expected; only the root-finding families use it.
     """
 
     method = "closed_form"    # how rho is found: "closed_form" | "root_find"
+    has_gradient = True       # False where penalty_rows returns None for it
 
     @property
     def space(self) -> FiniteSpace:
@@ -109,11 +111,9 @@ class RelativeEntropy(AlphaSpec):
 
     mu: Dist
 
-    def penalty_rows(self, V: np.ndarray) -> np.ndarray:
-        return _rel_rows(V, self.mu.weights[None, :])
-
-    def grad_rows(self, V: np.ndarray) -> np.ndarray:
-        return _entropy_grad(V, self.mu.weights[None, :])
+    def penalty_rows(self, V: np.ndarray):
+        W = self.mu.weights[None, :]
+        return _rel_rows(V, W), _entropy_grad(V, W)
 
     def risk_rows(self, F: np.ndarray, near=None) -> np.ndarray:
         return entropic_risk_rows(F, self.mu.weights)
@@ -161,27 +161,21 @@ class LpEntropy(_LossPair):
     def loss(self) -> PowerLoss:
         return PowerLoss(self.p / (self.p - 1.0))
 
-    def _ratio_norm(self, V: np.ndarray):
-        """dnu/dmu (0 off mu's support) and its L^p(mu) norm, per row."""
-        w = self.mu.weights
+    def penalty_rows(self, V: np.ndarray):
+        """R - 1 and its gradient R^(1-p) (dnu/dmu)^(p-1), with R the
+        L^p(mu) norm of dnu/dmu (0 off mu's support); the gradient is nan
+        where R is 0."""
+        p, w = self.p, self.mu.weights
         live = w > 0.0
         ratio = _ratio(V, w)
-        R = np.power(weighted_row_sums(np.power(ratio[:, live], self.p),
-                                       w[live]), 1.0 / self.p)
-        return ratio, R
-
-    def penalty_rows(self, V: np.ndarray) -> np.ndarray:
-        off = ((V > 0.0) & (self.mu.weights <= 0.0)[None, :]).any(axis=1)
-        out = self._ratio_norm(V)[1] - 1.0
-        out[off] = INF
-        return out
-
-    def grad_rows(self, V: np.ndarray) -> np.ndarray:
-        """R^(1-p) (dnu/dmu)^(p-1), with R the L^p(mu) norm of dnu/dmu."""
-        p = self.p
-        ratio, R = self._ratio_norm(V)
-        return (np.power(np.maximum(R, 1e-300), 1.0 - p)[:, None] *
-                np.power(ratio, p - 1.0))
+        R = np.power(weighted_row_sums(np.power(ratio[:, live], p), w[live]),
+                     1.0 / p)
+        out = R - 1.0
+        out[((V > 0.0) & ~live).any(axis=1)] = INF
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = (np.power(np.maximum(R, 1e-300), 1.0 - p)[:, None] *
+                    np.power(ratio, p - 1.0))
+        return out, grad
 
 
 @dataclass(frozen=True)
@@ -192,13 +186,10 @@ class Shortfall(_LossPair):
     mu: Dist
     loss: LossFn
 
-    def penalty_rows(self, V: np.ndarray) -> np.ndarray:
-        return _shortfall_rows(V, self.mu.weights, self.loss)[0]
-
-    def grad_rows(self, V: np.ndarray) -> np.ndarray:
-        """l*'(t* dnu/dmu) at the minimizing t*."""
-        _, t = _shortfall_rows(V, self.mu.weights, self.loss)
-        return np.asarray(self.loss.conjugate_prime(
+    def penalty_rows(self, V: np.ndarray):
+        """alpha, and its gradient l*'(t* dnu/dmu) at the minimizing t*."""
+        out, t = _shortfall_rows(V, self.mu.weights, self.loss)
+        return out, np.asarray(self.loss.conjugate_prime(
             t[:, None] * _ratio(V, self.mu.weights)))
 
 
@@ -211,12 +202,11 @@ class Robust(_Hull):
 
     what = "robust penalty"
 
-    def penalty_rows(self, V: np.ndarray) -> np.ndarray:
-        return _robust_rows(V, self.weights)[0]
-
-    def grad_rows(self, V: np.ndarray) -> np.ndarray:
-        """log(nu / m) + 1 against the minimizing hull mixture m."""
-        return _entropy_grad(V, _robust_rows(V, self.weights)[1])
+    def penalty_rows(self, V: np.ndarray):
+        """alpha, and its gradient log(nu / M) + 1 against the minimizing
+        hull mixture M."""
+        out, M = _robust_rows(V, self.weights)
+        return out, _entropy_grad(V, M)
 
     def risk_rows(self, F: np.ndarray, near=None) -> np.ndarray:
         vals = np.stack([entropic_risk_rows(F, g.weights)
@@ -237,7 +227,7 @@ class SetIndicator(_Hull):
     generators: tuple[Dist, ...]
 
     what = "set indicator"
-    grad_rows = None
+    has_gradient = False
 
     def __post_init__(self):
         super().__post_init__()
@@ -247,8 +237,9 @@ class SetIndicator(_Hull):
             raise SpaceError(f"{self.what}: {k} generators on {m} states "
                              f"have {faces} hull faces, over 4096")
 
-    def penalty_rows(self, V: np.ndarray) -> np.ndarray:
-        return np.where(hull_distance(V, self.weights) <= HULL_TOL, 0.0, INF)
+    def penalty_rows(self, V: np.ndarray):
+        return np.where(hull_distance(V, self.weights) <= HULL_TOL, 0.0,
+                        INF), None
 
     def risk_rows(self, F: np.ndarray, near=None) -> np.ndarray:
         vals = np.stack([extreal.integral_rows(g.weights, F)
@@ -298,22 +289,17 @@ class Transport(AlphaSpec):
         w = self.mu.weights
         return (V < 0).any(axis=1) | (np.abs(V.sum(axis=1) - w.sum()) > 1e-9)
 
-    def penalty_rows(self, V: np.ndarray) -> np.ndarray:
-        """One transportation simplex solve per row; +inf when no
-        finite-cost coupling exists and on rows off the domain."""
-        w = self.mu.weights
-        return np.array([INF if o else solve_transport(w, v, self.cost).value
-                         for v, o in zip(V, self._off(V))])
-
-    def grad_rows(self, V: np.ndarray) -> np.ndarray:
-        """The column potentials of an optimal plan (nan without one, and
-        on rows off the domain)."""
-        out = np.full(V.shape, np.nan)
+    def penalty_rows(self, V: np.ndarray):
+        """The cost and, as its gradient, the column potentials of an
+        optimal plan, from one transportation simplex solve per row; +inf
+        and nan where no finite-cost coupling exists and off the domain."""
+        out, grad = np.full(len(V), INF), np.full(V.shape, np.nan)
         for b in np.flatnonzero(~self._off(V)):
             sol = solve_transport(self.mu.weights, V[b], self.cost)
+            out[b] = sol.value
             if sol.col_potentials is not None:
-                out[b] = sol.col_potentials
-        return out
+                grad[b] = sol.col_potentials
+        return out, grad
 
     def _relaxed(self, F: np.ndarray) -> np.ndarray:
         """f(y) - c(x, y) as (B, m_x, m_y), -inf where either is excluded."""
@@ -346,12 +332,12 @@ class Transport(AlphaSpec):
 
 
 def penalty(nu, spec: AlphaSpec) -> float | np.ndarray:
-    """alpha(nu): a float for a law or a vector, one value per row of a
-    (B, m) batch."""
+    """alpha(nu) without its gradient: a float for a law or a vector, one
+    value per row of a (B, m) batch."""
     V = np.asarray(nu.weights if isinstance(nu, Dist) else nu, dtype=float)
     if V.ndim == 1:
-        return float(spec.penalty_rows(V[None, :])[0])
-    return spec.penalty_rows(V)
+        return float(spec.penalty_rows(V[None, :])[0][0])
+    return spec.penalty_rows(V)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Each penalty family in ``penalties`` owns its closed-form (or
 root-finding) risk rho(f) = sup_nu (int f dnu - alpha(nu)) and the law
 attaining it, rows in, rows out.  This module is their entry point
 (``risk_rows``, ``risk_result``) and adds a certified generic simplex
-maximizer of the same supremum (``generic_risk``).
+maximizer of the same supremum (``generic_risk``), whose ascent evaluator
+(``penalized_objective``) the Sanov limit target shares.
 
 All evaluators accept extended-real inputs: -inf entries of f behave as
 hard exclusions and +inf entries (on charged states) push the value to
@@ -14,14 +15,14 @@ hard exclusions and +inf entries (on charged states) push the value to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import extreal
 from .extreal import INF, NEG_INF
 from .optim import pgd_max_simplex
-from .penalties import AlphaSpec, penalty
+from .penalties import AlphaSpec
 from .spaces import Dist
 
 RESTARTS = 200      # starts of a generic run that does not set its own
@@ -55,6 +56,16 @@ def risk_result(f, spec: AlphaSpec) -> RhoResult:
 # Generic simplex maximizer
 # ---------------------------------------------------------------------------
 
+def penalized_objective(spec: AlphaSpec, F: Callable, dF: Callable):
+    """Rows X in, (F - alpha, dF - grad alpha) out from one ``penalty_rows``
+    pass: -inf where alpha is +inf, ``None`` gradients where it has none."""
+    def objective(X):
+        a, grad = spec.penalty_rows(X)
+        vals = np.where(np.isfinite(a), F(X) - a, NEG_INF)
+        return vals, None if grad is None else dF(X) - grad
+    return objective
+
+
 def generic_risk(f, spec: AlphaSpec, restarts: int = RESTARTS,
                  seed: int = 0) -> RhoResult:
     """Maximize int f dnu - alpha(nu) over the simplex by one batched
@@ -63,7 +74,7 @@ def generic_risk(f, spec: AlphaSpec, restarts: int = RESTARTS,
     fv = np.asarray(f, dtype=float)
     space = spec.space
 
-    if spec.grad_rows is None:     # a set indicator: rho at a generator
+    if not spec.has_gradient:     # a set indicator: rho at a generator
         row = spec.maximizer_rows(fv[None])[0]
         return RhoResult(float(spec.risk_rows(fv[None])[0]), spec.law(row),
                          "simplex_opt")
@@ -74,14 +85,6 @@ def generic_risk(f, spec: AlphaSpec, restarts: int = RESTARTS,
     if np.isposinf(fv[sub]).any():
         return RhoResult(INF, None, "simplex_opt")
     f_sub = np.where(sub, fv, 0.0)
-
-    def J(X):
-        a = penalty(X, spec)
-        return np.where(np.isfinite(a),
-                        extreal.weighted_row_sums(X, f_sub) - a, NEG_INF)
-
-    def grad(X):
-        return f_sub - spec.grad_rows(X)
 
     d = int(sub.sum())
     rng = np.random.default_rng(seed)
@@ -95,8 +98,9 @@ def generic_risk(f, spec: AlphaSpec, restarts: int = RESTARTS,
     X0 = np.zeros((len(starts), fv.size))
     X0[:, sub] = starts
 
-    X, vals = pgd_max_simplex(J, X0, gradient=grad, max_iter=250,
-                              ftol=1e-12, support=sub)
+    J = penalized_objective(
+        spec, lambda X: extreal.weighted_row_sums(X, f_sub), lambda X: f_sub)
+    X, vals = pgd_max_simplex(J, X0, max_iter=250, ftol=1e-12, support=sub)
     best = int(np.argmax(vals))
     maximizer = Dist(space, X[best]) if np.isfinite(vals[best]) else None
     return RhoResult(float(vals[best]), maximizer, "simplex_opt")

@@ -11,8 +11,9 @@ attains a dense recursion's value, the segment-at-a-time quadrature
 walk, the transportation simplex without kept tables, references over the mixture weights of a hull (the distance to
 it by SLSQP, an EM upper bound on robust entropy), and maximization by
 golden section along coordinates (on a box, and the former 2- and 3-d
-rate function search), and central-difference gradients of rows-in,
-values-out functions.
+rate function search), values with central-difference gradients of rows-in,
+values-out functions, and a tabulated loss's conjugate by a scan of every
+node per entry.
 
 Joint laws on E^n are dense tensors in row-major order: the flat index of
 (x_1, ..., x_n) is x_1 * m^(n-1) + ... + x_n, i.e. x_1 is the slowest axis.
@@ -511,10 +512,11 @@ def robust_pair_golden(V: np.ndarray, g0: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def numeric_tangent_grad(fn: Callable[[np.ndarray], np.ndarray],
-                         X: np.ndarray) -> np.ndarray:
-    """Central-difference gradient of a rows-in, values-out ``fn`` at each
-    row of X, of shape (k, ...), from one ``fn`` call on the k (2n + 1)
-    rows X, X + h e_i and X - h e_i (n entries per row, h = 1e-7).
+                         X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The values of a rows-in, values-out ``fn`` at each row of X, of
+    shape (k, ...), and its central-difference gradients there, from one
+    ``fn`` call on the k (2n + 1) rows X, X + h e_i and X - h e_i (n
+    entries per row, h = 1e-7): an ascent evaluator.
 
     Where one probe is not finite the difference is one-sided; where
     neither is, the entry is 0.
@@ -533,7 +535,7 @@ def numeric_tangent_grad(fn: Callable[[np.ndarray], np.ndarray],
         g = np.where(fin_up & fin_dn, (up - dn) / (2 * h),
                      np.where(fin_up, (up - fx) / h,
                               np.where(fin_dn, (fx - dn) / h, 0.0)))
-    return g.reshape(X.shape)
+    return fx[:, 0], g.reshape(X.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -919,6 +921,50 @@ def tabulated_from_callable(fn, lo: float, hi: float, left_limit: float = 0.0,
     xs = np.linspace(lo, hi, points)
     return TabulatedLoss(tuple(xs), tuple(float(fn(x)) for x in xs),
                          left_limit)
+
+
+def _tabulated_refine(loss: TabulatedLoss, yy: float) -> tuple[float, float]:
+    """Node sup of x*y - l(x) over every node (the first maximum), then a
+    parabola through the three nodes around the best one."""
+    xs = np.asarray(loss.xs)
+    vs = np.asarray(loss.ys)
+    gains = xs * yy - vs
+    j = int(np.argmax(gains))
+    best_x, best_v = xs[j], float(gains[j])
+    if 0 < j < xs.size - 1:
+        x0, x1, x2 = xs[j - 1:j + 2]
+        v0, v1, v2 = vs[j - 1:j + 2]
+        d1 = (v1 - v0) / (x1 - x0)
+        d2 = (v2 - v1) / (x2 - x1)
+        a = (d2 - d1) / (x2 - x0)
+        if a > 1e-12:
+            b = d1 - a * (x0 + x1)
+            xv = float(np.clip((yy - b) / (2 * a), x0, x2))
+            c = v0 - (a * x0 + b) * x0
+            cand = xv * yy - (a * xv * xv + b * xv + c)
+            if cand > best_v:
+                best_x, best_v = xv, float(cand)
+    return best_x, best_v
+
+
+def tabulated_conjugate_loop(loss: TabulatedLoss, y) -> tuple[np.ndarray,
+                                                              np.ndarray]:
+    """(l*(y), l*'(y)) of a tabulated loss by a full node scan per entry:
+    the reference of ``TabulatedLoss.conjugate`` and ``conjugate_prime``."""
+    flat = np.atleast_1d(np.asarray(y, dtype=float)).ravel()
+    s_lo, s_hi = loss._slopes[0], loss._slopes[-1]
+    conj, prime = np.empty_like(flat), np.empty_like(flat)
+    for j, yy in enumerate(flat):
+        with np.errstate(invalid="ignore"):
+            x, v = _tabulated_refine(loss, yy)
+        if yy < 0.0 or yy > s_hi + 1e-15:
+            conj[j] = INF
+        elif yy == 0.0 and s_lo == 0.0:
+            conj[j] = max(v, -loss.left_limit)
+        else:
+            conj[j] = v
+        prime[j] = INF if yy > s_hi + 1e-15 else x
+    return conj, prime
 
 
 def validate_loss(loss: LossFn, grid: Sequence[float] | None = None) -> None:

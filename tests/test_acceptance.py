@@ -240,7 +240,7 @@ def test_criterion_08_transport_duality(record_criterion):
 
         x0 = grid[int(np.argmax(vals))]
         _, refined = pgd_max_simplex(
-            J, x0, lambda X: numeric_tangent_grad(J, X), max_iter=120)
+            lambda X: numeric_tangent_grad(J, X), x0, max_iter=120)
         oracle = max(best, refined)
         worst_gap = max(worst_gap, abs(rho - oracle))
     worst_ctl = 0.0

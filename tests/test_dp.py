@@ -8,11 +8,13 @@ from oracles import (ProductDist, entropic_risk, greedy_optimizer_from_trace,
                      iid_empirical_expectation, risk, symmetric_from_dense,
                      tensor_penalty, tensor_penalty_batch, type_rank)
 import sanovdual.dp as dp_module
+import sanovdual.penalties as penalties_module
 from sanovdual.dp import (backward_value_dense, backward_value_symmetric,
                           backward_values_symmetric, sanov_limit,
                           simplex_supremum, superhedge, symmetric_terminal,
                           transport_control_value)
 from sanovdual.losses import ExpLoss, PowerLoss
+from sanovdual.optim import simplex_grid
 from sanovdual.penalties import (LpEntropy, RelativeEntropy, Robust,
                                  SetIndicator, Shortfall, Transport, penalty)
 from sanovdual.risk import risk_rows
@@ -387,37 +389,75 @@ class TestTransportLongrun:
 class TestSimplexSupremum:
     def test_concave_quadratic(self):
         F, dF = _well(0.3)
-        val, arg = simplex_supremum(F, dF, 2, step=0.01)
+        val, arg = simplex_supremum(lambda X: (F(X), dF(X)), 2, 0.01,
+                                    np.ones(2, bool))
         assert abs(val) <= 1e-10
         assert abs(arg[0] - 0.3) <= 1e-4
 
     def test_no_gradient_keeps_the_best_grid_point(self):
         F, _ = _well(0.333)
-        val, arg = simplex_supremum(F, None, 2, step=0.01)
+        val, arg = simplex_supremum(lambda X: (F(X), None), 2, 0.01,
+                                    np.ones(2, bool))
         assert arg.tolist() == [0.33, 0.67] and val == F(arg)
+
+    @pytest.mark.parametrize("F", [_well(0.333)[0], lambda X: 0.0 * X[:, 0]],
+                             ids=["well", "flat"])
+    def test_grid_scan_goes_block_by_block(self, monkeypatch, F):
+        # Blocks of GRID_BLOCK rows find the first best grid point, as one
+        # call on the whole grid does, ties included.
+        sizes = []
+
+        def objective(X):
+            sizes.append(len(X))
+            return F(X), None
+        whole = simplex_supremum(objective, 2, 0.01, np.ones(2, bool))
+        monkeypatch.setattr(dp_module, "GRID_BLOCK", 7)
+        sizes.clear()
+        val, arg = simplex_supremum(objective, 2, 0.01, np.ones(2, bool))
+        assert sizes == [7] * 14 + [3]
+        assert val == whole[0] and arg.tolist() == whole[1].tolist()
+
+    @pytest.mark.parametrize("spec", [
+        LpEntropy(Dist(THREE, [0.5, 0.5, 0.0]), 2.0),
+        Shortfall(Dist(THREE, [0.5, 0.5, 0.0]), PowerLoss(2.0))])
+    def test_ascent_stays_on_the_support(self, spec):
+        # The gradient points into the state mu does not charge, where alpha
+        # is +inf; an ascent that may step there never leaves the grid
+        # point (0.6, 0.4, 0).  The sup is over nu = (x, 1 - x, 0): a grid
+        # over x, then a grid within one step of its best point.
+        F, dF = _well(0.7)
+        run = sanov_limit(F, dF, spec, [2], grid_step=0.1)
+        lo, hi, best = 0.0, 1.0, -math.inf
+        for _ in range(2):
+            x = np.linspace(lo, hi, 100001)
+            V = np.stack([x, 1.0 - x, np.zeros_like(x)], axis=1)
+            vals = F(V) - penalty(V, spec)
+            i = int(np.argmax(vals))
+            best = max(best, float(vals[i]))
+            lo, hi = x[max(i - 1, 0)], x[min(i + 1, x.size - 1)]
+        assert run.argmax[2] == 0.0
+        assert abs(run.target - best) <= 1e-9
 
 
 class TestAscentGradients:
-    """The Sanov and coupling ascents take dF: every objective call covers
-    at most the rows still running, never a stack of difference probes."""
+    """The Sanov and coupling ascents take one evaluator of values and
+    gradients: every call covers at most the rows still running, never a
+    stack of difference probes, and each evaluated point costs one inner
+    solve of the penalty."""
 
     def _spy(self, monkeypatch):
         seen = []
         real = dp_module.pgd_max_simplex
 
-        def spy(objective, x0, gradient, **kwargs):
+        def spy(objective, x0, **kwargs):
             starts = 1 if np.ndim(x0) == 1 else len(x0)
-            calls = {"starts": starts, "objective": [], "gradient": 0}
+            calls = {"starts": starts, "objective": []}
             seen.append(calls)
 
             def obj(X):
                 calls["objective"].append(len(X))
                 return objective(X)
-
-            def grad(X):
-                calls["gradient"] += 1
-                return gradient(X)
-            return real(obj, x0, grad, **kwargs)
+            return real(obj, x0, **kwargs)
         monkeypatch.setattr(dp_module, "pgd_max_simplex", spy)
         return seen
 
@@ -426,8 +466,25 @@ class TestAscentGradients:
     def test_objective_never_sees_probe_stacks(self, monkeypatch, spec):
         seen = self._spy(monkeypatch)
         sanov_limit(*_well(0.7), spec, [2])
-        assert len(seen) == 1 and seen[0]["gradient"] >= 1
+        assert len(seen) == 1 and len(seen[0]["objective"]) >= 2
         assert max(seen[0]["objective"]) <= seen[0]["starts"]
+
+    @pytest.mark.parametrize("spec, solve", [
+        (three_state_specs()[3], "_robust_rows"),
+        (three_state_specs()[2], "_shortfall_rows")])
+    def test_one_inner_solve_per_point(self, monkeypatch, spec, solve):
+        # The grid and every ascent point run the family's inner solve
+        # once: values and gradient come from the same pass.
+        seen = self._spy(monkeypatch)
+        real, solved = getattr(penalties_module, solve), []
+
+        def counted(V, *args):
+            solved.append(len(V))
+            return real(V, *args)
+        monkeypatch.setattr(penalties_module, solve, counted)
+        sanov_limit(*_well(0.7), spec, [2], grid_step=0.1)
+        grid = len(simplex_grid(3, 0.1))
+        assert solved == [grid] + seen[0]["objective"]
 
     def test_set_indicator_makes_no_ascent(self, monkeypatch):
         seen = self._spy(monkeypatch)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import tabulated_from_callable, validate_loss
+from oracles import (tabulated_conjugate_loop, tabulated_from_callable,
+                     validate_loss)
 from sanovdual.losses import ExpLoss, LossError, PowerLoss, TabulatedLoss
 
 
@@ -111,6 +112,49 @@ class TestTabulatedLoss:
             assert tab.value(math.inf) == math.inf
             assert (tab.conjugate_second(np.array([0.5, 1.0])) == 0.0).all()
         assert math.isfinite(tab.conjugate_prime(1.0))     # the top slope
+
+    @pytest.mark.parametrize("loss", [
+        TabulatedLoss((-2.0, -1.0, 0.0, 1.0), (0.25, 0.25, 1.0, 2.0)),
+        TabulatedLoss((-3.0, -1.0, 0.0, 1.0, 2.0, 4.0),
+                      (0.0, 0.0, 0.3, 1.5, 3.5, 9.0), left_limit=0.2),
+        tabulated_from_callable(lambda x: max(1.0 + x, 0.0) ** 2, -10.0,
+                                10.0, points=257),
+        # Its slopes drop by 4e-10, which the convexity check lets pass: at
+        # y in (1 - 2e-10, 1] node 3 gains more than node 1.
+        TabulatedLoss((-1.0, 0.0, 1.0, 2.0, 3.0),
+                      (0.0, 0.0, 1.0, 2.0 - 4e-10, 4.0 - 4e-10))],
+        ids=["4", "6", "257", "near-collinear"])
+    def test_node_search_matches_full_scan(self, loss):
+        # The node search equals a scan of every node per entry, bit for
+        # bit: on a sweep, at and beside every slope, at signed zeros, past
+        # the top slope, at NaN and around the near-collinear table's drop.
+        s = loss._slopes
+        y = np.concatenate([np.linspace(-1.0, 1.2 * s[-1] + 1.0, 2001), s,
+                            s + 1e-15, s - 1e-15, s[-1] + [1e-15, 2e-15],
+                            1.0 - np.array([1e-10, 3e-10, 5e-10]),
+                            [0.0, -0.0, math.nan, math.inf]])
+        conj, prime = tabulated_conjugate_loop(loss, y)
+        assert loss.conjugate(y).tobytes() == conj.tobytes()
+        assert loss.conjugate_prime(y).tobytes() == prime.tobytes()
+        assert loss.conjugate(y[5]) == conj[5]
+        assert loss.conjugate_prime(y[5]) == prime[5]
+
+    def test_linear_stretch_gives_a_maximizer(self):
+        # At y = 1/2 every node of the stretch [-1, 3] where l has slope 1/2
+        # is a maximizer, and within rounding of 1/2 the rounding of x*y -
+        # l(x) decides which one a full scan picks; the node search may
+        # pick another one there.
+        xs = np.linspace(-10.0, 10.0, 257)
+        loss = TabulatedLoss(tuple(xs), tuple(
+            0.5 * np.maximum(1.0 + xs, 0.0) + np.maximum(xs - 3.0, 0.0) ** 2))
+        y = np.concatenate([np.linspace(0.0, loss._slopes[-1], 2001),
+                            loss._slopes, [0.5 - 1e-15, 0.5 + 1e-15]])
+        conj, prime = tabulated_conjugate_loop(loss, y)
+        x = loss.conjugate_prime(y)
+        tie = np.abs(y - 0.5) <= 1e-14
+        assert loss.conjugate(y).tobytes() == conj.tobytes()
+        assert (x[~tie] == prime[~tie]).all()
+        assert ((-1.0 <= x[tie]) & (x[tie] <= 3.0)).all()
 
     def test_rejects_nonconvex(self):
         with pytest.raises(LossError, match="convex"):

@@ -158,14 +158,12 @@ def test_newton_marks_uncrossed_levels_infinite():
 
 
 def _bowl(X):
-    """-|x - c|^2 per row, -inf where the first entry passes 0.9."""
+    """-|x - c|^2 per row, -inf where the first entry passes 0.9, and its
+    gradient."""
     c = np.linspace(0.4, 0.05, X.shape[-1])
     vals = -((X - c) ** 2).reshape(len(X), -1).sum(axis=1)
-    return np.where(X.reshape(len(X), -1)[:, 0] > 0.9, -math.inf, vals)
-
-
-def _bowl_grad(X):
-    return -2.0 * (X - np.linspace(0.4, 0.05, X.shape[-1]))
+    return (np.where(X.reshape(len(X), -1)[:, 0] > 0.9, -math.inf, vals),
+            -2.0 * (X - c))
 
 
 @pytest.mark.parametrize("shape", [(4,), (3, 4)])
@@ -178,15 +176,14 @@ def test_batched_ascent_rows_match_one_row_calls(shape):
     X0[1].reshape(-1, 4)[0] = [0.95, 0.05, 0.0, 0.0]     # starts at -inf
     support = np.ones(shape, dtype=bool)
     support[..., 3] = False
-    X, vals = pgd_max_simplex(_bowl, X0, _bowl_grad, support=support)
+    X, vals = pgd_max_simplex(_bowl, X0, support=support)
     assert vals[1] == -math.inf and np.isfinite(np.delete(vals, 1)).all()
     assert (X[..., 3] == 0.0).all()
     for b in range(len(X0)):
-        x, v = pgd_max_simplex(_bowl, X0[b:b + 1], _bowl_grad,
-                               support=support)
+        x, v = pgd_max_simplex(_bowl, X0[b:b + 1], support=support)
         assert np.array_equal(x[0], X[b]) and v[0] == vals[b]
     if len(shape) == 1:     # a single point is a row too
-        x, v = pgd_max_simplex(_bowl, X0[0], _bowl_grad, support=support)
+        x, v = pgd_max_simplex(_bowl, X0[0], support=support)
         assert np.array_equal(x, X[0]) and v == vals[0]
 
 
@@ -203,8 +200,7 @@ def test_exhausted_iteration_cap_warns(caplog, monkeypatch, solver):
             newton_nonincreasing(_square_drop, 1.0, np.array([-3.0, 0.4]),
                                  np.array([3.0, 0.5]), np.array([4.0, 0.1]))
         elif solver == "pgd":
-            pgd_max_simplex(_bowl, np.full((2, 4), 0.25), _bowl_grad,
-                            max_iter=1)
+            pgd_max_simplex(_bowl, np.full((2, 4), 0.25), max_iter=1)
         elif solver == "legendre":
             legendre_max(_exp3, 5.0)
         else:
@@ -223,7 +219,7 @@ def test_converged_searches_stay_quiet(caplog):
         newton_nonincreasing(_square_drop, 1.0, -3.0, 3.0, 4.0)
         newton_nonincreasing(_square_drop, 1.0, np.array([-3.0, 0.4]),
                              np.array([3.0, 0.5]), np.array([4.0, 0.1]))
-        pgd_max_simplex(_bowl, np.full((2, 4), 0.25), _bowl_grad)
+        pgd_max_simplex(_bowl, np.full((2, 4), 0.25))
         legendre_max(_exp3, 5.0)
         legendre_max_nd(_log_sum_exp, np.array([0.2, 0.3]))
     assert not caplog.records

@@ -385,10 +385,11 @@ class TestTransportCost:
             negative[0] -= 0.6
             negative[1] += 0.6
             V = np.stack([heavy, good, negative])
-            assert np.isposinf(spec.penalty_rows(V)[[0, 2]]).all()
-            g = spec.grad_rows(V)
+            a, g = spec.penalty_rows(V)
+            assert np.isposinf(a[[0, 2]]).all()
             assert np.isnan(g[[0, 2]]).all()
-            assert g[1].tobytes() == spec.grad_rows(good[None])[0].tobytes()
+            assert g[1].tobytes() == \
+                spec.penalty_rows(good[None])[1][0].tobytes()
             assert np.isfinite(g[1]).all()
 
     def test_diagonal_flag_validation(self):
@@ -500,7 +501,7 @@ class TestPenaltyGrad:
         tol = 1e-5 if family == "robust" and m == 3 else 1e-6
         for _ in range(4):
             nu = rand_dist(rng, space).weights
-            g = spec.grad_rows(nu[None, :])[0]
+            g = spec.penalty_rows(nu[None, :])[1][0]
             for i, j in itertools.combinations(range(m), 2):
                 e = np.zeros(m)
                 e[i], e[j] = h, -h
@@ -518,7 +519,7 @@ class TestPenaltyGrad:
         h = 1e-5
         for _ in range(4):
             nu = rand_dist(rng, space).weights
-            g = spec.grad_rows(nu[None, :])[0]
+            g = spec.penalty_rows(nu[None, :])[1][0]
             for i, j in itertools.combinations(range(m), 2):
                 e = np.zeros(m)
                 e[i], e[j] = h, -h

@@ -431,7 +431,9 @@ class TestMaximizerRows:
 
 
     def test_rows_do_not_depend_on_their_batch(self):
-        # Each row of every method equals its one-row call, bit for bit.
+        # Each row of every method equals its one-row call, bit for bit:
+        # both halves of penalty_rows' (alpha, grad), and the values of
+        # the others.
         rng = np.random.default_rng(18)
         for spec in self.specs(rng):
             m = spec.space.size
@@ -439,18 +441,20 @@ class TestMaximizerRows:
             X = spec.maximizer_rows(F)
             V = np.vstack([rng.dirichlet(np.ones(m), size=20), np.eye(m),
                            X[~np.isnan(X).any(axis=1)]])
-            calls = [(spec.penalty_rows, V), (spec.risk_rows, F),
-                     (spec.maximizer_rows, F)]
-            if spec.grad_rows is not None:
-                calls.append((spec.grad_rows, V))
-            for method, rows in calls:
-                # An L^p gradient off mu's support is nan, with a warning.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    batch = method(rows)
-                    ones = [method(row[None])[0] for row in rows]
-                for one, got in zip(ones, batch):
-                    assert np.asarray(one).tobytes() == \
-                        np.asarray(got).tobytes(), (spec, method.__name__)
+            for method, rows in [(spec.penalty_rows, V), (spec.risk_rows, F),
+                                 (spec.maximizer_rows, F)]:
+                batch = method(rows)
+                ones = [method(row[None]) for row in rows]
+                if not isinstance(batch, tuple):
+                    batch, ones = (batch,), [(one,) for one in ones]
+                for k, part in enumerate(batch):
+                    if part is None:        # a set indicator's gradient
+                        assert all(one[k] is None for one in ones), spec
+                        continue
+                    for one, got in zip(ones, part):
+                        assert np.asarray(one[k][0]).tobytes() == \
+                            np.asarray(got).tobytes(), \
+                            (spec, method.__name__, k)
 
 
 class TestGenericRisk:
@@ -465,17 +469,18 @@ class TestGenericRisk:
         monkeypatch.setattr(risk_module, "pgd_max_simplex", spy)
         rng = np.random.default_rng(19)
         for spec in TestMaximizerRows().specs(rng):
-            if spec.grad_rows is None:
+            if isinstance(spec, SetIndicator):
                 continue
             m = spec.space.size
             generic_risk(rng.normal(size=m), spec, restarts=2, seed=5)
             X = rng.dirichlet(np.ones(m), size=50) * spec.support
             X /= X.sum(axis=1, keepdims=True)
-            batch = seen["J"](X)
-            assert np.isfinite(batch).any()
-            for row, got in zip(X, batch):
-                assert seen["J"](row[None])[0].tobytes() == got.tobytes(), \
-                    spec
+            vals, grads = seen["J"](X)
+            assert np.isfinite(vals).any()
+            for row, val, grad in zip(X, vals, grads):
+                one_val, one_grad = seen["J"](row[None])
+                assert one_val[0].tobytes() == val.tobytes(), spec
+                assert one_grad[0].tobytes() == grad.tobytes(), spec
 
     def test_matches_entropic_closed_form(self):
         rng = np.random.default_rng(7)
