@@ -255,14 +255,19 @@ def _sampled_law(obj):
 
 def _grid(obj, path):
     _check_keys(obj, path, required=("lo", "hi", "count"))
-    lo = _num(obj["lo"], f"{path}.lo")
-    hi = _num(obj["hi"], f"{path}.hi")
+    lo, hi = (_num(obj[end], f"{path}.{end}") for end in ("lo", "hi"))
+    for end, x in zip(("lo", "hi"), (lo, hi)):
+        if not math.isfinite(x):    # linspace would make NaN points
+            raise ConfigError(f"{path}.{end}: a grid end must be finite, "
+                              f"got {obj[end]!r}")
     count = _pos_int(obj["count"], f"{path}.count")
     if count > DENSE_CAP:
         raise ConfigError(f"{path}.count: {count} points exceed the dense "
                           f"cap of {DENSE_CAP}")
     if count < 2 or not hi > lo:
         raise ConfigError(f"{path}: need hi > lo and count >= 2")
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"{path}: hi - lo overflows a float")
     return np.linspace(lo, hi, count)
 
 
@@ -279,6 +284,16 @@ def _pos_int(value, path, low=1, bits=64):
         return n
     raise ConfigError(f"{path}: expected an integer in [{low}, 2^{bits}), "
                       f"got {value!r}")
+
+
+def _replications(value):
+    """A Monte Carlo replication count; below ``mc.MIN_REPLICATIONS`` its
+    Wilson intervals are too wide to conclude anything."""
+    replications = _pos_int(value, "replications")
+    if replications < mc.MIN_REPLICATIONS:
+        raise InconclusiveError(f"replications: need at least "
+                                f"{mc.MIN_REPLICATIONS}, got {replications}")
+    return replications
 
 
 def _schedule(value, bits=64):
@@ -468,66 +483,66 @@ def cmd_tailbound(cfg, out: Path, seed: int) -> int:
     if experiment == "mean_tail":
         law = _sampled_law(cfg["law"])
         q = _num(cfg["q"], "q")
-        replications = _pos_int(cfg.get("replications", REPLICATIONS),
-                                "replications")
         schedule = _sample_schedule(cfg["schedule"])
         mq = moment_norm(law, q)
         r = _num(cfg["r"], "r") if "r" in cfg else mq + 1.0
         if not r > mq:
             raise ConfigError("r: must exceed the moment constant M_q")
-        try:
-            ests = [mc.estimate_tail(law, n, r, replications, seed=seed)
-                    for n in schedule]
-        except ValueError as exc:
-            raise InconclusiveError(str(exc)) from exc
+        replications = _replications(cfg.get("replications", REPLICATIONS))
+        run = mc.exceedance_series(q, schedule, lambda n: mc.estimate_tail(
+            law, n, r, replications, seed), r)
         bounds = [deviation_bound(r, mq, q, n) for n in schedule]
         ratios = [e.p_hat / b if b > 0 else math.inf
-                  for e, b in zip(ests, bounds)]
-        fit = mc.rate_fit(schedule, [e.p_hat for e in ests])
-        write_csv(out / "estimates.csv", ("n", "r", "p_hat", "lo", "hi",
-                                          "bound"),
-                  [e.csv_row(b) for e, b in zip(ests, bounds)])
-        write_json(out / "report.json", {
+                  for e, b in zip(run.estimates, bounds)]
+        _write_series(out, run, bounds, {
             "experiment": "mean_tail", "q": q, "r": r, "moment": mq,
             "bound_ratio_slack": mc.BOUND_RATIO_SLACK,
             "ratios": ratios,
             "bound_ok": all(rt <= mc.BOUND_RATIO_SLACK for rt in ratios),
-            "slope": fit.slope, "slope_upper95": fit.upper95,
-            "slope_budget": (1.0 - q) + mc.SLOPE_SLACK,
-            "fit_status": fit.status,
         })
-        for e, b in zip(ests, bounds):
+        for e, b in zip(run.estimates, bounds):
             print(f"n={e.n:7d}  p_hat={e.p_hat:.3e}  bound={b:.3e}")
-        if fit.status != "ok":
+        if run.fit.status != "ok":
             raise InconclusiveError("rate fit needs >= 3 schedule points "
                                     "with hits")
-        print(f"slope={fit.slope:.3f} (upper95 {fit.upper95:.3f}, "
-              f"budget {(1.0 - q) + mc.SLOPE_SLACK:.3f})")
+        print(f"slope={run.fit.slope:.3f} (upper95 {run.fit.upper95:.3f}, "
+              f"budget {run.slope_budget:.3f})")
         return EXIT_OK
     family_name = cfg.get("family", "rademacher")
-    if family_name not in mc.INCREMENT_FAMILIES:
+    if not isinstance(family_name, str) or \
+            family_name not in mc.INCREMENT_FAMILIES:
         raise ConfigError(f"family: unknown increment family "
                           f"{family_name!r}")
     family = mc.INCREMENT_FAMILIES[family_name]()
     r = _num(cfg["r"], "r")
     n = _pos_int(cfg["n"], "n", bits=mc.SAMPLE_BITS)
-    replications = _pos_int(cfg.get("replications", REPLICATIONS),
-                            "replications")
-    if replications < 1000:
-        raise InconclusiveError("need at least 1e3 replications")
+    replications = _replications(cfg.get("replications", REPLICATIONS))
     res = mc.azuma_experiment(family, r, n, replications, seed=seed)
     write_json(out / "report.json", {
         "experiment": "azuma", "family": family_name, "n": n, "r": r,
-        "p_hat": res.p_hat, "hits": res.hits,
+        "p_hat": res.estimate.p_hat, "hits": res.estimate.hits,
         "phi_star": res.phi_star,
         "empirical_exponent": res.empirical_exponent,
         "budget": res.budget, "ok": res.ok,
         "exact_tail": res.exact_tail,
     })
-    print(f"p_hat={res.p_hat:.3e}  (1/n)log p = "
+    print(f"p_hat={res.estimate.p_hat:.3e}  (1/n)log p = "
           f"{res.empirical_exponent:.4f}  budget={res.budget:.4f}  "
           f"ok={res.ok}")
     return EXIT_OK if res.ok else EXIT_NUMERIC
+
+
+def _write_series(out: Path, run: mc.ExceedanceSeries, bounds, report) -> None:
+    """estimates.csv of a schedule run, with one ``bounds`` cell per point,
+    and report.json: the experiment's own ``report`` keys and the fit's."""
+    write_csv(out / "estimates.csv", ("n", "r", "p_hat", "lo", "hi", "bound"),
+              [(e.n, e.r, e.p_hat, e.lo, e.hi, b)
+               for e, b in zip(run.estimates, bounds)])
+    write_json(out / "report.json", {
+        **report,
+        "slope": run.fit.slope, "slope_upper95": run.fit.upper95,
+        "slope_budget": run.slope_budget, "fit_status": run.fit.status,
+    })
 
 
 def _parse_saa_instance(cfg) -> mc.SAAInstance:
@@ -536,6 +551,8 @@ def _parse_saa_instance(cfg) -> mc.SAAInstance:
         decisions = _grid(dec, "decisions")
     else:
         decisions = np.asarray(_num_list(dec, "decisions"))
+        if not decisions.size:
+            raise ConfigError("decisions: expected a nonempty list or a grid")
     loss_obj = cfg["loss"]
     kind = _kind(loss_obj, "loss", "loss kind",
                  {"abs_diff": ((), ()), "well_linear": ((), ("x0",))})
@@ -573,9 +590,7 @@ def cmd_saa(cfg, out: Path, seed: int) -> int:
                           "growth function")
     instance = _parse_saa_instance(cfg)
     schedule = _sample_schedule(cfg["schedule"])
-    replications = _pos_int(cfg["replications"], "replications")
-    if replications < 1000:
-        raise InconclusiveError("need at least 1e3 replications")
+    replications = _replications(cfg["replications"])
     if experiment == "value":
         run = mc.saa_run(instance, schedule, replications, seed)
     else:
@@ -583,22 +598,14 @@ def cmd_saa(cfg, out: Path, seed: int) -> int:
             run = mc.argmin_tracking(instance, schedule, replications, seed)
         except mc.GrowthValidationError as exc:
             raise ConfigError(f"growth: {exc}") from exc
-    write_csv(out / "estimates.csv", ("n", "r", "p_hat", "lo", "hi", "bound"),
-              [e.csv_row() for e in run.estimates])
-    payload = {
+    _write_series(out, run, [""] * len(run.estimates), {
         "experiment": experiment,
         "schedule": run.schedule,
         "p_hat": [e.p_hat for e in run.estimates],
         "scaled": run.scaled,
         "mann_kendall_p": run.mann_kendall_p,
-        "slope": run.fit.slope, "slope_upper95": run.fit.upper95,
-        "slope_budget": run.slope_budget, "fit_status": run.fit.status,
-    }
-    if experiment == "value":
-        payload["true_value"] = run.true_value
-    else:
-        payload["argmin"] = run.argmin
-    write_json(out / "report.json", payload)
+        "true_value" if experiment == "value" else "argmin": run.target,
+    })
     for e, s in zip(run.estimates, run.scaled):
         print(f"n={e.n:6d}  p_hat={e.p_hat:.3e}  scaled={s:.3e}")
     print(f"mann_kendall_p={run.mann_kendall_p:.3f}  "

@@ -1,9 +1,13 @@
 """Monte Carlo verification harness.
 
 Deterministic replication streams for drawing from the laws of
-``laws.py``, tail probability estimation with Wilson intervals, log-log
-rate fitting, sample-average-approximation experiments for stochastic
-optimization, and the bounded-increment martingale experiment.
+``laws.py``, and the experiments that check the tail bounds with them: the
+mean tail, sample-average approximation of a stochastic program (its value
+and its argmin) and the bounded-increment martingale.  Every estimate is
+one hit count, ``_tail_estimate``, over at least ``MIN_REPLICATIONS``
+replications, with its Wilson interval; the experiments differ only in the
+reduction that marks a hit.  A run along a sample-size schedule is one
+``ExceedanceSeries`` with its log-log rate fit and slope budget.
 
 Each (seed, experiment, schedule point) draws from its own counter-based
 Philox generator, keyed by (seed << 64) | stream, where the stream id
@@ -31,6 +35,7 @@ from .laws import FiniteSupportLaw, Law, LogNormalLaw, ParetoLaw, StudentTLaw
 from .optim import legendre_max
 
 WILSON_Z = 1.959963984540054   # two-sided 95%
+MIN_REPLICATIONS = 1000        # fewer give no usable interval
 
 BOUND_RATIO_SLACK = 1.2
 SLOPE_SLACK = 0.25
@@ -71,8 +76,6 @@ def _replication_blocks(draw: Callable[..., np.ndarray], n: int,
     consecutive (1, n) draw of that generator, whatever the block size.
     From the second block on, ``out`` is the previous block, which the draw
     may fill in place."""
-    if replications < 1:
-        raise ValueError("need at least one replication")
     rng = rep_rng(seed, _stream(experiment, n))
     rows = max(1, min(replications, _BLOCK_ELEMENTS[experiment] // n))
     block = draw(rng, (rows, n))
@@ -190,8 +193,6 @@ INCREMENT_FAMILIES = {
 # ---------------------------------------------------------------------------
 
 def wilson_interval(hits: int, total: int) -> tuple[float, float]:
-    if total <= 0:
-        raise ValueError("need at least one replication")
     z = WILSON_Z
     p = hits / total
     denom = 1.0 + z * z / total
@@ -210,9 +211,21 @@ class TailEstimate:
     lo: float
     hi: float
 
-    def csv_row(self, bound: Optional[float] = None) -> tuple:
-        return (self.n, self.r, self.p_hat, self.lo, self.hi,
-                bound if bound is not None else "")
+
+def _tail_estimate(draw: Callable[..., np.ndarray], n: int, r: float,
+                   replications: int, seed: int, experiment: int,
+                   hit: Callable[[np.ndarray], np.ndarray]) -> TailEstimate:
+    """The replications of schedule point n that ``hit`` marks: it maps a
+    (rows, n, ...) block of ``_replication_blocks`` to one boolean per
+    row.  ``r`` is the radius the hits exceed."""
+    if replications < MIN_REPLICATIONS:
+        raise ValueError(f"need at least {MIN_REPLICATIONS} replications "
+                         "for a usable interval")
+    hits = 0
+    for block in _replication_blocks(draw, n, replications, seed, experiment):
+        hits += int(hit(block).sum())
+    lo, hi = wilson_interval(hits, replications)
+    return TailEstimate(n, r, replications, hits, hits / replications, lo, hi)
 
 
 def estimate_tail(law: Law, n: int, r: float, replications: int,
@@ -222,17 +235,12 @@ def estimate_tail(law: Law, n: int, r: float, replications: int,
     Scalar samples compare the mean itself; vector samples compare its
     Euclidean norm.
     """
-    if replications < 1000:
-        raise ValueError("need at least 1e3 replications for a usable interval")
-    hits = 0
-    for block in _replication_blocks(law.draw, n, replications, seed, _TAIL):
+    def hit(block):
         means = block.mean(axis=1)
         if means.ndim > 1:
             means = np.linalg.norm(means, axis=1)
-        hits += int((means >= r).sum())
-    p = hits / replications
-    lo, hi = wilson_interval(hits, replications)
-    return TailEstimate(n, r, replications, hits, p, lo, hi)
+        return means >= r
+    return _tail_estimate(law.draw, n, r, replications, seed, _TAIL, hit)
 
 
 @dataclass(frozen=True)
@@ -335,7 +343,8 @@ class SAAInstance:
 @dataclass
 class ExceedanceSeries:
     """Exceedance probabilities along a sample-size schedule with the
-    polynomial-rate diagnostics."""
+    polynomial-rate diagnostics; ``target`` is the value the run is
+    measured against (V(mu), the argmin, or the radius r)."""
 
     schedule: list[int]
     estimates: list[TailEstimate]
@@ -343,54 +352,41 @@ class ExceedanceSeries:
     mann_kendall_p: float
     fit: RateFit
     slope_budget: float
+    target: float
 
 
-@dataclass
-class SAARun(ExceedanceSeries):
-    true_value: float
-
-
-@dataclass
-class ArgminRun(ExceedanceSeries):
-    argmin: float
-
-
-def _exceedance_series(run_cls, experiment: int, instance: SAAInstance,
-                       schedule: Sequence[int], replications: int, seed: int,
-                       exceeds: Callable[[np.ndarray], np.ndarray], target):
-    """``run_cls`` of the hit counts along the schedule; ``exceeds`` maps a
-    block's (decisions, rows) empirical losses to one boolean per row."""
+def exceedance_series(q: float, schedule: Sequence[int],
+                      estimate: Callable[[int], TailEstimate],
+                      target: float) -> ExceedanceSeries:
+    """The series of ``estimate(n)`` along the schedule, whose rate slope
+    the moment order q bounds by 1 - q (plus ``SLOPE_SLACK``)."""
     schedule = [int(n) for n in schedule]
-    q = instance.q
-    ests = []
-    for n in schedule:
-        hits = 0
-        for block in _replication_blocks(instance.law.draw, n, replications,
-                                         seed, experiment):
-            hits += int(exceeds(instance.empirical_losses(block)).sum())
-        lo, hi = wilson_interval(hits, replications)
-        ests.append(TailEstimate(n, instance.epsilon, replications, hits,
-                                 hits / replications, lo, hi))
+    ests = [estimate(n) for n in schedule]
     scaled = [n ** (q - 1.0) * e.p_hat for n, e in zip(schedule, ests)]
-    return run_cls(schedule, ests, scaled, mann_kendall_upward_p(scaled),
-                    rate_fit(schedule, [e.p_hat for e in ests]),
-                    (1.0 - q) + SLOPE_SLACK, target)
+    return ExceedanceSeries(schedule, ests, scaled,
+                            mann_kendall_upward_p(scaled),
+                            rate_fit(schedule, [e.p_hat for e in ests]),
+                            (1.0 - q) + SLOPE_SLACK, target)
 
 
 def saa_run(instance: SAAInstance, schedule: Sequence[int], replications: int,
-            seed: int) -> SAARun:
+            seed: int) -> ExceedanceSeries:
     """Exceedance probabilities of |V(L_n) - V(mu)| >= epsilon with the
-    polynomial-rate diagnostics."""
+    polynomial-rate diagnostics; the target is V(mu)."""
     v_star = instance.true_value()
-    return _exceedance_series(
-        SAARun, _SAA_VALUE, instance, schedule, replications, seed,
-        lambda means: np.abs(means.min(axis=0) - v_star) >= instance.epsilon,
-        v_star)
+
+    def hit(block):
+        means = instance.empirical_losses(block)
+        return np.abs(means.min(axis=0) - v_star) >= instance.epsilon
+    return exceedance_series(instance.q, schedule, lambda n: _tail_estimate(
+        instance.law.draw, n, instance.epsilon, replications, seed,
+        _SAA_VALUE, hit), v_star)
 
 
 def argmin_tracking(instance: SAAInstance, schedule: Sequence[int],
-                    replications: int, seed: int) -> ArgminRun:
-    """Exceedance of growth(d(argmin(mu), argmin(L_n))) >= epsilon.
+                    replications: int, seed: int) -> ExceedanceSeries:
+    """Exceedance of growth(d(argmin(mu), argmin(L_n))) >= epsilon; the
+    target is argmin(mu).
 
     The declared growth function is validated on the grid first:
     growth(d(x*, x)) <= E h(x, .) - E h(x*, .) must hold for every grid
@@ -411,11 +407,13 @@ def argmin_tracking(instance: SAAInstance, schedule: Sequence[int],
             f"x={instance.decisions[j]:g}: growth={growth[j]:.3g} > "
             f"gap={gap[j]:.3g}")
 
-    def exceeds(means):
+    def hit(block):
+        means = instance.empirical_losses(block)
         x_hat = instance.decisions[means.argmin(axis=0)]
         return instance.growth(np.abs(x_hat - x_star)) >= instance.epsilon
-    return _exceedance_series(ArgminRun, _SAA_ARGMIN, instance, schedule,
-                              replications, seed, exceeds, x_star)
+    return exceedance_series(instance.q, schedule, lambda n: _tail_estimate(
+        instance.law.draw, n, instance.epsilon, replications, seed,
+        _SAA_ARGMIN, hit), x_star)
 
 
 # ---------------------------------------------------------------------------
@@ -424,16 +422,12 @@ def argmin_tracking(instance: SAAInstance, schedule: Sequence[int],
 
 @dataclass
 class AzumaResult:
-    n: int
-    r: float
-    replications: int
-    hits: int
-    p_hat: float
+    estimate: TailEstimate         # of P(S_n / n >= r)
     phi_star: float
     empirical_exponent: float      # (1/n) log p_hat, -inf when no hits
     budget: float                  # -phi_star + slack
     ok: bool
-    exact_tail: Optional[float] = None
+    exact_tail: Optional[float]
 
 
 def conjugate_scalar(family: IncrementFamily, r: float) -> float:
@@ -443,27 +437,19 @@ def conjugate_scalar(family: IncrementFamily, r: float) -> float:
     return legendre_max(family.phi_derivatives, r)[1]
 
 
-def _simulate_final_means(family: IncrementFamily, n: int, replications: int,
-                          seed: int) -> np.ndarray:
-    """S_n / n for each replication, one row of uniforms each."""
-    out = []
-    for U in _replication_blocks(np.random.Generator.random, n,
-                                 replications, seed, _MARTINGALE):
+def azuma_experiment(family: IncrementFamily, r: float, n: int,
+                     replications: int, seed: int) -> AzumaResult:
+    """Compare (1/n) log P(S_n/n >= r) against -phi*(r) + MARTINGALE_SLACK;
+    each replication walks one row of n uniforms."""
+    def hit(U):
         s = np.zeros(len(U))
         for k in range(n):
             s += family.step(U[:, k], s)
-        out.append(s / n)
-    return np.concatenate(out)
-
-
-def azuma_experiment(family: IncrementFamily, r: float, n: int,
-                     replications: int, seed: int) -> AzumaResult:
-    """Compare (1/n) log P(S_n/n >= r) against -phi*(r) + MARTINGALE_SLACK."""
-    means = _simulate_final_means(family, n, replications, seed)
-    hits = int((means >= r).sum())
-    p_hat = hits / replications
+        return s / n >= r
+    est = _tail_estimate(np.random.Generator.random, n, r, replications, seed,
+                         _MARTINGALE, hit)
     phi_star = conjugate_scalar(family, r)
-    emp = math.log(p_hat) / n if hits > 0 else -math.inf
+    emp = math.log(est.p_hat) / n if est.hits > 0 else -math.inf
     budget = -phi_star + MARTINGALE_SLACK
-    return AzumaResult(n, r, replications, hits, p_hat, phi_star, emp,
-                       budget, emp <= budget, family.exact_tail(n, r))
+    return AzumaResult(est, phi_star, emp, budget, emp <= budget,
+                       family.exact_tail(n, r))

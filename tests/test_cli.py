@@ -216,6 +216,9 @@ class TestExitCodes:
         ("azuma", {"schedule": [10, 20]}, "config.schedule"),
         ("tailbound", {"family": "uniform"}, "config.family"),
         ("tailbound", {"n": 10}, "config.n"),
+        ("azuma", {"family": ["rademacher"]},
+         "family: unknown increment family"),
+        ("azuma", {"family": {}}, "family: unknown increment family"),
         ("rho", {"generic": DROP, "restarts": 5}, "restarts"),
         ("rho", {"generic": False, "restarts": 5}, "restarts"),
         ("saa", {"growth": {"kind": "quadratic"}}, "growth"),
@@ -298,16 +301,44 @@ class TestExitCodes:
         assert code == 2
         assert "seed" in capsys.readouterr().err
 
-    def test_small_replication_count_inconclusive(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "experiment": "mean_tail",
-            "law": {"kind": "pareto", "a": 2.5},
-            "q": 2, "r": 2.5, "schedule": [10, 20, 40],
-            "replications": 100,
-        })
-        code = main(["tailbound", "--config", str(cfg), "--out",
-                     str(tmp_path / "out")])
-        assert code == 4
+    @pytest.mark.parametrize("command, edits, named", [
+        # An infinite grid end, or a span past the largest float, would
+        # make NaN grid points.
+        ("cramer", {"dual_grid.lo": "-inf"},
+         "dual_grid.lo: a grid end must be finite"),
+        ("saa", {"decisions": {"lo": 0, "hi": "inf", "count": 3}},
+         "decisions.hi: a grid end must be finite"),
+        ("cramer", {"primal_grid.lo": -1e308, "primal_grid.hi": 1e308},
+         "primal_grid: hi - lo overflows a float"),
+        ("saa", {"decisions": []}, "decisions: expected a nonempty list"),
+        ("tailbound", {"r": 0.5}, "r: must exceed the moment constant M_q"),
+        ("saa", {"experiment": "median"}, "experiment: unknown experiment"),
+        ("saa", {"experiment": "argmin", "growth": {"kind": "cubic"}},
+         "growth.kind: only 'quadratic' is supported"),
+    ])
+    def test_config_values_are_checked(self, tmp_path, capsys, command,
+                                       edits, named):
+        assert run_with(tmp_path, command, edits) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["tailbound", "azuma", "saa"])
+    def test_small_replication_count_inconclusive(self, tmp_path, capsys,
+                                                  command):
+        assert run_edited(tmp_path, command, "replications", 999) == 4
+        assert "replications: need at least 1000, got 999" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_mean_tail_fit_on_two_points_is_inconclusive(self, tmp_path,
+                                                         capsys):
+        assert run_edited(tmp_path, "tailbound", "schedule", [10, 20]) == 4
+        assert "rate fit needs >= 3 schedule points with hits" \
+            in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert json.loads((out / "report.json").read_text())["fit_status"] \
+            == "inconclusive"
+        assert len((out / "estimates.csv").read_text().splitlines()) == 3
 
     @pytest.mark.parametrize("command", ["tailbound", "saa"])
     def test_repeated_sample_size_is_config_error(self, tmp_path, capsys,

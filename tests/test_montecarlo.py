@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -266,7 +267,7 @@ class TestArgminTracking:
             epsilon=0.05, q=2.0,
             growth=lambda d: 0.9 * d * d)
         run = argmin_tracking(inst, [10, 200], 2000, seed=2)
-        assert run.argmin == 1.0
+        assert run.target == 1.0     # the argmin of mu
         assert run.estimates[-1].p_hat <= run.estimates[0].p_hat
 
     def test_ties_refused(self):
@@ -386,6 +387,20 @@ class TestReplicationBlocks:
         with pytest.raises(ValueError):
             saa_run(make_finite_instance(), [3], 0, seed=0)
 
+    @pytest.mark.parametrize("run", [
+        lambda reps: estimate_tail(RADEMACHER, 10, 0.1, reps, 0),
+        lambda reps: saa_run(make_finite_instance(), [3], reps, 0),
+        lambda reps: argmin_tracking(dataclasses.replace(
+            make_finite_instance(), growth=lambda d: 0.1 * d), [3], reps, 0),
+        lambda reps: azuma_experiment(RademacherIncrements(), 0.5, 10, reps,
+                                      0),
+    ], ids=["mean_tail", "saa_value", "saa_argmin", "azuma"])
+    def test_every_experiment_keeps_the_floor(self, run):
+        floor = montecarlo.MIN_REPLICATIONS
+        run(floor)
+        with pytest.raises(ValueError, match=f"at least {floor} "):
+            run(floor - 1)
+
     @pytest.mark.parametrize("law, r", [(ParetoLaw(2.5), 0.3),
                                         (RADEMACHER, 0.2),
                                         (PLANAR, 0.6)])
@@ -443,10 +458,21 @@ class TestReplicationBlocks:
                                         UniformIncrements(),
                                         ScriptedIncrements()])
     def test_martingale_final_means(self, monkeypatch, family):
-        default = montecarlo._simulate_final_means(family, 40, 1500, 6)
+        # The Azuma hits are the walks whose final mean S_n / n reaches r.
+        default = azuma_experiment(family, 0.1, 40, 1500, seed=6)
+        assert 0 < default.estimate.hits < default.estimate.replications
+        stream = montecarlo._stream(montecarlo._MARTINGALE, 40)
+        loop = 0
+        for u in consecutive_rows(np.random.Generator.random, 6, stream,
+                                  1500, 40):
+            s = np.zeros(1)
+            for k in range(40):
+                s += family.step(u[k:k + 1], s)
+            loop += bool(s[0] / 40 >= 0.1)
+        assert default.estimate.hits == loop
         self.one_row_blocks(monkeypatch)
-        blocked = montecarlo._simulate_final_means(family, 40, 1500, 6)
-        assert np.array_equal(blocked, default)
+        blocked = azuma_experiment(family, 0.1, 40, 1500, seed=6)
+        assert blocked == default
 
 
 class TestAzuma:
@@ -487,7 +513,7 @@ class TestAzuma:
 
     def test_impossible_event(self):
         res = azuma_experiment(RademacherIncrements(), 1.5, 50, 2000, seed=0)
-        assert res.p_hat == 0.0
+        assert res.estimate.p_hat == 0.0
         assert res.ok
 
     def test_exact_tail_reported(self):
