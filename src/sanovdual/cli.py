@@ -8,6 +8,12 @@ Carlo replications are drawn in blocks on one thread.
 Exit codes: 0 ok, 2 config error, 3 numeric failure, 4 inconclusive
 statistics.  Verbosity via the SANOV_DUAL_LOG environment variable.
 
+Each subcommand reads its config against its table in ``COMMANDS``, and
+a nested object against one table per kind (``SPEC``, ``LAW``, ...).
+Every number is finite unless its domain is ``EXTENDED``: only a
+transport ``cost`` and ``rho``'s ``f``.  A config fault exits 2 and names
+its key; a rule that needs a second key (such as m) is the command's.
+
 Every run writes manifest.json (config hash, effective seed, versions,
 timestamp) next to its outputs; rerunning with the same config and seed
 reproduces every output byte-for-byte apart from the manifest timestamp.
@@ -39,8 +45,6 @@ from .penalties import (LpEntropy, RelativeEntropy, Robust, SetIndicator,
 from .risk import RESTARTS, generic_risk, risk_result
 from .spaces import DENSE_CAP, Dist, FiniteSpace, SpaceError
 
-log = logging.getLogger("sanovdual")
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -58,35 +62,46 @@ class InconclusiveError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Config plumbing
+# Config readers: each maps (value, path, domain) to the coerced value
 # ---------------------------------------------------------------------------
 
-def _num(value, path):
+# Number domains: (predicate, the phrase of the error when it fails).
+FINITE = (math.isfinite, "expected a finite number")
+EXTENDED = (lambda x: x == x, "expected a number")     # +-inf, never NaN
+POSITIVE = (lambda x: 0.0 < x < math.inf, "expected a finite number > 0")
+STEP = (lambda x: 0.0 < x <= 1.0, "expected a step in (0, 1]")
+GRID_END = (math.isfinite, "a grid end must be finite")
+# Integer domains: (low, bits) for the integers in [low, 2^bits).
+COUNT = (1, 64)
+INDEX = (0, 64)
+SAMPLES = (1, mc.SAMPLE_BITS)     # a Monte Carlo sample size
+
+
+def _num(value, path, domain):
+    """A number in ``domain``: a JSON number, or the string "inf" or
+    "-inf"; NaN never is one."""
+    x = math.nan
     if isinstance(value, str):
         s = value.strip().lower()
-        if s in ("inf", "+inf", "infinity"):
-            return math.inf
-        if s == "-inf":
-            return -math.inf
-        raise ConfigError(f"{path}: not a number: {value!r}")
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        x = math.inf if s in ("inf", "+inf", "infinity") else \
+            -math.inf if s == "-inf" else math.nan
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             x = float(value)
         except OverflowError:
             raise ConfigError(f"{path}: integer too large for a float") \
                 from None
-        if not math.isnan(x):     # json.loads accepts NaN
-            return x
-    raise ConfigError(f"{path}: not a number: {value!r}")
+    if math.isnan(x):     # json.loads accepts NaN
+        raise ConfigError(f"{path}: not a number: {value!r}")
+    ok, what = domain
+    if ok(x):
+        return x
+    raise ConfigError(f"{path}: {what}, got {value!r}")
 
 
-def _bool(value, path):
-    if isinstance(value, bool):
-        return value
-    raise ConfigError(f"{path}: expected true or false, got {value!r}")
-
-
-def _num_list(value, path):
+def _num_list(value, path, domain):
+    """A float array of a list of numbers in ``domain``, checked in bulk;
+    only a failing list is walked entry by entry, to name the entry."""
     if not isinstance(value, list):
         raise ConfigError(f"{path}: expected a list of numbers")
     if set(map(type, value)) <= {float, int}:     # no bool, str or list
@@ -95,172 +110,78 @@ def _num_list(value, path):
         except OverflowError:     # an int too large for a float; _num names it
             pass
         else:
-            if not any(map(math.isnan, out)):
-                return out
-    return [_num(v, f"{path}[{i}]") for i, v in enumerate(value)]
+            if all(map(domain[0], out)):
+                return np.asarray(out)
+    return np.asarray([_num(v, f"{path}[{i}]", domain)
+                       for i, v in enumerate(value)])
 
 
-def _matrix(value, path):
+def _matrix(value, path, domain):
     if not isinstance(value, list):
         raise ConfigError(f"{path}: expected a matrix (list of rows)")
-    return [_num_list(row, f"{path}[{i}]") for i, row in enumerate(value)]
+    rows = [_num_list(row, f"{path}[{i}]", domain)
+            for i, row in enumerate(value)]
+    if len(set(map(len, rows))) > 1:
+        raise ConfigError(f"{path}: rows of unequal length")
+    return np.asarray(rows)
 
 
-def _check_keys(obj, path, required, optional=()):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
-    for key in obj:
-        if key not in required and key not in optional:
-            raise ConfigError(f"{path}.{key}: unknown key")
-    for key in required:
-        if key not in obj:
-            raise ConfigError(f"{path}.{key}: missing required key")
+def _integer(value, path, domain):
+    """An integral number in [low, 2^bits) for the ``domain`` (low, bits),
+    compared exactly: an int too large for a float is no OverflowError."""
+    low, bits = domain
+    n = int(value) if isinstance(value, float) and math.isfinite(value) \
+        and value.is_integer() else value
+    if isinstance(n, int) and not isinstance(n, bool) and \
+            low <= n < 2 ** bits:
+        return n
+    raise ConfigError(f"{path}: expected an integer in [{low}, 2^{bits}), "
+                      f"got {value!r}")
 
 
-def _kind(obj, path, what, keys, field="kind"):
-    """The kind (the ``field``) of the config object ``obj``, checked
-    first; then ``obj`` may hold only the keys of that kind, which ``keys``
-    maps to its (required, optional) keys."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
-    if field not in obj:
-        raise ConfigError(f"{path}.{field}: missing required key")
-    kind = obj[field]
-    if not isinstance(kind, str) or kind not in keys:
-        raise ConfigError(f"{path}.{field}: unknown {what} {kind!r}")
-    required, optional = keys[kind]
-    _check_keys(obj, path, (field, *required), optional)
-    return kind
+def _schedule(value, path, domain):
+    """A nonempty list of integers in ``domain``."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: expected a nonempty list of integers")
+    return [_integer(v, f"{path}[{i}]", domain) for i, v in enumerate(value)]
 
 
-def _dist(value, path, space=None):
-    w = _num_list(value, path)
-    if space is None:
-        space = FiniteSpace.of_size(len(w))
+def _bool(value, path, domain):
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"{path}: expected true or false, got {value!r}")
+
+
+def _choice(value, path, domain):
+    """One of the strings ``domain[0]``; ``domain[1]`` formats the error."""
+    choices, unknown = domain
+    if isinstance(value, str) and value in choices:
+        return value
+    raise ConfigError(f"{path}: " + unknown.format(value))
+
+
+def _dist(value, path, domain):
+    w = _num_list(value, path, domain)
     try:
-        return Dist(space, np.asarray(w))
+        return Dist(FiniteSpace.of_size(len(w)), w)
     except SpaceError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def parse_loss(obj, path):
-    kind = _kind(obj, path, "loss kind", {
-        "exp": ((), ()), "power_plus": (("q",), ()),
-        "tabulated": (("xs", "ys"), ("left_limit",))})
-    try:
-        if kind == "exp":
-            return ExpLoss()
-        if kind == "power_plus":
-            return PowerLoss(_num(obj["q"], f"{path}.q"))
-        return TabulatedLoss(tuple(_num_list(obj["xs"], f"{path}.xs")),
-                             tuple(_num_list(obj["ys"], f"{path}.ys")),
-                             _num(obj.get("left_limit", 0.0),
-                                  f"{path}.left_limit"))
-    except LossError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+def _dists(value, path, domain):
+    """A nonempty tuple of laws on one space."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: need a nonempty list")
+    laws = tuple(_dist(w, f"{path}[{i}]", domain) for i, w in enumerate(value))
+    if len({law.m for law in laws}) > 1:
+        raise ConfigError(f"{path}: laws on different numbers of states")
+    return laws
 
 
-def parse_spec(obj):
-    kind = _kind(obj, "spec", "spec kind", {
-        "relative_entropy": (("mu",), ()), "lp_entropy": (("mu", "p"), ()),
-        "shortfall": (("mu", "loss"), ()), "robust": (("generators",), ()),
-        "set_indicator": (("generators",), ()),
-        "transport": (("mu", "cost"), ())})
-    try:
-        if kind == "relative_entropy":
-            return RelativeEntropy(_dist(obj["mu"], "spec.mu"))
-        if kind == "lp_entropy":
-            return LpEntropy(_dist(obj["mu"], "spec.mu"),
-                             _num(obj["p"], "spec.p"))
-        if kind == "shortfall":
-            return Shortfall(_dist(obj["mu"], "spec.mu"),
-                             parse_loss(obj["loss"], "spec.loss"))
-        if kind in ("robust", "set_indicator"):
-            gens = obj["generators"]
-            if not isinstance(gens, list) or not gens:
-                raise ConfigError("spec.generators: need a nonempty list")
-            space = FiniteSpace.of_size(len(_num_list(gens[0],
-                                                      "spec.generators[0]")))
-            dists = tuple(_dist(g, f"spec.generators[{i}]", space)
-                          for i, g in enumerate(gens))
-            return Robust(dists) if kind == "robust" else SetIndicator(dists)
-        mu = _dist(obj["mu"], "spec.mu")
-        return Transport(mu, np.asarray(_matrix(obj["cost"], "spec.cost")))
-    except SpaceError as exc:
-        raise ConfigError(f"spec: {exc}") from exc
-
-
-def parse_simplex_function(obj, m):
-    """(F, dF): a function of the law on m states and its gradient, rows
-    in.  F maps a (B, m) array of laws to their (B,) values and dF to
-    their (B, m) gradients; ``abs_well``'s reads 0 at its kink."""
-    well = ((), ("coordinate", "center", "scale"))
-    kind = _kind(obj, "F", "function kind", {
-        "constant": ((), ("value",)), "linear": (("coeffs",), ()),
-        "square_well": well, "abs_well": well})
-    if kind == "constant":
-        c = _num(obj.get("value", 0.0), "F.value")
-        return lambda nu: np.full(len(nu), c), np.zeros_like
-    if kind == "linear":
-        coeffs = np.asarray(_num_list(obj["coeffs"], "F.coeffs"))
-        if coeffs.shape != (m,):
-            raise ConfigError(f"F.coeffs: expected {m} coefficients, "
-                              f"got {len(coeffs)}")
-        return lambda nu: nu @ coeffs, \
-            lambda nu: np.broadcast_to(coeffs, nu.shape)
-    coord = obj.get("coordinate", 0)
-    if isinstance(coord, bool) or coord not in range(m):
-        raise ConfigError("F.coordinate: expected an integer in "
-                          f"[0, {m}), got {coord!r}")
-    coord = int(coord)
-    center = _num(obj.get("center", 0.5), "F.center")
-    scale = _num(obj.get("scale", -1.0), "F.scale")
-    e = np.eye(m)[coord]
-    if kind == "square_well":
-        return lambda nu: scale * (nu[:, coord] - center) ** 2, \
-            lambda nu: 2.0 * scale * (nu[:, coord, None] - center) * e
-    return lambda nu: scale * np.abs(nu[:, coord] - center), \
-        lambda nu: scale * np.sign(nu[:, coord, None] - center) * e
-
-
-def parse_law(obj):
-    kind = _kind(obj, "law", "law kind", {
-        "pareto": (("a",), ("centered",)), "student_t": (("df",), ()),
-        "lognormal": (("sigma",), ("centered",)),
-        "finite": (("atoms", "weights"), ()), "empirical": (("samples",), ())})
-    if kind == "pareto":
-        return ParetoLaw(_num(obj["a"], "law.a"),
-                         _bool(obj.get("centered", True), "law.centered"))
-    if kind == "student_t":
-        return StudentTLaw(_num(obj["df"], "law.df"))
-    if kind == "lognormal":
-        return LogNormalLaw(_num(obj["sigma"], "law.sigma"),
-                            _bool(obj.get("centered", True), "law.centered"))
-    if kind == "finite":
-        return FiniteSupportLaw(np.asarray(_num_list(obj["atoms"],
-                                                     "law.atoms")),
-                                np.asarray(_num_list(obj["weights"],
-                                                     "law.weights")))
-    return EmpiricalLaw(np.asarray(_num_list(obj["samples"],
-                                             "law.samples")))
-
-
-def _sampled_law(obj):
-    """A law the Monte Carlo experiments can draw from."""
-    law = parse_law(obj)
-    if law.draw is None:
-        raise ConfigError(f"law.kind: an {obj['kind']} law cannot be sampled")
-    return law
-
-
-def _grid(obj, path):
-    _check_keys(obj, path, required=("lo", "hi", "count"))
-    lo, hi = (_num(obj[end], f"{path}.{end}") for end in ("lo", "hi"))
-    for end, x in zip(("lo", "hi"), (lo, hi)):
-        if not math.isfinite(x):    # linspace would make NaN points
-            raise ConfigError(f"{path}.{end}: a grid end must be finite, "
-                              f"got {obj[end]!r}")
-    count = _pos_int(obj["count"], f"{path}.count")
+def _grid(value, path, table):
+    """``count`` points from ``lo`` to ``hi``, ends included."""
+    grid = _object(value, path, table)
+    lo, hi, count = grid["lo"], grid["hi"], grid["count"]
     if count > DENSE_CAP:
         raise ConfigError(f"{path}.count: {count} points exceed the dense "
                           f"cap of {DENSE_CAP}")
@@ -271,73 +192,135 @@ def _grid(obj, path):
     return np.linspace(lo, hi, count)
 
 
-def _pos_int(value, path, low=1, bits=64):
-    """An integral number in [low, 2^bits) (a positive integer below 2^64
-    by default).
-
-    Ints are compared exactly, never through a float, so a literal too
-    large for a float is a config error, not an OverflowError."""
-    n = int(value) if isinstance(value, float) and math.isfinite(value) \
-        and value.is_integer() else value
-    if isinstance(n, int) and not isinstance(n, bool) and \
-            low <= n < 2 ** bits:
-        return n
-    raise ConfigError(f"{path}: expected an integer in [{low}, 2^{bits}), "
-                      f"got {value!r}")
+def _decisions(value, path, domain):
+    """A grid, or a nonempty list of numbers in ``domain``."""
+    if isinstance(value, dict):
+        return _grid(value, path, GRID)
+    decisions = _num_list(value, path, domain)
+    if not decisions.size:
+        raise ConfigError(f"{path}: expected a nonempty list or a grid")
+    return decisions
 
 
-def _replications(value):
-    """A Monte Carlo replication count; below ``mc.MIN_REPLICATIONS`` its
-    Wilson intervals are too wide to conclude anything."""
-    replications = _pos_int(value, "replications")
-    if replications < mc.MIN_REPLICATIONS:
-        raise InconclusiveError(f"replications: need at least "
-                                f"{mc.MIN_REPLICATIONS}, got {replications}")
-    return replications
+def _object(value, path, table):
+    """The keys of the config object ``value`` at ``path`` read against
+    ``table``; a key it lacks takes its default.  A top-level key's value
+    is named bare, without the "config." of its path."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected an object")
+    for key in value:
+        if key not in table:
+            raise ConfigError(f"{path}.{key}: unknown key")
+    keys = {}
+    for key, (read, domain, *default) in table.items():
+        if key in value:
+            keys[key] = read(value[key], f"{path}.{key}".removeprefix(
+                "config."), domain)
+        elif default:
+            keys[key] = default[0]
+        else:
+            raise ConfigError(f"{path}.{key}: missing required key")
+    return keys
 
 
-def _schedule(value, bits=64):
-    if not isinstance(value, list) or not value:
-        raise ConfigError("schedule: expected a nonempty list of integers")
-    return [_pos_int(v, f"schedule[{i}]", bits=bits)
-            for i, v in enumerate(value)]
+def _kinded(value, path, schema):
+    """The keys of the config object ``value``, its kind among them: the
+    value of its ``schema["field"]`` picks its table."""
+    field = schema["field"]
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected an object")
+    if field not in value:
+        raise ConfigError(f"{path}.{field}: missing required key")
+    kind = _choice(value[field], f"{path}.{field}",
+                   (schema["kinds"], schema["unknown"]))
+    rest = {key: v for key, v in value.items() if key != field}
+    return {field: kind, **_object(rest, path, schema["kinds"][kind][1])}
 
 
-def _sample_schedule(value):
-    """A Monte Carlo schedule: distinct sample sizes below 2^SAMPLE_BITS.
-    A repeated n would draw its stream again, a copy and not a new point."""
-    schedule = _schedule(value, bits=mc.SAMPLE_BITS)
+def _make(keys, path, schema, *context):
+    """Its kind's maker called with ``context`` and the other coerced
+    ``keys``; a model's own error is a config error at ``path``."""
+    field = schema["field"]
+    make = schema["kinds"][keys[field]][0]
+    try:
+        return make(*context, **{k: v for k, v in keys.items() if k != field})
+    except (LawError, LossError, SpaceError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _made(value, path, schema):
+    """The model that the config object ``value``, with a kind, describes."""
+    return _make(_kinded(value, path, schema), path, schema)
+
+
+def parse_simplex_function(keys, m):
+    """(F, dF): the function of the law on m states that the coerced F
+    ``keys`` (its kind among them) describe, and its gradient, rows in.
+    F maps a (B, m) array of laws to their (B,) values and dF to their
+    (B, m) gradients; ``abs_well``'s reads 0 at its kink."""
+    return _make(keys, "F", SIMPLEX_FUNCTION, m)
+
+
+def _constant(m, value):
+    return lambda nu: np.full(len(nu), value), np.zeros_like
+
+
+def _linear(m, coeffs):
+    if len(coeffs) != m:
+        raise ConfigError(f"F.coeffs: expected {m} coefficients, "
+                          f"got {len(coeffs)}")
+    a = np.asarray(coeffs)
+    return lambda nu: nu @ a, lambda nu: np.broadcast_to(a, nu.shape)
+
+
+def _well(shape, slope):
+    """The maker of the well scale shape(nu_c - center) on coordinate c,
+    whose gradient is scale slope(nu_c - center) e_c."""
+    def make(m, coordinate, center, scale):
+        if coordinate >= m:
+            raise ConfigError(f"F.coordinate: expected an integer in "
+                              f"[0, {m}), got {coordinate!r}")
+        c, e = coordinate, np.eye(m)[coordinate]
+        return lambda nu: scale * shape(nu[:, c] - center), \
+            lambda nu: scale * slope(nu[:, c, None] - center) * e
+    return make
+
+
+def _distinct(schedule):
+    """A Monte Carlo schedule repeats no n: a repeat would draw its stream
+    again, a copy and not a new point."""
     for i, n in enumerate(schedule):
         if n in schedule[:i]:
             raise ConfigError(f"schedule[{i}]: {n} repeats an earlier entry")
-    return schedule
 
 
-def _type_schedule(value, m):
-    """A schedule for the type-class recursion on m states: entry n runs n
-    levels, the top one of C(n + m - 1, m - 1) classes, and both counts
-    must fit the dense cap."""
-    schedule = _schedule(value)
+def _enough(replications):
+    """Fewer than ``mc.MIN_REPLICATIONS`` give no usable Wilson interval."""
+    if replications < mc.MIN_REPLICATIONS:
+        raise InconclusiveError(f"replications: need at least "
+                                f"{mc.MIN_REPLICATIONS}, got {replications}")
+
+
+def _sanov_limit(spec, F, schedule, step):
+    """``dp.sanov_limit`` of the coerced F keys under ``spec``.  On m
+    states schedule entry n runs n type-class levels, the top one of
+    C(n + m - 1, m - 1) classes, and the simplex grid of ``step`` has
+    C(round(1/step) + m - 1, m - 1) points; each count fits the dense cap."""
+    m = spec.space.size
+    F, dF = parse_simplex_function(F, m)
     for i, n in enumerate(schedule):
         # The class count grows with n, so a capped n decides it cheaply.
         top = math.comb(min(n, DENSE_CAP + 1) + m - 1, m - 1)
         if max(n, top) > DENSE_CAP:
             raise ConfigError(f"schedule[{i}]: n = {n} on {m} states exceeds "
                               f"the dense cap of {DENSE_CAP} type classes")
-    return schedule
-
-
-def _grid_step(value, m):
-    """A simplex grid step in (0, 1] whose grid, C(k + m - 1, m - 1) points
-    for k = round(1/step), fits the dense cap."""
-    step = _num(value, "grid_step")
     # Bound 1/step before rounding it: it is inf for a subnormal step.
-    if 0.0 < step <= 1.0 and 1.0 / step <= DENSE_CAP and \
-            math.comb(round(1.0 / step) + m - 1, m - 1) <= DENSE_CAP:
-        return step
-    raise ConfigError(f"grid_step: expected a step in (0, 1] whose simplex "
-                      f"grid on {m} states has at most {DENSE_CAP} points, "
-                      f"got {value!r}")
+    if not (1.0 / step <= DENSE_CAP and
+            math.comb(round(1.0 / step) + m - 1, m - 1) <= DENSE_CAP):
+        raise ConfigError(f"grid_step: expected a step in (0, 1] whose "
+                          f"simplex grid on {m} states has at most "
+                          f"{DENSE_CAP} points, got {step!r}")
+    return dp.sanov_limit(F, dF, spec, schedule, grid_step=step)
 
 
 # ---------------------------------------------------------------------------
@@ -387,56 +370,33 @@ def write_manifest(out: Path, config_text: str, seed: int, threads: int) -> None
     })
 
 
-def _maximizer_payload(result):
-    if result.maximizer is None:
-        return None
-    return result.maximizer.weights.tolist()
-
-
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes --out, the seed and its config's coerced keys
 # ---------------------------------------------------------------------------
 
-def cmd_rho(cfg, out: Path, seed: int) -> int:
-    _check_keys(cfg, "config", required=("spec", "f"),
-                optional=("generic", "restarts", "seed"))
-    generic = _bool(cfg.get("generic", False), "generic")
-    if "restarts" in cfg and not generic:
+def cmd_rho(out: Path, seed: int, spec, f, generic, restarts) -> int:
+    if restarts is not None and not generic:
         raise ConfigError("restarts: only a generic run (generic: true) "
                           "takes restarts")
-    spec = parse_spec(cfg["spec"])
-    f = np.asarray(_num_list(cfg["f"], "f"))
+    spec_kind, spec = spec["kind"], _make(spec, "spec", SPEC)
     if f.size != spec.space.size:
         raise ConfigError("f: length must match the spec's space size")
-    if generic:
-        result = generic_risk(f, spec,
-                              restarts=_pos_int(cfg.get("restarts", RESTARTS),
-                                                "restarts"),
-                              seed=seed)
-    else:
-        result = risk_result(f, spec)
-    report = {
-        "value": result.value,
-        "method": result.method,
-        "maximizer": _maximizer_payload(result),
-        "spec_kind": cfg["spec"]["kind"],
-        "f": f.tolist(),
-    }
-    write_json(out / "report.json", report)
+    result = generic_risk(f, spec, restarts=restarts or RESTARTS, seed=seed) \
+        if generic else risk_result(f, spec)
+    weights = None if result.maximizer is None else result.maximizer.weights
+    write_json(out / "report.json", {
+        "value": result.value, "method": result.method,
+        "maximizer": None if weights is None else weights.tolist(),
+        "spec_kind": spec_kind, "f": f.tolist(),
+    })
     print(f"rho = {result.value:.12g}  method={result.method}")
-    if result.maximizer is not None:
-        print(f"maximizer = {np.round(result.maximizer.weights, 9).tolist()}")
+    if weights is not None:
+        print(f"maximizer = {np.round(weights, 9).tolist()}")
     return EXIT_OK
 
 
-def cmd_sanov(cfg, out: Path, seed: int) -> int:
-    _check_keys(cfg, "config", required=("spec", "F", "schedule"),
-                optional=("grid_step", "seed"))
-    spec = parse_spec(cfg["spec"])
-    F, dF = parse_simplex_function(cfg["F"], spec.space.size)
-    schedule = _type_schedule(cfg["schedule"], spec.space.size)
-    step = _grid_step(cfg.get("grid_step", dp.GRID_STEP), spec.space.size)
-    run = dp.sanov_limit(F, dF, spec, schedule, grid_step=step)
+def cmd_sanov(out: Path, seed: int, spec, F, schedule, grid_step) -> int:
+    run = _sanov_limit(spec, F, schedule, grid_step)
     write_json(out / "report.json", run.to_json_dict())
     write_csv(out / "table.csv", ("n", "v_n", "target", "gap"), run.csv_rows())
     for n, v, g in zip(run.schedule, run.values, run.gaps):
@@ -453,79 +413,62 @@ def _check_coupling(run: dp.SanovRun) -> None:
         raise ArithmeticError("transport limit targets disagree beyond 1e-6")
 
 
-def cmd_cramer(cfg, out: Path, seed: int) -> int:
-    _check_keys(cfg, "config", required=("law", "q", "dual_grid",
-                                         "primal_grid"),
-                optional=("seed",))
-    law = parse_law(cfg["law"])
-    q = _num(cfg["q"], "q")
-    pair = conjugate_pair(law, q, _grid(cfg["dual_grid"], "dual_grid"),
-                          _grid(cfg["primal_grid"], "primal_grid"))
+def cmd_cramer(out: Path, seed: int, law, q, dual_grid, primal_grid) -> int:
+    pair = conjugate_pair(law, q, dual_grid, primal_grid)
     write_csv(out / "cumulant.csv", ("point", "value"), pair.csv_rows("dual"))
     write_csv(out / "rate.csv", ("point", "value"), pair.csv_rows("primal"))
     write_json(out / "report.json", {
         "q": pair.q, "p": pair.p, "moment": pair.moment,
-        "value_at_zero": pair.value_at_zero,
-        "convex_dual": pair.convex_dual,
-        "convex_primal": pair.convex_primal,
-        "minorant_ok": pair.minorant_ok,
-    })
+        "value_at_zero": pair.value_at_zero, "convex_dual": pair.convex_dual,
+        "convex_primal": pair.convex_primal, "minorant_ok": pair.minorant_ok})
     print(f"M_q = {pair.moment:.9f}  cumulant(0) = {pair.value_at_zero:.3e}  "
           f"minorant_ok={pair.minorant_ok}")
     return EXIT_OK
 
 
-def cmd_tailbound(cfg, out: Path, seed: int) -> int:
-    experiment = _kind(cfg, "config", "experiment", {
-        "mean_tail": (("law", "q", "schedule"), ("r", "replications", "seed")),
-        "azuma": (("r", "n"), ("family", "replications", "seed"))},
-        field="experiment")
-    if experiment == "mean_tail":
-        law = _sampled_law(cfg["law"])
-        q = _num(cfg["q"], "q")
-        schedule = _sample_schedule(cfg["schedule"])
-        mq = moment_norm(law, q)
-        r = _num(cfg["r"], "r") if "r" in cfg else mq + 1.0
-        if not r > mq:
-            raise ConfigError("r: must exceed the moment constant M_q")
-        replications = _replications(cfg.get("replications", REPLICATIONS))
-        run = mc.exceedance_series(q, schedule, lambda n: mc.estimate_tail(
-            law, n, r, replications, seed), r)
-        bounds = [deviation_bound(r, mq, q, n) for n in schedule]
-        ratios = [e.p_hat / b if b > 0 else math.inf
-                  for e, b in zip(run.estimates, bounds)]
-        _write_series(out, run, bounds, {
-            "experiment": "mean_tail", "q": q, "r": r, "moment": mq,
-            "bound_ratio_slack": mc.BOUND_RATIO_SLACK,
-            "ratios": ratios,
-            "bound_ok": all(rt <= mc.BOUND_RATIO_SLACK for rt in ratios),
-        })
-        for e, b in zip(run.estimates, bounds):
-            print(f"n={e.n:7d}  p_hat={e.p_hat:.3e}  bound={b:.3e}")
-        if run.fit.status != "ok":
-            raise InconclusiveError("rate fit needs >= 3 schedule points "
-                                    "with hits")
-        print(f"slope={run.fit.slope:.3f} (upper95 {run.fit.upper95:.3f}, "
-              f"budget {run.slope_budget:.3f})")
-        return EXIT_OK
-    family_name = cfg.get("family", "rademacher")
-    if not isinstance(family_name, str) or \
-            family_name not in mc.INCREMENT_FAMILIES:
-        raise ConfigError(f"family: unknown increment family "
-                          f"{family_name!r}")
-    family = mc.INCREMENT_FAMILIES[family_name]()
-    r = _num(cfg["r"], "r")
-    n = _pos_int(cfg["n"], "n", bits=mc.SAMPLE_BITS)
-    replications = _replications(cfg.get("replications", REPLICATIONS))
-    res = mc.azuma_experiment(family, r, n, replications, seed=seed)
-    write_json(out / "report.json", {
-        "experiment": "azuma", "family": family_name, "n": n, "r": r,
-        "p_hat": res.estimate.p_hat, "hits": res.estimate.hits,
-        "phi_star": res.phi_star,
-        "empirical_exponent": res.empirical_exponent,
-        "budget": res.budget, "ok": res.ok,
-        "exact_tail": res.exact_tail,
+def cmd_tailbound(out: Path, seed: int, experiment, **keys) -> int:
+    """Runs the experiment that the config names, its TAILBOUND maker."""
+    return TAILBOUND["kinds"][experiment][0](out, seed, **keys)
+
+
+def _mean_tail(out: Path, seed: int, law, q, schedule, r,
+               replications) -> int:
+    _distinct(schedule)
+    mq = moment_norm(law, q)
+    r = mq + 1.0 if r is None else r
+    if not r > mq:
+        raise ConfigError("r: must exceed the moment constant M_q")
+    _enough(replications)
+    run = mc.exceedance_series(q, schedule, lambda n: mc.estimate_tail(
+        law, n, r, replications, seed), r)
+    bounds = [deviation_bound(r, mq, q, n) for n in schedule]
+    ratios = [e.p_hat / b if b > 0 else math.inf
+              for e, b in zip(run.estimates, bounds)]
+    _write_series(out, run, bounds, {
+        "experiment": "mean_tail", "q": q, "r": r, "moment": mq,
+        "bound_ratio_slack": mc.BOUND_RATIO_SLACK,
+        "ratios": ratios,
+        "bound_ok": all(rt <= mc.BOUND_RATIO_SLACK for rt in ratios),
     })
+    for e, b in zip(run.estimates, bounds):
+        print(f"n={e.n:7d}  p_hat={e.p_hat:.3e}  bound={b:.3e}")
+    if run.fit.status != "ok":
+        raise InconclusiveError("rate fit needs >= 3 schedule points "
+                                "with hits")
+    print(f"slope={run.fit.slope:.3f} (upper95 {run.fit.upper95:.3f}, "
+          f"budget {run.slope_budget:.3f})")
+    return EXIT_OK
+
+
+def _azuma(out: Path, seed: int, r, n, family, replications) -> int:
+    _enough(replications)
+    res = mc.azuma_experiment(mc.INCREMENT_FAMILIES[family](), r, n,
+                              replications, seed=seed)
+    write_json(out / "report.json", {
+        "experiment": "azuma", "family": family, "n": n, "r": r,
+        "p_hat": res.estimate.p_hat, "hits": res.estimate.hits,
+        "phi_star": res.phi_star, "empirical_exponent": res.empirical_exponent,
+        "budget": res.budget, "ok": res.ok, "exact_tail": res.exact_tail})
     print(f"p_hat={res.estimate.p_hat:.3e}  (1/n)log p = "
           f"{res.empirical_exponent:.4f}  budget={res.budget:.4f}  "
           f"ok={res.ok}")
@@ -545,52 +488,16 @@ def _write_series(out: Path, run: mc.ExceedanceSeries, bounds, report) -> None:
     })
 
 
-def _parse_saa_instance(cfg) -> mc.SAAInstance:
-    dec = cfg["decisions"]
-    if isinstance(dec, dict):
-        decisions = _grid(dec, "decisions")
-    else:
-        decisions = np.asarray(_num_list(dec, "decisions"))
-        if not decisions.size:
-            raise ConfigError("decisions: expected a nonempty list or a grid")
-    loss_obj = cfg["loss"]
-    kind = _kind(loss_obj, "loss", "loss kind",
-                 {"abs_diff": ((), ()), "well_linear": ((), ("x0",))})
-    if kind == "abs_diff":
-        loss = lambda x, w: np.abs(w - x)
-    else:
-        x0 = _num(loss_obj.get("x0", 1.0), "loss.x0")
-        loss = lambda x, w: (x - x0) ** 2 + x * w
-    law = _sampled_law(cfg["law"])
-    q = _num(cfg["q"], "q")
-    check_admissible(law, q)
-    growth = None
-    if "growth" in cfg:
-        gobj = cfg["growth"]
-        _check_keys(gobj, "growth", required=("kind",), optional=("scale",))
-        if gobj["kind"] != "quadratic":
-            raise ConfigError("growth.kind: only 'quadratic' is supported")
-        scale = _num(gobj.get("scale", 1.0), "growth.scale")
-        growth = lambda d: scale * d * d
-    return mc.SAAInstance(decisions, loss, law,
-                          epsilon=_num(cfg["epsilon"], "epsilon"),
-                          q=q, growth=growth)
-
-
-def cmd_saa(cfg, out: Path, seed: int) -> int:
-    _check_keys(cfg, "config", required=("decisions", "loss", "law",
-                                         "epsilon", "q", "schedule",
-                                         "replications"),
-                optional=("experiment", "growth", "seed"))
-    experiment = cfg.get("experiment", "value")
-    if experiment not in ("value", "argmin"):
-        raise ConfigError(f"experiment: unknown experiment {experiment!r}")
-    if "growth" in cfg and experiment != "argmin":
+def cmd_saa(out: Path, seed: int, decisions, loss, law, epsilon, q, schedule,
+            replications, experiment, growth) -> int:
+    if growth is not None and experiment != "argmin":
         raise ConfigError("growth: only the argmin experiment takes a "
                           "growth function")
-    instance = _parse_saa_instance(cfg)
-    schedule = _sample_schedule(cfg["schedule"])
-    replications = _replications(cfg["replications"])
+    check_admissible(law, q)
+    _distinct(schedule)
+    _enough(replications)
+    instance = mc.SAAInstance(decisions, loss, law, epsilon=epsilon, q=q,
+                              growth=growth)
     if experiment == "value":
         run = mc.saa_run(instance, schedule, replications, seed)
     else:
@@ -599,13 +506,10 @@ def cmd_saa(cfg, out: Path, seed: int) -> int:
         except mc.GrowthValidationError as exc:
             raise ConfigError(f"growth: {exc}") from exc
     _write_series(out, run, [""] * len(run.estimates), {
-        "experiment": experiment,
-        "schedule": run.schedule,
-        "p_hat": [e.p_hat for e in run.estimates],
-        "scaled": run.scaled,
+        "experiment": experiment, "schedule": run.schedule,
+        "p_hat": [e.p_hat for e in run.estimates], "scaled": run.scaled,
         "mann_kendall_p": run.mann_kendall_p,
-        "true_value" if experiment == "value" else "argmin": run.target,
-    })
+        "true_value" if experiment == "value" else "argmin": run.target})
     for e, s in zip(run.estimates, run.scaled):
         print(f"n={e.n:6d}  p_hat={e.p_hat:.3e}  scaled={s:.3e}")
     print(f"mann_kendall_p={run.mann_kendall_p:.3f}  "
@@ -613,15 +517,8 @@ def cmd_saa(cfg, out: Path, seed: int) -> int:
     return EXIT_OK
 
 
-def cmd_superhedge(cfg, out: Path, seed: int) -> int:
-    _check_keys(cfg, "config", required=("spec", "f"), optional=("seed",))
-    spec = parse_spec(cfg["spec"])
+def cmd_superhedge(out: Path, seed: int, spec, f) -> int:
     space = spec.space
-    f = np.asarray(_num_list(cfg["f"], "f"))
-    bad = np.flatnonzero(~np.isfinite(f))
-    if bad.size:
-        raise ConfigError(f"f[{bad[0]}]: superhedging needs finite "
-                          f"entries, got {f[bad[0]]}")
     cert = dp.superhedge(f, space, spec)
     np.save(out / "increments.npy", cert.flat.astype("<f8", copy=False))
     write_json(out / "certificate.json", {
@@ -642,28 +539,19 @@ def cmd_superhedge(cfg, out: Path, seed: int) -> int:
     return EXIT_OK
 
 
-def cmd_transport(cfg, out: Path, seed: int) -> int:
-    _check_keys(cfg, "config", required=("mu", "cost", "F", "schedule"),
-                optional=("grid_step", "control_check_n", "seed"))
-    mu = _dist(cfg["mu"], "mu")
-    cost = np.asarray(_matrix(cfg["cost"], "cost"))
-    try:
-        spec = Transport(mu, cost)
-    except SpaceError as exc:
-        raise ConfigError(f"cost: {exc}") from exc
-    F, dF = parse_simplex_function(cfg["F"], mu.m)
-    schedule = _type_schedule(cfg["schedule"], mu.m)
-    step = _grid_step(cfg.get("grid_step", dp.GRID_STEP), mu.m)
-    n_chk = _pos_int(cfg.get("control_check_n", 2), "control_check_n")
+def cmd_transport(out: Path, seed: int, mu, cost, F, schedule, grid_step,
+                  control_check_n) -> int:
+    spec = _make({"kind": "transport", "mu": mu, "cost": cost}, "cost", SPEC)
+    n_chk = control_check_n
     if mu.m ** min(n_chk, 25) > DENSE_CAP:     # 2^25 already exceeds it
         raise ConfigError(f"control_check_n: a control field of {mu.m}^"
                           f"{n_chk} entries exceeds the dense cap of "
                           f"{DENSE_CAP}")
-    run = dp.sanov_limit(F, dF, spec, schedule, grid_step=step)
+    run = _sanov_limit(spec, F, schedule, grid_step)
     rng = np.random.default_rng(seed)
     f_chk = rng.normal(size=mu.m ** n_chk)
     v_rec, _ = dp.backward_value_dense(f_chk, mu.space, spec)
-    v_ctl = dp.transport_control_value(f_chk, mu.space, mu, cost)
+    v_ctl = dp.transport_control_value(f_chk, mu.space, mu, spec.cost)
     write_json(out / "report.json", {
         **run.to_json_dict(),
         "control_check_n": n_chk,
@@ -682,14 +570,118 @@ def cmd_transport(cfg, out: Path, seed: int) -> int:
     return EXIT_OK
 
 
+# ---------------------------------------------------------------------------
+# Config schema.  A table maps each key to (reader, domain[, default]); a
+# key without a default is required, and a default of None leaves it unset.
+# An object with a kind has {"field": its kind key, "unknown": the error for
+# any other kind, "kinds": kind -> (maker of its model, table)}.
+# ---------------------------------------------------------------------------
+
+SEED = (_integer, INDEX, 0)
+
+GRID = {"lo": (_num, GRID_END), "hi": (_num, GRID_END),
+        "count": (_integer, COUNT)}
+
+LOSS = {"field": "kind", "unknown": "unknown loss kind {!r}", "kinds": {
+    "exp": (ExpLoss, {}),
+    "power_plus": (PowerLoss, {"q": (_num, FINITE)}),
+    "tabulated": (TabulatedLoss, {
+        "xs": (_num_list, FINITE), "ys": (_num_list, FINITE),
+        "left_limit": (_num, FINITE, 0.0)}),
+}}
+
+SPEC = {"field": "kind", "unknown": "unknown spec kind {!r}", "kinds": {
+    "relative_entropy": (RelativeEntropy, {"mu": (_dist, FINITE)}),
+    "lp_entropy": (LpEntropy, {"mu": (_dist, FINITE), "p": (_num, FINITE)}),
+    "shortfall": (Shortfall, {"mu": (_dist, FINITE), "loss": (_made, LOSS)}),
+    "robust": (Robust, {"generators": (_dists, FINITE)}),
+    "set_indicator": (SetIndicator, {"generators": (_dists, FINITE)}),
+    "transport": (Transport, {"mu": (_dist, FINITE),
+                              "cost": (_matrix, EXTENDED)}),
+}}
+
+WELL = {"coordinate": (_integer, INDEX, 0), "center": (_num, FINITE, 0.5),
+        "scale": (_num, FINITE, -1.0)}
+
+SIMPLEX_FUNCTION = {
+    "field": "kind", "unknown": "unknown function kind {!r}", "kinds": {
+        "constant": (_constant, {"value": (_num, FINITE, 0.0)}),
+        "linear": (_linear, {"coeffs": (_num_list, FINITE)}),
+        "square_well": (_well(np.square, lambda d: 2.0 * d), WELL),
+        "abs_well": (_well(np.abs, np.sign), WELL),      # 0 at its kink
+    }}
+
+LAW = {"field": "kind", "unknown": "unknown law kind {!r}", "kinds": {
+    "pareto": (ParetoLaw, {"a": (_num, FINITE),
+                           "centered": (_bool, None, True)}),
+    "student_t": (StudentTLaw, {"df": (_num, FINITE)}),
+    "lognormal": (LogNormalLaw, {"sigma": (_num, FINITE),
+                                 "centered": (_bool, None, True)}),
+    "finite": (FiniteSupportLaw, {"atoms": (_num_list, FINITE),
+                                  "weights": (_num_list, FINITE)}),
+    "empirical": (EmpiricalLaw, {"samples": (_num_list, FINITE)}),
+}}
+
+# The laws a Monte Carlo experiment can draw from: all but the empirical.
+SAMPLED_LAW = {**LAW, "unknown": "no Monte Carlo sampler for law kind {!r}",
+               "kinds": {k: v for k, v in LAW["kinds"].items()
+                         if k != "empirical"}}
+
+# The SAA losses h(x, w) and growth functions: each maker returns one.
+SAA_LOSS = {"field": "kind", "unknown": "unknown loss kind {!r}", "kinds": {
+    "abs_diff": (lambda: lambda x, w: np.abs(w - x), {}),
+    "well_linear": (lambda x0: lambda x, w: (x - x0) ** 2 + x * w,
+                    {"x0": (_num, FINITE, 1.0)}),
+}}
+
+GROWTH = {"field": "kind", "unknown": "only 'quadratic' is supported",
+          "kinds": {"quadratic": (lambda scale: lambda d: scale * d * d,
+                                  {"scale": (_num, FINITE, 1.0)})}}
+
+TAILBOUND = {
+    "field": "experiment", "unknown": "unknown experiment {!r}", "kinds": {
+        "mean_tail": (_mean_tail, {
+            "law": (_made, SAMPLED_LAW), "q": (_num, FINITE),
+            "schedule": (_schedule, SAMPLES), "r": (_num, FINITE, None),
+            "replications": (_integer, COUNT, REPLICATIONS), "seed": SEED}),
+        "azuma": (_azuma, {
+            "r": (_num, POSITIVE), "n": (_integer, SAMPLES),
+            "family": (_choice, (mc.INCREMENT_FAMILIES,
+                                 "unknown increment family {!r}"),
+                       "rademacher"),
+            "replications": (_integer, COUNT, REPLICATIONS), "seed": SEED}),
+    }}
+
+# Each subcommand: (command, reader of its config, the reader's table).
 COMMANDS = {
-    "rho": cmd_rho,
-    "sanov": cmd_sanov,
-    "cramer": cmd_cramer,
-    "tailbound": cmd_tailbound,
-    "saa": cmd_saa,
-    "superhedge": cmd_superhedge,
-    "transport": cmd_transport,
+    "rho": (cmd_rho, _object, {
+        "spec": (_kinded, SPEC), "f": (_num_list, EXTENDED),
+        "generic": (_bool, None, False), "restarts": (_integer, COUNT, None),
+        "seed": SEED}),
+    "sanov": (cmd_sanov, _object, {
+        "spec": (_made, SPEC), "F": (_kinded, SIMPLEX_FUNCTION),
+        "schedule": (_schedule, COUNT),
+        "grid_step": (_num, STEP, dp.GRID_STEP), "seed": SEED}),
+    "cramer": (cmd_cramer, _object, {
+        "law": (_made, LAW), "q": (_num, FINITE),
+        "dual_grid": (_grid, GRID), "primal_grid": (_grid, GRID),
+        "seed": SEED}),
+    "tailbound": (cmd_tailbound, _kinded, TAILBOUND),
+    "saa": (cmd_saa, _object, {
+        "decisions": (_decisions, FINITE), "loss": (_made, SAA_LOSS),
+        "law": (_made, SAMPLED_LAW), "epsilon": (_num, POSITIVE),
+        "q": (_num, FINITE), "schedule": (_schedule, SAMPLES),
+        "replications": (_integer, COUNT),
+        "experiment": (_choice, (("value", "argmin"),
+                                 "unknown experiment {!r}"), "value"),
+        "growth": (_made, GROWTH, None), "seed": SEED}),
+    "superhedge": (cmd_superhedge, _object, {
+        "spec": (_made, SPEC), "f": (_num_list, FINITE), "seed": SEED}),
+    "transport": (cmd_transport, _object, {
+        "mu": (_dist, FINITE), "cost": (_matrix, EXTENDED),
+        "F": (_kinded, SIMPLEX_FUNCTION), "schedule": (_schedule, COUNT),
+        "grid_step": (_num, STEP, dp.GRID_STEP),
+        "control_check_n": (_integer, COUNT, 2), "seed": SEED}),
 }
 
 
@@ -743,20 +735,22 @@ def main(argv=None) -> int:
     except ValueError as exc:     # also an int literal over 4300 digits
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if args.seed is not None and isinstance(cfg, dict):
+        cfg["seed"] = args.seed     # the flag overrides the config's seed
 
     out = args.out if args.out is not None else Path.cwd() / "out"
     out.mkdir(parents=True, exist_ok=True)
 
+    command, read, table = COMMANDS[args.command]
     try:
-        seed = args.seed if args.seed is not None else \
-            cfg.get("seed", 0) if isinstance(cfg, dict) else 0
-        seed = _pos_int(seed, "seed", low=0)
+        keys = read(cfg, "config", table)
+        seed = keys.pop("seed")
         write_manifest(out, config_text, seed, args.threads)
-        return COMMANDS[args.command](cfg, out, seed)
+        return command(out, seed, **keys)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except LawError as exc:       # law parameters or a missing q-th moment
+    except LawError as exc:       # a missing q-th moment
         print(f"config error: law: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InconclusiveError as exc:

@@ -156,6 +156,7 @@ class LpEntropy(_LossPair):
     def __post_init__(self):
         if not self.p > 1.0:
             raise SpaceError("L^p entropy needs p > 1")
+        self.loss    # LossError where p/(p - 1) rounds to 1 (p above ~1e16)
 
     @property
     def loss(self) -> PowerLoss:

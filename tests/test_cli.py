@@ -9,8 +9,9 @@ import scipy
 
 from oracles import numeric_tangent_grad
 from sanovdual import dp
-from sanovdual.cli import (ConfigError, _jsonable, _num, _num_list, main,
-                           parse_law, parse_simplex_function, write_json)
+from sanovdual.cli import (EXTENDED, FINITE, LAW, ConfigError, _jsonable,
+                           _made, _num, _num_list, main,
+                           parse_simplex_function, write_json)
 from sanovdual.losses import PowerLoss
 from sanovdual.penalties import Shortfall
 from sanovdual.risk import risk_result
@@ -245,8 +246,9 @@ class TestExitCodes:
     def test_boolean_false_is_honoured(self):
         for obj in ({"kind": "pareto", "a": 2.5, "centered": False},
                     {"kind": "lognormal", "sigma": 0.5, "centered": False}):
-            assert parse_law(obj).centered is False
-            assert parse_law({**obj, "centered": True}).centered is True
+            assert _made(obj, "law", LAW).centered is False
+            assert _made({**obj, "centered": True}, "law", LAW).centered \
+                is True
 
     @pytest.mark.parametrize("command, key", [
         ("tailbound", "law"),
@@ -315,11 +317,58 @@ class TestExitCodes:
         ("saa", {"experiment": "median"}, "experiment: unknown experiment"),
         ("saa", {"experiment": "argmin", "growth": {"kind": "cubic"}},
          "growth.kind: only 'quadratic' is supported"),
+        # The exceedance radius and the Azuma radius are positive.
+        ("saa", {"epsilon": 0}, "epsilon: expected a finite number > 0"),
+        ("saa", {"epsilon": -0.2}, "epsilon: expected a finite number > 0"),
+        ("azuma", {"r": 0}, "r: expected a finite number > 0"),
+        ("azuma", {"r": -0.5}, "r: expected a finite number > 0"),
+        # p/(p - 1) rounds to 1, and a power loss needs q > 1: the spec is
+        # refused when it is built, not at its first risk evaluation.
+        ("rho", {"spec": {"kind": "lp_entropy", "mu": [0.5, 0.5],
+                          "p": 1e308}},
+         "config error: spec: power loss needs q > 1"),
+        ("rho", {"spec": {"kind": "transport", "mu": [0.5, 0.5],
+                          "cost": [[0.0, 1.0], [1.0]]}},
+         "spec.cost: rows of unequal length"),
     ])
     def test_config_values_are_checked(self, tmp_path, capsys, command,
                                        edits, named):
         assert run_with(tmp_path, command, edits) == 2
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    # Each value reached a run unchecked: it died with a traceback (saa
+    # q), exited 3 with no key named (the laws, azuma r), or exited 0
+    # with infinite or NaN targets and values (the rest).
+    @pytest.mark.parametrize("command, edits, key", [
+        ("saa", {"q": "inf"}, "q"),
+        ("cramer", {"q": "inf"}, "q"),
+        ("saa", {"epsilon": -1}, "epsilon"),
+        ("saa", {"loss": {"kind": "well_linear", "x0": "inf"}}, "loss.x0"),
+        ("saa", {"decisions": [0, "inf"]}, "decisions[1]"),
+        ("saa", {"experiment": "argmin",
+                 "growth": {"kind": "quadratic", "scale": "-inf"}},
+         "growth.scale"),
+        ("cramer", {"law": {"kind": "pareto", "a": "inf"}}, "law.a"),
+        ("cramer", {"law": {"kind": "student_t", "df": "inf"}}, "law.df"),
+        ("cramer", {"law": {"kind": "lognormal", "sigma": "inf"}},
+         "law.sigma"),
+        ("cramer", {"law.atoms": [-1.0, "inf"]}, "law.atoms[1]"),
+        ("azuma", {"r": "inf"}, "r"),
+        ("azuma", {"r": -1}, "r"),
+        *((command, {"F": F}, key) for command in ("sanov", "transport")
+          for F, key in [
+              ({"kind": "square_well", "center": "inf"}, "F.center"),
+              ({"kind": "abs_well", "center": "-inf"}, "F.center"),
+              ({"kind": "square_well", "scale": "-inf"}, "F.scale"),
+              ({"kind": "constant", "value": "inf"}, "F.value"),
+              ({"kind": "linear", "coeffs": [1.0, "inf"]}, "F.coeffs[1]"),
+          ]),
+    ])
+    def test_non_finite_values_are_config_errors(self, tmp_path, capsys,
+                                                 command, edits, key):
+        assert run_with(tmp_path, command, edits) == 2
+        assert f"config error: {key}: " in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize("command", ["tailbound", "azuma", "saa"])
@@ -778,23 +827,27 @@ class TestJsonWriter:
 class TestNumList:
     def test_both_paths_give_equal_values(self):
         plain = [0, 1, -2, 0.5, 1e300, -0.0, 2 ** 60]
-        assert _num_list(plain, "f") == [_num(v, "f") for v in plain]
-        assert all(type(v) is float for v in _num_list(plain, "f"))
+        for domain in (FINITE, EXTENDED):
+            out = _num_list(plain, "f", domain)
+            assert out.dtype == np.float64
+            assert out.tolist() == [_num(v, "f", domain) for v in plain]
         extended = plain + ["inf", "-inf"]
-        assert _num_list(extended, "f") == \
-            [_num(v, "f") for v in plain] + [math.inf, -math.inf]
+        assert _num_list(extended, "f", EXTENDED).tolist() == \
+            [_num(v, "f", EXTENDED) for v in plain] + [math.inf, -math.inf]
+        with pytest.raises(ConfigError, match=r"^f\[7\]: expected a finite"):
+            _num_list(extended, "f", FINITE)
 
     @pytest.mark.parametrize("bad", [True, "nan", [1.0]])
     def test_bad_entry_is_named(self, bad):
         with pytest.raises(ConfigError) as exc:
-            _num_list([1.0, 2, bad], "f")
+            _num_list([1.0, 2, bad], "f", EXTENDED)
         with pytest.raises(ConfigError) as ref:
-            _num(bad, "f[2]")
+            _num(bad, "f[2]", EXTENDED)
         assert str(exc.value) == str(ref.value) == \
             f"f[2]: not a number: {bad!r}"
 
     def test_nan_entry_is_named(self):
         with pytest.raises(ConfigError, match=r"^f\[1\]: not a number: nan$"):
-            _num_list([1.0, math.nan, 2], "f")
+            _num_list([1.0, math.nan, 2], "f", FINITE)
         with pytest.raises(ConfigError, match=r"^f: not a number: nan$"):
-            _num(math.nan, "f")
+            _num(math.nan, "f", EXTENDED)

@@ -1,6 +1,7 @@
 """Every bundled config runs to exit code 0 under its own subcommand,
-without a ``sanovdual`` warning, and writes its JSON files in the one
-format: ``json.dumps(..., indent=2, sort_keys=True)`` and a newline."""
+without a ``sanovdual`` warning or a numpy ``RuntimeWarning``, and writes
+its JSON files in the one format: ``json.dumps(..., indent=2,
+sort_keys=True)`` and a newline."""
 
 import json
 import logging
@@ -26,6 +27,7 @@ SUBCOMMAND = {
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")),
                          ids=lambda p: p.name)
 def test_bundled_config_runs(tmp_path, caplog, config):
