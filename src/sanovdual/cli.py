@@ -254,44 +254,45 @@ def _made(value, path, schema):
 
 
 def parse_simplex_function(keys, m):
-    """(F, dF): the function of the law on m states that the coerced F
-    ``keys`` (its kind among them) describe, and its gradient, rows in.
-    F maps a (B, m) array of laws to their (B,) values and dF to their
-    (B, m) gradients; ``abs_well``'s reads 0 at its kink."""
+    """The ``dp.SimplexFunction`` on m states that the coerced F ``keys``
+    (its kind among them) describe."""
     return _make(keys, "F", SIMPLEX_FUNCTION, m)
 
 
 def _constant(m, value):
-    return lambda nu: np.full(len(nu), value), np.zeros_like
+    return dp.SimplexFunction("constant", m, value=value)
 
 
 def _linear(m, coeffs):
     if len(coeffs) != m:
         raise ConfigError(f"F.coeffs: expected {m} coefficients, "
                           f"got {len(coeffs)}")
-    a = np.asarray(coeffs)
-    return lambda nu: nu @ a, lambda nu: np.broadcast_to(a, nu.shape)
+    return dp.SimplexFunction("linear", m, coeffs=coeffs)
 
 
-def _well(shape, slope):
-    """The maker of the well scale shape(nu_c - center) on coordinate c,
-    whose gradient is scale slope(nu_c - center) e_c."""
+def _well(kind):
+    """The maker of a ``kind`` well on coordinate c < m."""
     def make(m, coordinate, center, scale):
         if coordinate >= m:
             raise ConfigError(f"F.coordinate: expected an integer in "
                               f"[0, {m}), got {coordinate!r}")
-        c, e = coordinate, np.eye(m)[coordinate]
-        return lambda nu: scale * shape(nu[:, c] - center), \
-            lambda nu: scale * slope(nu[:, c, None] - center) * e
+        return dp.SimplexFunction(kind, m, coordinate=coordinate,
+                                  center=center, scale=scale)
     return make
 
 
-def _distinct(schedule):
+def _series(schedule, q):
     """A Monte Carlo schedule repeats no n: a repeat would draw its stream
-    again, a copy and not a new point."""
+    again, a copy and not a new point.  Its run reports n^(q - 1) p_hat,
+    so that power of its largest n must be a float."""
     for i, n in enumerate(schedule):
         if n in schedule[:i]:
             raise ConfigError(f"schedule[{i}]: {n} repeats an earlier entry")
+    try:
+        math.pow(max(schedule), q - 1.0)
+    except OverflowError:
+        raise ConfigError(f"q: n^(q - 1) overflows a float at n = "
+                          f"{max(schedule)}, got {q!r}") from None
 
 
 def _enough(replications):
@@ -303,24 +304,48 @@ def _enough(replications):
 
 def _sanov_limit(spec, F, schedule, step):
     """``dp.sanov_limit`` of the coerced F keys under ``spec``.  On m
-    states schedule entry n runs n type-class levels, the top one of
-    C(n + m - 1, m - 1) classes, and the simplex grid of ``step`` has
-    C(round(1/step) + m - 1, m - 1) points; each count fits the dense cap."""
+    states schedule entry n runs n levels over the classes of F's g
+    groups, C(n + g - 1, g) in all, and the simplex grid of ``step`` has
+    C(round(1/step) + m - 1, m - 1) points; each count fits the dense cap.
+    n F and its gradient must be finite on the simplex."""
     m = spec.space.size
-    F, dF = parse_simplex_function(F, m)
+    F = parse_simplex_function(F, m)
+    g = int(F.labels.max()) + 1
     for i, n in enumerate(schedule):
         # The class count grows with n, so a capped n decides it cheaply.
-        top = math.comb(min(n, DENSE_CAP + 1) + m - 1, m - 1)
-        if max(n, top) > DENSE_CAP:
+        classes = math.comb(min(n, DENSE_CAP + 1) + g - 1, g)
+        if max(n, classes) > DENSE_CAP:
             raise ConfigError(f"schedule[{i}]: n = {n} on {m} states exceeds "
-                              f"the dense cap of {DENSE_CAP} type classes")
+                              f"the dense cap of {DENSE_CAP} type classes "
+                              f"over its levels")
     # Bound 1/step before rounding it: it is inf for a subnormal step.
     if not (1.0 / step <= DENSE_CAP and
             math.comb(round(1.0 / step) + m - 1, m - 1) <= DENSE_CAP):
         raise ConfigError(f"grid_step: expected a step in (0, 1] whose "
                           f"simplex grid on {m} states has at most "
                           f"{DENSE_CAP} points, got {step!r}")
-    return dp.sanov_limit(F, dF, spec, schedule, grid_step=step)
+    n = max(schedule)
+    key = _overflow_key(F, n)
+    if key is not None:
+        raise ConfigError(f"F.{key}: n F(nu) overflows a float on the "
+                          f"simplex at n = {n}")
+    return dp.sanov_limit(F, spec, schedule, grid_step=step)
+
+
+def _overflow_key(F, n):
+    """The F key that makes n F or its gradient overflow a float on the
+    simplex, or None: their sizes peak at its vertices, and a well
+    overflows by its centre when n shape(nu_c - center) does."""
+    vertices = np.eye(F.m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(n * F(vertices)).all() and \
+                np.isfinite(F.grad(vertices)).all():
+            return None
+        if F.kind not in dp.WELLS:
+            return {"constant": "value", "linear": "coeffs"}[F.kind]
+        d = np.array([0.0, 1.0]) - F.center
+        return "scale" if np.isfinite(n * dp.WELLS[F.kind][0](d)).all() \
+            else "center"
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +458,7 @@ def cmd_tailbound(out: Path, seed: int, experiment, **keys) -> int:
 
 def _mean_tail(out: Path, seed: int, law, q, schedule, r,
                replications) -> int:
-    _distinct(schedule)
+    _series(schedule, q)
     mq = moment_norm(law, q)
     r = mq + 1.0 if r is None else r
     if not r > mq:
@@ -494,7 +519,7 @@ def cmd_saa(out: Path, seed: int, decisions, loss, law, epsilon, q, schedule,
         raise ConfigError("growth: only the argmin experiment takes a "
                           "growth function")
     check_admissible(law, q)
-    _distinct(schedule)
+    _series(schedule, q)
     _enough(replications)
     instance = mc.SAAInstance(decisions, loss, law, epsilon=epsilon, q=q,
                               growth=growth)
@@ -607,8 +632,8 @@ SIMPLEX_FUNCTION = {
     "field": "kind", "unknown": "unknown function kind {!r}", "kinds": {
         "constant": (_constant, {"value": (_num, FINITE, 0.0)}),
         "linear": (_linear, {"coeffs": (_num_list, FINITE)}),
-        "square_well": (_well(np.square, lambda d: 2.0 * d), WELL),
-        "abs_well": (_well(np.abs, np.sign), WELL),      # 0 at its kink
+        "square_well": (_well("square_well"), WELL),
+        "abs_well": (_well("abs_well"), WELL),
     }}
 
 LAW = {"field": "kind", "unknown": "unknown law kind {!r}", "kinds": {

@@ -4,7 +4,10 @@ The n-step value of a dense field f on E^n is computed by the backward
 recursion: the last coordinate is collapsed with the one-step risk measure,
 slice by slice, n times.  For permutation-invariant fields the recursion
 only needs the occupancy vector (type class) of the consumed prefix, which
-is what makes long horizons tractable.
+is what makes long horizons tractable.  The Sanov harness goes further:
+its F (``SimplexFunction``) labels the groups of states whose counts the
+terminal value reads only through their sum (a well's coordinate and the
+rest, say), and the recursion runs over the counts by group.
 
 On top of the recursion sit the empirical-measure limit harness, the
 superhedging decomposition (initial capital plus adapted acceptable
@@ -30,7 +33,7 @@ from .transport import solve_transport
 __all__ = [
     "SanovRun", "SuperhedgeCert", "backward_value_dense",
     "backward_value_symmetric", "backward_values_symmetric",
-    "symmetric_terminal", "sanov_limit",
+    "symmetric_terminal", "SimplexFunction", "sanov_limit",
     "superhedge", "transport_control_value", "simplex_supremum",
 ]
 
@@ -76,60 +79,122 @@ def backward_value_symmetric(values_by_type, n: int, space: FiniteSpace,
     ``values_by_type`` holds the terminal values in rank order (rows of
     ``type_index(n, m)``).  The one-entry case of
     ``backward_values_symmetric``, which serves a whole schedule in one
-    pass.
+    pass, with every state its own group.
     """
-    return backward_values_symmetric(lambda _: values_by_type, [n], space,
-                                     spec)[0]
+    return backward_values_symmetric(lambda _: values_by_type, [n],
+                                     np.arange(space.size), spec)[0]
 
 
 def backward_values_symmetric(terminal: Callable[[int], np.ndarray],
-                              schedule: Sequence[int], space: FiniteSpace,
+                              schedule: Sequence[int], labels: np.ndarray,
                               spec: AlphaSpec) -> list[float]:
     """The backward recursion over type classes for every n of a schedule
     in one descent from level max(n); the values come in schedule order.
 
-    ``terminal(n)`` gives entry n's terminal values in rank order, one per
-    row of ``type_index(n, m)``.  It is called when the descent reaches
-    level n; from there entry n runs in lockstep with the entries already
-    started: each level builds one ``type_successors`` map and makes one
+    ``labels`` numbers the group of each of the m states, by first
+    appearance, and a class counts draws by group: level k has the classes
+    of ``type_index(k, g)``, and ``terminal(n)`` gives entry n's terminal
+    values in their rank order.  Each level gathers the group successors
+    back to the m states, ``type_successors(k, g)[:, labels]``.  When the
+    terminal values depend on the counts by group only, so does every
+    level (the empirical-measure chain is lumpable; Kemeny and Snell,
+    Finite Markov Chains, 1960, 6.3), and each row is, bit for bit, a row
+    of the recursion over the states' own classes (identity labels).
+
+    Entry n joins when the descent reaches level n and from there runs in
+    lockstep with the entries already started: each level makes one
     ``risk_rows`` call on the stacked rows of every started entry.  Every
     one-step risk treats each row on its own, so an entry's value does not
-    depend on the others.  Valid because every implemented one-step risk is
-    permutation-equivariant in the conditioning prefix: its parameters do
-    not depend on the prefix at all.
+    depend on the others.  Valid because every implemented one-step risk
+    is permutation-equivariant in the conditioning prefix: its parameters
+    do not depend on the prefix at all.
     """
-    m = space.size
+    m, g = len(labels), int(max(labels)) + 1
     joins = sorted(set(schedule))          # levels still to join, top last
     order = []                             # the n of each stacked block
     V = np.empty(0)
     for level in range(joins[-1], -1, -1):
         if joins and joins[-1] == level:
-            term = SymmetricField(level, space, terminal(joins.pop()))
+            term = SymmetricField(level, FiniteSpace.of_size(g),
+                                  terminal(joins.pop()))
             V = np.concatenate([V, term.values])
             order.append(level)
         if level:
-            rows = V.reshape(len(order), -1)[:, type_successors(level - 1, m)]
+            succ = type_successors(level - 1, g)[:, labels]
+            rows = V.reshape(len(order), -1)[:, succ]
             V = risk_rows(spec, rows.reshape(-1, m))
     value = dict(zip(order, V.tolist()))
     return [value[n] for n in schedule]
 
 
-def symmetric_terminal(F: Callable[[np.ndarray], np.ndarray], n: int,
+def symmetric_terminal(F: SimplexFunction, n: int,
                        space: FiniteSpace) -> np.ndarray:
-    """Terminal values n * F(type/n) of a function of L_n, in rank order."""
-    return n * _values(F, type_index(n, space.size) / n)
+    """Terminal values n F(L_n) by group counts, one per row of
+    ``type_index(n, g)`` in rank order, for the groups of ``F.labels``:
+    F at the law that puts each group's count on its first state."""
+    first = np.unique(F.labels, return_index=True)[1]
+    counts = type_index(n, first.size)
+    types = np.zeros((len(counts), space.size), dtype=counts.dtype)
+    types[:, first] = counts
+    return n * F(types / n)
 
 
-def _values(F: Callable[[np.ndarray], np.ndarray], rows: np.ndarray,
-            name: str = "F", per_row: tuple = ()) -> np.ndarray:
-    """F at each row of a (B, m) batch of laws; F must return shape
-    (B,) + ``per_row``: (B,) values, or (B, m) gradients for a dF."""
-    vals = np.asarray(F(rows), dtype=float)
-    want = (len(rows),) + per_row
-    if vals.shape != want:
-        raise TypeError(f"{name} must map a batch of {len(rows)} laws to "
-                        f"shape {want}, got {vals.shape}")
-    return vals
+# The wells: the shape of nu_c - center, and its slope, which for abs_well
+# reads 0 at the kink.
+WELLS = {"square_well": (np.square, lambda d: 2.0 * d),
+         "abs_well": (np.abs, np.sign)}
+
+
+@dataclass(frozen=True)
+class SimplexFunction:
+    """A function F of the law on m states, rows in: F(rows) maps a (B, m)
+    batch of laws to their (B,) values, and ``grad(rows)`` to their (B, m)
+    (super)gradients.  Each kind is a function of one linear form <a, nu>:
+
+    - ``constant``: F = value;
+    - ``linear``: F = <coeffs, nu>;
+    - ``square_well`` and ``abs_well``: F = scale (nu_c - center)^2 and
+      F = scale |nu_c - center|, with c the coordinate.
+
+    ``labels`` numbers, by first appearance, the groups of states whose
+    counts F(L_n) reads only through their sum, bit for bit: one group
+    for a constant, a well's coordinate apart from the rest, and one
+    group per state for a linear F, whose sum rounds state by state.
+    """
+
+    kind: str
+    m: int
+    value: float = 0.0                      # a constant's
+    coeffs: Optional[np.ndarray] = None     # a linear F's
+    coordinate: int = 0                     # a well's c, centre and scale
+    center: float = 0.0
+    scale: float = 0.0
+
+    def __call__(self, nu: np.ndarray) -> np.ndarray:
+        if self.kind == "constant":
+            return np.full(len(nu), self.value)
+        if self.kind == "linear":
+            return nu @ self.coeffs
+        shape = WELLS[self.kind][0]
+        return self.scale * shape(nu[:, self.coordinate] - self.center)
+
+    def grad(self, nu: np.ndarray) -> np.ndarray:
+        if self.kind == "constant":
+            return np.zeros_like(nu)
+        if self.kind == "linear":
+            return np.broadcast_to(self.coeffs, nu.shape)
+        c, slope = self.coordinate, WELLS[self.kind][1]
+        return self.scale * slope(nu[:, c, None] - self.center) * \
+            np.eye(self.m)[c]
+
+    @property
+    def labels(self) -> np.ndarray:
+        if self.kind == "constant":
+            return np.zeros(self.m, dtype=np.int64)
+        if self.kind == "linear":
+            return np.arange(self.m)
+        apart = np.arange(self.m) == self.coordinate
+        return (apart != apart[0]).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -188,19 +253,16 @@ class SanovRun:
                 for n, v, g in zip(self.schedule, self.values, self.gaps)]
 
 
-def sanov_limit(F: Callable[[np.ndarray], np.ndarray],
-                dF: Callable[[np.ndarray], np.ndarray], spec: AlphaSpec,
+def sanov_limit(F: SimplexFunction, spec: AlphaSpec,
                 schedule: Sequence[int], grid_step: float = GRID_STEP
                 ) -> SanovRun:
     """(1/n) rho_n(n F o L_n) along a schedule, with the limit target
-    sup_nu (F(nu) - alpha(nu)).  One backward pass over type classes
-    serves the whole schedule (``backward_values_symmetric``).  F maps a
-    (B, m) batch of laws to (B,) values and dF to their (B, m)
-    (super)gradients; other shapes raise TypeError.
+    sup_nu (F(nu) - alpha(nu)).  One backward pass over the type classes
+    of F's groups serves the whole schedule (``backward_values_symmetric``).
 
-    The target ascends from the best grid point along dF - grad alpha on
-    the spec's support, one pass of F - alpha per point; a penalty without
-    a gradient (a set indicator) keeps the grid point.
+    The target ascends from the best grid point along F.grad - grad alpha
+    on the spec's support, one pass of F - alpha per point; a penalty
+    without a gradient (a set indicator) keeps the grid point.
 
     A transport spec takes its target sup_nu (F(nu) - W_c(mu, nu)) from the
     coupling form, which is smooth in the kernel K: the ascent from the
@@ -212,24 +274,22 @@ def sanov_limit(F: Callable[[np.ndarray], np.ndarray],
     """
     space = spec.space
     values = [v / n for n, v in zip(schedule, backward_values_symmetric(
-        lambda n: symmetric_terminal(F, n, space), schedule, space, spec))]
+        lambda n: symmetric_terminal(F, n, space), schedule, F.labels, spec))]
 
     label, coupling = "sanov", None
     if isinstance(spec, Transport):
         def J(nu):
             a = penalty(nu, spec)
-            return np.where(np.isfinite(a), _values(F, nu) - a, NEG_INF)
+            return np.where(np.isfinite(a), F(nu) - a, NEG_INF)
 
         label = "transport-longrun"
         pts = simplex_grid(space.size, grid_step)
-        coupling, arg = _coupling_supremum(F, dF, spec.mu, spec.cost,
+        coupling, arg = _coupling_supremum(F, spec.mu, spec.cost,
                                            pts[int(np.argmax(J(pts)))])
         target = float(J(arg[None])[0])
     else:
-        target, arg = simplex_supremum(penalized_objective(
-            spec, lambda nu: _values(F, nu),
-            lambda nu: _values(dF, nu, "dF", nu.shape[1:])),
-            space.size, grid_step, spec.support)
+        target, arg = simplex_supremum(penalized_objective(spec, F, F.grad),
+                                       space.size, grid_step, spec.support)
     gaps = [abs(v - target) for v in values]
     return SanovRun(label, [int(n) for n in schedule],
                     [float(v) for v in values], float(target), gaps,
@@ -310,13 +370,13 @@ def transport_control_value(f, space: FiniteSpace, mu: Dist, cost) -> float:
     return float(J[0])
 
 
-def _coupling_supremum(F, dF, mu: Dist, c: np.ndarray, nu0: np.ndarray
-                       ) -> tuple[float, np.ndarray]:
+def _coupling_supremum(F: SimplexFunction, mu: Dist, c: np.ndarray,
+                       nu0: np.ndarray) -> tuple[float, np.ndarray]:
     """sup over couplings pi with first marginal mu of
     F(second marginal) - int c dpi, and the second marginal of the best
     coupling: one projected ascent over the kernels K (pi = diag(mu) K, a
     product of m simplices), with one row per start, along the gradient
-    mu_x (dF(mu K)_y - c(x, y)) in cell (x, y).
+    mu_x (F.grad(mu K)_y - c(x, y)) in cell (x, y).
 
     The starts are the optimal plan to nu0, the uniform kernel on the
     allowed cells and the cheapest cell of each row.
@@ -328,8 +388,8 @@ def _coupling_supremum(F, dF, mu: Dist, c: np.ndarray, nu0: np.ndarray
 
     def objective(K):
         nu = w @ K
-        vals = _values(F, nu) - (K * wc).reshape(len(K), -1).sum(axis=1)
-        return vals, w[:, None] * _values(dF, nu, "dF", (m,))[:, None, :] - wc
+        vals = F(nu) - (K * wc).reshape(len(K), -1).sum(axis=1)
+        return vals, w[:, None] * F.grad(nu)[:, None, :] - wc
 
     starts = []
     sol = solve_transport(w, Dist(mu.space, nu0).weights, c)

@@ -123,10 +123,11 @@ class RademacherIncrements(IncrementFamily):
         return np.where(u < 0.5, -1.0, 1.0)
 
     def exact_tail(self, n: int, r: float) -> float:
-        """Exact P(S_n / n >= r), summed in log space."""
-        k_min = math.ceil((n + r * n) / 2.0)
-        if k_min > n:
+        """Exact P(S_n / n >= r), summed in log space; 0 past the bound 1
+        of the increments, before n r can overflow."""
+        if r > 1.0:
             return 0.0
+        k_min = math.ceil((n + r * n) / 2.0)
         log_half = -n * math.log(2.0)
         total = 0.0
         for k in range(int(k_min), n + 1):

@@ -21,9 +21,9 @@ from oracles import (ProductDist, check_integrability, entropic_risk,
                      shortfall_risk, tensor_penalty, tensor_penalty_batch)
 from sanovdual.cli import main as cli_main
 from sanovdual.cramer import deviation_bound, moment_norm
-from sanovdual.dp import (backward_value_dense, backward_value_symmetric,
-                          sanov_limit, superhedge, symmetric_terminal,
-                          transport_control_value)
+from sanovdual.dp import (SimplexFunction, backward_value_dense,
+                          backward_value_symmetric, sanov_limit, superhedge,
+                          symmetric_terminal, transport_control_value)
 from sanovdual.losses import ExpLoss, PowerLoss
 from sanovdual.laws import FiniteSupportLaw, ParetoLaw
 from sanovdual.montecarlo import (RademacherIncrements, SAAInstance,
@@ -134,26 +134,27 @@ def test_criterion_03_chain_rule(record_criterion):
 def test_criterion_04_sanov_limit(record_criterion):
     t0 = time.perf_counter()
 
-    def F(nu):      # one law (m,) or a batch of rows (B, m)
-        return -(nu[..., 0] - 0.7) ** 2
-
-    def dF(nu):     # a batch of rows (B, m)
-        g = np.zeros_like(nu)
-        g[:, 0] = -2.0 * (nu[:, 0] - 0.7)
-        return g
+    def well(m):    # F(nu) = -(nu_0 - 0.7)^2 on the laws of m states
+        return SimplexFunction("square_well", m, coordinate=0, center=0.7,
+                               scale=-1.0)
 
     schedule = [25, 50, 100, 200]
-    run = sanov_limit(F, dF, RelativeEntropy(UNIF2), schedule,
-                      grid_step=0.01)
+    F = well(2)
+    run = sanov_limit(F, RelativeEntropy(UNIF2), schedule, grid_step=0.01)
     worst_exact = max(abs(v - entropic_type_value(F, UNIF2.weights, n))
                       for n, v in zip(run.schedule, run.values))
-    # Four states, where the recursion meets C(103, 3) = 176,851 classes.
+    # Four states: the well lumps them into two groups, and a linear F with
+    # distinct coefficients keeps every state its own group, so that its
+    # recursion meets C(103, 3) = 176,851 classes.
     mu4 = Dist(FiniteSpace.of_size(4), [0.1, 0.2, 0.3, 0.4])
-    run4 = sanov_limit(F, dF, RelativeEntropy(mu4), [25, 50, 100],
-                       grid_step=0.05)
-    worst_exact = max([worst_exact] + [
-        abs(v - entropic_type_value(F, mu4.weights, n))
-        for n, v in zip(run4.schedule, run4.values)])
+    linear = SimplexFunction("linear", 4,
+                             coeffs=np.array([0.3, -0.2, 0.5, 0.1]))
+    for F4 in (well(4), linear):
+        run4 = sanov_limit(F4, RelativeEntropy(mu4), [25, 50, 100],
+                           grid_step=0.05)
+        worst_exact = max([worst_exact] + [
+            abs(v - entropic_type_value(F4, mu4.weights, n))
+            for n, v in zip(run4.schedule, run4.values)])
     decreasing = all(a > b for a, b in zip(run.gaps, run.gaps[1:]))
     elapsed = time.perf_counter() - t0
     ok = (worst_exact <= 1e-9 and run.gaps[-1] <= 0.05 and decreasing

@@ -157,6 +157,13 @@ class TestExitCodes:
         assert run_edited(tmp_path, "azuma", "r", 10 ** 400) == 2
         assert "r: integer too large for a float" in capsys.readouterr().err
 
+    def test_azuma_radius_past_the_increments_bound(self, tmp_path):
+        # +-1 increments never reach a mean above 1: the exact tail is 0.
+        # At r = 1e308 it overflowed (n r) and exited 3.
+        assert run_edited(tmp_path, "azuma", "r", 1e308) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["exact_tail"] == 0.0 and report["hits"] == 0
+
     def test_int_literal_over_the_digit_limit(self, tmp_path):
         p = tmp_path / "long.json"
         p.write_text('{"seed": ' + "1" * 5000 + "}")
@@ -472,20 +479,31 @@ class TestSimplexFunctions:
 
     @pytest.mark.parametrize("kind", list(KINDS))
     def test_gradient_matches_central_differences(self, kind):
-        F, dF = parse_simplex_function(self.KINDS[kind], 3)
+        # Rows in, rows out: a (B, m) batch of laws to (B,) values and
+        # (B, m) gradients.
+        F = parse_simplex_function(self.KINDS[kind], 3)
+        assert isinstance(F, dp.SimplexFunction)
         X = np.random.default_rng(7).dirichlet(np.ones(3), size=40)
         X = X[np.abs(X[:, 2] - 0.25) > 1e-3]    # off abs_well's kink
-        g = dF(X)
+        assert F(X).shape == (len(X),)
+        g = F.grad(X)
         assert g.shape == X.shape
         np.testing.assert_allclose(g, numeric_tangent_grad(F, X)[1],
                                    atol=1e-7)
 
     def test_abs_well_gradient_is_zero_at_its_kink(self):
-        F, dF = parse_simplex_function(self.KINDS["abs_well"], 3)
+        F = parse_simplex_function(self.KINDS["abs_well"], 3)
         X = np.array([[0.5, 0.25, 0.25], [0.1, 0.65, 0.25]])
-        assert (dF(X) == 0.0).all()
+        assert (F.grad(X) == 0.0).all()
         np.testing.assert_allclose(numeric_tangent_grad(F, X)[1], 0.0,
                                    atol=1e-6)
+
+    @pytest.mark.parametrize("kind, labels", [
+        ("constant", [0, 0, 0]), ("linear", [0, 1, 2]),
+        ("square_well", [0, 1, 0]), ("abs_well", [0, 0, 1])])
+    def test_groups_are_numbered_by_first_appearance(self, kind, labels):
+        assert parse_simplex_function(self.KINDS[kind], 3).labels.tolist() \
+            == labels
 
 
 class TestSanovCommand:
@@ -547,7 +565,54 @@ class TestSanovCommand:
         assert all(math.isfinite(g) for g in report["gaps"])
 
 
+    @pytest.mark.parametrize("key, value", [("center", 1e308),
+                                            ("scale", -1e308)])
+    def test_overflowing_well_is_a_config_error(self, tmp_path, capsys, key,
+                                                value):
+        # n F(nu) would be -inf at some class of n = 200: the run reported
+        # v_n = -inf, target -inf and NaN gaps.
+        payload = json.loads((CONFIGS / "sanov_classical.json").read_text())
+        payload["F"][key] = value
+        cfg = write_config(tmp_path, payload)
+        assert main(["sanov", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 2
+        assert f"config error: F.{key}: n F(nu) overflows a float on the " \
+            f"simplex at n = 200" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("F, code", [
+        # Two groups: C(301, 2) classes over the 300 levels.
+        ({"kind": "square_well", "coordinate": 2, "center": 0.4}, 0),
+        # Five groups: C(304, 5), about 2.1e10, over the dense cap.
+        ({"kind": "linear", "coeffs": [0.1, 0.2, 0.3, 0.4, 0.5]}, 2)])
+    def test_class_cap_counts_the_groups(self, tmp_path, capsys, F, code):
+        cfg = write_config(tmp_path, {
+            "spec": {"kind": "relative_entropy",
+                     "mu": [0.1, 0.15, 0.2, 0.25, 0.3]},
+            "F": F, "schedule": [300], "grid_step": 0.1})
+        assert main(["sanov", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == code
+        if code:
+            assert "schedule[0]: n = 300 on 5 states exceeds the dense cap" \
+                in capsys.readouterr().err
+        else:
+            report = json.loads(
+                (tmp_path / "out" / "report.json").read_text())
+            assert math.isfinite(report["v_n"][0])
+
+
 class TestSaaCommand:
+    def test_huge_q_is_a_config_error(self, tmp_path, capsys):
+        # 6^(q - 1) overflows: the run died with an OverflowError that
+        # named no key.
+        payload = json.loads((CONFIGS / "saa_small.json").read_text())
+        cfg = write_config(tmp_path, {**payload, "q": 1e308})
+        assert main(["saa", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 2
+        assert "config error: q: n^(q - 1) overflows a float at n = 6" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_argmin_experiment(self, tmp_path):
         cfg = write_config(tmp_path, {
             "decisions": {"lo": 0.0, "hi": 2.0, "count": 5},

@@ -9,10 +9,10 @@ from oracles import (ProductDist, entropic_risk, greedy_optimizer_from_trace,
                      tensor_penalty, tensor_penalty_batch, type_rank)
 import sanovdual.dp as dp_module
 import sanovdual.penalties as penalties_module
-from sanovdual.dp import (backward_value_dense, backward_value_symmetric,
-                          backward_values_symmetric, sanov_limit,
-                          simplex_supremum, superhedge, symmetric_terminal,
-                          transport_control_value)
+from sanovdual.dp import (SimplexFunction, backward_value_dense,
+                          backward_value_symmetric, backward_values_symmetric,
+                          sanov_limit, simplex_supremum, superhedge,
+                          symmetric_terminal, transport_control_value)
 from sanovdual.losses import ExpLoss, PowerLoss
 from sanovdual.optim import simplex_grid
 from sanovdual.penalties import (LpEntropy, RelativeEntropy, Robust,
@@ -23,26 +23,33 @@ from sanovdual.spaces import (Dist, FiniteSpace, SpaceError, SymmetricField,
 
 TWO = FiniteSpace.of_size(2)
 THREE = FiniteSpace.of_size(3)
+FOUR = FiniteSpace.of_size(4)
 UNIF2 = Dist.uniform(TWO)
 COST_TV = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
-def _well(center, scale=-1.0):
-    """F(nu) = scale (nu_0 - center)^2, on one law (m,) or a batch of rows
-    (B, m), and its gradient dF on a batch."""
-    def F(nu):
-        return scale * (nu[..., 0] - center) ** 2
-
-    def dF(nu):
-        g = np.zeros_like(nu)
-        g[:, 0] = 2.0 * scale * (nu[:, 0] - center)
-        return g
-    return F, dF
+def _well(center, scale=-1.0, m=2, kind="square_well", coordinate=0):
+    """F(nu) = scale (nu_c - center)^2 (or scale |nu_c - center|) on a
+    batch of laws of m states, c = ``coordinate``."""
+    return SimplexFunction(kind, m, coordinate=coordinate, center=center,
+                           scale=scale)
 
 
 def _linear(fbar):
-    """F(nu) = <nu, fbar> on a batch of laws, and its gradient."""
-    return (lambda nu: nu @ fbar), (lambda nu: np.zeros_like(nu) + fbar)
+    """F(nu) = <nu, fbar> on a batch of laws."""
+    return SimplexFunction("linear", len(fbar), coeffs=np.asarray(fbar))
+
+
+def _one(F):
+    """F on one law (m,) rather than a batch of rows."""
+    return lambda nu: float(F(np.asarray(nu)[None])[0])
+
+
+def _terminal(F, n, m):
+    """n F(type/n) at every type class of E^n on m states in rank order:
+    the terminal values of the recursion over the states' own classes, for
+    any F that maps (B, m) laws to (B,) values."""
+    return n * F(type_index(n, m) / n)
 
 
 def all_specs():
@@ -68,6 +75,20 @@ def three_state_specs():
         SetIndicator(g),
         Transport(mu, np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0],
                                 [2.0, 1.0, 0.0]])),
+    ]
+
+
+def four_state_specs():
+    mu = Dist(FOUR, [0.1, 0.2, 0.3, 0.4])
+    g = (Dist(FOUR, [0.4, 0.3, 0.2, 0.1]), Dist.uniform(FOUR))
+    return [
+        RelativeEntropy(mu),
+        LpEntropy(mu, 2.0),
+        Shortfall(mu, PowerLoss(2.0)),
+        Robust(g),
+        SetIndicator(g),
+        Transport(mu, np.abs(np.subtract.outer(np.arange(4.0),
+                                               np.arange(4.0)))),
     ]
 
 
@@ -167,7 +188,7 @@ class TestSymmetricRecursion:
                     def F(nu):
                         return nu @ coefs + quad * nu[:, 0] ** 2
 
-                    term = symmetric_terminal(F, n, space)
+                    term = _terminal(F, n, space.size)
                     v_sym = backward_value_symmetric(term, n, space, spec)
                     dense = SymmetricField(n, space, term).expand_dense()
                     v_den, _ = backward_value_dense(dense, space, spec)
@@ -180,7 +201,7 @@ class TestSymmetricRecursion:
         spec = RelativeEntropy(UNIF2)
         want = entropic_risk(fbar, UNIF2)
         for n in (1, 2, 5, 17):
-            term = symmetric_terminal(lambda nu: nu @ fbar, n, TWO)
+            term = symmetric_terminal(_linear(fbar), n, TWO)
             v = backward_value_symmetric(term, n, TWO, spec) / n
             assert abs(v - want) <= 1e-10
 
@@ -189,41 +210,93 @@ class TestSymmetricRecursion:
             if isinstance(spec, Transport):
                 continue  # rho(0) = 0 only for zero-diagonal transport
             for n in (1, 3, 8):
-                term = symmetric_terminal(lambda nu: np.full(len(nu), 0.37),
-                                          n, TWO)
+                term = _terminal(SimplexFunction("constant", 2, value=0.37),
+                                 n, 2)
                 v = backward_value_symmetric(term, n, TWO, spec) / n
                 assert abs(v - 0.37) <= 1e-9
 
+    @pytest.mark.parametrize("grouped", [False, True],
+                             ids=["states", "groups"])
     @pytest.mark.parametrize("space, specs", [
         (TWO, all_specs()), (THREE, three_state_specs())], ids=["m2", "m3"])
-    def test_schedule_in_lockstep_is_bit_identical(self, space, specs):
+    def test_schedule_in_lockstep_is_bit_identical(self, space, specs,
+                                                   grouped):
         # One descent for an unsorted schedule with a repeat equals, bit for
         # bit, each entry's own recursion ranked level by level by the
-        # oracle, and the one-entry call.
+        # oracle, and the one-entry call.  Ungrouped, every state is its
+        # own group; grouped, a well on the last state lumps the others.
         m = space.size
-        coefs = np.random.default_rng(19).normal(size=m)
+        if grouped:
+            F = _well(0.3, m=m, coordinate=m - 1)
+            labels = F.labels
 
-        def F(nu):
-            return nu @ coefs + 0.8 * nu[:, 0] ** 2
+            def term(n):
+                return symmetric_terminal(F, n, space)
+        else:
+            coefs = np.random.default_rng(19).normal(size=m)
+            labels = np.arange(m)
 
+            def term(n):
+                return _terminal(lambda nu: nu @ coefs + 0.8 * nu[:, 0] ** 2,
+                                 n, m)
+        g = int(labels.max()) + 1
+        step = np.eye(g, dtype=np.int64)[labels]
         schedule = [10, 4, 10]
-        step = np.eye(m, dtype=np.int64)
         for spec in specs:
             joined = []
 
             def terminal(n):
                 joined.append(n)
-                return symmetric_terminal(F, n, space)
+                return term(n)
 
-            got = backward_values_symmetric(terminal, schedule, space, spec)
+            got = backward_values_symmetric(terminal, schedule, labels, spec)
             assert joined == [10, 4]
             for n, v in zip(schedule, got):
-                V = symmetric_terminal(F, n, space)
-                assert v == backward_value_symmetric(V, n, space, spec)
+                V = term(n)
+                if not grouped:
+                    assert v == backward_value_symmetric(V, n, space, spec)
                 for k in range(n - 1, -1, -1):
-                    V = risk_rows(spec, V[type_rank(type_index(k, m)[:, None]
+                    V = risk_rows(spec, V[type_rank(type_index(k, g)[:, None]
                                                     + step)])
                 assert v == float(V[0])
+
+    @pytest.mark.parametrize("space, specs", [
+        (THREE, three_state_specs()), (FOUR, four_state_specs())],
+        ids=["m3", "m4"])
+    def test_lumped_values_equal_the_per_state_recursion(self, space, specs):
+        # A well on any coordinate lumps the other states, a constant all
+        # of them; each v_n equals, bit for bit, the recursion over the
+        # classes of the states themselves (identity labels).
+        m = space.size
+        Fs = [SimplexFunction("constant", m, value=0.37)] + [
+            _well(0.4, -2.0, m, kind, c)
+            for kind in ("square_well", "abs_well") for c in range(m)]
+        schedule = [5, 9]
+        for spec in specs:
+            for F in Fs:
+                lumped = backward_values_symmetric(
+                    lambda n: symmetric_terminal(F, n, space), schedule,
+                    F.labels, spec)
+                per_state = backward_values_symmetric(
+                    lambda n: _terminal(F, n, m), schedule, np.arange(m),
+                    spec)
+                assert lumped == per_state
+
+    def test_lumped_work_count(self, monkeypatch):
+        # A 3-state well has two groups, so level j gathers the j classes
+        # of level j - 1, not C(j + 1, 2): one risk_rows call per level,
+        # on the stacked rows of the entries started, C(31, 2) + C(61, 2)
+        # rows in all.
+        rows = []
+        real = dp_module.risk_rows
+
+        def spy(spec, F, *args):
+            rows.append(len(F))
+            return real(spec, F, *args)
+        monkeypatch.setattr(dp_module, "risk_rows", spy)
+        sanov_limit(_well(0.7, m=3), three_state_specs()[0], [30, 60])
+        assert rows == [j * (1 + (j <= 30)) for j in range(60, 0, -1)]
+        assert sum(rows) == 465 + 1830
 
     def test_rejects_asymmetric_dense_input(self):
         f = np.array([0.0, 1.0, 2.0, 3.0])
@@ -235,16 +308,16 @@ class TestSanovLimit:
     def test_linear_gap_is_zero(self):
         rng = np.random.default_rng(8)
         fbar = rng.normal(size=2)
-        run = sanov_limit(*_linear(fbar), RelativeEntropy(UNIF2),
+        run = sanov_limit(_linear(fbar), RelativeEntropy(UNIF2),
                           [1, 2, 5, 10])
         assert max(run.gaps) <= 1e-6
 
     def test_classical_matches_binomial_log_sum(self):
-        F, dF = _well(0.7)
-        run = sanov_limit(F, dF, RelativeEntropy(UNIF2), [25, 50])
+        F = _well(0.7)
+        run = sanov_limit(F, RelativeEntropy(UNIF2), [25, 50])
         for n, v in zip(run.schedule, run.values):
             total = sum(math.comb(n, j) * 0.5 ** n *
-                        math.exp(n * F(np.array([j / n, 1 - j / n])))
+                        math.exp(n * _one(F)([j / n, 1 - j / n]))
                         for j in range(n + 1))
             assert abs(v - math.log(total) / n) <= 1e-9
 
@@ -252,8 +325,8 @@ class TestSanovLimit:
         # Adapted hull kernels dominate i.i.d. product laws at finite n, and
         # the scaled value never exceeds the limiting sup of F on the hull.
         g = (Dist(TWO, [0.2, 0.8]), Dist(TWO, [0.7, 0.3]))
-        F, dF = _well(0.5)
-        run = sanov_limit(F, dF, SetIndicator(g), [2, 4, 8, 16])
+        F = _one(_well(0.5))
+        run = sanov_limit(_well(0.5), SetIndicator(g), [2, 4, 8, 16])
         limit = max(F(w * g[0].weights + (1 - w) * g[1].weights)
                     for w in np.linspace(0, 1, 2001))
         assert abs(run.target - limit) <= 1e-9
@@ -266,34 +339,15 @@ class TestSanovLimit:
         # the gap to the limit closes along the schedule
         assert run.gaps[-1] <= run.gaps[0] + 1e-12
 
-    def test_scalar_contract_f_is_refused(self):
-        # F maps a (B, m) batch to (B,) values.  A one-law F would read row
-        # 0 of the batch, or return one number; both raise.
-        _, dF = _well(0.7)
-        for F in (lambda nu: -(nu[0] - 0.7) ** 2, lambda nu: 0.37):
-            with pytest.raises(TypeError, match="batch"):
-                sanov_limit(F, dF, RelativeEntropy(UNIF2), [25])
-
-    @pytest.mark.parametrize("spec", [RelativeEntropy(UNIF2),
-                                      Transport(UNIF2, COST_TV)])
-    def test_misshapen_gradient_is_refused(self, spec):
-        # dF maps a (B, m) batch to (B, m) gradients: one value per law, or
-        # the gradient of one law, raises in the nu-form and the coupling
-        # ascent alike.
-        F, _ = _well(0.7)
-        for dF in (lambda nu: nu[:, 0], lambda nu: np.array([1.0, 0.0])):
-            with pytest.raises(TypeError, match="dF must map a batch"):
-                sanov_limit(F, dF, spec, [5])
-
     def test_finite_n_lower_bound(self):
         # v_n >= E_{nu^n}[F o L_n] - alpha(nu) on a grid of product laws
-        F, dF = _well(0.7)
+        F = _well(0.7)
         spec = RelativeEntropy(UNIF2)
-        run = sanov_limit(F, dF, spec, [5, 10])
+        run = sanov_limit(F, spec, [5, 10])
         for n, v in zip(run.schedule, run.values):
             for w in np.linspace(0.05, 0.95, 19):
                 nu = np.array([w, 1 - w])
-                lower = iid_empirical_expectation(F, nu, n) - \
+                lower = iid_empirical_expectation(_one(F), nu, n) - \
                     penalty(Dist(TWO, nu), spec)
                 assert v >= lower - 1e-9
 
@@ -360,47 +414,44 @@ class TestTransportLongrun:
     def test_linear_target_is_one_step_risk(self):
         rng = np.random.default_rng(15)
         fbar = rng.normal(size=2)
-        run = sanov_limit(*_linear(fbar), Transport(UNIF2, COST_TV),
+        run = sanov_limit(_linear(fbar), Transport(UNIF2, COST_TV),
                           [1, 2, 4])
         want = risk(fbar, Transport(UNIF2, COST_TV))
         assert abs(run.target - want) <= 2e-3
         assert abs(run.coupling_target - want) <= 1e-6
 
     def test_constant_target(self):
-        run = sanov_limit(lambda nu: np.full(len(nu), 0.21), np.zeros_like,
+        run = sanov_limit(SimplexFunction("constant", 2, value=0.21),
                           Transport(UNIF2, COST_TV), [1, 3])
         assert abs(run.target - 0.21) <= 1e-9
         assert abs(run.coupling_target - 0.21) <= 1e-9
 
     def test_two_targets_agree(self):
-        def abs_grad(nu):
-            return -np.sign(nu[:, :1] - 0.9) * np.array([1.0, 0.0])
-
-        for (F, dF), mu, cost in [
-            ((lambda nu: -np.abs(nu[:, 0] - 0.9), abs_grad), UNIF2, COST_TV),
+        for F, mu, cost in [
+            (_well(0.9, kind="abs_well"), UNIF2, COST_TV),
             # A forbidden cell and an optimum off the grid.
             (_well(0.2, -3.0), Dist(TWO, [0.6, 0.4]),
              np.array([[0.0, 1.0], [math.inf, 0.0]])),
         ]:
-            run = sanov_limit(F, dF, Transport(mu, cost), [2, 4, 8])
+            run = sanov_limit(F, Transport(mu, cost), [2, 4, 8])
             assert abs(run.target - run.coupling_target) <= 1e-6
 
 
 class TestSimplexSupremum:
     def test_concave_quadratic(self):
-        F, dF = _well(0.3)
-        val, arg = simplex_supremum(lambda X: (F(X), dF(X)), 2, 0.01,
+        F = _well(0.3)
+        val, arg = simplex_supremum(lambda X: (F(X), F.grad(X)), 2, 0.01,
                                     np.ones(2, bool))
         assert abs(val) <= 1e-10
         assert abs(arg[0] - 0.3) <= 1e-4
 
     def test_no_gradient_keeps_the_best_grid_point(self):
-        F, _ = _well(0.333)
+        F = _well(0.333)
         val, arg = simplex_supremum(lambda X: (F(X), None), 2, 0.01,
                                     np.ones(2, bool))
-        assert arg.tolist() == [0.33, 0.67] and val == F(arg)
+        assert arg.tolist() == [0.33, 0.67] and val == _one(F)(arg)
 
-    @pytest.mark.parametrize("F", [_well(0.333)[0], lambda X: 0.0 * X[:, 0]],
+    @pytest.mark.parametrize("F", [_well(0.333), lambda X: 0.0 * X[:, 0]],
                              ids=["well", "flat"])
     def test_grid_scan_goes_block_by_block(self, monkeypatch, F):
         # Blocks of GRID_BLOCK rows find the first best grid point, as one
@@ -425,8 +476,8 @@ class TestSimplexSupremum:
         # is +inf; an ascent that may step there never leaves the grid
         # point (0.6, 0.4, 0).  The sup is over nu = (x, 1 - x, 0): a grid
         # over x, then a grid within one step of its best point.
-        F, dF = _well(0.7)
-        run = sanov_limit(F, dF, spec, [2], grid_step=0.1)
+        F = _well(0.7, m=3)
+        run = sanov_limit(F, spec, [2], grid_step=0.1)
         lo, hi, best = 0.0, 1.0, -math.inf
         for _ in range(2):
             x = np.linspace(lo, hi, 100001)
@@ -465,7 +516,7 @@ class TestAscentGradients:
         s for s in three_state_specs() if not isinstance(s, SetIndicator)])
     def test_objective_never_sees_probe_stacks(self, monkeypatch, spec):
         seen = self._spy(monkeypatch)
-        sanov_limit(*_well(0.7), spec, [2])
+        sanov_limit(_well(0.7, m=3), spec, [2])
         assert len(seen) == 1 and len(seen[0]["objective"]) >= 2
         assert max(seen[0]["objective"]) <= seen[0]["starts"]
 
@@ -482,12 +533,12 @@ class TestAscentGradients:
             solved.append(len(V))
             return real(V, *args)
         monkeypatch.setattr(penalties_module, solve, counted)
-        sanov_limit(*_well(0.7), spec, [2], grid_step=0.1)
+        sanov_limit(_well(0.7, m=3), spec, [2], grid_step=0.1)
         grid = len(simplex_grid(3, 0.1))
         assert solved == [grid] + seen[0]["objective"]
 
     def test_set_indicator_makes_no_ascent(self, monkeypatch):
         seen = self._spy(monkeypatch)
         g = (Dist(TWO, [0.2, 0.8]), Dist(TWO, [0.7, 0.3]))
-        sanov_limit(*_well(0.5), SetIndicator(g), [2])
+        sanov_limit(_well(0.5), SetIndicator(g), [2])
         assert seen == []
