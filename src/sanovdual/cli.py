@@ -256,29 +256,7 @@ def _made(value, path, schema):
 def parse_simplex_function(keys, m):
     """The ``dp.SimplexFunction`` on m states that the coerced F ``keys``
     (its kind among them) describe."""
-    return _make(keys, "F", SIMPLEX_FUNCTION, m)
-
-
-def _constant(m, value):
-    return dp.SimplexFunction("constant", m, value=value)
-
-
-def _linear(m, coeffs):
-    if len(coeffs) != m:
-        raise ConfigError(f"F.coeffs: expected {m} coefficients, "
-                          f"got {len(coeffs)}")
-    return dp.SimplexFunction("linear", m, coeffs=coeffs)
-
-
-def _well(kind):
-    """The maker of a ``kind`` well on coordinate c < m."""
-    def make(m, coordinate, center, scale):
-        if coordinate >= m:
-            raise ConfigError(f"F.coordinate: expected an integer in "
-                              f"[0, {m}), got {coordinate!r}")
-        return dp.SimplexFunction(kind, m, coordinate=coordinate,
-                                  center=center, scale=scale)
-    return make
+    return _make(keys, "F", SIMPLEX_FUNCTION, keys["kind"], m)
 
 
 def _series(schedule, q):
@@ -303,18 +281,21 @@ def _enough(replications):
 
 
 def _sanov_limit(spec, F, schedule, step):
-    """``dp.sanov_limit`` of the coerced F keys under ``spec``.  On m
-    states schedule entry n runs n levels over the classes of F's g
-    groups, C(n + g - 1, g) in all, and the simplex grid of ``step`` has
-    C(round(1/step) + m - 1, m - 1) points; each count fits the dense cap.
-    n F and its gradient must be finite on the simplex."""
+    """``dp.sanov_limit`` of the coerced F keys under ``spec``.  F must
+    serve the m states up to the largest n (``F.fault``).  On m states
+    schedule entry n runs levels 0..n over the classes of F's g groups,
+    C(n + g, g) in all and C(n + g - 1, g - 1) at the top, and the simplex
+    grid of ``step`` has C(round(1/step) + m - 1, m - 1) points; each
+    count fits the dense cap."""
     m = spec.space.size
     F = parse_simplex_function(F, m)
+    fault = F.fault(max(schedule))
+    if fault is not None:
+        raise ConfigError(f"F.{fault}")
     g = int(F.labels.max()) + 1
     for i, n in enumerate(schedule):
         # The class count grows with n, so a capped n decides it cheaply.
-        classes = math.comb(min(n, DENSE_CAP + 1) + g - 1, g)
-        if max(n, classes) > DENSE_CAP:
+        if math.comb(min(n, DENSE_CAP + 1) + g, g) > DENSE_CAP:
             raise ConfigError(f"schedule[{i}]: n = {n} on {m} states exceeds "
                               f"the dense cap of {DENSE_CAP} type classes "
                               f"over its levels")
@@ -324,28 +305,7 @@ def _sanov_limit(spec, F, schedule, step):
         raise ConfigError(f"grid_step: expected a step in (0, 1] whose "
                           f"simplex grid on {m} states has at most "
                           f"{DENSE_CAP} points, got {step!r}")
-    n = max(schedule)
-    key = _overflow_key(F, n)
-    if key is not None:
-        raise ConfigError(f"F.{key}: n F(nu) overflows a float on the "
-                          f"simplex at n = {n}")
     return dp.sanov_limit(F, spec, schedule, grid_step=step)
-
-
-def _overflow_key(F, n):
-    """The F key that makes n F or its gradient overflow a float on the
-    simplex, or None: their sizes peak at its vertices, and a well
-    overflows by its centre when n shape(nu_c - center) does."""
-    vertices = np.eye(F.m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.isfinite(n * F(vertices)).all() and \
-                np.isfinite(F.grad(vertices)).all():
-            return None
-        if F.kind not in dp.WELLS:
-            return {"constant": "value", "linear": "coeffs"}[F.kind]
-        d = np.array([0.0, 1.0]) - F.center
-        return "scale" if np.isfinite(n * dp.WELLS[F.kind][0](d)).all() \
-            else "center"
 
 
 # ---------------------------------------------------------------------------
@@ -630,10 +590,10 @@ WELL = {"coordinate": (_integer, INDEX, 0), "center": (_num, FINITE, 0.5),
 
 SIMPLEX_FUNCTION = {
     "field": "kind", "unknown": "unknown function kind {!r}", "kinds": {
-        "constant": (_constant, {"value": (_num, FINITE, 0.0)}),
-        "linear": (_linear, {"coeffs": (_num_list, FINITE)}),
-        "square_well": (_well("square_well"), WELL),
-        "abs_well": (_well("abs_well"), WELL),
+        "constant": (dp.SimplexFunction, {"value": (_num, FINITE, 0.0)}),
+        "linear": (dp.SimplexFunction, {"coeffs": (_num_list, FINITE)}),
+        "square_well": (dp.SimplexFunction, WELL),
+        "abs_well": (dp.SimplexFunction, WELL),
     }}
 
 LAW = {"field": "kind", "unknown": "unknown law kind {!r}", "kinds": {

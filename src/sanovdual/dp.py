@@ -141,8 +141,8 @@ def symmetric_terminal(F: SimplexFunction, n: int,
 
 # The wells: the shape of nu_c - center, and its slope, which for abs_well
 # reads 0 at the kink.
-WELLS = {"square_well": (np.square, lambda d: 2.0 * d),
-         "abs_well": (np.abs, np.sign)}
+_WELLS = {"square_well": (np.square, lambda d: 2.0 * d),
+          "abs_well": (np.abs, np.sign)}
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,7 @@ class SimplexFunction:
             return np.full(len(nu), self.value)
         if self.kind == "linear":
             return nu @ self.coeffs
-        shape = WELLS[self.kind][0]
+        shape = _WELLS[self.kind][0]
         return self.scale * shape(nu[:, self.coordinate] - self.center)
 
     def grad(self, nu: np.ndarray) -> np.ndarray:
@@ -183,7 +183,7 @@ class SimplexFunction:
             return np.zeros_like(nu)
         if self.kind == "linear":
             return np.broadcast_to(self.coeffs, nu.shape)
-        c, slope = self.coordinate, WELLS[self.kind][1]
+        c, slope = self.coordinate, _WELLS[self.kind][1]
         return self.scale * slope(nu[:, c, None] - self.center) * \
             np.eye(self.m)[c]
 
@@ -195,6 +195,30 @@ class SimplexFunction:
             return np.arange(self.m)
         apart = np.arange(self.m) == self.coordinate
         return (apart != apart[0]).astype(np.int64)
+
+    def fault(self, n: int) -> Optional[str]:
+        """Why this F does not serve its m states up to n draws, led by the
+        key at fault, or None.  A linear F has m coefficients and a well's
+        coordinate is a state; n F and its gradient must be finite on the
+        simplex.  Their sizes peak at its vertices, and a well overflows by
+        its centre when n shape(nu_c - center) does for nu_c in [0, 1]."""
+        if self.kind == "linear" and len(self.coeffs) != self.m:
+            return (f"coeffs: expected {self.m} coefficients, "
+                    f"got {len(self.coeffs)}")
+        if self.kind in _WELLS and self.coordinate >= self.m:
+            return (f"coordinate: expected an integer in [0, {self.m}), "
+                    f"got {self.coordinate!r}")
+        vertices = np.eye(self.m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.isfinite(n * self(vertices)).all() and \
+                    np.isfinite(self.grad(vertices)).all():
+                return None
+            key = {"constant": "value", "linear": "coeffs"}.get(self.kind)
+            if key is None:
+                d = np.array([0.0, 1.0]) - self.center
+                key = "scale" if np.isfinite(
+                    n * _WELLS[self.kind][0](d)).all() else "center"
+        return f"{key}: n F(nu) overflows a float on the simplex at n = {n}"
 
 
 # ---------------------------------------------------------------------------

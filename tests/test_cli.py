@@ -18,6 +18,7 @@ from sanovdual.risk import risk_result
 from sanovdual.spaces import Dist, FiniteSpace
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+MU5 = [0.1, 0.15, 0.2, 0.25, 0.3]     # a law on five states
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -580,21 +581,27 @@ class TestSanovCommand:
             f"simplex at n = 200" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
 
-    @pytest.mark.parametrize("F, code", [
-        # Two groups: C(301, 2) classes over the 300 levels.
-        ({"kind": "square_well", "coordinate": 2, "center": 0.4}, 0),
-        # Five groups: C(304, 5), about 2.1e10, over the dense cap.
-        ({"kind": "linear", "coeffs": [0.1, 0.2, 0.3, 0.4, 0.5]}, 2)])
-    def test_class_cap_counts_the_groups(self, tmp_path, capsys, F, code):
+    @pytest.mark.parametrize("mu, step, F, n, code", [
+        # Two groups: C(302, 2) classes over the levels 0..300.
+        (MU5, 0.1, {"kind": "square_well", "coordinate": 2, "center": 0.4},
+         300, 0),
+        # Five groups: C(305, 5), about 2.1e10, over the dense cap.
+        (MU5, 0.1, {"kind": "linear", "coeffs": [0.1, 0.2, 0.3, 0.4, 0.5]},
+         300, 2),
+        # Thirty groups and n < g: the top level alone has C(37, 8), about
+        # 3.9e7 classes, more than the C(37, 7) of the levels below it.
+        ([1.0 / 30] * 30, 0.5, {"kind": "linear", "coeffs": list(range(30))},
+         8, 2)])
+    def test_class_cap_counts_the_groups(self, tmp_path, capsys, mu, step, F,
+                                         n, code):
         cfg = write_config(tmp_path, {
-            "spec": {"kind": "relative_entropy",
-                     "mu": [0.1, 0.15, 0.2, 0.25, 0.3]},
-            "F": F, "schedule": [300], "grid_step": 0.1})
+            "spec": {"kind": "relative_entropy", "mu": mu},
+            "F": F, "schedule": [n], "grid_step": step})
         assert main(["sanov", "--config", str(cfg), "--out",
                      str(tmp_path / "out")]) == code
         if code:
-            assert "schedule[0]: n = 300 on 5 states exceeds the dense cap" \
-                in capsys.readouterr().err
+            assert f"schedule[0]: n = {n} on {len(mu)} states exceeds the " \
+                f"dense cap" in capsys.readouterr().err
         else:
             report = json.loads(
                 (tmp_path / "out" / "report.json").read_text())
