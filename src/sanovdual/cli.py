@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime as _dt
+import functools
 import hashlib
 import json
 import logging
@@ -286,7 +287,8 @@ def _sanov_limit(spec, F, schedule, step):
     schedule entry n runs levels 0..n over the classes of F's g groups,
     C(n + g, g) in all and C(n + g - 1, g - 1) at the top, and the simplex
     grid of ``step`` has C(round(1/step) + m - 1, m - 1) points; each
-    count fits the dense cap."""
+    count fits the dense cap.  Only a set-indicator target scans that
+    grid, but every run checks it."""
     m = spec.space.size
     F = parse_simplex_function(F, m)
     fault = F.fault(max(schedule))
@@ -387,14 +389,23 @@ def cmd_sanov(out: Path, seed: int, spec, F, schedule, grid_step) -> int:
     for n, v, g in zip(run.schedule, run.values, run.gaps):
         print(f"n={n:6d}  v_n={v: .9f}  gap={g:.3e}")
     print(f"target = {run.target:.9f}")
-    _check_coupling(run)
+    _check_limit(run)
     return EXIT_OK
 
 
-def _check_coupling(run: dp.SanovRun) -> None:
-    """A transport run's two targets must agree within 1e-6."""
+def _check_limit(run: dp.SanovRun) -> None:
+    """A certified target's dual gap must be at most ``dp.GAP_TOL``
+    (1 + |target|), and a transport run's two targets must agree within
+    1e-6; a NaN fails either gate."""
+    if run.certified:
+        gap = run.upper_bound - run.target
+        if not abs(gap) <= dp.GAP_TOL * (1.0 + abs(run.target)):
+            raise ArithmeticError(
+                f"limit target: dual gap {gap:.3g} between target "
+                f"{run.target!r} and upper_bound {run.upper_bound!r} exceeds "
+                f"{dp.GAP_TOL:g} (1 + |target|)")
     if run.coupling_target is not None and \
-            abs(run.target - run.coupling_target) > 1e-6:
+            not abs(run.target - run.coupling_target) <= 1e-6:
         raise ArithmeticError("transport limit targets disagree beyond 1e-6")
 
 
@@ -545,11 +556,12 @@ def cmd_transport(out: Path, seed: int, mu, cost, F, schedule, grid_step,
         "control_gap": abs(v_ctl - v_rec),
     })
     write_csv(out / "table.csv", ("n", "v_n", "target", "gap"), run.csv_rows())
-    print(f"target={run.target:.9f}  coupling_target="
-          f"{run.coupling_target:.9f}")
+    print(f"target={run.target:.9f}" + (
+        "" if run.coupling_target is None else
+        f"  coupling_target={run.coupling_target:.9f}"))
     print(f"control check: |{v_ctl:.12g} - {v_rec:.12g}| = "
           f"{abs(v_ctl - v_rec):.3e}")
-    _check_coupling(run)
+    _check_limit(run)
     if abs(v_ctl - v_rec) > 1e-10:
         raise ArithmeticError("control value disagrees with the recursion")
     return EXIT_OK
@@ -670,7 +682,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing
+    leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="sanovdual",
         description="Dual-pair numerical experiments on finite spaces.")

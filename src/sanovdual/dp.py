@@ -7,7 +7,8 @@ only needs the occupancy vector (type class) of the consumed prefix, which
 is what makes long horizons tractable.  The Sanov harness goes further:
 its F (``SimplexFunction``) labels the groups of states whose counts the
 terminal value reads only through their sum (a well's coordinate and the
-rest, say), and the recursion runs over the counts by group.
+rest, say), and the recursion runs over the counts by group; F reads the
+law through one linear form, so its limit target is a 1-d dual.
 
 On top of the recursion sit the empirical-measure limit harness, the
 superhedging decomposition (initial capital plus adapted acceptable
@@ -22,13 +23,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import extreal
-from .extreal import INF, NEG_INF
-from .optim import pgd_max_simplex, simplex_grid
-from .penalties import AlphaSpec, Transport, penalty
-from .risk import penalized_objective, risk_rows
+from .extreal import NEG_INF
+from .optim import legendre_max, simplex_grid
+from .penalties import AlphaSpec, SetIndicator, Transport, penalty
+from .risk import risk_rows
 from .spaces import (DENSE_CAP, Dist, FiniteSpace, SpaceError,
                      SymmetricField, type_index, type_successors)
-from .transport import solve_transport
 
 __all__ = [
     "SanovRun", "SuperhedgeCert", "backward_value_dense",
@@ -37,8 +37,13 @@ __all__ = [
     "superhedge", "transport_control_value", "simplex_supremum",
 ]
 
-GRID_STEP = 0.01    # mesh of the simplex grid that starts a limit target
+GRID_STEP = 0.01    # mesh of the simplex grid of a set-indicator target
 GRID_BLOCK = 2 ** 14    # grid rows per evaluator call of that scan
+SEARCH_POINTS = 64  # candidate t per maximizer_rows call of the dual search
+SEARCH_TOL = 1e-7   # bracket width that stops it, times min(1, first width)
+SEARCH_CAP = 24     # maximizer_rows calls of one dual search
+LEVEL_POINTS = 17   # s per scan of the positive-scale search
+GAP_TOL = 1e-9      # largest dual gap of a certified target, per 1 + |target|
 
 
 def _flatten_field(f, space: FiniteSpace) -> tuple[np.ndarray, int]:
@@ -156,6 +161,10 @@ class SimplexFunction:
     - ``square_well`` and ``abs_well``: F = scale (nu_c - center)^2 and
       F = scale |nu_c - center|, with c the coordinate.
 
+    So F = phi(<a, nu>) with a = ``form``, and for a concave phi (scale
+    <= 0) ``bracket``, ``phi_star`` and ``s_star`` set up the 1-d dual of
+    its limit target (``sanov_limit``).
+
     ``labels`` numbers, by first appearance, the groups of states whose
     counts F(L_n) reads only through their sum, bit for bit: one group
     for a constant, a well's coordinate apart from the rest, and one
@@ -196,11 +205,53 @@ class SimplexFunction:
         apart = np.arange(self.m) == self.coordinate
         return (apart != apart[0]).astype(np.int64)
 
+    @property
+    def form(self) -> np.ndarray:
+        """The a of F = phi(<a, nu>): 0 for a constant, the coefficients
+        of a linear F, e_c for a well."""
+        if self.kind == "constant":
+            return np.zeros(self.m)
+        if self.kind == "linear":
+            return np.asarray(self.coeffs, dtype=float)
+        return np.eye(self.m)[self.coordinate]
+
+    @property
+    def bracket(self) -> tuple[float, float]:
+        """The t that can minimize rho(t a) - phi_*(t) for a concave phi,
+        phi_*(t) = inf_s (t s - phi(s)): t = phi'(s) for s in [0, 1] on a
+        well, with k = -scale, and the one t where phi_* is finite for a
+        constant (0) or a linear F (1)."""
+        if self.kind in ("constant", "linear"):
+            t = float(self.kind == "linear")
+            return t, t
+        k, c = -self.scale, self.center
+        if self.kind == "square_well":
+            return -2.0 * k * (1.0 - c), 2.0 * k * c
+        return -k, k
+
+    def phi_star(self, t: float) -> float:
+        """phi_*(t) on the bracket: -value, 0, t c - t^2 / (4k) for a
+        square well and t c for an abs well."""
+        if self.kind == "constant":
+            return -self.value
+        if self.kind == "linear":
+            return 0.0
+        quad = 0.25 * t * (t / -self.scale) \
+            if self.kind == "square_well" and t else 0.0
+        return t * self.center - quad
+
+    def s_star(self, t: np.ndarray) -> np.ndarray:
+        """The s that attains phi_*(t), inside a well's bracket:
+        c - t / (2k) for a square well, c for an abs well."""
+        if self.kind == "square_well":
+            return self.center + t / (2.0 * self.scale)
+        return np.full(np.shape(t), self.center)
+
     def fault(self, n: int) -> Optional[str]:
         """Why this F does not serve its m states up to n draws, led by the
         key at fault, or None.  A linear F has m coefficients and a well's
         coordinate is a state; n F and its gradient must be finite on the
-        simplex.  Their sizes peak at its vertices, and a well overflows by
+        simplex (a well's gradients at the vertices end its ``bracket``).  Their sizes peak at its vertices, and a well overflows by
         its centre when n shape(nu_c - center) does for nu_c in [0, 1]."""
         if self.kind == "linear" and len(self.coeffs) != self.m:
             return (f"coeffs: expected {self.m} coefficients, "
@@ -225,38 +276,132 @@ class SimplexFunction:
 # Limit harness
 # ---------------------------------------------------------------------------
 
-def simplex_supremum(objective: Callable, m: int, step: float,
-                     support: np.ndarray) -> tuple[float, np.ndarray]:
-    """sup over the simplex of an evaluator that maps (B, m) rows to their
-    (values, (super)gradients): a scan of the grid, GRID_BLOCK rows per
-    call so that its gradients stay small, then projected ascent from the
-    first best grid point, with the entries where ``support`` is False held
-    at 0; when the evaluator returns ``None`` gradients, that grid point."""
+def simplex_supremum(objective: Callable, m: int,
+                     step: float) -> tuple[float, np.ndarray]:
+    """The largest value of an evaluator of (B, m) rows on the simplex grid
+    of mesh ``step``, GRID_BLOCK rows per call, and its first best grid
+    point."""
     pts = simplex_grid(m, step)
     best_v, best = NEG_INF, pts[0]
     for lo in range(0, len(pts), GRID_BLOCK):
-        vals, grads = objective(pts[lo:lo + GRID_BLOCK])
+        vals = objective(pts[lo:lo + GRID_BLOCK])
         i = int(np.argmax(vals))
         if vals[i] > best_v:
             best_v, best = float(vals[i]), pts[lo + i]
-    if grads is not None:
-        x, v = pgd_max_simplex(objective, best, support=support)
-        if v > best_v:
-            best, best_v = x, v
     return best_v, best
+
+
+def _dual_search(F: SimplexFunction, spec: AlphaSpec, a: np.ndarray):
+    """The last t-bracket [lo, hi] of the search for a minimizer of
+    h(t) = rho(t a) - phi_*(t), with the maximizers nu_lo and nu_hi at its
+    ends.  h'(t) = <a, nu_t> - s*(t), with nu_t = maximizer_rows(t a)
+    (Danskin), is nondecreasing, so each step evaluates SEARCH_POINTS t
+    across the bracket as the rows of one ``maximizer_rows`` call and keeps
+    the cell where h' turns nonnegative; an end where it does not is the
+    minimizer.  A bracket that is one point is the minimizer at once."""
+    lo, hi = F.bracket
+    if lo == hi:
+        nu = spec.maximizer_rows(lo * a[None])[0]
+        return lo, hi, nu, nu
+    tol = SEARCH_TOL * min(1.0, hi - lo)
+    for _ in range(SEARCH_CAP):
+        ts = np.linspace(lo, hi, SEARCH_POINTS)
+        nus = spec.maximizer_rows(ts[:, None] * a)
+        up = nus @ a >= F.s_star(ts)
+        i = int(np.argmax(up)) if up.any() else len(ts) - 1
+        j = i - 1 if up[i] and i else i
+        lo, hi, nu_lo, nu_hi = ts[j], ts[i], nus[j], nus[i]
+        if hi - lo <= tol:
+            break
+    return lo, hi, nu_lo, nu_hi
+
+
+def _dual_target(F: SimplexFunction, spec: AlphaSpec):
+    """sup_nu (F(nu) - alpha(nu)) for F = phi(<a, nu>) with phi concave:
+    by Sion's minimax theorem it is inf_t h(t), h(t) = rho(t a) - phi_*(t),
+    the contraction from Sanov to Cramer (Dembo and Zeitouni, Large
+    Deviations Techniques and Applications, Thm 4.2.1).  Returns the
+    target F(nu) - alpha(nu), a lower bound; the upper bound h(t); nu; and
+    for a transport spec the coupling target, F(nu) less the cost of the
+    coupling that moves mu to nu.
+
+    nu mixes the maximizers at the ends of the last bracket, lam nu_lo +
+    (1 - lam) nu_hi, so that <a, nu> is an s*(t) of the bracket: the
+    maximizers at a minimizer form a convex set, so nu is optimal up to
+    the bracket's width even where rho(t a) has a kink (transport), and so
+    is the same mix of the two best-reply couplings.  The tangents
+    t <a, nu_t> - alpha(nu_t) of rho(t a) at the two ends cross at that
+    kink, and the upper bound is h there."""
+    a = F.form
+    lo, hi, nu_lo, nu_hi = _dual_search(F, spec, a)
+    g_lo, g_hi = nu_lo @ a, nu_hi @ a
+    lam, t = 1.0, 0.5 * (lo + hi)
+    if g_hi > g_lo:
+        s = min(max(F.s_star(t), g_lo), g_hi)
+        lam = (g_hi - s) / (g_hi - g_lo)
+    nu = lam * nu_lo + (1.0 - lam) * nu_hi
+    alpha = penalty(np.stack([nu_lo, nu_hi, nu]), spec)
+    if g_hi > g_lo:
+        t = min(max((alpha[1] - alpha[0]) / (g_hi - g_lo), lo), hi)
+    upper = float(risk_rows(spec, t * a[None])[0]) - F.phi_star(t)
+    value = float(F(nu[None])[0])
+    coupling = None
+    if isinstance(spec, Transport):
+        cost = spec.reply_costs(np.outer([lo, hi], a))
+        coupling = value - float(lam * cost[0] + (1.0 - lam) * cost[1])
+    return value - float(alpha[2]), upper, nu, coupling
+
+
+def _convex_target(F: SimplexFunction, spec: AlphaSpec):
+    """sup over s in [0, 1] of phi(s) - I(s) for a well of positive scale,
+    whose convex phi falls outside the minimax theorem: I(s) = sup_t
+    (t s - rho(t e_c)) by ``optim.legendre_max`` (without curvature, so its
+    steps bisect), at LEVEL_POINTS s across a bracket that closes in on the
+    best s until it is SEARCH_TOL wide.  Not certified: the best s of a
+    grid need not lead to the sup.  Returns the best value and the
+    maximizer at its t."""
+    a = F.form
+
+    def fn(t):
+        row = t * a[None]
+        return (float(risk_rows(spec, row)[0]),
+                float(spec.maximizer_rows(row)[0] @ a), 0.0)
+
+    lo, hi, best = 0.0, 1.0, (NEG_INF, 0.0)
+    while True:
+        ss = np.linspace(lo, hi, LEVEL_POINTS)
+        found = []
+        for s in ss:        # a well reads phi(s) at s e_c
+            t, v = legendre_max(fn, s)[:2]
+            found.append((float(F(s * a[None])[0]) - v, t))
+        i = max(range(len(ss)), key=lambda k: found[k][0])
+        best = max(best, found[i])
+        if hi - lo <= SEARCH_TOL:
+            break
+        lo, hi = ss[max(i - 1, 0)], ss[min(i + 1, len(ss) - 1)]
+    return best[0], spec.maximizer_rows(best[1] * a[None])[0]
 
 
 @dataclass
 class SanovRun:
-    """Scaled n-step values of n F(L_n) against the limiting supremum."""
+    """Scaled n-step values of n F(L_n) against the limiting supremum.
+    A certified run's ``target`` is F - alpha at ``argmax`` and its
+    ``upper_bound`` a dual value >= the supremum; a transport run's
+    ``coupling_target`` is F(argmax) less the cost of an explicit coupling
+    from mu to argmax."""
 
     label: str
     schedule: list[int]
     values: list[float]
     target: float
     gaps: list[float]
+    argmax: list[float]
+    upper_bound: Optional[float] = None
     coupling_target: Optional[float] = None
-    argmax: Optional[list[float]] = None
+
+    @property
+    def certified(self) -> bool:
+        return self.upper_bound is not None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -265,11 +410,13 @@ class SanovRun:
             "v_n": self.values,
             "target": self.target,
             "gaps": self.gaps,
+            "argmax": self.argmax,
+            "certified": self.certified,
         }
+        if self.upper_bound is not None:
+            out["upper_bound"] = self.upper_bound
         if self.coupling_target is not None:
             out["coupling_target"] = self.coupling_target
-        if self.argmax is not None:
-            out["argmax"] = self.argmax
         return out
 
     def csv_rows(self) -> list[tuple]:
@@ -284,41 +431,35 @@ def sanov_limit(F: SimplexFunction, spec: AlphaSpec,
     sup_nu (F(nu) - alpha(nu)).  One backward pass over the type classes
     of F's groups serves the whole schedule (``backward_values_symmetric``).
 
-    The target ascends from the best grid point along F.grad - grad alpha
-    on the spec's support, one pass of F - alpha per point; a penalty
-    without a gradient (a set indicator) keeps the grid point.
-
-    A transport spec takes its target sup_nu (F(nu) - W_c(mu, nu)) from the
-    coupling form, which is smooth in the kernel K: the ascent from the
-    grid maximizer gives ``coupling_target``, and ``target`` is the exact
-    F(nu*) - W_c(mu, nu*) at nu* = mu K* (``argmax``).  grid max <=
-    coupling_target <= target <= sup, with equality when K* is an optimal
-    plan between mu and nu*.  Its run is labelled "transport-longrun", any
-    other "sanov".
+    The target comes from the certified 1-d dual (``_dual_target``) when F
+    is concave, that is for every F but a well of positive scale, which
+    takes an uncertified search over s (``_convex_target``).  A set
+    indicator keeps the best point of the simplex grid of ``grid_step``
+    (``simplex_supremum``), uncertified, and that is wrong wherever the
+    sup is off the grid: the three set-indicator configs of ROADMAP item
+    15 report 0.30, 0.61 and 0.74 for the sups 0.613, 0.613 and 0.7955.
+    Its switch to the dual waits for an oracle of the benchmark (ROADMAP
+    item 1).  A transport run is labelled "transport-longrun", any other
+    "sanov".
     """
     space = spec.space
     values = [v / n for n, v in zip(schedule, backward_values_symmetric(
         lambda n: symmetric_terminal(F, n, space), schedule, F.labels, spec))]
 
-    label, coupling = "sanov", None
-    if isinstance(spec, Transport):
-        def J(nu):
-            a = penalty(nu, spec)
-            return np.where(np.isfinite(a), F(nu) - a, NEG_INF)
-
-        label = "transport-longrun"
-        pts = simplex_grid(space.size, grid_step)
-        coupling, arg = _coupling_supremum(F, spec.mu, spec.cost,
-                                           pts[int(np.argmax(J(pts)))])
-        target = float(J(arg[None])[0])
+    upper = coupling = None
+    if isinstance(spec, SetIndicator):
+        target, arg = simplex_supremum(lambda X: F(X) - penalty(X, spec),
+                                       space.size, grid_step)
+    elif F.scale > 0.0:
+        target, arg = _convex_target(F, spec)
     else:
-        target, arg = simplex_supremum(penalized_objective(spec, F, F.grad),
-                                       space.size, grid_step, spec.support)
+        target, upper, arg, coupling = _dual_target(F, spec)
     gaps = [abs(v - target) for v in values]
-    return SanovRun(label, [int(n) for n in schedule],
+    return SanovRun("transport-longrun" if isinstance(spec, Transport)
+                    else "sanov", [int(n) for n in schedule],
                     [float(v) for v in values], float(target), gaps,
-                    coupling_target=coupling,
-                    argmax=[float(x) for x in arg])
+                    [float(x) for x in arg], upper_bound=upper,
+                    coupling_target=coupling)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +510,7 @@ def superhedge(f, space: FiniteSpace, spec: AlphaSpec) -> SuperhedgeCert:
 
 
 # ---------------------------------------------------------------------------
-# Transport: adapted-control form and the coupling supremum
+# Transport: adapted-control form
 # ---------------------------------------------------------------------------
 
 def transport_control_value(f, space: FiniteSpace, mu: Dist, cost) -> float:
@@ -392,38 +533,3 @@ def transport_control_value(f, space: FiniteSpace, mu: Dist, cost) -> float:
         best = gains.max(axis=2)                      # (prefixes, x)
         J = extreal.integral_rows(w, best)
     return float(J[0])
-
-
-def _coupling_supremum(F: SimplexFunction, mu: Dist, c: np.ndarray,
-                       nu0: np.ndarray) -> tuple[float, np.ndarray]:
-    """sup over couplings pi with first marginal mu of
-    F(second marginal) - int c dpi, and the second marginal of the best
-    coupling: one projected ascent over the kernels K (pi = diag(mu) K, a
-    product of m simplices), with one row per start, along the gradient
-    mu_x (F.grad(mu K)_y - c(x, y)) in cell (x, y).
-
-    The starts are the optimal plan to nu0, the uniform kernel on the
-    allowed cells and the cheapest cell of each row.
-    """
-    m = mu.m
-    w = mu.weights
-    allowed = ~np.isinf(c)
-    wc = w[:, None] * np.where(allowed, c, 0.0)
-
-    def objective(K):
-        nu = w @ K
-        vals = F(nu) - (K * wc).reshape(len(K), -1).sum(axis=1)
-        return vals, w[:, None] * F.grad(nu)[:, None, :] - wc
-
-    starts = []
-    sol = solve_transport(w, Dist(mu.space, nu0).weights, c)
-    if sol.plan is not None:
-        starts.append(np.where(w[:, None] > 0, sol.plan / np.maximum(
-            w[:, None], 1e-300), 1.0))
-    starts.append(np.ones((m, m)))      # the projection makes these uniform
-    greedy = np.zeros((m, m))
-    greedy[np.arange(m), np.argmin(np.where(allowed, c, INF), axis=1)] = 1.0
-    starts.append(greedy)
-    K, vals = pgd_max_simplex(objective, np.array(starts), support=allowed)
-    best = int(np.argmax(vals))
-    return float(vals[best]), w @ K[best]

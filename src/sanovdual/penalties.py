@@ -331,6 +331,13 @@ class Transport(AlphaSpec):
         out[~np.isfinite(terms[:, w > 0]).any(axis=2).all(axis=1)] = np.nan
         return out
 
+    def reply_costs(self, F: np.ndarray) -> np.ndarray:
+        """The cost of the coupling by which ``maximizer_rows`` moves mu,
+        each x to its best reply, for each row of finite f."""
+        live = np.flatnonzero(self.mu.weights > 0)
+        best = self._relaxed(F).argmax(axis=2)[:, live]
+        return self.cost[live, best] @ self.mu.weights[live]
+
 
 def penalty(nu, spec: AlphaSpec) -> float | np.ndarray:
     """alpha(nu) without its gradient: a float for a law or a vector, one

@@ -4,8 +4,8 @@ Each penalty family in ``penalties`` owns its closed-form (or
 root-finding) risk rho(f) = sup_nu (int f dnu - alpha(nu)) and the law
 attaining it, rows in, rows out.  This module is their entry point
 (``risk_rows``, ``risk_result``) and adds a certified generic simplex
-maximizer of the same supremum (``generic_risk``), whose ascent evaluator
-(``penalized_objective``) the Sanov limit target shares.
+maximizer of the same supremum (``generic_risk``) with its ascent
+evaluator (``penalized_objective``).
 
 All evaluators accept extended-real inputs: -inf entries of f behave as
 hard exclusions and +inf entries (on charged states) push the value to

@@ -11,7 +11,8 @@ attains a dense recursion's value, the segment-at-a-time quadrature
 walk, the transportation simplex without kept tables, references over the mixture weights of a hull (the distance to
 it by SLSQP, an EM upper bound on robust entropy), and maximization by
 golden section along coordinates (on a box, and the former 2- and 3-d
-rate function search), values with central-difference gradients of rows-in,
+rate function search), transport limit targets by linear programming,
+values with central-difference gradients of rows-in,
 values-out functions, and a tabulated loss's conjugate by a scan of every
 node per entry.
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 from scipy.special import gammaln
 
 from sanovdual import extreal
@@ -546,6 +547,48 @@ def golden_max(fn, lo, hi):
     """Golden-section maximum of a unimodal function on [lo, hi]."""
     x, v = golden_min(lambda t: -fn(t), lo, hi)
     return x, -v
+
+
+# ---------------------------------------------------------------------------
+# Transport limit targets by linear programming
+# ---------------------------------------------------------------------------
+
+def _coupling_lp(objective, mu, cost, A=None, b=None, extra=0):
+    """min of ``objective`` . (pi, z) over couplings pi (row-major) with
+    first marginal mu, no mass on an infinite cost, and ``extra`` free
+    variables z, subject to A (pi, z) <= b: scipy's HiGHS linear program.
+    +inf when infeasible."""
+    mu = np.asarray(mu, dtype=float)
+    finite = np.isfinite(np.asarray(cost, dtype=float)).ravel()
+    m = len(mu)
+    A_eq = np.hstack([np.kron(np.eye(m), np.ones(m)), np.zeros((m, extra))])
+    bounds = [(0.0, None if f else 0.0) for f in finite] + \
+        [(None, None)] * extra
+    res = linprog(objective, A_ub=A, b_ub=b, A_eq=A_eq, b_eq=mu,
+                  bounds=bounds, method="highs")
+    return res.fun if res.status == 0 else INF
+
+
+def transport_level_cost(mu, cost, c: int, s: float) -> float:
+    """The least W_c(mu, nu) over the laws nu with nu_c = s."""
+    m = len(mu)
+    C = np.asarray(cost, dtype=float).ravel()
+    at_c = np.tile(np.eye(m)[c], m)
+    return _coupling_lp(np.where(np.isfinite(C), C, 0.0), mu, cost,
+                        np.vstack([at_c, -at_c]), np.array([s, -s]))
+
+
+def abs_well_transport_sup(mu, cost, c: int, center: float,
+                           k: float) -> float:
+    """sup over nu of -k |nu_c - center| - W_c(mu, nu): the largest z - <c,
+    pi> with z <= -k (nu_c - center) and z <= k (nu_c - center)."""
+    m = len(mu)
+    C = np.asarray(cost, dtype=float).ravel()
+    at_c = np.tile(np.eye(m)[c], m)
+    A = np.array([np.append(k * at_c, 1.0), np.append(-k * at_c, 1.0)])
+    return -_coupling_lp(np.append(np.where(np.isfinite(C), C, 0.0), -1.0),
+                         mu, cost, A, np.array([k * center, -k * center]),
+                         extra=1)
 
 
 def coordinate_ascent_box(objective: Callable[[np.ndarray], float],

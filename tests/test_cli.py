@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 import scipy
 
-from oracles import numeric_tangent_grad
+from oracles import (abs_well_transport_sup, golden_max,
+                     numeric_tangent_grad, transport_level_cost)
 from sanovdual import dp
 from sanovdual.cli import (EXTENDED, FINITE, LAW, ConfigError, _jsonable,
                            _made, _num, _num_list, main,
@@ -767,11 +768,12 @@ class TestTransportCommand:
             assert report["control_gap"] <= 1e-10
 
     @pytest.mark.parametrize("command", ["transport", "sanov"])
-    def test_targets_that_disagree_fail_the_gate(self, tmp_path, capsys,
-                                                 command):
-        # The coupling ascent stalls on the abs_well kink: its target is
-        # below the exact target at its second marginal by about 9.5e-3.
-        # Both commands run the same path, so both gate it.
+    def test_kink_target_is_certified(self, tmp_path, command):
+        # An abs_well whose sup sits on its kink, nu_2 = 0.75: the coupling
+        # ascent of earlier versions stalled there, 9.5e-3 short, and the
+        # run exited 3.  Both commands run the same path.  The oracle is a
+        # golden search over s = nu_2 of -3 |s - 0.75| less the least
+        # transport cost at nu_2 = s, a linear program.
         mu, cost = [0.2, 0.2, 0.6], [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
         edits = {"F": {"kind": "abs_well", "coordinate": 2, "center": 0.75,
                        "scale": -3}, "schedule": [2], "grid_step": 0.1}
@@ -779,10 +781,59 @@ class TestTransportCommand:
             edits.update(mu=mu, cost=cost)
         else:
             edits["spec"] = {"kind": "transport", "mu": mu, "cost": cost}
-        assert run_with(tmp_path, command, edits) == 3
-        assert "transport limit targets disagree" in capsys.readouterr().err
+        assert run_with(tmp_path, command, edits) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert report["target"] - report["coupling_target"] > 1e-6
+        _, want = golden_max(lambda s: -3.0 * abs(s - 0.75) -
+                             transport_level_cost(mu, cost, 2, s), 0.0, 1.0)
+        assert report["certified"]
+        for key in ("target", "upper_bound", "coupling_target"):
+            assert abs(report[key] - want) <= 1e-9
+
+    def test_abs_well_sweep_is_certified(self, tmp_path):
+        # 60 seeded 3-state abs_well runs: mu, the coordinate, the centre
+        # and the scale drawn from default_rng(2026) in that order.  The
+        # coupling ascent of earlier versions put 6 of them at exit 0 with
+        # a target short by up to 1.6e-2 and 9 at exit 3.  The oracle is
+        # the sup over couplings as one linear program.
+        rng = np.random.default_rng(2026)
+        cost = np.abs(np.subtract.outer(np.arange(3.0), np.arange(3.0)))
+        for k in range(60):
+            mu = rng.dirichlet(np.ones(3))
+            c = int(rng.integers(3))
+            center, scale = rng.uniform(0.1, 0.9), rng.uniform(-4.0, -0.5)
+            out = tmp_path / f"out{k}"
+            cfg = write_config(tmp_path, {
+                "mu": mu.tolist(), "cost": cost.tolist(),
+                "F": {"kind": "abs_well", "coordinate": c,
+                      "center": center, "scale": scale},
+                "schedule": [2], "grid_step": 0.1})
+            assert main(["transport", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+            report = json.loads((out / "report.json").read_text())
+            assert report["certified"]
+            assert abs(report["upper_bound"] - report["target"]) <= \
+                1e-9 * (1.0 + abs(report["target"]))
+            want = abs_well_transport_sup(mu, cost, c, center, -scale)
+            assert abs(report["target"] - want) <= 1e-9
+
+    @pytest.mark.parametrize("command", ["transport", "sanov"])
+    def test_a_dual_gap_fails_the_gate(self, tmp_path, capsys, monkeypatch,
+                                       command):
+        # A certified target whose upper bound lies 1e-6 above it, or a
+        # NaN bound, exits 3 and names the stage; the report is written.
+        real = dp.sanov_limit
+        for shift in (1e-6, math.nan):
+            def loose(*args, **kwargs):
+                run = real(*args, **kwargs)
+                run.upper_bound = run.target + shift
+                return run
+            monkeypatch.setattr(dp, "sanov_limit", loose)
+            assert run_edited(tmp_path, command, "schedule", [1]) == 3
+            assert "numeric failure: limit target: dual gap" in \
+                capsys.readouterr().err
+            report = json.loads(
+                (tmp_path / "out" / "report.json").read_text())
+            assert report["certified"]
 
 
 class TestCramerCommand:

@@ -8,13 +8,13 @@ from oracles import (ProductDist, entropic_risk, greedy_optimizer_from_trace,
                      iid_empirical_expectation, risk, symmetric_from_dense,
                      tensor_penalty, tensor_penalty_batch, type_rank)
 import sanovdual.dp as dp_module
-import sanovdual.penalties as penalties_module
+import sanovdual.optim as optim_module
+import sanovdual.risk as risk_module
 from sanovdual.dp import (SimplexFunction, backward_value_dense,
                           backward_value_symmetric, backward_values_symmetric,
                           sanov_limit, simplex_supremum, superhedge,
                           symmetric_terminal, transport_control_value)
 from sanovdual.losses import ExpLoss, PowerLoss
-from sanovdual.optim import simplex_grid
 from sanovdual.penalties import (LpEntropy, RelativeEntropy, Robust,
                                  SetIndicator, Shortfall, Transport, penalty)
 from sanovdual.risk import risk_rows
@@ -286,7 +286,7 @@ class TestSymmetricRecursion:
         # A 3-state well has two groups, so level j gathers the j classes
         # of level j - 1, not C(j + 1, 2): one risk_rows call per level,
         # on the stacked rows of the entries started, C(31, 2) + C(61, 2)
-        # rows in all.
+        # rows in all; the target then adds one row, its upper bound.
         rows = []
         real = dp_module.risk_rows
 
@@ -295,8 +295,8 @@ class TestSymmetricRecursion:
             return real(spec, F, *args)
         monkeypatch.setattr(dp_module, "risk_rows", spy)
         sanov_limit(_well(0.7, m=3), three_state_specs()[0], [30, 60])
-        assert rows == [j * (1 + (j <= 30)) for j in range(60, 0, -1)]
-        assert sum(rows) == 465 + 1830
+        assert rows == [j * (1 + (j <= 30)) for j in range(60, 0, -1)] + [1]
+        assert sum(rows) == 465 + 1830 + 1
 
     def test_rejects_asymmetric_dense_input(self):
         f = np.array([0.0, 1.0, 2.0, 3.0])
@@ -338,6 +338,38 @@ class TestSanovLimit:
             assert v <= limit + 1e-12
         # the gap to the limit closes along the schedule
         assert run.gaps[-1] <= run.gaps[0] + 1e-12
+
+    def test_positive_scale_matches_a_brute_force_grid(self):
+        # A convex F: sup over s = nu_0 of (s - 0.7)^2 - I(s), where
+        # I(s) = s log(s / 0.5) + (1 - s) log((1 - s) / 0.5) is the least
+        # relative entropy to mu at nu_0 = s, on 2,000,001 points of s.
+        mu = Dist(THREE, [0.5, 0.3, 0.2])
+        run = sanov_limit(_well(0.7, 1.0, m=3), RelativeEntropy(mu), [2])
+        s = np.linspace(0.0, 1.0, 2000001)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rate = np.nan_to_num(s * np.log(s / 0.5)) + \
+                np.nan_to_num((1.0 - s) * np.log((1.0 - s) / 0.5))
+        psi = (s - 0.7) ** 2 - rate
+        assert not run.certified and run.upper_bound is None
+        assert abs(run.target - psi.max()) <= 1e-12
+        assert abs(run.argmax[0] - s[np.argmax(psi)]) <= 1e-6
+
+    @pytest.mark.parametrize("kind", ["square_well", "abs_well"])
+    @pytest.mark.parametrize("spec", four_state_specs()[:4] +
+                             four_state_specs()[5:],
+                             ids=lambda s: type(s).__name__)
+    def test_dual_bounds_meet_above_the_grid(self, spec, kind):
+        # On 4 states the two bounds meet within 1e-12 (1 + |target|),
+        # and no point of the simplex grid beats the target.
+        F = _well(0.35, -2.0, m=4, kind=kind, coordinate=1)
+        run = sanov_limit(F, spec, [2])
+        assert run.certified
+        assert abs(run.upper_bound - run.target) <= \
+            1e-12 * (1.0 + abs(run.target))
+        grid = type_index(20, 4) / 20.0
+        assert (F(grid) - penalty(grid, spec)).max() <= run.target + 1e-12
+        nu = np.asarray(run.argmax)
+        assert abs(_one(F)(nu) - penalty(nu, spec) - run.target) <= 1e-15
 
     def test_finite_n_lower_bound(self):
         # v_n >= E_{nu^n}[F o L_n] - alpha(nu) on a grid of product laws
@@ -417,8 +449,20 @@ class TestTransportLongrun:
         run = sanov_limit(_linear(fbar), Transport(UNIF2, COST_TV),
                           [1, 2, 4])
         want = risk(fbar, Transport(UNIF2, COST_TV))
-        assert abs(run.target - want) <= 2e-3
-        assert abs(run.coupling_target - want) <= 1e-6
+        assert abs(run.target - want) <= 1e-12
+        assert abs(run.upper_bound - want) <= 1e-12
+        assert abs(run.coupling_target - want) <= 1e-12
+
+    def test_off_grid_optimum_from_both_bounds(self):
+        # The optimum (0.7333, 0.0667, 0.2) is off every simplex grid; its
+        # value is -19/60 in closed form.
+        mu = Dist(THREE, [0.5, 0.3, 0.2])
+        cost = np.abs(np.subtract.outer(np.arange(3.0), np.arange(3.0)))
+        run = sanov_limit(_well(0.9, -3.0, m=3), Transport(mu, cost), [2],
+                          grid_step=0.1)
+        for value in (run.target, run.upper_bound, run.coupling_target):
+            assert abs(value + 19.0 / 60.0) <= 1e-15
+        assert abs(run.argmax[0] - 11.0 / 15.0) <= 1e-7
 
     def test_constant_target(self):
         run = sanov_limit(SimplexFunction("constant", 2, value=0.21),
@@ -438,17 +482,9 @@ class TestTransportLongrun:
 
 
 class TestSimplexSupremum:
-    def test_concave_quadratic(self):
-        F = _well(0.3)
-        val, arg = simplex_supremum(lambda X: (F(X), F.grad(X)), 2, 0.01,
-                                    np.ones(2, bool))
-        assert abs(val) <= 1e-10
-        assert abs(arg[0] - 0.3) <= 1e-4
-
     def test_no_gradient_keeps_the_best_grid_point(self):
         F = _well(0.333)
-        val, arg = simplex_supremum(lambda X: (F(X), None), 2, 0.01,
-                                    np.ones(2, bool))
+        val, arg = simplex_supremum(F, 2, 0.01)
         assert arg.tolist() == [0.33, 0.67] and val == _one(F)(arg)
 
     @pytest.mark.parametrize("F", [_well(0.333), lambda X: 0.0 * X[:, 0]],
@@ -460,11 +496,11 @@ class TestSimplexSupremum:
 
         def objective(X):
             sizes.append(len(X))
-            return F(X), None
-        whole = simplex_supremum(objective, 2, 0.01, np.ones(2, bool))
+            return F(X)
+        whole = simplex_supremum(objective, 2, 0.01)
         monkeypatch.setattr(dp_module, "GRID_BLOCK", 7)
         sizes.clear()
-        val, arg = simplex_supremum(objective, 2, 0.01, np.ones(2, bool))
+        val, arg = simplex_supremum(objective, 2, 0.01)
         assert sizes == [7] * 14 + [3]
         assert val == whole[0] and arg.tolist() == whole[1].tolist()
 
@@ -472,10 +508,9 @@ class TestSimplexSupremum:
         LpEntropy(Dist(THREE, [0.5, 0.5, 0.0]), 2.0),
         Shortfall(Dist(THREE, [0.5, 0.5, 0.0]), PowerLoss(2.0))])
     def test_ascent_stays_on_the_support(self, spec):
-        # The gradient points into the state mu does not charge, where alpha
-        # is +inf; an ascent that may step there never leaves the grid
-        # point (0.6, 0.4, 0).  The sup is over nu = (x, 1 - x, 0): a grid
-        # over x, then a grid within one step of its best point.
+        # mu does not charge the last state, where alpha is +inf; the sup
+        # is over nu = (x, 1 - x, 0): a grid over x, then a grid within one
+        # step of its best point.
         F = _well(0.7, m=3)
         run = sanov_limit(F, spec, [2], grid_step=0.1)
         lo, hi, best = 0.0, 1.0, -math.inf
@@ -490,55 +525,60 @@ class TestSimplexSupremum:
         assert abs(run.target - best) <= 1e-9
 
 
-class TestAscentGradients:
-    """The Sanov and coupling ascents take one evaluator of values and
-    gradients: every call covers at most the rows still running, never a
-    stack of difference probes, and each evaluated point costs one inner
-    solve of the penalty."""
+class TestTargetWorkCount:
+    """The dual target makes no simplex ascent, and a bounded number of
+    ``maximizer_rows`` and ``risk_rows`` calls that the simplex grid's
+    step does not change."""
 
-    def _spy(self, monkeypatch):
-        seen = []
-        real = dp_module.pgd_max_simplex
+    def _spy(self, monkeypatch, spec):
+        calls = {"maximizer_rows": [], "risk_rows": [], "penalty_rows": []}
+        for name in calls:
+            real = getattr(type(spec), name)
 
-        def spy(objective, x0, **kwargs):
-            starts = 1 if np.ndim(x0) == 1 else len(x0)
-            calls = {"starts": starts, "objective": []}
-            seen.append(calls)
+            def spy(self, F, *args, _name=name, _real=real):
+                calls[_name].append(len(F))
+                return _real(self, F, *args)
+            monkeypatch.setattr(type(spec), name, spy)
 
-            def obj(X):
-                calls["objective"].append(len(X))
-                return objective(X)
-            return real(obj, x0, **kwargs)
-        monkeypatch.setattr(dp_module, "pgd_max_simplex", spy)
-        return seen
+        def no_ascent(*args, **kwargs):
+            raise AssertionError("a limit target ran the simplex ascent")
+        for module in (optim_module, risk_module):
+            monkeypatch.setattr(module, "pgd_max_simplex", no_ascent)
+        return calls
 
+    @pytest.mark.parametrize("F", [
+        _well(0.7, m=3), _well(0.4, -3.0, m=3, kind="abs_well"),
+        _linear([0.3, -1.0, 2.0]), SimplexFunction("constant", 3, value=1.0)],
+        ids=["square_well", "abs_well", "linear", "constant"])
     @pytest.mark.parametrize("spec", [
-        s for s in three_state_specs() if not isinstance(s, SetIndicator)])
-    def test_objective_never_sees_probe_stacks(self, monkeypatch, spec):
-        seen = self._spy(monkeypatch)
-        sanov_limit(_well(0.7, m=3), spec, [2])
-        assert len(seen) == 1 and len(seen[0]["objective"]) >= 2
-        assert max(seen[0]["objective"]) <= seen[0]["starts"]
+        s for s in three_state_specs() if not isinstance(s, SetIndicator)],
+        ids=lambda s: type(s).__name__)
+    def test_bounded_calls_without_ascent(self, monkeypatch, spec, F):
+        # Schedule [1] makes one risk_rows call in the recursion; the
+        # target adds one row for its upper bound and one penalty call of
+        # three rows.  A well's search takes at most SEARCH_CAP calls of
+        # SEARCH_POINTS rows, and 5 on these brackets of width <= 6.
+        calls, counts = self._spy(monkeypatch, spec), []
+        for step in (0.1, 0.01):
+            assert sanov_limit(F, spec, [1], grid_step=step).certified
+            counts.append({k: v.copy() for k, v in calls.items()})
+            for v in calls.values():
+                v.clear()
+        assert counts[0] == counts[1]
+        calls = counts[0]
+        assert calls["risk_rows"] == [1, 1]
+        assert calls["penalty_rows"] == [3]
+        if F.kind in ("linear", "constant"):
+            assert calls["maximizer_rows"] == [1]
+        else:
+            assert 1 <= len(calls["maximizer_rows"]) <= 5
+            assert set(calls["maximizer_rows"]) == {dp_module.SEARCH_POINTS}
 
-    @pytest.mark.parametrize("spec, solve", [
-        (three_state_specs()[3], "_robust_rows"),
-        (three_state_specs()[2], "_shortfall_rows")])
-    def test_one_inner_solve_per_point(self, monkeypatch, spec, solve):
-        # The grid and every ascent point run the family's inner solve
-        # once: values and gradient come from the same pass.
-        seen = self._spy(monkeypatch)
-        real, solved = getattr(penalties_module, solve), []
-
-        def counted(V, *args):
-            solved.append(len(V))
-            return real(V, *args)
-        monkeypatch.setattr(penalties_module, solve, counted)
-        sanov_limit(_well(0.7, m=3), spec, [2], grid_step=0.1)
-        grid = len(simplex_grid(3, 0.1))
-        assert solved == [grid] + seen[0]["objective"]
-
-    def test_set_indicator_makes_no_ascent(self, monkeypatch):
-        seen = self._spy(monkeypatch)
+    def test_set_indicator_scans_the_grid_alone(self, monkeypatch):
         g = (Dist(TWO, [0.2, 0.8]), Dist(TWO, [0.7, 0.3]))
-        sanov_limit(_well(0.5), SetIndicator(g), [2])
-        assert seen == []
+        spec = SetIndicator(g)
+        calls = self._spy(monkeypatch, spec)
+        run = sanov_limit(_well(0.5), spec, [2], grid_step=0.01)
+        assert not run.certified and run.upper_bound is None
+        assert calls["maximizer_rows"] == []
+        assert calls["penalty_rows"] == [101]
