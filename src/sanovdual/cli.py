@@ -556,9 +556,8 @@ def cmd_transport(out: Path, seed: int, mu, cost, F, schedule, grid_step,
         "control_gap": abs(v_ctl - v_rec),
     })
     write_csv(out / "table.csv", ("n", "v_n", "target", "gap"), run.csv_rows())
-    print(f"target={run.target:.9f}" + (
-        "" if run.coupling_target is None else
-        f"  coupling_target={run.coupling_target:.9f}"))
+    print(f"target={run.target:.9f}  coupling_target="
+          f"{run.coupling_target:.9f}")
     print(f"control check: |{v_ctl:.12g} - {v_rec:.12g}| = "
           f"{abs(v_ctl - v_rec):.3e}")
     _check_limit(run)

@@ -20,11 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+import math
+
 import numpy as np
 
 from . import extreal
 from .extreal import NEG_INF
-from .optim import legendre_max, simplex_grid
+from .optim import simplex_grid
 from .penalties import AlphaSpec, SetIndicator, Transport, penalty
 from .risk import risk_rows
 from .spaces import (DENSE_CAP, Dist, FiniteSpace, SpaceError,
@@ -39,10 +41,8 @@ __all__ = [
 
 GRID_STEP = 0.01    # mesh of the simplex grid of a set-indicator target
 GRID_BLOCK = 2 ** 14    # grid rows per evaluator call of that scan
-SEARCH_POINTS = 64  # candidate t per maximizer_rows call of the dual search
+SEARCH_POINTS = 64  # candidate t per call of a target's search
 SEARCH_TOL = 1e-7   # bracket width that stops it, times min(1, first width)
-SEARCH_CAP = 24     # maximizer_rows calls of one dual search
-LEVEL_POINTS = 17   # s per scan of the positive-scale search
 GAP_TOL = 1e-9      # largest dual gap of a certified target, per 1 + |target|
 
 
@@ -144,26 +144,24 @@ def symmetric_terminal(F: SimplexFunction, n: int,
     return n * F(types / n)
 
 
-# The wells: the shape of nu_c - center, and its slope, which for abs_well
-# reads 0 at the kink.
-_WELLS = {"square_well": (np.square, lambda d: 2.0 * d),
-          "abs_well": (np.abs, np.sign)}
+# The wells: the shape of nu_c - center.
+_WELLS = {"square_well": np.square, "abs_well": np.abs}
 
 
 @dataclass(frozen=True)
 class SimplexFunction:
     """A function F of the law on m states, rows in: F(rows) maps a (B, m)
-    batch of laws to their (B,) values, and ``grad(rows)`` to their (B, m)
-    (super)gradients.  Each kind is a function of one linear form <a, nu>:
+    batch of laws to their (B,) values.  Each kind is a function of one
+    linear form <a, nu>:
 
     - ``constant``: F = value;
     - ``linear``: F = <coeffs, nu>;
     - ``square_well`` and ``abs_well``: F = scale (nu_c - center)^2 and
       F = scale |nu_c - center|, with c the coordinate.
 
-    So F = phi(<a, nu>) with a = ``form``, and for a concave phi (scale
-    <= 0) ``bracket``, ``phi_star`` and ``s_star`` set up the 1-d dual of
-    its limit target (``sanov_limit``).
+    So F = phi(<a, nu>) with a = ``form``, and ``bracket``, ``phi_star``
+    and ``s_star`` set up the 1-d search for its limit target
+    (``sanov_limit``).
 
     ``labels`` numbers, by first appearance, the groups of states whose
     counts F(L_n) reads only through their sum, bit for bit: one group
@@ -184,17 +182,8 @@ class SimplexFunction:
             return np.full(len(nu), self.value)
         if self.kind == "linear":
             return nu @ self.coeffs
-        shape = _WELLS[self.kind][0]
+        shape = _WELLS[self.kind]
         return self.scale * shape(nu[:, self.coordinate] - self.center)
-
-    def grad(self, nu: np.ndarray) -> np.ndarray:
-        if self.kind == "constant":
-            return np.zeros_like(nu)
-        if self.kind == "linear":
-            return np.broadcast_to(self.coeffs, nu.shape)
-        c, slope = self.coordinate, _WELLS[self.kind][1]
-        return self.scale * slope(nu[:, c, None] - self.center) * \
-            np.eye(self.m)[c]
 
     @property
     def labels(self) -> np.ndarray:
@@ -217,21 +206,23 @@ class SimplexFunction:
 
     @property
     def bracket(self) -> tuple[float, float]:
-        """The t that can minimize rho(t a) - phi_*(t) for a concave phi,
-        phi_*(t) = inf_s (t s - phi(s)): t = phi'(s) for s in [0, 1] on a
-        well, with k = -scale, and the one t where phi_* is finite for a
-        constant (0) or a linear F (1)."""
+        """The t = phi'(s) for s in [0, 1], which holds the t that solves
+        the 1-d search of the limit target: on a well, the slopes
+        2 scale (s - c) or [-|scale|, |scale|], and for a constant (0) or
+        a linear F (1) the one t where phi_* is finite."""
         if self.kind in ("constant", "linear"):
             t = float(self.kind == "linear")
             return t, t
-        k, c = -self.scale, self.center
         if self.kind == "square_well":
-            return -2.0 * k * (1.0 - c), 2.0 * k * c
-        return -k, k
+            ends = 2.0 * self.scale * (1.0 - self.center), \
+                -2.0 * self.scale * self.center
+            return min(ends), max(ends)
+        return -abs(self.scale), abs(self.scale)
 
     def phi_star(self, t: float) -> float:
-        """phi_*(t) on the bracket: -value, 0, t c - t^2 / (4k) for a
-        square well and t c for an abs well."""
+        """phi_*(t) = inf_s (t s - phi(s)) of a concave phi on the bracket:
+        -value, 0, t c - t^2 / (4k) for a square well (k = -scale) and t c
+        for an abs well."""
         if self.kind == "constant":
             return -self.value
         if self.kind == "linear":
@@ -241,8 +232,8 @@ class SimplexFunction:
         return t * self.center - quad
 
     def s_star(self, t: np.ndarray) -> np.ndarray:
-        """The s that attains phi_*(t), inside a well's bracket:
-        c - t / (2k) for a square well, c for an abs well."""
+        """The s where a well's phi'(s) = t, or its kink's: c + t /
+        (2 scale) for a square well, c for an abs well."""
         if self.kind == "square_well":
             return self.center + t / (2.0 * self.scale)
         return np.full(np.shape(t), self.center)
@@ -250,9 +241,10 @@ class SimplexFunction:
     def fault(self, n: int) -> Optional[str]:
         """Why this F does not serve its m states up to n draws, led by the
         key at fault, or None.  A linear F has m coefficients and a well's
-        coordinate is a state; n F and its gradient must be finite on the
-        simplex (a well's gradients at the vertices end its ``bracket``).  Their sizes peak at its vertices, and a well overflows by
-        its centre when n shape(nu_c - center) does for nu_c in [0, 1]."""
+        coordinate is a state; n F must be finite on the simplex, where its
+        size peaks at the vertices, and so must the width of ``bracket``.
+        A well overflows by its centre when n shape(nu_c - center) does
+        for nu_c in [0, 1]."""
         if self.kind == "linear" and len(self.coeffs) != self.m:
             return (f"coeffs: expected {self.m} coefficients, "
                     f"got {len(self.coeffs)}")
@@ -261,14 +253,15 @@ class SimplexFunction:
                     f"got {self.coordinate!r}")
         vertices = np.eye(self.m)
         with np.errstate(over="ignore", invalid="ignore"):
+            lo, hi = self.bracket
             if np.isfinite(n * self(vertices)).all() and \
-                    np.isfinite(self.grad(vertices)).all():
+                    np.isfinite(hi - lo):
                 return None
             key = {"constant": "value", "linear": "coeffs"}.get(self.kind)
             if key is None:
                 d = np.array([0.0, 1.0]) - self.center
                 key = "scale" if np.isfinite(
-                    n * _WELLS[self.kind][0](d)).all() else "center"
+                    n * _WELLS[self.kind](d)).all() else "center"
         return f"{key}: n F(nu) overflows a float on the simplex at n = {n}"
 
 
@@ -291,6 +284,13 @@ def simplex_supremum(objective: Callable, m: int,
     return best_v, best
 
 
+def _scans(width: float, shrink: float) -> int:
+    """The steps that narrow a bracket of ``width`` to SEARCH_TOL
+    min(1, width) when each keeps 1/shrink of it."""
+    return math.ceil(math.log(max(width, 1.0) / SEARCH_TOL) /
+                     math.log(shrink))
+
+
 def _dual_search(F: SimplexFunction, spec: AlphaSpec, a: np.ndarray):
     """The last t-bracket [lo, hi] of the search for a minimizer of
     h(t) = rho(t a) - phi_*(t), with the maximizers nu_lo and nu_hi at its
@@ -304,7 +304,7 @@ def _dual_search(F: SimplexFunction, spec: AlphaSpec, a: np.ndarray):
         nu = spec.maximizer_rows(lo * a[None])[0]
         return lo, hi, nu, nu
     tol = SEARCH_TOL * min(1.0, hi - lo)
-    for _ in range(SEARCH_CAP):
+    for _ in range(_scans(hi - lo, SEARCH_POINTS - 1)):
         ts = np.linspace(lo, hi, SEARCH_POINTS)
         nus = spec.maximizer_rows(ts[:, None] * a)
         up = nus @ a >= F.s_star(ts)
@@ -353,33 +353,44 @@ def _dual_target(F: SimplexFunction, spec: AlphaSpec):
 
 
 def _convex_target(F: SimplexFunction, spec: AlphaSpec):
-    """sup over s in [0, 1] of phi(s) - I(s) for a well of positive scale,
-    whose convex phi falls outside the minimax theorem: I(s) = sup_t
-    (t s - rho(t e_c)) by ``optim.legendre_max`` (without curvature, so its
-    steps bisect), at LEVEL_POINTS s across a bracket that closes in on the
-    best s until it is SEARCH_TOL wide.  Not certified: the best s of a
-    grid need not lead to the sup.  Returns the best value and the
-    maximizer at its t."""
+    """sup_nu (F(nu) - alpha(nu)) for a well of positive scale, whose
+    convex phi falls outside the minimax theorem.  Toland's duality
+    (Toland, J. Math. Anal. Appl. 66, 1978) makes it sup_t g(t), g(t) =
+    rho(t a) - phi^*(t) with phi^*(t) = sup over s in [0, 1] of
+    (t s - phi(s)), and the t = phi'(s) of a best s lies in F.bracket.
+    g need not be concave, so each step evaluates SEARCH_POINTS t across
+    the bracket as the rows of one ``risk_rows`` call and keeps the two
+    cells around the best.  Not certified: a scan can miss a narrow peak.
+
+    nu = maximizer_rows(t a) at the best t has alpha(nu) = t <a, nu> -
+    rho(t a), and phi(<a, nu>) >= t <a, nu> - phi^*(t), so the value
+    F(nu) - alpha(nu) that nu attains is at least g(t); it is the target.
+    Returns it, nu, and for a transport spec the coupling target, F(nu)
+    less the cost of the best-reply coupling behind nu."""
     a = F.form
-
-    def fn(t):
-        row = t * a[None]
-        return (float(risk_rows(spec, row)[0]),
-                float(spec.maximizer_rows(row)[0] @ a), 0.0)
-
-    lo, hi, best = 0.0, 1.0, (NEG_INF, 0.0)
-    while True:
-        ss = np.linspace(lo, hi, LEVEL_POINTS)
-        found = []
-        for s in ss:        # a well reads phi(s) at s e_c
-            t, v = legendre_max(fn, s)[:2]
-            found.append((float(F(s * a[None])[0]) - v, t))
-        i = max(range(len(ss)), key=lambda k: found[k][0])
-        best = max(best, found[i])
-        if hi - lo <= SEARCH_TOL:
+    lo, hi = F.bracket
+    tol = SEARCH_TOL * min(1.0, hi - lo)
+    best_t, best_g = lo, NEG_INF
+    for _ in range(_scans(hi - lo, 0.5 * (SEARCH_POINTS - 1))):
+        ts = np.linspace(lo, hi, SEARCH_POINTS)
+        # phi^*(t) of a concave t s - phi(s): at s*(t) or an end of [0, 1]
+        s = np.clip([np.zeros_like(ts), np.ones_like(ts), F.s_star(ts)],
+                    0.0, 1.0)
+        conj = ts * s - F(s.reshape(-1, 1) * a).reshape(s.shape)
+        g = risk_rows(spec, ts[:, None] * a) - conj.max(axis=0)
+        i = int(np.argmax(g))
+        if g[i] > best_g:
+            best_t, best_g = ts[i], g[i]
+        lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
+        if hi - lo <= tol:
             break
-        lo, hi = ss[max(i - 1, 0)], ss[min(i + 1, len(ss) - 1)]
-    return best[0], spec.maximizer_rows(best[1] * a[None])[0]
+    row = best_t * a[None]
+    nu = spec.maximizer_rows(row)[0]
+    value = float(F(nu[None])[0])
+    coupling = None
+    if isinstance(spec, Transport):
+        coupling = value - float(spec.reply_costs(row)[0])
+    return value - float(penalty(nu, spec)), nu, coupling
 
 
 @dataclass
@@ -433,7 +444,7 @@ def sanov_limit(F: SimplexFunction, spec: AlphaSpec,
 
     The target comes from the certified 1-d dual (``_dual_target``) when F
     is concave, that is for every F but a well of positive scale, which
-    takes an uncertified search over s (``_convex_target``).  A set
+    takes an uncertified search over t (``_convex_target``).  A set
     indicator keeps the best point of the simplex grid of ``grid_step``
     (``simplex_supremum``), uncertified, and that is wrong wherever the
     sup is off the grid: the three set-indicator configs of ROADMAP item
@@ -451,7 +462,7 @@ def sanov_limit(F: SimplexFunction, spec: AlphaSpec,
         target, arg = simplex_supremum(lambda X: F(X) - penalty(X, spec),
                                        space.size, grid_step)
     elif F.scale > 0.0:
-        target, arg = _convex_target(F, spec)
+        target, arg, coupling = _convex_target(F, spec)
     else:
         target, upper, arg, coupling = _dual_target(F, spec)
     gaps = [abs(v - target) for v in values]

@@ -4,8 +4,7 @@ Each penalty family in ``penalties`` owns its closed-form (or
 root-finding) risk rho(f) = sup_nu (int f dnu - alpha(nu)) and the law
 attaining it, rows in, rows out.  This module is their entry point
 (``risk_rows``, ``risk_result``) and adds a certified generic simplex
-maximizer of the same supremum (``generic_risk``) with its ascent
-evaluator (``penalized_objective``).
+maximizer of the same supremum (``generic_risk``).
 
 All evaluators accept extended-real inputs: -inf entries of f behave as
 hard exclusions and +inf entries (on charged states) push the value to
@@ -15,7 +14,7 @@ hard exclusions and +inf entries (on charged states) push the value to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -56,21 +55,13 @@ def risk_result(f, spec: AlphaSpec) -> RhoResult:
 # Generic simplex maximizer
 # ---------------------------------------------------------------------------
 
-def penalized_objective(spec: AlphaSpec, F: Callable, dF: Callable):
-    """Rows X in, (F - alpha, dF - grad alpha) out from one ``penalty_rows``
-    pass: -inf where alpha is +inf, ``None`` gradients where it has none."""
-    def objective(X):
-        a, grad = spec.penalty_rows(X)
-        vals = np.where(np.isfinite(a), F(X) - a, NEG_INF)
-        return vals, None if grad is None else dF(X) - grad
-    return objective
-
-
 def generic_risk(f, spec: AlphaSpec, restarts: int = RESTARTS,
                  seed: int = 0) -> RhoResult:
     """Maximize int f dnu - alpha(nu) over the simplex by one batched
     projected gradient ascent, one row per start: the uniform law on the
-    feasible states, the closed-form maximizer, then random restarts."""
+    feasible states, the closed-form maximizer, then random restarts.  Its
+    evaluator maps rows X to (<f, X> - alpha, f - grad alpha) from one
+    ``penalty_rows`` pass, -inf where alpha is +inf."""
     fv = np.asarray(f, dtype=float)
     space = spec.space
 
@@ -98,8 +89,11 @@ def generic_risk(f, spec: AlphaSpec, restarts: int = RESTARTS,
     X0 = np.zeros((len(starts), fv.size))
     X0[:, sub] = starts
 
-    J = penalized_objective(
-        spec, lambda X: extreal.weighted_row_sums(X, f_sub), lambda X: f_sub)
+    def J(X):
+        a, grad = spec.penalty_rows(X)
+        vals = extreal.weighted_row_sums(X, f_sub) - a
+        return np.where(np.isfinite(a), vals, NEG_INF), f_sub - grad
+
     X, vals = pgd_max_simplex(J, X0, max_iter=250, ftol=1e-12, support=sub)
     best = int(np.argmax(vals))
     maximizer = Dist(space, X[best]) if np.isfinite(vals[best]) else None

@@ -8,7 +8,7 @@ import pytest
 import scipy
 
 from oracles import (abs_well_transport_sup, golden_max,
-                     numeric_tangent_grad, transport_level_cost)
+                     transport_level_cost)
 from sanovdual import dp
 from sanovdual.cli import (EXTENDED, FINITE, LAW, ConfigError, _jsonable,
                            _made, _num, _num_list, main,
@@ -480,25 +480,32 @@ class TestSimplexFunctions:
     }
 
     @pytest.mark.parametrize("kind", list(KINDS))
-    def test_gradient_matches_central_differences(self, kind):
-        # Rows in, rows out: a (B, m) batch of laws to (B,) values and
-        # (B, m) gradients.
+    def test_rows_in_values_out(self, kind):
+        # A (B, m) batch of laws to its (B,) values, row by row.
         F = parse_simplex_function(self.KINDS[kind], 3)
         assert isinstance(F, dp.SimplexFunction)
         X = np.random.default_rng(7).dirichlet(np.ones(3), size=40)
-        X = X[np.abs(X[:, 2] - 0.25) > 1e-3]    # off abs_well's kink
         assert F(X).shape == (len(X),)
-        g = F.grad(X)
-        assert g.shape == X.shape
-        np.testing.assert_allclose(g, numeric_tangent_grad(F, X)[1],
-                                   atol=1e-7)
+        np.testing.assert_allclose(F(X), [F(x[None])[0] for x in X],
+                                   rtol=1e-15, atol=1e-15)
 
-    def test_abs_well_gradient_is_zero_at_its_kink(self):
-        F = parse_simplex_function(self.KINDS["abs_well"], 3)
-        X = np.array([[0.5, 0.25, 0.25], [0.1, 0.65, 0.25]])
-        assert (F.grad(X) == 0.0).all()
-        np.testing.assert_allclose(numeric_tangent_grad(F, X)[1], 0.0,
-                                   atol=1e-6)
+    @pytest.mark.parametrize("scale", [-2.0, 3.0])
+    @pytest.mark.parametrize("kind", ["square_well", "abs_well"])
+    def test_bracket_holds_the_slopes_on_the_simplex(self, kind, scale):
+        # phi(s) = F at nu_c = s; its slopes at s in [0, 1], by central
+        # differences off the kink, lie in the bracket and reach its ends.
+        F = parse_simplex_function(dict(self.KINDS[kind], scale=scale), 3)
+        c = F.coordinate
+        s = np.linspace(0.0, 1.0, 101)
+        s = s[np.abs(s - F.center) > 1e-3]
+
+        def phi(s):
+            return F(np.outer(s, np.eye(3)[c]))
+        slopes = (phi(s + 1e-6) - phi(s - 1e-6)) / 2e-6
+        lo, hi = F.bracket
+        assert lo <= slopes.min() + 1e-7 and slopes.max() <= hi + 1e-7
+        np.testing.assert_allclose([slopes.min(), slopes.max()], [lo, hi],
+                                   atol=1e-7)
 
     @pytest.mark.parametrize("kind, labels", [
         ("constant", [0, 0, 0]), ("linear", [0, 1, 2]),

@@ -353,6 +353,57 @@ class TestSanovLimit:
         assert not run.certified and run.upper_bound is None
         assert abs(run.target - psi.max()) <= 1e-12
         assert abs(run.argmax[0] - s[np.argmax(psi)]) <= 1e-6
+        nu = np.asarray(run.argmax)
+        assert run.target == _one(_well(0.7, 1.0, m=3))(nu) - \
+            penalty(nu, RelativeEntropy(mu))
+
+    @pytest.mark.parametrize("spec", [
+        RelativeEntropy(Dist(THREE, [0.5, 0.5, 0.0])),
+        Transport(Dist(THREE, [0.5, 0.5, 0.0]),
+                  np.array([[0.0, 1.0, np.inf], [1.0, 0.0, np.inf],
+                            [2.0, 1.0, 0.0]]))],
+        ids=["RelativeEntropy", "Transport"])
+    def test_positive_scale_never_reaches_an_unreachable_level(self, spec):
+        # mu puts no mass on state 2, and no law with nu_2 > 0 has a finite
+        # penalty, so the sup of 1e4 (nu_2 - 0.1)^2 - alpha is F(mu) = 100,
+        # attained at mu; a search over nu_2 that took an unreachable level
+        # as cheap reported 7,100.
+        run = sanov_limit(_well(0.1, 1e4, m=3, coordinate=2), spec, [2])
+        assert abs(run.target - 100.0) <= 1e-12
+        assert run.argmax == [0.5, 0.5, 0.0]
+        if isinstance(spec, Transport):
+            assert run.coupling_target == run.target
+
+    def test_positive_scale_transport_keeps_its_coupling_target(self):
+        # The coupling target is F(argmax) less the cost of an explicit
+        # coupling to argmax, so it lies at most target; here they meet.
+        mu = Dist(THREE, [0.5, 0.3, 0.2])
+        cost = np.abs(np.subtract.outer(np.arange(3.0), np.arange(3.0)))
+        spec = Transport(mu, cost)
+        for kind in ("square_well", "abs_well"):
+            F = _well(0.4, 2.0, m=3, kind=kind, coordinate=1)
+            run = sanov_limit(F, spec, [2])
+            nu = np.asarray(run.argmax)
+            assert not run.certified
+            assert run.target == _one(F)(nu) - penalty(nu, spec)
+            assert abs(run.coupling_target - run.target) <= 1e-12
+            grid = type_index(40, 3) / 40.0
+            assert (F(grid) - penalty(grid, spec)).max() <= run.target + 1e-12
+
+    @pytest.mark.parametrize("scale", [-1e36, -1e40])
+    def test_wide_bracket_is_narrowed_to_the_tolerance(self, scale):
+        # The search's step count grows with the bracket: a fixed cap of
+        # 24 steps left a t-cell too wide for the gap gate at these
+        # scales.  As the scale grows the sup tends to -I(0.35), the least
+        # relative entropy to mu at nu_1 = 0.35.
+        mu = Dist(THREE, [0.5, 0.3, 0.2])
+        run = sanov_limit(_well(0.35, scale, m=3, coordinate=1),
+                          RelativeEntropy(mu), [2])
+        want = -(0.35 * math.log(0.35 / 0.3) + 0.65 * math.log(0.65 / 0.7))
+        assert run.certified
+        assert abs(run.upper_bound - run.target) <= \
+            dp_module.GAP_TOL * (1.0 + abs(run.target))
+        assert abs(run.target - want) <= 1e-12
 
     @pytest.mark.parametrize("kind", ["square_well", "abs_well"])
     @pytest.mark.parametrize("spec", four_state_specs()[:4] +
@@ -556,8 +607,8 @@ class TestTargetWorkCount:
     def test_bounded_calls_without_ascent(self, monkeypatch, spec, F):
         # Schedule [1] makes one risk_rows call in the recursion; the
         # target adds one row for its upper bound and one penalty call of
-        # three rows.  A well's search takes at most SEARCH_CAP calls of
-        # SEARCH_POINTS rows, and 5 on these brackets of width <= 6.
+        # three rows.  A well's search takes calls of SEARCH_POINTS rows,
+        # 5 on these brackets of width <= 6.
         calls, counts = self._spy(monkeypatch, spec), []
         for step in (0.1, 0.01):
             assert sanov_limit(F, spec, [1], grid_step=step).certified
@@ -573,6 +624,29 @@ class TestTargetWorkCount:
         else:
             assert 1 <= len(calls["maximizer_rows"]) <= 5
             assert set(calls["maximizer_rows"]) == {dp_module.SEARCH_POINTS}
+
+    @pytest.mark.parametrize("kind", ["square_well", "abs_well"])
+    @pytest.mark.parametrize("spec", [
+        s for s in three_state_specs() if not isinstance(s, SetIndicator)],
+        ids=lambda s: type(s).__name__)
+    def test_positive_scale_calls_are_batched(self, monkeypatch, spec, kind):
+        # Each step of the positive-scale search is one risk_rows call of
+        # SEARCH_POINTS rows, 6 on these brackets of width 4; the target
+        # adds one maximizer_rows row and one penalty row.
+        F = _well(0.4, 2.0, m=3, kind=kind)
+        calls, counts = self._spy(monkeypatch, spec), []
+        for step in (0.1, 0.01):
+            assert not sanov_limit(F, spec, [1], grid_step=step).certified
+            counts.append({k: v.copy() for k, v in calls.items()})
+            for v in calls.values():
+                v.clear()
+        assert counts[0] == counts[1]
+        calls = counts[0]
+        assert calls["risk_rows"][0] == 1
+        assert 1 <= len(calls["risk_rows"][1:]) <= 6
+        assert set(calls["risk_rows"][1:]) == {dp_module.SEARCH_POINTS}
+        assert calls["maximizer_rows"] == [1]
+        assert calls["penalty_rows"] == [1]
 
     def test_set_indicator_scans_the_grid_alone(self, monkeypatch):
         g = (Dist(TWO, [0.2, 0.8]), Dist(TWO, [0.7, 0.3]))
