@@ -66,12 +66,13 @@ class InconclusiveError(Exception):
 # Config readers: each maps (value, path, domain) to the coerced value
 # ---------------------------------------------------------------------------
 
-# Number domains: (predicate, the phrase of the error when it fails).
-FINITE = (math.isfinite, "expected a finite number")
+# Number domains: (predicate, the phrase of the error when it fails); each
+# predicate takes a float or, elementwise, a float array.
+FINITE = (np.isfinite, "expected a finite number")
 EXTENDED = (lambda x: x == x, "expected a number")     # +-inf, never NaN
-POSITIVE = (lambda x: 0.0 < x < math.inf, "expected a finite number > 0")
-STEP = (lambda x: 0.0 < x <= 1.0, "expected a step in (0, 1]")
-GRID_END = (math.isfinite, "a grid end must be finite")
+POSITIVE = (lambda x: (0 < x) & (x < np.inf), "expected a finite number > 0")
+STEP = (lambda x: (0 < x) & (x <= 1), "expected a step in (0, 1]")
+GRID_END = (np.isfinite, "a grid end must be finite")
 # Integer domains: (low, bits) for the integers in [low, 2^bits).
 COUNT = (1, 64)
 INDEX = (0, 64)
@@ -101,18 +102,18 @@ def _num(value, path, domain):
 
 
 def _num_list(value, path, domain):
-    """A float array of a list of numbers in ``domain``, checked in bulk;
-    only a failing list is walked entry by entry, to name the entry."""
+    """A float array of a list of numbers in ``domain``, converted and
+    checked as one array; only a failing list is walked, to name the entry."""
     if not isinstance(value, list):
         raise ConfigError(f"{path}: expected a list of numbers")
     if set(map(type, value)) <= {float, int}:     # no bool, str or list
         try:
-            out = list(map(float, value))
+            out = np.array(value, dtype=float)
         except OverflowError:     # an int too large for a float; _num names it
             pass
         else:
-            if all(map(domain[0], out)):
-                return np.asarray(out)
+            if domain[0](out).all():
+                return out
     return np.asarray([_num(v, f"{path}[{i}]", domain)
                        for i, v in enumerate(value)])
 
@@ -489,8 +490,8 @@ def cmd_saa(out: Path, seed: int, decisions, loss, law, epsilon, q, schedule,
     if growth is not None and experiment != "argmin":
         raise ConfigError("growth: only the argmin experiment takes a "
                           "growth function")
-    check_admissible(law, q)
     _series(schedule, q)
+    check_admissible(law, q)
     _enough(replications)
     instance = mc.SAAInstance(decisions, loss, law, epsilon=epsilon, q=q,
                               growth=growth)

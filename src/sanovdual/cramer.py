@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .extreal import INF
-from .laws import Law, LawError
+from .laws import Law, LawError, norm_power
 from .optim import legendre_max, legendre_max_nd, newton_nonincreasing
 
 log = logging.getLogger("sanovdual")
@@ -92,8 +92,7 @@ def plus_power_moments(law: Law, t, m: float, q: float,
 def moment_norm(law: Law, q: float) -> float:
     """M_q = E[||X||^q]^(1/q)."""
     check_admissible(law, q)
-    s = law.expect(lambda x: (np.abs(x) if x.ndim == 1 else
-                              np.linalg.norm(x, axis=1)) ** q, breaks=(0.0,))
+    s = law.expect(lambda x: norm_power(x, q), breaks=(0.0,))
     return float(s ** (1.0 / q))
 
 

@@ -43,12 +43,11 @@ def fold_columns(ufunc, rows: np.ndarray, cols) -> np.ndarray:
     return functools.reduce(ufunc, (rows[:, j] for j in cols))
 
 
-def weighted_row_sums(rows: np.ndarray, w: np.ndarray,
-                      start=0.0) -> np.ndarray:
-    """start + sum_j w_j rows[:, j] for each row of a (B, m) array, added
-    column by column from the left.  A matrix-vector product may round a
-    row differently in batches of different sizes; this sum does not."""
-    out = np.zeros(rows.shape[0]) + start
+def weighted_row_sums(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_j w_j rows[:, j] for each row of a (B, m) array, added column by
+    column from the left.  A matrix-vector product may round a row
+    differently in batches of different sizes; this sum does not."""
+    out = np.zeros(rows.shape[0])
     for j, wj in enumerate(np.asarray(w).tolist()):
         out += wj * rows[:, j]
     return out

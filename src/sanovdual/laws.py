@@ -45,8 +45,21 @@ class _DensityLaw(_Law):
                             centre=self.centre)
 
 
+def norm_power(x: np.ndarray, q: float) -> np.ndarray:
+    """||x||^q of each point of a (k,) or (k, d) array."""
+    return (np.abs(x) if x.ndim == 1 else np.linalg.norm(x, axis=1)) ** q
+
+
+class _AtomLaw(_Law):
+    def check_moment(self, q: float) -> None:
+        """E|X|^q is a finite sum here, but it can overflow a float."""
+        with np.errstate(over="ignore"):
+            if not np.isfinite(self.expect(lambda x: norm_power(x, q))):
+                raise LawError(f"E|X|^{q} over its points is not finite")
+
+
 @dataclass(frozen=True)
-class FiniteSupportLaw(_Law):
+class FiniteSupportLaw(_AtomLaw):
     """Atoms of shape (k,) or (k, d) with probability weights."""
 
     atoms: np.ndarray
@@ -75,7 +88,7 @@ class FiniteSupportLaw(_Law):
 
 
 @dataclass(frozen=True)
-class EmpiricalLaw(_Law):
+class EmpiricalLaw(_AtomLaw):
     """Plug-in law of observed samples, shape (N,) or (N, d)."""
 
     samples: np.ndarray

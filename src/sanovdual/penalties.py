@@ -407,41 +407,48 @@ def shortfall_risk_rows(F: np.ndarray, w: np.ndarray, loss: LossFn,
     """The smallest m with int l(f - m) dmu <= 1, per row.  It is the
     row's largest entry on mu's support where that is +inf or -inf.
 
-    The root finder starts from [min f - 1, max f + 1], or, given a level
-    ``near`` where the roots are expected, from near -+ 1e-9 (1 + |near|).
-    A bracket that misses a row is stepped out like any other, so every
-    row is certified either way."""
+    The root finder's lower end opens at s - 1e-9 (1 + |s|), for s the
+    level ``near`` where the roots are expected or else the row's cash
+    floor rho(f) >= int f dmu (alpha(mu) = 0; with -inf entries, the mean
+    of the finite ones).  A start above a row's root is stepped out, so
+    every row is certified either way.  G sums the states by
+    ``weighted_row_sums`` over (states, rows) arrays."""
     live = (w > 0.0).nonzero()[0]
-    Fl = np.asarray(F, dtype=float)[:, live]
     wl = w[live]
-    cols = range(len(live))
-    top = fold_columns(np.maximum, Fl, cols)
+    FT = np.asarray(F, dtype=float).T[live]     # each state's row contiguous
+    top = fold_columns(np.maximum, FT.T, range(len(live)))
     work = np.isfinite(top)
     out = np.array(top)
     if not work.any():
         return out
 
-    Fw = Fl[work]
-    finw = np.isfinite(Fw)
-    cw = weighted_row_sums(np.isneginf(Fw), wl) * loss.left_limit
+    FT = FT if work.all() else np.compress(work, FT, axis=1)
+    fin = np.isfinite(FT)       # False at -inf only
+    masked = not fin.all()
+    # G's weights and the finite mass, which rounds as weighted_row_sums
+    # gives it below, so that a row's start does not depend on its batch.
+    head, mass = wl, sum(wl.tolist())
+    if masked:      # G's -inf part is its first state, of weight 1
+        FT = np.where(fin, FT, 0.0)
+        cw = weighted_row_sums(~fin.T, wl) * loss.left_limit
+        head, mass = np.append(1.0, wl), weighted_row_sums(fin.T, wl)
     if near is None:
         # hi is an upper end, since every loss has l(-1) < 1 and
-        # left_limit < 1.
-        lo = fold_columns(np.minimum, np.where(finw, Fw, INF), cols) - 1.0
-        hi = top[work] + 1.0
+        # left_limit < 1, so the first step down, hi - lo, is over 1.
+        s, hi = weighted_row_sums(FT.T, wl) / mass, top[work] + 1.0
     else:
-        delta = 1e-9 * (1.0 + abs(near))
-        lo = np.full(len(Fw), near - delta)
-        hi = np.full(len(Fw), near + delta)
-
-    Fz, down = np.where(finw, Fw, 0.0), -wl
+        s = np.full(FT.shape[1], float(near))
+        hi = s + 1e-9 * (1.0 + np.abs(s))
+    lo = s - 1e-9 * (1.0 + np.abs(s))
 
     def G(m):
-        Z = Fz - m[:, None]
-        vals = np.where(finw, loss.value(Z), 0.0)
-        slopes = np.where(finw, loss.prime(Z), 0.0)
-        return (weighted_row_sums(vals, wl, cw),
-                weighted_row_sums(slopes, down))
+        Z = FT - m
+        vals, slopes = loss.value(Z), loss.prime(Z)
+        if masked:
+            vals = np.vstack([cw, np.where(fin, vals, 0.0)])
+            slopes = np.where(fin, slopes, 0.0)
+        return (weighted_row_sums(vals.T, head),
+                weighted_row_sums(slopes.T, -wl))
 
     out[work] = newton_nonincreasing(G, 1.0, lo, hi, hi - lo)
     return out

@@ -749,8 +749,9 @@ def entropic_risk_rows_by_row(F: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def shortfall_risk_rows_by_row(F: np.ndarray, w: np.ndarray,
                                loss: LossFn) -> np.ndarray:
-    """``penalties.shortfall_risk_rows`` by reductions along each row.  Its
-    weight sum of the -inf states rounds alike for fewer than 8 states."""
+    """``penalties.shortfall_risk_rows`` by reductions along each row and
+    G on (rows, states) arrays, from the same mu-mean floor.  Its weight
+    sum of the -inf states rounds alike for fewer than 8 states."""
     live = w > 0.0
     Fl = np.asarray(F, dtype=float)[:, live]
     wl = w[live]
@@ -765,18 +766,49 @@ def shortfall_risk_rows_by_row(F: np.ndarray, w: np.ndarray,
     if not work.any():
         return out
     Fw, finw, cw = Fl[work], fin[work], const[work]
-    lo = np.where(finw, Fw, np.inf).min(axis=1) - 1.0
     hi = np.where(finw, Fw, -np.inf).max(axis=1) + 1.0
     Fz = np.where(finw, Fw, 0.0)
+    # The mu-mean of the finite entries, the floor the kernel starts at.
+    s = (extreal.weighted_row_sums(Fz, wl) /
+         extreal.weighted_row_sums(finw, wl))
+    lo = s - 1e-9 * (1.0 + np.abs(s))
+    head = np.concatenate([[1.0], wl])     # cw first, then the states
 
     def G(m):
         Z = Fz - m[:, None]
         vals = np.where(finw, loss.value(Z), 0.0)
         slopes = np.where(finw, loss.prime(Z), 0.0)
-        return (extreal.weighted_row_sums(vals, wl, cw),
+        return (extreal.weighted_row_sums(np.column_stack([cw, vals]), head),
                 extreal.weighted_row_sums(slopes, -wl))
 
     out[work] = newton_nonincreasing(G, 1.0, lo, hi, hi - lo)
+    return out
+
+
+def power2_shortfall_rows(F: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The shortfall risk of the loss ((1 + x)^+)^2 in closed form, per row
+    with a finite largest entry.  On the active states A, where
+    1 + f - rho > 0, sum_A w (1 + f - rho)^2 = 1 is a quadratic in rho, so
+    rho = M + 1 - sqrt((1 - V) / W) for the mass W, mean M and spread
+    V = sum_A w (f - M)^2 of f on A.  A holds the k largest entries for the
+    smallest k whose rho leaves the next entry inactive: a smaller k gives
+    a root below the next entry, as that entry is active."""
+    live = w > 0.0
+    Fl = np.asarray(F, dtype=float)[:, live]
+    order = np.argsort(-Fl, axis=1, kind="stable")
+    fs = np.take_along_axis(Fl, order, axis=1)
+    ws = w[live][order]
+    out = np.full(len(Fl), np.nan)
+    for k in range(1, fs.shape[1] + 1):
+        f, v = fs[:, :k], ws[:, :k]
+        W = v.sum(axis=1)
+        with np.errstate(invalid="ignore"):     # -inf in A, or V > 1
+            M = (v * f).sum(axis=1) / W
+            V = (v * (f - M[:, None]) ** 2).sum(axis=1)
+            rho = M + 1.0 - np.sqrt((1.0 - V) / W)
+        below = fs[:, k] if k < fs.shape[1] else -np.inf
+        first = np.isnan(out) & (rho >= 1.0 + below)
+        out[first] = rho[first]
     return out
 
 

@@ -10,9 +10,9 @@ import scipy
 from oracles import (abs_well_transport_sup, golden_max,
                      transport_level_cost)
 from sanovdual import dp
-from sanovdual.cli import (EXTENDED, FINITE, LAW, ConfigError, _jsonable,
-                           _made, _num, _num_list, main,
-                           parse_simplex_function, write_json)
+from sanovdual.cli import (EXTENDED, FINITE, GRID_END, LAW, POSITIVE, STEP,
+                           ConfigError, _jsonable, _made, _num, _num_list,
+                           main, parse_simplex_function, write_json)
 from sanovdual.losses import PowerLoss
 from sanovdual.penalties import Shortfall
 from sanovdual.risk import risk_result
@@ -339,6 +339,11 @@ class TestExitCodes:
         ("rho", {"spec": {"kind": "transport", "mu": [0.5, 0.5],
                           "cost": [[0.0, 1.0], [1.0]]}},
          "spec.cost: rows of unequal length"),
+        # sum w |x|^q overflowed, and the run reported "moment": Infinity.
+        ("cramer", {"law.atoms": [-1.0, 1e308]},
+         "config error: law: E|X|^2.0 over its points is not finite"),
+        ("cramer", {"law": {"kind": "empirical", "samples": [-1.0, 1e308]}},
+         "config error: law: E|X|^2.0 over its points is not finite"),
     ])
     def test_config_values_are_checked(self, tmp_path, capsys, command,
                                        edits, named):
@@ -967,7 +972,33 @@ class TestNumList:
         with pytest.raises(ConfigError, match=r"^f\[7\]: expected a finite"):
             _num_list(extended, "f", FINITE)
 
-    @pytest.mark.parametrize("bad", [True, "nan", [1.0]])
+    @pytest.mark.parametrize("domain", [FINITE, EXTENDED, POSITIVE, STEP,
+                                        GRID_END],
+                             ids=["finite", "extended", "positive", "step",
+                                  "grid_end"])
+    @pytest.mark.parametrize("value", [0, -0.0, 1, 1e308, math.inf,
+                                       -math.inf, math.nan, 2 ** 53 + 1,
+                                       10 ** 400],
+                             ids=["0", "-0.0", "1", "1e308", "inf", "-inf",
+                                  "nan", "2^53+1", "10^400"])
+    def test_array_and_number_give_one_verdict(self, domain, value):
+        # A one-entry list is checked as an array, a number as a float.
+        try:
+            want = _num(value, "f[0]", domain)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as got:
+                _num_list([value], "f", domain)
+            assert str(got.value) == str(exc)
+        else:
+            out = _num_list([value], "f", domain)
+            assert out.dtype == np.float64
+            assert out.tobytes() == np.float64(want).tobytes()
+        if value == 10 ** 400:
+            with pytest.raises(ConfigError, match=r"^f\[0\]: integer too "
+                               r"large for a float$"):
+                _num_list([value], "f", domain)
+
+    @pytest.mark.parametrize("bad", [True, "nan", [1.0], False, "1.0"])
     def test_bad_entry_is_named(self, bad):
         with pytest.raises(ConfigError) as exc:
             _num_list([1.0, 2, bad], "f", EXTENDED)

@@ -5,12 +5,13 @@ import pytest
 
 from oracles import (bisect_root, entropic_risk, entropic_risk_rows_by_row,
                      integral, integral_rows_by_row, oce_risk,
-                     penalty_from_risk, risk, risk_maximizer,
-                     robust_entropic_risk, shortfall_risk,
+                     penalty_from_risk, power2_shortfall_rows, risk,
+                     risk_maximizer, robust_entropic_risk, shortfall_risk,
                      shortfall_risk_rows_by_row, transport_risk_rows_by_row)
 import sanovdual.risk as risk_module
 from sanovdual import extreal
 from sanovdual.losses import ExpLoss, PowerLoss, TabulatedLoss
+from sanovdual.optim import TOL
 from sanovdual.penalties import (LpEntropy, RelativeEntropy, Robust,
                                  SetIndicator, Shortfall, Transport,
                                  entropic_risk_rows, penalty,
@@ -193,8 +194,8 @@ class TestColumnKernels:
 
 class TestWarmBracket:
     """A ``near`` hint only moves where the root finder starts: every row
-    keeps G(rho) <= 1 and agrees with the cold bracket, also where its
-    root lies far from the hint."""
+    keeps G(rho) <= 1 and agrees with the start at its mu-mean floor,
+    also where its root lies far from the hint."""
 
     @staticmethod
     def G(F, w, loss, m):
@@ -205,9 +206,9 @@ class TestWarmBracket:
         with np.errstate(invalid="ignore"):
             vals = np.where(fin, loss.value(np.where(fin, Fl, 0.0) -
                                             m[:, None]), 0.0)
-        return extreal.weighted_row_sums(
-            vals, wl, extreal.weighted_row_sums(np.isneginf(Fl), wl) *
-            loss.left_limit)
+        cw = extreal.weighted_row_sums(np.isneginf(Fl), wl) * loss.left_limit
+        return extreal.weighted_row_sums(np.column_stack([cw, vals]),
+                                         np.concatenate([[1.0], wl]))
 
     @pytest.mark.parametrize("loss", [PowerLoss(2.0), PowerLoss(3.5),
                                       ExpLoss(), TestColumnKernels.TAB],
@@ -250,6 +251,45 @@ class TestWarmBracket:
                      SetIndicator((mu, Dist(THREE, [0.2, 0.2, 0.6])))):
             assert risk_rows(spec, F, near=0.0).tobytes() == \
                 risk_rows(spec, F).tobytes()
+
+
+def power2_batches():
+    """The (F, w) batches the q = 2 closed form is checked on."""
+    rng = np.random.default_rng(5)
+    w4 = rng.dirichlet(np.ones(4))
+    F = rng.normal(size=(400, 4)) * 3.0
+    F[rng.random(size=F.shape) < 0.4] = -INF
+    F[np.arange(400), rng.integers(4, size=400)] = rng.normal(size=400)
+    batches = {
+        "random": (rng.normal(size=(400, 4)) * 3.0, w4),
+        "constant": (np.repeat(rng.normal(size=(60, 1)) * 10.0, 4, axis=1),
+                     w4),
+        "neg_inf": (F, w4),
+        "zero_weight": (rng.normal(size=(400, 5)) * 3.0,
+                        np.array([0.3, 0.0, 0.2, 0.4, 0.1])),
+        "wide_spread": (rng.normal(size=(400, 3)) *
+                        10.0 ** rng.uniform(-3.0, 6.0, size=(400, 1)),
+                        np.array([0.001, 0.5, 0.499])),
+        "wide_batch": (rng.normal(size=(2 ** 15, 2)) * 3.0,
+                       np.array([0.25, 0.75]))}
+    return [pytest.param(F, w, id=name) for name, (F, w) in batches.items()]
+
+
+class TestFloorStart:
+    """Roots found from the mu-mean floor against the closed form of the
+    q = 2 shortfall risk: each row within 1e-12 (1 + |rho|) and certified,
+    G(rho) <= 1 < G(rho - tol)."""
+
+    @pytest.mark.parametrize("F,w", power2_batches())
+    def test_matches_the_closed_form(self, F, w):
+        loss = PowerLoss(2.0)
+        got = shortfall_risk_rows(F, w, loss)
+        want = power2_shortfall_rows(F, w)
+        assert np.isfinite(want).all()
+        assert (np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))).all()
+        G = TestWarmBracket.G
+        assert (G(F, w, loss, got) <= 1.0).all()
+        assert (G(F, w, loss, got - TOL * (1.0 + np.abs(got))) > 1.0).all()
 
 
 class TestOceRisk:
