@@ -37,7 +37,10 @@ CONVEX_TOL = 1e-7   # slack of the midpoint convexity records
 
 
 def check_admissible(law: Law, q: float) -> None:
-    """The q-th moment must exist for the declared exponent."""
+    """The q-th moment must exist for the declared exponent.  Each public
+    entry (``cumulant``, ``rate_function``, ``moment_norm``,
+    ``conjugate_pair``) checks once, before any solve; the solves inside
+    take the unchecked paths ``_cumulant`` and ``_rate_function``."""
     if not q > 1.0:
         raise LawError("exponent q must exceed 1")
     law.check_moment(q)
@@ -113,12 +116,13 @@ def cumulant(law: Law, x_star, q: float) -> float:
     returned (with a diagnostic) if G never reaches 1.  ``x_star`` must
     have the law's dimension (``LawError`` otherwise).
     """
+    check_admissible(law, q)
     return _cumulant(law, x_star, q)[0]
 
 
 def _cumulant(law: Law, x_star, q: float, start: Optional[float] = None,
               curvature: bool = False):
-    """(cumulant, gradient, Hessian) at x_star.
+    """(cumulant, gradient, Hessian) at x_star, for an admissible (law, q).
 
     ``start`` is a point believed to lie left of the root, such as a lower
     bound from a tangent; it is certified by G > 1 and, if rounding broke
@@ -130,7 +134,6 @@ def _cumulant(law: Law, x_star, q: float, start: Optional[float] = None,
     derivatives, E[X] and (q - 1) Cov X, cost one pass over the law, made
     only for ``curvature``.
     """
-    check_admissible(law, q)
     t = np.atleast_1d(np.asarray(x_star, dtype=float))
     _check_dimension(law, t, "t")
 
@@ -177,22 +180,29 @@ class RatePoint:
     bound: float  # bounds the supremum; +inf if diverged or uncertified
 
 
-def rate_function(law: Law, x, q: float, *, zero=None) -> RatePoint:
+def rate_function(law: Law, x, q: float) -> RatePoint:
     """sup over dual vectors of <t, x> - cumulant(t), for x of the law's
     dimension, at most 3 (``LawError`` otherwise), by
     ``optim.legendre_max`` (``legendre_max_nd`` in 2 and 3 dimensions) from
     t = 0 with the cumulant's gradient and Hessian, certified within
     ``optim.TOL`` (1 + |value|) by its tangents; "diverged", value +inf,
     where no maximizer lies within the ray radius (``optim.legendre_max``).
-    ``zero``, if given, is ``_cumulant(law, 0.0, q, curvature=True)``, the
-    pass at t = 0 that every search makes first.
     Each cumulant solve starts from the tangent at the point solved last.
     """
     xv = np.atleast_1d(np.asarray(x, dtype=float))
-    d = xv.size
-    if d > 3:
+    if xv.size > 3:
         raise LawError("dual search is certified only for d <= 3")
     _check_dimension(law, xv, "x")
+    check_admissible(law, q)
+    return _rate_function(law, xv, q, None)
+
+
+def _rate_function(law: Law, xv: np.ndarray, q: float, zero) -> RatePoint:
+    """``rate_function`` at a 1-d array x of the law's dimension, for an
+    admissible (law, q).  ``zero``, if not None, is
+    ``_cumulant(law, 0.0, q, curvature=True)``, the pass at t = 0 that
+    every search makes first."""
+    d = xv.size
     tangent = None  # the latest (t_i, cumulant(t_i), gradient at t_i)
 
     def fn(t):
@@ -272,10 +282,11 @@ def conjugate_pair(law: Law, q: float, dual_grid, primal_grid) -> ConjugatePair:
     check_admissible(law, q)
     dual_grid = np.asarray(dual_grid, dtype=float)
     primal_grid = np.asarray(primal_grid, dtype=float)
-    dual_values = np.array([cumulant(law, t, q) for t in dual_grid])
+    dual_values = np.array([_cumulant(law, t, q)[0] for t in dual_grid])
     zero = _cumulant(law, 0.0, q, curvature=True)
-    primal_values = np.array([rate_function(law, x, q, zero=zero).value
-                              for x in primal_grid])
+    primal_values = np.array([
+        _rate_function(law, np.atleast_1d(x), q, zero).value
+        for x in primal_grid])
     mq = moment_norm(law, q)
     minorant = -1.0 + np.abs(primal_grid) / mq
     min_ok = bool((primal_values >= minorant - 1e-6).all())
@@ -284,7 +295,7 @@ def conjugate_pair(law: Law, q: float, dual_grid, primal_grid) -> ConjugatePair:
         dual_grid=dual_grid, dual_values=dual_values,
         primal_grid=primal_grid, primal_values=primal_values,
         moment=mq,
-        value_at_zero=cumulant(law, 0.0, q),
+        value_at_zero=_cumulant(law, 0.0, q)[0],
         convex_dual=_midpoint_convex(dual_grid, dual_values),
         convex_primal=_midpoint_convex(primal_grid, primal_values),
         minorant_ok=min_ok,

@@ -25,6 +25,7 @@ from .penalties import AlphaSpec
 from .spaces import Dist
 
 RESTARTS = 200      # starts of a generic run that does not set its own
+ROW_BLOCK = 2 ** 13     # rows per block of a risk_rows call
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,17 @@ class RhoResult:
 def risk_rows(spec: AlphaSpec, F: np.ndarray, near=None) -> np.ndarray:
     """rho of each row of a (B, m) batch (or of one field, as one row).
     ``near``, a level where the values are expected, is where the
-    root-finding families start their brackets; the others ignore it."""
-    return spec.risk_rows(np.atleast_2d(np.asarray(F, dtype=float)), near)
+    root-finding families start their brackets; the others ignore it.
+
+    The batch is evaluated in consecutive blocks of ``ROW_BLOCK`` rows, so
+    the temporaries of a family's kernel stay cache-sized however wide the
+    batch; every family treats each row on its own, so the values are
+    those of one call on the whole batch, bit for bit."""
+    F = np.atleast_2d(np.asarray(F, dtype=float))
+    out = np.empty(len(F))
+    for lo in range(0, len(F), ROW_BLOCK):
+        out[lo:lo + ROW_BLOCK] = spec.risk_rows(F[lo:lo + ROW_BLOCK], near)
+    return out
 
 
 def risk_result(f, spec: AlphaSpec) -> RhoResult:

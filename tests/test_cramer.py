@@ -12,7 +12,7 @@ from sanovdual.cramer import (ConjugatePair, _cumulant, check_admissible,
                               moment_norm, plus_power_moments,
                               rate_function)
 from sanovdual.laws import (EmpiricalLaw, FiniteSupportLaw, LawError,
-                            LogNormalLaw, ParetoLaw, StudentTLaw)
+                            LogNormalLaw, ParetoLaw, StudentTLaw, _DensityLaw)
 from sanovdual.quadrature import expect as _expect
 
 RADEMACHER = FiniteSupportLaw(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
@@ -496,6 +496,41 @@ class TestAdmissibility:
         warned = any("upper tail truncated" in r.message
                      for r in caplog.records)
         assert warned == truncated
+
+    def test_each_public_entry_checks_once(self, monkeypatch):
+        # conjugate_pair checks (law, q) once and moment_norm once more;
+        # every solve in between takes the unchecked paths.
+        real, calls = FiniteSupportLaw.check_moment, []
+
+        def spy(law, q):
+            calls.append(q)
+            return real(law, q)
+        monkeypatch.setattr(FiniteSupportLaw, "check_moment", spy)
+        law = ORACLE_LAWS["finite"][0]
+        grid = np.linspace(-0.6, 0.6, 5)
+        for entry, most in [
+                (lambda: conjugate_pair(law, 2.0, grid, grid), 2),
+                (lambda: cumulant(law, 0.3, 2.0), 1),
+                (lambda: rate_function(law, 0.3, 2.0), 1),
+                (lambda: moment_norm(law, 2.0), 1)]:
+            calls.clear()
+            entry()
+            assert 1 <= len(calls) <= most
+
+    @pytest.mark.parametrize("law,q", [(ParetoLaw(1.8), 2.0),
+                                       (ParetoLaw(2.5), 1.0)],
+                             ids=["no_moment", "q_at_1"])
+    def test_each_public_entry_refuses_before_any_solve(self, monkeypatch,
+                                                        law, q):
+        def solve(*args, **kwargs):
+            raise AssertionError("a solve ran before the check")
+        monkeypatch.setattr(_DensityLaw, "expect", solve)
+        for entry in (lambda: conjugate_pair(law, q, [0.1], [0.1]),
+                      lambda: cumulant(law, 0.3, q),
+                      lambda: rate_function(law, 0.3, q),
+                      lambda: moment_norm(law, q)):
+            with pytest.raises(LawError):
+                entry()
 
     def test_student_t_moment(self):
         # var of t(df) is df / (df - 2)

@@ -42,6 +42,12 @@ ALLOWED = {
     "dp.backward_value_symmetric",
     # perfbench/tracer.py reads it; ROADMAP item 1 deletes it
     "optim.golden_min",
+    # perfbench/tracer.py reads it; the CLI's conjugate_pair checks once
+    # and takes the unchecked _cumulant
+    "cramer.cumulant",
+    # perfbench/tracer.py reads it; the CLI's conjugate_pair checks once
+    # and takes the unchecked _rate_function
+    "cramer.rate_function",
     # README's quick tour, which tests/test_readme.py runs, calls it
     "spaces.Dist.uniform",
     # README's quick tour, which tests/test_readme.py runs, calls it

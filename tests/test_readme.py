@@ -1,6 +1,7 @@
-"""The README's Python examples run as written, and its config tables
-match the CLI's config schema."""
+"""The README's Python examples run as written, its config tables match
+the CLI's config schema, and its constants table the modules."""
 
+import importlib
 import json
 import re
 from pathlib import Path
@@ -80,3 +81,31 @@ def test_law_table_matches_the_config_schema():
         cells = [c.strip() for c in row.strip("|").split("|")]
         assert cells[-3:] == ["yes" if kind in t["kinds"] else "no"
                               for t in tables.values()], row
+
+
+def _printed(cell, value):
+    """Whether a value cell of the constants table prints ``value``: a
+    number, 2^k, a count with thousands commas, or the leading digits of
+    the value followed by "..."."""
+    if cell.endswith("..."):
+        return repr(value).startswith(cell[:-3])
+    base, _, power = cell.partition("^")
+    if power:
+        return value == int(base) ** int(power)
+    return value == float(cell.replace(",", ""))
+
+
+def test_constants_table_matches_the_modules():
+    # Every row names a module constant of sanovdual and prints its value.
+    lines = README.read_text().splitlines()
+    start = lines.index("| constant | value | what it sets |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append([c.strip() for c in line.strip("|").split("|")][:2])
+    assert rows
+    for name, cell in rows:
+        module, attr = name.strip("`").split(".")
+        value = getattr(importlib.import_module(f"sanovdual.{module}"), attr)
+        assert _printed(cell, value), (name, cell, value)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -470,14 +471,20 @@ class TestMaximizerRows:
                     assert self.achieved(law, f, spec) >= v - 1e-9
 
 
-    def test_rows_do_not_depend_on_their_batch(self):
+    def test_rows_do_not_depend_on_their_batch(self, monkeypatch):
         # Each row of every method equals its one-row call, bit for bit:
         # both halves of penalty_rows' (alpha, grad), and the values of
-        # the others.
+        # the others.  So risk_rows in blocks of 7 rows, batches of 40 and
+        # 13 rows, equals one unblocked call, with and without a hint.
+        monkeypatch.setattr(risk_module, "ROW_BLOCK", 7)
         rng = np.random.default_rng(18)
         for spec in self.specs(rng):
             m = spec.space.size
             F = np.vstack([edge_fields(rng, m), rng.normal(size=(20, m))])
+            for rows in (F, F[:13]):
+                for near in (None, 0.0):
+                    assert risk_rows(spec, rows, near).tobytes() == \
+                        spec.risk_rows(rows, near).tobytes(), (spec, near)
             X = spec.maximizer_rows(F)
             V = np.vstack([rng.dirichlet(np.ones(m), size=20), np.eye(m),
                            X[~np.isnan(X).any(axis=1)]])
@@ -495,6 +502,23 @@ class TestMaximizerRows:
                         assert np.asarray(one[k][0]).tobytes() == \
                             np.asarray(got).tobytes(), \
                             (spec, method.__name__, k)
+
+
+class TestRowBlocks:
+    def test_working_set_does_not_grow_with_the_batch(self):
+        # risk_rows evaluates ROW_BLOCK rows at a time: a 2 MiB batch of
+        # 2^17 shortfall rows peaks at about 3 MiB, where one call on the
+        # whole batch peaks at about 33 MiB.
+        spec = Shortfall(UNIF2, PowerLoss(2.0))
+        F = np.random.default_rng(20).normal(size=(2 ** 17, 2))
+        risk_rows(spec, F[:10])
+        tracemalloc.start()
+        try:
+            risk_rows(spec, F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20, peak
 
 
 class TestGenericRisk:
