@@ -1,6 +1,6 @@
 """Dual pairs of penalty functionals and risk measures on finite spaces."""
 
-from .spaces import Dist, FiniteSpace
+from .spaces import Dist
 from .penalties import RelativeEntropy, penalty
 from .risk import risk_rows
 

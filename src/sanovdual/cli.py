@@ -44,7 +44,7 @@ from .losses import ExpLoss, LossError, PowerLoss, TabulatedLoss
 from .penalties import (LpEntropy, RelativeEntropy, Robust, SetIndicator,
                         Shortfall, Transport)
 from .risk import RESTARTS, generic_risk, risk_result
-from .spaces import DENSE_CAP, Dist, FiniteSpace, SpaceError
+from .spaces import DENSE_CAP, Dist, SpaceError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,6 +52,11 @@ EXIT_NUMERIC = 3
 EXIT_INCONCLUSIVE = 4
 
 REPLICATIONS = 10000    # tailbound replications unless a config sets them
+# The gates of a run's own checks; a NaN fails each.
+COUPLING_TOL = 1e-6     # largest |target - coupling_target| of a transport run
+RESIDUAL_TOL = 1e-8     # largest superhedge residual_max
+SLICE_RISK_TOL = 1e-7   # largest superhedge slice_risk_max
+CONTROL_TOL = 1e-10     # largest transport control_gap
 
 
 class ConfigError(Exception):
@@ -165,17 +170,17 @@ def _choice(value, path, domain):
 def _dist(value, path, domain):
     w = _num_list(value, path, domain)
     try:
-        return Dist(FiniteSpace.of_size(len(w)), w)
+        return Dist(w)
     except SpaceError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _dists(value, path, domain):
-    """A nonempty tuple of laws on one space."""
+    """A nonempty tuple of laws on the same number of states."""
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}: need a nonempty list")
     laws = tuple(_dist(w, f"{path}[{i}]", domain) for i, w in enumerate(value))
-    if len({law.m for law in laws}) > 1:
+    if len({law.size for law in laws}) > 1:
         raise ConfigError(f"{path}: laws on different numbers of states")
     return laws
 
@@ -290,7 +295,7 @@ def _sanov_limit(spec, F, schedule, step):
     grid of ``step`` has C(round(1/step) + m - 1, m - 1) points; each
     count fits the dense cap.  Only a set-indicator target scans that
     grid, but every run checks it."""
-    m = spec.space.size
+    m = spec.size
     F = parse_simplex_function(F, m)
     fault = F.fault(max(schedule))
     if fault is not None:
@@ -367,8 +372,8 @@ def cmd_rho(out: Path, seed: int, spec, f, generic, restarts) -> int:
         raise ConfigError("restarts: only a generic run (generic: true) "
                           "takes restarts")
     spec_kind, spec = spec["kind"], _make(spec, "spec", SPEC)
-    if f.size != spec.space.size:
-        raise ConfigError("f: length must match the spec's space size")
+    if f.size != spec.size:
+        raise ConfigError("f: length must match the spec's number of states")
     result = generic_risk(f, spec, restarts=restarts or RESTARTS, seed=seed) \
         if generic else risk_result(f, spec)
     weights = None if result.maximizer is None else result.maximizer.weights
@@ -397,7 +402,7 @@ def cmd_sanov(out: Path, seed: int, spec, F, schedule, grid_step) -> int:
 def _check_limit(run: dp.SanovRun) -> None:
     """A certified target's dual gap must be at most ``dp.GAP_TOL``
     (1 + |target|), and a transport run's two targets must agree within
-    1e-6; a NaN fails either gate."""
+    ``COUPLING_TOL``; a NaN fails either gate."""
     if run.certified:
         gap = run.upper_bound - run.target
         if not abs(gap) <= dp.GAP_TOL * (1.0 + abs(run.target)):
@@ -405,9 +410,12 @@ def _check_limit(run: dp.SanovRun) -> None:
                 f"limit target: dual gap {gap:.3g} between target "
                 f"{run.target!r} and upper_bound {run.upper_bound!r} exceeds "
                 f"{dp.GAP_TOL:g} (1 + |target|)")
-    if run.coupling_target is not None and \
-            not abs(run.target - run.coupling_target) <= 1e-6:
-        raise ArithmeticError("transport limit targets disagree beyond 1e-6")
+    if run.coupling_target is not None:
+        gap = abs(run.target - run.coupling_target)
+        if not gap <= COUPLING_TOL:
+            raise ArithmeticError(
+                f"limit target: |target - coupling_target| = {gap:.3g} "
+                f"exceeds {COUPLING_TOL:g}")
 
 
 def cmd_cramer(out: Path, seed: int, law, q, dual_grid, primal_grid) -> int:
@@ -469,18 +477,25 @@ def _azuma(out: Path, seed: int, r, n, family, replications) -> int:
     print(f"p_hat={res.estimate.p_hat:.3e}  (1/n)log p = "
           f"{res.empirical_exponent:.4f}  budget={res.budget:.4f}  "
           f"ok={res.ok}")
-    return EXIT_OK if res.ok else EXIT_NUMERIC
+    if not res.ok:
+        raise ArithmeticError(
+            f"azuma: (1/n) log p_hat = {res.empirical_exponent:.6g} exceeds "
+            f"the budget {res.budget:.6g}")
+    return EXIT_OK
 
 
 def _write_series(out: Path, run: mc.ExceedanceSeries, bounds, report) -> None:
     """estimates.csv of a schedule run, with one ``bounds`` cell per point,
-    and report.json: the experiment's own ``report`` keys and the fit's."""
+    and report.json: the experiment's own ``report`` keys and the fit's,
+    its slopes null unless the fit is ok."""
     write_csv(out / "estimates.csv", ("n", "r", "p_hat", "lo", "hi", "bound"),
               [(e.n, e.r, e.p_hat, e.lo, e.hi, b)
                for e, b in zip(run.estimates, bounds)])
+    ok = run.fit.status == "ok"
     write_json(out / "report.json", {
         **report,
-        "slope": run.fit.slope, "slope_upper95": run.fit.upper95,
+        "slope": run.fit.slope if ok else None,
+        "slope_upper95": run.fit.upper95 if ok else None,
         "slope_budget": run.slope_budget, "fit_status": run.fit.status,
     })
 
@@ -515,13 +530,12 @@ def cmd_saa(out: Path, seed: int, decisions, loss, law, epsilon, q, schedule,
 
 
 def cmd_superhedge(out: Path, seed: int, spec, f) -> int:
-    space = spec.space
-    cert = dp.superhedge(f, space, spec)
+    cert = dp.superhedge(f, spec)
     np.save(out / "increments.npy", cert.flat.astype("<f8", copy=False))
     write_json(out / "certificate.json", {
         "y": cert.y,
         "increments": {
-            "file": "increments.npy", "m": space.size,
+            "file": "increments.npy", "m": spec.size,
             "n": len(cert.increments),
             "layout": "stage k = 1..n holds m^k entries from offset "
                       "m + m^2 + ... + m^(k-1)"},
@@ -531,7 +545,8 @@ def cmd_superhedge(out: Path, seed: int, spec, f) -> int:
     print(f"y = {cert.y:.12g}  residual_max = {cert.residual_max:.3e}  "
           f"slice_risk_max = {cert.slice_risk_max:.3e}")
     # not <=, so that a NaN certificate fails its gate
-    if not (cert.residual_max <= 1e-8 and cert.slice_risk_max <= 1e-7):
+    if not (cert.residual_max <= RESIDUAL_TOL and
+            cert.slice_risk_max <= SLICE_RISK_TOL):
         raise ArithmeticError("superhedge certificate out of tolerance")
     return EXIT_OK
 
@@ -540,15 +555,15 @@ def cmd_transport(out: Path, seed: int, mu, cost, F, schedule, grid_step,
                   control_check_n) -> int:
     spec = _make({"kind": "transport", "mu": mu, "cost": cost}, "cost", SPEC)
     n_chk = control_check_n
-    if mu.m ** min(n_chk, 25) > DENSE_CAP:     # 2^25 already exceeds it
-        raise ConfigError(f"control_check_n: a control field of {mu.m}^"
+    if mu.size ** min(n_chk, 25) > DENSE_CAP:     # 2^25 already exceeds it
+        raise ConfigError(f"control_check_n: a control field of {mu.size}^"
                           f"{n_chk} entries exceeds the dense cap of "
                           f"{DENSE_CAP}")
     run = _sanov_limit(spec, F, schedule, grid_step)
     rng = np.random.default_rng(seed)
-    f_chk = rng.normal(size=mu.m ** n_chk)
-    v_rec, _ = dp.backward_value_dense(f_chk, mu.space, spec)
-    v_ctl = dp.transport_control_value(f_chk, mu.space, mu, spec.cost)
+    f_chk = rng.normal(size=mu.size ** n_chk)
+    v_rec, _ = dp.backward_value_dense(f_chk, spec)
+    v_ctl = dp.transport_control_value(f_chk, mu, spec.cost)
     write_json(out / "report.json", {
         **run.to_json_dict(),
         "control_check_n": n_chk,
@@ -562,8 +577,10 @@ def cmd_transport(out: Path, seed: int, mu, cost, F, schedule, grid_step,
     print(f"control check: |{v_ctl:.12g} - {v_rec:.12g}| = "
           f"{abs(v_ctl - v_rec):.3e}")
     _check_limit(run)
-    if abs(v_ctl - v_rec) > 1e-10:
-        raise ArithmeticError("control value disagrees with the recursion")
+    if not abs(v_ctl - v_rec) <= CONTROL_TOL:
+        raise ArithmeticError(
+            f"control check: |control_value - recursion_value| = "
+            f"{abs(v_ctl - v_rec):.3g} exceeds {CONTROL_TOL:g}")
     return EXIT_OK
 
 

@@ -29,8 +29,8 @@ from .extreal import NEG_INF
 from .optim import simplex_grid
 from .penalties import AlphaSpec, SetIndicator, Transport, penalty
 from .risk import risk_rows
-from .spaces import (DENSE_CAP, Dist, FiniteSpace, SpaceError,
-                     SymmetricField, type_index, type_successors)
+from .spaces import (DENSE_CAP, Dist, SpaceError, SymmetricField, type_index,
+                     type_successors)
 
 __all__ = [
     "SanovRun", "SuperhedgeCert", "backward_value_dense",
@@ -46,24 +46,22 @@ SEARCH_TOL = 1e-7   # bracket width that stops it, times min(1, first width)
 GAP_TOL = 1e-9      # largest dual gap of a certified target, per 1 + |target|
 
 
-def _flatten_field(f, space: FiniteSpace) -> tuple[np.ndarray, int]:
+def _flatten_field(f, m: int) -> tuple[np.ndarray, int]:
     arr = np.asarray(f, dtype=float)
     flat = arr.ravel()
-    m = space.size
     n = int(round(np.log(flat.size) / np.log(m))) if m > 1 else arr.ndim
     if m ** n != flat.size:
-        raise SpaceError("field length is not a power of the space size")
+        raise SpaceError("field length is not a power of the number of states")
     return flat, n
 
 
-def backward_value_dense(f, space: FiniteSpace, spec: AlphaSpec,
-                         keep_trace: bool = False
+def backward_value_dense(f, spec: AlphaSpec, keep_trace: bool = False
                          ) -> tuple[float, Optional[list[np.ndarray]]]:
-    """n-step risk of a dense field by the backward recursion, and with
-    ``keep_trace`` its stage values: stage k has m^k entries, and stage 0
-    is the value."""
-    flat, n = _flatten_field(f, space)
-    m = space.size
+    """n-step risk of a dense field on the m = ``spec.size`` states by the
+    backward recursion, and with ``keep_trace`` its stage values: stage k
+    has m^k entries, and stage 0 is the value."""
+    m = spec.size
+    flat, n = _flatten_field(f, m)
     if flat.size > DENSE_CAP:
         raise SpaceError("dense field exceeds the 2^24 cap; "
                          "use backward_value_symmetric")
@@ -77,17 +75,16 @@ def backward_value_dense(f, space: FiniteSpace, spec: AlphaSpec,
     return float(g[0]), stages if keep_trace else None
 
 
-def backward_value_symmetric(values_by_type, n: int, space: FiniteSpace,
-                             spec: AlphaSpec) -> float:
+def backward_value_symmetric(values_by_type, n: int, spec: AlphaSpec) -> float:
     """Backward recursion over occupancy vectors of the consumed prefix.
 
     ``values_by_type`` holds the terminal values in rank order (rows of
-    ``type_index(n, m)``).  The one-entry case of
+    ``type_index(n, m)``, m = ``spec.size``).  The one-entry case of
     ``backward_values_symmetric``, which serves a whole schedule in one
     pass, with every state its own group.
     """
     return backward_values_symmetric(lambda _: values_by_type, [n],
-                                     np.arange(space.size), spec)[0]
+                                     np.arange(spec.size), spec)[0]
 
 
 def backward_values_symmetric(terminal: Callable[[int], np.ndarray],
@@ -120,8 +117,7 @@ def backward_values_symmetric(terminal: Callable[[int], np.ndarray],
     V = np.empty(0)
     for level in range(joins[-1], -1, -1):
         if joins and joins[-1] == level:
-            term = SymmetricField(level, FiniteSpace.of_size(g),
-                                  terminal(joins.pop()))
+            term = SymmetricField(level, g, terminal(joins.pop()))
             V = np.concatenate([V, term.values])
             order.append(level)
         if level:
@@ -132,14 +128,13 @@ def backward_values_symmetric(terminal: Callable[[int], np.ndarray],
     return [value[n] for n in schedule]
 
 
-def symmetric_terminal(F: SimplexFunction, n: int,
-                       space: FiniteSpace) -> np.ndarray:
+def symmetric_terminal(F: SimplexFunction, n: int) -> np.ndarray:
     """Terminal values n F(L_n) by group counts, one per row of
     ``type_index(n, g)`` in rank order, for the groups of ``F.labels``:
     F at the law that puts each group's count on its first state."""
     first = np.unique(F.labels, return_index=True)[1]
     counts = type_index(n, first.size)
-    types = np.zeros((len(counts), space.size), dtype=counts.dtype)
+    types = np.zeros((len(counts), F.m), dtype=counts.dtype)
     types[:, first] = counts
     return n * F(types / n)
 
@@ -453,14 +448,13 @@ def sanov_limit(F: SimplexFunction, spec: AlphaSpec,
     item 1).  A transport run is labelled "transport-longrun", any other
     "sanov".
     """
-    space = spec.space
     values = [v / n for n, v in zip(schedule, backward_values_symmetric(
-        lambda n: symmetric_terminal(F, n, space), schedule, F.labels, spec))]
+        lambda n: symmetric_terminal(F, n), schedule, F.labels, spec))]
 
     upper = coupling = None
     if isinstance(spec, SetIndicator):
         target, arg = simplex_supremum(lambda X: F(X) - penalty(X, spec),
-                                       space.size, grid_step)
+                                       spec.size, grid_step)
     elif F.scale > 0.0:
         target, arg, coupling = _convex_target(F, spec)
     else:
@@ -494,10 +488,10 @@ class SuperhedgeCert:
     slice_risk_max: float
 
 
-def superhedge(f, space: FiniteSpace, spec: AlphaSpec) -> SuperhedgeCert:
+def superhedge(f, spec: AlphaSpec) -> SuperhedgeCert:
     """Decompose f as y + sum of adapted acceptable increments."""
-    value, stages = backward_value_dense(f, space, spec, keep_trace=True)
-    m = space.size
+    value, stages = backward_value_dense(f, spec, keep_trace=True)
+    m = spec.size
     flat = np.empty(sum(g.size for g in stages[1:]))
     increments = []
     slice_max = 0.0
@@ -524,15 +518,15 @@ def superhedge(f, space: FiniteSpace, spec: AlphaSpec) -> SuperhedgeCert:
 # Transport: adapted-control form
 # ---------------------------------------------------------------------------
 
-def transport_control_value(f, space: FiniteSpace, mu: Dist, cost) -> float:
+def transport_control_value(f, mu: Dist, cost) -> float:
     """Value of the adapted-control problem: steer targets y_k at cost
     c(X_k, y_k) to maximize E[f(y_1, ..., y_n) - sum c(X_k, y_k)].
 
     Independent of the generic recursion: a direct post-decision backward
     pass, used to cross-check the Transport-spec recursion.
     """
-    flat, n = _flatten_field(f, space)
-    m = space.size
+    m = mu.size
+    flat, n = _flatten_field(f, m)
     c = np.asarray(cost, dtype=float)
     w = mu.weights
     J = flat

@@ -7,8 +7,9 @@ Everything here is plain numpy:
   simplices and products of simplices, on one evaluator of the caller's
   values and exact (super)gradients;
 * one safeguarded Newton root finder for the risks and penalty infima,
-  and golden-section line search (tests only), on scalar or (B,)-array
-  brackets;
+  and golden-section line search, on scalar or (B,)-array brackets; no
+  ``src/`` code calls the line search: the tests and the benchmark's
+  tracer (``perfbench/tracer.py``) use it;
 * the Legendre transform of a convex function, on the line and in R^d,
   by Newton steps certified by tangent planes, for the rate function and
   the Azuma conjugate;

@@ -36,10 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import extreal
-from .extreal import INF, NEG_INF, fold_columns, weighted_row_sums
+from .extreal import INF, fold_columns, weighted_row_sums
 from .losses import LossFn, PowerLoss
 from .optim import newton_nonincreasing
-from .spaces import Dist, FiniteSpace, SpaceError
+from .spaces import Dist, SpaceError
 from .transport import solve_transport
 
 log = logging.getLogger("sanovdual")
@@ -66,8 +66,9 @@ class AlphaSpec:
     has_gradient = True       # False where penalty_rows returns None for it
 
     @property
-    def space(self) -> FiniteSpace:
-        return self.mu.space
+    def size(self) -> int:
+        """The number of states: mu's."""
+        return self.mu.size
 
     @property
     def support(self) -> np.ndarray:
@@ -76,7 +77,7 @@ class AlphaSpec:
 
     def law(self, row: np.ndarray) -> Dist | None:
         """A maximizer row as a law, None for a NaN row."""
-        return None if np.isnan(row).any() else Dist(self.space, row)
+        return None if np.isnan(row).any() else Dist(row)
 
 
 class _Hull(AlphaSpec):
@@ -88,12 +89,12 @@ class _Hull(AlphaSpec):
             raise SpaceError(f"{self.what} needs a nonempty generator list")
 
     @property
-    def space(self) -> FiniteSpace:
-        return self.generators[0].space
+    def size(self) -> int:
+        return self.generators[0].size
 
     @property
     def support(self) -> np.ndarray:
-        sup = np.zeros(self.generators[0].m, dtype=bool)
+        sup = np.zeros(self.size, dtype=bool)
         for g in self.generators:
             sup |= g.weights > 0
         return sup
@@ -232,7 +233,7 @@ class SetIndicator(_Hull):
 
     def __post_init__(self):
         super().__post_init__()
-        k, m = len(self.generators), self.generators[0].m
+        k, m = len(self.generators), self.size
         faces = sum(math.comb(k, r) for r in range(1, min(k, m) + 1))
         if faces > 4096:
             raise SpaceError(f"{self.what}: {k} generators on {m} states "
@@ -269,7 +270,7 @@ class Transport(AlphaSpec):
 
     def __post_init__(self):
         c = np.asarray(self.cost, dtype=float)
-        m = self.mu.m
+        m = self.mu.size
         if c.shape != (m, m):
             raise SpaceError("cost matrix must be m x m")
         if (c < 0).any():

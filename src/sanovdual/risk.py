@@ -3,8 +3,10 @@
 Each penalty family in ``penalties`` owns its closed-form (or
 root-finding) risk rho(f) = sup_nu (int f dnu - alpha(nu)) and the law
 attaining it, rows in, rows out.  This module is their entry point
-(``risk_rows``, ``risk_result``) and adds a certified generic simplex
-maximizer of the same supremum (``generic_risk``).
+(``risk_rows``, ``risk_result``) and adds a generic simplex maximizer of
+the same supremum (``generic_risk``).  Its value is the best point that a
+capped projected ascent reaches, a lower bound with no upper bound: it is
+not certified and can fall short of the closed form.
 
 All evaluators accept extended-real inputs: -inf entries of f behave as
 hard exclusions and +inf entries (on charged states) push the value to
@@ -73,7 +75,6 @@ def generic_risk(f, spec: AlphaSpec, restarts: int = RESTARTS,
     evaluator maps rows X to (<f, X> - alpha, f - grad alpha) from one
     ``penalty_rows`` pass, -inf where alpha is +inf."""
     fv = np.asarray(f, dtype=float)
-    space = spec.space
 
     if not spec.has_gradient:     # a set indicator: rho at a generator
         row = spec.maximizer_rows(fv[None])[0]
@@ -106,5 +107,5 @@ def generic_risk(f, spec: AlphaSpec, restarts: int = RESTARTS,
 
     X, vals = pgd_max_simplex(J, X0, max_iter=250, ftol=1e-12, support=sub)
     best = int(np.argmax(vals))
-    maximizer = Dist(space, X[best]) if np.isfinite(vals[best]) else None
+    maximizer = Dist(X[best]) if np.isfinite(vals[best]) else None
     return RhoResult(float(vals[best]), maximizer, "simplex_opt")

@@ -1,5 +1,5 @@
-"""Finite state spaces, probability vectors, type classes and symmetric
-fields.
+"""Probability vectors on m states, type classes and symmetric fields.  A
+finite state space is its size m: states are the indices 0..m-1.
 
 Fields on E^n are stored as dense vectors in row-major order: the flat
 index of (x_1, ..., x_n) is x_1 * m^(n-1) + ... + x_n, i.e. x_1 is the
@@ -22,33 +22,12 @@ SUM_SLACK = 1e-9
 
 
 class SpaceError(ValueError):
-    """Invalid space, distribution or tensor input."""
+    """Invalid distribution or tensor input."""
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-@dataclass(frozen=True)
-class FiniteSpace:
-    """A finite state space with display labels."""
-
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.labels) < 1:
-            raise SpaceError("space needs at least one state")
-        if len(set(self.labels)) != len(self.labels):
-            raise SpaceError("labels must be distinct")
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    @classmethod
-    def of_size(cls, m: int) -> "FiniteSpace":
-        return cls(tuple(f"s{i}" for i in range(m)))
 
 
 def _as_prob_vector(weights) -> np.ndarray:
@@ -66,25 +45,21 @@ def _as_prob_vector(weights) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dist:
-    """A probability vector on a FiniteSpace."""
+    """A probability vector on its ``size`` states."""
 
-    space: FiniteSpace
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _as_prob_vector(self.weights)
-        if w.size != self.space.size:
-            raise SpaceError("weight vector does not match space size")
-        object.__setattr__(self, "weights", _freeze(w))
+        object.__setattr__(self, "weights",
+                           _freeze(_as_prob_vector(self.weights)))
 
     @property
-    def m(self) -> int:
-        return self.space.size
+    def size(self) -> int:
+        return self.weights.size
 
     @classmethod
-    def uniform(cls, space: FiniteSpace) -> "Dist":
-        m = space.size
-        return cls(space, np.full(m, 1.0 / m))
+    def uniform(cls, m: int) -> "Dist":
+        return cls(np.full(m, 1.0 / m))
 
 
 def _tail_sums(k: int, m: int) -> list[np.ndarray]:
@@ -146,28 +121,17 @@ def compositions(n: int, m: int):
     yield from map(tuple, type_index(n, m).tolist())
 
 
-def _dense_ranks(n: int, m: int) -> np.ndarray:
-    """Type-class rank of every flat index of E^n (row-major order)."""
-    r = np.zeros(1, dtype=np.int64)
-    for j in range(n):
-        r = type_successors(j, m)[r].ravel()
-    return r
-
-
 @dataclass(frozen=True)
 class SymmetricField:
     """A permutation-invariant function on E^n: one value per type class,
     in rank order (row r of ``type_index(n, m)``)."""
 
     n: int
-    space: FiniteSpace
+    m: int
     values: np.ndarray
 
     def __post_init__(self):
-        v, m = np.array(self.values, dtype=float), self.space.size
+        v, m = np.array(self.values, dtype=float), self.m
         if v.shape != (math.comb(self.n + m - 1, m - 1),):
             raise SpaceError("symmetric field must cover every type class exactly")
         object.__setattr__(self, "values", _freeze(v))
-
-    def expand_dense(self) -> np.ndarray:
-        return self.values[_dense_ranks(self.n, self.space.size)]

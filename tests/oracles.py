@@ -47,9 +47,9 @@ from sanovdual.penalties import (AlphaSpec, LpEntropy, RelativeEntropy, Robust,
 from sanovdual.risk import risk_rows
 from sanovdual.transport import (_MAX_PIVOTS, _PEN_TOL, TransportSolution,
                                  _northwest_corner)
-from sanovdual.spaces import (DENSE_CAP, SUM_SLACK, Dist, FiniteSpace,
-                              SpaceError, SymmetricField, _as_prob_vector,
-                              _dense_ranks, _freeze, type_index)
+from sanovdual.spaces import (DENSE_CAP, SUM_SLACK, Dist, SpaceError,
+                              SymmetricField, _as_prob_vector, _freeze,
+                              type_index, type_successors)
 
 log = logging.getLogger("sanovdual")
 
@@ -106,11 +106,11 @@ class ProductDist:
     """A joint law on E^n stored as a dense probability tensor."""
 
     n: int
-    space: FiniteSpace
+    m: int
     tensor: np.ndarray  # flat, length m^n, row-major over (x_1, ..., x_n)
 
     def __post_init__(self):
-        m = self.space.size
+        m = self.m
         if self.n < 1:
             raise SpaceError("horizon n must be >= 1")
         if m ** self.n > DENSE_CAP:
@@ -123,10 +123,6 @@ class ProductDist:
             raise SpaceError("tensor length does not match m^n")
         object.__setattr__(self, "tensor", _freeze(t))
 
-    @property
-    def m(self) -> int:
-        return self.space.size
-
     def reshaped(self) -> np.ndarray:
         return self.tensor.reshape((self.m,) * self.n)
 
@@ -135,7 +131,7 @@ class ProductDist:
         t = mu.weights.copy()
         for _ in range(n - 1):
             t = np.multiply.outer(t, mu.weights).ravel()
-        return cls(n, mu.space, t)
+        return cls(n, mu.size, t)
 
 
 @dataclass(frozen=True)
@@ -143,11 +139,11 @@ class Kernel:
     """Stage-k conditional law: one Dist row per prefix in E^(k-1)."""
 
     stage: int  # k >= 2; rows are indexed by prefixes of length k-1
-    space: FiniteSpace
+    m: int
     rows: np.ndarray  # shape (m^(k-1), m), each row a probability vector
 
     def __post_init__(self):
-        m = self.space.size
+        m = self.m
         r = np.asarray(self.rows, dtype=float)
         if r.ndim != 2 or r.shape != (m ** (self.stage - 1), m):
             raise SpaceError("kernel rows have wrong shape")
@@ -159,22 +155,22 @@ class Kernel:
         object.__setattr__(self, "rows", _freeze(r / sums[:, None]))
 
     def dist(self, prefix: Sequence[int]) -> Dist:
-        m = self.space.size
         idx = 0
         for x in prefix:
-            idx = idx * m + x
-        return Dist(self.space, self.rows[idx])
+            idx = idx * self.m + x
+        return Dist(self.rows[idx])
 
 
-def empirical_measure(space: FiniteSpace, x: Sequence[int]) -> Dist:
-    """The empirical measure (1/n) sum of point masses of a sample tuple."""
+def empirical_measure(m: int, x: Sequence[int]) -> Dist:
+    """The empirical measure (1/n) sum of point masses of a sample tuple
+    on m states."""
     xs = np.asarray(x, dtype=int)
     if xs.size < 1:
         raise SpaceError("empty sample")
-    if (xs < 0).any() or (xs >= space.size).any():
+    if (xs < 0).any() or (xs >= m).any():
         raise SpaceError("sample index out of range")
-    counts = np.bincount(xs, minlength=space.size).astype(float)
-    return Dist(space, counts / xs.size)
+    counts = np.bincount(xs, minlength=m).astype(float)
+    return Dist(counts / xs.size)
 
 
 def disintegrate(nu: ProductDist) -> tuple[Dist, list[Kernel]]:
@@ -185,7 +181,7 @@ def disintegrate(nu: ProductDist) -> tuple[Dist, list[Kernel]]:
     """
     m, n = nu.m, nu.n
     t = nu.reshaped()
-    first = Dist(nu.space, t.reshape(m, -1).sum(axis=1) if n > 1 else t.ravel())
+    first = Dist(t.reshape(m, -1).sum(axis=1) if n > 1 else t.ravel())
     kernels = []
     for k in range(2, n + 1):
         joint = t.reshape((m ** k, -1)).sum(axis=1).reshape(m ** (k - 1), m)
@@ -193,7 +189,7 @@ def disintegrate(nu: ProductDist) -> tuple[Dist, list[Kernel]]:
         rows = np.full_like(joint, 1.0 / m)
         live = prefix > 0.0
         rows[live] = joint[live] / prefix[live, None]
-        kernels.append(Kernel(k, nu.space, rows))
+        kernels.append(Kernel(k, m, rows))
     return first, kernels
 
 
@@ -202,8 +198,8 @@ def compose(first: Dist, kernels: Iterable[Kernel]) -> ProductDist:
     t = first.weights.copy()
     n = 1
     for ker in kernels:
-        if ker.space.size != first.m:
-            raise SpaceError("kernel space mismatch")
+        if ker.m != first.size:
+            raise SpaceError("kernel state count mismatch")
         if ker.rows.shape[0] != t.size:
             raise SpaceError(
                 f"kernel at stage {ker.stage} expects {ker.rows.shape[0]} "
@@ -211,7 +207,7 @@ def compose(first: Dist, kernels: Iterable[Kernel]) -> ProductDist:
             )
         t = (t[:, None] * ker.rows).ravel()
         n += 1
-    return ProductDist(n, first.space, t)
+    return ProductDist(n, first.size, t)
 
 
 def tensor_penalty(nu: ProductDist, spec: AlphaSpec) -> float:
@@ -244,14 +240,13 @@ def tensor_penalty_batch(tensors: np.ndarray, n: int, m: int,
     return total
 
 
-def greedy_optimizer_from_trace(stages, space: FiniteSpace,
-                                spec: AlphaSpec) -> ProductDist:
+def greedy_optimizer_from_trace(stages, spec: AlphaSpec) -> ProductDist:
     """The joint law attaining a dense recursion's value, from its stage
     values (``backward_value_dense(..., keep_trace=True)``): the maximizer
     of the first stage, then one kernel row per prefix, stage by stage."""
-    m = space.size
-    first = Dist(space, spec.maximizer_rows(stages[1][None])[0])
-    kernels = [Kernel(k, space, spec.maximizer_rows(stages[k].reshape(-1, m)))
+    m = spec.size
+    first = Dist(spec.maximizer_rows(stages[1][None])[0])
+    kernels = [Kernel(k, m, spec.maximizer_rows(stages[k].reshape(-1, m)))
                for k in range(2, len(stages))]
     return compose(first, kernels)
 
@@ -260,19 +255,30 @@ def greedy_optimizer_from_trace(stages, space: FiniteSpace,
 # Type classes and exact enumerations
 # ---------------------------------------------------------------------------
 
-def symmetric_from_dense(f: np.ndarray, n: int,
-                         space: FiniteSpace) -> SymmetricField:
+def dense_ranks(n: int, m: int) -> np.ndarray:
+    """Type-class rank of every flat index of E^n (row-major order)."""
+    r = np.zeros(1, dtype=np.int64)
+    for j in range(n):
+        r = type_successors(j, m)[r].ravel()
+    return r
+
+
+def expand_dense(field: SymmetricField) -> np.ndarray:
+    """The dense field on E^n of a symmetric one, m^n entries."""
+    return field.values[dense_ranks(field.n, field.m)]
+
+
+def symmetric_from_dense(f: np.ndarray, n: int, m: int) -> SymmetricField:
     """Compress a dense field, rejecting non-symmetric input; each type
     class keeps the value at its first flat index."""
-    m = space.size
     flat = np.asarray(f, dtype=float).ravel()
     if flat.size != m ** n:
         raise SpaceError("dense field length does not match m^n")
-    rank = _dense_ranks(n, m)
+    rank = dense_ranks(n, m)
     _, first = np.unique(rank, return_index=True)
     if not np.isclose(flat, flat[first][rank], rtol=0.0, atol=1e-12).all():
         raise SpaceError("field is not permutation-invariant")
-    return SymmetricField(n, space, flat[first])
+    return SymmetricField(n, m, flat[first])
 
 
 def type_rank(counts) -> np.ndarray:
@@ -854,7 +860,6 @@ def risk_maximizer(f, spec: AlphaSpec) -> Optional[Dist]:
     time, or None when no law attains a finite value: the per-row loop
     that the ``maximizer_rows`` methods replace, kept as its reference."""
     fv = np.asarray(f, dtype=float)
-    space = spec.space
 
     if isinstance(spec, (RelativeEntropy, Robust)):
         if isinstance(spec, RelativeEntropy):
@@ -869,7 +874,7 @@ def risk_maximizer(f, spec: AlphaSpec) -> Optional[Dist]:
             return None
         logits -= logits[np.isfinite(logits)].max()
         out = np.exp(np.where(np.isfinite(logits), logits, -np.inf))
-        return Dist(space, out / out.sum())
+        return Dist(out / out.sum())
 
     if isinstance(spec, (LpEntropy, Shortfall)):
         loss = spec.loss
@@ -883,7 +888,7 @@ def risk_maximizer(f, spec: AlphaSpec) -> Optional[Dist]:
         out = w * tilt
         if out.sum() <= 0:
             return None
-        return Dist(space, out / out.sum())
+        return Dist(out / out.sum())
 
     if isinstance(spec, SetIndicator):
         vals = [integral(g.weights, fv) for g in spec.generators]
@@ -892,8 +897,8 @@ def risk_maximizer(f, spec: AlphaSpec) -> Optional[Dist]:
     if isinstance(spec, Transport):
         c = np.asarray(spec.cost, dtype=float)
         w = spec.mu.weights
-        out = np.zeros(space.size)
-        for x in range(space.size):
+        out = np.zeros(spec.size)
+        for x in range(spec.size):
             if w[x] <= 0:
                 continue
             terms = np.where(np.isinf(c[x]) | np.isneginf(fv), -np.inf,
@@ -901,7 +906,7 @@ def risk_maximizer(f, spec: AlphaSpec) -> Optional[Dist]:
             if not np.isfinite(terms).any():
                 return None
             out[int(np.argmax(terms))] += w[x]
-        return Dist(space, out)
+        return Dist(out)
 
     raise TypeError(f"unknown penalty spec {spec!r}")
 

@@ -33,21 +33,19 @@ from sanovdual.montecarlo import (RademacherIncrements, SAAInstance,
 from sanovdual.optim import pgd_max_simplex, simplex_grid
 from sanovdual.penalties import (LpEntropy, RelativeEntropy, Robust,
                                  SetIndicator, Shortfall, Transport, penalty)
-from sanovdual.spaces import Dist, FiniteSpace
+from sanovdual.spaces import Dist
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-TWO = FiniteSpace.of_size(2)
-THREE = FiniteSpace.of_size(3)
-UNIF2 = Dist.uniform(TWO)
+UNIF2 = Dist.uniform(2)
 
 
 def rand_dist(rng, m):
     w = rng.dirichlet(np.ones(m)) + 5e-3
-    return Dist(FiniteSpace.of_size(m), w / w.sum())
+    return Dist(w / w.sum())
 
 
 def six_specs():
-    g1, g2 = Dist(TWO, [0.2, 0.8]), Dist(TWO, [0.7, 0.3])
+    g1, g2 = Dist([0.2, 0.8]), Dist([0.7, 0.3])
     return {
         "relative_entropy": RelativeEntropy(UNIF2),
         "lp_entropy": LpEntropy(UNIF2, 2.0),
@@ -94,14 +92,14 @@ def test_criterion_02_recursion_vs_brute_force(record_criterion):
         draws = rng.dirichlet(np.ones(2 ** n), size=10_000)
         for name, spec in six_specs().items():
             f = rng.normal(size=2 ** n)
-            value, stages = backward_value_dense(f, TWO, spec,
+            value, stages = backward_value_dense(f, spec,
                                                  keep_trace=True)
             alphas = tensor_penalty_batch(draws, n, 2, spec)
             sampled = draws @ f - alphas
             sampled = sampled[np.isfinite(sampled)]
             if sampled.size:
                 worst_lower = max(worst_lower, float(sampled.max()) - value)
-            nu_star = greedy_optimizer_from_trace(stages, TWO, spec)
+            nu_star = greedy_optimizer_from_trace(stages, spec)
             achieved = float(np.dot(nu_star.tensor, f)) - \
                 tensor_penalty(nu_star, spec)
             worst_upper = max(worst_upper, value - achieved)
@@ -117,12 +115,11 @@ def test_criterion_03_chain_rule(record_criterion):
     rng = np.random.default_rng(103)
     mu = rand_dist(rng, 3)
     spec = RelativeEntropy(mu)
-    joint = RelativeEntropy(Dist(FiniteSpace.of_size(9),
-                                 ProductDist.iid(mu, 2).tensor))
+    joint = RelativeEntropy(Dist(ProductDist.iid(mu, 2).tensor))
     worst = 0.0
     for _ in range(100):
         t = rng.dirichlet(np.ones(9))
-        lhs = tensor_penalty(ProductDist(2, THREE, t), spec)
+        lhs = tensor_penalty(ProductDist(2, 3, t), spec)
         rhs = float(penalty(t[None, :], joint)[0])
         worst = max(worst, abs(lhs - rhs))
     ok = worst <= 1e-10
@@ -146,7 +143,7 @@ def test_criterion_04_sanov_limit(record_criterion):
     # Four states: the well lumps them into two groups, and a linear F with
     # distinct coefficients keeps every state its own group, so that its
     # recursion meets C(103, 3) = 176,851 classes.
-    mu4 = Dist(FiniteSpace.of_size(4), [0.1, 0.2, 0.3, 0.4])
+    mu4 = Dist([0.1, 0.2, 0.3, 0.4])
     linear = SimplexFunction("linear", 4,
                              coeffs=np.array([0.3, -0.2, 0.5, 0.1]))
     for F4 in (well(4), linear):
@@ -169,7 +166,7 @@ def test_criterion_04_sanov_limit(record_criterion):
 
 def test_criterion_05_polynomial_sanov_shadow(record_criterion):
     t0 = time.perf_counter()
-    inf_alpha = penalty(Dist(TWO, [0.8, 0.2]), LpEntropy(UNIF2, 2.0))
+    inf_alpha = penalty(Dist([0.8, 0.2]), LpEntropy(UNIF2, 2.0))
     budget = (1.0 / inf_alpha) * 1.1
     worst = -math.inf
     for n in (50, 100, 200):
@@ -207,7 +204,7 @@ def test_criterion_07_superhedging(record_criterion):
     for spec in (RelativeEntropy(UNIF2), Shortfall(UNIF2, PowerLoss(2.0))):
         for _ in range(20):
             f = rng.normal(size=8)
-            cert = superhedge(f, TWO, spec)
+            cert = superhedge(f, spec)
             worst_resid = max(worst_resid, cert.residual_max)
             worst_slice = max(worst_slice, cert.slice_risk_max)
     ok = worst_resid <= 1e-8 and worst_slice <= 1e-7
@@ -249,8 +246,8 @@ def test_criterion_08_transport_duality(record_criterion):
         mu = rand_dist(rng, 2)
         cost = rng.uniform(0.0, 2.0, (2, 2))
         f = rng.normal(size=4)
-        v1, _ = backward_value_dense(f, TWO, Transport(mu, cost))
-        v2 = transport_control_value(f, TWO, mu, cost)
+        v1, _ = backward_value_dense(f, Transport(mu, cost))
+        v2 = transport_control_value(f, mu, cost)
         worst_ctl = max(worst_ctl, abs(v1 - v2))
     elapsed = time.perf_counter() - t0
     ok = worst_gap <= 2e-3 and worst_ctl <= 1e-10
@@ -262,12 +259,12 @@ def test_criterion_08_transport_duality(record_criterion):
 
 def test_criterion_09_robust_product_enumeration(record_criterion):
     rng = np.random.default_rng(109)
-    g = (Dist(TWO, [0.25, 0.75]), Dist(TWO, [0.65, 0.35]))
+    g = (Dist([0.25, 0.75]), Dist([0.65, 0.35]))
     spec = Robust(g)
     worst = 0.0
     for _ in range(20):
         f = rng.normal(size=4).reshape(2, 2)
-        v, _ = backward_value_dense(f, TWO, spec)
+        v, _ = backward_value_dense(f, spec)
         best = -math.inf
         for first in g:
             for k0 in g:

@@ -9,14 +9,14 @@ import scipy
 
 from oracles import (abs_well_transport_sup, golden_max,
                      transport_level_cost)
-from sanovdual import dp
+from sanovdual import cli, dp, montecarlo as mc
 from sanovdual.cli import (EXTENDED, FINITE, GRID_END, LAW, POSITIVE, STEP,
                            ConfigError, _jsonable, _made, _num, _num_list,
                            main, parse_simplex_function, write_json)
 from sanovdual.losses import PowerLoss
 from sanovdual.penalties import Shortfall
 from sanovdual.risk import risk_result
-from sanovdual.spaces import Dist, FiniteSpace
+from sanovdual.spaces import Dist
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 MU5 = [0.1, 0.15, 0.2, 0.25, 0.3]     # a law on five states
@@ -73,6 +73,14 @@ def run_with(tmp_path, command, edits):
     cfg = write_config(tmp_path, payload)
     return main(["tailbound" if command == "azuma" else command,
                  "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+
+def strict_json(path: Path):
+    """The JSON file at ``path``, which must hold no NaN or infinity:
+    RFC 8259 has no such constants."""
+    def reject(name):
+        raise ValueError(f"{path.name}: {name} is not JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 def tree_digest(out_dir: Path, skip=("manifest.json",)) -> str:
@@ -399,9 +407,22 @@ class TestExitCodes:
         assert "rate fit needs >= 3 schedule points with hits" \
             in capsys.readouterr().err
         out = tmp_path / "out"
-        assert json.loads((out / "report.json").read_text())["fit_status"] \
-            == "inconclusive"
+        report = strict_json(out / "report.json")
+        assert report["fit_status"] == "inconclusive"
+        assert report["slope"] is None and report["slope_upper95"] is None
         assert len((out / "estimates.csv").read_text().splitlines()) == 3
+
+    def test_azuma_over_its_budget_names_the_stage(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # A slack of -10 puts the budget below any (1/n) log p_hat with a
+        # hit; the report is written before the exit.
+        monkeypatch.setattr(mc, "MARTINGALE_SLACK", -10.0)
+        assert run_edited(tmp_path, "azuma", "r", 0.5) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure: azuma: (1/n) log p_hat = " in err
+        assert " exceeds the budget -" in err
+        report = strict_json(tmp_path / "out" / "report.json")
+        assert report["hits"] > 0 and report["ok"] is False
 
     @pytest.mark.parametrize("command", ["tailbound", "saa"])
     def test_repeated_sample_size_is_config_error(self, tmp_path, capsys,
@@ -444,9 +465,8 @@ class TestRhoCommand:
                      "--out", str(tmp_path / "out")])
         assert code == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        space = FiniteSpace.of_size(2)
         res = risk_result(np.array([0.0, 1.0]),
-                          Shortfall(Dist.uniform(space), PowerLoss(2.0)))
+                          Shortfall(Dist.uniform(2), PowerLoss(2.0)))
         assert report["value"] == res.value
         assert report["method"] == "root_find"
         assert report["maximizer"] == res.maximizer.weights.tolist()
@@ -632,6 +652,17 @@ class TestSaaCommand:
         assert "config error: q: n^(q - 1) overflows a float at n = 6" \
             in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_inconclusive_fit_is_valid_json(self, tmp_path):
+        # At 1,000 replications two of the four points have no hit: the
+        # fit is inconclusive, and its slopes are null, not a bare NaN.
+        payload = json.loads((CONFIGS / "saa_heavytail.json").read_text())
+        cfg = write_config(tmp_path, {**payload, "replications": 1000})
+        assert main(["saa", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 0
+        report = strict_json(tmp_path / "out" / "report.json")
+        assert report["fit_status"] == "inconclusive"
+        assert report["slope"] is None and report["slope_upper95"] is None
 
     def test_argmin_experiment(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -846,6 +877,21 @@ class TestTransportCommand:
             report = json.loads(
                 (tmp_path / "out" / "report.json").read_text())
             assert report["certified"]
+
+    @pytest.mark.parametrize("gate, stage", [
+        ("COUPLING_TOL", "limit target: |target - coupling_target| = "),
+        ("CONTROL_TOL", "control check: |control_value - recursion_value| = "),
+    ], ids=["coupling", "control"])
+    def test_a_gap_over_its_tolerance_fails_the_gate(
+            self, tmp_path, capsys, monkeypatch, gate, stage):
+        # A bound of -1 fails every gap, 0 included; the message names the
+        # stage, the gap and the bound, and the report is written.
+        monkeypatch.setattr(cli, gate, -1.0)
+        assert run_edited(tmp_path, "transport", "schedule", [1]) == 3
+        err = capsys.readouterr().err
+        assert f"numeric failure: {stage}" in err
+        assert err.rstrip().endswith("exceeds -1")
+        assert (tmp_path / "out" / "report.json").exists()
 
 
 class TestCramerCommand:

@@ -395,13 +395,12 @@ class TestRateFunction:
         # rate(x) = inf{ lp_entropy(nu) : mean(nu) = x } on a finite law:
         # the constraint set on 3 atoms is a segment, swept by grid.
         from sanovdual.penalties import LpEntropy, penalty
-        from sanovdual.spaces import Dist, FiniteSpace
+        from sanovdual.spaces import Dist
 
         atoms = np.array([-1.0, 0.0, 1.0])
         w = np.array([0.3, 0.4, 0.3])
         law = FiniteSupportLaw(atoms, w)
-        space = FiniteSpace.of_size(3)
-        spec = LpEntropy(Dist(space, w), 2.0)
+        spec = LpEntropy(Dist(w), 2.0)
         for x in (0.0, 0.25, -0.4):
             best = math.inf
             for t in np.linspace(0.0, 1.0, 40001):

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (ProductDist, entropic_risk, greedy_optimizer_from_trace,
-                     iid_empirical_expectation, risk, symmetric_from_dense,
-                     tensor_penalty, tensor_penalty_batch, type_rank)
+from oracles import (ProductDist, entropic_risk, expand_dense,
+                     greedy_optimizer_from_trace, iid_empirical_expectation,
+                     risk, symmetric_from_dense, tensor_penalty,
+                     tensor_penalty_batch, type_rank)
 import sanovdual.dp as dp_module
 import sanovdual.optim as optim_module
 import sanovdual.penalties as penalties_module
@@ -19,13 +20,9 @@ from sanovdual.losses import ExpLoss, PowerLoss
 from sanovdual.penalties import (LpEntropy, RelativeEntropy, Robust,
                                  SetIndicator, Shortfall, Transport, penalty)
 from sanovdual.risk import risk_rows
-from sanovdual.spaces import (Dist, FiniteSpace, SpaceError, SymmetricField,
-                              type_index)
+from sanovdual.spaces import Dist, SpaceError, SymmetricField, type_index
 
-TWO = FiniteSpace.of_size(2)
-THREE = FiniteSpace.of_size(3)
-FOUR = FiniteSpace.of_size(4)
-UNIF2 = Dist.uniform(TWO)
+UNIF2 = Dist.uniform(2)
 COST_TV = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
@@ -54,7 +51,7 @@ def _terminal(F, n, m):
 
 
 def all_specs():
-    g1, g2 = Dist(TWO, [0.2, 0.8]), Dist(TWO, [0.7, 0.3])
+    g1, g2 = Dist([0.2, 0.8]), Dist([0.7, 0.3])
     return [
         RelativeEntropy(UNIF2),
         LpEntropy(UNIF2, 2.0),
@@ -66,8 +63,8 @@ def all_specs():
 
 
 def three_state_specs():
-    mu = Dist(THREE, [0.5, 0.3, 0.2])
-    g = (Dist(THREE, [0.6, 0.25, 0.15]), Dist(THREE, [0.3, 0.4, 0.3]))
+    mu = Dist([0.5, 0.3, 0.2])
+    g = (Dist([0.6, 0.25, 0.15]), Dist([0.3, 0.4, 0.3]))
     return [
         RelativeEntropy(mu),
         LpEntropy(mu, 2.0),
@@ -80,8 +77,8 @@ def three_state_specs():
 
 
 def four_state_specs():
-    mu = Dist(FOUR, [0.1, 0.2, 0.3, 0.4])
-    g = (Dist(FOUR, [0.4, 0.3, 0.2, 0.1]), Dist.uniform(FOUR))
+    mu = Dist([0.1, 0.2, 0.3, 0.4])
+    g = (Dist([0.4, 0.3, 0.2, 0.1]), Dist.uniform(4))
     return [
         RelativeEntropy(mu),
         LpEntropy(mu, 2.0),
@@ -97,11 +94,10 @@ class TestDenseRecursion:
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 4), (2, 6), (3, 3)])
     def test_entropic_log_sum_oracle(self, m, n):
         rng = np.random.default_rng(0)
-        space = FiniteSpace.of_size(m)
         w = rng.dirichlet(np.ones(m)) + 0.1
-        mu = Dist(space, w / w.sum())
+        mu = Dist(w / w.sum())
         f = rng.normal(size=m ** n)
-        v, _ = backward_value_dense(f, space, RelativeEntropy(mu))
+        v, _ = backward_value_dense(f, RelativeEntropy(mu))
         want = math.log(float(np.dot(ProductDist.iid(mu, n).tensor,
                                      np.exp(f - f.max())))) + f.max()
         assert abs(v - want) <= 1e-9
@@ -109,7 +105,7 @@ class TestDenseRecursion:
     def test_singleton_set_indicator_is_expectation(self):
         rng = np.random.default_rng(1)
         f = rng.normal(size=4)
-        v, _ = backward_value_dense(f, TWO, SetIndicator((UNIF2,)))
+        v, _ = backward_value_dense(f, SetIndicator((UNIF2,)))
         want = float(np.dot(ProductDist.iid(UNIF2, 2).tensor, f))
         assert abs(v - want) <= 1e-12
 
@@ -117,11 +113,11 @@ class TestDenseRecursion:
         # sup over laws whose stage kernels pick hull vertices: |M|^(1+m)
         # product-form candidates carry the max of log int e^f.
         rng = np.random.default_rng(2)
-        g = (Dist(TWO, [0.2, 0.8]), Dist(TWO, [0.7, 0.3]))
+        g = (Dist([0.2, 0.8]), Dist([0.7, 0.3]))
         spec = Robust(g)
         for _ in range(10):
             f = rng.normal(size=4).reshape(2, 2)
-            v, _ = backward_value_dense(f, TWO, spec)
+            v, _ = backward_value_dense(f, spec)
             best = -math.inf
             for first in g:
                 for k0 in g:
@@ -134,15 +130,15 @@ class TestDenseRecursion:
 
     def test_cap_error_mentions_symmetric(self):
         with pytest.raises(SpaceError, match="symmetric"):
-            backward_value_dense(np.zeros(2 ** 25), TWO, RelativeEntropy(UNIF2))
+            backward_value_dense(np.zeros(2 ** 25), RelativeEntropy(UNIF2))
 
     def test_monotone_in_data(self):
         rng = np.random.default_rng(3)
         for spec in all_specs():
             f = rng.normal(size=4)
             g = f - np.abs(rng.normal(size=4))
-            vf, _ = backward_value_dense(f, TWO, spec)
-            vg, _ = backward_value_dense(g, TWO, spec)
+            vf, _ = backward_value_dense(f, spec)
+            vg, _ = backward_value_dense(g, spec)
             assert vf >= vg - 1e-10
 
     def test_translation(self):
@@ -150,8 +146,8 @@ class TestDenseRecursion:
         for spec in all_specs():
             f = rng.normal(size=4)
             c = 0.83
-            v1, _ = backward_value_dense(f, TWO, spec)
-            v2, _ = backward_value_dense(f + c, TWO, spec)
+            v1, _ = backward_value_dense(f, spec)
+            v2, _ = backward_value_dense(f + c, spec)
             assert abs(v2 - (v1 + c)) <= 1e-8
 
 
@@ -164,13 +160,13 @@ class TestSampledSupremum:
         draws = rng.dirichlet(np.ones(2 ** n), size=500)
         for spec in all_specs():
             f = rng.normal(size=2 ** n)
-            v, stages = backward_value_dense(f, TWO, spec, keep_trace=True)
+            v, stages = backward_value_dense(f, spec, keep_trace=True)
             alphas = tensor_penalty_batch(draws, n, 2, spec)
             vals = draws @ f - alphas
             vals = vals[np.isfinite(vals)]
             if vals.size:
                 assert v >= vals.max() - 1e-7
-            nu_star = greedy_optimizer_from_trace(stages, TWO, spec)
+            nu_star = greedy_optimizer_from_trace(stages, spec)
             achieved = float(np.dot(nu_star.tensor, f)) - \
                 tensor_penalty(nu_star, spec)
             assert achieved >= v - 1e-6
@@ -180,19 +176,19 @@ class TestSymmetricRecursion:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_agrees_with_dense(self, n):
         rng = np.random.default_rng(6)
-        for space, specs in ((TWO, all_specs()), (THREE, three_state_specs())):
+        for m, specs in ((2, all_specs()), (3, three_state_specs())):
             for spec in specs:
                 for _ in range(4):
-                    coefs = rng.normal(size=space.size)
+                    coefs = rng.normal(size=m)
                     quad = rng.normal()
 
                     def F(nu):
                         return nu @ coefs + quad * nu[:, 0] ** 2
 
-                    term = _terminal(F, n, space.size)
-                    v_sym = backward_value_symmetric(term, n, space, spec)
-                    dense = SymmetricField(n, space, term).expand_dense()
-                    v_den, _ = backward_value_dense(dense, space, spec)
+                    term = _terminal(F, n, m)
+                    v_sym = backward_value_symmetric(term, n, spec)
+                    dense = expand_dense(SymmetricField(n, m, term))
+                    v_den, _ = backward_value_dense(dense, spec)
                     assert abs(v_sym - v_den) <= 1e-8
 
     def test_linear_f_classical_factorizes(self):
@@ -202,8 +198,8 @@ class TestSymmetricRecursion:
         spec = RelativeEntropy(UNIF2)
         want = entropic_risk(fbar, UNIF2)
         for n in (1, 2, 5, 17):
-            term = symmetric_terminal(_linear(fbar), n, TWO)
-            v = backward_value_symmetric(term, n, TWO, spec) / n
+            term = symmetric_terminal(_linear(fbar), n)
+            v = backward_value_symmetric(term, n, spec) / n
             assert abs(v - want) <= 1e-10
 
     def test_constant_f(self):
@@ -213,26 +209,25 @@ class TestSymmetricRecursion:
             for n in (1, 3, 8):
                 term = _terminal(SimplexFunction("constant", 2, value=0.37),
                                  n, 2)
-                v = backward_value_symmetric(term, n, TWO, spec) / n
+                v = backward_value_symmetric(term, n, spec) / n
                 assert abs(v - 0.37) <= 1e-9
 
     @pytest.mark.parametrize("grouped", [False, True],
                              ids=["states", "groups"])
-    @pytest.mark.parametrize("space, specs", [
-        (TWO, all_specs()), (THREE, three_state_specs())], ids=["m2", "m3"])
-    def test_schedule_in_lockstep_is_bit_identical(self, space, specs,
+    @pytest.mark.parametrize("m, specs", [
+        (2, all_specs()), (3, three_state_specs())], ids=["m2", "m3"])
+    def test_schedule_in_lockstep_is_bit_identical(self, m, specs,
                                                    grouped):
         # One descent for an unsorted schedule with a repeat equals, bit for
         # bit, each entry's own recursion ranked level by level by the
         # oracle, and the one-entry call.  Ungrouped, every state is its
         # own group; grouped, a well on the last state lumps the others.
-        m = space.size
         if grouped:
             F = _well(0.3, m=m, coordinate=m - 1)
             labels = F.labels
 
             def term(n):
-                return symmetric_terminal(F, n, space)
+                return symmetric_terminal(F, n)
         else:
             coefs = np.random.default_rng(19).normal(size=m)
             labels = np.arange(m)
@@ -255,20 +250,19 @@ class TestSymmetricRecursion:
             for n, v in zip(schedule, got):
                 V = term(n)
                 if not grouped:
-                    assert v == backward_value_symmetric(V, n, space, spec)
+                    assert v == backward_value_symmetric(V, n, spec)
                 for k in range(n - 1, -1, -1):
                     V = risk_rows(spec, V[type_rank(type_index(k, g)[:, None]
                                                     + step)])
                 assert v == float(V[0])
 
-    @pytest.mark.parametrize("space, specs", [
-        (THREE, three_state_specs()), (FOUR, four_state_specs())],
+    @pytest.mark.parametrize("m, specs", [
+        (3, three_state_specs()), (4, four_state_specs())],
         ids=["m3", "m4"])
-    def test_lumped_values_equal_the_per_state_recursion(self, space, specs):
+    def test_lumped_values_equal_the_per_state_recursion(self, m, specs):
         # A well on any coordinate lumps the other states, a constant all
         # of them; each v_n equals, bit for bit, the recursion over the
         # classes of the states themselves (identity labels).
-        m = space.size
         Fs = [SimplexFunction("constant", m, value=0.37)] + [
             _well(0.4, -2.0, m, kind, c)
             for kind in ("square_well", "abs_well") for c in range(m)]
@@ -276,7 +270,7 @@ class TestSymmetricRecursion:
         for spec in specs:
             for F in Fs:
                 lumped = backward_values_symmetric(
-                    lambda n: symmetric_terminal(F, n, space), schedule,
+                    lambda n: symmetric_terminal(F, n), schedule,
                     F.labels, spec)
                 per_state = backward_values_symmetric(
                     lambda n: _terminal(F, n, m), schedule, np.arange(m),
@@ -302,7 +296,7 @@ class TestSymmetricRecursion:
     def test_rejects_asymmetric_dense_input(self):
         f = np.array([0.0, 1.0, 2.0, 3.0])
         with pytest.raises(SpaceError, match="permutation"):
-            symmetric_from_dense(f, 2, TWO)
+            symmetric_from_dense(f, 2, 2)
 
 
 class TestSanovLimit:
@@ -325,7 +319,7 @@ class TestSanovLimit:
     def test_set_indicator_bracketed_by_products_and_limit(self):
         # Adapted hull kernels dominate i.i.d. product laws at finite n, and
         # the scaled value never exceeds the limiting sup of F on the hull.
-        g = (Dist(TWO, [0.2, 0.8]), Dist(TWO, [0.7, 0.3]))
+        g = (Dist([0.2, 0.8]), Dist([0.7, 0.3]))
         F = _one(_well(0.5))
         run = sanov_limit(_well(0.5), SetIndicator(g), [2, 4, 8, 16])
         limit = max(F(w * g[0].weights + (1 - w) * g[1].weights)
@@ -344,7 +338,7 @@ class TestSanovLimit:
         # A convex F: sup over s = nu_0 of (s - 0.7)^2 - I(s), where
         # I(s) = s log(s / 0.5) + (1 - s) log((1 - s) / 0.5) is the least
         # relative entropy to mu at nu_0 = s, on 2,000,001 points of s.
-        mu = Dist(THREE, [0.5, 0.3, 0.2])
+        mu = Dist([0.5, 0.3, 0.2])
         run = sanov_limit(_well(0.7, 1.0, m=3), RelativeEntropy(mu), [2])
         s = np.linspace(0.0, 1.0, 2000001)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -359,8 +353,8 @@ class TestSanovLimit:
             penalty(nu, RelativeEntropy(mu))
 
     @pytest.mark.parametrize("spec", [
-        RelativeEntropy(Dist(THREE, [0.5, 0.5, 0.0])),
-        Transport(Dist(THREE, [0.5, 0.5, 0.0]),
+        RelativeEntropy(Dist([0.5, 0.5, 0.0])),
+        Transport(Dist([0.5, 0.5, 0.0]),
                   np.array([[0.0, 1.0, np.inf], [1.0, 0.0, np.inf],
                             [2.0, 1.0, 0.0]]))],
         ids=["RelativeEntropy", "Transport"])
@@ -378,7 +372,7 @@ class TestSanovLimit:
     def test_positive_scale_transport_keeps_its_coupling_target(self):
         # The coupling target is F(argmax) less the cost of an explicit
         # coupling to argmax, so it lies at most target; here they meet.
-        mu = Dist(THREE, [0.5, 0.3, 0.2])
+        mu = Dist([0.5, 0.3, 0.2])
         cost = np.abs(np.subtract.outer(np.arange(3.0), np.arange(3.0)))
         spec = Transport(mu, cost)
         for kind in ("square_well", "abs_well"):
@@ -397,7 +391,7 @@ class TestSanovLimit:
         # 24 steps left a t-cell too wide for the gap gate at these
         # scales.  As the scale grows the sup tends to -I(0.35), the least
         # relative entropy to mu at nu_1 = 0.35.
-        mu = Dist(THREE, [0.5, 0.3, 0.2])
+        mu = Dist([0.5, 0.3, 0.2])
         run = sanov_limit(_well(0.35, scale, m=3, coordinate=1),
                           RelativeEntropy(mu), [2])
         want = -(0.35 * math.log(0.35 / 0.3) + 0.65 * math.log(0.65 / 0.7))
@@ -432,7 +426,7 @@ class TestSanovLimit:
             for w in np.linspace(0.05, 0.95, 19):
                 nu = np.array([w, 1 - w])
                 lower = iid_empirical_expectation(_one(F), nu, n) - \
-                    penalty(Dist(TWO, nu), spec)
+                    penalty(Dist(nu), spec)
                 assert v >= lower - 1e-9
 
 
@@ -440,7 +434,7 @@ class TestSuperhedge:
     def test_one_step(self):
         rng = np.random.default_rng(9)
         f = rng.normal(size=2)
-        cert = superhedge(f, TWO, RelativeEntropy(UNIF2))
+        cert = superhedge(f, RelativeEntropy(UNIF2))
         want = f - entropic_risk(f, UNIF2)
         np.testing.assert_allclose(cert.increments[0], want, atol=1e-12)
         assert abs(risk(cert.increments[0], RelativeEntropy(UNIF2))) <= 1e-9
@@ -449,7 +443,7 @@ class TestSuperhedge:
         rng = np.random.default_rng(10)
         for _ in range(10):
             f = rng.normal(size=4)
-            cert = superhedge(f, TWO, RelativeEntropy(UNIF2))
+            cert = superhedge(f, RelativeEntropy(UNIF2))
             assert cert.residual_max <= 1e-10
             assert cert.slice_risk_max <= 1e-9
 
@@ -460,7 +454,7 @@ class TestSuperhedge:
         spec = Shortfall(UNIF2, loss)
         for _ in range(5):
             f = rng.normal(size=4)
-            cert = superhedge(f, TWO, spec)
+            cert = superhedge(f, spec)
             for inc in cert.increments:
                 rows = inc.reshape(-1, 2)
                 for row in rows:
@@ -480,7 +474,7 @@ class TestSuperhedge:
             return real(G_counted, *args)
         monkeypatch.setattr(penalties_module, "newton_nonincreasing", counted)
         f = np.random.default_rng(1).normal(size=2 ** 16)
-        cert = superhedge(f, TWO, Shortfall(UNIF2, PowerLoss(2.0)))
+        cert = superhedge(f, Shortfall(UNIF2, PowerLoss(2.0)))
         assert cert.residual_max <= 1e-10 and cert.slice_risk_max <= 1e-9
         assert sum(rows) <= 690_000
 
@@ -491,14 +485,14 @@ class TestTransportControl:
         f = rng.normal(size=4)
         cost = np.full((2, 2), math.inf)
         np.fill_diagonal(cost, 0.0)
-        got = transport_control_value(f, TWO, UNIF2, cost)
+        got = transport_control_value(f, UNIF2, cost)
         want = float(np.dot(ProductDist.iid(UNIF2, 2).tensor, f))
         assert abs(got - want) <= 1e-12
 
     def test_zero_cost_gives_max(self):
         rng = np.random.default_rng(13)
         f = rng.normal(size=8)
-        got = transport_control_value(f, TWO, UNIF2, np.zeros((2, 2)))
+        got = transport_control_value(f, UNIF2, np.zeros((2, 2)))
         assert abs(got - f.max()) <= 1e-12
 
     def test_agrees_with_recursion(self):
@@ -506,8 +500,8 @@ class TestTransportControl:
         for _ in range(10):
             cost = rng.uniform(0, 2, (2, 2))
             f = rng.normal(size=4)
-            v1, _ = backward_value_dense(f, TWO, Transport(UNIF2, cost))
-            v2 = transport_control_value(f, TWO, UNIF2, cost)
+            v1, _ = backward_value_dense(f, Transport(UNIF2, cost))
+            v2 = transport_control_value(f, UNIF2, cost)
             assert abs(v1 - v2) <= 1e-10
 
 
@@ -525,7 +519,7 @@ class TestTransportLongrun:
     def test_off_grid_optimum_from_both_bounds(self):
         # The optimum (0.7333, 0.0667, 0.2) is off every simplex grid; its
         # value is -19/60 in closed form.
-        mu = Dist(THREE, [0.5, 0.3, 0.2])
+        mu = Dist([0.5, 0.3, 0.2])
         cost = np.abs(np.subtract.outer(np.arange(3.0), np.arange(3.0)))
         run = sanov_limit(_well(0.9, -3.0, m=3), Transport(mu, cost), [2],
                           grid_step=0.1)
@@ -543,7 +537,7 @@ class TestTransportLongrun:
         for F, mu, cost in [
             (_well(0.9, kind="abs_well"), UNIF2, COST_TV),
             # A forbidden cell and an optimum off the grid.
-            (_well(0.2, -3.0), Dist(TWO, [0.6, 0.4]),
+            (_well(0.2, -3.0), Dist([0.6, 0.4]),
              np.array([[0.0, 1.0], [math.inf, 0.0]])),
         ]:
             run = sanov_limit(F, Transport(mu, cost), [2, 4, 8])
@@ -574,8 +568,8 @@ class TestSimplexSupremum:
         assert val == whole[0] and arg.tolist() == whole[1].tolist()
 
     @pytest.mark.parametrize("spec", [
-        LpEntropy(Dist(THREE, [0.5, 0.5, 0.0]), 2.0),
-        Shortfall(Dist(THREE, [0.5, 0.5, 0.0]), PowerLoss(2.0))])
+        LpEntropy(Dist([0.5, 0.5, 0.0]), 2.0),
+        Shortfall(Dist([0.5, 0.5, 0.0]), PowerLoss(2.0))])
     def test_ascent_stays_on_the_support(self, spec):
         # mu does not charge the last state, where alpha is +inf; the sup
         # is over nu = (x, 1 - x, 0): a grid over x, then a grid within one
@@ -667,7 +661,7 @@ class TestTargetWorkCount:
         assert calls["penalty_rows"] == [1]
 
     def test_set_indicator_scans_the_grid_alone(self, monkeypatch):
-        g = (Dist(TWO, [0.2, 0.8]), Dist(TWO, [0.7, 0.3]))
+        g = (Dist([0.2, 0.8]), Dist([0.7, 0.3]))
         spec = SetIndicator(g)
         calls = self._spy(monkeypatch, spec)
         run = sanov_limit(_well(0.5), spec, [2], grid_step=0.01)

@@ -50,10 +50,6 @@ ALLOWED = {
     "cramer.rate_function",
     # README's quick tour, which tests/test_readme.py runs, calls it
     "spaces.Dist.uniform",
-    # README's quick tour, which tests/test_readme.py runs, calls it
-    "spaces.SymmetricField.expand_dense",
-    # only SymmetricField.expand_dense, allowlisted above, calls it
-    "spaces._dense_ranks",
 }
 
 # Keyword options that no src/ call sets: (module.function, option).
@@ -243,6 +239,24 @@ def test_every_option_has_a_src_caller():
     assert unset == OPTIONS_WITHOUT_CALLER, (
         f"no src/ caller sets: {sorted(unset - OPTIONS_WITHOUT_CALLER)}; "
         f"allowlisted but set: {sorted(OPTIONS_WITHOUT_CALLER - unset)}")
+
+
+def test_a_state_space_is_its_size():
+    # A finite space is its number of states m: src/ defines no space type
+    # and no function takes a ``space`` beside the law, spec or F that
+    # already fixes m.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and node.name == "FiniteSpace":
+                found.append(f"{path.name}:{node.lineno} class FiniteSpace")
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in (*args.posonlyargs, *args.args,
+                                         *args.kwonlyargs)]
+                if "space" in names:
+                    found.append(f"{path.name}:{node.lineno} parameter space")
+    assert not found, found
 
 
 def test_risk_is_a_module():

@@ -13,16 +13,14 @@ from sanovdual.losses import ExpLoss, PowerLoss
 from sanovdual.penalties import (LpEntropy, RelativeEntropy, Robust,
                                  SetIndicator, Shortfall, Transport,
                                  _robust_rows, hull_distance, penalty)
-from sanovdual.spaces import Dist, FiniteSpace, SpaceError
+from sanovdual.spaces import Dist, SpaceError
 
 # +inf off a support, 0 log 0 and zero generator entries are handled
 # without a numpy warning.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
-TWO = FiniteSpace.of_size(2)
-THREE = FiniteSpace.of_size(3)
-UNIF2 = Dist.uniform(TWO)
-UNIF3 = Dist.uniform(THREE)
+UNIF2 = Dist.uniform(2)
+UNIF3 = Dist.uniform(3)
 LOG2 = 0.6931471805599453
 
 
@@ -43,12 +41,12 @@ def endpoint_cost_2x2(mu, nu, cost):
     return best
 
 
-def rand_dist(rng, space, full=True):
-    w = rng.dirichlet(np.ones(space.size))
+def rand_dist(rng, m, full=True):
+    w = rng.dirichlet(np.ones(m))
     if full:
         w = w + 1e-3
         w /= w.sum()
-    return Dist(space, w)
+    return Dist(w)
 
 
 class TestRelativeEntropy:
@@ -56,11 +54,11 @@ class TestRelativeEntropy:
         assert penalty(UNIF2, RelativeEntropy(UNIF2)) == 0.0
 
     def test_point_mass_against_uniform(self):
-        assert abs(penalty(Dist(TWO, [1, 0]), RelativeEntropy(UNIF2)) - LOG2) \
+        assert abs(penalty(Dist([1, 0]), RelativeEntropy(UNIF2)) - LOG2) \
             <= 1e-12
 
     def test_absolute_continuity_failure(self):
-        assert penalty(UNIF2, RelativeEntropy(Dist(TWO, [1, 0]))) == math.inf
+        assert penalty(UNIF2, RelativeEntropy(Dist([1, 0]))) == math.inf
 
 
 class TestLpEntropy:
@@ -68,33 +66,33 @@ class TestLpEntropy:
         rng = np.random.default_rng(0)
         assert penalty(UNIF2, LpEntropy(UNIF2, 2.0)) == 0.0
         for _ in range(20):
-            nu = rand_dist(rng, TWO)
+            nu = rand_dist(rng, 2)
             val = penalty(nu, LpEntropy(UNIF2, 2.0))
             if np.abs(nu.weights - UNIF2.weights).max() > 1e-6:
                 assert val > 0.0
 
     def test_point_mass_value(self):
         # ((0.5 * 2^2))^(1/2) - 1 = sqrt(2) - 1
-        got = penalty(Dist(TWO, [1, 0]), LpEntropy(UNIF2, 2.0))
+        got = penalty(Dist([1, 0]), LpEntropy(UNIF2, 2.0))
         assert abs(got - (math.sqrt(2.0) - 1.0)) <= 1e-12
 
     def test_off_support_infinite(self):
-        assert penalty(UNIF2, LpEntropy(Dist(TWO, [1, 0]), 2.0)) == math.inf
+        assert penalty(UNIF2, LpEntropy(Dist([1, 0]), 2.0)) == math.inf
 
 
 def with_zero(rng, dist):
     """The law with one entry, picked at random, set to 0 and renormalized."""
     w = dist.weights.copy()
     w[rng.integers(w.size)] = 0.0
-    return Dist(dist.space, w / w.sum())
+    return Dist(w / w.sum())
 
 
 class TestShortfallPenalty:
     def test_exp_loss_recovers_relative_entropy(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
-            mu = rand_dist(rng, THREE)
-            nu = rand_dist(rng, THREE)
+            mu = rand_dist(rng, 3)
+            nu = rand_dist(rng, 3)
             for law in (nu, with_zero(rng, nu)):
                 got = penalty(law, Shortfall(mu, ExpLoss()))
                 assert abs(got - penalty(law, RelativeEntropy(mu))) <= 1e-12
@@ -103,10 +101,10 @@ class TestShortfallPenalty:
     def test_power_loss_recovers_lp_entropy(self, q):
         rng = np.random.default_rng(2)
         p = q / (q - 1.0)
-        for space in (TWO, THREE):
+        for m in (2, 3):
             for _ in range(25):
-                mu = rand_dist(rng, space)
-                nu = rand_dist(rng, space)
+                mu = rand_dist(rng, m)
+                nu = rand_dist(rng, m)
                 for law in (nu, with_zero(rng, nu)):
                     got = penalty(law, Shortfall(mu, PowerLoss(q)))
                     assert abs(got - penalty(law, LpEntropy(mu, p))) <= 1e-12
@@ -121,7 +119,7 @@ class TestShortfallPenalty:
         mu = np.array([0.05, 0.35, 0.6])
         V = np.vstack([rng.dirichlet(np.ones(3), size=6),
                        [[0.5, 0.25, 0.25], [0.0, 0.5, 0.5]]])
-        got = penalty(V, Shortfall(Dist(THREE, mu), tab))
+        got = penalty(V, Shortfall(Dist(mu), tab))
         want = shortfall_penalty_golden(V, mu, tab)
         assert np.isfinite(want).all()
         assert np.abs(got - want).max() <= 1e-9
@@ -132,30 +130,30 @@ class TestShortfallPenalty:
             assert abs(penalty(UNIF2, Shortfall(UNIF2, loss))) <= 1e-8
 
     def test_off_support_infinite(self):
-        assert penalty(UNIF2, Shortfall(Dist(TWO, [1, 0]),
+        assert penalty(UNIF2, Shortfall(Dist([1, 0]),
                                         PowerLoss(2.0))) == math.inf
 
 
 class TestRobustEntropy:
     def test_singleton(self):
         rng = np.random.default_rng(3)
-        nu, mu = rand_dist(rng, TWO), rand_dist(rng, TWO)
+        nu, mu = rand_dist(rng, 2), rand_dist(rng, 2)
         assert penalty(nu, Robust((mu,))) == penalty(nu, RelativeEntropy(mu))
 
     def test_hull_member_is_zero(self):
-        g = (Dist(TWO, [0.2, 0.8]), Dist(TWO, [0.8, 0.2]))
-        assert abs(penalty(Dist(TWO, [0.4, 0.6]), Robust(g))) <= 1e-9
+        g = (Dist([0.2, 0.8]), Dist([0.8, 0.2]))
+        assert abs(penalty(Dist([0.4, 0.6]), Robust(g))) <= 1e-9
 
     def test_point_mass_hull_covers(self):
         # hull of the two point masses is the whole simplex on {a, b}
-        g = (Dist(TWO, [1.0, 0.0]), Dist(TWO, [0.0, 1.0]))
-        assert abs(penalty(Dist(TWO, [0.3, 0.7]), Robust(g))) <= 1e-9
+        g = (Dist([1.0, 0.0]), Dist([0.0, 1.0]))
+        assert abs(penalty(Dist([0.3, 0.7]), Robust(g))) <= 1e-9
 
     def test_three_generators_matches_mixture_grid(self):
         rng = np.random.default_rng(4)
-        gens = tuple(rand_dist(rng, THREE) for _ in range(3))
+        gens = tuple(rand_dist(rng, 3) for _ in range(3))
         for _ in range(5):
-            nu = rand_dist(rng, THREE)
+            nu = rand_dist(rng, 3)
             got = penalty(nu, Robust(gens))
             # grid oracle over mixture weights
             best = math.inf
@@ -167,15 +165,14 @@ class TestRobustEntropy:
                     mix = (w1 * gens[0].weights + w2 * gens[1].weights +
                            (1 - w1 - w2) * gens[2].weights)
                     best = min(best, penalty(nu.weights[None, :],
-                                             RelativeEntropy(Dist(THREE,
-                                                                  mix)))[0])
+                                             RelativeEntropy(Dist(mix)))[0])
             assert got <= best + 1e-9
             assert got >= best - 1e-4  # grid resolution
 
     @pytest.mark.parametrize("case", ["random", "ends", "zeros"])
     def test_two_generators_match_golden_search(self, case):
         rng = np.random.default_rng(16)
-        g0, g1 = (rand_dist(rng, THREE).weights for _ in range(2))
+        g0, g1 = (rand_dist(rng, 3).weights for _ in range(2))
         V = rng.dirichlet(np.ones(3), size=20)
         if case == "ends":
             # Laws on the line through g0 and g1, beyond either end: the
@@ -187,7 +184,7 @@ class TestRobustEntropy:
             g1 = np.array([0.0, 0.3, 0.7])
             V = np.vstack([V, [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0],
                                [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]]])
-        gens = (Dist(THREE, g0), Dist(THREE, g1))
+        gens = (Dist(g0), Dist(g1))
         got = penalty(V, Robust(gens))
         want, w = robust_pair_golden(V, g0, g1)
         assert np.isfinite(want).all()
@@ -197,15 +194,14 @@ class TestRobustEntropy:
             assert (w[1:6] == 1.0).all() and (w[7:12] == 0.0).all()
 
     def test_unsupported_is_infinite(self):
-        g = (Dist(THREE, [0.5, 0.5, 0.0]), Dist(THREE, [0.2, 0.8, 0.0]))
-        assert penalty(Dist(THREE, [0.2, 0.2, 0.6]), Robust(g)) == math.inf
+        g = (Dist([0.5, 0.5, 0.0]), Dist([0.2, 0.8, 0.0]))
+        assert penalty(Dist([0.2, 0.2, 0.6]), Robust(g)) == math.inf
 
     def test_four_generators_at_most_the_em_bound(self):
         rng = np.random.default_rng(20)
         G = rng.dirichlet(np.ones(5), size=4)
         V = rng.dirichlet(np.ones(5), size=20)
-        five = FiniteSpace.of_size(5)
-        got = penalty(V[16], Robust(tuple(Dist(five, g) for g in G)))
+        got = penalty(V[16], Robust(tuple(Dist(g) for g in G)))
         assert got <= robust_em_bound(V[16], G) + 1e-12
 
     def test_em_bound_is_finite_where_the_mixture_vanishes(self):
@@ -248,24 +244,23 @@ class TestRobustEntropy:
 
 class TestHullIndicator:
     def test_member(self):
-        g = (Dist(TWO, [0.2, 0.8]), Dist(TWO, [0.8, 0.2]))
-        assert penalty(Dist(TWO, [0.5, 0.5]), SetIndicator(g)) == 0.0
+        g = (Dist([0.2, 0.8]), Dist([0.8, 0.2]))
+        assert penalty(Dist([0.5, 0.5]), SetIndicator(g)) == 0.0
         assert penalty(g[0], SetIndicator(g)) == 0.0
 
     def test_nonmember(self):
-        g = (Dist(TWO, [1.0, 0.0]),)
-        assert penalty(Dist(TWO, [0.5, 0.5]), SetIndicator(g)) == math.inf
+        g = (Dist([1.0, 0.0]),)
+        assert penalty(Dist([0.5, 0.5]), SetIndicator(g)) == math.inf
 
     def test_segment_membership_three_states(self):
-        g = (Dist(THREE, [0.6, 0.2, 0.2]), Dist(THREE, [0.2, 0.6, 0.2]))
-        mid = Dist(THREE, 0.5 * g[0].weights + 0.5 * g[1].weights)
+        g = (Dist([0.6, 0.2, 0.2]), Dist([0.2, 0.6, 0.2]))
+        mid = Dist(0.5 * g[0].weights + 0.5 * g[1].weights)
         assert penalty(mid, SetIndicator(g)) == 0.0
         assert penalty(UNIF3, SetIndicator(g)) == math.inf
 
     @staticmethod
     def spec(G):
-        space = FiniteSpace.of_size(G.shape[1])
-        return SetIndicator(tuple(Dist(space, g) for g in G))
+        return SetIndicator(tuple(Dist(g) for g in G))
 
     @pytest.mark.parametrize("m, k", [(3, 3), (4, 4), (5, 5), (4, 3)])
     def test_generators_and_mixtures_are_members(self, m, k):
@@ -318,7 +313,7 @@ class TestTransportCost:
         rng = np.random.default_rng(5)
         cost = rng.uniform(0.5, 2.0, (2, 2))
         np.fill_diagonal(cost, 0.0)
-        nu = rand_dist(rng, TWO)
+        nu = rand_dist(rng, 2)
         assert abs(penalty(nu, Transport(nu, cost))) <= 1e-10
 
     def test_total_variation_matches_coupling_grid(self):
@@ -326,7 +321,7 @@ class TestTransportCost:
         rng = np.random.default_rng(6)
         cost = np.array([[0.0, 1.0], [1.0, 0.0]])
         for _ in range(10):
-            mu, nu = rand_dist(rng, TWO), rand_dist(rng, TWO)
+            mu, nu = rand_dist(rng, 2), rand_dist(rng, 2)
             t_lo = max(0.0, mu.weights[0] + nu.weights[0] - 1.0)
             t_hi = min(mu.weights[0], nu.weights[0])
             best = math.inf
@@ -346,21 +341,21 @@ class TestTransportCost:
     def test_point_mass_reference(self):
         rng = np.random.default_rng(7)
         cost = rng.uniform(0, 3, (3, 3))
-        nu = rand_dist(rng, THREE)
-        got = penalty(nu, Transport(Dist(THREE, [1, 0, 0]), cost))
+        nu = rand_dist(rng, 3)
+        got = penalty(nu, Transport(Dist([1, 0, 0]), cost))
         assert abs(got - float(np.dot(cost[0], nu.weights))) <= 1e-12
 
     def test_infeasible_inf(self):
         cost = np.array([[0.0, math.inf], [math.inf, 1.0]])
-        got = penalty(Dist(TWO, [0.2, 0.8]),
-                      Transport(Dist(TWO, [0.7, 0.3]), cost))
+        got = penalty(Dist([0.2, 0.8]),
+                      Transport(Dist([0.7, 0.3]), cost))
         assert got == math.inf
 
     def test_off_simplex_rows_are_inf(self):
         # Rows of mass 1 + h, or with a negative entry, are off the domain:
         # +inf on every number of states, not a raise or a finite value.
         for mu in (UNIF2, UNIF3):
-            m = mu.m
+            m = mu.size
             cost = 1.0 - np.eye(m)
             heavy = np.full(m, 1.0 / m)
             heavy[0] += 1e-7
@@ -375,7 +370,7 @@ class TestTransportCost:
         # The rows penalty_rows maps to +inf have no gradient: NaN rows,
         # not a raise; the rows on the domain keep their potentials.
         for mu in (UNIF2, UNIF3):
-            m = mu.m
+            m = mu.size
             spec = Transport(mu, 1.0 - np.eye(m))
             good = np.linspace(1.0, 2.0, m)
             good /= good.sum()
@@ -403,7 +398,7 @@ class TestTransportCost:
         from sanovdual.transport import solve_transport
         rng = np.random.default_rng(8)
         for _ in range(20):
-            mu, nu = rand_dist(rng, TWO, full=False), rand_dist(rng, TWO,
+            mu, nu = rand_dist(rng, 2, full=False), rand_dist(rng, 2,
                                                                 full=False)
             cost = rng.uniform(0, 4, (2, 2))
             if rng.random() < 0.3:
@@ -421,9 +416,9 @@ class TestTensorPenalty:
         rng = np.random.default_rng(9)
         specs = [RelativeEntropy(UNIF2), LpEntropy(UNIF2, 2.0),
                  Shortfall(UNIF2, PowerLoss(2.0)),
-                 Robust((UNIF2, Dist(TWO, [0.3, 0.7]))),
+                 Robust((UNIF2, Dist([0.3, 0.7]))),
                  Transport(UNIF2, np.array([[0.0, 1.0], [1.0, 0.0]]))]
-        nu = rand_dist(rng, TWO)
+        nu = rand_dist(rng, 2)
         for n in (1, 2, 3):
             prod = ProductDist.iid(nu, n)
             for spec in specs:
@@ -434,13 +429,13 @@ class TestTensorPenalty:
     def test_chain_rule_relative_entropy(self):
         # alpha_2 under relative entropy equals H(. | mu x mu) exactly
         rng = np.random.default_rng(10)
-        mu = rand_dist(rng, THREE)
+        mu = rand_dist(rng, 3)
         spec = RelativeEntropy(mu)
         prod = ProductDist.iid(mu, 2)
-        joint = RelativeEntropy(Dist(FiniteSpace.of_size(9), prod.tensor))
+        joint = RelativeEntropy(Dist(prod.tensor))
         for _ in range(50):
             t = rng.dirichlet(np.ones(9))
-            nu = ProductDist(2, THREE, t)
+            nu = ProductDist(2, 3, t)
             lhs = tensor_penalty(nu, spec)
             rhs = penalty(t[None, :], joint)[0]
             assert abs(lhs - rhs) <= 1e-10
@@ -453,7 +448,7 @@ class TestTensorPenalty:
         prod = ProductDist.iid(UNIF2, n)
         for _ in range(100):
             t = rng.dirichlet(np.ones(2 ** n))
-            nu = ProductDist(n, TWO, t)
+            nu = ProductDist(n, 2, t)
             an = tensor_penalty(nu, spec)
             ratio = t / prod.tensor
             norm = float(np.dot(ratio ** 2, prod.tensor) ** 0.5)
@@ -461,15 +456,15 @@ class TestTensorPenalty:
 
     def test_one_step_matches_penalty(self):
         rng = np.random.default_rng(12)
-        nu = rand_dist(rng, TWO)
+        nu = rand_dist(rng, 2)
         spec = LpEntropy(UNIF2, 2.0)
-        assert abs(tensor_penalty(ProductDist(1, TWO, nu.weights), spec) -
+        assert abs(tensor_penalty(ProductDist(1, 2, nu.weights), spec) -
                    penalty(nu, spec)) <= 1e-12
 
     def test_zero_probability_prefix_contributes_nothing(self):
         t = np.array([0.5, 0.5, 0.0, 0.0])  # x1 = b never happens
-        nu = ProductDist(2, TWO, t)
-        spec = RelativeEntropy(Dist(TWO, [0.9, 0.1]))
+        nu = ProductDist(2, 2, t)
+        spec = RelativeEntropy(Dist([0.9, 0.1]))
         val = tensor_penalty(nu, spec)
         assert math.isfinite(val)
 
@@ -482,8 +477,7 @@ class TestPenaltyGrad:
         # Along the tangent directions e_i - e_j: transport potentials are
         # only defined up to a constant.
         rng = np.random.default_rng(40 + m)
-        space = FiniteSpace.of_size(m)
-        mu = rand_dist(rng, space)
+        mu = rand_dist(rng, m)
         cost = rng.uniform(0.2, 2.0, (m, m))
         np.fill_diagonal(cost, 0.0)
         spec = {
@@ -492,7 +486,7 @@ class TestPenaltyGrad:
             "shortfall": Shortfall(mu, PowerLoss(3.0)),
             # m generators: the Newton root of the mixture's first-order
             # condition on 2 states, the mixture ascent on 3
-            "robust": Robust(tuple(rand_dist(rng, space) for _ in range(m))),
+            "robust": Robust(tuple(rand_dist(rng, m) for _ in range(m))),
             "transport": Transport(mu, cost),
         }[family]
         h = 1e-6
@@ -500,7 +494,7 @@ class TestPenaltyGrad:
         # test_robust_matches_sixth_order_differences checks it to 1e-9.
         tol = 1e-5 if family == "robust" and m == 3 else 1e-6
         for _ in range(4):
-            nu = rand_dist(rng, space).weights
+            nu = rand_dist(rng, m).weights
             g = spec.penalty_rows(nu[None, :])[1][0]
             for i, j in itertools.combinations(range(m), 2):
                 e = np.zeros(m)
@@ -514,11 +508,10 @@ class TestPenaltyGrad:
         # against (45 d1 - 9 d2 + d3) / (60 h), dn = f(nu + n h e) -
         # f(nu - n h e).
         rng = np.random.default_rng(60 + 10 * m + k)
-        space = FiniteSpace.of_size(m)
-        spec = Robust(tuple(rand_dist(rng, space) for _ in range(k)))
+        spec = Robust(tuple(rand_dist(rng, m) for _ in range(k)))
         h = 1e-5
         for _ in range(4):
-            nu = rand_dist(rng, space).weights
+            nu = rand_dist(rng, m).weights
             g = spec.penalty_rows(nu[None, :])[1][0]
             for i, j in itertools.combinations(range(m), 2):
                 e = np.zeros(m)
@@ -534,17 +527,17 @@ class TestConvexityAndJensen:
     def specs(self):
         return [RelativeEntropy(UNIF2), LpEntropy(UNIF2, 2.0),
                 Shortfall(UNIF2, PowerLoss(3.0)),
-                Robust((Dist(TWO, [0.2, 0.8]), Dist(TWO, [0.7, 0.3]))),
-                SetIndicator((Dist(TWO, [0.2, 0.8]), Dist(TWO, [0.7, 0.3]))),
+                Robust((Dist([0.2, 0.8]), Dist([0.7, 0.3]))),
+                SetIndicator((Dist([0.2, 0.8]), Dist([0.7, 0.3]))),
                 Transport(UNIF2, np.array([[0.0, 2.0], [1.0, 0.0]]))]
 
     def test_midpoint_convexity(self):
         rng = np.random.default_rng(13)
         for spec in self.specs():
             for _ in range(40):
-                nu1, nu2 = rand_dist(rng, TWO), rand_dist(rng, TWO)
+                nu1, nu2 = rand_dist(rng, 2), rand_dist(rng, 2)
                 t = rng.uniform(0.1, 0.9)
-                mix = Dist(TWO, t * nu1.weights + (1 - t) * nu2.weights)
+                mix = Dist(t * nu1.weights + (1 - t) * nu2.weights)
                 a_mix = penalty(mix, spec)
                 a1, a2 = penalty(nu1, spec), penalty(nu2, spec)
                 bound = t * a1 + (1 - t) * a2
@@ -558,9 +551,9 @@ class TestConvexityAndJensen:
         for spec in self.specs():
             for _ in range(15):
                 k = rng.integers(2, 5)
-                comps = [rand_dist(rng, TWO) for _ in range(k)]
+                comps = [rand_dist(rng, 2) for _ in range(k)]
                 probs = rng.dirichlet(np.ones(k))
-                mean = Dist(TWO, sum(p * c.weights
+                mean = Dist(sum(p * c.weights
                                      for p, c in zip(probs, comps)))
                 lhs = penalty(mean, spec)
                 rhs = float(sum(p * penalty(c, spec)

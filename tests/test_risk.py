@@ -18,23 +18,20 @@ from sanovdual.penalties import (LpEntropy, RelativeEntropy, Robust,
                                  entropic_risk_rows, penalty,
                                  shortfall_risk_rows)
 from sanovdual.risk import generic_risk, risk_result, risk_rows
-from sanovdual.spaces import Dist, FiniteSpace
+from sanovdual.spaces import Dist
 
-TWO = FiniteSpace.of_size(2)
-THREE = FiniteSpace.of_size(3)
-FIVE = FiniteSpace.of_size(5)
-UNIF2 = Dist.uniform(TWO)
+UNIF2 = Dist.uniform(2)
 LOG2 = 0.6931471805599453
 INF = math.inf
 
 
-def rand_dist(rng, space):
-    w = rng.dirichlet(np.ones(space.size)) + 1e-3
-    return Dist(space, w / w.sum())
+def rand_dist(rng, m):
+    w = rng.dirichlet(np.ones(m)) + 1e-3
+    return Dist(w / w.sum())
 
 
 def all_specs(rng):
-    g1, g2 = Dist(TWO, [0.2, 0.8]), Dist(TWO, [0.7, 0.3])
+    g1, g2 = Dist([0.2, 0.8]), Dist([0.7, 0.3])
     return [
         RelativeEntropy(UNIF2),
         LpEntropy(UNIF2, 2.0),
@@ -55,7 +52,7 @@ class TestEntropicRisk:
 
     def test_indicator_gives_log_mass(self):
         # f = 0 on A, -inf off A: value log mu(A)
-        mu = Dist(THREE, [0.5, 0.3, 0.2])
+        mu = Dist([0.5, 0.3, 0.2])
         got = entropic_risk([0.0, 0.0, -INF], mu)
         assert abs(got - math.log(0.8)) <= 1e-12
 
@@ -71,8 +68,7 @@ class TestShortfallRisk:
         rng = np.random.default_rng(0)
         for _ in range(100):
             m = rng.integers(2, 6)
-            space = FiniteSpace.of_size(int(m))
-            mu = rand_dist(rng, space)
+            mu = rand_dist(rng, int(m))
             f = rng.normal(size=m) * 2.0
             got = shortfall_risk(f, mu, ExpLoss())
             want = entropic_risk(f, mu)
@@ -108,7 +104,7 @@ class TestShortfallRisk:
     def test_rows_do_not_depend_on_their_batch(self, kind):
         # Each row of a batch is bit for bit its one-row value, and within
         # the root finder's tolerance of plain bisection on its level.
-        mu = Dist(THREE, [0.5, 0.3, 0.2])
+        mu = Dist([0.5, 0.3, 0.2])
         spec = Shortfall(mu, PowerLoss(2.0)) if kind == "shortfall" \
             else LpEntropy(mu, 3.0)
         loss = PowerLoss(2.0 if kind == "shortfall" else 1.5)
@@ -163,7 +159,7 @@ class TestColumnKernels:
             w[dead] = 0.0
         w = w / w.sum()
         F = edge_rows(m, 2 if dead is None else dead)
-        mu = Dist(FiniteSpace.of_size(m), w)
+        mu = Dist(w)
         self.check(lambda X: entropic_risk_rows(X, w),
                    lambda X: entropic_risk_rows_by_row(X, w), F)
         self.check(lambda X: extreal.integral_rows(w, X),
@@ -238,7 +234,7 @@ class TestWarmBracket:
     def test_risk_rows_passes_the_hint(self):
         rng = np.random.default_rng(3)
         F = rng.normal(size=(40, 3))
-        mu = Dist(THREE, [0.5, 0.3, 0.2])
+        mu = Dist([0.5, 0.3, 0.2])
         for spec in (Shortfall(mu, ExpLoss()), LpEntropy(mu, 2.0)):
             F0 = F - risk_rows(spec, F)[:, None]
             warm = risk_rows(spec, F0, near=0.0)
@@ -248,8 +244,8 @@ class TestWarmBracket:
         # The closed-form families ignore it.
         cost = np.abs(np.subtract.outer(np.arange(3), np.arange(3)))
         for spec in (RelativeEntropy(mu), Transport(mu, cost),
-                     Robust((mu, Dist(THREE, [0.2, 0.2, 0.6]))),
-                     SetIndicator((mu, Dist(THREE, [0.2, 0.2, 0.6])))):
+                     Robust((mu, Dist([0.2, 0.2, 0.6]))),
+                     SetIndicator((mu, Dist([0.2, 0.2, 0.6])))):
             assert risk_rows(spec, F, near=0.0).tobytes() == \
                 risk_rows(spec, F).tobytes()
 
@@ -297,7 +293,7 @@ class TestOceRisk:
     def test_exp_phi_matches_entropic(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            mu = rand_dist(rng, THREE)
+            mu = rand_dist(rng, 3)
             f = rng.normal(size=3)
             got = oce_risk(f, mu, lambda x: np.exp(x) - 1.0)
             assert abs(got - entropic_risk(f, mu)) <= 1e-7
@@ -328,22 +324,22 @@ class TestOceRisk:
 class TestRobustAndSetRisk:
     def test_singleton(self):
         rng = np.random.default_rng(2)
-        mu = rand_dist(rng, TWO)
+        mu = rand_dist(rng, 2)
         f = rng.normal(size=2)
         assert robust_entropic_risk(f, (mu,)) == entropic_risk(f, mu)
 
     def test_constant(self):
-        g = (Dist(TWO, [0.2, 0.8]), Dist(TWO, [0.9, 0.1]))
+        g = (Dist([0.2, 0.8]), Dist([0.9, 0.1]))
         assert abs(robust_entropic_risk([0.7, 0.7], g) - 0.7) <= 1e-12
 
     def test_two_generators_enumeration(self):
-        g = (Dist(TWO, [0.2, 0.8]), Dist(TWO, [0.9, 0.1]))
+        g = (Dist([0.2, 0.8]), Dist([0.9, 0.1]))
         f = np.array([0.0, 1.0])
         want = max(entropic_risk(f, g[0]), entropic_risk(f, g[1]))
         assert robust_entropic_risk(f, g) == want
 
     def test_set_indicator_risk(self):
-        g = (Dist(TWO, [0.2, 0.8]), Dist(TWO, [0.9, 0.1]))
+        g = (Dist([0.2, 0.8]), Dist([0.9, 0.1]))
         spec = SetIndicator(g)
         f = np.array([0.0, 1.0])
         want = max(float(np.dot(gi.weights, f)) for gi in g)
@@ -354,7 +350,7 @@ class TestTransportRisk:
     def test_zero_cost_gives_max(self):
         rng = np.random.default_rng(3)
         f = rng.normal(size=3)
-        got = risk(f, Transport(Dist(THREE, [0.2, 0.5, 0.3]),
+        got = risk(f, Transport(Dist([0.2, 0.5, 0.3]),
                                 np.zeros((3, 3))))
         assert abs(got - f.max()) <= 1e-12
 
@@ -362,7 +358,7 @@ class TestTransportRisk:
         # zero on the diagonal, +inf off: the relaxation is f itself
         rng = np.random.default_rng(4)
         f = rng.normal(size=3)
-        mu = rand_dist(rng, THREE)
+        mu = rand_dist(rng, 3)
         cost = np.full((3, 3), INF)
         np.fill_diagonal(cost, 0.0)
         got = risk(f, Transport(mu, cost))
@@ -373,7 +369,7 @@ class TestTransportRisk:
         rng = np.random.default_rng(5)
         pts = simplex_grid(3, 0.01)
         for _ in range(3):
-            mu = rand_dist(rng, THREE)
+            mu = rand_dist(rng, 3)
             cost = rng.uniform(0.0, 2.0, (3, 3))
             np.fill_diagonal(cost, 0.0)
             f = rng.normal(size=3)
@@ -416,25 +412,25 @@ def edge_fields(rng, m):
 
 class TestMaximizerRows:
     def specs(self, rng):
-        gens3 = tuple(rand_dist(rng, THREE) for _ in range(3))
-        mu3 = Dist(THREE, [0.0, 0.4, 0.6])
+        gens3 = tuple(rand_dist(rng, 3) for _ in range(3))
+        mu3 = Dist([0.0, 0.4, 0.6])
         cost3 = rng.uniform(0.0, 2.0, (3, 3))
         np.fill_diagonal(cost3, 0.0)
         cost3[0, 1] = INF
-        gens5 = tuple(rand_dist(rng, FIVE) for _ in range(4))
+        gens5 = tuple(rand_dist(rng, 5) for _ in range(4))
         return all_specs(rng) + [
             RelativeEntropy(mu3), LpEntropy(mu3, 3.0),
             Shortfall(mu3, ExpLoss()), Robust(gens3), SetIndicator(gens3),
-            Transport(Dist(THREE, [0.5, 0.3, 0.2]), cost3), Robust(gens5)]
+            Transport(Dist([0.5, 0.3, 0.2]), cost3), Robust(gens5)]
 
     @staticmethod
     def achieved(row, f, spec):
-        return integral(row, f) - penalty(Dist(spec.space, row), spec)
+        return integral(row, f) - penalty(Dist(row), spec)
 
     def test_rows_attain_the_value(self):
         rng = np.random.default_rng(16)
         for spec in self.specs(rng):
-            F = edge_fields(rng, spec.space.size)
+            F = edge_fields(rng, spec.size)
             X = spec.maximizer_rows(F)
             vals = risk_rows(spec, F)
             assert X.shape == F.shape
@@ -451,7 +447,7 @@ class TestMaximizerRows:
     def test_matches_the_per_row_reference(self):
         rng = np.random.default_rng(17)
         for spec in self.specs(rng):
-            F = edge_fields(rng, spec.space.size)
+            F = edge_fields(rng, spec.size)
             X = spec.maximizer_rows(F)
             for row, f, v in zip(X, F, risk_rows(spec, F)):
                 ref = risk_maximizer(f, spec)
@@ -479,7 +475,7 @@ class TestMaximizerRows:
         monkeypatch.setattr(risk_module, "ROW_BLOCK", 7)
         rng = np.random.default_rng(18)
         for spec in self.specs(rng):
-            m = spec.space.size
+            m = spec.size
             F = np.vstack([edge_fields(rng, m), rng.normal(size=(20, m))])
             for rows in (F, F[:13]):
                 for near in (None, 0.0):
@@ -535,7 +531,7 @@ class TestGenericRisk:
         for spec in TestMaximizerRows().specs(rng):
             if isinstance(spec, SetIndicator):
                 continue
-            m = spec.space.size
+            m = spec.size
             generic_risk(rng.normal(size=m), spec, restarts=2, seed=5)
             X = rng.dirichlet(np.ones(m), size=50) * spec.support
             X /= X.sum(axis=1, keepdims=True)
@@ -550,8 +546,7 @@ class TestGenericRisk:
         rng = np.random.default_rng(7)
         for _ in range(50):
             m = int(rng.integers(2, 6))
-            space = FiniteSpace.of_size(m)
-            mu = rand_dist(rng, space)
+            mu = rand_dist(rng, m)
             f = rng.normal(size=m) * 1.5
             res = generic_risk(f, RelativeEntropy(mu), restarts=4, seed=1)
             assert abs(res.value - entropic_risk(f, mu)) <= 1e-6
@@ -566,7 +561,7 @@ class TestGenericRisk:
                 assert abs(res.value - want) <= 1e-6
 
     def test_set_indicator_vertex(self):
-        g = (Dist(TWO, [0.2, 0.8]), Dist(TWO, [0.9, 0.1]))
+        g = (Dist([0.2, 0.8]), Dist([0.9, 0.1]))
         res = generic_risk(np.array([1.0, 0.0]), SetIndicator(g))
         assert res.maximizer is g[1]
         assert abs(res.value - 0.9) <= 1e-12
@@ -640,15 +635,15 @@ class TestPenaltyFromRisk:
         rng = np.random.default_rng(15)
         spec = LpEntropy(UNIF2, 2.0)
         for _ in range(5):
-            nu = rand_dist(rng, TWO)
+            nu = rand_dist(rng, 2)
             est = penalty_from_risk(nu, spec, bound=6.0)
             assert abs(est.gap) <= 5e-3
             assert est.value <= est.direct + 1e-9
 
     def test_unsupported_grows_with_bound(self):
         # nu not << mu: the recovered value increases without bound in B
-        nu = Dist(TWO, [0.5, 0.5])
-        spec = RelativeEntropy(Dist(TWO, [1.0, 0.0]))
+        nu = Dist([0.5, 0.5])
+        spec = RelativeEntropy(Dist([1.0, 0.0]))
         vals = [penalty_from_risk(nu, spec, bound=b).value
                 for b in (2.0, 6.0, 12.0)]
         assert vals[0] < vals[1] < vals[2]
