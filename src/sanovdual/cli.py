@@ -176,13 +176,10 @@ def _dist(value, path, domain):
 
 
 def _dists(value, path, domain):
-    """A nonempty tuple of laws on the same number of states."""
+    """A nonempty tuple of laws; the spec checks that their sizes agree."""
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}: need a nonempty list")
-    laws = tuple(_dist(w, f"{path}[{i}]", domain) for i, w in enumerate(value))
-    if len({law.size for law in laws}) > 1:
-        raise ConfigError(f"{path}: laws on different numbers of states")
-    return laws
+    return tuple(_dist(w, f"{path}[{i}]", domain) for i, w in enumerate(value))
 
 
 def _grid(value, path, table):
@@ -399,23 +396,25 @@ def cmd_sanov(out: Path, seed: int, spec, F, schedule, grid_step) -> int:
     return EXIT_OK
 
 
+def _gate(stage: str, quantity: str, value: float, bound: float) -> None:
+    """A run's own check: ``quantity`` of ``stage`` must be at most
+    ``bound``.  Not <=, so that a NaN fails it."""
+    if not value <= bound:
+        raise ArithmeticError(f"{stage}: {quantity} = {value:.6g} exceeds "
+                              f"{bound:.6g}")
+
+
 def _check_limit(run: dp.SanovRun) -> None:
     """A certified target's dual gap must be at most ``dp.GAP_TOL``
     (1 + |target|), and a transport run's two targets must agree within
-    ``COUPLING_TOL``; a NaN fails either gate."""
+    ``COUPLING_TOL``."""
     if run.certified:
-        gap = run.upper_bound - run.target
-        if not abs(gap) <= dp.GAP_TOL * (1.0 + abs(run.target)):
-            raise ArithmeticError(
-                f"limit target: dual gap {gap:.3g} between target "
-                f"{run.target!r} and upper_bound {run.upper_bound!r} exceeds "
-                f"{dp.GAP_TOL:g} (1 + |target|)")
+        _gate("limit target", "dual gap |upper_bound - target|",
+              abs(run.upper_bound - run.target),
+              dp.GAP_TOL * (1.0 + abs(run.target)))
     if run.coupling_target is not None:
-        gap = abs(run.target - run.coupling_target)
-        if not gap <= COUPLING_TOL:
-            raise ArithmeticError(
-                f"limit target: |target - coupling_target| = {gap:.3g} "
-                f"exceeds {COUPLING_TOL:g}")
+        _gate("limit target", "|target - coupling_target|",
+              abs(run.target - run.coupling_target), COUPLING_TOL)
 
 
 def cmd_cramer(out: Path, seed: int, law, q, dual_grid, primal_grid) -> int:
@@ -477,10 +476,7 @@ def _azuma(out: Path, seed: int, r, n, family, replications) -> int:
     print(f"p_hat={res.estimate.p_hat:.3e}  (1/n)log p = "
           f"{res.empirical_exponent:.4f}  budget={res.budget:.4f}  "
           f"ok={res.ok}")
-    if not res.ok:
-        raise ArithmeticError(
-            f"azuma: (1/n) log p_hat = {res.empirical_exponent:.6g} exceeds "
-            f"the budget {res.budget:.6g}")
+    _gate("azuma", "(1/n) log p_hat", res.empirical_exponent, res.budget)
     return EXIT_OK
 
 
@@ -530,6 +526,11 @@ def cmd_saa(out: Path, seed: int, decisions, loss, law, epsilon, q, schedule,
 
 
 def cmd_superhedge(out: Path, seed: int, spec, f) -> int:
+    m, size = spec.size, f.size
+    n = round(math.log(size, m)) if size > 1 and m > 1 else 1
+    if not m ** n == size <= DENSE_CAP:
+        raise ConfigError(f"f: expected {m}^n entries for some n >= 1, at "
+                          f"most {DENSE_CAP}, got {size}")
     cert = dp.superhedge(f, spec)
     np.save(out / "increments.npy", cert.flat.astype("<f8", copy=False))
     write_json(out / "certificate.json", {
@@ -544,10 +545,8 @@ def cmd_superhedge(out: Path, seed: int, spec, f) -> int:
     })
     print(f"y = {cert.y:.12g}  residual_max = {cert.residual_max:.3e}  "
           f"slice_risk_max = {cert.slice_risk_max:.3e}")
-    # not <=, so that a NaN certificate fails its gate
-    if not (cert.residual_max <= RESIDUAL_TOL and
-            cert.slice_risk_max <= SLICE_RISK_TOL):
-        raise ArithmeticError("superhedge certificate out of tolerance")
+    _gate("superhedge", "residual_max", cert.residual_max, RESIDUAL_TOL)
+    _gate("superhedge", "slice_risk_max", cert.slice_risk_max, SLICE_RISK_TOL)
     return EXIT_OK
 
 
@@ -577,10 +576,8 @@ def cmd_transport(out: Path, seed: int, mu, cost, F, schedule, grid_step,
     print(f"control check: |{v_ctl:.12g} - {v_rec:.12g}| = "
           f"{abs(v_ctl - v_rec):.3e}")
     _check_limit(run)
-    if not abs(v_ctl - v_rec) <= CONTROL_TOL:
-        raise ArithmeticError(
-            f"control check: |control_value - recursion_value| = "
-            f"{abs(v_ctl - v_rec):.3g} exceeds {CONTROL_TOL:g}")
+    _gate("control check", "|control_value - recursion_value|",
+          abs(v_ctl - v_rec), CONTROL_TOL)
     return EXIT_OK
 
 
@@ -636,7 +633,7 @@ LAW = {"field": "kind", "unknown": "unknown law kind {!r}", "kinds": {
     "empirical": (EmpiricalLaw, {"samples": (_num_list, FINITE)}),
 }}
 
-# The laws a Monte Carlo experiment can draw from: all but the empirical.
+# The laws a Monte Carlo run draws from: it does not resample observed data.
 SAMPLED_LAW = {**LAW, "unknown": "no Monte Carlo sampler for law kind {!r}",
                "kinds": {k: v for k, v in LAW["kinds"].items()
                          if k != "empirical"}}

@@ -29,8 +29,7 @@ from .extreal import NEG_INF
 from .optim import simplex_grid
 from .penalties import AlphaSpec, SetIndicator, Transport, penalty
 from .risk import risk_rows
-from .spaces import (DENSE_CAP, Dist, SpaceError, SymmetricField, type_index,
-                     type_successors)
+from .spaces import DENSE_CAP, Dist, SpaceError, type_index, type_successors
 
 __all__ = [
     "SanovRun", "SuperhedgeCert", "backward_value_dense",
@@ -79,12 +78,15 @@ def backward_value_symmetric(values_by_type, n: int, spec: AlphaSpec) -> float:
     """Backward recursion over occupancy vectors of the consumed prefix.
 
     ``values_by_type`` holds the terminal values in rank order (rows of
-    ``type_index(n, m)``, m = ``spec.size``).  The one-entry case of
-    ``backward_values_symmetric``, which serves a whole schedule in one
-    pass, with every state its own group.
+    ``type_index(n, m)``, m = ``spec.size``), one per class.  The one-entry
+    case of ``backward_values_symmetric``, which serves a whole schedule in
+    one pass, with every state its own group.
     """
+    m = spec.size
+    if np.shape(values_by_type) != (math.comb(n + m - 1, m - 1),):
+        raise SpaceError("symmetric field must cover every type class exactly")
     return backward_values_symmetric(lambda _: values_by_type, [n],
-                                     np.arange(spec.size), spec)[0]
+                                     np.arange(m), spec)[0]
 
 
 def backward_values_symmetric(terminal: Callable[[int], np.ndarray],
@@ -117,8 +119,7 @@ def backward_values_symmetric(terminal: Callable[[int], np.ndarray],
     V = np.empty(0)
     for level in range(joins[-1], -1, -1):
         if joins and joins[-1] == level:
-            term = SymmetricField(level, g, terminal(joins.pop()))
-            V = np.concatenate([V, term.values])
+            V = np.concatenate([V, terminal(joins.pop())])
             order.append(level)
         if level:
             succ = type_successors(level - 1, g)[:, labels]

@@ -6,12 +6,13 @@ Each class validates its parameters on construction and owns its
 The continuous families (Pareto, Student t, log-normal) integrate by
 quadrature against their closed-form density, with ``breaks`` exact, from
 their support and centre (where the density concentrates; quadrature
-tiles outward from it).  Every family except the empirical one, whose
-``draw`` is None, draws Monte Carlo samples from a numpy Generator:
-``draw(rng, size, out)`` fills and returns ``out`` where numpy can draw in
-place, and returns a new array otherwise.  Consecutive draws from one
-generator are the same samples as one draw of their joint size.
-Centering subtracts the analytic mean, so a centered law has mean zero.
+tiles outward from it).  The empirical law of observed samples is the
+finite law with equal weights on them (``EmpiricalLaw``).  Every family
+draws Monte Carlo samples from a numpy Generator: ``draw(rng, size, out)``
+fills and returns ``out`` where numpy can draw in place, and returns a new
+array otherwise.  Consecutive draws from one generator are the same
+samples as one draw of their joint size.  Centering subtracts the
+analytic mean, so a centered law has mean zero.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ class LawError(ValueError):
 
 
 class _Law:
-    draw = None     # a family that can be sampled defines draw
-
     def check_moment(self, q: float) -> None:
         """Every moment exists unless a family says otherwise."""
 
@@ -50,16 +49,8 @@ def norm_power(x: np.ndarray, q: float) -> np.ndarray:
     return (np.abs(x) if x.ndim == 1 else np.linalg.norm(x, axis=1)) ** q
 
 
-class _AtomLaw(_Law):
-    def check_moment(self, q: float) -> None:
-        """E|X|^q is a finite sum here, but it can overflow a float."""
-        with np.errstate(over="ignore"):
-            if not np.isfinite(self.expect(lambda x: norm_power(x, q))):
-                raise LawError(f"E|X|^{q} over its points is not finite")
-
-
 @dataclass(frozen=True)
-class FiniteSupportLaw(_AtomLaw):
+class FiniteSupportLaw(_Law):
     """Atoms of shape (k,) or (k, d) with probability weights."""
 
     atoms: np.ndarray
@@ -79,6 +70,12 @@ class FiniteSupportLaw(_AtomLaw):
     def dim(self) -> int:
         return 1 if self.atoms.ndim == 1 else self.atoms.shape[1]
 
+    def check_moment(self, q: float) -> None:
+        """E|X|^q is a finite sum here, but it can overflow a float."""
+        with np.errstate(over="ignore"):
+            if not np.isfinite(self.expect(lambda x: norm_power(x, q))):
+                raise LawError(f"E|X|^{q} over its points is not finite")
+
     def expect(self, fn, breaks=()):
         return fn(self.atoms) @ self.weights
 
@@ -87,24 +84,13 @@ class FiniteSupportLaw(_AtomLaw):
         return np.take(self.atoms, idx, axis=0, out=out)
 
 
-@dataclass(frozen=True)
-class EmpiricalLaw(_AtomLaw):
-    """Plug-in law of observed samples, shape (N,) or (N, d)."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=float)
-        if not np.isfinite(s).all():
-            raise LawError("samples must be finite")
-        object.__setattr__(self, "samples", s)
-
-    @property
-    def dim(self) -> int:
-        return 1 if self.samples.ndim == 1 else self.samples.shape[1]
-
-    def expect(self, fn, breaks=()):
-        return fn(self.samples).mean(axis=-1)
+def EmpiricalLaw(samples) -> FiniteSupportLaw:
+    """The plug-in law of observed samples, shape (N,) or (N, d): weight
+    1/N on each."""
+    s = np.asarray(samples, dtype=float)
+    if s.ndim not in (1, 2) or not len(s) or not np.isfinite(s).all():
+        raise LawError("samples: expected a nonempty list of finite samples")
+    return FiniteSupportLaw(s, np.full(len(s), 1.0 / len(s)))
 
 
 @dataclass(frozen=True)
@@ -213,4 +199,4 @@ class LogNormalLaw(_DensityLaw):
         return x
 
 
-Law = FiniteSupportLaw | EmpiricalLaw | ParetoLaw | StudentTLaw | LogNormalLaw
+Law = FiniteSupportLaw | ParetoLaw | StudentTLaw | LogNormalLaw

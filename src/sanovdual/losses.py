@@ -4,6 +4,7 @@ A loss is a nondecreasing, nonconstant, convex function l with l(x) < 1 for
 x < 0.  The exponential loss reproduces the entropic pair; the power loss
 ((1+x)^+)^q reproduces the L^p pair with p = q/(q-1).  Arbitrary sampled
 losses get a numerical conjugate with a documented 1e-6 error budget.
+Every method maps an array to an ndarray of its shape (0-d for a scalar).
 """
 
 from __future__ import annotations
@@ -28,28 +29,26 @@ class ExpLoss:
     left_limit = 0.0    # l(x) -> 0 as x -> -inf
 
     def value(self, x):
-        return np.exp(x)
+        return np.asarray(np.exp(x))
 
     def prime(self, x):
-        return np.exp(x)
+        return np.asarray(np.exp(x))
 
     def conjugate(self, y):
         """l*(y) = y log y - y for y >= 0 (0 at 0), +inf for y < 0."""
         y = np.asarray(y, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(y > 0.0, y * np.log(y) - y, 0.0)
-        out = np.where(y < 0.0, INF, out)
-        return out if out.ndim else float(out)
+        return np.where(y < 0.0, INF, out)
 
     def conjugate_prime(self, y):
         y = np.asarray(y, dtype=float)
         with np.errstate(divide="ignore"):
-            out = np.where(y > 0.0, np.log(np.maximum(y, 1e-300)), NEG_INF)
-        return out if out.ndim else float(out)
+            return np.where(y > 0.0, np.log(np.maximum(y, 1e-300)), NEG_INF)
 
     def conjugate_second(self, y):
         """l*''(y) = 1/y for y > 0."""
-        return 1.0 / np.asarray(y, dtype=float)
+        return np.asarray(1.0 / np.asarray(y, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -68,30 +67,30 @@ class PowerLoss:
         return self.q / (self.q - 1.0)
 
     def value(self, x):
-        return np.maximum(1.0 + np.asarray(x, dtype=float), 0.0) ** self.q
+        return np.asarray(np.maximum(1.0 + np.asarray(x, dtype=float), 0.0)
+                          ** self.q)
 
     def prime(self, x):
-        return self.q * np.maximum(1.0 + np.asarray(x, dtype=float), 0.0) ** (self.q - 1.0)
+        return np.asarray(self.q * np.maximum(
+            1.0 + np.asarray(x, dtype=float), 0.0) ** (self.q - 1.0))
 
     def conjugate(self, y):
         """l*(y) = y ((y/q)^(1/(q-1)) / p - 1) for y >= 0, +inf below."""
         y = np.asarray(y, dtype=float)
         u = np.power(np.maximum(y, 0.0) / self.q, 1.0 / (self.q - 1.0))
-        out = y * (u / self.p - 1.0)
-        out = np.where(y < 0.0, INF, out)
-        return out if out.ndim else float(out)
+        return np.where(y < 0.0, INF, y * (u / self.p - 1.0))
 
     def conjugate_prime(self, y):
         # Derivative equals the maximizing point x*(y) = (y/q)^(1/(q-1)) - 1.
         y = np.asarray(y, dtype=float)
-        out = np.power(np.maximum(y, 0.0) / self.q, 1.0 / (self.q - 1.0)) - 1.0
-        return out if out.ndim else float(out)
+        return np.asarray(np.power(np.maximum(y, 0.0) / self.q,
+                                   1.0 / (self.q - 1.0)) - 1.0)
 
     def conjugate_second(self, y):
         """l*''(y) = (y/q)^((2-q)/(q-1)) / (q (q-1)) for y > 0."""
         q = self.q
-        return np.power(np.asarray(y, dtype=float) / q,
-                        (2.0 - q) / (q - 1.0)) / (q * (q - 1.0))
+        return np.asarray(np.power(np.asarray(y, dtype=float) / q,
+                                   (2.0 - q) / (q - 1.0)) / (q * (q - 1.0)))
 
 
 @dataclass(frozen=True)
@@ -139,15 +138,13 @@ class TabulatedLoss:
         lo = ys[0] + self._slopes[0] * (np.minimum(x, xs[0]) - xs[0])
         hi = ys[-1] + self._slopes[-1] * (np.maximum(x, xs[-1]) - xs[-1])
         mid = np.interp(x, xs, ys)
-        out = np.where(x <= xs[0], lo, np.where(x >= xs[-1], hi, mid))
-        return out if out.ndim else float(out)
+        return np.where(x <= xs[0], lo, np.where(x >= xs[-1], hi, mid))
 
     def prime(self, x):
         xs = np.asarray(self.xs)
         x = np.asarray(x, dtype=float)
         idx = np.clip(np.searchsorted(xs, x) - 1, 0, self._slopes.size - 1)
-        out = self._slopes[idx]
-        return out if out.ndim else float(out)
+        return np.asarray(self._slopes[idx])
 
     @np.errstate(invalid="ignore")
     def _node_search(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,7 +187,7 @@ class TabulatedLoss:
     def conjugate(self, y):
         """sup_x (x y - l(x)): node maximum with local quadratic refinement."""
         arr = np.asarray(y, dtype=float)
-        flat = np.atleast_1d(arr).ravel()
+        flat = arr.ravel()
         out = self._node_search(flat)[1]
         if self._slopes[0] == 0.0:
             # Flat left tail: the sup over x -> -inf is -left_limit.
@@ -198,15 +195,15 @@ class TabulatedLoss:
                            -self.left_limit, out)
         out = np.where((flat < 0.0) | (flat > self._slopes[-1] + 1e-15),
                        INF, out)
-        return out.reshape(arr.shape) if arr.ndim else float(out[0])
+        return out.reshape(arr.shape)
 
     def conjugate_prime(self, y):
         arr = np.asarray(y, dtype=float)
-        flat = np.atleast_1d(arr).ravel()
+        flat = arr.ravel()
         out = self._node_search(flat)[0]
         # +inf where the conjugate is +inf
         out = np.where(flat > self._slopes[-1] + 1e-15, INF, out)
-        return out.reshape(arr.shape) if arr.ndim else float(out[0])
+        return out.reshape(arr.shape)
 
     def conjugate_second(self, y):
         """0: no curvature to follow, so root searches on it bisect."""

@@ -96,7 +96,8 @@ FiniteSampler = FiniteSupportLaw
 class IncrementFamily:
     """A martingale increment family: it maps per-step uniforms to
     increments, possibly depending on the running sum (conditionally
-    centered, bounded)."""
+    centered, bounded), and ``phi_derivatives(y)`` gives its log-mgf bound
+    phi(y) with phi' and phi''."""
 
     def exact_tail(self, n: int, r: float) -> Optional[float]:
         """Exact P(S_n / n >= r), or None without a closed form."""
@@ -112,9 +113,6 @@ def _log_cosh(y: float) -> tuple[float, float, float]:
 @dataclass(frozen=True)
 class RademacherIncrements(IncrementFamily):
     """Fair +-1 increments; log-mgf bound phi(y) = log cosh y."""
-
-    def phi(self, y: float) -> float:
-        return _log_cosh(y)[0]
 
     def phi_derivatives(self, y: float) -> tuple[float, float, float]:
         return _log_cosh(y)
@@ -136,28 +134,30 @@ class RademacherIncrements(IncrementFamily):
         return total
 
 
+def _log_sinhc(y: float) -> float:
+    """log(sinh y / y)."""
+    a = abs(y)
+    if a < 1e-8:
+        return y * y / 6.0
+    if a > 20.0:        # sinh overflows past 710
+        return a - math.log(2.0 * a) + math.log1p(-math.exp(-2.0 * a))
+    return float(np.log(np.sinh(a) / a))
+
+
 @dataclass(frozen=True)
 class UniformIncrements(IncrementFamily):
     """Uniform[-1, 1] increments; phi(y) = log(sinh y / y)."""
-
-    def phi(self, y: float) -> float:
-        a = abs(y)
-        if a < 1e-8:
-            return y * y / 6.0
-        if a > 20.0:        # sinh overflows past 710
-            return a - math.log(2.0 * a) + math.log1p(-math.exp(-2.0 * a))
-        return float(np.log(np.sinh(a) / a))
 
     def phi_derivatives(self, y: float) -> tuple[float, float, float]:
         """phi, phi' = coth y - 1/y and phi'' = 1/y^2 - 1/sinh^2 y; near 0,
         where these differences cancel, their series."""
         y2 = y * y
         if abs(y) < 0.05:
-            return (self.phi(y),
+            return (_log_sinhc(y),
                     y * (1 / 3 - y2 * (1 / 45 - y2 * (2 / 945 - y2 / 4725))),
                     1 / 3 - y2 * (1 / 15 - y2 * (2 / 189 - y2 / 675)))
         csch = 2.0 * math.exp(-abs(y)) / -math.expm1(-2.0 * abs(y))
-        return self.phi(y), 1.0 / math.tanh(y) - 1.0 / y, 1.0 / y2 - csch ** 2
+        return _log_sinhc(y), 1.0 / math.tanh(y) - 1.0 / y, 1.0 / y2 - csch ** 2
 
     def step(self, u, s):
         return 2.0 * u - 1.0
@@ -173,7 +173,6 @@ class ScriptedIncrements(IncrementFamily):
     uniformly even though the sequence is not i.i.d.
     """
 
-    phi = RademacherIncrements.phi
     phi_derivatives = RademacherIncrements.phi_derivatives
 
     def step(self, u, s):

@@ -87,6 +87,10 @@ class _Hull(AlphaSpec):
     def __post_init__(self):
         if len(self.generators) < 1:
             raise SpaceError(f"{self.what} needs a nonempty generator list")
+        sizes = sorted({g.size for g in self.generators})
+        if len(sizes) > 1:
+            raise SpaceError(f"{self.what}: generators on different numbers "
+                             f"of states, {sizes}")
 
     @property
     def size(self) -> int:
@@ -137,8 +141,8 @@ class _LossPair(AlphaSpec):
         m_star = shortfall_risk_rows(F, w, loss)
         neg = np.isneginf(F)
         with np.errstate(invalid="ignore", divide="ignore"):
-            tilt = np.where((w > 0) & ~neg, np.asarray(loss.prime(
-                np.where(neg, 0.0, F) - m_star[:, None])), 0.0)
+            tilt = np.where((w > 0) & ~neg, loss.prime(
+                np.where(neg, 0.0, F) - m_star[:, None]), 0.0)
             out = w * tilt
             total = out.sum(axis=1)
             out = out / total[:, None]
@@ -191,8 +195,8 @@ class Shortfall(_LossPair):
     def penalty_rows(self, V: np.ndarray):
         """alpha, and its gradient l*'(t* dnu/dmu) at the minimizing t*."""
         out, t = _shortfall_rows(V, self.mu.weights, self.loss)
-        return out, np.asarray(self.loss.conjugate_prime(
-            t[:, None] * _ratio(V, self.mu.weights)))
+        return out, self.loss.conjugate_prime(
+            t[:, None] * _ratio(V, self.mu.weights))
 
 
 @dataclass(frozen=True)

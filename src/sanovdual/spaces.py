@@ -1,10 +1,12 @@
-"""Probability vectors on m states, type classes and symmetric fields.  A
-finite state space is its size m: states are the indices 0..m-1.
+"""Probability vectors on m states and type classes.  A finite state
+space is its size m: states are the indices 0..m-1.
 
 Fields on E^n are stored as dense vectors in row-major order: the flat
 index of (x_1, ..., x_n) is x_1 * m^(n-1) + ... + x_n, i.e. x_1 is the
-slowest axis.  The dense representation is capped at m^n <= 2^24 entries;
-symmetric (type-class) compression is the escape hatch beyond that.
+slowest axis.  The dense representation is capped at m^n <= 2^24 entries.
+A symmetric (permutation-invariant) field is the escape hatch beyond
+that: an array of one value per type class, in rank order (row r of
+``type_index(n, m)``).
 """
 
 from __future__ import annotations
@@ -120,18 +122,3 @@ def compositions(n: int, m: int):
     """Yield the rows of ``type_index(n, m)`` as tuples."""
     yield from map(tuple, type_index(n, m).tolist())
 
-
-@dataclass(frozen=True)
-class SymmetricField:
-    """A permutation-invariant function on E^n: one value per type class,
-    in rank order (row r of ``type_index(n, m)``)."""
-
-    n: int
-    m: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        v, m = np.array(self.values, dtype=float), self.m
-        if v.shape != (math.comb(self.n + m - 1, m - 1),):
-            raise SpaceError("symmetric field must cover every type class exactly")
-        object.__setattr__(self, "values", _freeze(v))

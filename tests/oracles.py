@@ -36,7 +36,7 @@ from sanovdual import extreal
 from sanovdual.extreal import INF, NEG_INF
 from sanovdual.losses import LossError, LossFn, TabulatedLoss
 from sanovdual.montecarlo import GrowthValidationError, SAAInstance, rep_rng
-from sanovdual.laws import EmpiricalLaw, FiniteSupportLaw
+from sanovdual.laws import FiniteSupportLaw
 from sanovdual.cramer import _cumulant
 from sanovdual.quadrature import expect
 from sanovdual.optim import golden_min, newton_nonincreasing
@@ -48,8 +48,8 @@ from sanovdual.risk import risk_rows
 from sanovdual.transport import (_MAX_PIVOTS, _PEN_TOL, TransportSolution,
                                  _northwest_corner)
 from sanovdual.spaces import (DENSE_CAP, SUM_SLACK, Dist, SpaceError,
-                              SymmetricField, _as_prob_vector, _freeze,
-                              type_index, type_successors)
+                              _as_prob_vector, _freeze, type_index,
+                              type_successors)
 
 log = logging.getLogger("sanovdual")
 
@@ -263,14 +263,16 @@ def dense_ranks(n: int, m: int) -> np.ndarray:
     return r
 
 
-def expand_dense(field: SymmetricField) -> np.ndarray:
-    """The dense field on E^n of a symmetric one, m^n entries."""
-    return field.values[dense_ranks(field.n, field.m)]
+def expand_dense(n: int, m: int, values: np.ndarray) -> np.ndarray:
+    """The dense field on E^n, m^n entries, of the symmetric one with
+    ``values`` by type class in rank order."""
+    return np.asarray(values, dtype=float)[dense_ranks(n, m)]
 
 
-def symmetric_from_dense(f: np.ndarray, n: int, m: int) -> SymmetricField:
-    """Compress a dense field, rejecting non-symmetric input; each type
-    class keeps the value at its first flat index."""
+def symmetric_from_dense(f: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Compress a dense field to its values by type class in rank order,
+    rejecting non-symmetric input; each type class keeps the value at its
+    first flat index."""
     flat = np.asarray(f, dtype=float).ravel()
     if flat.size != m ** n:
         raise SpaceError("dense field length does not match m^n")
@@ -278,7 +280,7 @@ def symmetric_from_dense(f: np.ndarray, n: int, m: int) -> SymmetricField:
     _, first = np.unique(rank, return_index=True)
     if not np.isclose(flat, flat[first][rank], rtol=0.0, atol=1e-12).all():
         raise SpaceError("field is not permutation-invariant")
-    return SymmetricField(n, m, flat[first])
+    return flat[first]
 
 
 def type_rank(counts) -> np.ndarray:
@@ -629,12 +631,11 @@ def plus_power_moment(law, t, m: float, q: float) -> float:
     """E[ ((1 + <t, X> - m)^+)^q ] alone, apart from the moment rows that
     the cumulant's Newton search uses."""
     t = np.atleast_1d(t)
-    if isinstance(law, (FiniteSupportLaw, EmpiricalLaw)):
-        finite = isinstance(law, FiniteSupportLaw)
-        pts = law.atoms if finite else law.samples
+    if isinstance(law, FiniteSupportLaw):
+        pts = law.atoms
         proj = pts @ t if pts.ndim == 2 else pts * float(t[0])
         base = np.maximum(1.0 + proj - m, 0.0) ** q
-        return float(np.dot(law.weights, base) if finite else np.mean(base))
+        return float(np.dot(law.weights, base))
     ts = float(t[0])
     if ts == 0.0:
         return max(1.0 - m, 0.0) ** q

@@ -124,6 +124,31 @@ class TestExitCodes:
             in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_generators_on_different_numbers_of_states(self, tmp_path,
+                                                        capsys):
+        # The hull's own check names the family and the sizes.
+        gens = [[0.5, 0.5], [0.2, 0.3, 0.5]]
+        assert run_with(tmp_path, "rho", {"spec": {
+            "kind": "robust", "generators": gens}}) == 2
+        assert capsys.readouterr().err == (
+            "config error: spec: robust penalty: generators on different "
+            "numbers of states, [2, 3]\n")
+
+    @pytest.mark.parametrize("value, bound, passes", [
+        (1e-8, 1e-8, True), (-math.inf, -1.0, True), (0.0, -1.0, False),
+        (math.inf, math.inf, True), (math.nan, 1.0, False),
+        (0.0, math.nan, False)])
+    def test_a_gate_fails_above_its_bound_and_at_nan(self, value, bound,
+                                                     passes):
+        # Every self-check of a run fails in the one form of cli._gate.
+        if passes:
+            cli._gate("stage", "quantity", value, bound)
+            return
+        with pytest.raises(ArithmeticError) as info:
+            cli._gate("stage", "quantity", value, bound)
+        assert str(info.value) == \
+            f"stage: quantity = {value:.6g} exceeds {bound:.6g}"
+
     def test_missing_config(self, tmp_path):
         assert main(["rho", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -419,10 +444,12 @@ class TestExitCodes:
         monkeypatch.setattr(mc, "MARTINGALE_SLACK", -10.0)
         assert run_edited(tmp_path, "azuma", "r", 0.5) == 3
         err = capsys.readouterr().err
-        assert "numeric failure: azuma: (1/n) log p_hat = " in err
-        assert " exceeds the budget -" in err
         report = strict_json(tmp_path / "out" / "report.json")
         assert report["hits"] > 0 and report["ok"] is False
+        assert report["budget"] < 0
+        assert err == (f"numeric failure: azuma: (1/n) log p_hat = "
+                       f"{report['empirical_exponent']:.6g} exceeds "
+                       f"{report['budget']:.6g}\n")
 
     @pytest.mark.parametrize("command", ["tailbound", "saa"])
     def test_repeated_sample_size_is_config_error(self, tmp_path, capsys,
@@ -769,7 +796,30 @@ class TestSuperhedgeCommand:
         assert main(["superhedge", "--config",
                      str(CONFIGS / "superhedge_power2.json"),
                      "--out", str(tmp_path / "out")]) == 3
-        assert "out of tolerance" in capsys.readouterr().err
+        bound = {"residual_max": "1e-08", "slice_risk_max": "1e-07"}[field]
+        assert capsys.readouterr().err == (f"numeric failure: superhedge: "
+                                           f"{field} = nan exceeds {bound}\n")
+
+    @pytest.mark.parametrize("size, cap", [(7, None), (1, None), (0, None),
+                                           (9, None), (8, 4)],
+                             ids=["7", "1", "0", "9", "8_over_cap_4"])
+    def test_field_of_no_power_length_is_config_error(
+            self, tmp_path, monkeypatch, capsys, size, cap):
+        # f needs 2^n entries, n >= 1, within the dense cap, and a field
+        # without them is a config error before any solve: 7 entries is
+        # the bundled config less its last, and 1 entry has no stage.
+        if cap is not None:
+            monkeypatch.setattr(cli, "DENSE_CAP", cap)
+        cfg = write_config(tmp_path, {
+            "spec": {"kind": "relative_entropy", "mu": [0.5, 0.5]},
+            "f": [0.25] * size})
+        out = tmp_path / "out"
+        assert main(["superhedge", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: f: expected 2^n entries for some n >= 1, at "
+            f"most {cli.DENSE_CAP}, got {size}\n")
+        assert not (out / "certificate.json").exists()
 
 
 class TestTransportCommand:
@@ -895,6 +945,17 @@ class TestTransportCommand:
 
 
 class TestCramerCommand:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_empty_samples_is_one_config_error(self, tmp_path, capsys):
+        # One config error and no numpy warning: the law refuses an empty
+        # list before it divides by its length.
+        assert run_with(tmp_path, "cramer", {"law": {
+            "kind": "empirical", "samples": []}}) == 2
+        assert capsys.readouterr().err == ("config error: law: samples: "
+                                           "expected a nonempty list of "
+                                           "finite samples\n")
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_tables_and_report(self, tmp_path):
         cfg = write_config(tmp_path, {
             "law": {"kind": "finite", "atoms": [-1.0, 1.0],

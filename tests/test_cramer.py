@@ -264,7 +264,7 @@ class TestRateFunctionInTwoAndThreeDimensions:
             return _cumulant(*args, **kwargs)
         monkeypatch.setattr(cramer, "_cumulant", counted)
         radius = optim.RAY_RADIUS
-        x = EMPIRICAL_3D.samples.max(axis=0) + 0.5
+        x = EMPIRICAL_3D.atoms.max(axis=0) + 0.5
         got = rate_function(EMPIRICAL_3D, x, 2.0)
         assert got.status == "diverged"
         assert got.value == got.bound == math.inf

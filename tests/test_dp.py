@@ -20,7 +20,7 @@ from sanovdual.losses import ExpLoss, PowerLoss
 from sanovdual.penalties import (LpEntropy, RelativeEntropy, Robust,
                                  SetIndicator, Shortfall, Transport, penalty)
 from sanovdual.risk import risk_rows
-from sanovdual.spaces import Dist, SpaceError, SymmetricField, type_index
+from sanovdual.spaces import Dist, SpaceError, type_index
 
 UNIF2 = Dist.uniform(2)
 COST_TV = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -187,7 +187,7 @@ class TestSymmetricRecursion:
 
                     term = _terminal(F, n, m)
                     v_sym = backward_value_symmetric(term, n, spec)
-                    dense = expand_dense(SymmetricField(n, m, term))
+                    dense = expand_dense(n, m, term)
                     v_den, _ = backward_value_dense(dense, spec)
                     assert abs(v_sym - v_den) <= 1e-8
 
@@ -297,6 +297,14 @@ class TestSymmetricRecursion:
         f = np.array([0.0, 1.0, 2.0, 3.0])
         with pytest.raises(SpaceError, match="permutation"):
             symmetric_from_dense(f, 2, 2)
+
+    @pytest.mark.parametrize("values", [np.zeros(2), np.zeros(4),
+                                        np.zeros((3, 1))],
+                             ids=["short", "long", "column"])
+    def test_values_cover_every_type_class(self, values):
+        # n = 2 draws on 2 states make three type classes, one value each
+        with pytest.raises(SpaceError, match="every type class exactly"):
+            backward_value_symmetric(values, 2, RelativeEntropy(UNIF2))
 
 
 class TestSanovLimit:

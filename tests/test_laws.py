@@ -11,8 +11,8 @@ from scipy import stats
 
 import sanovdual
 from oracles import sequential_expect
-from sanovdual.laws import (EmpiricalLaw, FiniteSupportLaw, LogNormalLaw,
-                            ParetoLaw, StudentTLaw)
+from sanovdual.laws import (EmpiricalLaw, FiniteSupportLaw, LawError,
+                            LogNormalLaw, ParetoLaw, StudentTLaw)
 from sanovdual.montecarlo import rate_fit
 
 
@@ -57,15 +57,31 @@ def test_finite_expect_in_two_dimensions():
 
 
 @pytest.mark.parametrize("shape", [(7,), (7, 3)])
-def test_empirical_expect_is_the_sample_mean(shape):
+def test_empirical_law_is_the_finite_law_of_equal_weights(shape):
     samples = np.random.default_rng(3).normal(size=shape)
     law = EmpiricalLaw(samples)
-    assert law.dim == (1 if len(shape) == 1 else shape[1])
+    same = FiniteSupportLaw(samples, np.full(7, 1 / 7))
+    assert isinstance(law, FiniteSupportLaw)
+    assert law.dim == same.dim == (1 if len(shape) == 1 else shape[1])
     if len(shape) == 1:
-        assert law.expect(np.exp) == np.mean(np.exp(samples))
+        def fn(x):
+            return np.stack([np.exp(x), x ** 3])
+        want = [np.mean(np.exp(samples)), np.mean(samples ** 3)]
     else:
-        assert law.expect(lambda x: x[:, 0] * x[:, 1] - x[:, 2]) == \
-            np.mean(samples[:, 0] * samples[:, 1] - samples[:, 2])
+        def fn(x):
+            return x[:, 0] * x[:, 1] - x[:, 2]
+        want = np.mean(samples[:, 0] * samples[:, 1] - samples[:, 2])
+    assert law.expect(fn).tobytes() == same.expect(fn).tobytes()
+    assert np.allclose(law.expect(fn), want, rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("samples", [[], np.empty((0, 2)), 1.0,
+                                     [0.5, np.nan], [np.inf, 1.0]],
+                         ids=["empty", "empty_2d", "scalar", "nan", "inf"])
+def test_empirical_law_refuses_empty_or_non_finite_samples(samples):
+    # Weights 1/N need N >= 1; the check comes before any division.
+    with np.errstate(all="raise"), pytest.raises(LawError, match="samples"):
+        EmpiricalLaw(samples)
 
 
 @pytest.mark.parametrize("law", [ParetoLaw(2.5), ParetoLaw(3.0, False),

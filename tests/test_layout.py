@@ -347,3 +347,20 @@ def test_no_type_switch_on_a_law_family():
             if named & families:
                 found.append(f"{mod}.py:{node.lineno} isinstance on a family")
     assert not found, found
+
+
+def test_one_form_per_concept():
+    # An empirical law is a finite law of equal weights, a symmetric field
+    # is its array of values by type class, and a martingale increment
+    # family's log-mgf comes only from its phi_derivatives.
+    from sanovdual import montecarlo
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and node.name in \
+                    ("SymmetricField", "EmpiricalLaw", "_AtomLaw"):
+                found.append(f"{path.name}:{node.lineno} class {node.name}")
+    for family in montecarlo.INCREMENT_FAMILIES.values():
+        if any("phi" in vars(cls) for cls in family.__mro__):
+            found.append(f"{family.__name__}.phi")
+    assert not found, found

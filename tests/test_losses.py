@@ -188,3 +188,20 @@ class TestValidateLoss:
 
         with pytest.raises(LossError):
             validate_loss(Bad())
+
+
+@pytest.mark.parametrize("loss", [
+    ExpLoss(), PowerLoss(2.5),
+    TabulatedLoss((-2.0, -1.0, 0.0, 1.0), (0.25, 0.25, 1.0, 2.0))],
+    ids=["exp", "power", "tabulated"])
+@pytest.mark.parametrize("x", [np.array(0.5), np.linspace(0.1, 2.0, 5),
+                               np.linspace(0.1, 2.0, 6).reshape(2, 3)],
+                         ids=["0d", "1d", "2d"])
+def test_every_method_maps_an_array_to_an_array_of_its_shape(loss, x):
+    # Neither a Python float nor a numpy scalar: a 0-d input gives a 0-d
+    # ndarray.
+    for method in ("value", "prime", "conjugate", "conjugate_prime",
+                   "conjugate_second"):
+        out = getattr(loss, method)(x)
+        assert type(out) is np.ndarray and out.shape == x.shape, method
+        assert out.dtype == float, method

@@ -502,10 +502,10 @@ class TestAzuma:
     @pytest.mark.parametrize("y", [0.0, 1e-9, 0.01, 0.0499, 0.0501, 0.3,
                                    -2.0, 25.0, 800.0])
     def test_phi_derivatives_match_differences(self, family, y):
-        phi, d1, d2 = family.phi_derivatives(y)
-        assert phi == family.phi(y)
+        _, d1, d2 = family.phi_derivatives(y)
         h = 1e-5
-        assert abs(d1 - (family.phi(y + h) - family.phi(y - h)) / (2 * h)) \
+        assert abs(d1 - (family.phi_derivatives(y + h)[0]
+                         - family.phi_derivatives(y - h)[0]) / (2 * h)) \
             <= 1e-8
         assert abs(d2 - (family.phi_derivatives(y + h)[1]
                          - family.phi_derivatives(y - h)[1]) / (2 * h)) <= 1e-8
@@ -543,6 +543,6 @@ class TestAzuma:
 
     def test_uniform_phi_matches_mgf(self):
         fam = UniformIncrements()
-        for y in (0.5, 1.5, 25.0):
+        for y in (0.01, 0.5, 1.5, 25.0):
             mgf = (math.exp(y) - math.exp(-y)) / (2 * y)
-            assert abs(fam.phi(y) - math.log(mgf)) <= 1e-9
+            assert abs(fam.phi_derivatives(y)[0] - math.log(mgf)) <= 1e-9

@@ -308,6 +308,16 @@ class TestHullIndicator:
             self.spec(rng.dirichlet(np.ones(10), size=30))
 
 
+@pytest.mark.parametrize("family, what", [(Robust, "robust penalty"),
+                                          (SetIndicator, "set indicator")])
+def test_hull_generators_share_their_number_of_states(family, what):
+    # A hull's generators share one number of states, checked when it is
+    # built rather than at its first penalty.
+    with pytest.raises(SpaceError, match=rf"{what}: generators on different "
+                       r"numbers of states, \[2, 3\]"):
+        family((Dist([0.2, 0.3, 0.5]), Dist([0.5, 0.5])))
+
+
 class TestTransportCost:
     def test_identity_zero(self):
         rng = np.random.default_rng(5)
