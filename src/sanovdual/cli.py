@@ -44,7 +44,7 @@ from .losses import ExpLoss, LossError, PowerLoss, TabulatedLoss
 from .penalties import (LpEntropy, RelativeEntropy, Robust, SetIndicator,
                         Shortfall, Transport)
 from .risk import RESTARTS, generic_risk, risk_result
-from .spaces import DENSE_CAP, Dist, SpaceError
+from .spaces import DENSE_CAP, Dist, SpaceError, dense_steps
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -334,14 +334,8 @@ def write_csv(path: Path, header, rows) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt_cell(c) for c in row])
-
-
-def _fmt_cell(c):
-    if isinstance(c, (float, np.floating)):
-        return f"{float(c):.17g}"
-    return c
+        writer.writerows([f"{c:.17g}" if isinstance(c, (float, np.floating))
+                          else c for c in row] for row in rows)
 
 
 def write_manifest(out: Path, config_text: str, seed: int, threads: int) -> None:
@@ -387,13 +381,26 @@ def cmd_rho(out: Path, seed: int, spec, f, generic, restarts) -> int:
 
 def cmd_sanov(out: Path, seed: int, spec, F, schedule, grid_step) -> int:
     run = _sanov_limit(spec, F, schedule, grid_step)
-    write_json(out / "report.json", run.to_json_dict())
-    write_csv(out / "table.csv", ("n", "v_n", "target", "gap"), run.csv_rows())
+    _write_limit(out, run)
     for n, v, g in zip(run.schedule, run.values, run.gaps):
         print(f"n={n:6d}  v_n={v: .9f}  gap={g:.3e}")
     print(f"target = {run.target:.9f}")
     _check_limit(run)
     return EXIT_OK
+
+
+def _write_limit(out: Path, run: dp.SanovRun, **control) -> None:
+    """report.json, less the bounds a run lacks, with a transport run's
+    ``control`` check keys; and table.csv."""
+    report = {"label": run.label, "schedule": run.schedule,
+              "v_n": run.values, "target": run.target, "gaps": run.gaps,
+              "argmax": run.argmax, "certified": run.upper_bound is not None,
+              "upper_bound": run.upper_bound,
+              "coupling_target": run.coupling_target, **control}
+    write_json(out / "report.json",
+               {k: v for k, v in report.items() if v is not None})
+    write_csv(out / "table.csv", ("n", "v_n", "target", "gap"), zip(
+        run.schedule, run.values, [run.target] * len(run.gaps), run.gaps))
 
 
 def _gate(stage: str, quantity: str, value: float, bound: float) -> None:
@@ -408,7 +415,7 @@ def _check_limit(run: dp.SanovRun) -> None:
     """A certified target's dual gap must be at most ``dp.GAP_TOL``
     (1 + |target|), and a transport run's two targets must agree within
     ``COUPLING_TOL``."""
-    if run.certified:
+    if run.upper_bound is not None:
         _gate("limit target", "dual gap |upper_bound - target|",
               abs(run.upper_bound - run.target),
               dp.GAP_TOL * (1.0 + abs(run.target)))
@@ -419,8 +426,10 @@ def _check_limit(run: dp.SanovRun) -> None:
 
 def cmd_cramer(out: Path, seed: int, law, q, dual_grid, primal_grid) -> int:
     pair = conjugate_pair(law, q, dual_grid, primal_grid)
-    write_csv(out / "cumulant.csv", ("point", "value"), pair.csv_rows("dual"))
-    write_csv(out / "rate.csv", ("point", "value"), pair.csv_rows("primal"))
+    write_csv(out / "cumulant.csv", ("point", "value"),
+              zip(pair.dual_grid, pair.dual_values))
+    write_csv(out / "rate.csv", ("point", "value"),
+              zip(pair.primal_grid, pair.primal_values))
     write_json(out / "report.json", {
         "q": pair.q, "p": pair.p, "moment": pair.moment,
         "value_at_zero": pair.value_at_zero, "convex_dual": pair.convex_dual,
@@ -526,11 +535,11 @@ def cmd_saa(out: Path, seed: int, decisions, loss, law, epsilon, q, schedule,
 
 
 def cmd_superhedge(out: Path, seed: int, spec, f) -> int:
-    m, size = spec.size, f.size
-    n = round(math.log(size, m)) if size > 1 and m > 1 else 1
-    if not m ** n == size <= DENSE_CAP:
-        raise ConfigError(f"f: expected {m}^n entries for some n >= 1, at "
-                          f"most {DENSE_CAP}, got {size}")
+    try:
+        dense_steps(f.size, spec.size)
+    except SpaceError:
+        raise ConfigError(f"f: expected {spec.size}^n entries for some n "
+                          f">= 1, at most {DENSE_CAP}, got {f.size}") from None
     cert = dp.superhedge(f, spec)
     np.save(out / "increments.npy", cert.flat.astype("<f8", copy=False))
     write_json(out / "certificate.json", {
@@ -563,14 +572,8 @@ def cmd_transport(out: Path, seed: int, mu, cost, F, schedule, grid_step,
     f_chk = rng.normal(size=mu.size ** n_chk)
     v_rec, _ = dp.backward_value_dense(f_chk, spec)
     v_ctl = dp.transport_control_value(f_chk, mu, spec.cost)
-    write_json(out / "report.json", {
-        **run.to_json_dict(),
-        "control_check_n": n_chk,
-        "control_value": v_ctl,
-        "recursion_value": v_rec,
-        "control_gap": abs(v_ctl - v_rec),
-    })
-    write_csv(out / "table.csv", ("n", "v_n", "target", "gap"), run.csv_rows())
+    _write_limit(out, run, control_check_n=n_chk, control_value=v_ctl,
+                 recursion_value=v_rec, control_gap=abs(v_ctl - v_rec))
     print(f"target={run.target:.9f}  coupling_target="
           f"{run.coupling_target:.9f}")
     print(f"control check: |{v_ctl:.12g} - {v_rec:.12g}| = "

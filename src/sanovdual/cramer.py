@@ -260,11 +260,6 @@ class ConjugatePair:
     convex_primal: bool
     minorant_ok: bool
 
-    def csv_rows(self, which: str) -> list[tuple]:
-        if which == "dual":
-            return list(zip(self.dual_grid.tolist(), self.dual_values.tolist()))
-        return list(zip(self.primal_grid.tolist(), self.primal_values.tolist()))
-
 
 def _midpoint_convex(xs: np.ndarray, ys: np.ndarray) -> bool:
     fin = np.isfinite(ys)

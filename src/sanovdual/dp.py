@@ -29,7 +29,7 @@ from .extreal import NEG_INF
 from .optim import simplex_grid
 from .penalties import AlphaSpec, SetIndicator, Transport, penalty
 from .risk import risk_rows
-from .spaces import DENSE_CAP, Dist, SpaceError, type_index, type_successors
+from .spaces import Dist, SpaceError, dense_steps, type_index, type_successors
 
 __all__ = [
     "SanovRun", "SuperhedgeCert", "backward_value_dense",
@@ -45,25 +45,15 @@ SEARCH_TOL = 1e-7   # bracket width that stops it, times min(1, first width)
 GAP_TOL = 1e-9      # largest dual gap of a certified target, per 1 + |target|
 
 
-def _flatten_field(f, m: int) -> tuple[np.ndarray, int]:
-    arr = np.asarray(f, dtype=float)
-    flat = arr.ravel()
-    n = int(round(np.log(flat.size) / np.log(m))) if m > 1 else arr.ndim
-    if m ** n != flat.size:
-        raise SpaceError("field length is not a power of the number of states")
-    return flat, n
-
-
 def backward_value_dense(f, spec: AlphaSpec, keep_trace: bool = False
                          ) -> tuple[float, Optional[list[np.ndarray]]]:
     """n-step risk of a dense field on the m = ``spec.size`` states by the
     backward recursion, and with ``keep_trace`` its stage values: stage k
-    has m^k entries, and stage 0 is the value."""
+    has m^k entries, and stage 0 is the value.  ``spaces.dense_steps``
+    reads n off the field's size."""
     m = spec.size
-    flat, n = _flatten_field(f, m)
-    if flat.size > DENSE_CAP:
-        raise SpaceError("dense field exceeds the 2^24 cap; "
-                         "use backward_value_symmetric")
+    flat = np.asarray(f, dtype=float).ravel()
+    n = dense_steps(flat.size, m)
     stages = [flat.copy()] if keep_trace else []
     g = flat
     for _ in range(n):
@@ -393,9 +383,9 @@ def _convex_target(F: SimplexFunction, spec: AlphaSpec):
 class SanovRun:
     """Scaled n-step values of n F(L_n) against the limiting supremum.
     A certified run's ``target`` is F - alpha at ``argmax`` and its
-    ``upper_bound`` a dual value >= the supremum; a transport run's
-    ``coupling_target`` is F(argmax) less the cost of an explicit coupling
-    from mu to argmax."""
+    ``upper_bound`` a dual value >= the supremum, else None; a transport
+    run's ``coupling_target`` is F(argmax) less the cost of an explicit
+    coupling from mu to argmax."""
 
     label: str
     schedule: list[int]
@@ -405,30 +395,6 @@ class SanovRun:
     argmax: list[float]
     upper_bound: Optional[float] = None
     coupling_target: Optional[float] = None
-
-    @property
-    def certified(self) -> bool:
-        return self.upper_bound is not None
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "label": self.label,
-            "schedule": self.schedule,
-            "v_n": self.values,
-            "target": self.target,
-            "gaps": self.gaps,
-            "argmax": self.argmax,
-            "certified": self.certified,
-        }
-        if self.upper_bound is not None:
-            out["upper_bound"] = self.upper_bound
-        if self.coupling_target is not None:
-            out["coupling_target"] = self.coupling_target
-        return out
-
-    def csv_rows(self) -> list[tuple]:
-        return [(n, v, self.target, g)
-                for n, v, g in zip(self.schedule, self.values, self.gaps)]
 
 
 def sanov_limit(F: SimplexFunction, spec: AlphaSpec,
@@ -527,7 +493,8 @@ def transport_control_value(f, mu: Dist, cost) -> float:
     pass, used to cross-check the Transport-spec recursion.
     """
     m = mu.size
-    flat, n = _flatten_field(f, m)
+    flat = np.asarray(f, dtype=float).ravel()
+    n = dense_steps(flat.size, m)
     c = np.asarray(cost, dtype=float)
     w = mu.weights
     J = flat

@@ -492,45 +492,50 @@ def _robust_rows(V: np.ndarray, G: np.ndarray):
     """Robust entropy of each row of V against the generators (rows of G),
     and the minimizing hull mixture.
 
-    Two generators: for phi(w) = H(nu | m(w)), m(w) = g1 + w d, d = g0 - g1,
-    -phi'(w) = sum nu d / m(w) is nonincreasing in w and convex in
-    v = w / (1 - w); its root in v is the minimizer unless that sits at
-    w = 0 or w = 1.  The endpoints win only when strictly lower.  Any
-    other number of generators goes to ``_mixture_rows``, which certifies
-    each row by Cover's bound.
+    Two generators: for phi(w) = H(nu | m(w)), m(w) = w g0 + (1 - w) g1,
+    -phi'(w) = sum nu (g0 - g1) / m(w) is nonincreasing in w and convex
+    in v = w / (1 - w); its root in v is the minimizer unless that sits at
+    w = 0 or w = 1, which win only when strictly lower.  The mixture holds
+    both weights, v / (1 + v) and 1 / (1 + v).  Any other number of
+    generators goes to ``_mixture_rows``, certified by Cover's bound.
     """
-    k = G.shape[0]
-    if k == 2:
+    if len(G) == 2:
         g0, g1 = G
         live = (V > 0.0) & ((g0 > 0.0) | (g1 > 0.0))[None, :]
 
-        def mix_at(wv: np.ndarray) -> np.ndarray:
-            return wv[:, None] * g0[None, :] + (1.0 - wv)[:, None] * g1[None, :]
+        def mix_at(W: np.ndarray) -> np.ndarray:     # W's rows: (w, 1 - w)
+            return W[:, :1] * g0[None, :] + W[:, 1:] * g1[None, :]
 
-        def foc(U: np.ndarray, on: np.ndarray, wv: np.ndarray):
+        def held(v: np.ndarray) -> np.ndarray:       # (w, 1 - w) at each v
+            return np.stack([v, np.ones_like(v)], axis=1) / (1.0 + v)[:, None]
+
+        def foc(U: np.ndarray, on: np.ndarray, W: np.ndarray):
             with np.errstate(divide="ignore", invalid="ignore"):
-                r = np.where(on, (g0 - g1) / mix_at(wv), 0.0)
+                r = np.where(on, (g0 - g1) / mix_at(W), 0.0)
             value, slope = (U * r).sum(axis=1), -(U * r * r).sum(axis=1)
             return value, np.where(np.isfinite(value), slope, 0.0)
 
-        at0, at1 = (foc(V, live, np.full(len(V), e))[0] for e in (0.0, 1.0))
-        wv = np.where(at0 > 0.0, 1.0, 0.0)
+        ends = np.array([[0.0, 1.0], [1.0, 0.0]])      # w = 0 and w = 1
+        at0, at1 = (foc(V, live, end[None])[0] for end in ends)
+        W = ends[(at0 > 0.0).astype(int)]
         work = (at0 > 0.0) & (at1 < 0.0)
         U, on = V[work], live[work]
 
         def in_v(v: np.ndarray):
-            value, slope = foc(U, on, v / (1.0 + v))
+            value, slope = foc(U, on, held(v))
             return value, slope / ((1.0 + v) * (1.0 + v))
 
         lo, ones = np.zeros(len(U)), np.ones(len(U))
         v = newton_nonincreasing(in_v, 0.0, lo, ones, ones)
-        wv[work] = v / (1.0 + v)
-        out = _rel_rows(V, mix_at(wv))
-        for end in (0.0, 1.0):
-            at_end = _rel_rows(V, mix_at(np.full(V.shape[0], end)))
-            wv = np.where(at_end < out, end, wv)
+        # Reversed, held(1 / v) is held(v), and also where v = inf (the
+        # root lies past the search's reach): 1 / v = 0 is the end w = 1.
+        W[work] = held(1.0 / v)[:, ::-1]
+        out = _rel_rows(V, mix_at(W))
+        for end in ends:
+            at_end = _rel_rows(V, mix_at(end[None]))
+            W = np.where((at_end < out)[:, None], end, W)
             out = np.minimum(out, at_end)
-        return out, mix_at(wv)
+        return out, mix_at(W)
     return _mixture_rows(V, G)
 
 

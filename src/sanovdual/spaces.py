@@ -27,6 +27,19 @@ class SpaceError(ValueError):
     """Invalid distribution or tensor input."""
 
 
+def dense_steps(size: int, m: int) -> int:
+    """The n >= 1 with size = m^n values on m states (n = 1 on one state),
+    at most ``DENSE_CAP``: the steps of a dense field of that size."""
+    n = 1
+    while m > 1 and m ** n < size:
+        n += 1
+    if m ** n != size or size > DENSE_CAP:
+        hint = "; use backward_value_symmetric" if size > DENSE_CAP else ""
+        raise SpaceError(f"{size} values on {m} states: expected m^n for "
+                         f"some n >= 1, at most {DENSE_CAP}{hint}")
+    return n
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -41,7 +54,7 @@ def _as_prob_vector(weights) -> np.ndarray:
     w[w < 0.0] = 0.0
     s = w.sum()
     if abs(s - 1.0) > SUM_SLACK:
-        raise SpaceError(f"weights sum to {s!r}, not 1")
+        raise SpaceError(f"weights sum to {float(s)!r}, not 1")
     return w / s
 
 

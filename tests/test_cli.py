@@ -9,7 +9,7 @@ import scipy
 
 from oracles import (abs_well_transport_sup, golden_max,
                      transport_level_cost)
-from sanovdual import cli, dp, montecarlo as mc
+from sanovdual import cli, dp, montecarlo as mc, spaces
 from sanovdual.cli import (EXTENDED, FINITE, GRID_END, LAW, POSITIVE, STEP,
                            ConfigError, _jsonable, _made, _num, _num_list,
                            main, parse_simplex_function, write_json)
@@ -377,6 +377,47 @@ class TestExitCodes:
          "config error: law: E|X|^2.0 over its points is not finite"),
         ("cramer", {"law": {"kind": "empirical", "samples": [-1.0, 1e308]}},
          "config error: law: E|X|^2.0 over its points is not finite"),
+        # The shapes and sums that a reader or a model refuses.
+        ("rho", {"f": [0.0, 1.0, 2.0]},
+         "config error: f: length must match the spec's number of states"),
+        ("rho", {"spec.mu": 0.5},
+         "config error: spec.mu: expected a list of numbers"),
+        ("transport", {"cost": 1.0},
+         "config error: cost: expected a matrix (list of rows)"),
+        ("sanov", {"schedule": []},
+         "config error: schedule: expected a nonempty list of integers"),
+        ("rho", {"spec.mu": [0.5, 0.25]},
+         "config error: spec.mu: weights sum to 0.75, not 1"),
+        ("rho", {"spec": {"kind": "robust", "generators": []}},
+         "config error: spec.generators: need a nonempty list"),
+        ("cramer", {"dual_grid.hi": -0.5},
+         "config error: dual_grid: need hi > lo and count >= 2"),
+        ("rho", {"spec": [0.5, 0.5]}, "config error: spec: expected an object"),
+        ("rho", {"spec": {"mu": [0.5, 0.5]}},
+         "config error: spec.kind: missing required key"),
+        ("cramer", {"law.atoms": [-1.0, 0.0, 1.0]},
+         "config error: law: atoms and weights must align"),
+        ("cramer", {"law.weights": [0.5, 0.25]},
+         "config error: law: weights must be a probability vector"),
+        ("cramer", {"law": {"kind": "student_t", "df": 1}},
+         "config error: law: Student t needs df > 1"),
+        ("cramer", {"law": {"kind": "lognormal", "sigma": 0}},
+         "config error: law: log-normal needs sigma > 0"),
+        *(("rho", {"spec": {"kind": "shortfall", "mu": [0.5, 0.5],
+                            "loss": {"kind": "tabulated", **loss}}},
+           f"config error: spec.loss: {named}") for loss, named in [
+              ({"xs": [0.0, 1.0], "ys": [0.5, 1.0]},
+               "need at least 3 sample points"),
+              ({"xs": [0.0, 2.0, 1.0], "ys": [0.5, 0.6, 0.7]},
+               "sample abscissae must be increasing"),
+              ({"xs": [-1.0, 0.0, 1.0], "ys": [0.0, 0.0, 2.0],
+                "left_limit": 1.0}, "declared left limit must be < 1")]),
+        ("rho", {"spec": {"kind": "lp_entropy", "mu": [0.5, 0.5], "p": 1}},
+         "config error: spec: L^p entropy needs p > 1"),
+        ("transport", {"cost": [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]},
+         "config error: cost: cost matrix must be m x m"),
+        ("transport", {"cost": [[0.0, -1.0], [1.0, 0.0]]},
+         "config error: cost: cost entries must be >= 0"),
     ])
     def test_config_values_are_checked(self, tmp_path, capsys, command,
                                        edits, named):
@@ -483,6 +524,15 @@ class TestFlagMode:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: need")
+
+    @pytest.mark.parametrize("argv, err", [
+        (["tailbound", "--Mq", "1", "--r", "2", "--q", "2"],
+         "tailbound without --config needs --Mq --r --q --n\n"),
+        (["rho"], "error: --config is required\n"),
+    ], ids=["flag_missing", "no_config"])
+    def test_without_config_is_config_error(self, capsys, argv, err):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == err
 
 
 class TestRhoCommand:
@@ -809,7 +859,7 @@ class TestSuperhedgeCommand:
         # without them is a config error before any solve: 7 entries is
         # the bundled config less its last, and 1 entry has no stage.
         if cap is not None:
-            monkeypatch.setattr(cli, "DENSE_CAP", cap)
+            monkeypatch.setattr(spaces, "DENSE_CAP", cap)
         cfg = write_config(tmp_path, {
             "spec": {"kind": "relative_entropy", "mu": [0.5, 0.5]},
             "f": [0.25] * size})

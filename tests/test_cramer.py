@@ -565,5 +565,5 @@ class TestConjugatePair:
         assert pair.minorant_ok
         assert abs(pair.value_at_zero) <= 1e-10
         assert pair.p == 2.0
-        rows = pair.csv_rows("dual")
+        rows = list(zip(pair.dual_grid, pair.dual_values))
         assert len(rows) == 9 and len(rows[0]) == 2

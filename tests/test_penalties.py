@@ -193,6 +193,24 @@ class TestRobustEntropy:
             # strictly beyond an end, that end is the oracle's minimizer
             assert (w[1:6] == 1.0).all() and (w[7:12] == 0.0).all()
 
+    def test_two_generators_hold_both_weights(self):
+        # The root in v lies where w = v / (1 + v) rounds to 1, and g1 alone
+        # has mass on state 4: a 1 - w of 0 dropped g1, H(nu | g0) was
+        # +inf, and the w = 0 end won with 24.33.  A grid of w near 1
+        # reaches 6.68268379576e-07.
+        nu = Dist([1.40612322e-12, 4.88140181e-24, 0.999999992,
+                   7.88180795e-09, 3.51586839e-17])
+        G = np.array([[5.33679134e-07, 2.33123747e-12, 0.999999466,
+                       1.11022243e-16, 0.0],
+                      [4.77626086e-14, 8.47457356e-21, 2.70205214e-11,
+                       1.80015580e-30, 1.0]])
+        gens = tuple(Dist(g) for g in G)
+        got = penalty(nu, Robust(gens))
+        want = penalties._mixture_rows(nu.weights[None], np.stack(
+            [g.weights for g in gens]))[0][0]
+        assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+        assert got <= 6.68268379576e-07
+
     def test_unsupported_is_infinite(self):
         g = (Dist([0.5, 0.5, 0.0]), Dist([0.2, 0.8, 0.0]))
         assert penalty(Dist([0.2, 0.2, 0.6]), Robust(g)) == math.inf

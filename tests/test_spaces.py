@@ -10,7 +10,8 @@ from oracles import (Kernel, ProductDist, compose, dense_ranks,
                      multinomial, symmetric_from_dense, type_classes,
                      type_rank)
 from sanovdual import extreal
-from sanovdual.spaces import Dist, SpaceError, type_index, type_successors
+from sanovdual.spaces import (Dist, SpaceError, dense_steps, type_index,
+                              type_successors)
 
 
 def random_product(rng, m, n, full_support=True):
@@ -225,6 +226,19 @@ class TestValidation:
     def test_dense_cap(self):
         with pytest.raises(SpaceError, match="symmetric"):
             ProductDist(16, 3, np.ones(3 ** 16) / 3 ** 16)
+
+    @pytest.mark.parametrize("size, m, n", [(2, 2, 1), (8, 2, 3), (81, 3, 4),
+                                            (1, 1, 1), (2 ** 24, 2, 24)])
+    def test_dense_steps(self, size, m, n):
+        assert dense_steps(size, m) == n
+
+    @pytest.mark.parametrize("size, m", [(0, 2), (1, 2), (7, 2), (9, 2),
+                                         (2, 1), (0, 1), (2 ** 25, 2)])
+    def test_dense_steps_refuses_other_sizes(self, size, m):
+        with pytest.raises(SpaceError, match="expected m\\^n") as info:
+            dense_steps(size, m)
+        assert ("backward_value_symmetric" in str(info.value)) == \
+            (size > 2 ** 24)
 
     def test_immutable(self):
         d = Dist.uniform(2)
