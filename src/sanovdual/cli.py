@@ -86,12 +86,13 @@ SAMPLES = (1, mc.SAMPLE_BITS)     # a Monte Carlo sample size
 
 def _num(value, path, domain):
     """A number in ``domain``: a JSON number, or the string "inf" or
-    "-inf"; NaN never is one."""
+    "infinity", signed or not; NaN never is one."""
     x = math.nan
     if isinstance(value, str):
         s = value.strip().lower()
-        x = math.inf if s in ("inf", "+inf", "infinity") else \
-            -math.inf if s == "-inf" else math.nan
+        unsigned = s[1:] if s[:1] in ("+", "-") else s
+        if unsigned in ("inf", "infinity"):
+            x = float(s)
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             x = float(value)
@@ -392,7 +393,8 @@ def cmd_sanov(out: Path, seed: int, spec, F, schedule, grid_step) -> int:
 def _write_limit(out: Path, run: dp.SanovRun, **control) -> None:
     """report.json, less the bounds a run lacks, with a transport run's
     ``control`` check keys; and table.csv."""
-    report = {"label": run.label, "schedule": run.schedule,
+    label = "sanov" if run.coupling_target is None else "transport-longrun"
+    report = {"label": label, "schedule": run.schedule,
               "v_n": run.values, "target": run.target, "gaps": run.gaps,
               "argmax": run.argmax, "certified": run.upper_bound is not None,
               "upper_bound": run.upper_bound,

@@ -5,10 +5,10 @@ recursion: the last coordinate is collapsed with the one-step risk measure,
 slice by slice, n times.  For permutation-invariant fields the recursion
 only needs the occupancy vector (type class) of the consumed prefix, which
 is what makes long horizons tractable.  The Sanov harness goes further:
-its F (``SimplexFunction``) labels the groups of states whose counts the
-terminal value reads only through their sum (a well's coordinate and the
-rest, say), and the recursion runs over the counts by group; F reads the
-law through one linear form, so its limit target is a 1-d dual.
+its F (``SimplexFunction``) reads the law through one linear form a, F =
+phi(<a, nu>), so the terminal value reads the counts of the states where
+a is 0 only through their sum; the recursion runs over the counts of that
+group and of each other state, and the limit target is a 1-d dual.
 
 On top of the recursion sit the empirical-measure limit harness, the
 superhedging decomposition (initial capital plus adapted acceptable
@@ -137,68 +137,68 @@ _WELLS = {"square_well": np.square, "abs_well": np.abs}
 @dataclass(frozen=True)
 class SimplexFunction:
     """A function F of the law on m states, rows in: F(rows) maps a (B, m)
-    batch of laws to their (B,) values.  Each kind is a function of one
-    linear form <a, nu>:
+    batch of laws to their (B,) values.  F = phi(<a, nu>) with a =
+    ``form``, in one of two shapes:
 
-    - ``constant``: F = value;
-    - ``linear``: F = <coeffs, nu>;
-    - ``square_well`` and ``abs_well``: F = scale (nu_c - center)^2 and
-      F = scale |nu_c - center|, with c the coordinate.
+    - affine, F = value + <coeffs, nu>: a ``constant`` has coeffs = 0 and
+      a ``linear`` F value = 0;
+    - a well, F = scale (nu_c - center)^2 for ``square_well`` and
+      F = scale |nu_c - center| for ``abs_well``, with c the coordinate
+      and a = e_c.
 
-    So F = phi(<a, nu>) with a = ``form``, and ``bracket``, ``phi_star``
-    and ``s_star`` set up the 1-d search for its limit target
-    (``sanov_limit``).
+    ``bracket``, ``phi_star`` and ``s_star`` set up the 1-d search for
+    its limit target (``sanov_limit``).
 
     ``labels`` numbers, by first appearance, the groups of states whose
-    counts F(L_n) reads only through their sum, bit for bit: one group
-    for a constant, a well's coordinate apart from the rest, and one
-    group per state for a linear F, whose sum rounds state by state.
+    counts F(L_n) reads only through their sum, bit for bit: the states
+    where a is 0, whose terms of <a, nu> are exact zeros, form one group,
+    and every other state is its own.
     """
 
     kind: str
     m: int
-    value: float = 0.0                      # a constant's
-    coeffs: Optional[np.ndarray] = None     # a linear F's
+    value: float = 0.0                      # an affine F's
+    coeffs: Optional[np.ndarray] = None     # a linear F's; None is 0
     coordinate: int = 0                     # a well's c, centre and scale
     center: float = 0.0
     scale: float = 0.0
 
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", np.zeros(self.m) if self.coeffs
+                           is None else np.asarray(self.coeffs, dtype=float))
+
+    @property
+    def well(self) -> Optional[Callable]:    # None for an affine F
+        return _WELLS.get(self.kind)
+
     def __call__(self, nu: np.ndarray) -> np.ndarray:
-        if self.kind == "constant":
-            return np.full(len(nu), self.value)
-        if self.kind == "linear":
-            return nu @ self.coeffs
-        shape = _WELLS[self.kind]
-        return self.scale * shape(nu[:, self.coordinate] - self.center)
+        s = nu @ self.form
+        if self.well is None:
+            return self.value + s
+        return self.scale * self.well(s - self.center)
 
     @property
     def labels(self) -> np.ndarray:
-        if self.kind == "constant":
-            return np.zeros(self.m, dtype=np.int64)
-        if self.kind == "linear":
-            return np.arange(self.m)
-        apart = np.arange(self.m) == self.coordinate
-        return (apart != apart[0]).astype(np.int64)
+        # Key each state by its group's first state; np.unique ranks keys.
+        zero = self.form == 0
+        return np.unique(np.where(zero, np.argmax(zero), np.arange(self.m)),
+                         return_inverse=True)[1]
 
     @property
     def form(self) -> np.ndarray:
-        """The a of F = phi(<a, nu>): 0 for a constant, the coefficients
-        of a linear F, e_c for a well."""
-        if self.kind == "constant":
-            return np.zeros(self.m)
-        if self.kind == "linear":
-            return np.asarray(self.coeffs, dtype=float)
+        """The a of F = phi(<a, nu>): coeffs, or e_c for a well."""
+        if self.well is None:
+            return self.coeffs
         return np.eye(self.m)[self.coordinate]
 
     @property
     def bracket(self) -> tuple[float, float]:
         """The t = phi'(s) for s in [0, 1], which holds the t that solves
-        the 1-d search of the limit target: on a well, the slopes
-        2 scale (s - c) or [-|scale|, |scale|], and for a constant (0) or
-        a linear F (1) the one t where phi_* is finite."""
-        if self.kind in ("constant", "linear"):
-            t = float(self.kind == "linear")
-            return t, t
+        the 1-d search of the limit target: 1 for an affine F (a
+        constant's t a is the zero row at any t), and on a well the
+        slopes 2 scale (s - c) or [-|scale|, |scale|]."""
+        if self.well is None:
+            return 1.0, 1.0
         if self.kind == "square_well":
             ends = 2.0 * self.scale * (1.0 - self.center), \
                 -2.0 * self.scale * self.center
@@ -207,12 +207,10 @@ class SimplexFunction:
 
     def phi_star(self, t: float) -> float:
         """phi_*(t) = inf_s (t s - phi(s)) of a concave phi on the bracket:
-        -value, 0, t c - t^2 / (4k) for a square well (k = -scale) and t c
-        for an abs well."""
-        if self.kind == "constant":
+        -value for an affine F, t c - t^2 / (4k) for a square well (k =
+        -scale) and t c for an abs well."""
+        if self.well is None:
             return -self.value
-        if self.kind == "linear":
-            return 0.0
         quad = 0.25 * t * (t / -self.scale) \
             if self.kind == "square_well" and t else 0.0
         return t * self.center - quad
@@ -226,15 +224,15 @@ class SimplexFunction:
 
     def fault(self, n: int) -> Optional[str]:
         """Why this F does not serve its m states up to n draws, led by the
-        key at fault, or None.  A linear F has m coefficients and a well's
-        coordinate is a state; n F must be finite on the simplex, where its
-        size peaks at the vertices, and so must the width of ``bracket``.
-        A well overflows by its centre when n shape(nu_c - center) does
-        for nu_c in [0, 1]."""
-        if self.kind == "linear" and len(self.coeffs) != self.m:
+        key at fault, or None.  It has m coefficients and its coordinate
+        is a state; n F must be finite on the simplex, where its size
+        peaks at the vertices, and so must the width of ``bracket``.  An
+        affine F overflows by its value when n value does, and a well by
+        its centre when n shape(nu_c - center) does for nu_c in [0, 1]."""
+        if len(self.coeffs) != self.m:
             return (f"coeffs: expected {self.m} coefficients, "
                     f"got {len(self.coeffs)}")
-        if self.kind in _WELLS and self.coordinate >= self.m:
+        if self.coordinate >= self.m:
             return (f"coordinate: expected an integer in [0, {self.m}), "
                     f"got {self.coordinate!r}")
         vertices = np.eye(self.m)
@@ -243,11 +241,12 @@ class SimplexFunction:
             if np.isfinite(n * self(vertices)).all() and \
                     np.isfinite(hi - lo):
                 return None
-            key = {"constant": "value", "linear": "coeffs"}.get(self.kind)
-            if key is None:
+            if self.well is None:
+                key = "coeffs" if np.isfinite(n * self.value) else "value"
+            else:
                 d = np.array([0.0, 1.0]) - self.center
                 key = "scale" if np.isfinite(
-                    n * _WELLS[self.kind](d)).all() else "center"
+                    n * self.well(d)).all() else "center"
         return f"{key}: n F(nu) overflows a float on the simplex at n = {n}"
 
 
@@ -387,7 +386,6 @@ class SanovRun:
     run's ``coupling_target`` is F(argmax) less the cost of an explicit
     coupling from mu to argmax."""
 
-    label: str
     schedule: list[int]
     values: list[float]
     target: float
@@ -412,8 +410,7 @@ def sanov_limit(F: SimplexFunction, spec: AlphaSpec,
     sup is off the grid: the three set-indicator configs of ROADMAP item
     15 report 0.30, 0.61 and 0.74 for the sups 0.613, 0.613 and 0.7955.
     Its switch to the dual waits for an oracle of the benchmark (ROADMAP
-    item 1).  A transport run is labelled "transport-longrun", any other
-    "sanov".
+    item 1).
     """
     values = [v / n for n, v in zip(schedule, backward_values_symmetric(
         lambda n: symmetric_terminal(F, n), schedule, F.labels, spec))]
@@ -427,11 +424,9 @@ def sanov_limit(F: SimplexFunction, spec: AlphaSpec,
     else:
         target, upper, arg, coupling = _dual_target(F, spec)
     gaps = [abs(v - target) for v in values]
-    return SanovRun("transport-longrun" if isinstance(spec, Transport)
-                    else "sanov", [int(n) for n in schedule],
-                    [float(v) for v in values], float(target), gaps,
-                    [float(x) for x in arg], upper_bound=upper,
-                    coupling_target=coupling)
+    return SanovRun([int(n) for n in schedule], [float(v) for v in values],
+                    float(target), gaps, [float(x) for x in arg],
+                    upper_bound=upper, coupling_target=coupling)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ import numpy as np
 
 from .extreal import INF
 from .quadrature import expect as _quad_expect
+from .spaces import SUM_SLACK
 
 
 class LawError(ValueError):
@@ -61,7 +62,7 @@ class FiniteSupportLaw(_Law):
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or a.shape[0] != w.size:
             raise LawError("atoms and weights must align")
-        if (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
+        if (w < 0).any() or abs(w.sum() - 1.0) > SUM_SLACK:
             raise LawError("weights must be a probability vector")
         object.__setattr__(self, "atoms", a)
         object.__setattr__(self, "weights", w / w.sum())

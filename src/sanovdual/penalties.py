@@ -39,7 +39,7 @@ from . import extreal
 from .extreal import INF, fold_columns, weighted_row_sums
 from .losses import LossFn, PowerLoss
 from .optim import newton_nonincreasing
-from .spaces import Dist, SpaceError
+from .spaces import SUM_SLACK, Dist, SpaceError
 from .transport import solve_transport
 
 log = logging.getLogger("sanovdual")
@@ -293,7 +293,7 @@ class Transport(AlphaSpec):
     def _off(self, V: np.ndarray) -> np.ndarray:
         """Rows off the domain: a negative entry, or mass other than mu's."""
         w = self.mu.weights
-        return (V < 0).any(axis=1) | (np.abs(V.sum(axis=1) - w.sum()) > 1e-9)
+        return (V < 0).any(axis=1) | (abs(V.sum(axis=1) - w.sum()) > SUM_SLACK)
 
     def penalty_rows(self, V: np.ndarray):
         """The cost and, as its gradient, the column potentials of an

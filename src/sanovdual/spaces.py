@@ -18,8 +18,8 @@ import numpy as np
 
 DENSE_CAP = 2 ** 24
 
-# Construction normalizes probability vectors whose sum is within this
-# distance of 1 and rejects anything further off.
+# How far from 1 a probability vector's sum may be (``Dist`` and a finite
+# law normalize it), and two transport marginals' masses from each other.
 SUM_SLACK = 1e-9
 
 

@@ -34,6 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .extreal import INF
+from .spaces import SUM_SLACK
 
 _PEN_TOL = 1e-9     # penalties are near-integers
 _EPS = 1e-13        # marginal perturbation
@@ -154,7 +155,7 @@ def solve_transport(a, b, cost) -> TransportSolution:
     if cost.shape != (R, C):
         raise ValueError("cost matrix shape mismatch")
     tables = _tables(cost)
-    if abs(a.sum() - b.sum()) > 1e-9:
+    if abs(a.sum() - b.sum()) > SUM_SLACK:
         raise ValueError("marginals must have equal mass")
 
     ap = a + _EPS

@@ -558,10 +558,11 @@ class TestRhoCommand:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert abs(report["value"]) <= 1e-12
 
-    def test_inf_cost_literal_accepted(self, tmp_path):
+    @pytest.mark.parametrize("inf", ["inf", "infinity", "+Infinity"])
+    def test_inf_cost_literal_accepted(self, tmp_path, inf):
         cfg = write_config(tmp_path, {
             "spec": {"kind": "transport", "mu": [0.5, 0.5],
-                     "cost": [[0.0, "inf"], ["inf", 0.0]]},
+                     "cost": [[0.0, inf], [inf, 0.0]]},
             "f": [0.3, -0.4]})
         code = main(["rho", "--config", str(cfg), "--out",
                      str(tmp_path / "out")])
@@ -575,6 +576,8 @@ class TestSimplexFunctions:
     KINDS = {
         "constant": {"kind": "constant", "value": 0.4},
         "linear": {"kind": "linear", "coeffs": [0.3, -0.1, 0.7]},
+        "linear_zero_tail": {"kind": "linear", "coeffs": [0.3, 0.0, 0.0]},
+        "linear_zero_ends": {"kind": "linear", "coeffs": [0.0, 0.3, -0.0]},
         "square_well": {"kind": "square_well", "coordinate": 1,
                         "center": 0.3, "scale": -2.0},
         "abs_well": {"kind": "abs_well", "coordinate": 2, "center": 0.25,
@@ -611,8 +614,10 @@ class TestSimplexFunctions:
 
     @pytest.mark.parametrize("kind, labels", [
         ("constant", [0, 0, 0]), ("linear", [0, 1, 2]),
+        ("linear_zero_tail", [0, 1, 1]), ("linear_zero_ends", [0, 1, 0]),
         ("square_well", [0, 1, 0]), ("abs_well", [0, 0, 1])])
     def test_groups_are_numbered_by_first_appearance(self, kind, labels):
+        # The states where F's form is 0 (-0.0 too) are one group.
         assert parse_simplex_function(self.KINDS[kind], 3).labels.tolist() \
             == labels
 
@@ -729,6 +734,15 @@ class TestSaaCommand:
         assert "config error: q: n^(q - 1) overflows a float at n = 6" \
             in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_bundled_small_config_fits_a_slope(self, tmp_path):
+        # Its schedule has the three points the rate fit needs.
+        assert main(["saa", "--config", str(CONFIGS / "saa_small.json"),
+                     "--out", str(tmp_path / "out")]) == 0
+        report = strict_json(tmp_path / "out" / "report.json")
+        assert report["schedule"] == [2, 3, 6]
+        assert report["fit_status"] == "ok"
+        assert report["slope"] < 0.0
 
     def test_inconclusive_fit_is_valid_json(self, tmp_path):
         # At 1,000 replications two of the four points have no hit: the
@@ -1123,9 +1137,15 @@ class TestNumList:
             out = _num_list(plain, "f", domain)
             assert out.dtype == np.float64
             assert out.tolist() == [_num(v, "f", domain) for v in plain]
-        extended = plain + ["inf", "-inf"]
+        spellings = ["inf", "-inf", "+inf", "infinity", "-infinity",
+                     "+infinity", " -Infinity ", "INF"]
+        extended = plain + spellings
         assert _num_list(extended, "f", EXTENDED).tolist() == \
-            [_num(v, "f", EXTENDED) for v in plain] + [math.inf, -math.inf]
+            [_num(v, "f", EXTENDED) for v in plain] + \
+            [-math.inf if "-" in v else math.inf for v in spellings]
+        for bad in ("+-inf", "--inf", "-", "infin", "-nan"):
+            with pytest.raises(ConfigError, match=r"^f: not a number"):
+                _num(bad, "f", EXTENDED)
         with pytest.raises(ConfigError, match=r"^f\[7\]: expected a finite"):
             _num_list(extended, "f", FINITE)
 

@@ -271,11 +271,15 @@ class TestSymmetricRecursion:
         ids=["m3", "m4"])
     def test_lumped_values_equal_the_per_state_recursion(self, m, specs):
         # A well on any coordinate lumps the other states, a constant all
-        # of them; each v_n equals, bit for bit, the recursion over the
-        # classes of the states themselves (identity labels).
+        # of them, and a linear F its zero coefficients (-0.0 too); each
+        # v_n equals, bit for bit, the recursion over the classes of the
+        # states themselves (identity labels).
+        coeffs = np.random.default_rng(29).normal(size=m)
         Fs = [SimplexFunction("constant", m, value=0.37)] + [
             _well(0.4, -2.0, m, kind, c)
-            for kind in ("square_well", "abs_well") for c in range(m)]
+            for kind in ("square_well", "abs_well") for c in range(m)] + [
+            _linear(np.where(zero, -0.0 if zero[-1] else 0.0, coeffs))
+            for zero in itertools.product([False, True], repeat=m)]
         schedule = [5, 9]
         for spec in specs:
             for F in Fs:
@@ -650,7 +654,8 @@ class TestTargetWorkCount:
         calls = counts[0]
         assert calls["risk_rows"] == [1, 1]
         assert calls["penalty_rows"] == [3]
-        if F.kind in ("linear", "constant"):
+        lo, hi = F.bracket
+        if lo == hi:       # an affine F's t = 1: no search
             assert calls["maximizer_rows"] == [1]
         else:
             assert 1 <= len(calls["maximizer_rows"]) <= 5

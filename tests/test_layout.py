@@ -353,9 +353,11 @@ def test_one_form_per_concept():
     # An empirical law is a finite law of equal weights, a symmetric field
     # is its array of values by type class, and a martingale increment
     # family's log-mgf comes only from its phi_derivatives.  The CLI lays
-    # out every report, so no result type writes its own, and only
-    # spaces.dense_steps reads the n of a dense field off its size: dp has
-    # no helper of its own and the CLI takes no logarithm of a size.
+    # out every report, so no result type writes its own or carries its
+    # label, and only spaces.dense_steps reads the n of a dense field off
+    # its size: dp has no helper of its own and the CLI takes no logarithm
+    # of a size.  A Sanov F is affine or a well: no SimplexFunction method
+    # names a constant or a linear F, and its labels read only its form.
     from sanovdual import montecarlo
     found = []
     for path in sorted(SRC.glob("*.py")):
@@ -368,6 +370,23 @@ def test_one_form_per_concept():
                           for item in node.body
                           if isinstance(item, ast.FunctionDef) and
                           item.name in ("to_json_dict", "csv_rows")]
+            if isinstance(node, ast.ClassDef) and node.name == "SanovRun":
+                found += [f"{path.name}:{item.lineno} SanovRun.label"
+                          for item in node.body
+                          if isinstance(item, ast.AnnAssign) and
+                          item.target.id == "label"]
+            if isinstance(node, ast.ClassDef) and \
+                    node.name == "SimplexFunction":
+                found += [f"{path.name}:{n.lineno} {n.value!r} branch"
+                          for n in ast.walk(node)
+                          if isinstance(n, ast.Constant) and
+                          n.value in ("constant", "linear")]
+                found += [f"{path.name}:{n.lineno} labels reads {n.attr}"
+                          for item in node.body
+                          if getattr(item, "name", None) == "labels"
+                          for n in ast.walk(item)
+                          if isinstance(n, ast.Attribute) and
+                          n.attr in ("kind", "well", "coordinate")]
             if path.stem == "dp" and isinstance(node, ast.FunctionDef) and \
                     node.name == "_flatten_field":
                 found.append(f"dp.py:{node.lineno} def _flatten_field")
