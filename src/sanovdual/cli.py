@@ -43,7 +43,7 @@ from .laws import (EmpiricalLaw, FiniteSupportLaw, LawError, LogNormalLaw,
 from .losses import ExpLoss, LossError, PowerLoss, TabulatedLoss
 from .penalties import (LpEntropy, RelativeEntropy, Robust, SetIndicator,
                         Shortfall, Transport)
-from .risk import RESTARTS, generic_risk, risk_result
+from .risk import GAP_TOL, RESTARTS, generic_risk, risk_result
 from .spaces import DENSE_CAP, Dist, SpaceError, dense_steps
 
 EXIT_OK = 0
@@ -371,12 +371,17 @@ def cmd_rho(out: Path, seed: int, spec, f, generic, restarts) -> int:
     weights = None if result.maximizer is None else result.maximizer.weights
     write_json(out / "report.json", {
         "value": result.value, "method": result.method,
+        "lower_bound": result.lower_bound, "upper_bound": result.upper_bound,
         "maximizer": None if weights is None else weights.tolist(),
         "spec_kind": spec_kind, "f": f.tolist(),
     })
     print(f"rho = {result.value:.12g}  method={result.method}")
     if weights is not None:
         print(f"maximizer = {np.round(weights, 9).tolist()}")
+    if math.isfinite(result.value):
+        _gate("rho", "dual gap |upper_bound - lower_bound|",
+              abs(result.upper_bound - result.lower_bound),
+              GAP_TOL * (1.0 + abs(result.upper_bound)))
     return EXIT_OK
 
 
@@ -414,13 +419,13 @@ def _gate(stage: str, quantity: str, value: float, bound: float) -> None:
 
 
 def _check_limit(run: dp.SanovRun) -> None:
-    """A certified target's dual gap must be at most ``dp.GAP_TOL``
+    """A certified target's dual gap must be at most ``risk.GAP_TOL``
     (1 + |target|), and a transport run's two targets must agree within
     ``COUPLING_TOL``."""
     if run.upper_bound is not None:
         _gate("limit target", "dual gap |upper_bound - target|",
               abs(run.upper_bound - run.target),
-              dp.GAP_TOL * (1.0 + abs(run.target)))
+              GAP_TOL * (1.0 + abs(run.target)))
     if run.coupling_target is not None:
         _gate("limit target", "|target - coupling_target|",
               abs(run.target - run.coupling_target), COUPLING_TOL)

@@ -42,7 +42,6 @@ GRID_STEP = 0.01    # mesh of the simplex grid of a set-indicator target
 GRID_BLOCK = 2 ** 14    # grid rows per evaluator call of that scan
 SEARCH_POINTS = 64  # candidate t per call of a target's search
 SEARCH_TOL = 1e-7   # bracket width that stops it, times min(1, first width)
-GAP_TOL = 1e-9      # largest dual gap of a certified target, per 1 + |target|
 
 
 def backward_value_dense(f, spec: AlphaSpec, keep_trace: bool = False

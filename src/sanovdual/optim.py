@@ -381,7 +381,8 @@ def _row_sums(A: np.ndarray) -> np.ndarray:
 def pgd_max_simplex(objective: Callable, x0: np.ndarray,
                     max_iter: int = 500,
                     ftol: float = 1e-13,
-                    support: Optional[np.ndarray] = None):
+                    support: Optional[np.ndarray] = None,
+                    target: float = INF):
     """Maximize a concave function over the simplex, or over a product of
     simplices, by projected gradient ascent with Armijo backtracking along
     the projection arc (Bertsekas 1976).
@@ -398,10 +399,12 @@ def pgd_max_simplex(objective: Callable, x0: np.ndarray,
     starts there is returned as it is.
 
     A row stops when 60 halvings of the unit step find no gain of
-    1e-4 <g, d>, or after two gains in a row below ftol (1 + |f|).  Rows
-    still running after ``max_iter`` iterations are logged, with the values
-    before and after their last step.  Returns (points, values) in the
-    shape of ``x0``; the value of a single point is a float.
+    1e-4 <g, d>, or after two gains in a row below ftol (1 + |f|).  The
+    whole ascent stops once its best value reaches a finite ``target``;
+    otherwise rows still running after ``max_iter`` iterations are logged,
+    with the values before and after their last step.  Returns (points,
+    values) in the shape of ``x0``; the value of a single point is a
+    float.
     """
     X0 = np.asarray(x0, dtype=float)
     single = X0.ndim == 1
@@ -411,9 +414,10 @@ def pgd_max_simplex(objective: Callable, x0: np.ndarray,
     per_row = (slice(None),) + (None,) * (X.ndim - 1)
     stall = np.zeros(fx.size, dtype=int)
     run = np.isfinite(fx)
+    reach = math.isfinite(target)
     for _ in range(max_iter):
         rows = np.flatnonzero(run)
-        if rows.size == 0:
+        if rows.size == 0 or reach and fx.max() >= target:
             break
         g = np.where(np.isfinite(G[rows]), G[rows], 0.0)
         t = np.ones(rows.size)
@@ -445,7 +449,7 @@ def pgd_max_simplex(objective: Callable, x0: np.ndarray,
             t[search] *= 0.5
         run[rows] = moved & (stall[rows] < 2)
     else:
-        if run.any():
+        if run.any() and not (reach and fx.max() >= target):
             _warn_open("pgd_max_simplex", max_iter, ~run, before, fx)
     if single:
         return X[0], float(fx[0])

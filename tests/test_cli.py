@@ -9,7 +9,7 @@ import scipy
 
 from oracles import (abs_well_transport_sup, golden_max,
                      transport_level_cost)
-from sanovdual import cli, dp, montecarlo as mc, spaces
+from sanovdual import cli, dp, montecarlo as mc, risk, spaces
 from sanovdual.cli import (EXTENDED, FINITE, GRID_END, LAW, POSITIVE, STEP,
                            ConfigError, _jsonable, _made, _num, _num_list,
                            main, parse_simplex_function, write_json)
@@ -557,6 +557,40 @@ class TestRhoCommand:
         assert code == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert abs(report["value"]) <= 1e-12
+
+    @pytest.mark.parametrize("generic", [False, True])
+    def test_report_brackets_the_value(self, tmp_path, generic):
+        # The value is the closed form, the upper bound, or a generic
+        # ascent's best point, the lower bound; the two bounds agree
+        # within GAP_TOL (1 + |upper_bound|).
+        assert run_edited(tmp_path, "rho", "generic", generic) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        lower, upper = report["lower_bound"], report["upper_bound"]
+        assert report["value"] == (lower if generic else upper)
+        assert abs(upper - lower) <= risk.GAP_TOL * (1.0 + abs(upper))
+
+    @pytest.mark.parametrize("generic", [False, True])
+    def test_a_dual_gap_fails_the_gate(self, tmp_path, capsys, monkeypatch,
+                                       generic):
+        # A closed form 0.1 too high leaves a gap that no ascent closes:
+        # the run exits 3, names the stage and the gap, and has written
+        # its report.
+        real = risk.risk_rows
+        monkeypatch.setattr(risk, "risk_rows",
+                            lambda *args: real(*args) + 0.1)
+        assert run_edited(tmp_path, "rho", "generic", generic) == 3
+        assert "numeric failure: rho: dual gap" in capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert abs(report["upper_bound"] - report["lower_bound"] - 0.1) <= \
+            1e-9
+
+    @pytest.mark.parametrize("generic", [False, True])
+    def test_an_infinite_rho_is_both_bounds(self, tmp_path, generic):
+        assert run_with(tmp_path, "rho", {"f": ["inf", 0.0],
+                                          "generic": generic}) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["value"] == report["lower_bound"] == \
+            report["upper_bound"] == math.inf
 
     @pytest.mark.parametrize("inf", ["inf", "infinity", "+Infinity"])
     def test_inf_cost_literal_accepted(self, tmp_path, inf):

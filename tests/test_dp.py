@@ -419,7 +419,7 @@ class TestSanovLimit:
         want = -(0.35 * math.log(0.35 / 0.3) + 0.65 * math.log(0.65 / 0.7))
         assert run.upper_bound is not None
         assert abs(run.upper_bound - run.target) <= \
-            dp_module.GAP_TOL * (1.0 + abs(run.target))
+            risk_module.GAP_TOL * (1.0 + abs(run.target))
         assert abs(run.target - want) <= 1e-12
 
     @pytest.mark.parametrize("kind", ["square_well", "abs_well"])

@@ -187,6 +187,38 @@ def test_batched_ascent_rows_match_one_row_calls(shape):
         assert np.array_equal(x, X[0]) and v == vals[0]
 
 
+def test_ascent_stops_once_its_best_row_reaches_the_target(caplog):
+    # A finite target ends the whole ascent after the first iteration whose
+    # best row reaches it, with no cap warning even at the cap; a start
+    # that reaches it is returned with one evaluator call.  A target of
+    # +-inf or NaN runs the ascent as if it had none, bit for bit.
+    X0 = np.random.default_rng(4).dirichlet(np.ones(4), size=3)
+    calls = []
+
+    def counted(X):
+        calls.append(len(X))
+        return _bowl(X)
+    X, vals = pgd_max_simplex(_bowl, X0)
+    for target in (math.inf, -math.inf, math.nan):
+        Y, got = pgd_max_simplex(_bowl, X0, target=target)
+        assert np.array_equal(Y, X) and np.array_equal(got, vals)
+    with caplog.at_level(logging.WARNING, logger="sanovdual"):
+        _, first = pgd_max_simplex(_bowl, X0, max_iter=1)
+        assert caplog.records
+        caplog.clear()
+        _, got = pgd_max_simplex(_bowl, X0, max_iter=1, target=first.max())
+        assert np.array_equal(got, first) and not caplog.records
+        pgd_max_simplex(counted, X0, target=first.max())
+        n_target = len(calls)
+        calls.clear()
+        pgd_max_simplex(counted, X0)
+        assert n_target < len(calls)
+        calls.clear()
+        pgd_max_simplex(counted, X0, target=_bowl(X0)[0].max() - 1e-12)
+        assert calls == [3]
+    assert not caplog.records
+
+
 @pytest.mark.parametrize("solver", ["golden", "newton", "newton_rows",
                                     "pgd", "legendre", "legendre_plane"])
 def test_exhausted_iteration_cap_warns(caplog, monkeypatch, solver):

@@ -1,3 +1,4 @@
+import logging
 import math
 import tracemalloc
 
@@ -17,7 +18,7 @@ from sanovdual.penalties import (LpEntropy, RelativeEntropy, Robust,
                                  SetIndicator, Shortfall, Transport,
                                  entropic_risk_rows, penalty,
                                  shortfall_risk_rows)
-from sanovdual.risk import generic_risk, risk_result, risk_rows
+from sanovdual.risk import GAP_TOL, generic_risk, risk_result, risk_rows
 from sanovdual.spaces import Dist
 
 UNIF2 = Dist.uniform(2)
@@ -444,6 +445,24 @@ class TestMaximizerRows:
                 if np.isfinite(v):
                     assert self.achieved(row, f, spec) >= v - 1e-6
 
+    def test_every_result_is_bracketed_within_the_gap(self):
+        # risk_result's lower bound is <f, nu*> - alpha(nu*) at its own
+        # maximizer, within GAP_TOL (1 + |rho|) of the closed form on
+        # either side.  An infinite rho is both of its bounds.
+        rng = np.random.default_rng(18)
+        for spec in self.specs(rng):
+            for f in edge_fields(rng, spec.size):
+                res = risk_result(f, spec)
+                assert res.upper_bound == res.value
+                if not np.isfinite(res.value):
+                    assert res.lower_bound == res.value
+                    continue
+                achieved = self.achieved(res.maximizer.weights, f, spec)
+                assert abs(res.lower_bound - achieved) <= \
+                    1e-12 * (1.0 + abs(achieved))
+                assert abs(res.value - res.lower_bound) <= \
+                    GAP_TOL * (1.0 + abs(res.value)), (spec, f)
+
     def test_matches_the_per_row_reference(self):
         rng = np.random.default_rng(17)
         for spec in self.specs(rng):
@@ -518,6 +537,14 @@ class TestRowBlocks:
 
 
 class TestGenericRisk:
+    @pytest.fixture(autouse=True)
+    def quiet(self, caplog):
+        # Every ascent here closes its gap before the iteration cap.
+        with caplog.at_level(logging.WARNING, logger="sanovdual"):
+            yield
+        assert not [r for r in caplog.records
+                    if r.message.startswith("pgd_max_simplex")]
+
     def test_objective_rows_do_not_depend_on_their_batch(self, monkeypatch):
         # The ascent evaluates only the rows still running, so each row of
         # the objective must equal its one-row value, bit for bit.
@@ -549,7 +576,8 @@ class TestGenericRisk:
             mu = rand_dist(rng, m)
             f = rng.normal(size=m) * 1.5
             res = generic_risk(f, RelativeEntropy(mu), restarts=4, seed=1)
-            assert abs(res.value - entropic_risk(f, mu)) <= 1e-6
+            want = entropic_risk(f, mu)
+            assert abs(res.value - want) <= GAP_TOL * (1.0 + abs(want))
 
     def test_matches_other_closed_forms(self):
         rng = np.random.default_rng(8)
@@ -558,7 +586,31 @@ class TestGenericRisk:
                 f = rng.normal(size=2)
                 res = generic_risk(f, spec, restarts=4, seed=2)
                 want = risk(f, spec)
-                assert abs(res.value - want) <= 1e-6
+                assert abs(res.value - want) <= GAP_TOL * (1.0 + abs(want))
+
+    def test_dense_transport_ascent_stops_at_its_gap(self, monkeypatch):
+        # The benchmark's 6-state transport f: the ascent stops once its
+        # best row is within GAP_TOL (1 + |rho|) of the closed form, the
+        # upper bound, after at most 100 evaluator calls (632 without the
+        # stop).
+        real, calls = risk_module.pgd_max_simplex, []
+
+        def spy(objective, x0, **kwargs):
+            def counted(X):
+                calls.append(len(X))
+                return objective(X)
+            return real(counted, x0, **kwargs)
+        monkeypatch.setattr(risk_module, "pgd_max_simplex", spy)
+        m = 6
+        cost = [[0.5 * abs(i - j) for j in range(m)] for i in range(m)]
+        spec = Transport(Dist.uniform(m), np.array(cost))
+        f = np.array([0.412, 1.043, -0.129, 1.366, -0.665, 0.352])
+        res = generic_risk(f, spec, restarts=2)
+        want = risk(f, spec)
+        assert res.upper_bound == want and res.lower_bound == res.value
+        assert 0.0 <= want - res.value <= GAP_TOL * (1.0 + abs(want))
+        assert abs(res.value - 0.8416666666666669) <= 1e-7
+        assert len(calls) <= 100, len(calls)
 
     def test_set_indicator_vertex(self):
         g = (Dist([0.2, 0.8]), Dist([0.9, 0.1]))
